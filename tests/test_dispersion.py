@@ -98,3 +98,25 @@ def test_scan_record_consistency(disp_plus):
     # the recorded samples bracket the root
     below = disp_plus.taus < disp_plus.tau0
     assert np.any(below) and np.any(~below)
+
+
+@pytest.mark.parametrize("omega, s, has_root", [(0.5, 1.2, True),
+                                                (2.0, 2.2, False)])
+def test_scan_matches_constant_vorticity_closed_form(omega, s, has_root):
+    # constant vorticity: omega' = 0, so gamma = sinh(tau y)/sinh(tau d)
+    # and sigma = u'(d) tau coth(tau d) - 1/u'(d) + omega(1)
+    from scipy.optimize import brentq
+    st = stream.solve_stream(V.constant(omega), s)
+    upd, d = st.u_prime_d, st.d
+
+    def exact(t):
+        return upd * t / np.tanh(t * d) - 1.0 / upd + omega
+
+    disp = find_tau0(st)
+    np.testing.assert_allclose(disp.sigmas, exact(disp.taus), rtol=1e-12)
+    if not has_root:
+        assert disp.tau0 is None
+        return
+    want = brentq(exact, 1e-6, disp.tau_max, xtol=1e-15)
+    assert disp.tau0 is not None
+    assert abs(disp.tau0 - want) < 1e-12

@@ -29,7 +29,6 @@ from .stream import (
     ShotStream,
     StreamSolution,
     depth,
-    invert_profile,
     phi,
     profile,
     shoot_stream,
@@ -103,7 +102,6 @@ __all__ = [
     "profile",
     "phi",
     "surface_slope_squared",
-    "invert_profile",
     # head landscape
     "BernoulliAnalysis",
     "CriticalPoint",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Optional
 
 from . import numerics, stream
@@ -39,6 +39,22 @@ __all__ = [
     "conjugates",
     "analyze",
 ]
+
+
+def _cached_per_spec(fn):
+    """Cache ``fn(dist)`` per distribution and quadrature spec in effect.
+
+    The quadratures under ``fn`` read the default spec, which
+    ``TOOL_SEED_TOLERANCE`` seeds, at call time; keying on it means a
+    value computed under one tolerance is never served under another.
+    """
+    cached = lru_cache(maxsize=None)(lambda dist, spec: fn(dist))
+
+    @wraps(fn)
+    def wrapper(dist: VorticityDistribution):
+        return cached(dist, numerics.default_quadrature_spec())
+
+    return wrapper
 
 
 def head(dist: VorticityDistribution, s: float) -> float:
@@ -121,7 +137,7 @@ def _descend_bracket(f, left: float, scale: float):
     raise ConvergenceError(f"head never turned back up; probes: {probes!r}")
 
 
-@lru_cache(maxsize=None)
+@_cached_per_spec
 def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     """Critical slope and head: the minimum of ``R(s)``.
 
@@ -182,7 +198,7 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     )
 
 
-@lru_cache(maxsize=None)
+@_cached_per_spec
 def second_critical(dist: VorticityDistribution) -> SecondCritical:
     """Zero-margin depth and head ``(d0, r0) = (d(s0), R(s0))``.
 

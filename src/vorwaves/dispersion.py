@@ -10,10 +10,16 @@ where ``gamma`` solves ``-gamma'' + [tau^2 - omega'(u)] gamma = 0`` with
 simple root ``tau0`` of sigma provided none of its integer multiples up to a
 cutoff is also a root (no resonant harmonics).
 
-``gamma`` is computed by shooting with ``gamma'(0) = 1`` and rescaling; the
-growth ``~ exp(tau y)`` is tamed by splitting the column into chunks and
-renormalizing the state between them, which cancels out of the ratio
-``gamma'(d) / gamma(d)`` that sigma needs.  The scan over a tau grid
+Every solve of the transverse operator goes through one shooter,
+:func:`_shoot`: it carries ``(u, u')`` jointly with the shot ``v``
+(``v = 0``, ``v' = 1`` at the start) from the bottom or from the surface,
+for one wavenumber or a stacked vector of them.  The growth
+``~ exp(tau y)`` is tamed by splitting the column into chunks and
+renormalizing ``v`` between them; the shooter alone tracks the scale
+factors, so its callers only see the far-end values (whose ratio is
+scale-free) and, for a single wavenumber, the normalized profile
+``v / v(end)`` and start slope ``v'(start) / v(end)``.  ``gamma`` is the
+bottom shot normalized by its surface value; the scan over a tau grid
 integrates one stacked system for all wavenumbers at once.
 """
 
@@ -22,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.integrate as _sint
@@ -40,7 +46,7 @@ __all__ = [
 ]
 
 # chunk the column so that tau * (chunk span) stays below this exponent;
-# the shot gamma then never exceeds ~exp(150) between renormalizations
+# the shot then never exceeds ~exp(150) between renormalizations
 _CHUNK_EXPONENT = 150.0
 _RENORM = 1e100
 
@@ -60,18 +66,42 @@ def _warn_piecewise(dist) -> Optional[str]:
     return None
 
 
-def _batch_endpoint(stream: StreamSolution, taus: np.ndarray, rtol: float):
-    """Shoot ``(u, gamma)`` jointly for all ``taus``; endpoint values only.
+class _Shot(NamedTuple):
+    v_end: np.ndarray
+    vp_end: np.ndarray
+    sample: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    start_slope: Optional[float] = None
 
-    Returns ``(g_d, gp_d)`` in a common (cancelling) renormalized scale
-    per tau, so only the ratio ``gp_d / g_d`` is meaningful.
+
+def _shoot(stream, taus, rtol: float = 1e-12, from_surface: bool = False,
+           normalize: bool = False) -> _Shot:
+    """Shoot ``(u, u', v, v')`` across the column for every tau in ``taus``.
+
+    ``v`` solves ``-v'' + [tau^2 - omega'(u)] v = 0`` from ``v = 0``,
+    ``v' = 1``, starting at the bottom (``u = 0``, ``u' = s``) or, with
+    ``from_surface``, at the surface (``u = 1``, ``u' = u'(d)``) and running
+    down.  The column is cut into chunks with ``tau * span <= 150`` and
+    ``v`` is renormalized between chunks.
+
+    Returns the far-end ``v_end`` and ``vp_end`` per tau, in the scale of
+    the last chunk, so only their ratio is meaningful.  ``normalize`` (a
+    single tau only) keeps dense output and adds ``sample(y)``, which
+    evaluates ``v(y) / v(end)``, and ``start_slope = v'(start) / v(end)``.
+
+    Raises
+    ------
+    ResonanceError
+        With ``normalize``, when the shot vanishes at the far end (``tau^2``
+        is a Dirichlet eigenvalue of the linearized operator): no
+        normalization exists.
     """
-    dist = stream.dist
-    d = stream.d
+    dist, d = stream.dist, stream.d
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
     n = taus.size
     tau2 = taus * taus
-    n_chunks = max(1, int(math.ceil(float(np.max(taus)) * d / _CHUNK_EXPONENT))) if n else 1
-    bounds = np.linspace(0.0, d, n_chunks + 1)
+    n_chunks = max(1, int(math.ceil(float(np.max(taus)) * d / _CHUNK_EXPONENT)))
+    bounds = np.linspace(d, 0.0, n_chunks + 1) if from_surface else \
+        np.linspace(0.0, d, n_chunks + 1)
 
     def rhs(t, y):
         out = np.empty_like(y)
@@ -83,21 +113,49 @@ def _batch_endpoint(stream: StreamSolution, taus: np.ndarray, rtol: float):
         return out
 
     y = np.zeros(2 + 2 * n)
-    y[1] = stream.s
+    y[:2] = (1.0, stream.u_prime_d) if from_surface else (0.0, stream.s)
     y[2 + n:] = 1.0
+    sols = []
+    logs = [np.zeros(n)]  # log of the factor v is divided by, per chunk
     for k in range(n_chunks):
+        if k:
+            mag = np.maximum(np.abs(y[2:2 + n]), np.abs(y[2 + n:]))
+            fac = np.where(mag > _RENORM, mag, 1.0)
+            y[2:] /= np.tile(fac, 2)
+            logs.append(logs[-1] + np.log(fac))
         sol = _sint.solve_ivp(rhs, (bounds[k], bounds[k + 1]), y,
-                              method="DOP853", rtol=rtol, atol=1e-14)
+                              method="DOP853", rtol=rtol, atol=1e-14,
+                              dense_output=normalize)
         if not sol.success:
             raise ConvergenceError(
-                f"gamma shot failed on [{bounds[k]!r}, {bounds[k+1]!r}]: "
+                f"transverse shot failed on [{bounds[k]!r}, {bounds[k+1]!r}]: "
                 f"{sol.message}")
+        sols.append(sol)
         y = sol.y[:, -1].copy()
-        mag = np.maximum(np.abs(y[2:2 + n]), np.abs(y[2 + n:]))
-        fac = np.where(mag > _RENORM, mag, 1.0)
-        y[2:2 + n] /= fac
-        y[2 + n:] /= fac
-    return y[2:2 + n], y[2 + n:]
+    v_end, vp_end = y[2:2 + n], y[2 + n:]
+    if not normalize:
+        return _Shot(v_end, vp_end)
+
+    tau, v_e, vp_e = float(taus[0]), float(v_end[0]), float(vp_end[0])
+    if abs(v_e) <= 1e-10 * max(abs(v_e), abs(vp_e) / max(tau, 1.0), 1e-300):
+        ends = ("surface", "bottom") if from_surface else ("bottom", "surface")
+        raise ResonanceError(
+            f"the transverse shot from the {ends[0]} vanishes at the "
+            f"{ends[1]} at tau={tau!r}: Dirichlet resonance of the "
+            f"linearized operator; no normalized solution exists")
+    log_end = float(logs[-1][0])
+
+    def sample(points: np.ndarray) -> np.ndarray:
+        out = np.empty(points.shape)
+        for k, sol in enumerate(sols):  # a shared chunk end goes to the later chunk
+            lo, hi = sorted(bounds[k:k + 2])
+            mask = (points >= lo) & (points <= hi)
+            if np.any(mask):
+                out[mask] = sol.sol(points[mask])[2] * (
+                    math.exp(float(logs[k][0]) - log_end) / v_e)
+        return out
+
+    return _Shot(v_end, vp_end, sample, math.exp(-log_end) / v_e)
 
 
 @dataclass(frozen=True)
@@ -115,7 +173,7 @@ def gamma_bvp(stream: StreamSolution, tau: float,
               n_samples: int = 257) -> GammaSolution:
     """Solve the transverse mode problem at wavenumber ``tau``.
 
-    Shooting with ``gamma'(0) = 1`` and rescaling so ``gamma(d) = 1``;
+    The bottom shot (``gamma'(0) = 1``) rescaled so ``gamma(d) = 1``;
     chunked renormalization keeps the exponential growth representable
     at any ``tau``.
 
@@ -128,64 +186,17 @@ def gamma_bvp(stream: StreamSolution, tau: float,
     if tau < 0.0:
         raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
     _warn_piecewise(stream.dist)
-    dist = stream.dist
-    d = stream.d
-    tau2 = tau * tau
-    n_chunks = max(1, int(math.ceil(tau * d / _CHUNK_EXPONENT)))
-    bounds = np.linspace(0.0, d, n_chunks + 1)
-
-    def rhs(t, y):
-        return (y[1], -dist._omega_scalar(y[0]),
-                y[3], (tau2 - dist._omega_prime_scalar(y[0])) * y[2])
-
-    y = (0.0, stream.s, 0.0, 1.0)
-    sols = []
-    logfac = [0.0]  # cumulative log renormalization applied after each chunk
-    for k in range(n_chunks):
-        sol = _sint.solve_ivp(rhs, (bounds[k], bounds[k + 1]), y,
-                              method="DOP853", rtol=1e-12, atol=1e-14,
-                              dense_output=True)
-        if not sol.success:
-            raise ConvergenceError(f"gamma shot failed: {sol.message}")
-        sols.append(sol)
-        y = sol.y[:, -1].copy()
-        mag = max(abs(y[2]), abs(y[3]))
-        fac = mag if mag > _RENORM else 1.0
-        y[2] /= fac
-        y[3] /= fac
-        logfac.append(logfac[-1] + math.log(fac))
-        y = tuple(y)
-
-    g_d, gp_d = sols[-1].y[2, -1], sols[-1].y[3, -1]
-    probe = sols[-1].sol(np.linspace(bounds[-2], bounds[-1], 33))[2]
-    scale = max(float(np.max(np.abs(probe))), abs(gp_d) / max(tau, 1.0))
-    if abs(g_d) <= 1e-10 * max(scale, 1e-300):
-        raise ResonanceError(
-            f"gamma({d!r}) vanishes at tau={tau!r}: Dirichlet resonance of "
-            f"the transverse operator; no normalized mode exists")
-
-    grid = np.linspace(0.0, d, n_samples)
-    values = np.empty(n_samples)
-    for k, sol in enumerate(sols):
-        lo, hi = bounds[k], bounds[k + 1]
-        mask = (grid >= lo) & (grid <= hi) if k == n_chunks - 1 else \
-               (grid >= lo) & (grid < hi)
-        if not np.any(mask):
-            continue
-        raw = sol.sol(grid[mask])[2]
-        values[mask] = raw * (math.exp(logfac[k] - logfac[-1]) / g_d)
+    shot = _shoot(stream, tau, normalize=True)
+    grid = np.linspace(0.0, stream.d, n_samples)
+    values = shot.sample(grid)
     values[0] = 0.0
     values[-1] = 1.0
-    try:
-        deriv_bottom = math.exp(-logfac[-1]) / g_d
-    except OverflowError:
-        deriv_bottom = 0.0
     return GammaSolution(
         tau=float(tau),
         grid=grid,
         values=values,
-        derivative_surface=gp_d / g_d,
-        derivative_bottom=deriv_bottom,
+        derivative_surface=float(shot.vp_end[0] / shot.v_end[0]),
+        derivative_bottom=shot.start_slope,
     )
 
 
@@ -216,7 +227,7 @@ def sigma(stream: StreamSolution, tau: float) -> float:
     w1 = stream.dist._omega_scalar(1.0)
     if tau == 0.0:
         return upd / stream.d - 1.0 / upd + w1
-    g_d, gp_d = _batch_endpoint(stream, np.array([tau]), rtol=1e-12)
+    g_d, gp_d = _shoot(stream, tau)[:2]
     if abs(g_d[0]) <= 1e-300 or not math.isfinite(gp_d[0] / g_d[0]):
         raise ResonanceError(
             f"gamma(d) vanishes at tau={tau!r}: dispersion pole")
@@ -271,7 +282,7 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0,
     w1 = stream.dist._omega_scalar(1.0)
     taus = np.concatenate(([1e-6], np.arange(scan_step, tau_max + 0.5 * scan_step,
                                              scan_step)))
-    g_d, gp_d = _batch_endpoint(stream, taus, rtol=1e-9)
+    g_d, gp_d = _shoot(stream, taus, rtol=1e-9)[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         sig = upd * (gp_d / g_d) - 1.0 / upd + w1
     sig = np.where(np.isfinite(sig), sig, np.nan)

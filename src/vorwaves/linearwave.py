@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-import scipy.integrate as _sint
 
-from .dispersion import DispersionResult, gamma_bvp
-from .errors import ConfigError, ConvergenceError, DomainError, ResonanceError
+from .dispersion import DispersionResult, _shoot, gamma_bvp
+from .errors import ConfigError, DomainError
 from .stream import ShotStream, StreamSolution
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
 ]
 
 _SLOPE_FLOOR = 1e-9
-_MAX_EXPONENT = 150.0  # tau * d beyond this: the aux shot is refused
 _AMPLITUDE_CAP = 0.05  # |t| <= cap * d
 _SURFACE_IDENTITY_TOL = 1e-5
 
@@ -100,6 +98,14 @@ class BottomSlopeCheck:
     bottom-shear term and a depth factor, so its discrepancy is generally
     O(1).  Both are kept so the result shows the comparison rather than
     hiding it.
+
+    Attributes
+    ----------
+    discrepancy : float
+        The product-form gap ``|W'(0) - d u'(d) w'(d)|``.  It is O(1) by
+        construction, so it is not the error of the check.
+    superposition_discrepancy : float
+        ``|W'(0) - (u'(0)/d + u'(d) w'(d))|``: the error of the check.
     """
 
     tau: float
@@ -213,44 +219,27 @@ def solve_W(stream: AnyStream, tau: float, n_samples: int = 257) -> WCorrection:
 def solve_w_aux(stream: AnyStream, tau: float, n_samples: int = 257) -> AuxSolution:
     """Solve the auxiliary problem ``w(0) = 1``, ``w(d) = 0``.
 
-    One backward shot from the surface, carried jointly with the
-    background ``u``: ``v(d) = 0``, ``v'(d) = 1``, then ``w = v / v(0)``
-    and ``w'(d) = 1 / v(0)``.  The wanted solution is the one that grows
+    The transverse shot from the surface (``v(d) = 0``, ``v'(d) = 1``),
+    normalized by its bottom value: ``w = v / v(0)`` and
+    ``w'(d) = 1 / v(0)``.  The wanted solution is the one that grows
     toward the bottom, so no two large shots cancel and the surface slope
-    keeps its relative accuracy however small it is.  The shot grows like
-    ``exp(tau d)``; wavenumbers with ``tau * d > 150`` are refused.
+    keeps its relative accuracy however small it is; the shooter's
+    renormalization keeps it representable at any ``tau * d``.
+
+    Raises
+    ------
+    ResonanceError
+        When the shot vanishes at the bottom too: no unique solution.
     """
     if tau < 0.0:
         raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
-    d = stream.d
-    if tau * d > _MAX_EXPONENT:
-        raise DomainError(
-            f"tau * d = {tau * d!r} too large: the surface shot grows like "
-            f"exp(tau * d) toward the bottom (limit {_MAX_EXPONENT})")
-    dist = stream.dist
-    tau2 = tau * tau
-
-    def rhs(t, y):
-        q = tau2 - dist._omega_prime_scalar(y[0])
-        return (y[1], -dist._omega_scalar(y[0]), y[3], q * y[2])
-
-    sol = _sint.solve_ivp(rhs, (d, 0.0), (1.0, stream.u_prime_d, 0.0, 1.0),
-                          method="DOP853", rtol=1e-12, atol=1e-14,
-                          dense_output=True)
-    if not sol.success:
-        raise ConvergenceError(f"auxiliary shot failed: {sol.message}")
-    v_0, vp_0 = float(sol.y[2, -1]), float(sol.y[3, -1])
-    scale = max(abs(v_0), abs(vp_0) / max(tau, 1.0), 1e-300)
-    if abs(v_0) <= 1e-10 * scale:
-        raise ResonanceError(
-            f"the vanishing-surface shot vanishes at the bottom too "
-            f"(tau={tau!r}): Dirichlet degeneracy, no unique solution")
-    grid = np.linspace(0.0, d, n_samples)
-    values = sol.sol(grid)[2] / v_0
+    shot = _shoot(stream, tau, from_surface=True, normalize=True)
+    grid = np.linspace(0.0, stream.d, n_samples)
+    values = shot.sample(grid)
     values[0] = 1.0
     values[-1] = 0.0
     return AuxSolution(tau=float(tau), grid=grid, values=values,
-                       derivative_surface=1.0 / v_0)
+                       derivative_surface=shot.start_slope)
 
 
 def check_Wprime0(stream: AnyStream, tau0) -> BottomSlopeCheck:

@@ -1,6 +1,8 @@
-"""Shared numerical kernels: quadrature, root finding, minimization, ODE/BVP.
+"""Shared numerical kernels: quadrature, root finding, minimization, ODEs.
 
-All higher modules funnel their numerics through this one.  The routines
+All higher modules funnel their numerics through this one, except the
+transverse shooter in ``dispersion``, which calls scipy's DOP853 itself
+so that dense output stays off on the stacked scan.  The routines
 wrap scipy with the toolkit's conventions layered on top: endpoint
 singularities of inverse-square-root type are removed by substitution
 before the adaptive rule sees them, failures surface as typed exceptions
@@ -31,7 +33,6 @@ from .errors import (
     BracketError,
     ConvergenceError,
     InvalidIntegrandError,
-    ResonanceError,
 )
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "find_root",
     "minimize_unimodal",
     "solve_ivp",
-    "BvpSolution",
-    "shoot_linear_bvp",
 ]
 
 _TOL_ENV = "TOOL_SEED_TOLERANCE"
@@ -284,87 +283,3 @@ def solve_ivp(
             f"(reached t={reached!r} of [{span[0]!r}, {span[1]!r}])"
         )
     return sol
-
-
-@dataclass(frozen=True)
-class BvpSolution:
-    """Solution of a two-point linear boundary-value problem on a grid.
-
-    Attributes
-    ----------
-    grid : ndarray
-        Sample abscissae, ascending, including both endpoints.
-    values : ndarray
-        Solution values on ``grid``.
-    derivative_left, derivative_right : float
-        One-sided derivatives at the interval ends.
-    dense : callable
-        Vectorized evaluator for the solution anywhere on the interval.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    derivative_left: float
-    derivative_right: float
-    dense: Callable[[np.ndarray], np.ndarray]
-
-
-def shoot_linear_bvp(
-    coeff: Callable[[float], float],
-    rhs: Callable[[float], float],
-    interval: tuple[float, float],
-    left_value: float,
-    right_value: float,
-    tol: float = 1e-12,
-    n_samples: int = 257,
-) -> BvpSolution:
-    """Solve ``-v'' + coeff(x) v = rhs(x)`` with Dirichlet data by shooting.
-
-    Superposition: integrate the particular solution ``P`` (with
-    ``P(a) = left_value``, ``P'(a) = 0``) and the homogeneous solution
-    ``phi`` (``phi(a) = 0``, ``phi'(a) = 1``) together in one pass, then
-    fix ``v = P + alpha * phi`` from the right boundary value.
-
-    Raises :class:`ResonanceError` when ``phi(b)`` vanishes relative to
-    the scale of ``phi`` (the operator has the interval in its Dirichlet
-    spectrum, so the data cannot be matched).
-    """
-    a, b = interval
-    if not (b > a):
-        raise ValueError(f"interval must satisfy a < b, got [{a!r}, {b!r}]")
-
-    def system(t: float, y: np.ndarray):
-        c = coeff(t)
-        # y = (P, P', phi, phi')
-        return (y[1], c * y[0] - rhs(t), y[3], c * y[2])
-
-    sol = solve_ivp(system, (left_value, 0.0, 0.0, 1.0), (a, b), tol=tol)
-    P_b, Pp_b, phi_b, phip_b = sol.y[:, -1]
-    scale = max(1.0, float(np.max(np.abs(sol.y[2]))))
-    if abs(phi_b) <= 1e-12 * scale:
-        raise ResonanceError(
-            f"homogeneous solution vanishes at the right endpoint "
-            f"(phi({b!r})={phi_b!r}); boundary data cannot be matched"
-        )
-    alpha = (right_value - P_b) / phi_b
-
-    grid = np.linspace(a, b, n_samples)
-    states = sol.sol(grid)
-    values = states[0] + alpha * states[2]
-    deriv = states[1] + alpha * states[3]
-    # pin the boundary values exactly; shooting noise is ~tol
-    values[0], values[-1] = left_value, right_value
-
-    dense_sol = sol.sol
-
-    def dense(x: np.ndarray) -> np.ndarray:
-        st = dense_sol(np.asarray(x, dtype=float))
-        return st[0] + alpha * st[2]
-
-    return BvpSolution(
-        grid=grid,
-        values=values,
-        derivative_left=float(deriv[0]),
-        derivative_right=float(deriv[-1]),
-        dense=dense,
-    )

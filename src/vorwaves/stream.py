@@ -41,7 +41,6 @@ __all__ = [
     "phi",
     "surface_slope_squared",
     "solve_stream",
-    "invert_profile",
     "shoot_stream",
 ]
 
@@ -359,11 +358,6 @@ class StreamSolution:
 def solve_stream(dist: VorticityDistribution, s: float) -> StreamSolution:
     """Construct the stream solution with bottom slope ``s``."""
     return StreamSolution(dist, s)
-
-
-def invert_profile(stream: StreamSolution, y):
-    """Stream value ``u`` at height ``y``; see :meth:`StreamSolution.u_at`."""
-    return stream.u_at(y)
 
 
 @dataclass

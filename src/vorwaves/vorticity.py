@@ -39,10 +39,6 @@ from .errors import AmbiguousClassificationError, ConfigError, DomainError
 __all__ = [
     "VorticityDistribution",
     "FlowClassification",
-    "eval_omega",
-    "eval_Omega",
-    "compute_s0",
-    "classify",
 ]
 
 # Slack accepted on the [0, 1] domain before raising; inputs inside the
@@ -469,25 +465,3 @@ class VorticityDistribution:
     def classify(self) -> FlowClassification:
         """Classify the distribution into conditions "i", "ii" or "iii"."""
         return self._classification
-
-
-# -- module-level operation names -----------------------------------------------
-
-def eval_omega(dist: VorticityDistribution, tau):
-    """Evaluate ``omega`` of ``dist`` at ``tau`` (scalar or array)."""
-    return dist.omega(tau)
-
-
-def eval_Omega(dist: VorticityDistribution, tau):
-    """Evaluate the antiderivative ``Omega`` of ``dist`` at ``tau``."""
-    return dist.Omega(tau)
-
-
-def compute_s0(dist: VorticityDistribution) -> float:
-    """Threshold slope ``sqrt(2 max Omega)`` of ``dist``."""
-    return dist.s0()
-
-
-def classify(dist: VorticityDistribution) -> FlowClassification:
-    """Classify ``dist``; see :meth:`VorticityDistribution.classify`."""
-    return dist.classify()

@@ -142,3 +142,18 @@ def test_table_distribution_end_to_end():
     pair = conjugates(dist, an.r_c * 1.02)
     assert pair.regime == "subcritical-pair"
     np.testing.assert_allclose(head(dist, pair.s_plus), an.r_c * 1.02, atol=1e-10)
+
+
+def test_critical_caches_keyed_on_tolerance(monkeypatch):
+    # values computed under a loose tolerance must not be served once the
+    # default tolerance is back in effect; the stale r_c = 0.86774497 of a
+    # 1e-2 run still shows a tiny phi_residual, so only the value tells
+    dist = V.parse("table 0:1 0.5:-1 1:2")
+    monkeypatch.setenv("TOOL_SEED_TOLERANCE", "1e-2")
+    loose = find_critical(dist)
+    second_critical(dist)
+    monkeypatch.delenv("TOOL_SEED_TOLERANCE")
+    crit = find_critical(dist)
+    np.testing.assert_allclose(crit.r_c, 0.86771258, atol=1e-8)
+    assert abs(loose.r_c - crit.r_c) > 1e-5
+    np.testing.assert_allclose(second_critical(dist).r0, 1.15760454, atol=1e-8)

@@ -37,15 +37,20 @@ def test_sigma_rejects_negative_tau(stream_plus):
         sigma(stream_plus, -1.0)
 
 
-def test_gamma_matches_sinh(stream_plus):
-    tau = 2.0
-    gam = gamma_bvp(stream_plus, tau)
-    d = stream_plus.d
-    y = gam.grid
-    np.testing.assert_allclose(gam.values, np.sinh(tau * y) / np.sinh(tau * d),
-                               atol=1e-9)
-    assert gam.values[0] == 0.0
-    assert gam.values[-1] == 1.0
+def test_gamma_matches_sinh(stream_plus, w_zero):
+    # tau d = 300 renormalizes the shot in its last chunk
+    for st, tau in ((stream_plus, 2.0), (stream.solve_stream(w_zero, 1.0), 300.0)):
+        gam = gamma_bvp(st, tau)
+        d = st.d
+        y = gam.grid
+        np.testing.assert_allclose(gam.values,
+                                   np.sinh(tau * y) / np.sinh(tau * d), atol=1e-9)
+        assert gam.values[0] == 0.0
+        assert gam.values[-1] == 1.0
+        # tau / sinh(tau d), written so it stays finite at large tau d
+        e = math.exp(-tau * d)
+        np.testing.assert_allclose(gam.derivative_bottom,
+                                   2.0 * tau * e / (1.0 - e * e), rtol=1e-9)
 
 
 def test_gamma_survives_huge_tau(stream_plus):

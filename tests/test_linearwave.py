@@ -58,15 +58,19 @@ def test_surface_identity_off_root(stream_plus):
 
 
 def test_aux_solution_closed_form(w_zero):
-    # s = 1, d = 1: w = sinh(tau (d - y))/sinh(tau d)
+    # s = 1, d = 1: w = sinh(tau (d - y))/sinh(tau d); tau d = 300 is
+    # past the single-chunk range of the shot
     st = stream.solve_stream(w_zero, 1.0)
-    aux = solve_w_aux(st, 1.0)
-    np.testing.assert_allclose(aux.derivative_surface, -1.0 / math.sinh(1.0),
-                               rtol=1e-10)
-    y = aux.grid
-    np.testing.assert_allclose(aux.values,
-                               np.sinh(1.0 - y) / math.sinh(1.0), atol=1e-10)
-    assert aux.values[0] == 1.0 and aux.values[-1] == 0.0
+    for tau in (1.0, 300.0):
+        aux = solve_w_aux(st, tau)
+        np.testing.assert_allclose(aux.derivative_surface,
+                                   -tau / math.sinh(tau), rtol=1e-10)
+        y = aux.grid
+        np.testing.assert_allclose(aux.values,
+                                   np.sinh(tau * (1.0 - y)) / math.sinh(tau),
+                                   atol=1e-10)
+        assert aux.values[0] == 1.0 and aux.values[-1] == 0.0
+    assert check_Wprime0(st, 300.0).superposition_discrepancy < 1e-6
 
 
 def test_aux_zero_wavenumber_limit(w_zero):

@@ -8,7 +8,6 @@ from vorwaves.errors import (
     BracketError,
     ConvergenceError,
     InvalidIntegrandError,
-    ResonanceError,
 )
 from vorwaves.numerics import Bracket, QuadratureSpec
 
@@ -112,31 +111,3 @@ def test_solve_ivp_exponential():
     np.testing.assert_allclose(sol.y[0, -1], math.e, rtol=1e-11)
     # dense output present
     np.testing.assert_allclose(sol.sol(0.5)[0], math.sqrt(math.e), rtol=1e-11)
-
-
-def test_shoot_linear_bvp_sinh():
-    # -v'' + v = 0, v(0)=0, v(2)=1  ->  v = sinh(x)/sinh(2)
-    bvp = numerics.shoot_linear_bvp(lambda x: 1.0, lambda x: 0.0,
-                                    (0.0, 2.0), 0.0, 1.0)
-    x = np.linspace(0.0, 2.0, 11)
-    np.testing.assert_allclose(bvp.dense(x), np.sinh(x) / np.sinh(2.0),
-                               atol=1e-11)
-    assert bvp.values[0] == 0.0 and bvp.values[-1] == 1.0
-    np.testing.assert_allclose(bvp.derivative_left, 1.0 / np.sinh(2.0), rtol=1e-10)
-    np.testing.assert_allclose(bvp.derivative_right,
-                               np.cosh(2.0) / np.sinh(2.0), rtol=1e-10)
-
-
-def test_shoot_linear_bvp_inhomogeneous():
-    # -v'' = 1, v(0)=v(1)=0  ->  v = x(1-x)/2
-    bvp = numerics.shoot_linear_bvp(lambda x: 0.0, lambda x: 1.0,
-                                    (0.0, 1.0), 0.0, 0.0)
-    x = np.linspace(0.0, 1.0, 9)
-    np.testing.assert_allclose(bvp.dense(x), 0.5 * x * (1.0 - x), atol=1e-12)
-
-
-def test_shoot_linear_bvp_resonance():
-    # -v'' - pi^2 v = 0 on [0, 1] has sin(pi x) in its Dirichlet kernel
-    with pytest.raises(ResonanceError):
-        numerics.shoot_linear_bvp(lambda x: -math.pi ** 2, lambda x: 0.0,
-                                  (0.0, 1.0), 0.0, 1.0)

@@ -3,7 +3,6 @@ import pytest
 
 from vorwaves.errors import ConfigError, DomainError
 from vorwaves.vorticity import VorticityDistribution as V
-from vorwaves.vorticity import classify, compute_s0, eval_Omega, eval_omega
 
 
 def test_constant_evaluation(w_two):
@@ -88,23 +87,23 @@ def test_describe(w_minus_two):
 
 
 def test_classification_conditions(w_zero, w_two, w_minus_two, w_tilted):
-    assert classify(w_zero).condition == "i"
-    assert not classify(w_zero).d0_finite
+    assert w_zero.classify().condition == "i"
+    assert not w_zero.classify().d0_finite
 
-    c2 = classify(w_two)
+    c2 = w_two.classify()
     assert c2.condition == "iii"
     assert c2.maximizers == (1.0,)
     assert c2.max_Omega == 2.0
     assert c2.s0 == 2.0
     assert c2.d0_finite
 
-    cm = classify(w_minus_two)
+    cm = w_minus_two.classify()
     assert cm.condition == "ii"
     assert cm.maximizers == (0.0,)
     assert cm.max_Omega == 0.0
     assert cm.s0 == 0.0
 
-    ct = classify(w_tilted)
+    ct = w_tilted.classify()
     assert ct.condition == "iii"
     assert set(ct.maximizers) == {0.0, 1.0}
     assert ct.max_Omega == 0.0
@@ -113,17 +112,17 @@ def test_classification_conditions(w_zero, w_two, w_minus_two, w_tilted):
 def test_interior_maximum_is_condition_i():
     # omega = 1 - 2 tau: Omega = tau - tau^2 peaks at tau = 1/2
     dist = V.polynomial([1.0, -2.0])
-    cls = classify(dist)
+    cls = dist.classify()
     assert cls.condition == "i"
     assert any(0.0 < m < 1.0 for m in cls.maximizers)
     np.testing.assert_allclose(cls.max_Omega, 0.25, rtol=1e-12)
     np.testing.assert_allclose(cls.s0, np.sqrt(0.5), rtol=1e-12)
 
 
-def test_module_level_wrappers(w_two):
-    assert eval_omega(w_two, 0.5) == 2.0
-    assert eval_Omega(w_two, 0.5) == 1.0
-    assert compute_s0(w_two) == 2.0
+def test_scalar_shorthands(w_two):
+    assert w_two.omega(0.5) == 2.0
+    assert w_two.Omega(0.5) == 1.0
+    assert w_two.s0() == 2.0
 
 
 def test_surface_gap_matches_direct(w_two, w_tilted):

@@ -30,7 +30,6 @@ from .stream import (
     StreamSolution,
     depth,
     phi,
-    profile,
     shoot_stream,
     solve_stream,
     surface_slope_squared,
@@ -68,11 +67,10 @@ from .hodograph import (
     WheelerReport,
     bernoulli_residual,
     field_equation_residual,
-    recover_eta,
     to_strip,
     wheeler_identity,
 )
-from .bounds import BoundsReport, VerdictRecord, check_bounds, check_prop3
+from .bounds import BoundsReport, VerdictRecord, check_bounds
 
 __version__ = "0.1.0"
 
@@ -99,7 +97,6 @@ __all__ = [
     "solve_stream",
     "shoot_stream",
     "depth",
-    "profile",
     "phi",
     "surface_slope_squared",
     # head landscape
@@ -137,7 +134,6 @@ __all__ = [
     "FieldResidual",
     "WheelerReport",
     "to_strip",
-    "recover_eta",
     "bernoulli_residual",
     "field_equation_residual",
     "wheeler_identity",
@@ -145,5 +141,4 @@ __all__ = [
     "VerdictRecord",
     "BoundsReport",
     "check_bounds",
-    "check_prop3",
 ]

@@ -14,7 +14,7 @@ stream-like when its total variation falls below 1e-9 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import bernoulli
 from .errors import ConfigError, DomainError
 from .vorticity import VorticityDistribution
 
-__all__ = ["VerdictRecord", "BoundsReport", "check_bounds", "check_prop3"]
+__all__ = ["VerdictRecord", "BoundsReport", "check_bounds"]
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -76,6 +76,23 @@ def _at_least(lhs: float, rhs: float, note: str = "") -> VerdictRecord:
 def _na(note: str) -> VerdictRecord:
     return VerdictRecord(status=NOT_APPLICABLE, lhs=None, rhs=None,
                          margin=0.0, note=note)
+
+
+def _sandwich(eta_hat: float, eta_check: float, depth: float, name: str,
+              suffix: str = "") -> VerdictRecord:
+    """Verdict on ``eta_hat >= depth > eta_check``.
+
+    A failing side is reported with its own values; when both hold, the
+    tighter side of the sandwich is the one reported.
+    """
+    note = f"crest >= {name} and {name} > trough" + suffix
+    crest = _at_least(eta_hat, depth, note)
+    trough = _strictly_above(depth, eta_check, note)
+    if crest.status == VIOLATED:
+        return replace(crest, note=f"crest bound eta_hat >= {name} fails; " + note)
+    if trough.status == VIOLATED:
+        return replace(trough, note=f"trough bound {name} > eta_check fails; " + note)
+    return crest if eta_hat - depth <= depth - eta_check else trough
 
 
 @dataclass(frozen=True)
@@ -137,40 +154,8 @@ def _prop3_record(analysis, r: float, eta_hat: float, eta_check: float,
                    f"\"{analysis.condition}\"")
     if analysis.r0 is None or r - analysis.r0 <= _margin(r, analysis.r0):
         return _na(f"requires r > r0; r={r!r}, r0={analysis.r0!r}")
-    d0 = analysis.d0
-    crest = _at_least(eta_hat, d0)
-    trough = _strictly_above(d0, eta_check)
-    note = "crest >= d0 and d0 > trough"
-    if stream_like:
-        note += "; samples are stream-like"
-    if crest.status == VIOLATED:
-        return VerdictRecord(status=VIOLATED, lhs=eta_hat, rhs=d0,
-                             margin=crest.margin,
-                             note="crest bound eta_hat >= d0 fails; " + note)
-    if trough.status == VIOLATED:
-        return VerdictRecord(status=VIOLATED, lhs=d0, rhs=eta_check,
-                             margin=trough.margin,
-                             note="trough bound d0 > eta_check fails; " + note)
-    # report the tighter side of the sandwich
-    if eta_hat - d0 <= d0 - eta_check:
-        return VerdictRecord(status=HOLDS, lhs=eta_hat, rhs=d0,
-                             margin=crest.margin, note=note)
-    return VerdictRecord(status=HOLDS, lhs=d0, rhs=eta_check,
-                         margin=trough.margin, note=note)
-
-
-def check_prop3(dist: VorticityDistribution, r: float, eta) -> VerdictRecord:
-    """Depth-d0 sandwich ``eta_hat >= d0 > eta_check`` on its own.
-
-    Applicable only under classification "ii" with ``r > r0``; hypothesis
-    failure is encoded as a not-applicable verdict, never an exception.
-    """
-    arr = _checked_samples(eta)
-    eta_hat = float(np.max(arr))
-    eta_check = float(np.min(arr))
-    stream_like = (eta_hat - eta_check) < _FLAT_REL * max(1.0, eta_hat)
-    return _prop3_record(bernoulli.analyze(dist), r, eta_hat, eta_check,
-                         stream_like)
+    return _sandwich(eta_hat, eta_check, analysis.d0, "d0",
+                     "; samples are stream-like" if stream_like else "")
 
 
 def check_bounds(dist: VorticityDistribution, r: float, eta) -> BoundsReport:
@@ -223,25 +208,7 @@ def check_bounds(dist: VorticityDistribution, r: float, eta) -> BoundsReport:
         assertion2 = _na("samples are stream-like; the assertion addresses "
                          "non-stream solutions")
     else:
-        crest = _at_least(eta_hat, d_plus)
-        trough = _strictly_above(d_plus, eta_check)
-        note = "crest >= d_plus and d_plus > trough"
-        if crest.status == VIOLATED:
-            assertion2 = VerdictRecord(
-                status=VIOLATED, lhs=eta_hat, rhs=d_plus, margin=crest.margin,
-                note="crest bound eta_hat >= d_plus fails; " + note)
-        elif trough.status == VIOLATED:
-            assertion2 = VerdictRecord(
-                status=VIOLATED, lhs=d_plus, rhs=eta_check,
-                margin=trough.margin,
-                note="trough bound d_plus > eta_check fails; " + note)
-        elif eta_hat - d_plus <= d_plus - eta_check:
-            assertion2 = VerdictRecord(status=HOLDS, lhs=eta_hat, rhs=d_plus,
-                                       margin=crest.margin, note=note)
-        else:
-            assertion2 = VerdictRecord(status=HOLDS, lhs=d_plus,
-                                       rhs=eta_check, margin=trough.margin,
-                                       note=note)
+        assertion2 = _sandwich(eta_hat, eta_check, d_plus, "d_plus")
 
     variation = eta_hat - eta_check
     flat_tol = _FLAT_REL * max(1.0, eta_hat)

@@ -3,7 +3,7 @@
 Unidirectional flows are re-parameterized by ``(q, p) = (x, psi)``: the
 unknown free boundary becomes the fixed line ``p = 1`` and the height
 ``h(q, p)`` becomes the field of interest.  This module transforms
-sampled flows to that strip, recovers the surface from the top row,
+sampled flows to that strip (the surface is the top row of ``h``),
 evaluates the surface Bernoulli residual and the interior divergence-form
 residual, and computes both sides of the conjugate-flow integral identity
 used in the non-existence arguments.
@@ -31,7 +31,6 @@ __all__ = [
     "FieldResidual",
     "WheelerReport",
     "to_strip",
-    "recover_eta",
     "bernoulli_residual",
     "field_equation_residual",
     "wheeler_identity",
@@ -184,11 +183,6 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
                           r=float(r))
 
 
-def recover_eta(hfield: HodographField) -> np.ndarray:
-    """Surface elevation per column: the top row of ``h``."""
-    return hfield.h[-1].copy()
-
-
 def bernoulli_residual(hfield: HodographField,
                        r: Optional[float] = None) -> SurfaceResidual:
     """Residual of the dynamic surface condition at ``p = 1``.
@@ -281,7 +275,7 @@ def wheeler_identity(hfield: HodographField, s: float, window,
 
     base = _stream.solve_stream(dist, s)
     H_col = np.asarray(base.height_at(p), dtype=float)
-    phi_vals = _stream._phi_cumulative(dist, s, p)
+    phi_vals = _stream._accumulate(dist, s, p, -1.5)
     phi_surface = float(phi_vals[-1])
     reduced = abs(phi_surface - 1.0) < _PHI_REDUCED_TOL
 

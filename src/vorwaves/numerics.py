@@ -13,8 +13,10 @@ Conventions
 -----------
 * Integrands are scalar callables of one float.
 * A "singular" endpoint means the integrand behaves like
-  ``c / sqrt(x - a)`` (or ``c / sqrt(b - x)``) there; the substitution
-  ``x = a + v**2`` turns that into a bounded integrand.
+  ``c / sqrt(x - a)`` at the left end ``a``; the substitution
+  ``x = a + v**2`` turns that into a bounded integrand.  Callers flip a
+  right-end singularity to the left by integrating in ``b - x``.
+* :func:`integrate` is the only route to ``scipy.integrate.quad``.
 * Brackets are closed intervals given as :class:`Bracket`.
 """
 
@@ -56,15 +58,16 @@ class QuadratureSpec:
     ----------
     abs_tol, rel_tol : float
         Absolute and relative tolerance targets, both strictly positive.
-    singular_left, singular_right : bool
-        Declare an inverse-square-root singularity at the corresponding
-        endpoint; the integrator substitutes it away.
+    singular_left : bool
+        Declare an inverse-square-root singularity at the left endpoint;
+        the integrator substitutes it away.  There is no right-hand twin:
+        a singular right end is integrated in the distance to that end,
+        which also keeps the integrand free of cancellation there.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     singular_left: bool = False
-    singular_right: bool = False
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
@@ -128,10 +131,9 @@ def integrate(
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` with adaptive Gauss-Kronrod quadrature.
 
-    Endpoint singularities declared on ``spec`` are removed by the
-    substitution ``x = endpoint -/+ v**2`` (so ``dx = 2 v dv`` cancels an
-    inverse square root).  When both endpoints are singular the interval
-    is split at its midpoint and each half handled separately.
+    A left-endpoint singularity declared on ``spec`` is removed by the
+    substitution ``x = a + v**2`` (so ``dx = 2 v dv`` cancels an inverse
+    square root).
 
     Returns 0.0 when ``a == b``.  Raises :class:`InvalidIntegrandError` if
     the integrand produces a non-finite value, :class:`ConvergenceError`
@@ -146,12 +148,6 @@ def integrate(
 
     g = _finite_checked(f, a, b)
 
-    if spec.singular_left and spec.singular_right:
-        mid = 0.5 * (a + b)
-        left = QuadratureSpec(spec.abs_tol / 2, spec.rel_tol, True, False)
-        right = QuadratureSpec(spec.abs_tol / 2, spec.rel_tol, False, True)
-        return integrate(f, a, mid, left) + integrate(f, mid, b, right)
-
     if spec.singular_left:
         width = b - a
 
@@ -161,17 +157,6 @@ def integrate(
                 # v**2 underflowed against a; step to the nearest interior
                 # point so the integrand is never sampled at the singularity.
                 x = math.nextafter(a, b)
-            return 2.0 * v * g(x)
-
-        return _quad(h, 0.0, math.sqrt(width), spec)
-
-    if spec.singular_right:
-        width = b - a
-
-        def h(v: float) -> float:
-            x = max(b - v * v, a)
-            if x == b and v > 0.0:
-                x = math.nextafter(b, a)
             return 2.0 * v * g(x)
 
         return _quad(h, 0.0, math.sqrt(width), spec)

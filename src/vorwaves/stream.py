@@ -3,7 +3,8 @@
 A stream solution with bottom slope ``s`` solves ``u'' + omega(u) = 0`` with
 ``u(0) = 0`` and ``u(d) = 1`` for the depth ``d`` determined by ``s``.  The
 first integral ``u'^2 = s^2 - 2 Omega(u)`` turns everything into quadratures
-in the normalized stream variable ``tau = u``:
+in the normalized stream variable ``tau = u``, all computed by one cumulative
+integrator (``_accumulate``) along an increasing grid of ``p``:
 
 * depth           ``d(s)   = int_0^1 (s^2 - 2 Omega)^(-1/2) dtau``
 * height profile  ``H(p;s) = int_0^p (s^2 - 2 Omega)^(-1/2) dtau``
@@ -14,6 +15,8 @@ All integrands share the margin ``sigma2 + 2 gap(tau)`` where
 the margin vanishes wherever Omega peaks; when the peak sits at an endpoint
 and is non-degenerate the inverse square root stays integrable, which is what
 makes the zero-margin depth d0 finite under classifications "ii"/"iii".
+The integrator cuts its cells at the kinks of a table omega and at interior
+maximizers of Omega, so the adaptive rule never straddles either.
 
 Direct integration of the ODE is available separately through
 :func:`shoot_stream`, which does not assume unidirectionality and reports
@@ -31,13 +34,12 @@ import numpy as np
 
 from . import numerics
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .vorticity import FlowClassification, VorticityDistribution
+from .vorticity import VorticityDistribution
 
 __all__ = [
     "StreamSolution",
     "ShotStream",
     "depth",
-    "profile",
     "phi",
     "surface_slope_squared",
     "solve_stream",
@@ -79,27 +81,37 @@ def _margin(dist: VorticityDistribution, s: float):
     return sigma2, cls
 
 
-def _speed_integral(
-    dist: VorticityDistribution,
-    cls: FlowClassification,
-    sigma2: float,
-    lo: float,
-    hi: float,
-    power: float,
-) -> float:
-    """``int_lo^hi (sigma2 + 2 gap)^power dtau`` with stable endpoints.
+def _accumulate(dist: VorticityDistribution, s: float, grid,
+                power: float) -> np.ndarray:
+    """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing grid.
+
+    The one quadrature path of the module: ``d``, ``H`` and ``Phi`` all
+    come from here.  Each grid cell is cut at the structural points of the
+    integrand, the interior table nodes (kinks of omega) and the interior
+    maximizers of Omega (peaks of the integrand), so the adaptive rule only
+    sees smooth pieces; a cell spanning ``[0, 1]`` with a maximizer at both
+    ends is also cut at 0.5, so no piece has two singular ends.
 
     Direct evaluation of ``gap = max Omega - Omega`` loses every digit as
     the surface maximizer is approached, which stalls the adaptive rule and
     can even divide by zero once the difference rounds to nothing.  When
-    ``tau = 1`` carries the maximum the upper part is therefore integrated
+    ``tau = 1`` carries the maximum the last piece is therefore integrated
     in the distance-to-surface variable, where the gap is built by
     cancellation-free accumulation from the surface down.
     """
+    sigma2, cls = _margin(dist, s)
+    if sigma2 == 0.0 and power <= -1.0:
+        raise DomainError(
+            f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has a "
+            f"non-integrable endpoint there")
     big = cls.max_Omega
-    left_sing = lo == 0.0 and 0.0 in cls.maximizers
-    right_sing = hi == 1.0 and 1.0 in cls.maximizers
     spec = numerics.default_quadrature_spec()
+    lspec = dataclasses.replace(spec, singular_left=True)
+    left_max = 0.0 in cls.maximizers
+    right_max = 1.0 in cls.maximizers
+    kinks = dist._t_list[1:-1] if dist.kind == "table" else []
+    cuts = sorted({m for m in cls.maximizers if 0.0 < m < 1.0}.union(kinks))
+    gap1 = max(big - dist._Omega_scalar(1.0), 0.0)
 
     def f(t: float) -> float:
         gap = big - dist._Omega_scalar(t)
@@ -107,24 +119,24 @@ def _speed_integral(
             gap = 0.0
         return (sigma2 + 2.0 * gap) ** power
 
-    if right_sing:
-        gap1 = big - dist._Omega_scalar(1.0)
-        if gap1 < 0.0:
-            gap1 = 0.0
+    def g(delta: float) -> float:
+        return (sigma2 + 2.0 * (gap1 + dist._gap_from_surface(delta))) ** power
 
-        def g(delta: float) -> float:
-            gap = gap1 + dist._gap_from_surface(delta)
-            return (sigma2 + 2.0 * gap) ** power
+    def piece(a: float, b: float) -> float:
+        if b == 1.0 and right_max:
+            return numerics.integrate(g, 0.0, 1.0 - a, lspec)
+        return numerics.integrate(f, a, b, lspec if a == 0.0 and left_max else spec)
 
-        dspec = dataclasses.replace(spec, singular_left=True)
-        if left_sing:
-            lspec = dataclasses.replace(spec, singular_left=True)
-            return (numerics.integrate(f, lo, 0.5, lspec)
-                    + numerics.integrate(g, 0.0, 0.5, dspec))
-        return numerics.integrate(g, 0.0, hi - lo, dspec)
-
-    lspec = dataclasses.replace(spec, singular_left=left_sing)
-    return numerics.integrate(f, lo, hi, lspec)
+    out = np.empty(len(grid))
+    total, lo = 0.0, 0.0
+    for i, hi in enumerate(map(float, grid)):
+        edges = [lo] + [c for c in cuts if lo < c < hi] + [hi]
+        if edges == [0.0, 1.0] and left_max and right_max:
+            edges = [0.0, 0.5, 1.0]
+        total += sum(piece(a, b) for a, b in zip(edges, edges[1:]))
+        out[i] = total
+        lo = hi
+    return out
 
 
 def depth(dist: VorticityDistribution, s: float) -> float:
@@ -141,17 +153,7 @@ def depth(dist: VorticityDistribution, s: float) -> float:
     -------
     float
     """
-    sigma2, cls = _margin(dist, s)
-    return _speed_integral(dist, cls, sigma2, 0.0, 1.0, -0.5)
-
-
-def profile(dist: VorticityDistribution, s: float, p: float) -> float:
-    """Height ``H(p; s)`` at which the stream function reaches ``p``."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise DomainError(f"profile argument p={p!r} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    sigma2, cls = _margin(dist, s)
-    return _speed_integral(dist, cls, sigma2, 0.0, p, -0.5)
+    return float(_accumulate(dist, s, (1.0,), -0.5)[0])
 
 
 def phi(dist: VorticityDistribution, s: float, p: float = 1.0) -> float:
@@ -163,33 +165,7 @@ def phi(dist: VorticityDistribution, s: float, p: float = 1.0) -> float:
     """
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise DomainError(f"phi argument p={p!r} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    sigma2, cls = _margin(dist, s)
-    if sigma2 == 0.0:
-        raise DomainError(
-            f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has a "
-            f"non-integrable endpoint there")
-    return _speed_integral(dist, cls, sigma2, 0.0, p, -1.5)
-
-
-def _phi_cumulative(dist: VorticityDistribution, s: float, grid) -> np.ndarray:
-    """Tail weight ``Phi`` accumulated along an increasing p-grid.
-
-    Same integrand as :func:`phi`; one quadrature per grid cell instead of
-    one per evaluation point.
-    """
-    sigma2, cls = _margin(dist, s)
-    if sigma2 == 0.0:
-        raise DomainError(
-            f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has "
-            f"a non-integrable endpoint there")
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty(grid.shape)
-    out[0] = _speed_integral(dist, cls, sigma2, 0.0, float(grid[0]), -1.5)
-    for i in range(1, grid.size):
-        out[i] = out[i - 1] + _speed_integral(
-            dist, cls, sigma2, float(grid[i - 1]), float(grid[i]), -1.5)
-    return out
+    return float(_accumulate(dist, s, (min(max(p, 0.0), 1.0),), -1.5)[0])
 
 
 def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
@@ -244,15 +220,9 @@ class StreamSolution:
         self._bary_w[0] *= 0.5
         self._bary_w[-1] *= 0.5
 
-        H = np.empty(n)
-        H[0] = 0.0
-        for i in range(1, n):
-            H[i] = H[i - 1] + _speed_integral(
-                dist, cls, sigma2,
-                float(self.p_nodes[i - 1]), float(self.p_nodes[i]), -0.5)
-        self.H_nodes = H
-        self.d = float(H[-1])
-        upd2 = sigma2 + 2.0 * max(cls.max_Omega - dist._Omega_scalar(1.0), 0.0)
+        self.H_nodes = _accumulate(dist, s, self.p_nodes, -0.5)
+        self.d = float(self.H_nodes[-1])
+        upd2 = surface_slope_squared(dist, s)
         self.u_prime_d = sqrt(upd2)
         self.r = (upd2 + 2.0 * self.d) / 3.0
 
@@ -482,7 +452,7 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         sol2 = numerics.solve_ivp(rhs, (0.0, s), (0.0, max_depth),
                                   tol=1e-9, events=[crossing])
         later = int(np.sum(sol2.t_events[0] > d + 1e-9))
-    except Exception:
+    except ConvergenceError:
         later = None
 
     grid = np.linspace(0.0, d, _PROFILE_NODES)

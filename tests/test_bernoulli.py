@@ -144,16 +144,47 @@ def test_table_distribution_end_to_end():
     np.testing.assert_allclose(head(dist, pair.s_plus), an.r_c * 1.02, atol=1e-10)
 
 
+def test_table_critical_values_match_mpmath():
+    # omega = 1 - 4 tau, then -1 + 6 (tau - 1/2): Omega peaks at the surface
+    # (class "iii"); 30-digit tanh-sinh on the pieces between the kinks and
+    # the zeros of omega is an oracle independent of QUADPACK
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+
+    def Omega(t):
+        if t <= 0.5:
+            return t - 2 * t * t
+        return -(t - 0.5) + 3 * (t - 0.5) ** 2
+
+    big = Omega(mp.mpf(1))
+    cuts = [0, mp.mpf(1) / 4, mp.mpf(1) / 2, mp.mpf(2) / 3, 1]
+
+    def integral(s, power):
+        return mp.quad(lambda t: (s * s - 2 * Omega(t)) ** power, cuts)
+
+    s_c = mp.findroot(lambda s: integral(s, -1.5) - 1, mp.mpf("1.05"))
+    d_c = integral(s_c, -0.5)
+    want = {
+        "d_c": d_c,
+        "r_c": (s_c ** 2 - 2 * big + 2 * d_c) / 3,
+        "d0": mp.quad(lambda t: (2 * (big - Omega(t))) ** -0.5, cuts),
+    }
+    an = analyze(V.parse("table 0:1 0.5:-1 1:2"))
+    for name, ref in want.items():
+        np.testing.assert_allclose(getattr(an, name), float(ref), rtol=1e-12)
+
+
 def test_critical_caches_keyed_on_tolerance(monkeypatch):
     # values computed under a loose tolerance must not be served once the
-    # default tolerance is back in effect; the stale r_c = 0.86774497 of a
-    # 1e-2 run still shows a tiny phi_residual, so only the value tells
-    dist = V.parse("table 0:1 0.5:-1 1:2")
+    # default tolerance is back in effect; a stale value still shows a tiny
+    # phi_residual, so only comparing with an uncached computation tells
+    dist = V.parse("poly 0 0 3")
     monkeypatch.setenv("TOOL_SEED_TOLERANCE", "1e-2")
     loose = find_critical(dist)
     second_critical(dist)
     monkeypatch.delenv("TOOL_SEED_TOLERANCE")
     crit = find_critical(dist)
-    np.testing.assert_allclose(crit.r_c, 0.86771258, atol=1e-8)
-    assert abs(loose.r_c - crit.r_c) > 1e-5
-    np.testing.assert_allclose(second_critical(dist).r0, 1.15760454, atol=1e-8)
+    assert loose.s_c != crit.s_c and loose.r_c != crit.r_c
+    assert crit == find_critical.__wrapped__(dist)
+    assert second_critical(dist) == second_critical.__wrapped__(dist)

@@ -7,7 +7,6 @@ from vorwaves.bounds import (
     NOT_APPLICABLE,
     VIOLATED,
     check_bounds,
-    check_prop3,
 )
 from vorwaves.errors import ConfigError, DomainError
 
@@ -63,25 +62,19 @@ def test_nonexistence_not_applicable_below_r0(w_two):
     assert "r >= r0" in rep.nonexistence_iii.note
 
 
-def test_prop3_sandwich(w_minus_two):
+def test_prop3_sandwich(w_minus_two, w_zero):
     # condition "ii", d0=1, r0=2; r=2.5 sits strictly above r0
     osc = 1.0 + 0.1 * np.cos(np.linspace(0.0, 9.0, 128))
     rep = check_bounds(w_minus_two, 2.5, osc)
     assert rep.condition == "ii"
     assert rep.prop3.status == HOLDS
+    assert rep.prop3.note == "crest >= d0 and d0 > trough"
 
     flat = check_bounds(w_minus_two, 2.5, np.full(32, 1.2))
     assert flat.prop3.status == VIOLATED
-    assert "trough" in flat.prop3.note
-    assert "stream-like" in flat.prop3.note
-
-
-def test_prop3_standalone_matches_report(w_minus_two, w_zero):
-    osc = 1.0 + 0.1 * np.cos(np.linspace(0.0, 9.0, 128))
-    alone = check_prop3(w_minus_two, 2.5, osc)
-    inside = check_bounds(w_minus_two, 2.5, osc).prop3
-    assert alone == inside
-    assert check_prop3(w_zero, 1.1, osc).status == NOT_APPLICABLE
+    assert flat.prop3.note == ("trough bound d0 > eta_check fails; crest >= d0 "
+                               "and d0 > trough; samples are stream-like")
+    assert check_bounds(w_zero, 1.1, osc).prop3.status == NOT_APPLICABLE
 
 
 def test_conjecture_note_only_in_regime(w_minus_two):

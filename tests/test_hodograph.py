@@ -6,7 +6,6 @@ from vorwaves.errors import ConfigError, UnidirectionalityError
 from vorwaves.hodograph import (
     bernoulli_residual,
     field_equation_residual,
-    recover_eta,
     to_strip,
     wheeler_identity,
 )
@@ -23,8 +22,7 @@ def test_strip_from_stream(w_zero):
     np.testing.assert_allclose(hf.delta_prime, 0.5, atol=1e-12)
     assert np.all(hf.h[0, :] == 0.0)
     assert hf.r == st.r
-    np.testing.assert_allclose(recover_eta(hf), np.full(hf.q.size, 0.5),
-                               atol=1e-14)
+    np.testing.assert_allclose(hf.h[-1], np.full(hf.q.size, 0.5), atol=1e-14)
 
 
 def test_strip_from_wave_round_trip(stream_plus, disp_plus):
@@ -32,7 +30,7 @@ def test_strip_from_wave_round_trip(stream_plus, disp_plus):
     hf = to_strip(wf)
     np.testing.assert_array_equal(hf.q, wf.x)
     # the surface row is the pinned psi = 1 sample, so eta returns exactly
-    np.testing.assert_allclose(recover_eta(hf), wf.eta, atol=1e-15)
+    np.testing.assert_allclose(hf.h[-1], wf.eta, atol=1e-15)
     assert np.all(hf.h[0, :] == 0.0)
     assert hf.delta_prime > 0.0
 

@@ -29,20 +29,6 @@ def test_integrate_left_singularity():
     np.testing.assert_allclose(val, 2.0, rtol=1e-12)
 
 
-def test_integrate_right_singularity():
-    spec = QuadratureSpec(singular_right=True)
-    val = numerics.integrate(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0, spec)
-    np.testing.assert_allclose(val, 2.0, rtol=1e-12)
-
-
-def test_integrate_both_singular():
-    # int_0^1 dx / sqrt(x (1 - x)) = pi
-    spec = QuadratureSpec(singular_left=True, singular_right=True)
-    val = numerics.integrate(
-        lambda x: 1.0 / math.sqrt(x * (1.0 - x)), 0.0, 1.0, spec)
-    np.testing.assert_allclose(val, math.pi, rtol=1e-12)
-
-
 def test_integrate_shifted_singularity():
     spec = QuadratureSpec(singular_left=True)
     val = numerics.integrate(lambda x: 1.0 / math.sqrt(x - 2.0), 2.0, 3.0, spec)

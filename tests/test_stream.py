@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
-from vorwaves import stream
-from vorwaves.errors import DivergenceError, DomainError
+from vorwaves import bernoulli, stream
+from vorwaves.errors import AmbiguousClassificationError, DivergenceError, DomainError
 from vorwaves.stream import (
     depth,
     phi,
-    profile,
     shoot_stream,
     solve_stream,
     surface_slope_squared,
@@ -24,7 +25,8 @@ from vorwaves.vorticity import VorticityDistribution as V
 def test_irrotational_depth_and_profile(w_zero):
     for s in (0.5, 1.0, 2.0):
         np.testing.assert_allclose(depth(w_zero, s), 1.0 / s, rtol=1e-12)
-        np.testing.assert_allclose(profile(w_zero, s, 0.37), 0.37 / s, rtol=1e-12)
+        np.testing.assert_allclose(solve_stream(w_zero, s).height_at(0.37), 0.37 / s,
+                                   rtol=1e-12)
         np.testing.assert_allclose(phi(w_zero, s), s ** -3, rtol=1e-12)
 
 
@@ -32,8 +34,9 @@ def test_constant_vorticity_closed_forms(w_two):
     s = 3.0
     np.testing.assert_allclose(depth(w_two, s), (3.0 - math.sqrt(5.0)) / 2.0,
                                rtol=1e-12)
+    st = solve_stream(w_two, s)
     for p in (0.2, 0.5, 0.9):
-        np.testing.assert_allclose(profile(w_two, s, p),
+        np.testing.assert_allclose(st.height_at(p),
                                    (s - math.sqrt(s * s - 4.0 * p)) / 2.0,
                                    rtol=1e-12)
         np.testing.assert_allclose(
@@ -83,7 +86,7 @@ def test_phi_decreasing_in_s(w_two):
 
 def test_phi_cumulative_matches_pointwise(w_two):
     grid = np.linspace(0.0, 1.0, 17)
-    cum = stream._phi_cumulative(w_two, 3.0, grid)
+    cum = stream._accumulate(w_two, 3.0, grid, -1.5)
     want = [phi(w_two, 3.0, p) for p in grid]
     np.testing.assert_allclose(cum, want, rtol=1e-10, atol=1e-14)
 
@@ -184,3 +187,70 @@ def test_counter_current_shot(w_minus_two):
     assert not sh.unidirectional
     np.testing.assert_allclose(sh.u_prime_d, math.sqrt(5.0), rtol=1e-10)
     np.testing.assert_allclose(sh.r, (6.0 + math.sqrt(5.0)) / 3.0, rtol=1e-10)
+
+
+# a class "i" table with kinks on both sides of its interior Omega peak;
+# an adaptive rule that straddles them loses about 1e-8 relative in d(s_c)
+KINKED = "table 0.0:1.14 0.212:-1.012 0.407:2.0 0.501:-0.466 1.0:-1.531"
+
+_coef = st_.floats(-4.0, 4.0, allow_nan=False).map(lambda c: round(c, 3))
+_polys = st_.lists(_coef, min_size=1, max_size=5).map(
+    lambda cs: "poly " + " ".join(map(str, cs)))
+_tables = st_.tuples(
+    st_.lists(st_.integers(1, 99), min_size=1, max_size=3, unique=True),
+    st_.lists(_coef, min_size=5, max_size=5),
+).map(lambda tv: "table " + " ".join(
+    f"{t}:{v}" for t, v in zip([0.0] + sorted(k / 100 for k in tv[0]) + [1.0], tv[1])))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=st_.one_of(_polys, _tables), lift=st_.floats(-4.0, 0.5))
+def test_depth_matches_stream_solution(spec, lift):
+    # depth and the 257-node profile run the same quadrature over
+    # different cells; the sums must agree far below the rule's tolerance
+    dist = V.parse(spec)
+    try:
+        s0 = dist.classify().s0
+    except AmbiguousClassificationError:
+        return
+    s = s0 + max(1.0, s0) * 10.0 ** lift
+    d = depth(dist, s)
+    assert abs(d - solve_stream(dist, s).d) <= 1e-12 * d
+
+
+def test_depth_at_critical_slope_on_kinked_table():
+    dist = V.parse(KINKED)
+    s_c = bernoulli.find_critical(dist).s_c
+    d = depth(dist, s_c)
+    assert abs(d - solve_stream(dist, s_c).d) <= 1e-12 * d
+
+
+def test_phi_gauss_legendre_at_critical_slope():
+    # Phi(1; s_c) = 1 checked by a fixed 400-point Gauss-Legendre rule on
+    # each piece between the table nodes and the zeros of omega
+    dist = V.parse(KINKED)
+    an = bernoulli.analyze(dist)
+    nodes = [(float(t), float(v)) for t, v in (tok.split(":") for tok in KINKED.split()[1:])]
+    pts = {t for t, _ in nodes}
+    for (t0, v0), (t1, v1) in zip(nodes, nodes[1:]):
+        if v0 * v1 < 0.0:
+            pts.add(t0 - v0 * (t1 - t0) / (v1 - v0))
+    pts = sorted(pts)
+    x, w = np.polynomial.legendre.leggauss(400)
+    total = 0.0
+    for a, b in zip(pts, pts[1:]):
+        tau = a + 0.5 * (b - a) * (x + 1.0)
+        total += 0.5 * (b - a) * np.sum(
+            w * (an.s_c ** 2 - 2.0 * dist.Omega(tau)) ** -1.5)
+    assert abs(total - 1.0) < 1e-10
+
+
+def test_conjugates_near_interior_peak():
+    # class "i" with the Omega peak at 0.847: the subcritical search starts
+    # at the guard-band edge, where the uncut depth integral hit round-off
+    dist = V.parse("poly 1.777 0.051 -2.537")
+    r = 1.1 * bernoulli.find_critical(dist).r_c
+    pair = bernoulli.conjugates(dist, r)
+    assert pair.regime == "subcritical-pair"
+    for s in (pair.s_plus, pair.s_minus):
+        np.testing.assert_allclose(bernoulli.head(dist, s), r, rtol=1e-12)

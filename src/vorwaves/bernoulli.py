@@ -6,9 +6,8 @@ For a stream solution with bottom slope ``s`` the head is
 
 strictly convex along the admissible range with a single interior minimum
 ``r_c = R(s_c)``.  Since ``dR/ds = (2 s / 3)(1 - Phi(1; s))`` and Phi is
-strictly decreasing in ``s``, the minimizer is the root of
-``Phi(1; s) = 1``, which is how the coarse minimum found by golden-section
-search is polished here.
+strictly decreasing in ``s``, the minimizer is the one root of
+``Phi(1; s) = 1``, and it is found as that root.
 
 The second distinguished value is the zero-margin head ``r0 = R(s0)``
 with depth ``d0 = d(s0)``, finite exactly when the classification is
@@ -110,40 +109,49 @@ class BernoulliAnalysis:
     r0: Optional[float]
 
 
-def _descend_bracket(f, left: float, scale: float):
-    """Expand downhill from ``left`` until the value turns back up."""
-    probes = [(left, f(left))]
-    step = 0.25 * scale
-    f_left = probes[0][1]
-    for _ in range(80):
-        cand = left + step
-        f_cand = f(cand)
-        probes.append((cand, f_cand))
-        if f_cand < f_left:
-            break
-        step *= 0.25
-    else:
-        raise ConvergenceError(
-            f"no descent direction from s={left!r}; probes: {probes!r}")
-    a, b, fb = left, cand, f_cand
+def _guard_edge(s0: float) -> float:
+    """Least slope probed under classification "i": twice the guard band
+    of the stream quadrature above ``s0``, where ``d`` is still reliable."""
+    return s0 + 2.0 * stream._GUARD * max(1.0, s0)
+
+
+def _walk(f, origin: float, a: float, fa: float, ratio: float,
+          floor: float = -math.inf) -> numerics.Bracket:
+    """Bracket the sign change of a monotone ``f`` by a geometric walk.
+
+    From the probe ``(a, fa)`` each step scales the distance to ``origin``
+    by ``ratio`` (clamped at ``floor``) until two consecutive probes
+    straddle zero; they are returned as the bracket.
+    """
     for _ in range(200):
-        step *= 1.7
-        c = b + step
-        fc = f(c)
-        probes.append((c, fc))
-        if fc > fb:
-            return a, c
-        a, b, fb = b, c, fc
-    raise ConvergenceError(f"head never turned back up; probes: {probes!r}")
+        b = max(origin + (a - origin) * ratio, floor)
+        if b == a:
+            raise ConvergenceError(
+                f"no sign change above s={floor!r}, the edge of the admissible "
+                f"slopes: f there is {fa!r}, so the root sits below the edge")
+        fb = f(b)
+        if fb == 0.0 or (fa > 0.0) != (fb > 0.0):
+            if a < b:
+                return numerics.Bracket(a, b, fa, fb)
+            return numerics.Bracket(b, a, fb, fa)
+        a, fa = b, fb
+    raise ConvergenceError(
+        f"no sign change in 200 steps of the walk about s={origin!r}: "
+        f"f({a!r}) = {fa!r}")
 
 
 @_cached_per_spec
 def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     """Critical slope and head: the minimum of ``R(s)``.
 
-    A golden-section pass locates the minimum coarsely; the result is
-    polished as the root of ``Phi(1; s) - 1 = 0``, whose sign change the
-    stationarity identity guarantees to straddle the minimizer.
+    ``s_c`` is the one root of ``Phi(1; s) = 1``, since Phi falls strictly
+    from ``+inf`` at ``s0``.  A geometric walk in ``s - s0`` brackets it.
+    The walk starts at ``s0 + max(1, s0)``, where the margin is at least 1
+    and so ``Phi <= 1`` up to rounding.  It steps toward ``s0``, down to
+    the edge of the admissible slopes, until ``Phi > 1``; if rounding puts
+    the start above 1 (omega = 0, where ``s_c`` is the start itself), it
+    steps away from ``s0`` until ``Phi < 1``.  Brent's method polishes the
+    bracket.
 
     Returns
     -------
@@ -153,43 +161,15 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     cls = dist.classify()
     s0 = cls.s0
     scale = max(1.0, s0)
-    left = s0 if cls.d0_finite else s0 + 1e-6 * scale
-
-    def f(s: float) -> float:
-        return head(dist, s)
-
-    a, c = _descend_bracket(f, left, scale)
-    s_mid, _ = numerics.minimize_unimodal(f, numerics.Bracket(a, c), tol=1e-6)
-
-    floor = s0 + 2e-9 * scale if not cls.d0_finite else s0 + 1e-12 * scale
+    floor = s0 + 1e-12 * scale if cls.d0_finite else _guard_edge(s0)
 
     def g(s: float) -> float:
         return stream.phi(dist, s, 1.0) - 1.0
 
-    w = 1e-4 * max(1.0, s_mid)
-    lo = max(floor, s_mid - w)
-    hi = s_mid + w
-    g_lo, g_hi = g(lo), g(hi)
-    for _ in range(60):  # Phi(1; s) decreases in s, so widen until it straddles 1
-        if g_lo > 0.0:
-            break
-        w *= 4.0
-        lo = max(floor, lo - w)
-        g_lo = g(lo)
-    for _ in range(60):
-        if g_hi < 0.0:
-            break
-        w *= 4.0
-        hi = hi + w
-        g_hi = g(hi)
-    if g_lo > 0.0 > g_hi:
-        s_c = numerics.find_root(
-            g, numerics.Bracket(lo, hi, g_lo, g_hi), tol=1e-13 * scale)
-    else:
-        # fall back to a tight minimization when the stationarity root
-        # cannot be straddled (only possible hard against the guard band)
-        s_c, _ = numerics.minimize_unimodal(
-            f, numerics.Bracket(a, c), tol=1e-10)
+    a = s0 + scale
+    fa = g(a)
+    bracket = _walk(g, s0, a, fa, 2.0 if fa > 0.0 else 0.25, floor)
+    s_c = numerics.find_root(g, bracket, tol=1e-13 * scale)
     return CriticalPoint(
         s_c=s_c,
         r_c=head(dist, s_c),
@@ -234,6 +214,9 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     ------
     NoStreamError
         If ``r`` falls below the critical head.
+    ConvergenceError
+        Under classification "i", if the subcritical slope sits inside
+        the guard band above ``s0``.
     """
     crit = find_critical(dist)
     scale = max(1.0, crit.s_c)
@@ -249,19 +232,10 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     def f(s: float) -> float:
         return head(dist, s) - r
 
-    # supercritical branch: R increases beyond s_c
-    a, fa = crit.s_c, crit.r_c - r
-    step = max(1.0, crit.s_c)
-    b, fb = a + step, f(a + step)
-    for _ in range(200):
-        if fb >= 0.0:
-            break
-        a, fa = b, fb
-        step *= 2.0
-        b, fb = b + step, f(b + step)
-    else:
-        raise ConvergenceError(f"could not bracket the supercritical slope for r={r!r}")
-    s_minus = numerics.find_root(f, numerics.Bracket(a, b, fa, fb), tol=1e-13 * scale)
+    # supercritical branch: R increases beyond s_c; the walk probes
+    # s_c + scale, s_c + 3 scale, s_c + 7 scale, ...
+    bracket = _walk(f, crit.s_c - scale, crit.s_c, crit.r_c - r, 2.0)
+    s_minus = numerics.find_root(f, bracket, tol=1e-13 * scale)
     d_minus = stream.depth(dist, s_minus)
 
     sec = second_critical(dist)
@@ -272,16 +246,12 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
 
     cls = dist.classify()
     if cls.d0_finite:
-        lo, flo = cls.s0, (sec.r0 - r)
+        bracket = numerics.Bracket(cls.s0, crit.s_c, sec.r0 - r, crit.r_c - r)
     else:
-        lo = cls.s0 + 2e-9 * max(1.0, cls.s0)
-        flo = f(lo)
-        if flo <= 0.0:
-            raise ConvergenceError(
-                f"head at the guard band edge, R({lo!r})={flo + r!r}, does not "
-                f"reach r={r!r}; the subcritical slope sits inside the band")
-    s_plus = numerics.find_root(
-        f, numerics.Bracket(lo, crit.s_c, flo, crit.r_c - r), tol=1e-13 * scale)
+        # R grows without bound toward s0: walk down to the guard-band edge
+        bracket = _walk(f, cls.s0, crit.s_c, crit.r_c - r, 0.25,
+                        _guard_edge(cls.s0))
+    s_plus = numerics.find_root(f, bracket, tol=1e-13 * scale)
     d_plus = stream.depth(dist, s_plus)
     return ConjugatePair(r=r, regime="subcritical-pair",
                          s_plus=s_plus, d_plus=d_plus,

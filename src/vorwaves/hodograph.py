@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import bernoulli as _bernoulli
 from . import stream as _stream
 from .errors import ConfigError, DomainError, UnidirectionalityError
 from .linearwave import WaveField
@@ -265,15 +264,14 @@ def wheeler_identity(hfield: HodographField, s: float, window,
         raise ConfigError(f"empty window {window!r} on q in "
                           f"[{q[0]!r}, {q[-1]!r}]")
 
-    head = _bernoulli.head(dist, s)
-    head_gap = abs(head - hfield.r)
+    base = _stream.solve_stream(dist, s)
+    head_gap = abs(base.r - hfield.r)
     if head_gap > _HEAD_MATCH_TOL * max(1.0, abs(hfield.r)):
         warnings.warn(
-            f"head mismatch: stream head {head!r} at s={s!r} differs from "
+            f"head mismatch: stream head {base.r!r} at s={s!r} differs from "
             f"the field's r={hfield.r!r} by {head_gap!r}; the identity is "
             f"only exact on matching heads", stacklevel=2)
 
-    base = _stream.solve_stream(dist, s)
     H_col = np.asarray(base.height_at(p), dtype=float)
     phi_vals = _stream._accumulate(dist, s, p, -1.5)
     phi_surface = float(phi_vals[-1])

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, root finding, minimization, ODEs.
+"""Shared numerical kernels: quadrature, root finding, ODEs.
 
 All higher modules funnel their numerics through this one, except the
 transverse shooter in ``dispersion``, which calls scipy's DOP853 itself
@@ -43,7 +43,6 @@ __all__ = [
     "integrate",
     "Bracket",
     "find_root",
-    "minimize_unimodal",
     "solve_ivp",
 ]
 
@@ -201,33 +200,6 @@ def find_root(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo)={f_lo!r}, f(hi)={f_hi!r}"
         )
     return float(_sopt.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16, maxiter=200))
-
-
-def minimize_unimodal(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Minimize a unimodal ``f`` on ``bracket``; return ``(argmin, min)``.
-
-    Uses bounded golden-section/parabolic search.  If the located argmin
-    pins to within ``2 * tol`` of an endpoint the interval did not
-    enclose an interior minimum; :class:`BracketError` reports the three
-    probe values (endpoints and midpoint) to show the trend.
-    """
-    lo, hi = bracket.lo, bracket.hi
-    res = _sopt.minimize_scalar(
-        f, bounds=(lo, hi), method="bounded", options={"xatol": tol}
-    )
-    x = float(res.x)
-    if min(x - lo, hi - x) <= 2.0 * tol:
-        mid = lo + 0.5 * (hi - lo)
-        raise BracketError(
-            f"no interior minimum on [{lo!r}, {hi!r}]: "
-            f"f(lo)={f(lo)!r}, f(mid)={f(mid)!r}, f(hi)={f(hi)!r}, "
-            f"argmin pinned at {x!r}"
-        )
-    return x, float(res.fun)
 
 
 def solve_ivp(

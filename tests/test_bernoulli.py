@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st_
 
 from vorwaves import bernoulli
-from vorwaves.errors import NoStreamError
+from vorwaves.errors import AmbiguousClassificationError, NoStreamError
 from vorwaves.bernoulli import (
     analyze,
     conjugates,
@@ -13,6 +15,8 @@ from vorwaves.bernoulli import (
     second_critical,
 )
 from vorwaves.vorticity import VorticityDistribution as V
+
+from strategies import dist_specs
 
 
 def test_irrotational_head_closed_form(w_zero):
@@ -188,3 +192,73 @@ def test_critical_caches_keyed_on_tolerance(monkeypatch):
     assert loose.s_c != crit.s_c and loose.r_c != crit.r_c
     assert crit == find_critical.__wrapped__(dist)
     assert second_critical(dist) == second_critical.__wrapped__(dist)
+
+
+@pytest.mark.parametrize("b", [15.0, 30.0, 50.0, -50.0])
+def test_strong_constant_vorticity_closed_forms(b):
+    # s_c - s0 ~ 1 / (2 b^2 s0) is about 3e-5 at b = 50, deep in the steep
+    # end of Phi; s_c solves 1/sqrt(s^2 - 2b) = b + 1/s (30-digit root).
+    # d(s) is ill conditioned there (|s d'/d| ~ 500 at b = 50), so the
+    # Brent tolerance on s_c would show in d_c against d at the exact root:
+    # d_c is checked at the returned slope, r_c (stationary) at the root
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    s0 = mp.sqrt(2 * b) if b > 0 else mp.mpf(0)
+    exact = mp.findroot(lambda s: 1 / mp.sqrt(s * s - 2 * b) - b - 1 / s,
+                        (s0 + mp.mpf("1e-20"), s0 + 10), solver="anderson")
+    d_exact = (exact - mp.sqrt(exact ** 2 - 2 * b)) / b
+
+    crit = find_critical(V.constant(b))
+    s_c = crit.s_c
+    np.testing.assert_allclose(s_c, float(exact), rtol=1e-12)
+    np.testing.assert_allclose(crit.d_c, (s_c - math.sqrt(s_c * s_c - 2.0 * b)) / b,
+                               rtol=1e-12)
+    np.testing.assert_allclose(crit.r_c, float((exact ** 2 - 2 * b + 2 * d_exact) / 3),
+                               rtol=1e-12)
+    if b > 0.0:
+        sec = second_critical(V.constant(b))
+        d0 = math.sqrt(2.0 * b) / b
+        np.testing.assert_allclose(sec.d0, d0, rtol=1e-12)
+        np.testing.assert_allclose(sec.r0, 2.0 * d0 / 3.0, rtol=1e-12)
+
+
+def _parsed(spec):
+    dist = V.parse(spec)
+    try:
+        dist.classify()
+    except AmbiguousClassificationError:
+        assume(False)
+    return dist
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=dist_specs)
+def test_critical_slope_minimizes_the_head(spec):
+    # s_c comes from Phi(1; s) = 1; the head itself must be least there
+    dist = _parsed(spec)
+    cls = dist.classify()
+    crit = find_critical(dist)
+    for s in (crit.s_c * (1.0 - 1e-3), crit.s_c * (1.0 + 1e-3)):
+        if s > bernoulli._guard_edge(cls.s0):
+            assert crit.r_c <= head(dist, s)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=dist_specs, frac=st_.floats(0.1, 0.9))
+@example(spec="table 0.0:2.904 0.35:0.0 1.0:0.0", frac=0.5)
+def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
+    # the head of a slope between s0 and s_c lies between r_c and r0; the
+    # example (class "i", Omega flat on [0.35, 1]) is one where evaluating
+    # the head at the guard-band edge hits QUADPACK round-off
+    dist = _parsed(spec)
+    cls = dist.classify()
+    crit = find_critical(dist)
+    s = cls.s0 + frac * (crit.s_c - cls.s0)
+    assume(s > bernoulli._guard_edge(cls.s0))
+    r = head(dist, s)
+    pair = conjugates(dist, r)
+    assert pair.regime == "subcritical-pair"
+    assert pair.s_plus < crit.s_c < pair.s_minus
+    for s_pm in (pair.s_plus, pair.s_minus):
+        assert abs(head(dist, s_pm) - r) <= 1e-10 * max(1.0, abs(r))

@@ -81,17 +81,6 @@ def test_bracket_orientation():
         Bracket(2.0, 1.0)
 
 
-def test_minimize_unimodal():
-    x, fx = numerics.minimize_unimodal(lambda x: (x - 1.3) ** 2, Bracket(0.0, 3.0))
-    np.testing.assert_allclose(x, 1.3, atol=1e-8)
-    assert fx < 1e-15
-
-
-def test_minimize_unimodal_pinned_endpoint():
-    with pytest.raises(BracketError):
-        numerics.minimize_unimodal(lambda x: x, Bracket(0.0, 1.0))
-
-
 def test_solve_ivp_exponential():
     sol = numerics.solve_ivp(lambda t, y: [y[0]], [1.0], (0.0, 1.0))
     np.testing.assert_allclose(sol.y[0, -1], math.e, rtol=1e-11)

@@ -16,6 +16,8 @@ from vorwaves.stream import (
 )
 from vorwaves.vorticity import VorticityDistribution as V
 
+from strategies import dist_specs
+
 # closed forms used throughout:
 #   omega == 0:  u = s y, d = 1/s, H(p) = p/s, Phi(p) = p/s^3
 #   omega == 2:  u'^2 = s^2 - 4u, H(p) = (s - sqrt(s^2 - 4p))/2,
@@ -193,18 +195,9 @@ def test_counter_current_shot(w_minus_two):
 # an adaptive rule that straddles them loses about 1e-8 relative in d(s_c)
 KINKED = "table 0.0:1.14 0.212:-1.012 0.407:2.0 0.501:-0.466 1.0:-1.531"
 
-_coef = st_.floats(-4.0, 4.0, allow_nan=False).map(lambda c: round(c, 3))
-_polys = st_.lists(_coef, min_size=1, max_size=5).map(
-    lambda cs: "poly " + " ".join(map(str, cs)))
-_tables = st_.tuples(
-    st_.lists(st_.integers(1, 99), min_size=1, max_size=3, unique=True),
-    st_.lists(_coef, min_size=5, max_size=5),
-).map(lambda tv: "table " + " ".join(
-    f"{t}:{v}" for t, v in zip([0.0] + sorted(k / 100 for k in tv[0]) + [1.0], tv[1])))
-
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(spec=st_.one_of(_polys, _tables), lift=st_.floats(-4.0, 0.5))
+@given(spec=dist_specs, lift=st_.floats(-4.0, 0.5))
 def test_depth_matches_stream_solution(spec, lift):
     # depth and the 257-node profile run the same quadrature over
     # different cells; the sums must agree far below the rule's tolerance

@@ -223,21 +223,19 @@ def test_strong_constant_vorticity_closed_forms(b):
         np.testing.assert_allclose(sec.r0, 2.0 * d0 / 3.0, rtol=1e-12)
 
 
-def _parsed(spec):
+def _classified(spec):
     dist = V.parse(spec)
     try:
-        dist.classify()
+        return dist, dist.classify()
     except AmbiguousClassificationError:
         assume(False)
-    return dist
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(spec=dist_specs)
 def test_critical_slope_minimizes_the_head(spec):
     # s_c comes from Phi(1; s) = 1; the head itself must be least there
-    dist = _parsed(spec)
-    cls = dist.classify()
+    dist, cls = _classified(spec)
     crit = find_critical(dist)
     for s in (crit.s_c * (1.0 - 1e-3), crit.s_c * (1.0 + 1e-3)):
         if s > bernoulli._guard_edge(cls.s0):
@@ -251,8 +249,7 @@ def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
     # the head of a slope between s0 and s_c lies between r_c and r0; the
     # example (class "i", Omega flat on [0.35, 1]) is one where evaluating
     # the head at the guard-band edge hits QUADPACK round-off
-    dist = _parsed(spec)
-    cls = dist.classify()
+    dist, cls = _classified(spec)
     crit = find_critical(dist)
     s = cls.s0 + frac * (crit.s_c - cls.s0)
     assume(s > bernoulli._guard_edge(cls.s0))

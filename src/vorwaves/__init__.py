@@ -4,7 +4,7 @@ waves for unidirectional water flows with vorticity.
 The modules mirror the pipeline: a vorticity distribution
 (:mod:`~vorwaves.vorticity`) feeds the stream solver
 (:mod:`~vorwaves.stream`), whose head landscape
-(:mod:`~vorwaves.bernoulli`) fixes conjugate depths; the dispersion scan
+(:mod:`~vorwaves.bernoulli`) fixes conjugate depths; the dispersion root search
 (:mod:`~vorwaves.dispersion`) and first-order builder
 (:mod:`~vorwaves.linearwave`) produce waves, which the strip transform
 (:mod:`~vorwaves.hodograph`) and the verdict module

@@ -287,14 +287,14 @@ def linear_wave(stream: AnyStream, disp: DispersionResult, t: float,
                 n_samples: int = 257) -> LinearWave:
     """Assemble the first-order wave at the dispersion root of ``disp``.
 
-    Requires the scan to have certified both assumptions: a non-vanishing
-    surface slope and a least root whose multiples stay off the
-    dispersion curve.  The amplitude is capped at 5% of the depth; the
+    Requires ``find_tau0`` to have certified both assumptions: a
+    non-vanishing surface slope and a least root whose multiples stay off
+    the dispersion curve.  The amplitude is capped at 5% of the depth; the
     construction only controls the remainder for small ``t``.
     """
     if disp.tau0 is None or not disp.assumption_I or not disp.assumption_II:
         raise DomainError(
-            f"no admissible wavenumber: the dispersion scan reports "
+            f"no admissible wavenumber: the dispersion root search reports "
             f"tau0={disp.tau0!r} (assumption I {disp.assumption_I}, "
             f"assumption II {disp.assumption_II})")
     d = stream.d

@@ -2,7 +2,7 @@
 
 All higher modules funnel their numerics through this one, except the
 transverse shooter in ``dispersion``, which calls scipy's DOP853 itself
-so that dense output stays off on the stacked scan.  The routines
+so that dense output is built only for the shots it samples.  The routines
 wrap scipy with the toolkit's conventions layered on top: endpoint
 singularities of inverse-square-root type are removed by substitution
 before the adaptive rule sees them, failures surface as typed exceptions

@@ -1,7 +1,7 @@
 """Shared fixtures: the distributions and solutions most tests revisit.
 
 Session scope keeps the quadrature-heavy objects (streams, dispersion
-scans) built once; they are all immutable.
+results) built once; they are all immutable.
 """
 
 import numpy as np

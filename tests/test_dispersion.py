@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st_
 
-from vorwaves import dispersion, stream
+from strategies import dist_specs
+from vorwaves import bernoulli, dispersion, stream
 from vorwaves.dispersion import find_tau0, gamma_bvp, sigma
-from vorwaves.errors import DomainError
+from vorwaves.errors import AmbiguousClassificationError, DomainError
 from vorwaves.vorticity import VorticityDistribution as V
 
 # irrotational stream with slope s: u' = s, d = 1/s, and the transverse
@@ -125,3 +128,101 @@ def test_scan_matches_constant_vorticity_closed_form(omega, s, has_root):
     want = brentq(exact, 1e-6, disp.tau_max, xtol=1e-15)
     assert disp.tau0 is not None
     assert abs(disp.tau0 - want) < 1e-12
+
+
+# sigma on a table distribution warns that it is formal
+formal = pytest.mark.filterwarnings("ignore:piecewise-linear vorticity")
+
+
+@formal
+@pytest.mark.parametrize("spec, s", [("poly -3 6", 0.129),
+                                     ("table 0:1 0.5:-1 1:2", 0.820)])
+def test_sigma_zero_is_the_long_wave_limit(spec, s):
+    # omega' != 0: the limit is (1/Phi - 1)/u'(d), not u'(d)/d - 1/u'(d) + omega(1)
+    st = stream.solve_stream(V.parse(spec), s)
+    np.testing.assert_allclose(sigma(st, 0.0), sigma(st, 1e-7), rtol=1e-9)
+
+
+def test_tau0_at_the_threshold_slope():
+    # omega = -2 at s = s0 = 0: u = y^2, d = 1, u'(d) = 2 and Phi(1; 0)
+    # diverges, so sigma(0+) = -1/2 and sigma = 2 tau coth(tau) - 5/2
+    from scipy.optimize import brentq
+    st = stream.solve_stream(V.constant(-2.0), 0.0)
+    np.testing.assert_allclose(sigma(st, 0.0), -0.5, rtol=1e-15)
+    want = brentq(lambda t: 2.0 * t / math.tanh(t) - 2.5, 0.1, 5.0, xtol=1e-15)
+    np.testing.assert_allclose(find_tau0(st).tau0, want, rtol=1e-11)
+
+
+def test_root_beyond_tau_max():
+    # near s0 the surface slope is small and tau0 = 57.6 lies past tau_max = 50
+    dist = V.parse("poly 0 0 3")
+    an = bernoulli.analyze(dist)
+    pair = bernoulli.conjugates(dist, 0.5 * (an.r_c + an.r0))
+    st = stream.solve_stream(dist, pair.s_plus)
+    disp = find_tau0(st)
+    assert disp.tau0 is None and not disp.assumption_II
+    assert "no positive root of sigma on (0, 50.0]" in disp.notes
+    assert any("root lies beyond tau_max" in n for n in disp.notes)
+    far = find_tau0(st, tau_max=5000.0)
+    assert far.tau0 is not None and far.tau0 > 50.0
+    assert sigma(st, far.tau0 * (1.0 - 1e-6)) < 0.0 < sigma(st, far.tau0 * (1.0 + 1e-6))
+
+
+def test_find_tau0_refuses_counter_current_shot(w_minus_two):
+    # u' vanishes inside the column: sigma may have poles and several roots
+    sh = stream.shoot_stream(w_minus_two, -1.0)
+    assert not sh.unidirectional
+    with pytest.raises(DomainError):
+        find_tau0(sh)
+
+
+def _with_threshold(spec):
+    dist = V.parse(spec)
+    try:
+        return dist, dist.classify().s0
+    except AmbiguousClassificationError:
+        assume(False)
+
+
+def _random_stream(spec, lift):
+    dist, s0 = _with_threshold(spec)
+    return stream.solve_stream(dist, s0 + max(1.0, s0) * 10.0 ** lift)
+
+
+@formal
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=dist_specs, lift=st_.floats(-3.0, 0.5))
+def test_sigma_near_zero_matches_phi(spec, lift):
+    st = _random_stream(spec, lift)
+    limit = (1.0 / stream.phi(st.dist, st.s) - 1.0) / st.u_prime_d
+    assert abs(sigma(st, 1e-7) - limit) <= 1e-8 * max(1.0, abs(limit))
+
+
+@formal
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=dist_specs, lift=st_.floats(-3.0, 0.5))
+def test_sigma_strictly_increasing(spec, lift):
+    st = _random_stream(spec, lift)
+    vals = [sigma(st, k / st.d) for k in (1e-7, 0.25, 1.0, 4.0, 16.0)]
+    assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@formal
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=dist_specs, frac=st_.floats(0.3, 3.0))
+def test_tau0_exists_iff_subcritical(spec, frac):
+    # s = s0 + frac (s_c - s0); both sides checked by shots find_tau0
+    # does not take when it decides from Phi
+    assume(abs(frac - 1.0) > 0.05)
+    dist, s0 = _with_threshold(spec)
+    s = s0 + frac * (bernoulli.find_critical(dist).s_c - s0)
+    assume(s > bernoulli._guard_edge(s0))
+    st = stream.solve_stream(dist, s)
+    disp = find_tau0(st, tau_max=1000.0)
+    if frac < 1.0:
+        assert disp.tau0 is not None
+        tau0 = disp.tau0
+        assert sigma(st, tau0 * (1.0 - 1e-6)) < 0.0 < sigma(st, tau0 * (1.0 + 1e-6))
+    else:
+        assert disp.tau0 is None
+        assert sigma(st, 1e-6) > 0.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cache
 from typing import Optional
 
 from . import numerics, stream
@@ -38,22 +38,6 @@ __all__ = [
     "conjugates",
     "analyze",
 ]
-
-
-def _cached_per_spec(fn):
-    """Cache ``fn(dist)`` per distribution and quadrature spec in effect.
-
-    The quadratures under ``fn`` read the default spec, which
-    ``TOOL_SEED_TOLERANCE`` seeds, at call time; keying on it means a
-    value computed under one tolerance is never served under another.
-    """
-    cached = lru_cache(maxsize=None)(lambda dist, spec: fn(dist))
-
-    @wraps(fn)
-    def wrapper(dist: VorticityDistribution):
-        return cached(dist, numerics.default_quadrature_spec())
-
-    return wrapper
 
 
 def head(dist: VorticityDistribution, s: float) -> float:
@@ -140,7 +124,7 @@ def _walk(f, origin: float, a: float, fa: float, ratio: float,
         f"f({a!r}) = {fa!r}")
 
 
-@_cached_per_spec
+@cache
 def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     """Critical slope and head: the minimum of ``R(s)``.
 
@@ -178,7 +162,7 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     )
 
 
-@_cached_per_spec
+@cache
 def second_critical(dist: VorticityDistribution) -> SecondCritical:
     """Zero-margin depth and head ``(d0, r0) = (d(s0), R(s0))``.
 

@@ -120,17 +120,10 @@ def _surface_from_csv(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _execute(name: str, config_path: str, out_dir, tol, worker) -> None:
+def _execute(name: str, config_path: str, out_dir, worker) -> None:
     started = time.perf_counter()
-    saved_tol = os.environ.get("TOOL_SEED_TOLERANCE")
     try:
         cfg = RunConfig.load(config_path, command=name)
-        if tol is not None:
-            if tol <= 0.0:
-                raise ConfigError(f"--tol must be positive, got {tol!r}")
-            cfg.tolerance = tol
-        if cfg.tolerance is not None:
-            os.environ["TOOL_SEED_TOLERANCE"] = repr(cfg.tolerance)
         out = out_dir or cfg.out_dir or "."
         os.makedirs(out, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
@@ -156,16 +149,9 @@ def _execute(name: str, config_path: str, out_dir, tol, worker) -> None:
     except VorwavesError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
-    finally:
-        if saved_tol is None:
-            os.environ.pop("TOOL_SEED_TOLERANCE", None)
-        else:
-            os.environ["TOOL_SEED_TOLERANCE"] = saved_tol
 
 
 def _run_options(fn):
-    fn = click.option("--tol", type=float, default=None,
-                      help="Override the quadrature tolerance.")(fn)
     fn = click.option("--out", "out_dir", default=None,
                       type=click.Path(file_okay=False),
                       help="Output directory (defaults to [run] out).")(fn)
@@ -197,9 +183,7 @@ def _stream_for(cfg: RunConfig, dist) -> stream.StreamSolution:
 
 def _built_wave(cfg: RunConfig, dist):
     st = _stream_for(cfg, dist)
-    disp = dispersion.find_tau0(st,
-                                tau_max=cfg.get_float("tau_max", 50.0),
-                                k_multiples=cfg.get_int("K", 10))
+    disp = dispersion.find_tau0(st, tau_max=cfg.get_float("tau_max", 50.0))
     t = cfg.require_float("t")
     wf = linearwave.build_wave(st, disp, t,
                                n_x=cfg.get_int("n_x", 129),
@@ -219,7 +203,7 @@ def main():
 
 @main.command(name="analyze")
 @_run_options
-def cmd_analyze(config_path, out_dir, tol):
+def cmd_analyze(config_path, out_dir):
     """Classification and both critical heads of the distribution."""
 
     def worker(cfg, out):
@@ -239,12 +223,12 @@ def cmd_analyze(config_path, out_dir, tol):
         }
         return results, []
 
-    _execute("analyze", config_path, out_dir, tol, worker)
+    _execute("analyze", config_path, out_dir, worker)
 
 
 @main.command(name="stream")
 @_run_options
-def cmd_stream(config_path, out_dir, tol):
+def cmd_stream(config_path, out_dir):
     """Stream profile for a given bottom slope s (profile.csv)."""
 
     def worker(cfg, out):
@@ -265,32 +249,30 @@ def cmd_stream(config_path, out_dir, tol):
         }
         return results, files
 
-    _execute("stream", config_path, out_dir, tol, worker)
+    _execute("stream", config_path, out_dir, worker)
 
 
 @main.command(name="conjugates")
 @_run_options
-def cmd_conjugates(config_path, out_dir, tol):
+def cmd_conjugates(config_path, out_dir):
     """Conjugate slopes and depths for a given head r."""
 
     def worker(cfg, out):
         pair = bernoulli.conjugates(cfg.distribution(), cfg.require_float("r"))
         return dataclasses.asdict(pair), []
 
-    _execute("conjugates", config_path, out_dir, tol, worker)
+    _execute("conjugates", config_path, out_dir, worker)
 
 
 @main.command(name="dispersion")
 @_run_options
-def cmd_dispersion(config_path, out_dir, tol):
+def cmd_dispersion(config_path, out_dir):
     """Least dispersion root for the stream at s (or the head r)."""
 
     def worker(cfg, out):
         dist = cfg.distribution()
         st = _stream_for(cfg, dist)
-        disp = dispersion.find_tau0(st,
-                                    tau_max=cfg.get_float("tau_max", 50.0),
-                                    k_multiples=cfg.get_int("K", 10))
+        disp = dispersion.find_tau0(st, tau_max=cfg.get_float("tau_max", 50.0))
         results = {
             "s": st.s,
             "d": st.d,
@@ -299,17 +281,16 @@ def cmd_dispersion(config_path, out_dir, tol):
             "assumption_I": disp.assumption_I,
             "assumption_II": disp.assumption_II,
             "tau_max": disp.tau_max,
-            "k_multiples": disp.k_multiples,
             "notes": list(disp.notes),
         }
         return results, []
 
-    _execute("dispersion", config_path, out_dir, tol, worker)
+    _execute("dispersion", config_path, out_dir, worker)
 
 
 @main.command(name="wave")
 @_run_options
-def cmd_wave(config_path, out_dir, tol):
+def cmd_wave(config_path, out_dir):
     """First-order wave of amplitude t (surface.csv, field.csv)."""
 
     def worker(cfg, out):
@@ -337,12 +318,12 @@ def cmd_wave(config_path, out_dir, tol):
         }
         return results, files
 
-    _execute("wave", config_path, out_dir, tol, worker)
+    _execute("wave", config_path, out_dir, worker)
 
 
 @main.command(name="check-bounds")
 @_run_options
-def cmd_check_bounds(config_path, out_dir, tol):
+def cmd_check_bounds(config_path, out_dir):
     """Depth-bound verdicts for a surface (given or freshly built)."""
 
     def worker(cfg, out):
@@ -380,12 +361,12 @@ def cmd_check_bounds(config_path, out_dir, tol):
         }
         return results, files
 
-    _execute("check-bounds", config_path, out_dir, tol, worker)
+    _execute("check-bounds", config_path, out_dir, worker)
 
 
 @main.command(name="wheeler")
 @_run_options
-def cmd_wheeler(config_path, out_dir, tol):
+def cmd_wheeler(config_path, out_dir):
     """Conjugate-flow integral identity on a strip (residuals.csv).
 
     With only ``r`` the strip holds the supercritical stream and the
@@ -432,12 +413,12 @@ def cmd_wheeler(config_path, out_dir, tol):
         }
         return results, files
 
-    _execute("wheeler", config_path, out_dir, tol, worker)
+    _execute("wheeler", config_path, out_dir, worker)
 
 
 @main.command(name="scale")
 @_run_options
-def cmd_scale(config_path, out_dir, tol):
+def cmd_scale(config_path, out_dir):
     """Convert a number between dimensional and scaled units."""
 
     def worker(cfg, out):
@@ -465,4 +446,4 @@ def cmd_scale(config_path, out_dir, tol):
         }
         return results, []
 
-    _execute("scale", config_path, out_dir, tol, worker)
+    _execute("scale", config_path, out_dir, worker)

@@ -15,11 +15,10 @@ form, and whatever parameters the command needs:
     [parameters]
     r = 1.1
 
-    [numerics]
-    tolerance = 1e-10
-
 Unknown keys are ignored (forward compatibility); missing or unparseable
 required keys raise :class:`~vorwaves.errors.ConfigError` naming the key.
+A ``[numerics]`` section raises it too: the tolerances are fixed, and a
+file that still sets one must not be silently ignored.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ class RunConfig:
     command: str
     vorticity_text: Optional[str]
     out_dir: Optional[str]
-    tolerance: Optional[float]
     params: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
@@ -77,12 +75,10 @@ class RunConfig:
             raise ConfigError("no command: pass a subcommand or set "
                               "[run] command")
 
-        tol_text = parser.get("numerics", "tolerance", fallback=None)
-        tolerance = None
-        if tol_text is not None:
-            tolerance = _parse_float("tolerance", tol_text)
-            if tolerance <= 0.0:
-                raise ConfigError(f"tolerance must be positive, got {tolerance!r}")
+        if parser.has_section("numerics"):
+            raise ConfigError(
+                f"config {path!r} has a [numerics] section; the tolerances "
+                f"are fixed and no longer set there")
 
         params = {}
         if parser.has_section("parameters"):
@@ -92,7 +88,6 @@ class RunConfig:
             command=resolved,
             vorticity_text=parser.get("vorticity", "spec", fallback=None),
             out_dir=parser.get("run", "out", fallback=None),
-            tolerance=tolerance,
             params=params,
         )
 
@@ -153,7 +148,6 @@ class RunConfig:
             "command": self.command,
             "vorticity": self.vorticity_text,
             "out": self.out_dir,
-            "tolerance": self.tolerance,
             "parameters": dict(sorted(self.params.items())),
         }
 

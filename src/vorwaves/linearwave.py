@@ -15,7 +15,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .dispersion import DispersionResult, _shoot, gamma_bvp
+from .dispersion import DispersionResult, _require_slope, _shoot, gamma_bvp
 from .errors import ConfigError, DomainError
 from .stream import ShotStream, StreamSolution
 
@@ -34,7 +34,6 @@ __all__ = [
     "detect_sign_change",
 ]
 
-_SLOPE_FLOOR = 1e-9
 _AMPLITUDE_CAP = 0.05  # |t| <= cap * d
 _SURFACE_IDENTITY_TOL = 1e-5
 
@@ -165,15 +164,6 @@ class SignChange:
     location: Union[float, Tuple[float, float]]
 
 
-def _require_surface_slope(stream: AnyStream) -> float:
-    upd = stream.u_prime_d
-    if abs(upd) <= _SLOPE_FLOOR:
-        raise DomainError(
-            f"surface slope u'(d)={upd!r} vanishes: the correction problem "
-            f"cannot be normalized there")
-    return upd
-
-
 def solve_W(stream: AnyStream, tau: float, n_samples: int = 257) -> WCorrection:
     """Solve the forced correction problem at wavenumber ``tau``.
 
@@ -192,7 +182,7 @@ def solve_W(stream: AnyStream, tau: float, n_samples: int = 257) -> WCorrection:
         When ``tau**2`` is a Dirichlet eigenvalue of the transverse
         operator: the two-point problem loses uniqueness there.
     """
-    upd = _require_surface_slope(stream)
+    upd = _require_slope(stream)
     gam = gamma_bvp(stream, tau, n_samples=n_samples)
     y = gam.grid
     d = stream.d

@@ -6,8 +6,8 @@ so that dense output is built only for the shots it samples.  The routines
 wrap scipy with the toolkit's conventions layered on top: endpoint
 singularities of inverse-square-root type are removed by substitution
 before the adaptive rule sees them, failures surface as typed exceptions
-carrying the best estimate reached, and tolerances have a single default
-that can be seeded from the environment.
+carrying the best estimate reached, and the quadrature tolerances are
+fixed (``abs 1e-12``, ``rel 1e-10``).
 
 Conventions
 -----------
@@ -23,7 +23,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -38,59 +37,15 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadratureSpec",
-    "default_quadrature_spec",
     "integrate",
     "Bracket",
     "find_root",
     "solve_ivp",
 ]
 
-_TOL_ENV = "TOOL_SEED_TOLERANCE"
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and endpoint-behavior settings for :func:`integrate`.
-
-    Parameters
-    ----------
-    abs_tol, rel_tol : float
-        Absolute and relative tolerance targets, both strictly positive.
-    singular_left : bool
-        Declare an inverse-square-root singularity at the left endpoint;
-        the integrator substitutes it away.  There is no right-hand twin:
-        a singular right end is integrated in the distance to that end,
-        which also keeps the integrand free of cancellation there.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    singular_left: bool = False
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-
-
-def default_quadrature_spec() -> QuadratureSpec:
-    """Build the default spec, seeding ``abs_tol`` from ``TOOL_SEED_TOLERANCE``.
-
-    The environment variable, when set to a positive float, replaces the
-    built-in ``1e-12`` absolute tolerance.  Malformed values are ignored.
-    """
-    abs_tol = 1e-12
-    raw = os.environ.get(_TOL_ENV)
-    if raw is not None:
-        try:
-            candidate = float(raw)
-        except ValueError:
-            candidate = -1.0
-        if candidate > 0.0 and math.isfinite(candidate):
-            abs_tol = candidate
-    return QuadratureSpec(abs_tol=abs_tol)
+# quadrature targets for every call of :func:`integrate`
+_ABS_TOL = 1e-12
+_REL_TOL = 1e-10
 
 
 def _finite_checked(f: Callable[[float], float], a: float, b: float):
@@ -108,9 +63,9 @@ def _finite_checked(f: Callable[[float], float], a: float, b: float):
     return g
 
 
-def _quad(f, a, b, spec: QuadratureSpec) -> float:
+def _quad(f, a, b) -> float:
     out = _sint.quad(
-        f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=200, full_output=1
+        f, a, b, epsabs=_ABS_TOL, epsrel=_REL_TOL, limit=200, full_output=1
     )
     if len(out) == 4:
         # (value, error, infodict, message): QUADPACK gave up
@@ -126,28 +81,28 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: Optional[QuadratureSpec] = None,
+    singular_left: bool = False,
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` with adaptive Gauss-Kronrod quadrature.
 
-    A left-endpoint singularity declared on ``spec`` is removed by the
-    substitution ``x = a + v**2`` (so ``dx = 2 v dv`` cancels an inverse
-    square root).
+    ``singular_left`` declares an inverse-square-root singularity at the
+    left endpoint, removed by the substitution ``x = a + v**2`` (so
+    ``dx = 2 v dv`` cancels it).  There is no right-hand twin: a singular
+    right end is integrated in the distance to that end, which also keeps
+    the integrand free of cancellation there.
 
     Returns 0.0 when ``a == b``.  Raises :class:`InvalidIntegrandError` if
     the integrand produces a non-finite value, :class:`ConvergenceError`
     if the adaptive rule cannot meet tolerance.
     """
-    if spec is None:
-        spec = default_quadrature_spec()
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, spec)
+        return -integrate(f, b, a, singular_left)
 
     g = _finite_checked(f, a, b)
 
-    if spec.singular_left:
+    if singular_left:
         width = b - a
 
         def h(v: float) -> float:
@@ -158,9 +113,9 @@ def integrate(
                 x = math.nextafter(a, b)
             return 2.0 * v * g(x)
 
-        return _quad(h, 0.0, math.sqrt(width), spec)
+        return _quad(h, 0.0, math.sqrt(width))
 
-    return _quad(g, a, b, spec)
+    return _quad(g, a, b)
 
 
 @dataclass(frozen=True)

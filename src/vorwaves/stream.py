@@ -25,7 +25,6 @@ sign changes and turning points of trajectories below the threshold slope.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from math import pi, sqrt
 from typing import Optional
@@ -105,8 +104,6 @@ def _accumulate(dist: VorticityDistribution, s: float, grid,
             f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has a "
             f"non-integrable endpoint there")
     big = cls.max_Omega
-    spec = numerics.default_quadrature_spec()
-    lspec = dataclasses.replace(spec, singular_left=True)
     left_max = 0.0 in cls.maximizers
     right_max = 1.0 in cls.maximizers
     kinks = dist._t_list[1:-1] if dist.kind == "table" else []
@@ -124,8 +121,8 @@ def _accumulate(dist: VorticityDistribution, s: float, grid,
 
     def piece(a: float, b: float) -> float:
         if b == 1.0 and right_max:
-            return numerics.integrate(g, 0.0, 1.0 - a, lspec)
-        return numerics.integrate(f, a, b, lspec if a == 0.0 and left_max else spec)
+            return numerics.integrate(g, 0.0, 1.0 - a, singular_left=True)
+        return numerics.integrate(f, a, b, singular_left=a == 0.0 and left_max)
 
     out = np.empty(len(grid))
     total, lo = 0.0, 0.0
@@ -296,6 +293,7 @@ class StreamSolution:
         ``y`` outside ``[0, d]`` (beyond a relative slack of 1e-9) is a
         domain error.  Newton on ``H(p) - y`` with the analytic slope;
         the multiplicative update keeps endpoint singularities harmless.
+        The sweeps stop once no step exceeds 1e-14, or after 30.
         """
         arr = np.asarray(y, dtype=float)
         scalar = arr.ndim == 0
@@ -312,7 +310,11 @@ class StreamSolution:
         for _ in range(30):
             resid = self.height_at(p) - arr
             gap = np.maximum(gap_big - self.dist._Omega_ext(p), 0.0)
-            p = np.clip(p - resid * np.sqrt(self.sigma2 + 2.0 * gap), 0.0, 1.0)
+            new = np.clip(p - resid * np.sqrt(self.sigma2 + 2.0 * gap), 0.0, 1.0)
+            step = np.abs(new - p)
+            p = new
+            if not step.size or step.max() < 1e-14:
+                break
         resid = np.abs(self.height_at(p) - arr)
         if resid.size and resid.max() > 1e-9 * max(1.0, self.d):
             raise ConvergenceError(

@@ -267,19 +267,23 @@ def test_reports_are_deterministic(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_tolerance_env_is_restored(tmp_path, monkeypatch):
-    monkeypatch.setenv("TOOL_SEED_TOLERANCE", "2.5e-10")
+def test_tolerance_settings_are_refused(tmp_path):
+    # the tolerances are fixed; neither the retired option nor the retired
+    # config section may be silently ignored
     cfg = _config(tmp_path, """\
         [vorticity]
         spec = constant 0
     """)
     result = _invoke(["analyze", "--config", cfg, "--out", str(tmp_path / "o"),
                       "--tol", "1e-8"])
-    assert result.exit_code == 0
-    assert os.environ["TOOL_SEED_TOLERANCE"] == "2.5e-10"
+    assert result.exit_code == 2
+    cfg = _config(tmp_path, """\
+        [vorticity]
+        spec = constant 0
 
-    monkeypatch.delenv("TOOL_SEED_TOLERANCE")
-    result = _invoke(["analyze", "--config", cfg,
-                      "--out", str(tmp_path / "o2"), "--tol", "1e-8"])
-    assert result.exit_code == 0
-    assert "TOOL_SEED_TOLERANCE" not in os.environ
+        [numerics]
+        tolerance = 1e-8
+    """, name="numerics.ini")
+    result = _invoke(["analyze", "--config", cfg, "--out", str(tmp_path / "o2")])
+    assert result.exit_code == 2
+    assert "[numerics]" in result.stderr

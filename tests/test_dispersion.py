@@ -102,7 +102,6 @@ def test_sigma_increasing_in_tau(stream_plus):
 def test_scan_record_consistency(disp_plus):
     assert disp_plus.taus.shape == disp_plus.sigmas.shape
     assert disp_plus.tau_max == 50.0
-    assert disp_plus.k_multiples == 10
     # the recorded samples bracket the root
     below = disp_plus.taus < disp_plus.tau0
     assert np.any(below) and np.any(~below)

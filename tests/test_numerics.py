@@ -9,7 +9,7 @@ from vorwaves.errors import (
     ConvergenceError,
     InvalidIntegrandError,
 )
-from vorwaves.numerics import Bracket, QuadratureSpec
+from vorwaves.numerics import Bracket
 
 
 def test_integrate_smooth():
@@ -24,14 +24,14 @@ def test_integrate_reversed_and_empty():
 
 
 def test_integrate_left_singularity():
-    spec = QuadratureSpec(singular_left=True)
-    val = numerics.integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, spec)
+    val = numerics.integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
+                             singular_left=True)
     np.testing.assert_allclose(val, 2.0, rtol=1e-12)
 
 
 def test_integrate_shifted_singularity():
-    spec = QuadratureSpec(singular_left=True)
-    val = numerics.integrate(lambda x: 1.0 / math.sqrt(x - 2.0), 2.0, 3.0, spec)
+    val = numerics.integrate(lambda x: 1.0 / math.sqrt(x - 2.0), 2.0, 3.0,
+                             singular_left=True)
     np.testing.assert_allclose(val, 2.0, rtol=1e-12)
 
 
@@ -44,22 +44,6 @@ def test_integrate_undeclared_singularity_fails():
     # the raw adaptive rule must not silently accept 1/x
     with pytest.raises((ConvergenceError, InvalidIntegrandError)):
         numerics.integrate(lambda x: 1.0 / x, 0.0, 1.0)
-
-
-def test_default_spec_env_override(monkeypatch):
-    monkeypatch.setenv("TOOL_SEED_TOLERANCE", "1e-6")
-    assert numerics.default_quadrature_spec().abs_tol == 1e-6
-    monkeypatch.setenv("TOOL_SEED_TOLERANCE", "bogus")
-    assert numerics.default_quadrature_spec().abs_tol == 1e-12
-    monkeypatch.delenv("TOOL_SEED_TOLERANCE")
-    assert numerics.default_quadrature_spec().abs_tol == 1e-12
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=-1.0)
 
 
 def test_find_root_cosine():

@@ -447,3 +447,7 @@ def cmd_scale(config_path, out_dir):
         return results, []
 
     _execute("scale", config_path, out_dir, worker)
+
+
+if __name__ == "__main__":
+    main()

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.integrate as _sint
 
 from . import numerics
 from .errors import ConvergenceError, DomainError, ResonanceError
@@ -115,6 +114,8 @@ def _shoot(stream, tau: float, from_surface: bool = False,
         is a Dirichlet eigenvalue of the linearized operator): no
         normalization exists.
     """
+    import scipy.integrate  # deferred: only a shot pays for scipy
+
     dist, d = stream.dist, stream.d
     tau2 = tau * tau
     n_chunks = max(1, math.ceil(tau * d / _CHUNK_EXPONENT))
@@ -136,9 +137,9 @@ def _shoot(stream, tau: float, from_surface: bool = False,
             fac = mag if mag > _RENORM else 1.0
             y[2:] /= fac
             logs.append(logs[-1] + math.log(fac))
-        sol = _sint.solve_ivp(rhs, (bounds[k], bounds[k + 1]), y,
-                              method="DOP853", rtol=1e-12, atol=1e-14,
-                              dense_output=normalize)
+        sol = scipy.integrate.solve_ivp(rhs, (bounds[k], bounds[k + 1]), y,
+                                        method="DOP853", rtol=1e-12, atol=1e-14,
+                                        dense_output=normalize)
         if not sol.success:
             raise ConvergenceError(
                 f"transverse shot failed on [{bounds[k]!r}, {bounds[k+1]!r}]: "

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import stream as _stream
 from .errors import ConfigError, DomainError, UnidirectionalityError
@@ -123,7 +122,9 @@ def _column_inverse(psi_col, y_col, p_grid, column, x_val):
             f"column {column} (q={x_val!r}): psi is not strictly increasing "
             f"on y in [{y_col[k]!r}, {y_col[k + 1]!r}]; the strip transform "
             f"needs a unidirectional flow")
-    return PchipInterpolator(psi_col, y_col)(p_grid)
+    import scipy.interpolate  # deferred: streams build their strip without it
+
+    return scipy.interpolate.PchipInterpolator(psi_col, y_col)(p_grid)
 
 
 def to_strip(source, n_p: int = 257, n_q: int = 9,

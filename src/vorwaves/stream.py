@@ -26,7 +26,7 @@ sign changes and turning points of trajectories below the threshold slope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, sqrt
+from math import inf, pi, sqrt
 from typing import Optional
 
 import numpy as np
@@ -85,55 +85,109 @@ def _accumulate(dist: VorticityDistribution, s: float, grid,
     """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing grid.
 
     The one quadrature path of the module: ``d``, ``H`` and ``Phi`` all
-    come from here.  Each grid cell is cut at the structural points of the
-    integrand, the interior table nodes (kinks of omega) and the interior
-    maximizers of Omega (peaks of the integrand), so the adaptive rule only
-    sees smooth pieces; a cell spanning ``[0, 1]`` with a maximizer at both
-    ends is also cut at 0.5, so no piece has two singular ends.
+    come from here, and every piece of every grid cell goes to one call of
+    the batched rule.  Each grid cell is cut at the structural points of
+    the integrand, the interior table nodes (kinks of omega) and the
+    interior maximizers of Omega (peaks of the integrand), so the rule only
+    sees smooth pieces; a piece with a maximizer at both ends is also cut
+    at its middle (0.5 for ``[0, 1]``), so no piece has two singular ends.
 
-    Direct evaluation of ``gap = max Omega - Omega`` loses every digit as
-    the surface maximizer is approached, which stalls the adaptive rule and
-    can even divide by zero once the difference rounds to nothing.  When
-    ``tau = 1`` carries the maximum the last piece is therefore integrated
-    in the distance-to-surface variable, where the gap is built by
-    cancellation-free accumulation from the surface down.
+    Direct evaluation of ``gap = max Omega - Omega`` loses every digit as a
+    maximizer is approached.  Every gap is therefore taken about the
+    nearest maximizer ``m`` and built from ``m`` outward without
+    cancellation (``dist._gap``).  A piece that ends at ``m`` is integrated
+    in the distance ``x`` to ``m`` (with the square-root substitution when
+    ``m`` is an endpoint); any other piece in ``tau`` itself, so that its
+    width keeps every digit.
+
+    Above the threshold the integrand has a layer of width ``L`` at each
+    maximizer, where ``sigma2`` and ``2 gap`` are comparable; with
+    ``gap ~ c_k x^k`` at its first nonzero term, ``L = (sigma2 / 2 c_k)^(1/k)``.
+    ``L`` can be far below any cell width, and a rule whose nodes all miss
+    the layer does not see it.  So every piece that spans more than a
+    factor 2 in its distance to ``m`` is cut geometrically, at
+    ``max(L, x_lo) 2^k`` for a piece ``x_lo <= x <= x_hi`` away from ``m``;
+    a piece that ends at ``m`` is cut at ``L, 2 L, 4 L, ...``.
     """
     sigma2, cls = _margin(dist, s)
     if sigma2 == 0.0 and power <= -1.0:
         raise DomainError(
             f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has a "
             f"non-integrable endpoint there")
-    big = cls.max_Omega
-    left_max = 0.0 in cls.maximizers
-    right_max = 1.0 in cls.maximizers
+    grid = np.asarray(grid, dtype=float)
+    peaks = np.array(cls.maximizers)
     kinks = dist._t_list[1:-1] if dist.kind == "table" else []
-    cuts = sorted({m for m in cls.maximizers if 0.0 < m < 1.0}.union(kinks))
-    gap1 = max(big - dist._Omega_scalar(1.0), 0.0)
+    cuts = [c for c in [*cls.maximizers, *kinks] if 0.0 < c < grid[-1]]
+    edges = np.array(sorted({0.0, *grid.tolist(), *cuts}))
+    at_peak = (edges[:, None] == peaks).any(axis=1)
+    both = at_peak[:-1] & at_peak[1:]
+    if both.any():
+        edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:])[both])))
+        at_peak = (edges[:, None] == peaks).any(axis=1)
+    a, b, a_peak, b_peak = edges[:-1], edges[1:], at_peak[:-1], at_peak[1:]
 
-    def f(t: float) -> float:
-        gap = big - dist._Omega_scalar(t)
-        if gap < 0.0:
-            gap = 0.0
-        return (sigma2 + 2.0 * gap) ** power
+    # the gap of every piece is taken about its nearest maximizer m, on
+    # side e; x_lo and x_hi bound the piece's distance to m
+    anchored = a_peak | b_peak
+    near = peaks[np.argmin(np.abs(peaks[None, :] - (0.5 * (a + b))[:, None]), axis=1)]
+    m = np.where(a_peak, a, np.where(b_peak, b, near))
+    e = np.where(a_peak | (~b_peak & (m <= a)), 1.0, -1.0)
+    x_lo = np.where(anchored, 0.0, np.where(e > 0.0, a - m, m - b))
+    x_hi = np.where(anchored, b - a, np.where(e > 0.0, b - m, m - a))
+    # a piece that ends at m is integrated in the distance to m, any other
+    # piece in tau itself, so that its width keeps every digit
+    lo, hi = np.where(anchored, 0.0, a), np.where(anchored, x_hi, b)
+    cell = np.searchsorted(grid, b)
 
-    def g(delta: float) -> float:
-        return (sigma2 + 2.0 * (gap1 + dist._gap_from_surface(delta))) ** power
+    frames = sorted(set(zip(m.tolist(), e.tolist(), anchored.tolist())))
+    index = {k: j for j, k in enumerate(frames)}
+    tag = np.array([index[k] for k in zip(m.tolist(), e.tolist(), anchored.tolist())],
+                   dtype=int)
+    layer = np.array([_layer(dist, pm, pe, sigma2) for pm, pe, _ in frames])[tag]
+    start = np.maximum(layer, x_lo)
+    split = np.flatnonzero((start > 0.0) & (x_hi > 2.0 * start))
+    if split.size:
+        owner, more_lo, more_hi = [], [], []
+        for i in split:
+            rungs, rung = [], start[i]
+            while rung < x_hi[i]:
+                if rung > x_lo[i]:
+                    rungs.append(rung)
+                rung *= 2.0
+            if not anchored[i]:
+                rungs = sorted(m[i] + e[i] * r for r in rungs)
+            bounds = [lo[i], *rungs, hi[i]]
+            owner += [i] * (len(bounds) - 1)
+            more_lo += bounds[:-1]
+            more_hi += bounds[1:]
+        # the pieces cut at the rungs keep the frame and cell of the whole
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        idx = np.concatenate((np.flatnonzero(keep), owner)).astype(int)
+        lo = np.concatenate((lo[keep], more_lo))
+        hi = np.concatenate((hi[keep], more_hi))
+        anchored, m, tag, cell = anchored[idx], m[idx], tag[idx], cell[idx]
 
-    def piece(a: float, b: float) -> float:
-        if b == 1.0 and right_max:
-            return numerics.integrate(g, 0.0, 1.0 - a, singular_left=True)
-        return numerics.integrate(f, a, b, singular_left=a == 0.0 and left_max)
+    def f(z, which):
+        gap = np.empty_like(z)
+        for j, (pm, pe, local) in enumerate(frames):
+            sel = which == j
+            gap[sel] = dist._gap(pm, pe, z[sel] if local else pe * (z[sel] - pm))
+        return (sigma2 + 2.0 * np.maximum(gap, 0.0)) ** power
 
-    out = np.empty(len(grid))
-    total, lo = 0.0, 0.0
-    for i, hi in enumerate(map(float, grid)):
-        edges = [lo] + [c for c in cuts if lo < c < hi] + [hi]
-        if edges == [0.0, 1.0] and left_max and right_max:
-            edges = [0.0, 0.5, 1.0]
-        total += sum(piece(a, b) for a, b in zip(edges, edges[1:]))
-        out[i] = total
-        lo = hi
-    return out
+    singular = anchored & (lo == 0.0) & ((m == 0.0) | (m == 1.0))
+    vals = numerics.integrate(f, lo, hi, singular, tags=tag)
+    return np.cumsum(np.bincount(cell, vals, len(grid)))
+
+
+def _layer(dist: VorticityDistribution, m: float, e: float, sigma2: float) -> float:
+    """Width ``L`` of the layer at the maximizer ``m`` where ``sigma2`` rules.
+
+    ``L = min_k (sigma2 / 2 |c_k|)^(1/k)`` over the terms ``c_k x^k`` of the
+    gap about ``m``: below ``L`` the margin dominates the gap.
+    """
+    terms = [(k, abs(c)) for k, c in enumerate(dist._gap_segments(m, e)[1][0].tolist()) if k and c]
+    return min(((sigma2 / (2.0 * c)) ** (1.0 / k) for k, c in terms), default=inf)
 
 
 def depth(dist: VorticityDistribution, s: float) -> float:

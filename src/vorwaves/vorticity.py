@@ -145,12 +145,10 @@ class VorticityDistribution:
             # piecewise-linear function at the breakpoints
             seg = 0.5 * (self._bv[:-1] + self._bv[1:]) * np.diff(self._bt)
             self._bc = np.concatenate(([0.0], np.cumsum(seg)))
-            # suffix sums accumulated from tau = 1 keep Omega(1) - Omega(t)
-            # free of cancellation near the surface
-            self._brc = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
             self._t_list = taus
             self._coeffs = None
         self._key = (self.kind, self._coeffs if self._nodes is None else self._nodes)
+        self._gap_cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -239,36 +237,64 @@ class VorticityDistribution:
         dt = t - self._t_list[i]
         return float(self._bc[i] + self._bv[i] * dt + 0.5 * self._bm[i] * dt * dt)
 
-    @cached_property
-    def _surface_gap_coeffs(self) -> tuple:
-        # coefficients of delta -> Omega(1) - Omega(1 - delta); composing the
-        # antiderivative with 1 - delta cancels the constant term exactly, so
-        # the difference vanishes at delta = 0 by construction
-        comp = np.polynomial.Polynomial(self._icoeffs)(
-            np.polynomial.Polynomial([1.0, -1.0]))
-        out = -np.asarray(comp.coef, dtype=float)
-        out[0] = 0.0
-        return tuple(float(c) for c in out)
+    def _gap(self, m: float, e: float, x):
+        """``Omega(m) - Omega(m + e x)`` for ``x >= 0``, free of cancellation.
 
-    def _gap_from_surface(self, delta: float) -> float:
-        """``Omega(1) - Omega(1 - delta)`` evaluated without cancellation.
-
-        Direct subtraction loses all significant digits once ``delta``
-        approaches machine precision; this builds the difference from the
-        surface downward instead.
+        ``m`` is a maximizer of Omega or an endpoint and ``e = +1`` or
+        ``-1`` picks the side.  The gap is built from ``m`` outward (see
+        :meth:`_gap_segments`), so it keeps its leading term however close
+        ``x`` comes to 0, where the direct difference loses every digit.
         """
-        if delta <= 0.0:
-            return 0.0
-        if self._nodes is None:
-            acc = 0.0
-            for c in reversed(self._surface_gap_coeffs):
-                acc = acc * delta + c
-            return acc
-        d = min(delta, 1.0)
-        x = 1.0 - d
-        i = min(max(bisect.bisect_right(self._t_list, x) - 1, 0), len(self._t_list) - 2)
-        dt = max(d - (1.0 - self._t_list[i + 1]), 0.0)
-        return float(self._brc[i + 1] + self._bv[i + 1] * dt - 0.5 * self._bm[i] * dt * dt)
+        seg, coef = self._gap_segments(m, e)
+        x = np.asarray(x, dtype=float)
+        if len(seg) == 1:
+            c, dx = coef[0], x
+        else:
+            k = np.clip(np.searchsorted(seg, x, side="right") - 1, 0, len(seg) - 1)
+            c, dx = coef[k], x - seg[k]
+        acc = c[..., -1]
+        for j in range(coef.shape[1] - 2, -1, -1):
+            acc = acc * dx + c[..., j]
+        return acc
+
+    def _gap_segments(self, m: float, e: float):
+        """Piecewise-polynomial form of :meth:`_gap` about ``m`` on side ``e``.
+
+        Returns ``(seg, coef)``: segment ``k`` starts at ``x = seg[k]``
+        (``seg[0] = 0``) and ``coef[k]`` holds the coefficients of the gap
+        in ``x - seg[k]``, lowest first.  A polynomial is shifted to ``m``,
+        which cancels its constant term exactly; a table is summed exactly
+        segment by segment from ``m`` (trapezoids, exact for linear
+        omega).  An interior ``m`` is taken as a root of omega, as every
+        interior maximizer of Omega is, so the linear term is exactly 0.
+        """
+        key = (m, e)
+        if key not in self._gap_cache:
+            interior = 0.0 < m < 1.0
+            if self._nodes is None:
+                # Taylor coefficients of Omega at m by repeated synthetic
+                # division, then x -> e x
+                taylor = list(self._icoeffs)
+                for i in range(len(taylor) - 1):
+                    for j in range(len(taylor) - 2, i - 1, -1):
+                        taylor[j] += m * taylor[j + 1]
+                coef = np.array([-c * e ** k for k, c in enumerate(taylor)])
+                coef[0] = 0.0
+                if interior:
+                    coef[1] = 0.0
+                seg, coef = np.zeros(1), coef[None, :]
+            else:
+                side = self._bt > m if e > 0 else self._bt < m
+                order = slice(None) if e > 0 else slice(None, None, -1)
+                w0 = 0.0 if interior else float(np.interp(m, self._bt, self._bv))
+                seg = np.concatenate(([0.0], np.abs(self._bt[side][order] - m)))
+                w = np.concatenate(([w0], self._bv[side][order]))
+                h = np.diff(seg)
+                area = np.concatenate(([0.0], np.cumsum(-e * 0.5 * h * (w[:-1] + w[1:]))))
+                coef = np.column_stack((area[:-1], -e * w[:-1], -0.5 * e * np.diff(w) / h))
+                seg = seg[:-1]
+            self._gap_cache[key] = (seg, coef)
+        return self._gap_cache[key]
 
     def _omega_prime_scalar(self, t: float) -> float:
         if self._nodes is None:

@@ -1,12 +1,18 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
 from click.testing import CliRunner
 
+import vorwaves
 from vorwaves.cli import main, scale_to_nondimensional
 from vorwaves.errors import ConfigError, DomainError
+
+_SRC = str(pathlib.Path(vorwaves.__file__).resolve().parents[1])
 
 
 def _config(tmp_path, body, name="run.ini"):
@@ -287,3 +293,58 @@ def test_tolerance_settings_are_refused(tmp_path):
     result = _invoke(["analyze", "--config", cfg, "--out", str(tmp_path / "o2")])
     assert result.exit_code == 2
     assert "[numerics]" in result.stderr
+
+
+def _fresh_python(args, cwd):
+    """Run a fresh interpreter that imports the package from this tree."""
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    cfg = _config(tmp_path, """\
+        [vorticity]
+        spec = constant 2
+    """)
+    out = tmp_path / "out"
+    done = _fresh_python(["-m", "vorwaves.cli", "analyze", "--config", cfg,
+                          "--out", str(out)], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert _report(str(out))["results"]["classification"] == "iii"
+
+
+# the commands that need only the stream quadrature and root finding
+_QUADRATURE_ONLY = {
+    "analyze": "[vorticity]\nspec = constant 2\n",
+    "stream": "[vorticity]\nspec = poly -3 6\n[parameters]\ns = 1.0\n",
+    "conjugates": "[vorticity]\nspec = table 0:1 0.5:-1 1:2\n[parameters]\nr = 0.8822\n",
+    "wheeler": "[vorticity]\nspec = constant 0\n[parameters]\nr = 1.1\n",
+    "scale": "[parameters]\nQ = 1.0\ng = 9.81\nquantity = length\nvalue = 1.0\n",
+}
+
+
+def test_start_up_leaves_scipy_unloaded(tmp_path):
+    # scipy is imported only where an ODE shot or a wave column needs it:
+    # neither the package, the CLI, nor these five commands load it
+    for command, body in _QUADRATURE_ONLY.items():
+        (tmp_path / f"{command}.ini").write_text(body, encoding="utf-8")
+    code = textwrap.dedent("""\
+        import sys
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        import vorwaves
+        assert not scipy_modules(), ("import vorwaves", scipy_modules()[:3])
+        import vorwaves.cli
+        assert not scipy_modules(), ("import vorwaves.cli", scipy_modules()[:3])
+        for command in sys.argv[1:]:
+            vorwaves.cli.main([command, "--config", command + ".ini", "--out", command],
+                              standalone_mode=False)
+            assert not scipy_modules(), (command, scipy_modules()[:3])
+        """)
+    done = _fresh_python(["-c", code, *_QUADRATURE_ONLY], tmp_path)
+    assert done.returncode == 0, done.stderr
+    for command in _QUADRATURE_ONLY:
+        assert _report(str(tmp_path / command))["command"] == command

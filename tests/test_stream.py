@@ -247,3 +247,45 @@ def test_conjugates_near_interior_peak():
     assert pair.regime == "subcritical-pair"
     for s in (pair.s_plus, pair.s_minus):
         np.testing.assert_allclose(bernoulli.head(dist, s), r, rtol=1e-12)
+
+
+# s0 = 0 closed forms, written so that they keep every digit as s -> 0:
+#   constant -1: d = sqrt(s^2 + 2) - s = 2 / (sqrt(s^2 + 2) + s)
+#   poly -3 6:   d = (2/sqrt 6) asin(1/sqrt(1 + 2 s^2/3))
+#                  = (2/sqrt 6) (pi/2 - atan(s sqrt(2/3)))
+@pytest.mark.parametrize("s", [1e-4, 1e-6, 1e-8])
+def test_depth_through_the_threshold_layer(s):
+    # the integrand has a layer of width ~ s^2 at the Omega maximizer,
+    # far below any cell width; a rule that never samples it misses O(s)
+    cases = (
+        (V.constant(-1.0), 2.0 / (math.sqrt(s * s + 2.0) + s)),
+        (V.polynomial([-3.0, 6.0]),
+         2.0 / math.sqrt(6.0) * (0.5 * math.pi - math.atan(s * math.sqrt(2.0 / 3.0)))),
+    )
+    for dist, want in cases:
+        assert abs(depth(dist, s) - want) <= 1e-12 * want
+        assert abs(solve_stream(dist, s).d - want) <= 1e-12 * want
+
+
+def test_stream_at_the_guard_band_edge():
+    # class "i" with the Omega peak at 0.847, 2e-9 s0 above the threshold:
+    # the direct gap max Omega - Omega lost about seven digits there, and
+    # QUADPACK gave up on the piece that ends at the peak.  Both paths must
+    # return the 30-digit integral at the same margin sigma2.
+    mp = pytest.importorskip("mpmath")
+    dist = V.parse("poly 1.777 0.051 -2.537")
+    s = dist.classify().s0 * (1.0 + 2e-9)
+    sigma2 = stream._margin(dist, s)[0]
+    with mp.workdps(30):
+        c = [mp.mpf(x) for x in dist._coeffs]
+
+        def Omega(t):
+            return c[0] * t + c[1] * t ** 2 / 2 + c[2] * t ** 3 / 3
+
+        m = mp.findroot(lambda t: c[0] + c[1] * t + c[2] * t ** 2, dist.classify().maximizers[0])
+        pts = sorted({mp.mpf(0), mp.mpf(1), m}
+                     | {m + sgn * mp.mpf(10) ** -k for k in range(1, 8) for sgn in (1, -1)})
+        want = float(mp.quad(
+            lambda t: (mp.mpf(sigma2) + 2 * (Omega(m) - Omega(t))) ** mp.mpf(-0.5), pts))
+    assert abs(depth(dist, s) - want) <= 1e-10 * want
+    assert abs(solve_stream(dist, s).d - want) <= 1e-10 * want

@@ -116,8 +116,7 @@ def _accumulate(dist: VorticityDistribution, s: float, grid,
             f"non-integrable endpoint there")
     grid = np.asarray(grid, dtype=float)
     peaks = np.array(cls.maximizers)
-    kinks = dist._t_list[1:-1] if dist.kind == "table" else []
-    cuts = [c for c in [*cls.maximizers, *kinks] if 0.0 < c < grid[-1]]
+    cuts = [c for c in [*cls.maximizers, *dist._seg[1:].tolist()] if 0.0 < c < grid[-1]]
     edges = np.array(sorted({0.0, *grid.tolist(), *cuts}))
     at_peak = (edges[:, None] == peaks).any(axis=1)
     both = at_peak[:-1] & at_peak[1:]

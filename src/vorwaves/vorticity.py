@@ -3,12 +3,18 @@
 A distribution omega(tau) is given on tau in [0, 1] (the range of the
 normalized stream function).  Everything downstream needs three callables
 derived from it: omega itself, its antiderivative Omega with Omega(0) = 0,
-and (for the linearized problems) its derivative omega'.  Three concrete
-representations are supported:
+and (for the linearized problems) its derivative omega'.  Three input
+forms are accepted:
 
 * ``constant``  -- omega(tau) = b;
 * ``poly``      -- omega(tau) = c0 + c1 tau + ... + cn tau^n;
 * ``table``     -- piecewise linear through breakpoints spanning [0, 1].
+
+All three are stored as one piecewise polynomial: sorted segment starts
+and one coefficient row per segment in ``tau - start`` (a constant or poly
+is one segment at 0, a table one linear row per segment).  The rows of
+omega' and Omega (continuous, Omega(0) = 0) are derived once, so no
+evaluator asks which form was given.
 
 The classification splits distributions into three exclusive regimes by
 where Omega attains its maximum and how the maximum is approached:
@@ -53,6 +59,50 @@ _TIE_MARGIN = 1e-12
 _AUDIT_POINTS = 10001
 
 
+def _horner(seg, coef, x):
+    """A piecewise polynomial at ``x`` (scalar or array).
+
+    Segment ``k`` starts at ``seg[k]`` (``seg[0] = 0``) and ``coef[k]``
+    holds its coefficients in ``x - seg[k]``, lowest first; the first and
+    last segments extend beyond the ends.
+    """
+    x = np.asarray(x, dtype=float)
+    if len(seg) == 1:
+        c, dx = coef[0], x
+    else:
+        k = np.clip(np.searchsorted(seg, x, side="right") - 1, 0, len(seg) - 1)
+        c, dx = coef[k], x - seg[k]
+    acc = c[..., -1] + 0.0 * dx
+    for j in range(coef.shape[1] - 2, -1, -1):
+        acc = acc * dx + c[..., j]
+    return acc
+
+
+def _scalar_horner(seg, coef):
+    """:func:`_horner` for one float, as a closure over Python floats; it runs
+    in every ODE right-hand side, so one segment skips the search and shift."""
+    rows = [tuple(reversed(row)) for row in coef.tolist()]
+    if len(rows) == 1:
+        (row,) = rows
+
+        def horner(t):
+            acc = 0.0
+            for c in row:
+                acc = acc * t + c
+            return acc
+        return horner
+    starts, last = seg.tolist(), len(rows) - 1
+
+    def horner(t):
+        i = min(max(bisect.bisect_right(starts, t) - 1, 0), last)
+        t -= starts[i]
+        acc = 0.0
+        for c in rows[i]:
+            acc = acc * t + c
+        return acc
+    return horner
+
+
 @dataclass(frozen=True)
 class FlowClassification:
     """Outcome of classifying a vorticity distribution.
@@ -92,62 +142,65 @@ class VorticityDistribution:
     Parameters
     ----------
     kind : {"constant", "poly", "table"}
-        Representation selector.
-    coefficients : sequence of float, optional
+        Input form.
+    coefficients : iterable of float, optional
         For ``constant`` a single value; for ``poly`` the coefficients
         ``c0..cn`` in increasing degree.
-    nodes : sequence of (float, float), optional
+    nodes : iterable of (float, float), optional
         For ``table`` the breakpoints ``(tau_k, omega_k)``; ``tau`` must
         be strictly increasing and span exactly [0, 1].
 
     Notes
     -----
     Evaluation outside [0, 1] (needed only by the shooting solver, whose
-    trajectories may overshoot the unit range) extends the polynomial
-    naturally and the table by its terminal linear segments.  The public
-    evaluators reject arguments outside [0, 1] up to a small slack.
+    trajectories may overshoot the unit range) extends the first and last
+    segments: the polynomial naturally, the table by its terminal linear
+    segments.  The public evaluators reject arguments outside [0, 1] up to
+    a small slack.
     """
 
-    def __init__(self, kind: str, coefficients: Optional[Sequence[float]] = None,
+    def __init__(self, kind: str, coefficients: Optional[Iterable[float]] = None,
                  nodes: Optional[Iterable[Sequence[float]]] = None):
         if kind not in ("constant", "poly", "table"):
             raise ConfigError(f"unknown vorticity kind {kind!r}")
         self.kind = kind
-        if kind in ("constant", "poly"):
-            if coefficients is None or len(tuple(coefficients)) == 0:
+        self._coeffs = self._nodes = None
+        if kind == "table":
+            pairs = tuple((float(t), float(v)) for t, v in (() if nodes is None else nodes))
+            if len(pairs) < 2:
+                raise ConfigError("table vorticity needs at least two breakpoints")
+            t, v = np.array(pairs).T
+            if np.any(np.diff(t) <= 0.0):
+                raise ConfigError("table breakpoints must be strictly increasing")
+            if t[0] != 0.0 or t[-1] != 1.0:
+                raise ConfigError("table breakpoints must span [0, 1] exactly")
+            if not np.isfinite(v).all():
+                raise ConfigError("table values must be finite")
+            self._nodes = pairs
+            seg, w = t[:-1], np.column_stack((v[:-1], np.diff(v) / np.diff(t)))
+        else:
+            coeffs = tuple(float(c) for c in (() if coefficients is None else coefficients))
+            if not coeffs:
                 raise ConfigError(f"{kind} vorticity needs coefficients")
-            coeffs = tuple(float(c) for c in coefficients)
             if not all(isfinite(c) for c in coeffs):
                 raise ConfigError("vorticity coefficients must be finite")
             if kind == "constant" and len(coeffs) != 1:
                 raise ConfigError("constant vorticity takes exactly one value")
             self._coeffs = coeffs
-            # derivative and antiderivative (lower limit 0) coefficients
-            self._dcoeffs = tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
-            self._icoeffs = (0.0,) + tuple(c / (k + 1) for k, c in enumerate(coeffs))
-            self._nodes = None
-        else:
-            pairs = [(float(t), float(v)) for t, v in nodes or ()]
-            if len(pairs) < 2:
-                raise ConfigError("table vorticity needs at least two breakpoints")
-            taus = [t for t, _ in pairs]
-            if any(b <= a for a, b in zip(taus, taus[1:])):
-                raise ConfigError("table breakpoints must be strictly increasing")
-            if taus[0] != 0.0 or taus[-1] != 1.0:
-                raise ConfigError("table breakpoints must span [0, 1] exactly")
-            if not all(isfinite(v) for _, v in pairs):
-                raise ConfigError("table values must be finite")
-            self._nodes = tuple(pairs)
-            self._bt = np.array(taus)
-            self._bv = np.array([v for _, v in pairs])
-            self._bm = np.diff(self._bv) / np.diff(self._bt)
-            # cumulative trapezoid gives the exact antiderivative of a
-            # piecewise-linear function at the breakpoints
-            seg = 0.5 * (self._bv[:-1] + self._bv[1:]) * np.diff(self._bt)
-            self._bc = np.concatenate(([0.0], np.cumsum(seg)))
-            self._t_list = taus
-            self._coeffs = None
-        self._key = (self.kind, self._coeffs if self._nodes is None else self._nodes)
+            seg, w = np.zeros(1), np.array([coeffs])
+        # rows of Omega, continuous from Omega(0) = 0, and of omega'
+        n, cols = w.shape
+        big_w = np.zeros((n, cols + 1))
+        big_w[:, 1:] = w / np.arange(1, cols + 1)
+        for k in range(1, n):
+            big_w[k, 0] = np.polynomial.polynomial.polyval(seg[k] - seg[k - 1], big_w[k - 1])
+        dw = w[:, 1:] * np.arange(1, cols) if cols > 1 else np.zeros((n, 1))
+        self._seg, self._w, self._W, self._dw = seg, w, big_w, dw
+        # scalar fast paths (no domain checks; natural extension)
+        self._omega_scalar = _scalar_horner(seg, w)
+        self._Omega_scalar = _scalar_horner(seg, big_w)
+        self._omega_prime_scalar = _scalar_horner(seg, dw)
+        self._key = (kind, self._coeffs if self._nodes is None else self._nodes)
         self._gap_cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
@@ -157,7 +210,7 @@ class VorticityDistribution:
         return cls("constant", coefficients=(b,))
 
     @classmethod
-    def polynomial(cls, coefficients: Sequence[float]) -> "VorticityDistribution":
+    def polynomial(cls, coefficients: Iterable[float]) -> "VorticityDistribution":
         return cls("poly", coefficients=coefficients)
 
     @classmethod
@@ -172,14 +225,8 @@ class VorticityDistribution:
             raise ConfigError("empty vorticity text")
         kind, args = tokens[0].lower(), tokens[1:]
         try:
-            if kind == "constant":
-                if len(args) != 1:
-                    raise ConfigError("constant vorticity takes exactly one value")
-                return cls.constant(float(args[0]))
-            if kind == "poly":
-                if not args:
-                    raise ConfigError("poly vorticity needs coefficients")
-                return cls.polynomial([float(a) for a in args])
+            if kind in ("constant", "poly"):
+                return cls(kind, coefficients=[float(a) for a in args])
             if kind == "table":
                 nodes = []
                 for tok in args:
@@ -216,27 +263,6 @@ class VorticityDistribution:
             return {"kind": "poly", "coefficients": list(self._coeffs)}
         return {"kind": "table", "nodes": [list(p) for p in self._nodes]}
 
-    # -- scalar fast paths (no domain checks; natural extension) --------------
-
-    def _omega_scalar(self, t: float) -> float:
-        if self._nodes is None:
-            acc = 0.0
-            for c in reversed(self._coeffs):
-                acc = acc * t + c
-            return acc
-        i = min(max(bisect.bisect_right(self._t_list, t) - 1, 0), len(self._t_list) - 2)
-        return float(self._bv[i] + self._bm[i] * (t - self._t_list[i]))
-
-    def _Omega_scalar(self, t: float) -> float:
-        if self._nodes is None:
-            acc = 0.0
-            for c in reversed(self._icoeffs):
-                acc = acc * t + c
-            return acc
-        i = min(max(bisect.bisect_right(self._t_list, t) - 1, 0), len(self._t_list) - 2)
-        dt = t - self._t_list[i]
-        return float(self._bc[i] + self._bv[i] * dt + 0.5 * self._bm[i] * dt * dt)
-
     def _gap(self, m: float, e: float, x):
         """``Omega(m) - Omega(m + e x)`` for ``x >= 0``, free of cancellation.
 
@@ -245,65 +271,43 @@ class VorticityDistribution:
         :meth:`_gap_segments`), so it keeps its leading term however close
         ``x`` comes to 0, where the direct difference loses every digit.
         """
-        seg, coef = self._gap_segments(m, e)
-        x = np.asarray(x, dtype=float)
-        if len(seg) == 1:
-            c, dx = coef[0], x
-        else:
-            k = np.clip(np.searchsorted(seg, x, side="right") - 1, 0, len(seg) - 1)
-            c, dx = coef[k], x - seg[k]
-        acc = c[..., -1]
-        for j in range(coef.shape[1] - 2, -1, -1):
-            acc = acc * dx + c[..., j]
-        return acc
+        return _horner(*self._gap_segments(m, e), x)
 
     def _gap_segments(self, m: float, e: float):
         """Piecewise-polynomial form of :meth:`_gap` about ``m`` on side ``e``.
 
-        Returns ``(seg, coef)``: segment ``k`` starts at ``x = seg[k]``
-        (``seg[0] = 0``) and ``coef[k]`` holds the coefficients of the gap
-        in ``x - seg[k]``, lowest first.  A polynomial is shifted to ``m``,
-        which cancels its constant term exactly; a table is summed exactly
-        segment by segment from ``m`` (trapezoids, exact for linear
-        omega).  An interior ``m`` is taken as a root of omega, as every
-        interior maximizer of Omega is, so the linear term is exactly 0.
+        Returns ``(seg, coef)`` in the layout of :func:`_horner`, in ``x``:
+        segment ``k`` starts where the gap enters the ``k``-th segment of
+        omega counted outward from ``m``.  Each Omega row is Taylor-shifted
+        to that entry point by repeated synthetic division, then ``tau`` is
+        replaced by ``m + e x``.  Its constant is the gap at the entry,
+        summed outward from 0 at ``m``, so no constant is a difference of
+        Omega values.  An interior ``m`` is taken as a root of omega, as
+        every interior maximizer of Omega is, so the linear term is exactly 0.
         """
         key = (m, e)
         if key not in self._gap_cache:
-            interior = 0.0 < m < 1.0
-            if self._nodes is None:
-                # Taylor coefficients of Omega at m by repeated synthetic
-                # division, then x -> e x
-                taylor = list(self._icoeffs)
-                for i in range(len(taylor) - 1):
-                    for j in range(len(taylor) - 2, i - 1, -1):
-                        taylor[j] += m * taylor[j + 1]
-                coef = np.array([-c * e ** k for k, c in enumerate(taylor)])
-                coef[0] = 0.0
-                if interior:
-                    coef[1] = 0.0
-                seg, coef = np.zeros(1), coef[None, :]
+            starts = self._seg.tolist()
+            if e > 0:
+                i = max(bisect.bisect_right(starts, m) - 1, 0)
+                rows, entries = range(i, len(starts)), [m, *starts[i + 1:]]
             else:
-                side = self._bt > m if e > 0 else self._bt < m
-                order = slice(None) if e > 0 else slice(None, None, -1)
-                w0 = 0.0 if interior else float(np.interp(m, self._bt, self._bv))
-                seg = np.concatenate(([0.0], np.abs(self._bt[side][order] - m)))
-                w = np.concatenate(([w0], self._bv[side][order]))
-                h = np.diff(seg)
-                area = np.concatenate(([0.0], np.cumsum(-e * 0.5 * h * (w[:-1] + w[1:]))))
-                coef = np.column_stack((area[:-1], -e * w[:-1], -0.5 * e * np.diff(w) / h))
-                seg = seg[:-1]
+                i = max(bisect.bisect_left(starts, m) - 1, 0)
+                rows, entries = range(i, -1, -1), [m, *starts[i:0:-1]]
+            seg = np.array([abs(a - m) for a in entries])
+            coef = np.zeros((len(seg), self._W.shape[1]))
+            for k, (j, a) in enumerate(zip(rows, entries)):
+                taylor, shift = self._W[j].tolist(), a - starts[j]
+                for p in range(len(taylor) - 1):
+                    for q in range(len(taylor) - 2, p - 1, -1):
+                        taylor[q] += shift * taylor[q + 1]
+                coef[k, 1:] = [-c * e ** n for n, c in enumerate(taylor) if n]
+                if k:
+                    coef[k, 0] = np.polynomial.polynomial.polyval(seg[k] - seg[k - 1], coef[k - 1])
+                elif 0.0 < m < 1.0:
+                    coef[0, 1] = 0.0
             self._gap_cache[key] = (seg, coef)
         return self._gap_cache[key]
-
-    def _omega_prime_scalar(self, t: float) -> float:
-        if self._nodes is None:
-            acc = 0.0
-            for c in reversed(self._dcoeffs):
-                acc = acc * t + c
-            return acc
-        i = min(max(bisect.bisect_right(self._t_list, t) - 1, 0), len(self._t_list) - 2)
-        return float(self._bm[i])
 
     # -- public vectorized evaluators -----------------------------------------
 
@@ -315,49 +319,29 @@ class VorticityDistribution:
                 f"vorticity argument {float(bad.flat[0])!r} outside [0, 1]")
         return np.clip(arr, 0.0, 1.0)
 
+    def _evaluate(self, coef, tau):
+        out = _horner(self._seg, coef, self._checked(tau))
+        return float(out) if np.ndim(tau) == 0 else out
+
     def omega(self, tau):
         """Evaluate omega(tau) for tau in [0, 1] (scalar or array)."""
-        arr = self._checked(tau)
-        out = self._omega_ext(arr)
-        return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
+        return self._evaluate(self._w, tau)
 
     def Omega(self, tau):
         """Evaluate Omega(tau) = int_0^tau omega, for tau in [0, 1]."""
-        arr = self._checked(tau)
-        out = self._Omega_ext(arr)
-        return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
+        return self._evaluate(self._W, tau)
 
     def omega_prime(self, tau):
         """Evaluate omega'(tau) for tau in [0, 1].
 
         For tables this is the almost-everywhere derivative (the segment
-        slope); at breakpoints the left segment wins.
+        slope); at an interior breakpoint the segment that starts there wins.
         """
-        arr = self._checked(tau)
-        out = self._omega_prime_ext(arr)
-        return float(out) if np.isscalar(tau) or np.ndim(tau) == 0 else out
-
-    def _omega_ext(self, arr):
-        if self._nodes is None:
-            return np.polynomial.polynomial.polyval(arr, self._coeffs)
-        idx = np.clip(np.searchsorted(self._bt, arr, side="right") - 1,
-                      0, len(self._bt) - 2)
-        return self._bv[idx] + self._bm[idx] * (arr - self._bt[idx])
+        return self._evaluate(self._dw, tau)
 
     def _Omega_ext(self, arr):
-        if self._nodes is None:
-            return np.polynomial.polynomial.polyval(arr, self._icoeffs)
-        idx = np.clip(np.searchsorted(self._bt, arr, side="right") - 1,
-                      0, len(self._bt) - 2)
-        dt = arr - self._bt[idx]
-        return self._bc[idx] + self._bv[idx] * dt + 0.5 * self._bm[idx] * dt * dt
-
-    def _omega_prime_ext(self, arr):
-        if self._nodes is None:
-            return np.polynomial.polynomial.polyval(arr, self._dcoeffs)
-        idx = np.clip(np.searchsorted(self._bt, arr, side="right") - 1,
-                      0, len(self._bt) - 2)
-        return self._bm[idx] + 0.0 * arr
+        """Omega at any ``arr``, unchecked (natural extension)."""
+        return _horner(self._seg, self._W, arr)
 
     # -- extrema of Omega ------------------------------------------------------
 
@@ -365,25 +349,19 @@ class VorticityDistribution:
     def _extrema(self):
         """Exact maximizer set of Omega on [0, 1] plus near-tie candidates.
 
-        Candidates are the endpoints together with the interior critical
-        points (roots of omega): polynomial roots inside (0, 1), or table
-        breakpoints and in-segment sign crossings.  A dense audit grid
-        guards against candidates missed by the algebra.
+        Candidates are the endpoints, the interior segment starts and the
+        interior critical points (real roots of each omega row inside its
+        segment).  A dense audit grid guards against candidates missed by
+        the algebra.
         """
-        cands = {0.0, 1.0}
-        if self.kind == "poly":
-            trimmed = np.trim_zeros(np.asarray(self._coeffs, dtype=float), "b")
+        inner = self._seg[1:].tolist()
+        cands = {0.0, 1.0, *inner}
+        for a, b, row in zip(self._seg.tolist(), inner + [1.0], self._w):
+            trimmed = np.trim_zeros(row, "b")
             if trimmed.size >= 2:
                 for z in np.polynomial.polynomial.polyroots(trimmed):
-                    if abs(z.imag) < 1e-12 and 0.0 < z.real < 1.0:
-                        cands.add(float(z.real))
-        elif self.kind == "table":
-            for t in self._t_list[1:-1]:
-                cands.add(t)
-            for i in range(len(self._t_list) - 1):
-                m = self._bm[i]
-                if m != 0.0 and self._bv[i] * self._bv[i + 1] < 0.0:
-                    cands.add(float(self._t_list[i] - self._bv[i] / m))
+                    if abs(z.imag) < 1e-12 and 0.0 < z.real < b - a:
+                        cands.add(a + float(z.real))
         cands = sorted(cands)
         vals = [self._Omega_scalar(c) for c in cands]
         big = max(vals)
@@ -413,17 +391,9 @@ class VorticityDistribution:
                     near.append(g)
         return big, exact, tuple(near)
 
-    @property
-    def max_Omega(self) -> float:
-        return self._extrema[0]
-
-    @property
-    def maximizers(self) -> tuple:
-        return self._extrema[1]
-
     def s0(self) -> float:
         """Threshold slope sqrt(2 max Omega) (zero when the maximum is <= 0)."""
-        return sqrt(max(2.0 * self.max_Omega, 0.0))
+        return sqrt(max(2.0 * self._extrema[0], 0.0))
 
     # -- classification ---------------------------------------------------------
 

@@ -135,7 +135,11 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     the edge of the admissible slopes, until ``Phi > 1``; if rounding puts
     the start above 1 (omega = 0, where ``s_c`` is the start itself), it
     steps away from ``s0`` until ``Phi < 1``.  Brent's method polishes the
-    bracket.
+    bracket to ``1e-13 max(1, s0)``, which leaves ``d_c`` off by that much
+    times ``|s d'(s) / d|`` (about 500 on ``constant 50``).  So one Newton
+    step on ``Phi(1; s) = 1``, with ``dPhi/ds = -3 s int_0^1 (s^2 -
+    2 Omega)^(-5/2)``, takes ``s_c`` to rounding; it is kept only inside
+    the walk's bracket.
 
     Returns
     -------
@@ -154,6 +158,10 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     fa = g(a)
     bracket = _walk(g, s0, a, fa, 2.0 if fa > 0.0 else 0.25, floor)
     s_c = numerics.find_root(g, bracket, tol=1e-13 * scale)
+    dphi = -3.0 * s_c * float(stream._accumulate(dist, s_c, (1.0,), -2.5)[0])
+    newton = s_c - g(s_c) / dphi
+    if bracket.lo <= newton <= bracket.hi:
+        s_c = newton
     return CriticalPoint(
         s_c=s_c,
         r_c=head(dist, s_c),

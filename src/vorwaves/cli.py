@@ -233,8 +233,11 @@ def cmd_stream(config_path, out_dir):
 
     def worker(cfg, out):
         dist = cfg.distribution()
+        n_p = cfg.get_int("n_p", 257)
+        if n_p < 2:
+            raise ConfigError(f"n_p={n_p} too coarse: the profile needs both ends")
         st = stream.solve_stream(dist, cfg.require_float("s"))
-        p = np.linspace(0.0, 1.0, cfg.get_int("n_p", 257))
+        p = np.linspace(0.0, 1.0, n_p)
         heights = st.height_at(p)
         speed = 1.0 / st.slope_at(p)
         files = [_write_csv(out, "profile.csv", ["p", "height", "velocity"],

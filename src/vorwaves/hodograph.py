@@ -145,6 +145,8 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
     """
     if n_p < 5:
         raise ConfigError(f"n_p={n_p} too coarse: the stencils need 5 rows")
+    if n_q < 2:
+        raise ConfigError(f"n_q={n_q} too coarse: a strip needs 2 columns")
     p_grid = np.linspace(0.0, 1.0, n_p)
     if isinstance(source, WaveField):
         q = np.asarray(source.x, dtype=float)

@@ -324,7 +324,7 @@ class StreamSolution:
     def slope_at(self, p):
         """Analytic profile slope ``H'(p) = (sigma2 + 2 gap(p))^(-1/2)``."""
         arr = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-        gap = np.maximum(self.classification.max_Omega - self.dist._Omega_ext(arr), 0.0)
+        gap = np.maximum(self.classification.max_Omega - self.dist.Omega(arr), 0.0)
         with np.errstate(divide="ignore"):  # slope at a surface maximizer is inf
             return 1.0 / np.sqrt(self.sigma2 + 2.0 * gap)
 
@@ -336,7 +336,7 @@ class StreamSolution:
         """
         p = self.u_at(y)
         gap = np.maximum(
-            self.classification.max_Omega - self.dist._Omega_ext(np.asarray(p)), 0.0)
+            self.classification.max_Omega - self.dist.Omega(p), 0.0)
         out = np.sqrt(self.sigma2 + 2.0 * gap)
         return float(out) if np.ndim(p) == 0 else out
 
@@ -362,7 +362,7 @@ class StreamSolution:
         gap_big = self.classification.max_Omega
         for _ in range(30):
             resid = self.height_at(p) - arr
-            gap = np.maximum(gap_big - self.dist._Omega_ext(p), 0.0)
+            gap = np.maximum(gap_big - self.dist.Omega(p), 0.0)
             new = np.clip(p - resid * np.sqrt(self.sigma2 + 2.0 * gap), 0.0, 1.0)
             step = np.abs(new - p)
             p = new

@@ -11,10 +11,10 @@ forms are accepted:
 * ``table``     -- piecewise linear through breakpoints spanning [0, 1].
 
 All three are stored as one piecewise polynomial: sorted segment starts
-and one coefficient row per segment in ``tau - start`` (a constant or poly
-is one segment at 0, a table one linear row per segment).  The rows of
-omega' and Omega (continuous, Omega(0) = 0) are derived once, so no
-evaluator asks which form was given.
+and one coefficient row per segment in ``tau - start``.  A constant or
+poly is one segment at 0; a table has one linear row per node, the last
+at 1.  The rows of omega' and Omega (continuous, Omega(0) = 0) are
+derived once, so no evaluator asks which form was given.
 
 The classification splits distributions into three exclusive regimes by
 where Omega attains its maximum and how the maximum is approached:
@@ -58,14 +58,14 @@ _TIE_MARGIN = 1e-12
 
 _AUDIT_POINTS = 10001
 
+# A root of omega this close to a segment end is that end (a candidate).
+_ROOT_SNAP = 4.0 * np.finfo(float).eps
+
 
 def _horner(seg, coef, x):
-    """A piecewise polynomial at ``x`` (scalar or array).
-
-    Segment ``k`` starts at ``seg[k]`` (``seg[0] = 0``) and ``coef[k]``
-    holds its coefficients in ``x - seg[k]``, lowest first; the first and
-    last segments extend beyond the ends.
-    """
+    """A piecewise polynomial at ``x`` (scalar or array): segment ``k``
+    starts at ``seg[k]`` (``seg[0] = 0``) with coefficients ``coef[k]`` in
+    ``x - seg[k]``, lowest first; the end segments extend beyond the ends."""
     x = np.asarray(x, dtype=float)
     if len(seg) == 1:
         c, dx = coef[0], x
@@ -154,9 +154,8 @@ class VorticityDistribution:
     -----
     Evaluation outside [0, 1] (needed only by the shooting solver, whose
     trajectories may overshoot the unit range) extends the first and last
-    segments: the polynomial naturally, the table by its terminal linear
-    segments.  The public evaluators reject arguments outside [0, 1] up to
-    a small slack.
+    rows: the polynomial naturally, the table linearly.  The public
+    evaluators reject arguments outside [0, 1] up to a small slack.
     """
 
     def __init__(self, kind: str, coefficients: Optional[Iterable[float]] = None,
@@ -164,7 +163,6 @@ class VorticityDistribution:
         if kind not in ("constant", "poly", "table"):
             raise ConfigError(f"unknown vorticity kind {kind!r}")
         self.kind = kind
-        self._coeffs = self._nodes = None
         if kind == "table":
             pairs = tuple((float(t), float(v)) for t, v in (() if nodes is None else nodes))
             if len(pairs) < 2:
@@ -176,8 +174,10 @@ class VorticityDistribution:
                 raise ConfigError("table breakpoints must span [0, 1] exactly")
             if not np.isfinite(v).all():
                 raise ConfigError("table values must be finite")
-            self._nodes = pairs
-            seg, w = t[:-1], np.column_stack((v[:-1], np.diff(v) / np.diff(t)))
+            self._coeffs, self._nodes = None, pairs
+            # one row per node: the last, at 1, keeps omega(1) exact
+            slope = np.diff(v) / np.diff(t)
+            seg, w = t, np.column_stack((v, np.append(slope, slope[-1])))
         else:
             coeffs = tuple(float(c) for c in (() if coefficients is None else coefficients))
             if not coeffs:
@@ -186,7 +186,7 @@ class VorticityDistribution:
                 raise ConfigError("vorticity coefficients must be finite")
             if kind == "constant" and len(coeffs) != 1:
                 raise ConfigError("constant vorticity takes exactly one value")
-            self._coeffs = coeffs
+            self._coeffs, self._nodes = coeffs, None
             seg, w = np.zeros(1), np.array([coeffs])
         # rows of Omega, continuous from Omega(0) = 0, and of omega'
         n, cols = w.shape
@@ -301,6 +301,8 @@ class VorticityDistribution:
                 for p in range(len(taylor) - 1):
                     for q in range(len(taylor) - 2, p - 1, -1):
                         taylor[q] += shift * taylor[q + 1]
+                if a in starts:  # omega is continuous: take the exact value there
+                    taylor[1] = self._w[starts.index(a), 0]
                 coef[k, 1:] = [-c * e ** n for n, c in enumerate(taylor) if n]
                 if k:
                     coef[k, 0] = np.polynomial.polynomial.polyval(seg[k] - seg[k - 1], coef[k - 1])
@@ -339,10 +341,6 @@ class VorticityDistribution:
         """
         return self._evaluate(self._dw, tau)
 
-    def _Omega_ext(self, arr):
-        """Omega at any ``arr``, unchecked (natural extension)."""
-        return _horner(self._seg, self._W, arr)
-
     # -- extrema of Omega ------------------------------------------------------
 
     @cached_property
@@ -360,7 +358,7 @@ class VorticityDistribution:
             trimmed = np.trim_zeros(row, "b")
             if trimmed.size >= 2:
                 for z in np.polynomial.polynomial.polyroots(trimmed):
-                    if abs(z.imag) < 1e-12 and 0.0 < z.real < b - a:
+                    if abs(z.imag) < 1e-12 and _ROOT_SNAP < z.real < b - a - _ROOT_SNAP:
                         cands.add(a + float(z.real))
         cands = sorted(cands)
         vals = [self._Omega_scalar(c) for c in cands]
@@ -371,7 +369,7 @@ class VorticityDistribution:
         near = [c for c, v in zip(cands, vals) if 0.0 < big - v <= tol]
 
         grid = np.linspace(0.0, 1.0, _AUDIT_POINTS)
-        gv = self._Omega_ext(grid)
+        gv = _horner(self._seg, self._W, grid)
         overshoot = float(np.max(gv)) - big
         if overshoot > tol:
             k = int(np.argmax(gv))

@@ -190,16 +190,16 @@ def test_critical_values_ignore_tolerance_env(monkeypatch):
     assert second_critical.__wrapped__(dist) == second
 
 
-@pytest.mark.parametrize("b", [15.0, 30.0, 50.0, -50.0])
+@pytest.mark.parametrize("b", [10.0, 15.0, 30.0, 50.0, -50.0])
 def test_strong_constant_vorticity_closed_forms(b):
     # s_c - s0 ~ 1 / (2 b^2 s0) is about 3e-5 at b = 50, deep in the steep
-    # end of Phi; s_c solves 1/sqrt(s^2 - 2b) = b + 1/s (30-digit root).
-    # d(s) is ill conditioned there (|s d'/d| ~ 500 at b = 50), so the
-    # Brent tolerance on s_c would show in d_c against d at the exact root:
-    # d_c is checked at the returned slope, r_c (stationary) at the root
+    # end of Phi; s_c solves 1/sqrt(s^2 - 2b) = b + 1/s (40-digit root).
+    # d(s) is ill conditioned there (|s d'/d| ~ 500 at b = 50), so d_c
+    # against d at the exact root checks that s_c is exact to rounding,
+    # not only to the Brent tolerance (which left d_c 1.5e-12 off)
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
-    mp.dps = 30
+    mp.dps = 40
     s0 = mp.sqrt(2 * b) if b > 0 else mp.mpf(0)
     exact = mp.findroot(lambda s: 1 / mp.sqrt(s * s - 2 * b) - b - 1 / s,
                         (s0 + mp.mpf("1e-20"), s0 + 10), solver="anderson")
@@ -208,8 +208,7 @@ def test_strong_constant_vorticity_closed_forms(b):
     crit = find_critical(V.constant(b))
     s_c = crit.s_c
     np.testing.assert_allclose(s_c, float(exact), rtol=1e-12)
-    np.testing.assert_allclose(crit.d_c, (s_c - math.sqrt(s_c * s_c - 2.0 * b)) / b,
-                               rtol=1e-12)
+    np.testing.assert_allclose(crit.d_c, float(d_exact), rtol=1e-13)
     np.testing.assert_allclose(crit.r_c, float((exact ** 2 - 2 * b + 2 * d_exact) / 3),
                                rtol=1e-12)
     if b > 0.0:

@@ -231,6 +231,27 @@ def test_exit_code_for_command_mismatch(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("command, size", [
+    ("stream", "n_p = -1"),
+    ("stream", "n_p = 0"),
+    ("wheeler", "n_q = -2"),
+])
+def test_exit_code_for_too_few_samples(tmp_path, command, size):
+    # a grid of fewer than two points is a configuration error, not a
+    # numpy traceback (exit 1) or an empty profile.csv (exit 0)
+    cfg = _config(tmp_path, f"""\
+        [vorticity]
+        spec = constant 0
+        [parameters]
+        s = 2.0
+        r = 1.1
+        {size}
+    """)
+    result = _invoke([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "too coarse" in result.stderr
+
+
 def test_exit_code_for_subcritical_head(tmp_path):
     cfg = _config(tmp_path, """\
         [vorticity]

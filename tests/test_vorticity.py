@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
 
-from vorwaves.errors import ConfigError, DomainError
+from strategies import dist_specs
+from vorwaves.errors import AmbiguousClassificationError, ConfigError, DomainError
 from vorwaves.vorticity import VorticityDistribution as V
 
 
@@ -55,6 +57,19 @@ def test_construction_errors():
         V.from_table([(0.0, 1.0), (0.0, 2.0), (1.0, 0.0)])
     with pytest.raises(ConfigError):
         V("gaussian")
+
+
+def test_coefficients_from_any_iterable():
+    # the coefficients are read once: a generator used to be spent by the
+    # emptiness check, leaving omega = 0 with no rows to evaluate
+    want = V.polynomial((1.0, -2.0, 3.0))
+    for coefficients in ((c for c in (1.0, -2.0, 3.0)), np.array([1.0, -2.0, 3.0])):
+        dist = V("poly", coefficients=coefficients)
+        assert dist == want
+        assert dist.omega(0.5) == want.omega(0.5) == 0.75
+        assert dist.classify() == want.classify()
+    with pytest.raises(ConfigError):
+        V("poly", coefficients=iter(()))
 
 
 def test_parse_round_trip():
@@ -119,6 +134,16 @@ def test_interior_maximum_is_condition_i():
     np.testing.assert_allclose(cls.s0, np.sqrt(0.5), rtol=1e-12)
 
 
+def test_table_surface_value_is_exact():
+    # omega(1) = 0 is table data, so the surface maximum is degenerate:
+    # class "i" with a divergent d0.  Evaluated from the start of the last
+    # segment, omega(1) came out 2.2e-16 and the class "iii".
+    dist = V.parse("table 0:2.164 0.3:1.419 1:0")
+    assert dist.omega(1.0) == 0.0
+    cls = dist.classify()
+    assert (cls.condition, cls.maximizers, cls.d0_finite) == ("i", (1.0,), False)
+
+
 def test_scalar_shorthands(w_two):
     assert w_two.omega(0.5) == 2.0
     assert w_two.Omega(0.5) == 1.0
@@ -146,37 +171,88 @@ def test_surface_gap_no_cancellation(w_two):
     assert w_two._gap(1.0, -1.0, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("spec", [
-    "poly 1.777 0.051 -2.537",
-    "table 0.0:1.14 0.212:-1.012 0.407:2.0 0.501:-0.466 1.0:-1.531",
-])
-def test_gap_about_interior_peak(spec):
-    """The gap about an interior maximizer, on both sides, against the
-    difference of Omega in 40-digit arithmetic about the exact root of omega
-    (the gap takes the maximizer as that root)."""
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
-    dist = V.parse(spec)
-    (m,) = [t for t in dist.classify().maximizers if 0.0 < t < 1.0]
-    if dist.kind == "poly":
-        def Omega(t):
-            return mp.fsum(mp.mpf(c) * t ** (k + 1) / (k + 1)
-                           for k, c in enumerate(dist._coeffs))
-        root = mp.findroot(lambda t: mp.diff(Omega, t), mp.mpf(m))
-    else:
-        pairs = [(mp.mpf(t), mp.mpf(v)) for t, v in dist._nodes]
+def _mp_record(dist, mp):
+    """omega, Omega, omega' and the root of omega near ``t``, in mpmath,
+    straight from the input record (coefficients or table nodes)."""
+    if dist._nodes is None:
+        c = [mp.mpf(x) for x in dist._coeffs]
+
+        def omega(t):
+            return mp.fsum(ck * t ** k for k, ck in enumerate(c))
 
         def Omega(t):
-            total = mp.mpf(0)
-            for (t0, v0), (t1, v1) in zip(pairs, pairs[1:]):
-                b = min(t, t1)
-                if b > t0:
-                    total += (b - t0) * (2 * v0 + (v1 - v0) * (b - t0) / (t1 - t0)) / 2
-            return total
-        (root,) = [t0 - v0 * (t1 - t0) / (v1 - v0)
-                   for (t0, v0), (t1, v1) in zip(pairs, pairs[1:])
-                   if v0 > 0 > v1 and t0 <= m <= t1]
-    for e in (1.0, -1.0):
-        for x in (1e-12, 1e-8, 1e-4, 0.1):
-            want = float(Omega(root) - Omega(root + e * mp.mpf(x)))
-            assert abs(dist._gap(m, e, x) - want) <= 1e-12 * want
+            return mp.fsum(ck * t ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+
+        def omega_prime(t):
+            return mp.fsum(k * ck * t ** (k - 1) for k, ck in enumerate(c) if k)
+
+        def root(t):
+            return mp.findroot(omega, mp.mpf(t))
+        return omega, Omega, omega_prime, root
+
+    pairs = [(mp.mpf(t), mp.mpf(v)) for t, v in dist._nodes]
+    segs = list(zip(pairs, pairs[1:]))
+
+    def segment(t):  # the segment that starts at a breakpoint owns it
+        return [s for s in segs if s[0][0] <= t][-1] if t < 1 else segs[-1]
+
+    def omega(t):
+        (t0, v0), (t1, v1) = segment(t)
+        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+
+    def Omega(t):
+        total = mp.mpf(0)
+        for (t0, v0), (t1, v1) in segs:
+            b = min(t, t1)
+            if b > t0:
+                total += (b - t0) * (2 * v0 + (v1 - v0) * (b - t0) / (t1 - t0)) / 2
+        return total
+
+    def omega_prime(t):
+        (t0, v0), (t1, v1) = segment(t)
+        return (v1 - v0) / (t1 - t0)
+
+    def root(t):  # the sign change of omega nearest t
+        roots = [t0 - v0 * (t1 - t0) / (v1 - v0)
+                 for (t0, v0), (t1, v1) in segs if v0 * v1 <= 0 and v0 != v1]
+        return min(roots, key=lambda r: abs(r - t))
+    return omega, Omega, omega_prime, root
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(spec=dist_specs)
+@example(spec="poly 1.777 0.051 -2.537")
+@example(spec="table 0.0:1.14 0.212:-1.012 0.407:2.0 0.501:-0.466 1.0:-1.531")
+@example(spec="table 0.0:0.0 0.03:1.969 1.0:0.0")  # omega(1) = 0 at the peak
+@example(spec="table 0.0:0.0 0.01:1.953 0.04:0.0 1.0:0.0")  # root at a node
+def test_one_form_against_mpmath(spec):
+    """omega, Omega and omega' at fixed points, and the gap about every
+    maximizer on both sides, against the input record in 60-digit
+    arithmetic (the reference gap is a difference of Omega values of order
+    1 and can be as small as 1e-33).  About an interior maximizer the gap
+    is taken about the exact root of omega, as the code takes the
+    maximizer to be one."""
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 60
+    dist = V.parse(spec)
+    omega, Omega, omega_prime, root = _mp_record(dist, mp)
+    tau = [0.0, 0.013, 0.1, 0.25, 1 / 3, 0.5, 0.618, 0.75, 0.9, 0.987, 1.0]
+    for got, fn in ((dist.omega, omega), (dist.Omega, Omega),
+                    (dist.omega_prime, omega_prime)):
+        want = np.array([float(fn(mp.mpf(t))) for t in tau])
+        np.testing.assert_allclose(got(np.array(tau)), want, rtol=1e-13,
+                                   atol=1e-13 * max(1.0, np.abs(want).max()))
+    try:
+        maximizers = dist.classify().maximizers
+    except AmbiguousClassificationError:
+        assume(False)
+    for m in maximizers:
+        centre = mp.mpf(m)
+        if 0.0 < m < 1.0 and omega(centre) != 0:
+            centre = root(m)
+        for e in (1.0, -1.0):
+            for x in (1e-12, 1e-8, 1e-4, 0.1):
+                if not 0.0 <= m + e * x <= 1.0:
+                    continue
+                want = float(Omega(centre) - Omega(centre + e * mp.mpf(x)))
+                assert abs(dist._gap(m, e, x) - want) <= 1e-12 * abs(want)

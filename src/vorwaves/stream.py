@@ -15,7 +15,7 @@ All integrands share the margin ``sigma2 + 2 gap(tau)`` where
 the margin vanishes wherever Omega peaks; when the peak sits at an endpoint
 and is non-degenerate the inverse square root stays integrable, which is what
 makes the zero-margin depth d0 finite under classifications "ii"/"iii".
-The integrator cuts its cells at the kinks of a table omega and at interior
+The integrator cuts its cells at the segment starts of omega and at interior
 maximizers of Omega, so the adaptive rule never straddles either.
 
 Direct integration of the ODE is available separately through
@@ -87,7 +87,7 @@ def _accumulate(dist: VorticityDistribution, s: float, grid,
     The one quadrature path of the module: ``d``, ``H`` and ``Phi`` all
     come from here, and every piece of every grid cell goes to one call of
     the batched rule.  Each grid cell is cut at the structural points of
-    the integrand, the interior table nodes (kinks of omega) and the
+    the integrand, the interior segment starts of omega (its kinks) and the
     interior maximizers of Omega (peaks of the integrand), so the rule only
     sees smooth pieces; a piece with a maximizer at both ends is also cut
     at its middle (0.5 for ``[0, 1]``), so no piece has two singular ends.

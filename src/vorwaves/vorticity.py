@@ -279,11 +279,13 @@ class VorticityDistribution:
         Returns ``(seg, coef)`` in the layout of :func:`_horner`, in ``x``:
         segment ``k`` starts where the gap enters the ``k``-th segment of
         omega counted outward from ``m``.  Each Omega row is Taylor-shifted
-        to that entry point by repeated synthetic division, then ``tau`` is
-        replaced by ``m + e x``.  Its constant is the gap at the entry,
-        summed outward from 0 at ``m``, so no constant is a difference of
-        Omega values.  An interior ``m`` is taken as a root of omega, as
-        every interior maximizer of Omega is, so the linear term is exactly 0.
+        to that entry point by repeated synthetic division, and ``tau`` is
+        replaced by ``m + e x``.  Omega' there is the given value of the row
+        that starts at the entry, if one does (omega is continuous).  The
+        constant is the gap at the entry, summed outward from 0 at ``m``,
+        so no constant is a difference of Omega values.  An interior ``m``
+        is taken as a root of omega, as every interior maximizer of Omega
+        is, so the linear term is exactly 0.
         """
         key = (m, e)
         if key not in self._gap_cache:
@@ -301,7 +303,7 @@ class VorticityDistribution:
                 for p in range(len(taylor) - 1):
                     for q in range(len(taylor) - 2, p - 1, -1):
                         taylor[q] += shift * taylor[q + 1]
-                if a in starts:  # omega is continuous: take the exact value there
+                if a in starts:
                     taylor[1] = self._w[starts.index(a), 0]
                 coef[k, 1:] = [-c * e ** n for n, c in enumerate(taylor) if n]
                 if k:

@@ -59,9 +59,10 @@ def test_construction_errors():
         V("gaussian")
 
 
-def test_coefficients_from_any_iterable():
+def test_input_from_any_iterable():
     # the coefficients are read once: a generator used to be spent by the
-    # emptiness check, leaving omega = 0 with no rows to evaluate
+    # emptiness check, leaving omega = 0 with no rows to evaluate; a numpy
+    # array of nodes used to raise on its truth value
     want = V.polynomial((1.0, -2.0, 3.0))
     for coefficients in ((c for c in (1.0, -2.0, 3.0)), np.array([1.0, -2.0, 3.0])):
         dist = V("poly", coefficients=coefficients)
@@ -70,6 +71,8 @@ def test_coefficients_from_any_iterable():
         assert dist.classify() == want.classify()
     with pytest.raises(ConfigError):
         V("poly", coefficients=iter(()))
+    nodes = [(0.0, 1.0), (0.5, 0.0), (1.0, 2.0)]
+    assert V("table", nodes=np.array(nodes)) == V.from_table(nodes)
 
 
 def test_parse_round_trip():

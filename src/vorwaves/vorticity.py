@@ -280,8 +280,9 @@ class VorticityDistribution:
         segment ``k`` starts where the gap enters the ``k``-th segment of
         omega counted outward from ``m``.  Each Omega row is Taylor-shifted
         to that entry point by repeated synthetic division, and ``tau`` is
-        replaced by ``m + e x``.  Omega' there is the given value of the row
-        that starts at the entry, if one does (omega is continuous).  The
+        replaced by ``m + e x``.  Where a row starts at the entry, omega
+        there is that row's given value, not the shifted one (omega is
+        continuous, and the shift rounds).  The
         constant is the gap at the entry, summed outward from 0 at ``m``,
         so no constant is a difference of Omega values.  An interior ``m``
         is taken as a root of omega, as every interior maximizer of Omega

@@ -174,6 +174,42 @@ def test_surface_gap_no_cancellation(w_two):
     assert w_two._gap(1.0, -1.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("spec", [
+    "poly 1.777 0.051 -2.537",
+    "table 0.0:1.14 0.212:-1.012 0.407:2.0 0.501:-0.466 1.0:-1.531",
+])
+def test_gap_about_interior_peak(spec):
+    """The gap about an interior maximizer, on both sides, against the
+    difference of Omega in 40-digit arithmetic about the exact root of omega
+    (the gap takes the maximizer as that root)."""
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    dist = V.parse(spec)
+    (m,) = [t for t in dist.classify().maximizers if 0.0 < t < 1.0]
+    if dist.kind == "poly":
+        def Omega(t):
+            return mp.fsum(mp.mpf(c) * t ** (k + 1) / (k + 1)
+                           for k, c in enumerate(dist._coeffs))
+        root = mp.findroot(lambda t: mp.diff(Omega, t), mp.mpf(m))
+    else:
+        pairs = [(mp.mpf(t), mp.mpf(v)) for t, v in dist._nodes]
+
+        def Omega(t):
+            total = mp.mpf(0)
+            for (t0, v0), (t1, v1) in zip(pairs, pairs[1:]):
+                b = min(t, t1)
+                if b > t0:
+                    total += (b - t0) * (2 * v0 + (v1 - v0) * (b - t0) / (t1 - t0)) / 2
+            return total
+        (root,) = [t0 - v0 * (t1 - t0) / (v1 - v0)
+                   for (t0, v0), (t1, v1) in zip(pairs, pairs[1:])
+                   if v0 > 0 > v1 and t0 <= m <= t1]
+    for e in (1.0, -1.0):
+        for x in (1e-12, 1e-8, 1e-4, 0.1):
+            want = float(Omega(root) - Omega(root + e * mp.mpf(x)))
+            assert abs(dist._gap(m, e, x) - want) <= 1e-12 * want
+
+
 def _mp_record(dist, mp):
     """omega, Omega, omega' and the root of omega near ``t``, in mpmath,
     straight from the input record (coefficients or table nodes)."""

@@ -35,12 +35,15 @@ with one Brent search.
 Every solve of the transverse operator goes through one shooter,
 :func:`_shoot`: it carries ``(u, u')`` jointly with the shot ``v``
 (``v = 0``, ``v' = 1`` at the start) from the bottom or from the surface,
-at one wavenumber.  The growth ``~ exp(tau y)`` is tamed by splitting the
-column into chunks and renormalizing ``v`` between them; the shooter alone
-tracks the scale factors, so its callers only see the far-end values
-(whose ratio is scale-free) and, on request, the normalized profile
-``v / v(end)`` and start slope ``v'(start) / v(end)``.  ``gamma`` is the
-bottom shot normalized by its surface value.
+at one wavenumber, with scipy's compiled DOP853 (``scipy.integrate.ode``).
+The growth ``~ exp(tau y)`` is tamed by splitting the column into chunks
+and renormalizing ``v`` between them; on a stream solution the chunks are
+also cut where ``u`` crosses a kink of omega, and each chunk reads omega'
+from its own segment only.  The shooter alone tracks the scale factors,
+so its callers only see the far-end values (whose ratio is scale-free)
+and, on request, the normalized profile ``v / v(end)`` on a uniform grid,
+where the shot stops, and the start slope ``v'(start) / v(end)``.
+``gamma`` is the bottom shot normalized by its surface value.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -69,6 +72,8 @@ __all__ = [
 # the shot then never exceeds ~exp(150) between renormalizations
 _CHUNK_EXPONENT = 150.0
 _RENORM = 1e100
+# step cap of one DOP853 run; a chunk takes a few hundred steps
+_MAX_STEPS = 100_000
 
 # |u'(d)| below this fails assumption (I): sigma has a 1/u'(d) term
 _SLOPE_FLOOR = 1e-9
@@ -88,66 +93,97 @@ def _warn_piecewise(dist) -> Optional[str]:
 class _Shot(NamedTuple):
     v_end: float
     vp_end: float
-    sample: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    values: Optional[np.ndarray] = None
     start_slope: Optional[float] = None
 
 
 def _shoot(stream, tau: float, from_surface: bool = False,
-           normalize: bool = False) -> _Shot:
+           n_samples: int = 0) -> _Shot:
     """Shoot ``(u, u', v, v')`` across the column at wavenumber ``tau``.
 
     ``v`` solves ``-v'' + [tau^2 - omega'(u)] v = 0`` from ``v = 0``,
     ``v' = 1``, starting at the bottom (``u = 0``, ``u' = s``) or, with
     ``from_surface``, at the surface (``u = 1``, ``u' = u'(d)``) and running
-    down.  The column is cut into chunks with ``tau * span <= 150`` and
-    ``v`` is renormalized between chunks.
+    down.  The column is cut into chunks with ``tau * span <= 150``, and a
+    stream solution also at the heights ``H(tau_k)`` of the interior
+    segment starts of omega, where omega' jumps; each such chunk evaluates
+    only its own segment, so no step sees the jump.  Each chunk is a run of
+    scipy's compiled DOP853 (``rtol 1e-12``, ``atol 1e-14``), and ``v`` is
+    renormalized between chunks.  The run stops at every point of
+    ``linspace(0, d, n_samples)`` in its chunk in turn.
 
     Returns the far-end ``v_end`` and ``vp_end``, in the scale of the last
-    chunk, so only their ratio is meaningful.  ``normalize`` keeps dense
-    output and adds ``sample(y)``, which evaluates ``v(y) / v(end)``, and
-    ``start_slope = v'(start) / v(end)``.
+    chunk, so only their ratio is meaningful.  With ``n_samples``, it adds
+    ``values``, ``v / v(end)`` on that grid, and
+    ``start_slope = v'(start) / v(end)``.  The accepted steps and
+    right-hand-side calls go to ``numerics.tally``.
 
     Raises
     ------
+    ConvergenceError
+        When a chunk's run fails, naming the chunk.
     ResonanceError
-        With ``normalize``, when the shot vanishes at the far end (``tau^2``
-        is a Dirichlet eigenvalue of the linearized operator): no
-        normalization exists.
+        With ``n_samples``, when the shot vanishes at the far end
+        (``tau^2`` is a Dirichlet eigenvalue of the linearized operator):
+        no normalization exists.
     """
     import scipy.integrate  # deferred: only a shot pays for scipy
 
     dist, d = stream.dist, stream.d
     tau2 = tau * tau
     n_chunks = max(1, math.ceil(tau * d / _CHUNK_EXPONENT))
-    bounds = np.linspace(d, 0.0, n_chunks + 1) if from_surface else \
-        np.linspace(0.0, d, n_chunks + 1)
+    # a shot stream may turn around and cross a kink value more than once,
+    # so it has no single kink height; it is cut at the chunk bounds only
+    cut = isinstance(stream, StreamSolution)
+    kinks = stream._kink_heights if cut else ()
+    bounds = np.unique(np.concatenate((np.linspace(0.0, d, n_chunks + 1), kinks)))
+    grid = np.linspace(0.0, d, n_samples)
+    stops = np.unique(np.concatenate((bounds, grid)))
+    if from_surface:
+        stops = stops[::-1]
+    restart, sampled = np.isin(stops, bounds), np.isin(stops, grid)
+    slot = np.searchsorted(grid, stops)
+
+    # omega and omega' at u = base + x: one segment's rows on a chunk of a
+    # cut shot, so no step sees the jump of omega' at either end of it
+    base, w, dw = 0.0, dist._omega_scalar, dist._omega_prime_scalar
 
     def rhs(t, y):
-        u = y[0]
-        return (y[1], -dist._omega_scalar(u),
-                y[3], (tau2 - dist._omega_prime_scalar(u)) * y[2])
+        x = y[0] - base
+        return (y[1], -w(x), y[3], (tau2 - dw(x)) * y[2])
 
+    solver = scipy.integrate.ode(rhs).set_integrator(
+        "dop853", rtol=1e-12, atol=1e-14, nsteps=_MAX_STEPS)
     start = (1.0, stream.u_prime_d) if from_surface else (0.0, stream.s)
     y = np.array(start + (0.0, 1.0))
-    sols = []
-    logs = [0.0]  # log of the factor v is divided by, per chunk
-    for k in range(n_chunks):
-        if k:
+    log = 0.0  # log of the factor v is divided by
+    samples, logs = np.zeros(n_samples), np.zeros(n_samples)
+    for k in range(1, len(stops)):
+        if restart[k - 1]:
             mag = max(abs(y[2]), abs(y[3]))
-            fac = mag if mag > _RENORM else 1.0
-            y[2:] /= fac
-            logs.append(logs[-1] + math.log(fac))
-        sol = scipy.integrate.solve_ivp(rhs, (bounds[k], bounds[k + 1]), y,
-                                        method="DOP853", rtol=1e-12, atol=1e-14,
-                                        dense_output=normalize)
-        if not sol.success:
+            if mag > _RENORM:
+                y[2:] /= mag
+                log += math.log(mag)
+            chunk = stops[k - 1]
+            if cut:
+                seg = np.searchsorted(kinks, min(chunk, stops[k]), side="right")
+                base = float(dist._seg[seg])
+                w, dw = dist._segment_scalars[seg]
+            solver.set_initial_value(y, chunk)
+        y = solver.integrate(stops[k])
+        # Hairer's IWORK layout: 17 right-hand-side calls, 19 accepted steps
+        work = solver._integrator.iwork
+        numerics.tally["ode_rhs_evals"] += int(work[16])
+        numerics.tally["ode_steps"] += int(work[18])
+        if not solver.successful():
             raise ConvergenceError(
-                f"transverse shot failed on [{bounds[k]!r}, {bounds[k+1]!r}]: "
-                f"{sol.message}")
-        sols.append(sol)
-        y = sol.y[:, -1].copy()
+                f"transverse shot failed in the chunk from y={float(chunk)!r}, "
+                f"before y={float(stops[k])!r}, at tau={tau!r}: DOP853 return code "
+                f"{solver.get_return_code()}")
+        if sampled[k]:
+            samples[slot[k]], logs[slot[k]] = y[2], log
     v_end, vp_end = float(y[2]), float(y[3])
-    if not normalize:
+    if not n_samples:
         return _Shot(v_end, vp_end)
 
     if abs(v_end) <= 1e-10 * max(abs(v_end), abs(vp_end) / max(tau, 1.0), 1e-300):
@@ -156,19 +192,8 @@ def _shoot(stream, tau: float, from_surface: bool = False,
             f"the transverse shot from the {ends[0]} vanishes at the "
             f"{ends[1]} at tau={tau!r}: Dirichlet resonance of the "
             f"linearized operator; no normalized solution exists")
-    log_end = logs[-1]
-
-    def sample(points: np.ndarray) -> np.ndarray:
-        out = np.empty(points.shape)
-        for k, sol in enumerate(sols):  # a shared chunk end goes to the later chunk
-            lo, hi = sorted(bounds[k:k + 2])
-            mask = (points >= lo) & (points <= hi)
-            if np.any(mask):
-                out[mask] = sol.sol(points[mask])[2] * (
-                    math.exp(logs[k] - log_end) / v_end)
-        return out
-
-    return _Shot(v_end, vp_end, sample, math.exp(-log_end) / v_end)
+    values = samples * (np.exp(logs - log) / v_end)
+    return _Shot(v_end, vp_end, values, math.exp(-log) / v_end)
 
 
 @dataclass(frozen=True)
@@ -199,9 +224,9 @@ def gamma_bvp(stream: StreamSolution, tau: float,
     if tau < 0.0:
         raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
     _warn_piecewise(stream.dist)
-    shot = _shoot(stream, tau, normalize=True)
+    shot = _shoot(stream, tau, n_samples=n_samples)
     grid = np.linspace(0.0, stream.d, n_samples)
-    values = shot.sample(grid)
+    values = shot.values
     values[0] = 0.0
     values[-1] = 1.0
     return GammaSolution(

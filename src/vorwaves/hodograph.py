@@ -113,18 +113,48 @@ _PHI_REDUCED_TOL = 1e-9
 _HEAD_MATCH_TOL = 1e-8
 
 
-def _column_inverse(psi_col, y_col, p_grid, column, x_val):
-    """Invert one sampled ``y -> psi`` column onto the p-grid."""
-    dpsi = np.diff(psi_col)
-    if np.any(dpsi <= 0.0):
-        k = int(np.argmax(dpsi <= 0.0))
-        raise UnidirectionalityError(
-            f"column {column} (q={x_val!r}): psi is not strictly increasing "
-            f"on y in [{y_col[k]!r}, {y_col[k + 1]!r}]; the strip transform "
-            f"needs a unidirectional flow")
-    import scipy.interpolate  # deferred: streams build their strip without it
+def _pchip_end(h0, h1, m0, m1):
+    """End slope of the monotone cubic: the one-sided three-point estimate,
+    kept to the sign of ``m0`` and, where the data turn, to ``3 m0``."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    d = np.where(np.sign(d) != np.sign(m0), 0.0, d)
+    return np.where((np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0)),
+                    3.0 * m0, d)
 
-    return scipy.interpolate.PchipInterpolator(psi_col, y_col)(p_grid)
+
+def _invert_columns(psi, y, p_grid, q):
+    """Invert every sampled ``y -> psi`` column ``j`` onto the p-grid.
+
+    One monotone cubic per column, all columns at once: the Fritsch-Butland
+    weighted harmonic slopes inside, Moler's end rule, and the Hermite cubic
+    on each interval, as scipy's ``PchipInterpolator`` builds them.
+    """
+    h = np.diff(psi, axis=0)
+    if np.any(h <= 0.0):
+        j = int(np.argmax(np.any(h <= 0.0, axis=0)))
+        k = int(np.argmax(h[:, j] <= 0.0))
+        raise UnidirectionalityError(
+            f"column {j} (q={float(q[j])!r}): psi is not strictly increasing "
+            f"on y in [{y[k, j]!r}, {y[k + 1, j]!r}]; the strip transform "
+            f"needs a unidirectional flow")
+    m = np.diff(y, axis=0) / h
+    slope = np.empty_like(y)
+    if len(y) == 2:
+        slope[:] = m
+    else:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope[1:-1] = np.where(same, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        slope[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        slope[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    k = np.clip(np.column_stack([np.searchsorted(col, p_grid, side="right")
+                                 for col in psi.T]) - 1, 0, len(psi) - 2)
+    j = np.arange(psi.shape[1])
+    t = (slope[:-1] + slope[1:] - 2.0 * m) / h
+    x = p_grid[:, None] - psi[k, j]
+    c3, c2 = (t / h)[k, j], ((m - slope[:-1]) / h - t)[k, j]
+    return ((c3 * x + c2) * x + slope[k, j]) * x + y[k, j]
 
 
 def to_strip(source, n_p: int = 257, n_q: int = 9,
@@ -150,10 +180,7 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
     p_grid = np.linspace(0.0, 1.0, n_p)
     if isinstance(source, WaveField):
         q = np.asarray(source.x, dtype=float)
-        h = np.empty((n_p, q.size))
-        for j in range(q.size):
-            h[:, j] = _column_inverse(source.psi[:, j], source.y[:, j],
-                                      p_grid, j, float(q[j]))
+        h = _invert_columns(source.psi, source.y, p_grid, q)
         r = source.r
     elif isinstance(source, StreamSolution):
         q = np.linspace(0.0, q_span, n_q)
@@ -167,9 +194,9 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
                 f"{source.min_u!r} at y={source.min_location!r}); the strip "
                 f"transform needs a unidirectional flow")
         q = np.linspace(0.0, q_span, n_q)
-        col = _column_inverse(source.u_samples, source.grid, p_grid,
-                              0, 0.0)
-        h = np.repeat(np.asarray(col, dtype=float)[:, None], n_q, axis=1)
+        col = _invert_columns(source.u_samples[:, None], source.grid[:, None],
+                              p_grid, q)
+        h = np.repeat(col, n_q, axis=1)
         r = source.r
     else:
         raise ConfigError(

@@ -223,9 +223,9 @@ def solve_w_aux(stream: AnyStream, tau: float, n_samples: int = 257) -> AuxSolut
     """
     if tau < 0.0:
         raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
-    shot = _shoot(stream, tau, from_surface=True, normalize=True)
+    shot = _shoot(stream, tau, from_surface=True, n_samples=n_samples)
     grid = np.linspace(0.0, stream.d, n_samples)
-    values = shot.sample(grid)
+    values = shot.values
     values[0] = 1.0
     values[-1] = 0.0
     return AuxSolution(tau=float(tau), grid=grid, values=values,

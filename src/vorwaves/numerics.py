@@ -2,9 +2,11 @@
 
 Quadrature and root finding are plain numpy and Python; only the ODE
 wrapper imports scipy, at call time, so that a run which never integrates
-an ODE never loads scipy.  The transverse shooter in ``dispersion`` calls
-scipy's DOP853 itself, so that dense output is built only for the shots it
-samples.  Endpoint singularities of inverse-square-root type are removed
+an ODE never loads scipy.  The ODE wrapper keeps ``solve_ivp`` for the
+events of ``stream.shoot_stream``.  The transverse shooter in
+``dispersion`` runs scipy's compiled DOP853 (``scipy.integrate.ode``)
+itself and stops it at the points it samples, so it needs no dense
+output.  Endpoint singularities of inverse-square-root type are removed
 by substitution before the adaptive rule sees them, failures surface as
 typed exceptions carrying the best estimate reached, and the quadrature
 tolerances are fixed (``abs 1e-12``, ``rel 1e-10`` on every piece).
@@ -19,8 +21,9 @@ Conventions
   ``x = a + v**2`` turns that into a bounded integrand.  Callers flip a
   right-end singularity to the left by integrating in ``b - x``.
 * Brackets are closed intervals given as :class:`Bracket`.
-* :data:`tally` counts the work done: integrand points, quadrature cells
-  and Brent iterations.
+* :data:`tally` counts the work done: integrand points, quadrature cells,
+  Brent iterations, and the accepted steps and right-hand-side calls of
+  the transverse shots.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ _REL_TOL = 1e-10
 _MAX_CELLS = 200
 
 # work counters: "quad_points" (integrand values), "quad_cells" (cells
-# evaluated) and "brent_iterations"
+# evaluated), "brent_iterations", and "ode_steps" (accepted steps) and
+# "ode_rhs_evals" of the transverse shots
 tally: Counter = Counter()
 
 # 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule

@@ -26,6 +26,7 @@ sign changes and turning points of trajectories below the threshold slope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf, pi, sqrt
 from typing import Optional
 
@@ -275,6 +276,19 @@ class StreamSolution:
         upd2 = surface_slope_squared(dist, s)
         self.u_prime_d = sqrt(upd2)
         self.r = (upd2 + 2.0 * self.d) / 3.0
+
+    @cached_property
+    def _kink_heights(self) -> np.ndarray:
+        """Heights ``H(tau_k)`` of the interior segment starts of omega.
+
+        omega' jumps there, so the transverse shots of ``dispersion`` stop
+        at these heights; they are computed once per stream.
+        """
+        seg = self.dist._seg
+        knots = seg[(seg > 0.0) & (seg < 1.0)]
+        if not knots.size:
+            return knots
+        return _accumulate(self.dist, self.s, knots, -0.5)
 
     # -- profile evaluation ----------------------------------------------------
 

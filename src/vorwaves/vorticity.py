@@ -203,6 +203,14 @@ class VorticityDistribution:
         self._key = (kind, self._coeffs if self._nodes is None else self._nodes)
         self._gap_cache: dict = {}
 
+    @cached_property
+    def _segment_scalars(self) -> list:
+        """omega and omega' of each segment alone, in ``tau - seg[k]``: a
+        transverse shot cut at the kinks stays on one segment per chunk."""
+        seg, w, dw = self._seg, self._w, self._dw
+        return [(_scalar_horner(seg[k:k + 1], w[k:k + 1]),
+                 _scalar_horner(seg[k:k + 1], dw[k:k + 1])) for k in range(len(seg))]
+
     # -- construction helpers ------------------------------------------------
 
     @classmethod
@@ -398,18 +406,24 @@ class VorticityDistribution:
 
     # -- classification ---------------------------------------------------------
 
+    def _endpoint_tol(self) -> float:
+        """An endpoint omega within this of 0 is a rounded 0: its peak is
+        degenerate (``poly 0.1 0.2 -0.3`` has ``omega(1) = 2.8e-17``)."""
+        return _TIE_MARGIN * max(1.0, abs(self._extrema[0]))
+
     def _condition_for(self, maxset: tuple) -> str:
         interior = [m for m in maxset if 0.0 < m < 1.0]
+        tol = self._endpoint_tol()
         w0 = self._omega_scalar(0.0)
         w1 = self._omega_scalar(1.0)
         if interior:
             return "i"
         if maxset == (0.0,):
-            return "ii" if w0 < 0.0 else "i"
+            return "ii" if w0 < -tol else "i"
         if maxset == (1.0,):
-            return "iii" if w1 > 0.0 else "i"
+            return "iii" if w1 > tol else "i"
         if set(maxset) == {0.0, 1.0}:
-            return "iii" if (w0 < 0.0 and w1 > 0.0) else "i"
+            return "iii" if (w0 < -tol and w1 > tol) else "i"
         return "i"
 
     @cached_property
@@ -443,10 +457,11 @@ class VorticityDistribution:
             interior = [m for m in exact if 0.0 < m < 1.0]
             if interior:
                 reasons.append(f"interior maximizer(s) {tuple(interior)}")
-            if 0.0 in exact and w0 >= 0.0:
-                reasons.append("maximum at tau=0 but omega(0) >= 0")
-            if 1.0 in exact and w1 <= 0.0:
-                reasons.append("maximum at tau=1 but omega(1) <= 0")
+            tol = self._endpoint_tol()
+            if 0.0 in exact and w0 >= -tol:
+                reasons.append("maximum at tau=0 but omega(0) >= 0 to rounding")
+            if 1.0 in exact and w1 <= tol:
+                reasons.append("maximum at tau=1 but omega(1) <= 0 to rounding")
             note = "degenerate or interior maximum: " + "; ".join(reasons)
         return FlowClassification(
             condition=cond,

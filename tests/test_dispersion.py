@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
 
 from strategies import dist_specs
-from vorwaves import bernoulli, dispersion, stream
+from vorwaves import bernoulli, dispersion, numerics, stream
 from vorwaves.dispersion import find_tau0, gamma_bvp, sigma
-from vorwaves.errors import AmbiguousClassificationError, DomainError
+from vorwaves.errors import AmbiguousClassificationError, ConvergenceError, DomainError
 from vorwaves.vorticity import VorticityDistribution as V
 
 # irrotational stream with slope s: u' = s, d = 1/s, and the transverse
@@ -54,6 +55,43 @@ def test_gamma_matches_sinh(stream_plus, w_zero):
         e = math.exp(-tau * d)
         np.testing.assert_allclose(gam.derivative_bottom,
                                    2.0 * tau * e / (1.0 - e * e), rtol=1e-9)
+
+
+@pytest.mark.parametrize("tau", [0.5, 3.0, 300.0])
+def test_shots_stop_on_the_grid(w_zero, tau):
+    # omega = 0, s = 1: d = 1, and the shots are sinh(tau y) and
+    # sinh(tau (d - y)) over sinh(tau d), written so they stay finite
+    st = stream.solve_stream(w_zero, 1.0)
+    d = st.d
+    y = np.linspace(0.0, d, 257)
+    if tau * d > 150.0:  # two chunks, and the grid has a point on the bound
+        assert y[128] == np.linspace(0.0, d, 3)[1]
+    e = math.exp(-tau * d)
+    slope = 2.0 * tau * e / (1.0 - e * e)  # tau / sinh(tau d)
+    # over tau d = 300 e-folds the relative error of the growth factor
+    # accumulates to about 3e-11
+    rtol = 1e-12 if tau * d < 10.0 else 1e-10
+    for from_surface, x in ((False, y), (True, d - y)):
+        shot = dispersion._shoot(st, tau, from_surface=from_surface, n_samples=y.size)
+        want = np.exp(-tau * (d - x)) * (1.0 - np.exp(-2.0 * tau * x)) / (1.0 - e * e)
+        np.testing.assert_allclose(shot.values, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(shot.start_slope, -slope if from_surface else slope,
+                                   rtol=rtol)
+
+
+def test_shot_counts_its_work(stream_plus):
+    numerics.tally.clear()
+    dispersion._shoot(stream_plus, 40.0)
+    assert numerics.tally["ode_steps"] > 0
+    assert numerics.tally["ode_rhs_evals"] > numerics.tally["ode_steps"]
+
+
+def test_failed_shot_names_its_chunk(stream_plus, monkeypatch):
+    monkeypatch.setattr(dispersion, "_MAX_STEPS", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns before the error
+        with pytest.raises(ConvergenceError, match="chunk from y=0.0"):
+            dispersion._shoot(stream_plus, 40.0)
 
 
 def test_gamma_survives_huge_tau(stream_plus):
@@ -165,6 +203,44 @@ def test_root_beyond_tau_max():
     far = find_tau0(st, tau_max=5000.0)
     assert far.tau0 is not None and far.tau0 > 50.0
     assert sigma(st, far.tau0 * (1.0 - 1e-6)) < 0.0 < sigma(st, far.tau0 * (1.0 + 1e-6))
+
+
+@formal
+def test_tau0_smooth_in_s_on_a_table():
+    # each shot stops where u crosses the kink at tau = 1/2, so a change of
+    # s in the last digits moves tau0 by about as much, not by 1e-11
+    dist = V.parse("table 0:1 0.5:-1 1:2")
+    s_plus = bernoulli.conjugates(dist, 0.8967).s_plus
+    roots = [find_tau0(stream.solve_stream(dist, s_plus * (1.0 + k * 1e-15))).tau0
+             for k in range(-3, 4)]
+    assert (max(roots) - min(roots)) / roots[3] <= 1e-13
+
+
+@formal
+def test_tau0_on_a_table_against_event_located_kink():
+    # oracle: scipy's solve_ivp at rtol 3e-14 on each segment's own rows,
+    # switching where its own u crosses the kink at tau = 1/2
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+    dist = V.parse("table 0:1 0.5:-1 1:2")
+    st = stream.solve_stream(dist, bernoulli.conjugates(dist, 0.8967).s_plus)
+    # omega = 1 - 4 tau, then -1 + 6 (tau - 1/2)
+    rows = ((lambda u: 1.0 - 4.0 * u, -4.0, 0.5), (lambda u: 6.0 * u - 4.0, 6.0, 1.0))
+
+    def sigma_ref(tau):
+        t, y = 0.0, np.array([0.0, st.s, 0.0, 1.0])
+        for om, dom, stop in rows:
+            def hit(_, z, stop=stop):
+                return z[0] - stop
+            hit.terminal, hit.direction = True, 1.0
+            sol = solve_ivp(lambda _, z: [z[1], -om(z[0]), z[3], (tau * tau - dom) * z[2]],
+                            (t, 2.0 * st.d), y, method="DOP853", rtol=3e-14,
+                            atol=1e-16, events=hit)
+            t, y = sol.t_events[0][0], sol.y_events[0][0]
+        return y[1] * y[3] / y[2] - 1.0 / y[1] + 2.0
+
+    want = brentq(sigma_ref, 1.2, 1.5, xtol=1e-15, rtol=1e-15)
+    np.testing.assert_allclose(find_tau0(st).tau0, want, rtol=1e-12)
 
 
 def test_find_tau0_refuses_counter_current_shot(w_minus_two):

@@ -35,6 +35,18 @@ def test_strip_from_wave_round_trip(stream_plus, disp_plus):
     assert hf.delta_prime > 0.0
 
 
+@pytest.mark.parametrize("n_y", [129, 3, 2])
+def test_strip_matches_scipy_pchip(stream_plus, disp_plus, n_y):
+    # scipy's PchipInterpolator, one per column, is the oracle
+    from scipy.interpolate import PchipInterpolator
+    wf = linearwave.build_wave(stream_plus, disp_plus, 0.01, n_y=n_y)
+    hf = to_strip(wf)
+    want = np.column_stack([PchipInterpolator(wf.psi[:, j], wf.y[:, j])(hf.p)
+                            for j in range(wf.x.size)])
+    want[0] = 0.0
+    np.testing.assert_allclose(hf.h, want, rtol=0.0, atol=1e-14)
+
+
 def test_strip_from_shot_stream(w_two):
     sh = stream.shoot_stream(w_two, 3.0)
     st = stream.solve_stream(w_two, 3.0)

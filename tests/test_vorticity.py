@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
 from strategies import dist_specs
+from vorwaves import bernoulli
 from vorwaves.errors import AmbiguousClassificationError, ConfigError, DomainError
 from vorwaves.vorticity import VorticityDistribution as V
 
@@ -145,6 +148,16 @@ def test_table_surface_value_is_exact():
     assert dist.omega(1.0) == 0.0
     cls = dist.classify()
     assert (cls.condition, cls.maximizers, cls.d0_finite) == ("i", (1.0,), False)
+
+
+@pytest.mark.parametrize("spec", ["poly 0.1 0.2 -0.3", "poly 0.3 -0.1 -0.2"])
+def test_endpoint_omega_within_rounding_is_degenerate(spec):
+    # omega(1) = 0 in decimal rounds to 2.8e-17 and -5.6e-17 in binary; the
+    # first was class "iii", and analyze then failed in second_critical
+    cls = V.parse(spec).classify()
+    assert cls.maximizers == (1.0,) and abs(cls.omega_at_1) < 1e-16
+    assert (cls.condition, cls.d0_finite) == ("i", False)
+    assert math.isfinite(bernoulli.analyze(V.parse(spec)).s_c)
 
 
 def test_scalar_shorthands(w_two):

@@ -18,7 +18,7 @@ where the roots are:
   (Picone's identity) makes the Dirichlet operator
   ``-d^2/dy^2 + tau^2 - omega'(u)`` on ``[0, d]`` positive for every
   ``tau >= 0``: ``gamma(d, tau)`` never vanishes and sigma has no poles.
-* The Wronskian of the bottom shot with its ``tau^2``-derivative gives
+* The Wronskian of the bottom solution with its ``tau^2``-derivative gives
   ``d sigma / d tau = 2 tau u'(d) int_0^d gamma^2 dy > 0``: sigma is
   strictly increasing.
 * Reduction of order from ``u'`` gives the long-wave limit
@@ -29,21 +29,20 @@ where the roots are:
 So sigma has a positive root exactly when ``Phi(1; s) > 1``, that is when
 ``s < s_c``; the root is then the only one, and no multiple ``k tau0``
 (``k >= 2``) is a root.  :func:`find_tau0` reads the sign of ``sigma(0+)``
-from ``Phi``, brackets the root by a geometric walk upward and polishes it
-with one Brent search.
+from ``Phi`` and takes the root from one eigenvalue, as below.
 
-Every solve of the transverse operator goes through one shooter,
-:func:`_shoot`: it carries ``(u, u')`` jointly with the shot ``v``
-(``v = 0``, ``v' = 1`` at the start) from the bottom or from the surface,
-at one wavenumber, with scipy's compiled DOP853 (``scipy.integrate.ode``).
-The growth ``~ exp(tau y)`` is tamed by splitting the column into chunks
-and renormalizing ``v`` between them; on a stream solution the chunks are
-also cut where ``u`` crosses a kink of omega, and each chunk reads omega'
-from its own segment only.  The shooter alone tracks the scale factors,
-so its callers only see the far-end values (whose ratio is scale-free)
-and, on request, the normalized profile ``v / v(end)`` on a uniform grid,
-where the shot stops, and the start slope ``v'(start) / v(end)``.
-``gamma`` is the bottom shot normalized by its surface value.
+``-d^2/dy^2 + tau^2 - omega'(u)`` is solved on one spectral-element grid
+per stream (Trefethen, *Spectral Methods in MATLAB*, 2000, chapters 6-7):
+elements end where ``u`` crosses a kink of omega, carry 25 Chebyshev-Lobatto
+points and are bisected to ``tau h <= 4`` and coefficient tails below
+``1e-13``.  Each is collocated in integrated form, ``v = v(a) + v'(a)(y -
+a) + J^2 v''`` (Greengard, SIAM J. Numer. Anal. 1991), which keeps the
+digits the differentiation matrix loses to ``N^4``, and forward
+substitution from the bottom or the surface, renormalizing between
+elements, solves the block bidiagonal system, so far-end ratios keep their
+relative accuracy at any ``tau``.  ``sigma = 0`` means ``gamma'(d) = kappa
+= (1/u'(d) - omega(1)) / u'(d)``, so ``tau0^2 = -mu_1``, the one negative
+eigenvalue of ``-v'' - omega'(u) v = mu v``, ``v(0) = 0``, ``v'(d) = kappa v(d)``.
 """
 
 from __future__ import annotations
@@ -51,29 +50,23 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import numerics
 from .errors import ConvergenceError, DomainError, ResonanceError
 from .stream import ShotStream, StreamSolution, phi
+from .vorticity import _horner
 
-__all__ = [
-    "GammaSolution",
-    "DispersionResult",
-    "gamma_bvp",
-    "sigma",
-    "find_tau0",
-]
+__all__ = ["GammaSolution", "DispersionResult", "gamma_bvp", "sigma", "find_tau0"]
 
-# chunk the column so that tau * (chunk span) stays below this exponent;
-# the shot then never exceeds ~exp(150) between renormalizations
-_CHUNK_EXPONENT = 150.0
-_RENORM = 1e100
-# step cap of one DOP853 run; a chunk takes a few hundred steps
-_MAX_STEPS = 100_000
+# a solve has _N + 1 points per element and bisects to tau h <= _SPAN and
+# tails below _TAIL; the eigen solve (only a start for Newton) _EIG_N + 1,
+# _EIG_SPAN near the surface and _EIG_TAIL; no element is below d / 2^_MAX_LEVEL
+_N, _SPAN, _TAIL, _EIG_N, _EIG_SPAN, _EIG_TAIL, _MAX_LEVEL = 24, 4.0, 1e-13, 16, 12.0, 1e-8, 14
 
 # |u'(d)| below this fails assumption (I): sigma has a 1/u'(d) term
 _SLOPE_FLOOR = 1e-9
@@ -90,110 +83,154 @@ def _warn_piecewise(dist) -> Optional[str]:
     return None
 
 
-class _Shot(NamedTuple):
-    v_end: float
-    vp_end: float
-    values: Optional[np.ndarray] = None
-    start_slope: Optional[float] = None
+@functools.lru_cache(maxsize=None)
+def _cheb(n: int = _N):
+    """Chebyshev-Lobatto points on ``[-1, 1]``, increasing; the differentiation matrix;
+    the integration matrix from -1 (last row: Clenshaw-Curtis); values to coefficients."""
+    from numpy.polynomial import chebyshev  # deferred: only a transverse solve needs it
+    k = np.arange(n + 1)
+    x = -np.cos(np.pi * k / n)
+    coef = np.linalg.inv(chebyshev.chebvander(x, n))
+    diff = chebyshev.chebval(x, chebyshev.chebder(coef)).T
+    integ = chebyshev.chebval(x, chebyshev.chebint(coef, lbnd=-1.0)).T
+    bary = np.where(k % 2 == 0, 1.0, -1.0) * np.where((k == 0) | (k == n), 0.5, 1.0)
+    return x, diff, integ, coef, bary
 
 
-def _shoot(stream, tau: float, from_surface: bool = False,
-           n_samples: int = 0) -> _Shot:
-    """Shoot ``(u, u', v, v')`` across the column at wavenumber ``tau``.
+def _bisect(elements: list, bad) -> list:
+    return [piece for (a, b), cut in zip(elements, bad) for piece in
+            (((a, 0.5 * (a + b)), (0.5 * (a + b), b)) if cut else ((a, b),))]
 
-    ``v`` solves ``-v'' + [tau^2 - omega'(u)] v = 0`` from ``v = 0``,
-    ``v' = 1``, starting at the bottom (``u = 0``, ``u' = s``) or, with
-    ``from_surface``, at the surface (``u = 1``, ``u' = u'(d)``) and running
-    down.  The column is cut into chunks with ``tau * span <= 150``, and a
-    stream solution also at the heights ``H(tau_k)`` of the interior
-    segment starts of omega, where omega' jumps; each such chunk evaluates
-    only its own segment, so no step sees the jump.  Each chunk is a run of
-    scipy's compiled DOP853 (``rtol 1e-12``, ``atol 1e-14``), and ``v`` is
-    renormalized between chunks.  The run stops at every point of
-    ``linspace(0, d, n_samples)`` in its chunk in turn.
 
-    Returns the far-end ``v_end`` and ``vp_end``, in the scale of the last
-    chunk, so only their ratio is meaningful.  With ``n_samples``, it adds
-    ``values``, ``v / v(end)`` on that grid, and
-    ``start_slope = v'(start) / v(end)``.  The accepted steps and
-    right-hand-side calls go to ``numerics.tally``.
+def _adapt(stream, tau: float, n: int, span: float, reach: float, limit: float, solve):
+    """``solve(elements) -> (result, values, scale, tau)``, bisecting until the
+    tails over ``scale`` are below ``limit``, from the elements between 0, the
+    kink heights and ``d``, cut to ``tau h <= span`` within ``reach / tau`` of ``d``."""
+    d = stream.d
+    edges = [0.0, *stream._kink_heights, d]
+    elements = list(zip(edges[:-1], edges[1:]))
+    while any(bad := [tau * (b - a) > span and (b - a) * 2.0 ** _MAX_LEVEL > d
+                      and tau * (d - b) < reach for a, b in elements]):
+        elements = _bisect(elements, bad)
+    while True:
+        result, values, scale, tau = solve(elements)
+        tail = np.abs(values @ _cheb(n)[3][-3:].T).max(axis=1) / np.maximum(scale, 1e-300)
+        if not (bad := ~(tail <= limit)).any():
+            return result
+        if any((b - a) * 2.0 ** _MAX_LEVEL <= d for (a, b), cut in zip(elements, bad) if cut):
+            raise ConvergenceError(f"the transverse operator at tau={tau!r} is not resolved on "
+                                   f"elements of d / 2^{_MAX_LEVEL}: Chebyshev coefficient "
+                                   f"tail {float(np.nanmax(tail))!r} above {limit}")
+        elements = _bisect(elements, bad)
 
-    Raises
-    ------
-    ConvergenceError
-        When a chunk's run fails, naming the chunk.
-    ResonanceError
-        With ``n_samples``, when the shot vanishes at the far end
-        (``tau^2`` is a Dirichlet eigenvalue of the linearized operator):
-        no normalization exists.
-    """
-    import scipy.integrate  # deferred: only a shot pays for scipy
 
-    dist, d = stream.dist, stream.d
-    tau2 = tau * tau
-    n_chunks = max(1, math.ceil(tau * d / _CHUNK_EXPONENT))
-    # a shot stream may turn around and cross a kink value more than once,
-    # so it has no single kink height; it is cut at the chunk bounds only
-    cut = isinstance(stream, StreamSolution)
-    kinks = stream._kink_heights if cut else ()
-    bounds = np.unique(np.concatenate((np.linspace(0.0, d, n_chunks + 1), kinks)))
-    grid = np.linspace(0.0, d, n_samples)
-    stops = np.unique(np.concatenate((bounds, grid)))
-    if from_surface:
-        stops = stops[::-1]
-    restart, sampled = np.isin(stops, bounds), np.isin(stops, grid)
-    slot = np.searchsorted(grid, stops)
+def _q(stream, elements: list, n: int = _N) -> np.ndarray:
+    """omega'(u) at the ``n + 1`` points of each ``(a, b)`` element, from its own
+    segment, kept on the stream (``_transverse``); node ``u`` (``u_at``) only
+    where omega' varies."""
+    kept = vars(stream).setdefault("_transverse", {})
+    if new := [el for el in elements if (el, n) not in kept]:
+        dist, x = stream.dist, _cheb(n)[0]
+        a, b = np.array(new).T
+        y = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
+        y[:, 0], y[:, -1] = a, b
+        row = np.searchsorted(stream._kink_heights, a, side="right")
+        q = np.repeat(dist._dw[row, :1], x.size, axis=1)
+        # a shot stream that turns around has no kink heights: u everywhere
+        turns = isinstance(stream, ShotStream) and not stream.unidirectional
+        varies = (dist._dw[row, 1:] != 0.0).any(axis=1) | turns
+        if varies.any():
+            u = stream.u_at(y[varies].ravel())  # a shot stream's u_at takes 1-d heights
+            q[varies] = _horner(dist._seg, dist._dw, u).reshape(-1, x.size)
+        numerics.tally["collocation_nodes"] += q.size
+        kept.update(zip([(el, n) for el in new], q))
+    return np.array([kept[el, n] for el in elements])
 
-    # omega and omega' at u = base + x: one segment's rows on a chunk of a
-    # cut shot, so no step sees the jump of omega' at either end of it
-    base, w, dw = 0.0, dist._omega_scalar, dist._omega_prime_scalar
 
-    def rhs(t, y):
-        x = y[0] - base
-        return (y[1], -w(x), y[3], (tau2 - dw(x)) * y[2])
+# v / v(end) at the points of the elements, v'(end) / v(end), v'(start) / v(end) (in y)
+_Mode = namedtuple("_Mode", "elements values end_slope start_slope")
 
-    solver = scipy.integrate.ode(rhs).set_integrator(
-        "dop853", rtol=1e-12, atol=1e-14, nsteps=_MAX_STEPS)
-    start = (1.0, stream.u_prime_d) if from_surface else (0.0, stream.s)
-    y = np.array(start + (0.0, 1.0))
-    log = 0.0  # log of the factor v is divided by
-    samples, logs = np.zeros(n_samples), np.zeros(n_samples)
-    for k in range(1, len(stops)):
-        if restart[k - 1]:
-            mag = max(abs(y[2]), abs(y[3]))
-            if mag > _RENORM:
-                y[2:] /= mag
-                log += math.log(mag)
-            chunk = stops[k - 1]
-            if cut:
-                seg = np.searchsorted(kinks, min(chunk, stops[k]), side="right")
-                base = float(dist._seg[seg])
-                w, dw = dist._segment_scalars[seg]
-            solver.set_initial_value(y, chunk)
-        y = solver.integrate(stops[k])
-        # Hairer's IWORK layout: 17 right-hand-side calls, 19 accepted steps
-        work = solver._integrator.iwork
-        numerics.tally["ode_rhs_evals"] += int(work[16])
-        numerics.tally["ode_steps"] += int(work[18])
-        if not solver.successful():
-            raise ConvergenceError(
-                f"transverse shot failed in the chunk from y={float(chunk)!r}, "
-                f"before y={float(stops[k])!r}, at tau={tau!r}: DOP853 return code "
-                f"{solver.get_return_code()}")
-        if sampled[k]:
-            samples[slot[k]], logs[slot[k]] = y[2], log
-    v_end, vp_end = float(y[2]), float(y[3])
-    if not n_samples:
-        return _Shot(v_end, vp_end)
 
+def _sample(mode: _Mode, y: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation of ``mode`` on the element of each ``y``."""
+    x, bary = _cheb()[0], _cheb()[4]
+    a, b = np.array(mode.elements).T
+    e = np.clip(np.searchsorted(a, y, side="right") - 1, 0, len(a) - 1)
+    diff = ((2.0 * y - a[e] - b[e]) / (b[e] - a[e]))[:, None] - x
+    w = bary / np.where(diff == 0.0, 1e-300, diff)  # a node hit takes its value
+    return (w * mode.values[e]).sum(axis=1) / w.sum(axis=1)
+
+
+def _solve(stream, tau: float, from_surface: bool = False) -> _Mode:
+    """Solve ``-v'' + [tau^2 - omega'(u)] v = 0`` from ``v = 0``, ``v' = 1``
+    at the bottom (or the surface): one batched numpy solve gives each
+    element its solutions of unit start value and slope, and forward
+    substitution carries ``(v, v')`` across.  :class:`ResonanceError` when
+    ``v`` vanishes at the far end (``tau^2`` is a Dirichlet eigenvalue)."""
+    if tau < 0.0:
+        raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
+    x, _, integ, _, _ = _cheb()
+
+    def solve(elements):
+        numerics.tally["linear_solves"] += 1
+        flip = slice(None, None, -1 if from_surface else 1)
+        half = 0.5 * np.diff(elements, axis=1)[flip]
+        jj = half[:, None] ** 2 * (integ @ integ)
+        rate = tau * tau - _q(stream, elements)[flip, flip]
+        start = np.stack((np.ones_like(rate), half * (x + 1.0)), axis=-1)
+        g = np.linalg.solve(np.eye(x.size) - rate[:, :, None] * jj, rate[:, :, None] * start)
+        fund, slope = start + jj @ g, half * (integ[-1] @ g) + (0.0, 1.0)
+        state, log = np.array([0.0, 1.0]), 0.0
+        starts, logs = np.empty((len(half), 2)), np.empty(len(half))
+        for e in range(len(half)):
+            starts[e], logs[e] = state, log
+            state = np.array([fund[e, -1] @ state, slope[e] @ state])
+            if (mag := np.abs(state).max()) > 1e100:
+                state, log = state / mag, log + math.log(mag)
+        values = np.einsum("ekj,ej->ek", fund, starts)[flip, flip]
+        return (elements, values, logs[flip], state, log), values, np.abs(values).max(axis=1), tau
+
+    elements, values, logs, (v_end, vp_end), log = _adapt(stream, tau, _N, _SPAN, math.inf,
+                                                          _TAIL, solve)
     if abs(v_end) <= 1e-10 * max(abs(v_end), abs(vp_end) / max(tau, 1.0), 1e-300):
-        ends = ("surface", "bottom") if from_surface else ("bottom", "surface")
         raise ResonanceError(
-            f"the transverse shot from the {ends[0]} vanishes at the "
-            f"{ends[1]} at tau={tau!r}: Dirichlet resonance of the "
-            f"linearized operator; no normalized solution exists")
-    values = samples * (np.exp(logs - log) / v_end)
-    return _Shot(v_end, vp_end, values, math.exp(-log) / v_end)
+            f"the transverse solution from the {('bottom', 'surface')[from_surface]} vanishes at "
+            f"the far end at tau={tau!r}: Dirichlet resonance of the linearized operator")
+    sign = -1.0 if from_surface else 1.0  # v' is taken in y
+    return _Mode(elements, values * (np.exp(logs - log) / v_end)[:, None],
+                 float(sign * vp_end / v_end), float(sign * math.exp(-log) / v_end))
+
+
+def _least_eigenvalue(stream, kappa: float) -> float:
+    """``mu_1`` of ``-v'' - omega'(u) v = mu v``, ``v(0) = 0``, ``v'(d) = kappa v(d)``,
+    collocated by the differentiation matrix with the bottom, interface and
+    surface rows eliminated, by numpy's ``eigvals`` (the eigenvector by one shifted
+    inverse iteration).  A large ``kappa`` means a layer of width ``1 / kappa`` at
+    the surface, and the grid is graded into it."""
+    n, diff = _EIG_N, _cheb(_EIG_N)[1]
+
+    def solve(elements):
+        numerics.tally["eigen_solves"] += 1
+        size, q = len(elements), _q(stream, elements, n)
+        m = size * n + 1
+        op, rows = np.zeros((m, m)), np.zeros((size + 1, m))
+        rows[0, 0], rows[size, m - 1] = 1.0, -kappa
+        for e, (a, b) in enumerate(elements):
+            d1, cols = diff * (2.0 / (b - a)), slice(e * n, e * n + n + 1)
+            op[e * n + 1:e * n + n, cols] = (-d1 @ d1 - np.diag(q[e]))[1:n]
+            rows[e, cols] -= d1[0] if e else 0.0
+            rows[e + 1, cols] += d1[n]
+        fixed, free = np.arange(size + 1) * n, np.flatnonzero(np.arange(m) % n)
+        elim = np.linalg.solve(rows[:, fixed], rows[:, free])
+        mat = op[np.ix_(free, free)] - op[np.ix_(free, fixed)] @ elim
+        mu, v = float(min(np.linalg.eigvals(mat).real)), np.empty(m)
+        shifted = mat - (mu - 1e-10 * max(1.0, abs(mu))) * np.eye(free.size)
+        v[free] = np.linalg.solve(shifted, np.ones(free.size))
+        v[fixed] = -elim @ v[free]
+        blocks = np.lib.stride_tricks.sliding_window_view(v, n + 1)[::n]
+        return mu, blocks, np.abs(v).max(), math.sqrt(max(-mu, 0.0))
+
+    return _adapt(stream, max(kappa, 0.0), _EIG_N, _EIG_SPAN, 25.0, _EIG_TAIL, solve)
 
 
 @dataclass(frozen=True)
@@ -211,31 +248,20 @@ def gamma_bvp(stream: StreamSolution, tau: float,
               n_samples: int = 257) -> GammaSolution:
     """Solve the transverse mode problem at wavenumber ``tau``.
 
-    The bottom shot (``gamma'(0) = 1``) rescaled so ``gamma(d) = 1``;
-    chunked renormalization keeps the exponential growth representable
-    at any ``tau``.
+    The solve from the bottom over its surface value, on ``linspace(0, d,
+    n_samples)``; ``derivative_bottom`` keeps its relative accuracy however small.
 
     Raises
     ------
     ResonanceError
-        When the shot vanishes at the surface (``tau^2`` is a Dirichlet
+        When the solution vanishes at the surface (``tau^2`` is a Dirichlet
         eigenvalue of the linearized operator): no normalization exists.
     """
-    if tau < 0.0:
-        raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
     _warn_piecewise(stream.dist)
-    shot = _shoot(stream, tau, n_samples=n_samples)
-    grid = np.linspace(0.0, stream.d, n_samples)
-    values = shot.values
-    values[0] = 0.0
-    values[-1] = 1.0
-    return GammaSolution(
-        tau=float(tau),
-        grid=grid,
-        values=values,
-        derivative_surface=shot.vp_end / shot.v_end,
-        derivative_bottom=shot.start_slope,
-    )
+    mode, grid = _solve(stream, tau), np.linspace(0.0, stream.d, n_samples)
+    values = _sample(mode, grid)
+    values[0], values[-1] = 0.0, 1.0
+    return GammaSolution(float(tau), grid, values, mode.end_slope, mode.start_slope)
 
 
 def _require_slope(stream: StreamSolution) -> float:
@@ -267,14 +293,10 @@ def _long_wave_limit(stream) -> float:
     return (1.0 / phi(stream.dist, stream.s, 1.0) - 1.0) / upd
 
 
-def _sigma(stream, tau: float) -> float:
-    """``sigma(tau)`` for ``tau >= 0`` by one shot from the bottom."""
+def _sigma(stream, mode: _Mode) -> float:
+    """``sigma`` from the solve from the bottom at its wavenumber."""
     upd = stream.u_prime_d
-    v_end, vp_end = _shoot(stream, tau)[:2]
-    if abs(v_end) <= 1e-300 or not math.isfinite(vp_end / v_end):
-        raise ResonanceError(
-            f"gamma(d) vanishes at tau={tau!r}: dispersion pole")
-    return upd * (vp_end / v_end) - 1.0 / upd + stream.dist._omega_scalar(1.0)
+    return upd * mode.end_slope - 1.0 / upd + stream.dist._omega_scalar(1.0)
 
 
 def sigma(stream: StreamSolution, tau: float) -> float:
@@ -288,28 +310,22 @@ def sigma(stream: StreamSolution, tau: float) -> float:
         Nonnegative wavenumber; ``tau = 0`` is taken as the long-wave limit
         ``(1 / Phi(1; s) - 1) / u'(d)``.
     """
-    if tau < 0.0:
-        raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
     _require_slope(stream)
     _warn_piecewise(stream.dist)
     if tau == 0.0:
         return _long_wave_limit(stream)
-    return _sigma(stream, tau)
+    return _sigma(stream, _solve(stream, tau))
 
 
 @dataclass(frozen=True)
 class DispersionResult:
-    """The bifurcation wavenumber, if any, and the shots that located it.
+    """The bifurcation wavenumber, if any, and the solves that certify it.
 
-    ``taus`` and ``sigmas`` record the points the bracket evaluated: the
-    first shot at ``1e-6`` and each step of the geometric walk, in
-    increasing order.  They are empty when the sign of ``sigma(0+)``
-    settled the answer without a shot; the Brent iterates are not recorded.
-    ``assumption_I`` records that the surface slope does not vanish;
-    ``assumption_II`` is true only when a least positive root ``tau0``
-    exists and no integer multiple ``k tau0`` (k >= 2) is also a root
-    within margin.  Whenever ``tau0`` is absent,
-    ``assumption_II`` is false.
+    ``taus`` and ``sigmas`` hold ``tau0 / 2`` and ``2 tau0``, where sigma
+    changes sign, or ``tau_max`` and its negative sigma when the root lies
+    beyond it; they are empty when ``sigma(0+)`` settled the answer.
+    ``assumption_I``: the surface slope does not vanish; ``assumption_II``:
+    a root ``tau0`` exists and no ``k tau0`` (k >= 2) is a root within margin.
     """
 
     stream: StreamSolution
@@ -326,72 +342,72 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
     """The least positive root ``tau0`` of ``sigma`` on ``(0, tau_max]``.
 
     On a unidirectional stream sigma is strictly increasing and has no
-    poles (module docstring), so its root is found in three steps:
+    poles (module docstring).  When ``sigma(0+) = (1 / Phi(1; s) - 1) /
+    u'(d)`` is nonnegative there is no positive root and no solve.  Else
+    ``tau0^2 = -mu_1`` from the least eigenvalue, polished by Newton steps
+    on ``t = tau^2`` with the exact slope ``u'(d) int gamma^2`` (by
+    Clenshaw-Curtis weights) until a step is below ``1e-14 t``; sigma at
+    ``tau0 / 2`` and ``2 tau0`` certifies the sign change.  A root beyond
+    ``tau_max`` is absent, with a note, once sigma there is negative.
 
-    1. ``sigma(0+) = (1 / Phi(1; s) - 1) / u'(d)`` decides.  When it is
-       nonnegative there is no positive root, and no shot is taken.
-    2. Otherwise sigma is shot at ``1e-6`` and then walked upward
-       geometrically (``1/d``, ``2/d``, ``4/d``, ... capped at ``tau_max``)
-       until it is nonnegative.  A walk that reaches ``tau_max`` with
-       sigma still negative reports no root, with a note that the root
-       lies beyond ``tau_max``.
-    3. One Brent search (``tol = 1e-13``) on the last step of the walk,
-       every sigma one shot at ``rtol = 1e-12``.
-
-    Assumption II takes one shot, at ``2 tau0``: sigma increases, so
-    ``sigma(k tau0) > sigma(2 tau0) > 0`` for every ``k > 2``, and
-    ``2 tau0`` is the only multiple that can fall within the margin.
-    Absence of a root is an answer, not an error.
+    Assumption II needs only sigma at ``2 tau0``: sigma increases, so no
+    other multiple can fall within the margin.  Absence of a root is an
+    answer, not an error.
 
     Raises
     ------
     DomainError
         For a shot stream that is not unidirectional, which the argument
         does not cover, and for a nonpositive ``tau_max``.
+    ConvergenceError
+        When Newton does not settle in 9 steps or the certificate fails.
     """
-    done = functools.partial(DispersionResult, stream=stream, tau_max=tau_max)
     notes = []
+
+    def done(tau0=None, taus=(), sigmas=(), assumption_i=True, assumption_ii=False):
+        return DispersionResult(stream, tau0, np.array(taus, dtype=float),
+                                np.array(sigmas, dtype=float), assumption_i,
+                                assumption_ii, tau_max, tuple(notes))
     try:
-        _require_slope(stream)
+        upd = _require_slope(stream)
     except DomainError:
         notes.append("surface slope vanishes; dispersion relation undefined")
-        return done(tau0=None, taus=np.empty(0), sigmas=np.empty(0),
-                    assumption_I=False, assumption_II=False, notes=tuple(notes))
+        return done(assumption_i=False)
     if tau_max <= 0.0:
         raise DomainError(f"tau_max={tau_max!r} must be positive")
-    msg = _warn_piecewise(stream.dist)
-    if msg:
+    if msg := _warn_piecewise(stream.dist):
         notes.append(msg)
     no_root = f"no positive root of sigma on (0, {tau_max!r}]"
     sig0 = _long_wave_limit(stream)
     if sig0 >= 0.0:
         notes.append(no_root)
-        return done(tau0=None, taus=np.empty(0), sigmas=np.empty(0),
-                    assumption_I=True, assumption_II=False, notes=tuple(notes))
+        return done()
 
-    lo, f_lo = 0.0, sig0  # the bracket if sigma(1e-6) is already >= 0
-    tau = 1e-6
-    shots = {tau: _sigma(stream, tau)}
-    while shots[tau] < 0.0 and tau < tau_max:
-        lo, f_lo = tau, shots[tau]
-        tau = min(max(2.0 * tau, 1.0 / stream.d), tau_max)
-        shots[tau] = _sigma(stream, tau)
-    taus = np.array(list(shots))
-    sigmas = np.array(list(shots.values()))
-    if shots[tau] < 0.0:
-        notes += [no_root,
-                  f"sigma(0+) = {sig0!r} < 0 and sigma increases, so its "
-                  f"one positive root lies beyond tau_max = {tau_max!r}"]
-        return done(tau0=None, taus=taus, sigmas=sigmas,
-                    assumption_I=True, assumption_II=False, notes=tuple(notes))
-
-    tau0 = numerics.find_root(
-        lambda t: shots[t] if t in shots else _sigma(stream, t),
-        numerics.Bracket(lo, tau, f_lo, shots[tau]), tol=1e-13)
-    val = _sigma(stream, 2.0 * tau0)
-    assumption_ii = abs(val) > _MULTIPLE_MARGIN
-    if not assumption_ii:
-        notes.append(f"sigma(2 * tau0) = {val!r} within margin "
+    t = max(-_least_eigenvalue(stream, (1.0 / upd - stream.dist._omega_scalar(1.0)) / upd), 0.0)
+    for _ in range(9):
+        if t > tau_max * tau_max:
+            val = _sigma(stream, _solve(stream, tau_max))
+            if val < 0.0:
+                notes += [no_root,
+                          f"sigma(0+) = {sig0!r} < 0 and sigma increases, so its "
+                          f"one positive root lies beyond tau_max = {tau_max!r}"]
+                return done(taus=[tau_max], sigmas=[val])
+            t = tau_max * tau_max
+        mode = _solve(stream, math.sqrt(t))
+        norm = np.diff(mode.elements).ravel() @ (mode.values ** 2 @ _cheb()[2][-1]) / 2.0
+        step = _sigma(stream, mode) / (upd * norm)
+        t = max(t - step, 0.0)
+        if abs(step) <= 1e-14 * t:
+            break
+    else:
+        raise ConvergenceError(f"Newton on tau^2 did not settle in 9 steps; last step {step!r}")
+    tau0 = math.sqrt(t)
+    taus = (0.5 * tau0, 2.0 * tau0)
+    lo, hi = (_sigma(stream, _solve(stream, tau)) for tau in taus)
+    if not lo < 0.0 < hi:
+        raise ConvergenceError(f"sigma does not change sign about tau0={tau0!r}: "
+                               f"sigma(tau0/2) = {lo!r}, sigma(2 tau0) = {hi!r}")
+    if abs(hi) <= _MULTIPLE_MARGIN:
+        notes.append(f"sigma(2 * tau0) = {hi!r} within margin "
                      f"{_MULTIPLE_MARGIN}: resonant harmonic")
-    return done(tau0=tau0, taus=taus, sigmas=sigmas,
-                assumption_I=True, assumption_II=assumption_ii, notes=tuple(notes))
+    return done(tau0, taus, (lo, hi), True, bool(abs(hi) > _MULTIPLE_MARGIN))

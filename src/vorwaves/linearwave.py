@@ -15,7 +15,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .dispersion import DispersionResult, _require_slope, _shoot, gamma_bvp
+from .dispersion import DispersionResult, _require_slope, _sample, _solve, gamma_bvp
 from .errors import ConfigError, DomainError
 from .stream import ShotStream, StreamSolution
 
@@ -209,27 +209,19 @@ def solve_W(stream: AnyStream, tau: float, n_samples: int = 257) -> WCorrection:
 def solve_w_aux(stream: AnyStream, tau: float, n_samples: int = 257) -> AuxSolution:
     """Solve the auxiliary problem ``w(0) = 1``, ``w(d) = 0``.
 
-    The transverse shot from the surface (``v(d) = 0``, ``v'(d) = 1``),
-    normalized by its bottom value: ``w = v / v(0)`` and
-    ``w'(d) = 1 / v(0)``.  The wanted solution is the one that grows
-    toward the bottom, so no two large shots cancel and the surface slope
-    keeps its relative accuracy however small it is; the shooter's
-    renormalization keeps it representable at any ``tau * d``.
+    The transverse solve from the surface (``v(d) = 0``, ``v'(d) = 1``) over its
+    bottom value, ``w = v / v(0)``, ``w'(d) = 1 / v(0)``; ``w`` grows toward the
+    bottom, as the solve runs, so ``w'(d)`` keeps its relative accuracy at any ``tau d``.
 
     Raises
     ------
     ResonanceError
-        When the shot vanishes at the bottom too: no unique solution.
+        When the solution vanishes at the bottom too: no unique solution.
     """
-    if tau < 0.0:
-        raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
-    shot = _shoot(stream, tau, from_surface=True, n_samples=n_samples)
-    grid = np.linspace(0.0, stream.d, n_samples)
-    values = shot.values
-    values[0] = 1.0
-    values[-1] = 0.0
-    return AuxSolution(tau=float(tau), grid=grid, values=values,
-                       derivative_surface=shot.start_slope)
+    mode, grid = _solve(stream, tau, from_surface=True), np.linspace(0.0, stream.d, n_samples)
+    values = _sample(mode, grid)
+    values[0], values[-1] = 1.0, 0.0
+    return AuxSolution(float(tau), grid, values, mode.start_slope)
 
 
 def check_Wprime0(stream: AnyStream, tau0) -> BottomSlopeCheck:

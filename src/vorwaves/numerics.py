@@ -1,13 +1,11 @@
 """Shared numerical kernels: quadrature, root finding, ODEs.
 
 Quadrature and root finding are plain numpy and Python; only the ODE
-wrapper imports scipy, at call time, so that a run which never integrates
-an ODE never loads scipy.  The ODE wrapper keeps ``solve_ivp`` for the
-events of ``stream.shoot_stream``.  The transverse shooter in
-``dispersion`` runs scipy's compiled DOP853 (``scipy.integrate.ode``)
-itself and stops it at the points it samples, so it needs no dense
-output.  Endpoint singularities of inverse-square-root type are removed
-by substitution before the adaptive rule sees them, failures surface as
+wrapper imports scipy, at call time, for the events of
+``stream.shoot_stream``, its one caller, so a run that never shoots a
+stream never loads scipy (``dispersion`` uses numpy linear algebra).
+Endpoint singularities of inverse-square-root type are removed by
+substitution before the adaptive rule sees them, failures surface as
 typed exceptions carrying the best estimate reached, and the quadrature
 tolerances are fixed (``abs 1e-12``, ``rel 1e-10`` on every piece).
 
@@ -21,9 +19,7 @@ Conventions
   ``x = a + v**2`` turns that into a bounded integrand.  Callers flip a
   right-end singularity to the left by integrating in ``b - x``.
 * Brackets are closed intervals given as :class:`Bracket`.
-* :data:`tally` counts the work done: integrand points, quadrature cells,
-  Brent iterations, and the accepted steps and right-hand-side calls of
-  the transverse shots.
+* :data:`tally` counts the work done; its comment lists the keys.
 """
 
 from __future__ import annotations
@@ -55,9 +51,9 @@ _REL_TOL = 1e-10
 # most cells one piece may be cut into, as QUADPACK's ``limit=200``
 _MAX_CELLS = 200
 
-# work counters: "quad_points" (integrand values), "quad_cells" (cells
-# evaluated), "brent_iterations", and "ode_steps" (accepted steps) and
-# "ode_rhs_evals" of the transverse shots
+# work counters: "quad_points" (integrand values), "quad_cells", "brent_iterations",
+# "ode_steps" and "ode_rhs_evals" of solve_ivp, and the transverse operator's
+# "linear_solves", "eigen_solves" and "collocation_nodes" (points given omega')
 tally: Counter = Counter()
 
 # 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule
@@ -289,6 +285,8 @@ def solve_ivp(
         events=events,
         max_step=max_step,
     )
+    tally["ode_steps"] += sol.t.size - 1
+    tally["ode_rhs_evals"] += sol.nfev
     if not sol.success:
         reached = sol.t[-1] if sol.t.size else span[0]
         raise ConvergenceError(

@@ -233,8 +233,8 @@ class StreamSolution:
 
     The height profile ``H(p; s)`` is stored at 257 Chebyshev-Lobatto
     nodes in ``p`` and evaluated in between by barycentric interpolation;
-    the inverse map ``u(y)`` runs a Newton iteration on the profile with
-    the exact analytic slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
+    the inverse map ``u(y)`` runs a Newton iteration on ``H`` from the
+    quadrature itself with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
 
     Attributes
     ----------
@@ -281,8 +281,8 @@ class StreamSolution:
     def _kink_heights(self) -> np.ndarray:
         """Heights ``H(tau_k)`` of the interior segment starts of omega.
 
-        omega' jumps there, so the transverse shots of ``dispersion`` stop
-        at these heights; they are computed once per stream.
+        omega' jumps there, so the transverse grid of ``dispersion`` has
+        element bounds there; they are computed once per stream.
         """
         seg = self.dist._seg
         knots = seg[(seg > 0.0) & (seg < 1.0)]
@@ -358,9 +358,10 @@ class StreamSolution:
         """Invert the profile: the stream value ``u`` at height ``y``.
 
         ``y`` outside ``[0, d]`` (beyond a relative slack of 1e-9) is a
-        domain error.  Newton on ``H(p) - y`` with the analytic slope;
+        domain error.  Newton on ``H(p) - y``, ``H`` from :func:`_accumulate`,
+        with the analytic slope, from the linear interpolant of the profile;
         the multiplicative update keeps endpoint singularities harmless.
-        The sweeps stop once no step exceeds 1e-14, or after 30.
+        The sweeps stop once no step exceeds 1e-13, or after 30.
         """
         arr = np.asarray(y, dtype=float)
         scalar = arr.ndim == 0
@@ -371,23 +372,24 @@ class StreamSolution:
             raise DomainError(
                 f"height {float(bad.flat[0])!r} outside the water column "
                 f"[0, {self.d!r}]")
-        arr = np.clip(arr, 0.0, self.d)
-        p = np.interp(arr, self.H_nodes, self.p_nodes)
-        gap_big = self.classification.max_Omega
+        if not arr.size:
+            return arr
+        order = np.argsort(arr, axis=None)
+        h = np.clip(arr.ravel()[order], 0.0, self.d)
+        p = np.interp(h, self.H_nodes, self.p_nodes)
         for _ in range(30):
-            resid = self.height_at(p) - arr
-            gap = np.maximum(gap_big - self.dist.Omega(p), 0.0)
-            new = np.clip(p - resid * np.sqrt(self.sigma2 + 2.0 * gap), 0.0, 1.0)
-            step = np.abs(new - p)
-            p = new
-            if not step.size or step.max() < 1e-14:
+            resid = _accumulate(self.dist, self.s, p, -0.5) - h
+            gap = np.maximum(self.classification.max_Omega - self.dist.Omega(p), 0.0)
+            step = resid * np.sqrt(self.sigma2 + 2.0 * gap)
+            p = np.maximum.accumulate(np.clip(p - step, 0.0, 1.0))
+            if np.abs(step).max() < 1e-13:
                 break
-        resid = np.abs(self.height_at(p) - arr)
-        if resid.size and resid.max() > 1e-9 * max(1.0, self.d):
-            raise ConvergenceError(
-                f"profile inversion stalled: residual {float(resid.max())!r} "
-                f"at y={float(arr[int(np.argmax(resid))])!r}")
-        return float(p[0]) if scalar else p
+        if abs(resid[j := int(np.argmax(np.abs(resid)))]) > 1e-9 * max(1.0, self.d):
+            raise ConvergenceError(f"profile inversion stalled: residual "
+                                   f"{float(abs(resid[j]))!r} at y={float(h[j])!r}")
+        out = np.empty(arr.size)
+        out[order] = p
+        return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def __repr__(self) -> str:
         return (f"StreamSolution(s={self.s!r}, d={self.d!r}, r={self.r!r}, "
@@ -439,6 +441,16 @@ class ShotStream:
     r: float
     tolerance: float
     _dense: object = field(repr=False, default=None)
+
+    @cached_property
+    def _kink_heights(self) -> np.ndarray:
+        """Heights where a monotone ``u`` crosses the segment starts of omega."""
+        seg = self.dist._seg
+        knots = seg[(seg > 0.0) & (seg < 1.0)] if self.unidirectional else seg[:0]
+        y = np.interp(knots, self.u_samples, self.grid)
+        for _ in range(4 if knots.size else 0):
+            y = y - (self.u_at(y) - knots) / self.velocity_at(y)
+        return y
 
     def u_at(self, y):
         """Dense-output evaluation of ``u`` on ``[0, d]``."""

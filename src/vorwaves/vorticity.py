@@ -79,18 +79,9 @@ def _horner(seg, coef, x):
 
 
 def _scalar_horner(seg, coef):
-    """:func:`_horner` for one float, as a closure over Python floats; it runs
-    in every ODE right-hand side, so one segment skips the search and shift."""
+    """:func:`_horner` for one float, as a closure over Python floats, for
+    scalar callers such as the right-hand side of the stream shot."""
     rows = [tuple(reversed(row)) for row in coef.tolist()]
-    if len(rows) == 1:
-        (row,) = rows
-
-        def horner(t):
-            acc = 0.0
-            for c in row:
-                acc = acc * t + c
-            return acc
-        return horner
     starts, last = seg.tolist(), len(rows) - 1
 
     def horner(t):
@@ -199,17 +190,8 @@ class VorticityDistribution:
         # scalar fast paths (no domain checks; natural extension)
         self._omega_scalar = _scalar_horner(seg, w)
         self._Omega_scalar = _scalar_horner(seg, big_w)
-        self._omega_prime_scalar = _scalar_horner(seg, dw)
         self._key = (kind, self._coeffs if self._nodes is None else self._nodes)
         self._gap_cache: dict = {}
-
-    @cached_property
-    def _segment_scalars(self) -> list:
-        """omega and omega' of each segment alone, in ``tau - seg[k]``: a
-        transverse shot cut at the kinks stays on one segment per chunk."""
-        seg, w, dw = self._seg, self._w, self._dw
-        return [(_scalar_horner(seg[k:k + 1], w[k:k + 1]),
-                 _scalar_horner(seg[k:k + 1], dw[k:k + 1])) for k in range(len(seg))]
 
     # -- construction helpers ------------------------------------------------
 

@@ -335,20 +335,25 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     assert _report(str(out))["results"]["classification"] == "iii"
 
 
-# the commands that need only the stream quadrature and root finding
-_QUADRATURE_ONLY = {
+# every command but those that shoot a stream: the transverse operator of
+# dispersion, wave and check-bounds is numpy linear algebra
+_WITHOUT_SCIPY = {
     "analyze": "[vorticity]\nspec = constant 2\n",
     "stream": "[vorticity]\nspec = poly -3 6\n[parameters]\ns = 1.0\n",
     "conjugates": "[vorticity]\nspec = table 0:1 0.5:-1 1:2\n[parameters]\nr = 0.8822\n",
     "wheeler": "[vorticity]\nspec = constant 0\n[parameters]\nr = 1.1\n",
     "scale": "[parameters]\nQ = 1.0\ng = 9.81\nquantity = length\nvalue = 1.0\n",
+    "dispersion": "[vorticity]\nspec = constant 2\n[parameters]\nr = 0.6032\n",
+    "wave": "[vorticity]\nspec = poly 0 0 3\n[parameters]\nr = 0.6216\nt = 0.005\n",
+    "check-bounds": "[vorticity]\nspec = table 0:1 0.5:-1 1:2\n[parameters]\n"
+                    "r = 0.8822\nt = 0.005\n",
 }
 
 
 def test_start_up_leaves_scipy_unloaded(tmp_path):
-    # scipy is imported only where an ODE shot or a wave column needs it:
-    # neither the package, the CLI, nor these five commands load it
-    for command, body in _QUADRATURE_ONLY.items():
+    # scipy is imported only where a stream is shot (shoot_stream):
+    # neither the package, the CLI, nor these eight commands load it
+    for command, body in _WITHOUT_SCIPY.items():
         (tmp_path / f"{command}.ini").write_text(body, encoding="utf-8")
     code = textwrap.dedent("""\
         import sys
@@ -365,7 +370,7 @@ def test_start_up_leaves_scipy_unloaded(tmp_path):
                               standalone_mode=False)
             assert not scipy_modules(), (command, scipy_modules()[:3])
         """)
-    done = _fresh_python(["-c", code, *_QUADRATURE_ONLY], tmp_path)
+    done = _fresh_python(["-c", code, *_WITHOUT_SCIPY], tmp_path)
     assert done.returncode == 0, done.stderr
-    for command in _QUADRATURE_ONLY:
+    for command in _WITHOUT_SCIPY:
         assert _report(str(tmp_path / command))["command"] == command

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st_
 
 from strategies import dist_specs
-from vorwaves import bernoulli, dispersion, numerics, stream
+from vorwaves import bernoulli, dispersion, linearwave, numerics, stream
 from vorwaves.dispersion import find_tau0, gamma_bvp, sigma
 from vorwaves.errors import AmbiguousClassificationError, ConvergenceError, DomainError
 from vorwaves.vorticity import VorticityDistribution as V
@@ -42,7 +41,7 @@ def test_sigma_rejects_negative_tau(stream_plus):
 
 
 def test_gamma_matches_sinh(stream_plus, w_zero):
-    # tau d = 300 renormalizes the shot in its last chunk
+    # tau d = 300 renormalizes the solve between its elements
     for st, tau in ((stream_plus, 2.0), (stream.solve_stream(w_zero, 1.0), 300.0)):
         gam = gamma_bvp(st, tau)
         d = st.d
@@ -58,45 +57,67 @@ def test_gamma_matches_sinh(stream_plus, w_zero):
 
 
 @pytest.mark.parametrize("tau", [0.5, 3.0, 300.0])
-def test_shots_stop_on_the_grid(w_zero, tau):
-    # omega = 0, s = 1: d = 1, and the shots are sinh(tau y) and
+def test_modes_match_sinh_on_the_grid(w_zero, tau):
+    # omega = 0, s = 1: d = 1, and gamma and w are sinh(tau y) and
     # sinh(tau (d - y)) over sinh(tau d), written so they stay finite
     st = stream.solve_stream(w_zero, 1.0)
     d = st.d
     y = np.linspace(0.0, d, 257)
-    if tau * d > 150.0:  # two chunks, and the grid has a point on the bound
-        assert y[128] == np.linspace(0.0, d, 3)[1]
     e = math.exp(-tau * d)
     slope = 2.0 * tau * e / (1.0 - e * e)  # tau / sinh(tau d)
     # over tau d = 300 e-folds the relative error of the growth factor
-    # accumulates to about 3e-11
+    # may accumulate
     rtol = 1e-12 if tau * d < 10.0 else 1e-10
-    for from_surface, x in ((False, y), (True, d - y)):
-        shot = dispersion._shoot(st, tau, from_surface=from_surface, n_samples=y.size)
+    gam, aux = gamma_bvp(st, tau), linearwave.solve_w_aux(st, tau)
+    for values, start_slope, want_slope, x in (
+            (gam.values, gam.derivative_bottom, slope, y),
+            (aux.values, aux.derivative_surface, -slope, d - y)):
         want = np.exp(-tau * (d - x)) * (1.0 - np.exp(-2.0 * tau * x)) / (1.0 - e * e)
-        np.testing.assert_allclose(shot.values, want, rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(shot.start_slope, -slope if from_surface else slope,
-                                   rtol=rtol)
+        np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(start_slope, want_slope, rtol=rtol)
 
 
-def test_shot_counts_its_work(stream_plus):
+def test_transverse_solves_count_their_work(w_two):
+    # the transverse operator takes linear and eigen solves, no ODE steps;
+    # those count only the stream shots
+    st = stream.solve_stream(w_two, 2.2)
     numerics.tally.clear()
-    dispersion._shoot(stream_plus, 40.0)
-    assert numerics.tally["ode_steps"] > 0
-    assert numerics.tally["ode_rhs_evals"] > numerics.tally["ode_steps"]
+    gamma_bvp(st, 40.0)
+    find_tau0(stream.solve_stream(V.parse("poly -3 6"), 0.129))
+    assert numerics.tally["linear_solves"] >= 5
+    assert numerics.tally["eigen_solves"] >= 1
+    assert numerics.tally["collocation_nodes"] >= 2 * 25
+    assert numerics.tally["ode_steps"] == numerics.tally["ode_rhs_evals"] == 0
+    stream.shoot_stream(w_two, 2.2)
+    assert 0 < numerics.tally["ode_steps"] < numerics.tally["ode_rhs_evals"]
 
 
-def test_failed_shot_names_its_chunk(stream_plus, monkeypatch):
-    monkeypatch.setattr(dispersion, "_MAX_STEPS", 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns before the error
-        with pytest.raises(ConvergenceError, match="chunk from y=0.0"):
-            dispersion._shoot(stream_plus, 40.0)
+def test_unresolved_solve_names_tau_and_tail(stream_plus, monkeypatch):
+    # no bisection allowed: one element across tau d ~ 50 cannot resolve
+    # exp(tau y), and the solve says at which tau and how far it got
+    monkeypatch.setattr(dispersion, "_MAX_LEVEL", 0)
+    with pytest.raises(ConvergenceError, match=r"tau=40\.0 .*coefficient tail \d"):
+        gamma_bvp(stream_plus, 40.0)
+
+
+def test_tau0_at_large_tau_d_matches_constant_vorticity():
+    # constant 2 just above s0 = 2: u'(d) = 0.02, so tau0 d is about 2300,
+    # and sigma = u'(d) tau coth(tau d) - 1/u'(d) + 2 gives tau0
+    import mpmath
+    st = stream.solve_stream(V.constant(2.0), math.sqrt(4.0 + 4e-4))
+    upd, d = st.u_prime_d, st.d
+    disp = find_tau0(st, tau_max=5000.0)
+    assert disp.tau0 is not None and disp.tau0 * d > 1000.0
+    mpmath.mp.dps = 30
+    want = mpmath.findroot(lambda t: upd * t / mpmath.tanh(t * d) - 1 / mpmath.mpf(upd) + 2,
+                           disp.tau0)
+    assert abs(disp.tau0 / float(want) - 1.0) < 1e-12
+    assert disp.assumption_II
 
 
 def test_gamma_survives_huge_tau(stream_plus):
-    # sinh(tau d) overflows around tau d ~ 710; the chunked renormalized
-    # shooting must not
+    # sinh(tau d) overflows around tau d ~ 710; the renormalized
+    # solve must not
     gam = gamma_bvp(stream_plus, 800.0)
     assert np.all(np.isfinite(gam.values))
     assert gam.values[-1] == 1.0
@@ -207,8 +228,8 @@ def test_root_beyond_tau_max():
 
 @formal
 def test_tau0_smooth_in_s_on_a_table():
-    # each shot stops where u crosses the kink at tau = 1/2, so a change of
-    # s in the last digits moves tau0 by about as much, not by 1e-11
+    # the elements end where u crosses the kink at tau = 1/2, so a change
+    # of s in the last digits moves tau0 by about as much, not by 1e-11
     dist = V.parse("table 0:1 0.5:-1 1:2")
     s_plus = bernoulli.conjugates(dist, 0.8967).s_plus
     roots = [find_tau0(stream.solve_stream(dist, s_plus * (1.0 + k * 1e-15))).tau0
@@ -241,6 +262,19 @@ def test_tau0_on_a_table_against_event_located_kink():
 
     want = brentq(sigma_ref, 1.2, 1.5, xtol=1e-15, rtol=1e-15)
     np.testing.assert_allclose(find_tau0(st).tau0, want, rtol=1e-12)
+
+
+@formal
+def test_tau0_on_a_shot_stream_of_a_table():
+    # a shot stream has no quadrature profile: its elements end where its
+    # dense output crosses the kink, and omega' comes from its own u_at;
+    # the two streams differ by about 3e-12 in d
+    dist = V.parse("table 0:1 0.5:-1 1:2")
+    s = bernoulli.conjugates(dist, 0.8967).s_plus
+    shot, st = stream.shoot_stream(dist, s), stream.solve_stream(dist, s)
+    np.testing.assert_allclose(find_tau0(shot).tau0, find_tau0(st).tau0, rtol=1e-9)
+    chk = linearwave.check_Wprime0(shot, find_tau0(shot).tau0)
+    assert chk.superposition_discrepancy < 1e-12
 
 
 def test_find_tau0_refuses_counter_current_shot(w_minus_two):
@@ -286,7 +320,7 @@ def test_sigma_strictly_increasing(spec, lift):
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(spec=dist_specs, frac=st_.floats(0.3, 3.0))
 def test_tau0_exists_iff_subcritical(spec, frac):
-    # s = s0 + frac (s_c - s0); both sides checked by shots find_tau0
+    # s = s0 + frac (s_c - s0); both sides checked by solves find_tau0
     # does not take when it decides from Phi
     assume(abs(frac - 1.0) > 0.05)
     dist, s0 = _with_threshold(spec)

@@ -114,6 +114,32 @@ def test_aux_shot_stable_at_large_tau_d(w_two):
     assert chk.superposition_discrepancy < 1e-6
 
 
+# the six reference waves: subcritical streams of the reference distributions
+_REFERENCE_WAVES = (("constant 0", 1.05), ("constant 2", 0.6032), ("constant -2", 1.9365),
+                    ("poly -3 6", 0.7326), ("poly 0 0 3", 0.6216),
+                    ("table 0:1 0.5:-1 1:2", 0.8822))
+
+
+@pytest.mark.filterwarnings("ignore:piecewise-linear vorticity")
+@pytest.mark.parametrize("spec, r", _REFERENCE_WAVES)
+def test_wprime0_by_greens_identity(spec, r):
+    # -W'' + q W = f with W(0) = W(d) = 0 and -w'' + q w = 0 with w(0) = 1,
+    # w(d) = 0 give W'(0) = int_0^d f w dy, free of gamma'(0) = -w'(d);
+    # composite Simpson on 32769 samples, whose error at the kink of a
+    # table is O(h^2), 2e-10 here
+    from vorwaves.dispersion import find_tau0
+    dist = V.parse(spec)
+    st = stream.solve_stream(dist, bernoulli.conjugates(dist, r).s_plus)
+    tau = find_tau0(st).tau0
+    aux = solve_w_aux(st, tau, n_samples=2 ** 15 + 1)
+    y = aux.grid
+    f = (y * st.velocity_at(y) * tau * tau + 2.0 * dist.omega(st.u_at(y))) / st.d
+    g = f * aux.values
+    integral = (y[1] - y[0]) / 3.0 * (g[0] + g[-1] + 4.0 * g[1:-1:2].sum() + 2.0 * g[2:-1:2].sum())
+    wp0 = check_Wprime0(st, tau).derivative_bottom
+    assert abs(integral - wp0) <= 1e-9 * max(1.0, abs(wp0))
+
+
 def test_bottom_slope_check_skips_degenerate(stream_plus):
     chk = check_Wprime0(stream_plus, None)
     assert chk.skipped

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Optional
 
 from . import numerics, stream
-from .errors import ConvergenceError, NoStreamError
+from .errors import ConvergenceError, DomainError, NoStreamError
 from .vorticity import VorticityDistribution
 
 __all__ = [
@@ -39,11 +39,19 @@ __all__ = [
     "analyze",
 ]
 
+# conjugate pairs kept by :func:`conjugates`: a sweep over heads revisits
+# only its last few, and the bound keeps a long sweep from growing memory
+_PAIRS_CACHED = 64
+
 
 def head(dist: VorticityDistribution, s: float) -> float:
     """Bernoulli head ``R(s) = (u'(d)^2 + 2 d(s)) / 3``."""
-    upd2 = stream.surface_slope_squared(dist, s)
-    return (upd2 + 2.0 * stream.depth(dist, s)) / 3.0
+    return _head(dist, s, stream.depth(dist, s))
+
+
+def _head(dist: VorticityDistribution, s: float, d: float) -> float:
+    """The head at slope ``s`` from its depth ``d``, already integrated."""
+    return (stream.surface_slope_squared(dist, s) + 2.0 * d) / 3.0
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,7 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     scale = max(1.0, s0)
     floor = s0 + 1e-12 * scale if cls.d0_finite else _guard_edge(s0)
 
+    @cache
     def g(s: float) -> float:
         return stream.phi(dist, s, 1.0) - 1.0
 
@@ -162,10 +171,11 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     newton = s_c - g(s_c) / dphi
     if bracket.lo <= newton <= bracket.hi:
         s_c = newton
+    d_c = stream.depth(dist, s_c)
     return CriticalPoint(
         s_c=s_c,
-        r_c=head(dist, s_c),
-        d_c=stream.depth(dist, s_c),
+        r_c=_head(dist, s_c, d_c),
+        d_c=d_c,
         phi_residual=g(s_c),
     )
 
@@ -181,12 +191,16 @@ def second_critical(dist: VorticityDistribution) -> SecondCritical:
         return SecondCritical(s0=cls.s0, d0=math.inf, r0=None,
                               condition=cls.condition)
     d0 = stream.depth(dist, cls.s0)
-    r0 = (stream.surface_slope_squared(dist, cls.s0) + 2.0 * d0) / 3.0
+    r0 = _head(dist, cls.s0, d0)
     return SecondCritical(s0=cls.s0, d0=d0, r0=r0, condition=cls.condition)
 
 
+@lru_cache(maxsize=_PAIRS_CACHED)
 def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     """Conjugate stream slopes and depths for the head ``r``.
+
+    The last 64 pairs are cached by ``(dist, r)``: a repeated call returns
+    the same frozen pair.  Each depth is the one its root search integrated.
 
     Parameters
     ----------
@@ -204,12 +218,16 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
 
     Raises
     ------
+    DomainError
+        If ``r`` is not finite.
     NoStreamError
         If ``r`` falls below the critical head.
     ConvergenceError
         Under classification "i", if the subcritical slope sits inside
         the guard band above ``s0``.
     """
+    if not math.isfinite(r):
+        raise DomainError(f"head must be finite; got r={r!r}")
     crit = find_critical(dist)
     scale = max(1.0, crit.s_c)
     if r < crit.r_c - 1e-10 * max(1.0, abs(crit.r_c)):
@@ -221,14 +239,17 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
                              s_plus=crit.s_c, d_plus=crit.d_c,
                              s_minus=crit.s_c, d_minus=crit.d_c)
 
+    # the depth at every slope the searches probe, kept for the roots
+    depth_at = cache(lambda s: stream.depth(dist, s))
+
     def f(s: float) -> float:
-        return head(dist, s) - r
+        return _head(dist, s, depth_at(s)) - r
 
     # supercritical branch: R increases beyond s_c; the walk probes
     # s_c + scale, s_c + 3 scale, s_c + 7 scale, ...
     bracket = _walk(f, crit.s_c - scale, crit.s_c, crit.r_c - r, 2.0)
     s_minus = numerics.find_root(f, bracket, tol=1e-13 * scale)
-    d_minus = stream.depth(dist, s_minus)
+    d_minus = depth_at(s_minus)
 
     sec = second_critical(dist)
     if sec.r0 is not None and r >= sec.r0 - 1e-10 * max(1.0, abs(sec.r0)):
@@ -244,7 +265,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         bracket = _walk(f, cls.s0, crit.s_c, crit.r_c - r, 0.25,
                         _guard_edge(cls.s0))
     s_plus = numerics.find_root(f, bracket, tol=1e-13 * scale)
-    d_plus = stream.depth(dist, s_plus)
+    d_plus = depth_at(s_plus)
     return ConjugatePair(r=r, regime="subcritical-pair",
                          s_plus=s_plus, d_plus=d_plus,
                          s_minus=s_minus, d_minus=d_minus)

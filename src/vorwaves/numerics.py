@@ -51,8 +51,9 @@ _REL_TOL = 1e-10
 # most cells one piece may be cut into, as QUADPACK's ``limit=200``
 _MAX_CELLS = 200
 
-# work counters: "quad_points" (integrand values), "quad_cells", "brent_iterations",
-# "ode_steps" and "ode_rhs_evals" of solve_ivp, and the transverse operator's
+# work counters: "quad_calls" (calls of integrate), "quad_points" (integrand
+# values), "quad_cells", "brent_iterations", "ode_steps" and "ode_rhs_evals"
+# of solve_ivp, and the transverse operator's
 # "linear_solves", "eigen_solves" and "collocation_nodes" (points given omega')
 tally: Counter = Counter()
 
@@ -100,6 +101,7 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
     Raises :class:`InvalidIntegrandError` on a non-finite integrand value
     and :class:`ConvergenceError` when a piece needs more than 200 cells.
     """
+    tally["quad_calls"] += 1
     a, b, sing = np.broadcast_arrays(np.asarray(a, dtype=float),
                                      np.asarray(b, dtype=float),
                                      np.asarray(singular_left, dtype=bool))

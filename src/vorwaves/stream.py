@@ -276,6 +276,7 @@ class StreamSolution:
         upd2 = surface_slope_squared(dist, s)
         self.u_prime_d = sqrt(upd2)
         self.r = (upd2 + 2.0 * self.d) / 3.0
+        self._inverted = (b"", None)  # the last heights given to u_at, and their u
 
     @cached_property
     def _kink_heights(self) -> np.ndarray:
@@ -361,7 +362,8 @@ class StreamSolution:
         domain error.  Newton on ``H(p) - y``, ``H`` from :func:`_accumulate`,
         with the analytic slope, from the linear interpolant of the profile;
         the multiplicative update keeps endpoint singularities harmless.
-        The sweeps stop once no step exceeds 1e-13, or after 30.
+        The sweeps stop once no step exceeds 1e-13, or after 30.  The last
+        inversion is kept, so the same heights again cost no quadrature.
         """
         arr = np.asarray(y, dtype=float)
         scalar = arr.ndim == 0
@@ -374,21 +376,25 @@ class StreamSolution:
                 f"[0, {self.d!r}]")
         if not arr.size:
             return arr
-        order = np.argsort(arr, axis=None)
-        h = np.clip(arr.ravel()[order], 0.0, self.d)
-        p = np.interp(h, self.H_nodes, self.p_nodes)
-        for _ in range(30):
-            resid = _accumulate(self.dist, self.s, p, -0.5) - h
-            gap = np.maximum(self.classification.max_Omega - self.dist.Omega(p), 0.0)
-            step = resid * np.sqrt(self.sigma2 + 2.0 * gap)
-            p = np.maximum.accumulate(np.clip(p - step, 0.0, 1.0))
-            if np.abs(step).max() < 1e-13:
-                break
-        if abs(resid[j := int(np.argmax(np.abs(resid)))]) > 1e-9 * max(1.0, self.d):
-            raise ConvergenceError(f"profile inversion stalled: residual "
-                                   f"{float(abs(resid[j]))!r} at y={float(h[j])!r}")
-        out = np.empty(arr.size)
-        out[order] = p
+        key = arr.tobytes()
+        if self._inverted[0] != key:
+            order = np.argsort(arr, axis=None)
+            h = np.clip(arr.ravel()[order], 0.0, self.d)
+            p = np.interp(h, self.H_nodes, self.p_nodes)
+            for _ in range(30):
+                resid = _accumulate(self.dist, self.s, p, -0.5) - h
+                gap = np.maximum(self.classification.max_Omega - self.dist.Omega(p), 0.0)
+                step = resid * np.sqrt(self.sigma2 + 2.0 * gap)
+                p = np.maximum.accumulate(np.clip(p - step, 0.0, 1.0))
+                if np.abs(step).max() < 1e-13:
+                    break
+            if abs(resid[j := int(np.argmax(np.abs(resid)))]) > 1e-9 * max(1.0, self.d):
+                raise ConvergenceError(f"profile inversion stalled: residual "
+                                       f"{float(abs(resid[j]))!r} at y={float(h[j])!r}")
+            out = np.empty(arr.size)
+            out[order] = p
+            self._inverted = (key, out)
+        out = self._inverted[1].copy()  # callers may write into their copy
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
     def __repr__(self) -> str:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
-from vorwaves import bernoulli
-from vorwaves.errors import AmbiguousClassificationError, NoStreamError
+from vorwaves import bernoulli, numerics, stream
+from vorwaves.bounds import check_bounds
+from vorwaves.errors import AmbiguousClassificationError, DomainError, NoStreamError
 from vorwaves.bernoulli import (
     analyze,
     conjugates,
@@ -185,9 +186,84 @@ def test_critical_values_ignore_tolerance_env(monkeypatch):
     dist = V.parse("poly 0 0 3")
     crit = find_critical.__wrapped__(dist)
     second = second_critical.__wrapped__(dist)
+    r = 0.5 * (crit.r_c + second.r0)
+    pair = conjugates.__wrapped__(dist, r)
     monkeypatch.setenv("TOOL_SEED_TOLERANCE", "1e-2")
     assert find_critical.__wrapped__(dist) == crit
     assert second_critical.__wrapped__(dist) == second
+    assert conjugates.__wrapped__(dist, r) == pair
+
+
+# class "i" with s0 = 0 and with an interior Omega peak, class "iii" with
+# the peak at the surface, at both ends, and on a kinked table
+PAIR_SPECS = ("constant 0", "poly 1.777 0.051 -2.537", "constant 2", "poly 0 0 3",
+              "poly -3 6", "table 0:1 0.5:-1 1:2")
+
+
+def _heads(dist):
+    """A subcritical-pair head and, where r0 is finite, one above r0."""
+    an = analyze(dist)
+    if an.r0 is None:
+        return (1.5 * an.r_c,)
+    return (0.5 * (an.r_c + an.r0), an.r0 + 0.1)
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS)
+def test_searches_integrate_each_slope_once(spec, monkeypatch):
+    # the depths the root searches integrate are kept for the roots, and
+    # the critical search keeps its Phi values: no quadrature is repeated
+    dist = V.parse(spec)
+    heads = _heads(dist)
+    seen = []
+    accumulate = stream._accumulate
+
+    def spy(d, s, grid, power):
+        seen.append((s, tuple(np.atleast_1d(grid).tolist()), power))
+        return accumulate(d, s, grid, power)
+
+    monkeypatch.setattr(stream, "_accumulate", spy)
+    find_critical.__wrapped__(dist)
+    assert seen and len(seen) == len(set(seen))
+    for r in heads:
+        seen.clear()
+        conjugates.__wrapped__(dist, r)
+        assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS)
+def test_kept_depths_are_the_depths_of_the_roots(spec):
+    dist = V.parse(spec)
+    crit = find_critical(dist)
+    assert crit.d_c == stream.depth(dist, crit.s_c)
+    assert crit.r_c == head(dist, crit.s_c)
+    for r in _heads(dist):
+        pair = conjugates(dist, r)
+        assert pair.d_minus == stream.depth(dist, pair.s_minus)
+        if pair.s_plus is not None:
+            assert pair.d_plus == stream.depth(dist, pair.s_plus)
+
+
+def test_repeated_conjugates_share_the_pair():
+    # check_bounds asks for the pair its caller has just computed
+    dist = V.parse("poly 0 0 3")
+    r = _heads(dist)[0]
+    pair = conjugates(dist, r)
+    assert conjugates(dist, r) is pair
+    a = 0.5 * (pair.d_plus - pair.d_minus)
+    eta = pair.d_plus + a * np.cos(np.linspace(0.0, 2.0 * np.pi, 129))
+    points = numerics.tally["quad_points"]
+    rep = check_bounds(dist, r, eta)
+    assert numerics.tally["quad_points"] == points
+    assert (rep.d_plus, rep.d_minus) == (pair.d_plus, pair.d_minus)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_conjugates_refuse_a_non_finite_head(w_two, r):
+    # without the check the walk ran 200 steps to a misleading NaN failure
+    size = conjugates.cache_info().currsize
+    with pytest.raises(DomainError, match="finite"):
+        conjugates(w_two, r)
+    assert conjugates.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("b", [10.0, 15.0, 30.0, 50.0, -50.0])

@@ -64,6 +64,7 @@ def test_integrate_degree_ten_polynomial_takes_one_cell():
     val = numerics.integrate(
         lambda x: np.polynomial.polynomial.polyval(x, coeffs), 0.0, 1.0)
     np.testing.assert_allclose(val, np.sum(coeffs / np.arange(1.0, 12.0)), rtol=1e-14)
+    assert numerics.tally["quad_calls"] == 1
     assert numerics.tally["quad_points"] == 15
     assert numerics.tally["quad_cells"] == 1
 

@@ -211,6 +211,40 @@ def test_depth_matches_stream_solution(spec, lift):
     assert abs(d - solve_stream(dist, s).d) <= 1e-12 * d
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=dist_specs, lift=st_.floats(-4.0, -1.0))
+def test_depth_decreases_in_s(spec, lift):
+    # d'(s) = -s Phi(1; s) < 0, at three slopes a decade apart above the
+    # least slope the head searches probe
+    dist = V.parse(spec)
+    try:
+        s0 = dist.classify().s0
+    except AmbiguousClassificationError:
+        return
+    edge = bernoulli._guard_edge(s0)
+    d = [depth(dist, edge + max(1.0, s0) * 10.0 ** (lift + k)) for k in range(3)]
+    assert d[0] > d[1] > d[2]
+
+
+def test_u_at_keeps_its_last_inversion(w_two, monkeypatch):
+    # build_wave asks for u on the heights velocity_at has just inverted;
+    # each call gets its own copy, since build_wave writes into it
+    st = solve_stream(w_two, 3.0)
+    y = np.linspace(0.0, st.d, 129)
+    first = st.u_at(y)
+    want = first.copy()
+    first[:] = -1.0
+
+    def fail(*args):
+        raise AssertionError("the kept inversion was integrated again")
+
+    monkeypatch.setattr(stream, "_accumulate", fail)
+    assert np.array_equal(st.u_at(y), want)
+    np.testing.assert_allclose(st.velocity_at(y), np.sqrt(st.s ** 2 - 4.0 * want), rtol=1e-14)
+    with pytest.raises(AssertionError, match="integrated again"):
+        st.u_at(y[::2])
+
+
 def test_depth_at_critical_slope_on_kinked_table():
     dist = V.parse(KINKED)
     s_c = bernoulli.find_critical(dist).s_c

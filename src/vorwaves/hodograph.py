@@ -272,7 +272,8 @@ def wheeler_identity(hfield: HodographField, s: float, window,
                      dist: VorticityDistribution) -> WheelerReport:
     """Evaluate both sides of the conjugate-flow integral identity.
 
-    The field ``h`` is compared with the stream profile at slope ``s``
+    The field ``h`` is compared with the stream profile ``H(p; s)``, taken
+    with ``Phi(p; s)`` from the stream quadrature on the field's p-grid,
     over the q-window: the left side couples ``Phi(1; s) - 1`` with the
     surface deviation plus a gradient-quadratic bulk integral, the right
     side is the boundary flux ``-(h_q / h_p) Phi(p; s)`` through the
@@ -294,15 +295,15 @@ def wheeler_identity(hfield: HodographField, s: float, window,
         raise ConfigError(f"empty window {window!r} on q in "
                           f"[{q[0]!r}, {q[-1]!r}]")
 
-    base = _stream.solve_stream(dist, s)
-    head_gap = abs(base.r - hfield.r)
+    H_col = _stream._accumulate(dist, s, p, -0.5)
+    head = (_stream.surface_slope_squared(dist, s) + 2.0 * float(H_col[-1])) / 3.0
+    head_gap = abs(head - hfield.r)
     if head_gap > _HEAD_MATCH_TOL * max(1.0, abs(hfield.r)):
         warnings.warn(
-            f"head mismatch: stream head {base.r!r} at s={s!r} differs from "
+            f"head mismatch: stream head {head!r} at s={s!r} differs from "
             f"the field's r={hfield.r!r} by {head_gap!r}; the identity is "
             f"only exact on matching heads", stacklevel=2)
 
-    H_col = np.asarray(base.height_at(p), dtype=float)
     phi_vals = _stream._accumulate(dist, s, p, -1.5)
     phi_surface = float(phi_vals[-1])
     reduced = abs(phi_surface - 1.0) < _PHI_REDUCED_TOL

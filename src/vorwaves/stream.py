@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf, pi, sqrt
+from math import inf, isfinite, pi, sqrt
 from typing import Optional
 
 import numpy as np
@@ -61,6 +61,8 @@ def _margin(dist: VorticityDistribution, s: float):
     (classification "ii"/"iii" only); the difference-of-squares form keeps
     it well conditioned just above the threshold.
     """
+    if not isfinite(s):
+        raise DomainError(f"bottom slope s={s!r} is not finite")
     cls = dist.classify()
     s0 = cls.s0
     scale = max(1.0, s0)
@@ -79,6 +81,15 @@ def _margin(dist: VorticityDistribution, s: float):
             f"integral is unreliable there under classification '{cls.condition}'")
     sigma2 = (s - s0) * (s + s0) if s0 > 0.0 else s * s
     return sigma2, cls
+
+
+def _stream_values(p) -> np.ndarray:
+    """``p`` as an array clipped to ``[0, 1]``; a value beyond a slack of
+    1e-12, or not finite, is a domain error."""
+    arr = np.asarray(p, dtype=float)
+    if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
+        raise DomainError(f"profile argument outside [0, 1]: {arr!r}")
+    return np.clip(arr, 0.0, 1.0)
 
 
 def _accumulate(dist: VorticityDistribution, s: float, grid,
@@ -229,12 +240,11 @@ def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
 
 
 class StreamSolution:
-    """A unidirectional stream solution sampled on a Chebyshev profile.
+    """A unidirectional stream solution read from the quadrature.
 
-    The height profile ``H(p; s)`` is stored at 257 Chebyshev-Lobatto
-    nodes in ``p`` and evaluated in between by barycentric interpolation;
-    the inverse map ``u(y)`` runs a Newton iteration on ``H`` from the
-    quadrature itself with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
+    The height profile ``H(p; s)`` comes from :func:`_accumulate` at the
+    points asked for; the inverse map ``u(y)`` runs a Newton iteration on
+    the same quadrature with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
 
     Attributes
     ----------
@@ -252,27 +262,7 @@ class StreamSolution:
         self.sigma2 = sigma2
         self.classification = cls
         self.s0 = cls.s0
-
-        n = _PROFILE_NODES
-        k = np.arange(n)
-        v = 0.5 * (1.0 - np.cos(pi * k / (n - 1)))
-        v[0] = 0.0
-        v[-1] = 1.0
-        # at s = s0 the profile has a square-root branch wherever an endpoint
-        # carries the Omega maximum; interpolating in a variable that unfolds
-        # the root keeps the barycentric evaluation spectrally accurate
-        self._left_sqrt = sigma2 == 0.0 and 0.0 in cls.maximizers
-        self._right_sqrt = sigma2 == 0.0 and 1.0 in cls.maximizers
-        self._v_nodes = v
-        self.p_nodes = self._fold(v)
-        self.p_nodes[0] = 0.0
-        self.p_nodes[-1] = 1.0
-        self._bary_w = np.where(k % 2 == 0, 1.0, -1.0)
-        self._bary_w[0] *= 0.5
-        self._bary_w[-1] *= 0.5
-
-        self.H_nodes = _accumulate(dist, s, self.p_nodes, -0.5)
-        self.d = float(self.H_nodes[-1])
+        self.d = depth(dist, s)
         upd2 = surface_slope_squared(dist, s)
         self.u_prime_d = sqrt(upd2)
         self.r = (upd2 + 2.0 * self.d) / 3.0
@@ -291,54 +281,28 @@ class StreamSolution:
             return knots
         return _accumulate(self.dist, self.s, knots, -0.5)
 
+    @cached_property
+    def _nodes(self):
+        """``(p, H(p))`` at the Chebyshev-Lobatto nodes, where ``u_at`` starts."""
+        p = 0.5 * (1.0 - np.cos(pi * np.arange(_PROFILE_NODES) / (_PROFILE_NODES - 1)))
+        p[0], p[-1] = 0.0, 1.0
+        return p, _accumulate(self.dist, self.s, p, -0.5)
+
     # -- profile evaluation ----------------------------------------------------
 
-    def _fold(self, v):
-        """Interpolation variable -> stream-function value ``p``."""
-        if self._left_sqrt and self._right_sqrt:
-            return np.sin(0.5 * pi * v) ** 2
-        if self._left_sqrt:
-            return v * v
-        if self._right_sqrt:
-            return v * (2.0 - v)
-        return np.array(v, dtype=float)
-
-    def _unfold(self, p):
-        """Stream-function value ``p`` -> interpolation variable."""
-        if self._left_sqrt and self._right_sqrt:
-            w = (2.0 / pi) * np.arcsin(np.sqrt(p))
-        elif self._left_sqrt:
-            w = np.sqrt(p)
-        elif self._right_sqrt:
-            w = 1.0 - np.sqrt(1.0 - p)
-        else:
-            return np.asarray(p, dtype=float)
-        return np.where(p == 1.0, 1.0, np.where(p == 0.0, 0.0, w))
-
     def height_at(self, p):
-        """Barycentric evaluation of ``H(p; s)`` (scalar or array)."""
-        arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if arr.size and (arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12):
-            raise DomainError(f"profile argument outside [0, 1]: {arr!r}")
-        arr = self._unfold(np.clip(arr, 0.0, 1.0))
-        diff = arr[:, None] - self._v_nodes[None, :]
-        hit = diff == 0.0  # exact node hits bypass the barycentric ratio
-        out = np.empty(arr.shape)
-        exact = np.any(hit, axis=1)
-        if np.any(exact):
-            idx = np.argmax(hit[exact], axis=1)
-            out[exact] = self.H_nodes[idx]
-        rest = ~exact
-        if np.any(rest):
-            w = self._bary_w[None, :] / diff[rest]
-            out[rest] = (w @ self.H_nodes) / w.sum(axis=1)
-        return float(out[0]) if scalar else out
+        """``H(p; s)`` from the quadrature (scalar or array)."""
+        arr = _stream_values(p)
+        flat = arr.ravel()
+        out = np.zeros(flat.size)
+        if flat.size:
+            order = np.argsort(flat)
+            out[order] = _accumulate(self.dist, self.s, flat[order], -0.5)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def slope_at(self, p):
         """Analytic profile slope ``H'(p) = (sigma2 + 2 gap(p))^(-1/2)``."""
-        arr = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+        arr = _stream_values(p)
         gap = np.maximum(self.classification.max_Omega - self.dist.Omega(arr), 0.0)
         with np.errstate(divide="ignore"):  # slope at a surface maximizer is inf
             return 1.0 / np.sqrt(self.sigma2 + 2.0 * gap)
@@ -358,9 +322,10 @@ class StreamSolution:
     def u_at(self, y):
         """Invert the profile: the stream value ``u`` at height ``y``.
 
-        ``y`` outside ``[0, d]`` (beyond a relative slack of 1e-9) is a
-        domain error.  Newton on ``H(p) - y``, ``H`` from :func:`_accumulate`,
-        with the analytic slope, from the linear interpolant of the profile;
+        ``y`` outside ``[0, d]`` (beyond a relative slack of 1e-9), or not
+        finite, is a domain error.  Newton on ``H(p) - y``, ``H`` from
+        :func:`_accumulate` as in :meth:`height_at`, with the analytic slope,
+        from the linear interpolant of ``H`` at the Chebyshev-Lobatto nodes;
         the multiplicative update keeps endpoint singularities harmless.
         The sweeps stop once no step exceeds 1e-13, or after 30.  The last
         inversion is kept, so the same heights again cost no quadrature.
@@ -369,8 +334,9 @@ class StreamSolution:
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr).astype(float)
         slack = 1e-9 * max(1.0, self.d)
-        if arr.size and (arr.min() < -slack or arr.max() > self.d + slack):
-            bad = arr[(arr < -slack) | (arr > self.d + slack)]
+        inside = (arr >= -slack) & (arr <= self.d + slack)
+        if not inside.all():
+            bad = arr[~inside]
             raise DomainError(
                 f"height {float(bad.flat[0])!r} outside the water column "
                 f"[0, {self.d!r}]")
@@ -380,7 +346,7 @@ class StreamSolution:
         if self._inverted[0] != key:
             order = np.argsort(arr, axis=None)
             h = np.clip(arr.ravel()[order], 0.0, self.d)
-            p = np.interp(h, self.H_nodes, self.p_nodes)
+            p = np.interp(h, self._nodes[1], self._nodes[0])
             for _ in range(30):
                 resid = _accumulate(self.dist, self.s, p, -0.5) - h
                 gap = np.maximum(self.classification.max_Omega - self.dist.Omega(p), 0.0)
@@ -458,27 +424,22 @@ class ShotStream:
             y = y - (self.u_at(y) - knots) / self.velocity_at(y)
         return y
 
+    def _dense_at(self, y, row: int):
+        """Row ``row`` (0 for ``u``, 1 for ``u'``) of the dense output at ``y``."""
+        arr = np.asarray(y, dtype=float)
+        slack = 1e-9 * max(1.0, self.d)
+        if not np.all((arr >= -slack) & (arr <= self.d + slack)):
+            raise DomainError(f"height outside [0, {self.d!r}]")
+        out = self._dense(np.clip(np.atleast_1d(arr), 0.0, self.d))[row]
+        return float(out[0]) if arr.ndim == 0 else out
+
     def u_at(self, y):
         """Dense-output evaluation of ``u`` on ``[0, d]``."""
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        slack = 1e-9 * max(1.0, self.d)
-        if arr.size and (arr.min() < -slack or arr.max() > self.d + slack):
-            raise DomainError(f"height outside [0, {self.d!r}]")
-        out = self._dense(np.clip(arr, 0.0, self.d))[0]
-        return float(out[0]) if scalar else out
+        return self._dense_at(y, 0)
 
     def velocity_at(self, y):
         """Dense-output evaluation of ``u'`` on ``[0, d]`` (sign included)."""
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        slack = 1e-9 * max(1.0, self.d)
-        if arr.size and (arr.min() < -slack or arr.max() > self.d + slack):
-            raise DomainError(f"height outside [0, {self.d!r}]")
-        out = self._dense(np.clip(arr, 0.0, self.d))[1]
-        return float(out[0]) if scalar else out
+        return self._dense_at(y, 1)
 
 
 def shoot_stream(dist: VorticityDistribution, s: float,

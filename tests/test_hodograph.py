@@ -125,6 +125,18 @@ def test_wheeler_self_comparison_is_exact(w_two):
     assert not rep.reduced
 
 
+def test_wheeler_builds_no_stream(w_two, monkeypatch):
+    # the comparison column and its head come from the quadrature on the
+    # field's own p-grid, not from a second stream solution
+    hf = to_strip(stream.solve_stream(w_two, 3.0))
+
+    def fail(*args):
+        raise AssertionError("wheeler_identity built a StreamSolution")
+
+    monkeypatch.setattr(stream.StreamSolution, "__init__", fail)
+    assert wheeler_identity(hf, 3.0, None, w_two).discrepancy == 0.0
+
+
 def test_wheeler_conjugate_pair(w_zero, conj11, stream_minus):
     hf = to_strip(stream_minus, n_q=21)
     rep = wheeler_identity(hf, conj11.s_plus, (0.0, 1.0), w_zero)

@@ -113,7 +113,7 @@ def test_profile_interpolation_accuracy(w_two):
 
 def test_profile_sqrt_branch_accuracy(w_tilted):
     # s = s0 with maximizers at both endpoints: the profile has sqrt
-    # branches at p = 0 and p = 1; interpolation must not lose digits
+    # branches at p = 0 and p = 1; the profile must not lose digits there
     st = solve_stream(w_tilted, 0.0)
     p = np.linspace(0.0, 1.0, 401)
     h_exact = np.arcsin(np.sqrt(p)) * 2.0 / math.sqrt(6.0)
@@ -153,6 +153,100 @@ def test_u_at_domain_check(w_two):
         st.u_at(st.d * 1.5)
     with pytest.raises(DomainError):
         st.u_at(-0.1)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_non_finite_slope_is_a_domain_error(w_two, s):
+    for fn in (depth, phi, solve_stream, surface_slope_squared, bernoulli.head):
+        with pytest.raises(DomainError, match="not finite"):
+            fn(w_two, s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_profile_argument_is_a_domain_error(w_two, bad):
+    st, sh = solve_stream(w_two, 3.0), shoot_stream(w_two, 3.0)
+    for fn in (st.height_at, st.slope_at, st.u_at, st.velocity_at, sh.u_at, sh.velocity_at):
+        with pytest.raises(DomainError):
+            fn(bad)
+        with pytest.raises(DomainError):
+            fn(np.array([0.1, bad, 0.2]))
+
+
+def test_height_at_is_the_quadrature(w_tilted):
+    # any order and shape: the sorted points go to one quadrature call
+    st = solve_stream(w_tilted, 0.3)
+    p = np.array([[0.9, 0.1, 1.0], [0.0, 0.5, 0.1]])
+    order = np.argsort(p, axis=None)
+    want = np.empty(p.size)
+    want[order] = stream._accumulate(w_tilted, 0.3, p.ravel()[order], -0.5)
+    assert np.array_equal(st.height_at(p), want.reshape(p.shape))
+    assert st.height_at(1.0) == st.d and st.height_at(0.0) == 0.0
+    assert st.height_at(np.empty(0)).shape == (0,)
+
+
+def _table_heights(dist, s, p):
+    """``H(p; s)`` of a table distribution by 30-digit mpmath at the margin
+    ``sigma2`` of ``_margin``, integrated piece by piece between the table
+    nodes, the zeros of omega and points 10^-k away from the maximizers."""
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 30
+    sigma2 = mp.mpf(stream._margin(dist, s)[0])
+    nodes = [(mp.mpf(t), mp.mpf(v)) for t, v in dist._nodes]
+    segs = list(zip(nodes, nodes[1:]))
+
+    def Omega(x):
+        total = mp.mpf(0)
+        for (t0, v0), (t1, v1) in segs:
+            if x <= t0:
+                break
+            b = min(x, t1)
+            total += (b - t0) * (v0 + (v1 - v0) * (b - t0) / (2 * (t1 - t0)))
+        return total
+
+    cands = [t for t, _ in nodes] + [t0 - v0 * (t1 - t0) / (v1 - v0)
+                                     for (t0, v0), (t1, v1) in segs if v0 * v1 < 0]
+    top = max(Omega(t) for t in cands)
+    peaks = [t for t in cands if top - Omega(t) < mp.mpf(10) ** -25]
+    pts = set(cands) | {mp.mpf(x) for x in p.tolist()}
+    pts |= {m + e * mp.mpf(10) ** -k for m in peaks for e in (1, -1) for k in range(1, 13)}
+    pts = sorted(x for x in pts if 0 <= x <= 1)
+    cum = [mp.mpf(0)]
+    for a, b in zip(pts, pts[1:]):
+        cum.append(cum[-1] + mp.quad(lambda t: (sigma2 + 2 * (top - Omega(t))) ** -0.5, [a, b]))
+    at = dict(zip(pts, cum))
+    return np.array([float(at[mp.mpf(x)]) for x in p.tolist()])
+
+
+@pytest.mark.parametrize("spec, s, atol, rtol", [
+    # the kink at 1/2 is an interior maximizer of Omega; s_plus at r = 0.8967
+    ("table 0:1 0.5:-1 1:2", None, 1e-13, 0.0),
+    # class "i", its maximizer between kinks 0.01 and 0.001 apart
+    ("table 0.0:0.625 0.867:1.483 0.877:-2.532 0.878:-2.024 1.0:0.215",
+     1.3539254982591122, 0.0, 1e-10),
+])
+def test_height_at_on_kinked_tables_against_mpmath(spec, s, atol, rtol):
+    # a polynomial interpolant that spans these kinks misses both bounds by far
+    dist = V.parse(spec)
+    if s is None:
+        s = bernoulli.conjugates(dist, 0.8967).s_plus
+    st = solve_stream(dist, s)
+    p = np.array(sorted({*np.linspace(0.0, 1.0, 21).tolist(),
+                         0.49, 0.51, 0.866, 0.8706, 0.8708, 0.8775, 0.95}))
+    err = np.max(np.abs(st.height_at(p) - _table_heights(dist, s, p)))
+    assert err <= atol + rtol * st.d
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=dist_specs, lift=st_.floats(-4.0, 0.5))
+def test_height_at_inverts_u_at(spec, lift):
+    dist = V.parse(spec)
+    try:
+        s0 = dist.classify().s0
+    except AmbiguousClassificationError:
+        return
+    st = solve_stream(dist, s0 + max(1.0, s0) * 10.0 ** lift)
+    y = np.linspace(0.0, st.d, 201)
+    assert np.max(np.abs(st.height_at(st.u_at(y)) - y)) <= 1e-12 * st.d
 
 
 def test_shoot_matches_quadrature(w_two, w_tilted):
@@ -199,16 +293,14 @@ KINKED = "table 0.0:1.14 0.212:-1.012 0.407:2.0 0.501:-0.466 1.0:-1.531"
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(spec=dist_specs, lift=st_.floats(-4.0, 0.5))
 def test_depth_matches_stream_solution(spec, lift):
-    # depth and the 257-node profile run the same quadrature over
-    # different cells; the sums must agree far below the rule's tolerance
+    # the stream's depth is the very quadrature call that depth makes
     dist = V.parse(spec)
     try:
         s0 = dist.classify().s0
     except AmbiguousClassificationError:
         return
     s = s0 + max(1.0, s0) * 10.0 ** lift
-    d = depth(dist, s)
-    assert abs(d - solve_stream(dist, s).d) <= 1e-12 * d
+    assert solve_stream(dist, s).d == depth(dist, s)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -248,8 +340,7 @@ def test_u_at_keeps_its_last_inversion(w_two, monkeypatch):
 def test_depth_at_critical_slope_on_kinked_table():
     dist = V.parse(KINKED)
     s_c = bernoulli.find_critical(dist).s_c
-    d = depth(dist, s_c)
-    assert abs(d - solve_stream(dist, s_c).d) <= 1e-12 * d
+    assert solve_stream(dist, s_c).d == depth(dist, s_c)
 
 
 def test_phi_gauss_legendre_at_critical_slope():

@@ -167,8 +167,8 @@ def _solve(stream, tau: float, from_surface: bool = False) -> _Mode:
     element its solutions of unit start value and slope, and forward
     substitution carries ``(v, v')`` across.  :class:`ResonanceError` when
     ``v`` vanishes at the far end (``tau^2`` is a Dirichlet eigenvalue)."""
-    if tau < 0.0:
-        raise DomainError(f"wavenumber tau={tau!r} must be nonnegative")
+    if not 0.0 <= tau < math.inf:
+        raise DomainError(f"wavenumber tau={tau!r} must be finite and nonnegative")
     x, _, integ, _, _ = _cheb()
 
     def solve(elements):
@@ -358,7 +358,7 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
     ------
     DomainError
         For a shot stream that is not unidirectional, which the argument
-        does not cover, and for a nonpositive ``tau_max``.
+        does not cover, and for a nonpositive or non-finite ``tau_max``.
     ConvergenceError
         When Newton does not settle in 9 steps or the certificate fails.
     """
@@ -368,13 +368,13 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
         return DispersionResult(stream, tau0, np.array(taus, dtype=float),
                                 np.array(sigmas, dtype=float), assumption_i,
                                 assumption_ii, tau_max, tuple(notes))
+    if not 0.0 < tau_max < math.inf:
+        raise DomainError(f"tau_max={tau_max!r} must be positive and finite")
     try:
         upd = _require_slope(stream)
     except DomainError:
         notes.append("surface slope vanishes; dispersion relation undefined")
         return done(assumption_i=False)
-    if tau_max <= 0.0:
-        raise DomainError(f"tau_max={tau_max!r} must be positive")
     if msg := _warn_piecewise(stream.dist):
         notes.append(msg)
     no_root = f"no positive root of sigma on (0, {tau_max!r}]"

@@ -88,9 +88,9 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
     result has their common shape (a 0-d result comes back as a numpy
     scalar).  ``singular_left`` declares an inverse-square-root singularity
     at the left end of a piece, removed by the substitution
-    ``x = a + v**2``.  ``tags``, if given, is one value per piece, and ``f``
-    is then called as ``f(x, tag)`` with the tag of the piece each point
-    belongs to, so one call can serve pieces with different integrands.
+    ``x = a + v**2``.  ``tags``, if given, is one value per piece; ``f`` is
+    then called as ``f(x, tag)``, with a row of ``x`` per live cell and its
+    piece's tag in a ``(cells, 1)`` column, so pieces may differ in integrand.
 
     Each refinement level evaluates the 15 Kronrod nodes of every live
     cell in one call of ``f``.  A cell passes when ``|K15 - G7|`` is within
@@ -118,7 +118,7 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
     c0 = np.where(sing, 0.0, lo)[piece]
     c1 = c0 + width[piece]
     width[width == 0.0] = 1.0  # empty pieces have no cells to share among
-    any_sing = bool(np.any(sing))
+    any_sing, floor = bool(np.any(sing)), np.nextafter(lo, hi)
     while piece.size:
         half = 0.5 * (c1 - c0)
         t = (c0 + half)[:, None] + half[:, None] * _XK
@@ -128,9 +128,8 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
             # v > 0 at every node; if v**2 underflows against lo, the nearest
             # interior point stands in, so the singularity is never sampled
             plo, phi = lo[piece][:, None], hi[piece][:, None]
-            x = np.where(sub, np.clip(plo + t * t, np.nextafter(plo, phi), phi), t)
-        y = np.asarray(f(x) if tag_of is None
-                       else f(x, np.broadcast_to(tag_of[piece][:, None], x.shape)),
+            x = np.where(sub, np.minimum(np.maximum(plo + t * t, floor[piece][:, None]), phi), t)
+        y = np.asarray(f(x) if tag_of is None else f(x, tag_of[piece][:, None]),
                        dtype=float)
         tally["quad_points"] += y.size
         tally["quad_cells"] += piece.size

@@ -26,7 +26,7 @@ sign changes and turning points of trajectories below the threshold slope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import inf, isfinite, pi, sqrt
 from typing import Optional
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .vorticity import VorticityDistribution
+from .vorticity import VorticityDistribution, _horner_rows
 
 __all__ = [
     "StreamSolution",
@@ -52,6 +52,9 @@ _PROFILE_NODES = 257
 # the guard band under classification "i" where d(s) is declared unreliable
 _SNAP = 1e-13
 _GUARD = 1e-9
+
+# piece layouts kept by :func:`_layout`: few, as the Newton grids of u_at never recur
+_LAYOUTS_CACHED = 32
 
 
 def _margin(dist: VorticityDistribution, s: float):
@@ -92,44 +95,18 @@ def _stream_values(p) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def _accumulate(dist: VorticityDistribution, s: float, grid,
-                power: float) -> np.ndarray:
-    """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing grid.
-
-    The one quadrature path of the module: ``d``, ``H`` and ``Phi`` all
-    come from here, and every piece of every grid cell goes to one call of
-    the batched rule.  Each grid cell is cut at the structural points of
-    the integrand, the interior segment starts of omega (its kinks) and the
-    interior maximizers of Omega (peaks of the integrand), so the rule only
-    sees smooth pieces; a piece with a maximizer at both ends is also cut
-    at its middle (0.5 for ``[0, 1]``), so no piece has two singular ends.
-
-    Direct evaluation of ``gap = max Omega - Omega`` loses every digit as a
-    maximizer is approached.  Every gap is therefore taken about the
-    nearest maximizer ``m`` and built from ``m`` outward without
-    cancellation (``dist._gap``).  A piece that ends at ``m`` is integrated
-    in the distance ``x`` to ``m`` (with the square-root substitution when
-    ``m`` is an endpoint); any other piece in ``tau`` itself, so that its
-    width keeps every digit.
-
-    Above the threshold the integrand has a layer of width ``L`` at each
-    maximizer, where ``sigma2`` and ``2 gap`` are comparable; with
-    ``gap ~ c_k x^k`` at its first nonzero term, ``L = (sigma2 / 2 c_k)^(1/k)``.
-    ``L`` can be far below any cell width, and a rule whose nodes all miss
-    the layer does not see it.  So every piece that spans more than a
-    factor 2 in its distance to ``m`` is cut geometrically, at
-    ``max(L, x_lo) 2^k`` for a piece ``x_lo <= x <= x_hi`` away from ``m``;
-    a piece that ends at ``m`` is cut at ``L, 2 L, 4 L, ...``.
-    """
-    sigma2, cls = _margin(dist, s)
-    if sigma2 == 0.0 and power <= -1.0:
-        raise DomainError(
-            f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has a "
-            f"non-integrable endpoint there")
-    grid = np.asarray(grid, dtype=float)
+@lru_cache(maxsize=_LAYOUTS_CACHED)
+def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
+    """The pieces of :func:`_accumulate` on ``grid`` before the rung cuts, as
+    read-only arrays: ``[lo, hi]``, the distances ``x_lo`` to ``x_hi`` to the
+    maximizer, the grid cell, the frame tag (``2 i + 1`` for the gap about
+    maximizer ``i`` on its right, ``2 i`` on its left; ``terms[tag]`` holds its
+    ``(k, 2 |c_k|)``), whether it ends at a maximizer at 0 or 1, and the gap
+    row ``(sign, shift, start, *coef)``: at ``z``, ``coef`` at ``sign (z - shift) - start``."""
+    cls = dist.classify()
     peaks = np.array(cls.maximizers)
     cuts = [c for c in [*cls.maximizers, *dist._seg[1:].tolist()] if 0.0 < c < grid[-1]]
-    edges = np.array(sorted({0.0, *grid.tolist(), *cuts}))
+    edges = np.array(sorted({0.0, *grid, *cuts}))
     at_peak = (edges[:, None] == peaks).any(axis=1)
     both = at_peak[:-1] & at_peak[1:]
     if both.any():
@@ -148,57 +125,84 @@ def _accumulate(dist: VorticityDistribution, s: float, grid,
     # a piece that ends at m is integrated in the distance to m, any other
     # piece in tau itself, so that its width keeps every digit
     lo, hi = np.where(anchored, 0.0, a), np.where(anchored, x_hi, b)
-    cell = np.searchsorted(grid, b)
 
-    frames = sorted(set(zip(m.tolist(), e.tolist(), anchored.tolist())))
-    index = {k: j for j, k in enumerate(frames)}
-    tag = np.array([index[k] for k in zip(m.tolist(), e.tolist(), anchored.tolist())],
-                   dtype=int)
-    layer = np.array([_layer(dist, pm, pe, sigma2) for pm, pe, _ in frames])[tag]
+    tag = 2 * np.searchsorted(peaks, m) + (e > 0.0)
+    terms, rows = [()] * (2 * len(peaks)), np.zeros((len(lo), 3 + dist._W.shape[1]))
+    rows[:, 0], rows[:, 1] = np.where(anchored, 1.0, e), np.where(anchored, 0.0, m)
+    for j in set(tag.tolist()):
+        seg, coef = dist._gap_segments(cls.maximizers[j // 2], 1.0 if j % 2 else -1.0)
+        terms[j] = tuple((k, 2.0 * abs(c)) for k, c in enumerate(coef[0].tolist()) if k and c)
+        # cut at every kink and maximizer, a piece lies in one segment of the gap
+        k = np.searchsorted(seg, 0.5 * (x_lo + x_hi)[tag == j], side="right") - 1
+        rows[tag == j, 2], rows[tag == j, 3:] = seg[k], coef[k]
+    layout = (lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tag,
+              anchored & ((m == 0.0) | (m == 1.0)), rows)
+    for arr in layout:
+        arr.flags.writeable = False
+    return (*layout, tuple(terms))
+
+
+def _accumulate(dist: VorticityDistribution, s: float, grid,
+                power: float) -> np.ndarray:
+    """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing grid.
+
+    The one quadrature path of the module: ``d``, ``H`` and ``Phi`` all
+    come from here, and every piece of every grid cell goes to one call of
+    the batched rule.  The layout of the pieces does not depend on ``s``
+    and is built once per ``(dist, grid)`` by :func:`_layout`.  Each grid
+    cell is cut at the interior segment starts of omega (its kinks) and
+    maximizers of Omega (peaks of the integrand), and a piece with a
+    maximizer at both ends at its middle, so the rule sees smooth pieces
+    with at most one singular end.  ``gap = max Omega - Omega``, evaluated
+    directly, loses every digit near a maximizer; so each gap is built
+    outward from its nearest maximizer ``m`` without cancellation
+    (``dist._gap_segments``), and each piece keeps the row of that form it
+    lies in.  A piece that ends at ``m`` is integrated in the distance
+    ``x`` to ``m`` (with the square-root substitution when ``m`` is an
+    endpoint), any other piece in ``tau``, so that its width keeps every digit.
+
+    Each call then cuts the layer at each maximizer where ``sigma2`` and
+    ``2 gap`` are comparable, of width ``L = (sigma2 / 2 c_k)^(1/k)`` for
+    ``gap ~ c_k x^k`` at its first nonzero term.  ``L`` can be far below
+    any cell width, and a rule whose nodes all miss the layer does not see
+    it.  So a piece ``x_lo <= x <= x_hi`` away from ``m`` that spans more
+    than a factor 2 is cut at ``max(L, x_lo) 2^k``, and a piece that ends
+    at ``m`` at ``L, 2 L, 4 L, ...``.
+    """
+    sigma2, cls = _margin(dist, s)
+    if sigma2 == 0.0 and power <= -1.0:
+        raise DomainError(
+            f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has a "
+            f"non-integrable endpoint there")
+    grid = tuple(np.asarray(grid, dtype=float).tolist())
+    lo, hi, x_lo, x_hi, cell, tag, singular, rows, terms = _layout(dist, grid)
+    layer = np.array([min(((sigma2 / c) ** (1.0 / k) for k, c in frame), default=inf)
+                      for frame in terms])[tag]
     start = np.maximum(layer, x_lo)
-    split = np.flatnonzero((start > 0.0) & (x_hi > 2.0 * start))
-    if split.size:
-        owner, more_lo, more_hi = [], [], []
-        for i in split:
-            rungs, rung = [], start[i]
-            while rung < x_hi[i]:
-                if rung > x_lo[i]:
-                    rungs.append(rung)
-                rung *= 2.0
-            if not anchored[i]:
-                rungs = sorted(m[i] + e[i] * r for r in rungs)
-            bounds = [lo[i], *rungs, hi[i]]
-            owner += [i] * (len(bounds) - 1)
-            more_lo += bounds[:-1]
-            more_hi += bounds[1:]
-        # the pieces cut at the rungs keep the frame and cell of the whole
-        keep = np.ones(len(lo), dtype=bool)
-        keep[split] = False
-        idx = np.concatenate((np.flatnonzero(keep), owner)).astype(int)
-        lo = np.concatenate((lo[keep], more_lo))
-        hi = np.concatenate((hi[keep], more_hi))
-        anchored, m, tag, cell = anchored[idx], m[idx], tag[idx], cell[idx]
+    owner, more_lo, more_hi = [], [], []
+    for i in np.flatnonzero((start > 0.0) & (x_hi > 2.0 * start)):
+        rungs, rung = [], start[i]
+        while rung < x_hi[i]:
+            if rung > x_lo[i]:
+                rungs.append(rung)
+            rung *= 2.0
+        sign, shift = rows[i, :2]
+        bounds = [lo[i], *sorted(shift + sign * r for r in rungs), hi[i]]
+        owner += [i] * (len(bounds) - 1)
+        more_lo += bounds[:-1]
+        more_hi += bounds[1:]
+    # the pieces cut at the rungs keep the row and cell of the whole
+    keep = np.bincount(owner, minlength=len(lo)) == 0
+    piece = np.concatenate((np.flatnonzero(keep), owner)).astype(int)
+    lo, hi = np.concatenate((lo[keep], more_lo)), np.concatenate((hi[keep], more_hi))
 
     def f(z, which):
-        gap = np.empty_like(z)
-        for j, (pm, pe, local) in enumerate(frames):
-            sel = which == j
-            gap[sel] = dist._gap(pm, pe, z[sel] if local else pe * (z[sel] - pm))
+        row = rows[which]
+        gap = _horner_rows(row[..., 3:], row[..., 0] * (z - row[..., 1]) - row[..., 2])
         return (sigma2 + 2.0 * np.maximum(gap, 0.0)) ** power
 
-    singular = anchored & (lo == 0.0) & ((m == 0.0) | (m == 1.0))
-    vals = numerics.integrate(f, lo, hi, singular, tags=tag)
-    return np.cumsum(np.bincount(cell, vals, len(grid)))
-
-
-def _layer(dist: VorticityDistribution, m: float, e: float, sigma2: float) -> float:
-    """Width ``L`` of the layer at the maximizer ``m`` where ``sigma2`` rules.
-
-    ``L = min_k (sigma2 / 2 |c_k|)^(1/k)`` over the terms ``c_k x^k`` of the
-    gap about ``m``: below ``L`` the margin dominates the gap.
-    """
-    terms = [(k, abs(c)) for k, c in enumerate(dist._gap_segments(m, e)[1][0].tolist()) if k and c]
-    return min(((sigma2 / (2.0 * c)) ** (1.0 / k) for k, c in terms), default=inf)
+    vals = numerics.integrate(f, lo, hi, singular[piece] & (lo == 0.0), tags=piece)
+    return np.cumsum(np.bincount(cell[piece], vals, len(grid)))
 
 
 def depth(dist: VorticityDistribution, s: float) -> float:
@@ -225,18 +229,13 @@ def phi(dist: VorticityDistribution, s: float, p: float = 1.0) -> float:
     slope.  Requires ``s`` strictly above the threshold: at ``s = s0`` the
     ``-3/2`` power is not integrable.
     """
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise DomainError(f"phi argument p={p!r} outside [0, 1]")
-    return float(_accumulate(dist, s, (min(max(p, 0.0), 1.0),), -1.5)[0])
+    return float(_accumulate(dist, s, (float(_stream_values(p)),), -1.5)[0])
 
 
 def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
     """``u'(d)^2 = s^2 - 2 Omega(1)``, exactly zero when the margin closes."""
     sigma2, cls = _margin(dist, s)
-    gap1 = cls.max_Omega - dist._Omega_scalar(1.0)
-    if gap1 < 0.0:
-        gap1 = 0.0
-    return sigma2 + 2.0 * gap1
+    return sigma2 + 2.0 * max(cls.max_Omega - dist._Omega_scalar(1.0), 0.0)
 
 
 class StreamSolution:
@@ -276,10 +275,7 @@ class StreamSolution:
         element bounds there; they are computed once per stream.
         """
         seg = self.dist._seg
-        knots = seg[(seg > 0.0) & (seg < 1.0)]
-        if not knots.size:
-            return knots
-        return _accumulate(self.dist, self.s, knots, -0.5)
+        return self.height_at(seg[(seg > 0.0) & (seg < 1.0)])
 
     @cached_property
     def _nodes(self):
@@ -457,6 +453,8 @@ def shoot_stream(dist: VorticityDistribution, s: float,
     tol : float
         Integration tolerance; also sets the sign-change threshold.
     """
+    if not (isfinite(s) and isfinite(max_depth)):
+        raise DomainError(f"bottom slope s={s!r} or max_depth={max_depth!r} is not finite")
     def rhs(t, y):
         return (y[1], -dist._omega_scalar(y[0]))
 

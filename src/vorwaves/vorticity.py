@@ -68,12 +68,15 @@ def _horner(seg, coef, x):
     ``x - seg[k]``, lowest first; the end segments extend beyond the ends."""
     x = np.asarray(x, dtype=float)
     if len(seg) == 1:
-        c, dx = coef[0], x
-    else:
-        k = np.clip(np.searchsorted(seg, x, side="right") - 1, 0, len(seg) - 1)
-        c, dx = coef[k], x - seg[k]
+        return _horner_rows(coef[0], x)
+    k = np.clip(np.searchsorted(seg, x, side="right") - 1, 0, len(seg) - 1)
+    return _horner_rows(coef[k], x - seg[k])
+
+
+def _horner_rows(c, dx):
+    """Horner's rule on gathered rows: ``c[..., j]`` multiplies ``dx**j``."""
     acc = c[..., -1] + 0.0 * dx
-    for j in range(coef.shape[1] - 2, -1, -1):
+    for j in range(c.shape[-1] - 2, -1, -1):
         acc = acc * dx + c[..., j]
     return acc
 

@@ -40,6 +40,18 @@ def test_sigma_rejects_negative_tau(stream_plus):
         sigma(stream_plus, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_wavenumber_is_a_domain_error(w_two, bad):
+    # a NaN tau slips past a plain negative-tau check and bisects the
+    # column down to d / 2^14; a NaN tau_max would give tau0 = None
+    st = stream.solve_stream(w_two, 3.0)
+    for fn in (sigma, gamma_bvp, linearwave.solve_w_aux):
+        with pytest.raises(DomainError, match="finite"):
+            fn(st, bad)
+    with pytest.raises(DomainError, match="finite"):
+        find_tau0(st, tau_max=bad)
+
+
 def test_gamma_matches_sinh(stream_plus, w_zero):
     # tau d = 300 renormalizes the solve between its elements
     for st, tau in ((stream_plus, 2.0), (stream.solve_stream(w_zero, 1.0), 300.0)):

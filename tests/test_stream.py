@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from vorwaves import bernoulli, stream
+from vorwaves import bernoulli, numerics, stream
 from vorwaves.errors import AmbiguousClassificationError, DivergenceError, DomainError
 from vorwaves.stream import (
+    _layout,
     depth,
     phi,
     shoot_stream,
     solve_stream,
     surface_slope_squared,
 )
-from vorwaves.vorticity import VorticityDistribution as V
+from vorwaves.vorticity import VorticityDistribution as V, _horner_rows
 
 from strategies import dist_specs
 
@@ -170,6 +171,16 @@ def test_non_finite_profile_argument_is_a_domain_error(w_two, bad):
             fn(bad)
         with pytest.raises(DomainError):
             fn(np.array([0.1, bad, 0.2]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_shoot_stream_refuses_non_finite_input(w_two, bad):
+    # every error of the package is a VorwavesError; scipy's solve_ivp
+    # would raise its own ValueError on a non-finite start
+    with pytest.raises(DomainError, match="not finite"):
+        shoot_stream(w_two, bad)
+    with pytest.raises(DomainError, match="not finite"):
+        shoot_stream(w_two, 3.0, max_depth=bad)
 
 
 def test_height_at_is_the_quadrature(w_tilted):
@@ -414,3 +425,58 @@ def test_stream_at_the_guard_band_edge():
             lambda t: (mp.mpf(sigma2) + 2 * (Omega(m) - Omega(t))) ** mp.mpf(-0.5), pts))
     assert abs(depth(dist, s) - want) <= 1e-10 * want
     assert abs(solve_stream(dist, s).d - want) <= 1e-10 * want
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(spec=dist_specs, cuts=st_.lists(st_.integers(1, 999), max_size=4, unique=True),
+       u=st_.lists(st_.floats(0.01, 0.99), min_size=3, max_size=3))
+def test_layout_rows_are_the_gap(spec, cuts, u):
+    # the integrand of _accumulate reads each piece's gap from the row its
+    # layout gathered; inside the piece that is dist._gap, bit for bit
+    dist = V.parse(spec)
+    try:
+        dist.classify()
+    except AmbiguousClassificationError:
+        return
+    grid = tuple(sorted(c / 1000 for c in cuts)) + (1.0,)
+    lo, hi, _, _, _, tag, _, rows, _ = _layout(dist, grid)
+    z = lo[:, None] + (hi - lo)[:, None] * np.array(u)
+    row = rows[np.arange(len(lo))[:, None]]
+    x = row[..., 0] * (z - row[..., 1])
+    got = _horner_rows(row[..., 3:], x - row[..., 2])
+    peaks = dist.classify().maximizers
+    for i, j in enumerate(tag.tolist()):
+        m, e = peaks[j // 2], 1.0 if j % 2 else -1.0
+        assert np.array_equal(got[i], dist._gap(m, e, x[i]))
+
+
+def test_layout_is_built_once_per_grid():
+    # the piece layout does not depend on s: a root search pays for it once
+    dist = V.parse("poly 0.25 -1.5 2.0 0.125")
+    before = _layout.cache_info()
+    depth(dist, 1.5)
+    depth(dist, 2.5)
+    after = _layout.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    for arr in _layout(dist, (1.0,))[:-1]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = arr.flat[0]
+
+
+@pytest.mark.parametrize("spec, s, fn, want", [
+    (KINKED, 0.6506459863146118, depth, (240, 16)),
+    (KINKED, 0.6506459863146118, phi, (300, 20)),
+    (KINKED, 0.6101400345853446, depth, (540, 36)),
+    (KINKED, 0.6101400345853446, phi, (1080, 72)),
+    ("poly -3 6", 0.01, depth, (480, 32)),
+    ("poly -3 6", 0.01, phi, (960, 64)),
+    ("poly -3 6", 1e-6, depth, (1290, 86)),
+    ("poly -3 6", 1e-6, phi, (3390, 226)),
+])
+def test_quadrature_work_is_pinned(spec, s, fn, want):
+    # integrand points and cells of one call at 1.05 s0 + 0.01 and at
+    # s0 + 1e-6 max(1, s0), pinned: a change to the pieces, their rung cuts
+    # or the refinement shows here
+    numerics.tally.clear()
+    fn(V.parse(spec), s)
+    assert (numerics.tally["quad_points"], numerics.tally["quad_cells"]) == want

@@ -49,14 +49,12 @@ from .dispersion import DispersionResult, GammaSolution, find_tau0, gamma_bvp, s
 from .linearwave import (
     AuxSolution,
     BottomSlopeCheck,
-    LinearWave,
     SignChange,
     WaveField,
     WCorrection,
     build_wave,
     check_Wprime0,
     detect_sign_change,
-    linear_wave,
     solve_W,
     solve_w_aux,
 )
@@ -119,13 +117,11 @@ __all__ = [
     "WCorrection",
     "AuxSolution",
     "BottomSlopeCheck",
-    "LinearWave",
     "WaveField",
     "SignChange",
     "solve_W",
     "solve_w_aux",
     "check_Wprime0",
-    "linear_wave",
     "build_wave",
     "detect_sign_change",
     # strip transform

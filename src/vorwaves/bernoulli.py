@@ -46,12 +46,7 @@ _PAIRS_CACHED = 64
 
 def head(dist: VorticityDistribution, s: float) -> float:
     """Bernoulli head ``R(s) = (u'(d)^2 + 2 d(s)) / 3``."""
-    return _head(dist, s, stream.depth(dist, s))
-
-
-def _head(dist: VorticityDistribution, s: float, d: float) -> float:
-    """The head at slope ``s`` from its depth ``d``, already integrated."""
-    return (stream.surface_slope_squared(dist, s) + 2.0 * d) / 3.0
+    return stream._head(dist, s, stream.depth(dist, s))
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     d_c = stream.depth(dist, s_c)
     return CriticalPoint(
         s_c=s_c,
-        r_c=_head(dist, s_c, d_c),
+        r_c=stream._head(dist, s_c, d_c),
         d_c=d_c,
         phi_residual=g(s_c),
     )
@@ -191,7 +186,7 @@ def second_critical(dist: VorticityDistribution) -> SecondCritical:
         return SecondCritical(s0=cls.s0, d0=math.inf, r0=None,
                               condition=cls.condition)
     d0 = stream.depth(dist, cls.s0)
-    r0 = _head(dist, cls.s0, d0)
+    r0 = stream._head(dist, cls.s0, d0)
     return SecondCritical(s0=cls.s0, d0=d0, r0=r0, condition=cls.condition)
 
 
@@ -243,7 +238,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     depth_at = cache(lambda s: stream.depth(dist, s))
 
     def f(s: float) -> float:
-        return _head(dist, s, depth_at(s)) - r
+        return stream._head(dist, s, depth_at(s)) - r
 
     # supercritical branch: R increases beyond s_c; the walk probes
     # s_c + scale, s_c + 3 scale, s_c + 7 scale, ...

@@ -58,7 +58,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConvergenceError, DomainError, ResonanceError
-from .stream import ShotStream, StreamSolution, phi
+from .stream import StreamSolution, phi
 from .vorticity import _horner
 
 __all__ = ["GammaSolution", "DispersionResult", "gamma_bvp", "sigma", "find_tau0"]
@@ -136,11 +136,9 @@ def _q(stream, elements: list, n: int = _N) -> np.ndarray:
         y[:, 0], y[:, -1] = a, b
         row = np.searchsorted(stream._kink_heights, a, side="right")
         q = np.repeat(dist._dw[row, :1], x.size, axis=1)
-        # a shot stream that turns around has no kink heights: u everywhere
-        turns = isinstance(stream, ShotStream) and not stream.unidirectional
-        varies = (dist._dw[row, 1:] != 0.0).any(axis=1) | turns
+        varies = (dist._dw[row, 1:] != 0.0).any(axis=1)
         if varies.any():
-            u = stream.u_at(y[varies].ravel())  # a shot stream's u_at takes 1-d heights
+            u = stream.u_at(y[varies].ravel())
             q[varies] = _horner(dist._seg, dist._dw, u).reshape(-1, x.size)
         numerics.tally["collocation_nodes"] += q.size
         kept.update(zip([(el, n) for el in new], q))
@@ -274,21 +272,13 @@ def _require_slope(stream: StreamSolution) -> float:
     return upd
 
 
-def _long_wave_limit(stream) -> float:
+def _long_wave_limit(stream: StreamSolution) -> float:
     """``sigma(0+) = (1 / Phi(1; s) - 1) / u'(d)``, by reduction of order from ``u'``.
 
-    The caller has checked the surface slope.  Raises :class:`DomainError`
-    for a shot stream that is not unidirectional: ``u'`` vanishes inside
-    the column, so ``1 / u'^2`` is not integrable and neither the limit nor
-    the module's root facts hold.
+    The caller has checked the surface slope.
     """
-    if isinstance(stream, ShotStream) and not stream.unidirectional:
-        raise DomainError(
-            f"the stream with s={stream.s!r} is not unidirectional: u' "
-            f"vanishes inside the column, so sigma may have poles and "
-            f"several roots; only unidirectional streams are supported")
     upd = stream.u_prime_d
-    if isinstance(stream, StreamSolution) and stream.sigma2 == 0.0:
+    if stream.sigma2 == 0.0:
         return -1.0 / upd  # Phi(1; s0) diverges where the margin closes
     return (1.0 / phi(stream.dist, stream.s, 1.0) - 1.0) / upd
 
@@ -357,8 +347,7 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
     Raises
     ------
     DomainError
-        For a shot stream that is not unidirectional, which the argument
-        does not cover, and for a nonpositive or non-finite ``tau_max``.
+        For a nonpositive or non-finite ``tau_max``.
     ConvergenceError
         When Newton does not settle in 9 steps or the certificate fails.
     """

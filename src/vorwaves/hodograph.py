@@ -20,7 +20,7 @@ import numpy as np
 from . import stream as _stream
 from .errors import ConfigError, DomainError, UnidirectionalityError
 from .linearwave import WaveField
-from .stream import ShotStream, StreamSolution
+from .stream import StreamSolution
 from .vorticity import VorticityDistribution
 
 __all__ = [
@@ -163,11 +163,13 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
 
     Wave fields are inverted column by column (monotone interpolation of
     each ``y -> psi`` sample set) onto a uniform p-grid and keep their own
-    x-grid as ``q``.  Streams are x-independent: one profile column is
-    replicated over ``n_q`` columns spanning ``q_span``.
+    x-grid as ``q``.  Stream solutions are x-independent: one profile
+    column is replicated over ``n_q`` columns spanning ``q_span``.
 
     Raises
     ------
+    ConfigError
+        For any other source, a shot stream included.
     UnidirectionalityError
         When some column's ``psi`` fails to increase strictly, naming the
         column and the offending interval, or when the measured ``h_p``
@@ -187,21 +189,10 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
         col = np.asarray(source.height_at(p_grid), dtype=float)
         h = np.repeat(col[:, None], n_q, axis=1)
         r = source.r
-    elif isinstance(source, ShotStream):
-        if not source.unidirectional or source.sign_change:
-            raise UnidirectionalityError(
-                f"shot stream with s={source.s!r} reverses (min u = "
-                f"{source.min_u!r} at y={source.min_location!r}); the strip "
-                f"transform needs a unidirectional flow")
-        q = np.linspace(0.0, q_span, n_q)
-        col = _invert_columns(source.u_samples[:, None], source.grid[:, None],
-                              p_grid, q)
-        h = np.repeat(col, n_q, axis=1)
-        r = source.r
     else:
         raise ConfigError(
             f"cannot transform {type(source).__name__!r}; expected a wave "
-            f"field or a stream")
+            f"field or a stream solution")
     h[0, :] = 0.0
     h_p = np.gradient(h, p_grid, axis=0, edge_order=2)
     delta_prime = float(np.min(h_p))
@@ -296,7 +287,7 @@ def wheeler_identity(hfield: HodographField, s: float, window,
                           f"[{q[0]!r}, {q[-1]!r}]")
 
     H_col = _stream._accumulate(dist, s, p, -0.5)
-    head = (_stream.surface_slope_squared(dist, s) + 2.0 * float(H_col[-1])) / 3.0
+    head = _stream._head(dist, s, float(H_col[-1]))
     head_gap = abs(head - hfield.r)
     if head_gap > _HEAD_MATCH_TOL * max(1.0, abs(hfield.r)):
         warnings.warn(

@@ -23,21 +23,17 @@ __all__ = [
     "WCorrection",
     "AuxSolution",
     "BottomSlopeCheck",
-    "LinearWave",
     "WaveField",
     "SignChange",
     "solve_W",
     "solve_w_aux",
     "check_Wprime0",
-    "linear_wave",
     "build_wave",
     "detect_sign_change",
 ]
 
 _AMPLITUDE_CAP = 0.05  # |t| <= cap * d
 _SURFACE_IDENTITY_TOL = 1e-5
-
-AnyStream = Union[StreamSolution, ShotStream]
 
 
 @dataclass(frozen=True)
@@ -119,28 +115,14 @@ class BottomSlopeCheck:
 
 
 @dataclass(frozen=True)
-class LinearWave:
-    """A first-order wave: base stream, wavenumber, correction, amplitude.
-
-    ``lam`` is the higher-order wavelength shift, truncated to zero here;
-    the omitted remainder is first order in the amplitude.
-    """
-
-    stream: AnyStream
-    tau0: float
-    correction: WCorrection
-    amplitude: float
-    lam: float
-    wavelength: float
-
-
-@dataclass(frozen=True)
 class WaveField:
     """Sampled stream function of a first-order wave over one wavelength.
 
     ``psi[i, j]`` is the sample at ``(x[j], y[i, j])``; each column of
     ``y`` runs from the bottom to the free surface ``eta[j]``.  The bottom
     row is exactly 0 and the surface row exactly 1 by construction.
+    ``lam`` is the higher-order wavelength shift, truncated to zero here;
+    the omitted remainder is first order in the amplitude.
     """
 
     x: np.ndarray
@@ -164,12 +146,12 @@ class SignChange:
     location: Union[float, Tuple[float, float]]
 
 
-def solve_W(stream: AnyStream, tau: float, n_samples: int = 257) -> WCorrection:
+def solve_W(stream: StreamSolution, tau: float, n_samples: int = 257) -> WCorrection:
     """Solve the forced correction problem at wavenumber ``tau``.
 
     Parameters
     ----------
-    stream : StreamSolution or ShotStream
+    stream : StreamSolution
         Background flow; must have non-vanishing surface slope.
     tau : float
         Nonnegative wavenumber.  The endpoint-derivative closed form is
@@ -206,7 +188,7 @@ def solve_W(stream: AnyStream, tau: float, n_samples: int = 257) -> WCorrection:
     )
 
 
-def solve_w_aux(stream: AnyStream, tau: float, n_samples: int = 257) -> AuxSolution:
+def solve_w_aux(stream: StreamSolution, tau: float, n_samples: int = 257) -> AuxSolution:
     """Solve the auxiliary problem ``w(0) = 1``, ``w(d) = 0``.
 
     The transverse solve from the surface (``v(d) = 0``, ``v'(d) = 1``) over its
@@ -224,7 +206,7 @@ def solve_w_aux(stream: AnyStream, tau: float, n_samples: int = 257) -> AuxSolut
     return AuxSolution(float(tau), grid, values, mode.start_slope)
 
 
-def check_Wprime0(stream: AnyStream, tau0) -> BottomSlopeCheck:
+def check_Wprime0(stream: StreamSolution, tau0) -> BottomSlopeCheck:
     """Compare the numeric ``W'(0)`` with its closed-form certificates.
 
     The nonzero flag is what downstream sign-change arguments consume: a
@@ -265,35 +247,15 @@ def check_Wprime0(stream: AnyStream, tau0) -> BottomSlopeCheck:
     )
 
 
-def linear_wave(stream: AnyStream, disp: DispersionResult, t: float,
-                n_samples: int = 257) -> LinearWave:
-    """Assemble the first-order wave at the dispersion root of ``disp``.
+def build_wave(stream: StreamSolution, disp: DispersionResult, t: float,
+               n_x: int = 129, n_y: int = 129) -> WaveField:
+    """Sample the first-order wave at the dispersion root of ``disp`` over
+    one wavelength on a tensor grid.
 
     Requires ``find_tau0`` to have certified both assumptions: a
     non-vanishing surface slope and a least root whose multiples stay off
     the dispersion curve.  The amplitude is capped at 5% of the depth; the
     construction only controls the remainder for small ``t``.
-    """
-    if disp.tau0 is None or not disp.assumption_I or not disp.assumption_II:
-        raise DomainError(
-            f"no admissible wavenumber: the dispersion root search reports "
-            f"tau0={disp.tau0!r} (assumption I {disp.assumption_I}, "
-            f"assumption II {disp.assumption_II})")
-    d = stream.d
-    if abs(t) > _AMPLITUDE_CAP * d:
-        raise ConfigError(
-            f"amplitude t={t!r} exceeds {_AMPLITUDE_CAP} * d = "
-            f"{_AMPLITUDE_CAP * d!r}; the first-order construction does "
-            f"not control the remainder there")
-    corr = solve_W(stream, disp.tau0, n_samples=n_samples)
-    return LinearWave(stream=stream, tau0=float(disp.tau0), correction=corr,
-                      amplitude=float(t), lam=0.0,
-                      wavelength=2.0 * math.pi / float(disp.tau0))
-
-
-def build_wave(stream: AnyStream, disp: DispersionResult, t: float,
-               n_x: int = 129, n_y: int = 129) -> WaveField:
-    """Sample the wave over one wavelength on a tensor grid.
 
     The surface is ``eta(x) = d + t cos(tau0 x)`` and the field is the
     base profile plus the cosine-modulated correction, both evaluated at
@@ -306,29 +268,40 @@ def build_wave(stream: AnyStream, disp: DispersionResult, t: float,
     """
     if n_x < 2 or n_y < 2:
         raise ConfigError(f"grid must be at least 2x2, got {n_y}x{n_x}")
-    wave = linear_wave(stream, disp, t, n_samples=n_y)
+    if disp.tau0 is None or not disp.assumption_I or not disp.assumption_II:
+        raise DomainError(
+            f"no admissible wavenumber: the dispersion root search reports "
+            f"tau0={disp.tau0!r} (assumption I {disp.assumption_I}, "
+            f"assumption II {disp.assumption_II})")
     d = stream.d
+    if abs(t) > _AMPLITUDE_CAP * d:
+        raise ConfigError(
+            f"amplitude t={t!r} exceeds {_AMPLITUDE_CAP} * d = "
+            f"{_AMPLITUDE_CAP * d!r}; the first-order construction does "
+            f"not control the remainder there")
+    tau0 = float(disp.tau0)
+    corr = solve_W(stream, tau0, n_samples=n_y)
     theta = np.linspace(0.0, 2.0 * math.pi, n_x)
-    x = theta / wave.tau0
+    x = theta / tau0
     eta = d + t * np.cos(theta)
-    yt = wave.correction.grid
-    u = np.atleast_1d(np.asarray(stream.u_at(yt), dtype=float))
+    yt = corr.grid
+    u = stream.u_at(yt)
     u[0] = 0.0
     u[-1] = 1.0
     amp = t * np.cos(theta)
-    psi = u[:, None] + wave.correction.values[:, None] * amp[None, :]
+    psi = u[:, None] + corr.values[:, None] * amp[None, :]
     y = yt[:, None] * (eta[None, :] / d)
     y[-1, :] = eta
     return WaveField(x=x, eta=eta, y=y, psi=psi, r=stream.r, s=stream.s,
-                     t=float(t), tau0=wave.tau0, lam=0.0,
-                     wavelength=wave.wavelength)
+                     t=float(t), tau0=tau0, lam=0.0,
+                     wavelength=2.0 * math.pi / tau0)
 
 
 def detect_sign_change(source) -> SignChange:
     """Scan sampled flow values for a dip below zero.
 
     Accepts a wave field (scans ``psi``, reports an ``(x, y)`` location),
-    a shot stream (reuses its recorded minimum and tolerance) or a stream
+    a shot stream (reuses its recorded minimum and sign-change flag) or a stream
     solution (monotone profile: the minimum is the bottom value, exactly
     zero).  The flag trips when the minimum falls below ten times the
     construction tolerance.

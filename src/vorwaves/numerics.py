@@ -259,7 +259,6 @@ def solve_ivp(
     span: tuple[float, float],
     tol: float = 1e-12,
     events: Optional[Sequence[Callable]] = None,
-    max_step: float = np.inf,
 ):
     """Integrate ``y' = rhs(t, y)`` with a high-order adaptive Runge-Kutta.
 
@@ -284,7 +283,6 @@ def solve_ivp(
         atol=atol,
         dense_output=True,
         events=events,
-        max_step=max_step,
     )
     tally["ode_steps"] += sol.t.size - 1
     tally["ode_rhs_evals"] += sol.nfev

@@ -19,8 +19,11 @@ The integrator cuts its cells at the segment starts of omega and at interior
 maximizers of Omega, so the adaptive rule never straddles either.
 
 Direct integration of the ODE is available separately through
-:func:`shoot_stream`, which does not assume unidirectionality and reports
-sign changes and turning points of trajectories below the threshold slope.
+:func:`shoot_stream`, which does not assume unidirectionality.  It is the
+counter-current diagnostic, reporting sign changes and turning points of
+trajectories below the threshold slope, and an independent check on
+``d``, ``u'(d)`` and ``u(y)``; every module after this one reads only
+:class:`StreamSolution`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ _PROFILE_NODES = 257
 # the guard band under classification "i" where d(s) is declared unreliable
 _SNAP = 1e-13
 _GUARD = 1e-9
+
+# integration tolerance of :func:`shoot_stream`; a minimum of u below -10 times
+# it is a sign change
+_SHOT_TOL = 1e-12
 
 # piece layouts kept by :func:`_layout`: few, as the Newton grids of u_at never recur
 _LAYOUTS_CACHED = 32
@@ -238,6 +245,11 @@ def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
     return sigma2 + 2.0 * max(cls.max_Omega - dist._Omega_scalar(1.0), 0.0)
 
 
+def _head(dist: VorticityDistribution, s: float, d: float) -> float:
+    """Bernoulli head ``(u'(d)^2 + 2 d) / 3`` at slope ``s`` from its depth ``d``."""
+    return (surface_slope_squared(dist, s) + 2.0 * d) / 3.0
+
+
 class StreamSolution:
     """A unidirectional stream solution read from the quadrature.
 
@@ -262,9 +274,8 @@ class StreamSolution:
         self.classification = cls
         self.s0 = cls.s0
         self.d = depth(dist, s)
-        upd2 = surface_slope_squared(dist, s)
-        self.u_prime_d = sqrt(upd2)
-        self.r = (upd2 + 2.0 * self.d) / 3.0
+        self.u_prime_d = sqrt(surface_slope_squared(dist, s))
+        self.r = _head(dist, s, self.d)
         self._inverted = (b"", None)  # the last heights given to u_at, and their u
 
     @cached_property
@@ -296,12 +307,16 @@ class StreamSolution:
             out[order] = _accumulate(self.dist, self.s, flat[order], -0.5)
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
+    def _speed(self, p):
+        """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first integral."""
+        gap = np.maximum(self.classification.max_Omega - self.dist.Omega(p), 0.0)
+        return np.sqrt(self.sigma2 + 2.0 * gap)
+
     def slope_at(self, p):
         """Analytic profile slope ``H'(p) = (sigma2 + 2 gap(p))^(-1/2)``."""
-        arr = _stream_values(p)
-        gap = np.maximum(self.classification.max_Omega - self.dist.Omega(arr), 0.0)
+        speed = self._speed(_stream_values(p))
         with np.errstate(divide="ignore"):  # slope at a surface maximizer is inf
-            return 1.0 / np.sqrt(self.sigma2 + 2.0 * gap)
+            return 1.0 / speed
 
     def velocity_at(self, y):
         """Horizontal velocity ``u'`` at height ``y``.
@@ -310,9 +325,7 @@ class StreamSolution:
         the nonnegative branch (the solution is unidirectional).
         """
         p = self.u_at(y)
-        gap = np.maximum(
-            self.classification.max_Omega - self.dist.Omega(p), 0.0)
-        out = np.sqrt(self.sigma2 + 2.0 * gap)
+        out = self._speed(p)
         return float(out) if np.ndim(p) == 0 else out
 
     def u_at(self, y):
@@ -345,8 +358,7 @@ class StreamSolution:
             p = np.interp(h, self._nodes[1], self._nodes[0])
             for _ in range(30):
                 resid = _accumulate(self.dist, self.s, p, -0.5) - h
-                gap = np.maximum(self.classification.max_Omega - self.dist.Omega(p), 0.0)
-                step = resid * np.sqrt(self.sigma2 + 2.0 * gap)
+                step = resid * self._speed(p)
                 p = np.maximum.accumulate(np.clip(p - step, 0.0, 1.0))
                 if np.abs(step).max() < 1e-13:
                     break
@@ -398,8 +410,6 @@ class ShotStream:
     dist: VorticityDistribution
     s: float
     d: float
-    grid: np.ndarray
-    u_samples: np.ndarray
     u_prime_d: float
     min_u: float
     min_location: float
@@ -407,18 +417,7 @@ class ShotStream:
     unidirectional: bool
     later_crossings: Optional[int]
     r: float
-    tolerance: float
     _dense: object = field(repr=False, default=None)
-
-    @cached_property
-    def _kink_heights(self) -> np.ndarray:
-        """Heights where a monotone ``u`` crosses the segment starts of omega."""
-        seg = self.dist._seg
-        knots = seg[(seg > 0.0) & (seg < 1.0)] if self.unidirectional else seg[:0]
-        y = np.interp(knots, self.u_samples, self.grid)
-        for _ in range(4 if knots.size else 0):
-            y = y - (self.u_at(y) - knots) / self.velocity_at(y)
-        return y
 
     def _dense_at(self, y, row: int):
         """Row ``row`` (0 for ``u``, 1 for ``u'``) of the dense output at ``y``."""
@@ -426,6 +425,8 @@ class ShotStream:
         slack = 1e-9 * max(1.0, self.d)
         if not np.all((arr >= -slack) & (arr <= self.d + slack)):
             raise DomainError(f"height outside [0, {self.d!r}]")
+        if not arr.size:
+            return arr
         out = self._dense(np.clip(np.atleast_1d(arr), 0.0, self.d))[row]
         return float(out[0]) if arr.ndim == 0 else out
 
@@ -439,8 +440,15 @@ class ShotStream:
 
 
 def shoot_stream(dist: VorticityDistribution, s: float,
-                 max_depth: float = 10.0, tol: float = 1e-12) -> ShotStream:
+                 max_depth: float = 10.0) -> ShotStream:
     """Integrate the bottom-value problem until the surface value is reached.
+
+    The integration tolerance is ``_SHOT_TOL``, which also sets the
+    sign-change threshold.  One DOP853 step can span both crossings of
+    ``u = 1`` about a maximum of ``u``, which hides them from the surface
+    event; the turning event still fires between them, so the surface is
+    the crossing on the dense output before the first turning point where
+    ``u >= 1``, when that comes before the first crossing the event found.
 
     Parameters
     ----------
@@ -450,8 +458,6 @@ def shoot_stream(dist: VorticityDistribution, s: float,
     max_depth : float
         Give up (with :class:`ConvergenceError`) if ``u`` never reaches 1
         before this height.
-    tol : float
-        Integration tolerance; also sets the sign-change threshold.
     """
     if not (isfinite(s) and isfinite(max_depth)):
         raise DomainError(f"bottom slope s={s!r} or max_depth={max_depth!r} is not finite")
@@ -469,18 +475,25 @@ def shoot_stream(dist: VorticityDistribution, s: float,
 
     turning.direction = 0.0
 
-    sol = numerics.solve_ivp(rhs, (0.0, s), (0.0, max_depth), tol=tol,
+    sol = numerics.solve_ivp(rhs, (0.0, s), (0.0, max_depth), tol=_SHOT_TOL,
                              events=[hit_surface, turning])
-    if len(sol.t_events[0]) == 0:
+    hits, turns = sol.t_events
+    peak = next((t for t, y in zip(turns, sol.y_events[1]) if y[0] >= 1.0), inf)
+    if hits.size and hits[0] < peak:
+        d, u_prime_d = float(hits[0]), float(sol.y_events[0][0][1])
+    elif peak < inf:
+        # u rises from the turning point before the peak (or the bottom) to it
+        start = float(turns[turns < peak].max(initial=0.0))
+        d = numerics.find_root(lambda t: float(sol.sol(t)[0]) - 1.0,
+                               numerics.Bracket(start, float(peak)), tol=0.0)
+        u_prime_d = float(sol.sol(d)[1])
+    else:
         u_end, up_end = sol.y[0, -1], sol.y[1, -1]
         raise ConvergenceError(
             f"u never reached 1 before height {max_depth!r}: final state "
             f"u={float(u_end)!r}, u'={float(up_end)!r}")
-    d = float(sol.t_events[0][0])
-    u_prime_d = float(sol.y_events[0][0][1])
 
     edge = 1e-9 * max(1.0, d)
-    turns = sol.t_events[1]
     interior = turns[(turns > edge) & (turns < d - edge)]
     min_u, min_loc = 0.0, 0.0
     if interior.size:
@@ -501,23 +514,16 @@ def shoot_stream(dist: VorticityDistribution, s: float,
     except ConvergenceError:
         later = None
 
-    grid = np.linspace(0.0, d, _PROFILE_NODES)
-    u_samples = sol.sol(grid)[0].copy()
-    u_samples[0] = 0.0
-
     return ShotStream(
         dist=dist,
         s=float(s),
         d=d,
-        grid=grid,
-        u_samples=u_samples,
         u_prime_d=u_prime_d,
         min_u=min_u,
         min_location=min_loc,
-        sign_change=min_u < -10.0 * tol,
+        sign_change=min_u < -10.0 * _SHOT_TOL,
         unidirectional=interior.size == 0,
         later_crossings=later,
         r=(u_prime_d ** 2 + 2.0 * d) / 3.0,
-        tolerance=tol,
         _dense=sol.sol,
     )

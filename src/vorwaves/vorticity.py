@@ -248,14 +248,6 @@ class VorticityDistribution:
             return f"VorticityDistribution.polynomial({list(self._coeffs)!r})"
         return f"VorticityDistribution.from_table({list(self._nodes)!r})"
 
-    def describe(self) -> dict:
-        """A JSON-ready description of the distribution."""
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self._coeffs[0]}
-        if self.kind == "poly":
-            return {"kind": "poly", "coefficients": list(self._coeffs)}
-        return {"kind": "table", "nodes": [list(p) for p in self._nodes]}
-
     def _gap(self, m: float, e: float, x):
         """``Omega(m) - Omega(m + e x)`` for ``x >= 0``, free of cancellation.
 

@@ -276,27 +276,6 @@ def test_tau0_on_a_table_against_event_located_kink():
     np.testing.assert_allclose(find_tau0(st).tau0, want, rtol=1e-12)
 
 
-@formal
-def test_tau0_on_a_shot_stream_of_a_table():
-    # a shot stream has no quadrature profile: its elements end where its
-    # dense output crosses the kink, and omega' comes from its own u_at;
-    # the two streams differ by about 3e-12 in d
-    dist = V.parse("table 0:1 0.5:-1 1:2")
-    s = bernoulli.conjugates(dist, 0.8967).s_plus
-    shot, st = stream.shoot_stream(dist, s), stream.solve_stream(dist, s)
-    np.testing.assert_allclose(find_tau0(shot).tau0, find_tau0(st).tau0, rtol=1e-9)
-    chk = linearwave.check_Wprime0(shot, find_tau0(shot).tau0)
-    assert chk.superposition_discrepancy < 1e-12
-
-
-def test_find_tau0_refuses_counter_current_shot(w_minus_two):
-    # u' vanishes inside the column: sigma may have poles and several roots
-    sh = stream.shoot_stream(w_minus_two, -1.0)
-    assert not sh.unidirectional
-    with pytest.raises(DomainError):
-        find_tau0(sh)
-
-
 def _with_threshold(spec):
     dist = V.parse(spec)
     try:

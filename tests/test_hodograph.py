@@ -47,17 +47,10 @@ def test_strip_matches_scipy_pchip(stream_plus, disp_plus, n_y):
     np.testing.assert_allclose(hf.h, want, rtol=0.0, atol=1e-14)
 
 
-def test_strip_from_shot_stream(w_two):
-    sh = stream.shoot_stream(w_two, 3.0)
-    st = stream.solve_stream(w_two, 3.0)
-    hf_sh = to_strip(sh)
-    hf_st = to_strip(st)
-    np.testing.assert_allclose(hf_sh.h[:, 0], hf_st.h[:, 0], atol=1e-8)
-
-
 def test_strip_rejects_counter_current(w_minus_two):
+    # a shot stream is a diagnostic, not a flow the strip transform takes
     sh = stream.shoot_stream(w_minus_two, -1.0)
-    with pytest.raises(UnidirectionalityError):
+    with pytest.raises(ConfigError, match="cannot transform 'ShotStream'"):
         to_strip(sh)
 
 

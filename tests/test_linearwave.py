@@ -10,7 +10,6 @@ from vorwaves.linearwave import (
     build_wave,
     check_Wprime0,
     detect_sign_change,
-    linear_wave,
     solve_W,
     solve_w_aux,
 )
@@ -153,18 +152,18 @@ def test_linear_wave_requires_admissible_root(stream_minus, stream_plus,
     from vorwaves.dispersion import find_tau0
     disp_bad = find_tau0(stream_minus)
     with pytest.raises(DomainError):
-        linear_wave(stream_minus, disp_bad, 0.01)
+        build_wave(stream_minus, disp_bad, 0.01)
     with pytest.raises(ConfigError):
-        linear_wave(stream_plus, disp_plus, 0.5 * stream_plus.d)
+        build_wave(stream_plus, disp_plus, 0.5 * stream_plus.d)
 
 
 def test_linear_wave_record(stream_plus, disp_plus):
-    lw = linear_wave(stream_plus, disp_plus, 0.01)
-    assert lw.tau0 == disp_plus.tau0
-    assert lw.lam == 0.0
-    np.testing.assert_allclose(lw.wavelength, 2.0 * math.pi / lw.tau0,
+    wf = build_wave(stream_plus, disp_plus, 0.01)
+    assert wf.tau0 == disp_plus.tau0
+    assert wf.lam == 0.0
+    np.testing.assert_allclose(wf.wavelength, 2.0 * math.pi / wf.tau0,
                                rtol=1e-15)
-    assert lw.amplitude == 0.01
+    assert wf.t == 0.01
 
 
 def test_build_wave_geometry(stream_plus, disp_plus):
@@ -215,16 +214,3 @@ def test_detect_sign_change_stream_and_errors(stream_plus):
     assert not sc.changes_sign and sc.min_value == 0.0
     with pytest.raises(ConfigError):
         detect_sign_change([1.0, 2.0])
-
-
-def test_wave_on_shot_stream(w_minus_two):
-    # a unidirectional shot stream (positive slope) carries the same
-    # construction; u'' = 2 with s = 2.2 stays positive throughout
-    sh = stream.shoot_stream(w_minus_two, 2.2)
-    assert sh.unidirectional
-    from vorwaves.dispersion import find_tau0
-    disp = find_tau0(sh)
-    if disp.tau0 is not None:
-        wf = build_wave(sh, disp, 0.005)
-        assert np.all(wf.psi[0, :] == 0.0)
-        assert np.all(wf.psi[-1, :] == 1.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from vorwaves import bernoulli, numerics, stream
@@ -294,6 +294,62 @@ def test_counter_current_shot(w_minus_two):
     assert not sh.unidirectional
     np.testing.assert_allclose(sh.u_prime_d, math.sqrt(5.0), rtol=1e-10)
     np.testing.assert_allclose(sh.r, (6.0 + math.sqrt(5.0)) / 3.0, rtol=1e-10)
+
+
+@pytest.mark.parametrize("spec, s", [
+    ("constant 2", 2.1),
+    # s_minus of conjugates(constant 2, 0.6032)
+    ("constant 2", 2.0595292736247917),
+    # s_c of the property test's pinned example below
+    ("poly 2.258 0.0", 2.1566169417212238),
+    ("constant 2", 2.2),
+])
+def test_shot_finds_a_surface_that_one_step_spans(spec, s):
+    # u = s y - omega y^2 / 2 reaches 1 at d = (s - sqrt(s^2 - 2 omega)) / omega and
+    # falls back through 1 soon after; one DOP853 step can span both crossings
+    dist = V.parse(spec)
+    w = dist._omega_scalar(0.0)
+    sh = shoot_stream(dist, s)
+    np.testing.assert_allclose(sh.d, (s - math.sqrt(s * s - 2.0 * w)) / w, rtol=1e-12)
+    np.testing.assert_allclose(sh.u_prime_d, math.sqrt(s * s - 2.0 * w), rtol=1e-12)
+    assert sh.unidirectional and not sh.sign_change
+
+
+@pytest.mark.parametrize("spec, r, kinks", [
+    ("table 0:1 0.5:-1 1:2", 0.8967, [0.5]),
+    ("poly 0 0 3", 0.6216, []),
+], ids=["table", "poly"])
+def test_shot_is_an_oracle_for_the_stream(spec, r, kinks):
+    # the shot integrates the ODE itself: d, u'(d) and the profile both ways
+    # agree at both conjugate slopes, and so do the heights where u meets
+    # the table's interior nodes
+    dist = V.parse(spec)
+    pair = bernoulli.conjugates(dist, r)
+    for s in (pair.s_plus, pair.s_minus):
+        st, shot = solve_stream(dist, s), shoot_stream(dist, s)
+        assert abs(shot.d - st.d) <= 1e-9
+        assert abs(shot.u_prime_d - st.u_prime_d) <= 1e-9
+        y = np.linspace(0.0, st.d, 200)
+        assert np.max(np.abs(shot.u_at(y) - st.u_at(y))) <= 1e-9
+        assert np.max(np.abs(shot.velocity_at(y) - st.velocity_at(y))) <= 1e-9
+        np.testing.assert_allclose(shot.u_at(st._kink_heights), kinks, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(spec=dist_specs, frac=st_.floats(0.0, 1.0))
+@example(spec="poly 2.258 0.0", frac=0.0)
+def test_shot_matches_the_quadrature_above_the_critical_slope(spec, frac):
+    # criterion 11 over random distributions; the example's surface
+    # crossings fall inside one solver step
+    dist = V.parse(spec)
+    try:
+        dist.classify()
+    except AmbiguousClassificationError:
+        return
+    s = bernoulli.find_critical(dist).s_c * (1.0 + frac)
+    st, shot = solve_stream(dist, s), shoot_stream(dist, s)
+    np.testing.assert_allclose(shot.d, st.d, rtol=1e-8)
+    np.testing.assert_allclose(shot.u_prime_d, st.u_prime_d, rtol=1e-8)
 
 
 # a class "i" table with kinks on both sides of its interior Omega peak;

@@ -101,12 +101,6 @@ def test_equality_and_hash():
     assert V.polynomial([2.0]) != V.constant(2.0)  # different kinds
 
 
-def test_describe(w_minus_two):
-    assert w_minus_two.describe() == {"kind": "constant", "value": -2.0}
-    assert V.parse("table 0:1 1:2").describe() == {
-        "kind": "table", "nodes": [[0.0, 1.0], [1.0, 2.0]]}
-
-
 def test_classification_conditions(w_zero, w_two, w_minus_two, w_tilted):
     assert w_zero.classify().condition == "i"
     assert not w_zero.classify().d0_finite

@@ -3,21 +3,20 @@
 Solves the forced correction problem whose cosine mode rides on top of a
 stream solution, the auxiliary two-point problem used to certify the
 correction's bottom derivative, and samples the resulting wave field over
-one wavelength.  A sign-change detector reports counter-currents in any
-of the sampled objects.
+one wavelength.  A sign-change detector reports a counter-current in the
+sampled field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
 
 import numpy as np
 
 from .dispersion import DispersionResult, _require_slope, _sample, _solve, gamma_bvp
 from .errors import ConfigError, DomainError
-from .stream import ShotStream, StreamSolution
+from .stream import StreamSolution
 
 __all__ = [
     "WCorrection",
@@ -143,7 +142,7 @@ class SignChange:
 
     changes_sign: bool
     min_value: float
-    location: Union[float, Tuple[float, float]]
+    location: tuple[float, float]
 
 
 def solve_W(stream: StreamSolution, tau: float, n_samples: int = 257) -> WCorrection:
@@ -173,7 +172,6 @@ def solve_W(stream: StreamSolution, tau: float, n_samples: int = 257) -> WCorrec
     values[0] = 0.0
     values[-1] = 0.0
     omega1 = stream.dist._omega_scalar(1.0)
-    deriv_bottom = stream.s / d - upd * gam.derivative_bottom
     deriv_surface = upd / d - omega1 - upd * gam.derivative_surface
     target = upd / d - 1.0 / upd
     gap = abs(deriv_surface - target)
@@ -181,7 +179,7 @@ def solve_W(stream: StreamSolution, tau: float, n_samples: int = 257) -> WCorrec
         tau=float(tau),
         grid=y,
         values=values,
-        derivative_bottom=float(deriv_bottom),
+        derivative_bottom=_bottom_derivative(stream, upd, gam.derivative_bottom),
         derivative_surface=float(deriv_surface),
         surface_identity_gap=float(gap),
         surface_identity_ok=bool(gap <= _SURFACE_IDENTITY_TOL),
@@ -206,34 +204,39 @@ def solve_w_aux(stream: StreamSolution, tau: float, n_samples: int = 257) -> Aux
     return AuxSolution(float(tau), grid, values, mode.start_slope)
 
 
+def _bottom_derivative(stream: StreamSolution, upd: float, gamma_bottom: float) -> float:
+    """``W'(0) = s / d - u'(d) gamma'(0)``, as ``W = y u' / d - u'(d) gamma``."""
+    return stream.s / stream.d - upd * gamma_bottom
+
+
 def check_Wprime0(stream: StreamSolution, tau0) -> BottomSlopeCheck:
     """Compare the numeric ``W'(0)`` with its closed-form certificates.
 
     The nonzero flag is what downstream sign-change arguments consume: a
     nonzero bottom derivative of the correction forces the combined flow
     to change sign for small amplitudes once the base slope vanishes.
+    ``W'(0)`` comes from the solve from the bottom, as in :func:`solve_W`.
 
     A degenerate wavenumber (``tau0`` None or 0) skips the comparison
     with a diagnostic note: the correction problem changes character at
-    ``tau = 0`` and the endpoint identity has no content there.
+    ``tau = 0`` and the endpoint identity has no content there.  A
+    negative ``tau0`` is a domain error.
     """
-    if tau0 is None or tau0 <= 0.0:
+    if tau0 is None or tau0 == 0.0:
         nan = float("nan")
         return BottomSlopeCheck(
-            tau=0.0 if tau0 is None else float(tau0),
+            tau=0.0,
             derivative_bottom=nan, product_value=nan, discrepancy=nan,
             superposition_value=nan, superposition_discrepancy=nan,
             nonzero=False, skipped=True,
             note="degenerate wavenumber: the correction problem changes "
                  "character at tau = 0, so the endpoint comparison is "
                  "skipped")
-    corr = solve_W(stream, tau0)
-    aux = solve_w_aux(stream, tau0)
-    wpd = aux.derivative_surface
-    d, upd = stream.d, stream.u_prime_d
-    numeric = corr.derivative_bottom
-    product = d * upd * wpd
-    superpos = stream.s / d + upd * wpd
+    upd = _require_slope(stream)
+    numeric = _bottom_derivative(stream, upd, gamma_bvp(stream, tau0).derivative_bottom)
+    wpd = solve_w_aux(stream, tau0).derivative_surface
+    product = stream.d * upd * wpd
+    superpos = stream.s / stream.d + upd * wpd
     return BottomSlopeCheck(
         tau=float(tau0),
         derivative_bottom=numeric,
@@ -273,6 +276,8 @@ def build_wave(stream: StreamSolution, disp: DispersionResult, t: float,
             f"no admissible wavenumber: the dispersion root search reports "
             f"tau0={disp.tau0!r} (assumption I {disp.assumption_I}, "
             f"assumption II {disp.assumption_II})")
+    if not math.isfinite(t):
+        raise DomainError(f"amplitude t={t!r} is not finite")
     d = stream.d
     if abs(t) > _AMPLITUDE_CAP * d:
         raise ConfigError(
@@ -297,30 +302,21 @@ def build_wave(stream: StreamSolution, disp: DispersionResult, t: float,
                      wavelength=2.0 * math.pi / tau0)
 
 
-def detect_sign_change(source) -> SignChange:
-    """Scan sampled flow values for a dip below zero.
+def detect_sign_change(source: WaveField) -> SignChange:
+    """Scan ``psi`` of a wave field for a dip below zero, found at ``(x, y)``.
 
-    Accepts a wave field (scans ``psi``, reports an ``(x, y)`` location),
-    a shot stream (reuses its recorded minimum and sign-change flag) or a stream
-    solution (monotone profile: the minimum is the bottom value, exactly
-    zero).  The flag trips when the minimum falls below ten times the
-    construction tolerance.
+    The flag trips when the minimum falls below ten times the construction
+    tolerance.  A shot stream carries its own ``min_u`` and ``sign_change``.
     """
-    if isinstance(source, WaveField):
-        idx = np.unravel_index(int(np.argmin(source.psi)), source.psi.shape)
-        mn = float(source.psi[idx])
-        tol = 1e-9 * max(1.0, float(np.max(source.eta)))
-        return SignChange(
-            changes_sign=bool(mn < -10.0 * tol),
-            min_value=mn,
-            location=(float(source.x[idx[1]]), float(source.y[idx])),
-        )
-    if isinstance(source, ShotStream):
-        return SignChange(changes_sign=bool(source.sign_change),
-                          min_value=float(source.min_u),
-                          location=float(source.min_location))
-    if isinstance(source, StreamSolution):
-        return SignChange(changes_sign=False, min_value=0.0, location=0.0)
-    raise ConfigError(
-        f"cannot scan {type(source).__name__!r} for sign changes; expected "
-        f"a wave field or a stream")
+    if not isinstance(source, WaveField):
+        raise ConfigError(
+            f"cannot scan {type(source).__name__!r} for sign changes; expected "
+            f"a wave field")
+    idx = np.unravel_index(int(np.argmin(source.psi)), source.psi.shape)
+    mn = float(source.psi[idx])
+    tol = 1e-9 * max(1.0, float(np.max(source.eta)))
+    return SignChange(
+        changes_sign=bool(mn < -10.0 * tol),
+        min_value=mn,
+        location=(float(source.x[idx[1]]), float(source.y[idx])),
+    )

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import inf, isfinite, pi, sqrt
-from typing import Optional
 
 import numpy as np
 
@@ -400,9 +399,6 @@ class ShotStream:
         True when ``min_u`` drops below ``-10 *`` the solver tolerance.
     unidirectional : bool
         True when ``u'`` never vanishes strictly inside ``(0, d)``.
-    later_crossings : int or None
-        Crossings of ``u = 1`` beyond the first, counted on a second
-        looser pass up to ``max_depth``; None if that pass fails.
     r : float
         Bernoulli head ``(u'(d)^2 + 2 d) / 3``.
     """
@@ -415,7 +411,6 @@ class ShotStream:
     min_location: float
     sign_change: bool
     unidirectional: bool
-    later_crossings: Optional[int]
     r: float
     _dense: object = field(repr=False, default=None)
 
@@ -457,10 +452,11 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         Bottom slope ``u'(0)``; any finite value, including negative.
     max_depth : float
         Give up (with :class:`ConvergenceError`) if ``u`` never reaches 1
-        before this height.
+        before this height; must be positive and finite.
     """
-    if not (isfinite(s) and isfinite(max_depth)):
-        raise DomainError(f"bottom slope s={s!r} or max_depth={max_depth!r} is not finite")
+    if not (isfinite(s) and 0.0 < max_depth < inf):
+        raise DomainError(f"bottom slope s={s!r}, max_depth={max_depth!r}: one is not "
+                          f"finite, or max_depth is not positive")
     def rhs(t, y):
         return (y[1], -dist._omega_scalar(y[0]))
 
@@ -502,18 +498,6 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         if vals[j] < min_u:
             min_u, min_loc = float(vals[j]), float(interior[j])
 
-    def crossing(t, y):
-        return y[0] - 1.0
-
-    crossing.direction = 0.0
-    later: Optional[int] = None
-    try:
-        sol2 = numerics.solve_ivp(rhs, (0.0, s), (0.0, max_depth),
-                                  tol=1e-9, events=[crossing])
-        later = int(np.sum(sol2.t_events[0] > d + 1e-9))
-    except ConvergenceError:
-        later = None
-
     return ShotStream(
         dist=dist,
         s=float(s),
@@ -523,7 +507,6 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         min_location=min_loc,
         sign_change=min_u < -10.0 * _SHOT_TOL,
         unidirectional=interior.size == 0,
-        later_crossings=later,
         r=(u_prime_d ** 2 + 2.0 * d) / 3.0,
         _dense=sol.sol,
     )

@@ -81,6 +81,16 @@ def _horner_rows(c, dx):
     return acc
 
 
+def _roots(c):
+    """Roots of ``c[0] + c[1] x + ...`` (``c[-1] != 0``) as numpy's ``polyroots`` finds them:
+    ``-c0 / c1`` for a line, else the eigenvalues of the companion matrix."""
+    if c.size <= 2:
+        return [-c[0] / c[1]] if c.size == 2 else []
+    companion = np.eye(c.size - 1, k=-1)
+    companion[:, -1] -= c[:-1] / c[-1]
+    return np.linalg.eigvals(companion)
+
+
 def _scalar_horner(seg, coef):
     """:func:`_horner` for one float, as a closure over Python floats, for
     scalar callers such as the right-hand side of the stream shot."""
@@ -162,7 +172,7 @@ class VorticityDistribution:
             if len(pairs) < 2:
                 raise ConfigError("table vorticity needs at least two breakpoints")
             t, v = np.array(pairs).T
-            if np.any(np.diff(t) <= 0.0):
+            if not np.all(np.diff(t) > 0.0):
                 raise ConfigError("table breakpoints must be strictly increasing")
             if t[0] != 0.0 or t[-1] != 1.0:
                 raise ConfigError("table breakpoints must span [0, 1] exactly")
@@ -187,7 +197,7 @@ class VorticityDistribution:
         big_w = np.zeros((n, cols + 1))
         big_w[:, 1:] = w / np.arange(1, cols + 1)
         for k in range(1, n):
-            big_w[k, 0] = np.polynomial.polynomial.polyval(seg[k] - seg[k - 1], big_w[k - 1])
+            big_w[k, 0] = _horner_rows(big_w[k - 1], seg[k] - seg[k - 1])
         dw = w[:, 1:] * np.arange(1, cols) if cols > 1 else np.zeros((n, 1))
         self._seg, self._w, self._W, self._dw = seg, w, big_w, dw
         # scalar fast paths (no domain checks; natural extension)
@@ -293,7 +303,7 @@ class VorticityDistribution:
                     taylor[1] = self._w[starts.index(a), 0]
                 coef[k, 1:] = [-c * e ** n for n, c in enumerate(taylor) if n]
                 if k:
-                    coef[k, 0] = np.polynomial.polynomial.polyval(seg[k] - seg[k - 1], coef[k - 1])
+                    coef[k, 0] = _horner_rows(coef[k - 1], seg[k] - seg[k - 1])
                 elif 0.0 < m < 1.0:
                     coef[0, 1] = 0.0
             self._gap_cache[key] = (seg, coef)
@@ -343,11 +353,9 @@ class VorticityDistribution:
         inner = self._seg[1:].tolist()
         cands = {0.0, 1.0, *inner}
         for a, b, row in zip(self._seg.tolist(), inner + [1.0], self._w):
-            trimmed = np.trim_zeros(row, "b")
-            if trimmed.size >= 2:
-                for z in np.polynomial.polynomial.polyroots(trimmed):
-                    if abs(z.imag) < 1e-12 and _ROOT_SNAP < z.real < b - a - _ROOT_SNAP:
-                        cands.add(a + float(z.real))
+            for z in _roots(np.trim_zeros(row, "b")):
+                if abs(z.imag) < 1e-12 and _ROOT_SNAP < z.real < b - a - _ROOT_SNAP:
+                    cands.add(a + float(z.real))
         cands = sorted(cands)
         vals = [self._Omega_scalar(c) for c in cands]
         big = max(vals)

@@ -350,9 +350,15 @@ _WITHOUT_SCIPY = {
 }
 
 
+# commands that make no transverse solve, the one user of numpy.polynomial
+# (dispersion._cheb); they come before every other command in _WITHOUT_SCIPY
+_WITHOUT_NUMPY_POLYNOMIAL = ("analyze", "stream", "conjugates", "wheeler", "scale")
+
+
 def test_start_up_leaves_scipy_unloaded(tmp_path):
     # scipy is imported only where a stream is shot (shoot_stream):
-    # neither the package, the CLI, nor these eight commands load it
+    # neither the package, the CLI, nor these eight commands load it;
+    # the first five do not load numpy.polynomial either
     for command, body in _WITHOUT_SCIPY.items():
         (tmp_path / f"{command}.ini").write_text(body, encoding="utf-8")
     code = textwrap.dedent("""\
@@ -369,8 +375,13 @@ def test_start_up_leaves_scipy_unloaded(tmp_path):
             vorwaves.cli.main([command, "--config", command + ".ini", "--out", command],
                               standalone_mode=False)
             assert not scipy_modules(), (command, scipy_modules()[:3])
+            print("numpy.polynomial after", command, "numpy.polynomial" in sys.modules)
         """)
     done = _fresh_python(["-c", code, *_WITHOUT_SCIPY], tmp_path)
     assert done.returncode == 0, done.stderr
     for command in _WITHOUT_SCIPY:
         assert _report(str(tmp_path / command))["command"] == command
+    loaded = dict(line.split()[2:] for line in done.stdout.splitlines()
+                  if line.startswith("numpy.polynomial after"))
+    for command in _WITHOUT_NUMPY_POLYNOMIAL:
+        assert loaded[command] == "False", command

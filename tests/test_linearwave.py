@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from vorwaves import bernoulli, linearwave, stream
+from vorwaves import bernoulli, linearwave, numerics, stream
 from vorwaves.errors import ConfigError, DomainError
 from vorwaves.linearwave import (
     build_wave,
@@ -147,6 +147,22 @@ def test_bottom_slope_check_skips_degenerate(stream_plus):
     assert "tau = 0" in chk.note
 
 
+def test_bottom_slope_check_refuses_negative_wavenumber(stream_plus):
+    # only None and 0 are degenerate; a negative tau0 is no wavenumber
+    with pytest.raises(DomainError):
+        check_Wprime0(stream_plus, -1.0)
+
+
+def test_bottom_slope_check_reads_the_bottom_solve(w_zero):
+    # W'(0) is solve_W's, bit for bit, and is read without sampling W, so
+    # no profile inversion (quadrature) runs on a stream of constant omega
+    st = stream.solve_stream(w_zero, 2.0)
+    numerics.tally.clear()
+    chk = check_Wprime0(st, 1.5)
+    assert numerics.tally["quad_calls"] == 0
+    assert chk.derivative_bottom == solve_W(st, 1.5).derivative_bottom
+
+
 def test_linear_wave_requires_admissible_root(stream_minus, stream_plus,
                                               disp_plus):
     from vorwaves.dispersion import find_tau0
@@ -194,6 +210,13 @@ def test_build_wave_grid_validation(stream_plus, disp_plus):
         build_wave(stream_plus, disp_plus, 0.01, n_x=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_wave_refuses_non_finite_amplitude(stream_plus, disp_plus, bad):
+    # a NaN amplitude passed the cap and gave an all-NaN field
+    with pytest.raises(DomainError, match="not finite"):
+        build_wave(stream_plus, disp_plus, bad)
+
+
 def test_detect_sign_change_wave(stream_plus, disp_plus):
     wf = build_wave(stream_plus, disp_plus, 0.01)
     sc = detect_sign_change(wf)
@@ -201,16 +224,8 @@ def test_detect_sign_change_wave(stream_plus, disp_plus):
     assert sc.min_value == 0.0
 
 
-def test_detect_sign_change_shot(w_minus_two):
-    sh = stream.shoot_stream(w_minus_two, -1.0)
-    sc = detect_sign_change(sh)
-    assert sc.changes_sign
-    np.testing.assert_allclose(sc.min_value, -0.25, atol=1e-9)
-    np.testing.assert_allclose(sc.location, 0.5, atol=1e-8)
-
-
-def test_detect_sign_change_stream_and_errors(stream_plus):
-    sc = detect_sign_change(stream_plus)
-    assert not sc.changes_sign and sc.min_value == 0.0
-    with pytest.raises(ConfigError):
-        detect_sign_change([1.0, 2.0])
+def test_detect_sign_change_stream_and_errors(stream_plus, w_minus_two):
+    # only a wave field is scanned; a shot carries its own min_u and sign_change
+    for source in (stream_plus, stream.shoot_stream(w_minus_two, -1.0), [1.0, 2.0]):
+        with pytest.raises(ConfigError):
+            detect_sign_change(source)

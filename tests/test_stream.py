@@ -183,6 +183,14 @@ def test_shoot_stream_refuses_non_finite_input(w_two, bad):
         shoot_stream(w_two, 3.0, max_depth=bad)
 
 
+@pytest.mark.parametrize("max_depth", [0.0, -10.0])
+def test_shoot_stream_refuses_nonpositive_max_depth(w_two, max_depth):
+    # integrated downward, constant 2 at s = -3 with max_depth = -10
+    # reported d = -0.382 and r = 1.412
+    with pytest.raises(DomainError, match="positive"):
+        shoot_stream(w_two, -3.0, max_depth=max_depth)
+
+
 def test_height_at_is_the_quadrature(w_tilted):
     # any order and shape: the sorted points go to one quadrature call
     st = solve_stream(w_tilted, 0.3)

@@ -59,6 +59,8 @@ def test_construction_errors():
     with pytest.raises(ConfigError):
         V.from_table([(0.0, 1.0), (0.0, 2.0), (1.0, 0.0)])
     with pytest.raises(ConfigError):
+        V.parse("table 0:1 nan:2 1:3")  # NaN passed the ordering check
+    with pytest.raises(ConfigError):
         V("gaussian")
 
 

@@ -102,13 +102,14 @@ def _guard_edge(s0: float) -> float:
     return s0 + 2.0 * stream._GUARD * max(1.0, s0)
 
 
-def _walk(f, origin: float, a: float, fa: float, ratio: float,
-          floor: float = -math.inf) -> numerics.Bracket:
+def _walk(origin: float, a: float, fa: float, ratio: float,
+          floor: float = -math.inf):
     """Bracket the sign change of a monotone ``f`` by a geometric walk.
 
-    From the probe ``(a, fa)`` each step scales the distance to ``origin``
-    by ``ratio`` (clamped at ``floor``) until two consecutive probes
-    straddle zero; they are returned as the bracket.
+    A search in the form of :func:`numerics.brent`: it yields each probe,
+    is sent ``f`` there, and returns the bracket.  From the probe
+    ``(a, fa)`` each step scales the distance to ``origin`` by ``ratio``
+    (clamped at ``floor``) until two consecutive probes straddle zero.
     """
     for _ in range(200):
         b = max(origin + (a - origin) * ratio, floor)
@@ -116,7 +117,7 @@ def _walk(f, origin: float, a: float, fa: float, ratio: float,
             raise ConvergenceError(
                 f"no sign change above s={floor!r}, the edge of the admissible "
                 f"slopes: f there is {fa!r}, so the root sits below the edge")
-        fb = f(b)
+        fb = yield b
         if fb == 0.0 or (fa > 0.0) != (fb > 0.0):
             if a < b:
                 return numerics.Bracket(a, b, fa, fb)
@@ -125,6 +126,27 @@ def _walk(f, origin: float, a: float, fa: float, ratio: float,
     raise ConvergenceError(
         f"no sign change in 200 steps of the walk about s={origin!r}: "
         f"f({a!r}) = {fa!r}")
+
+
+def _lockstep(values, *searches) -> list:
+    """Run searches in the form of :func:`numerics.brent` side by side.
+
+    Each round collects the next point of every unfinished search and
+    sends each its value from one call of ``values`` on all of them, so
+    that the searches share their quadrature calls.  Returns what each
+    search returned, in order.
+    """
+    results, points = [None] * len(searches), {}
+    sent = dict.fromkeys(range(len(searches)))
+    while sent:
+        for i, fx in sent.items():
+            try:
+                points[i] = searches[i].send(fx)
+            except StopIteration as stop:
+                results[i] = stop.value
+                points.pop(i, None)
+        sent = dict(zip(points, values(list(points.values())))) if points else {}
+    return results
 
 
 @cache
@@ -160,7 +182,8 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
 
     a = s0 + scale
     fa = g(a)
-    bracket = _walk(g, s0, a, fa, 2.0 if fa > 0.0 else 0.25, floor)
+    walk = _walk(s0, a, fa, 2.0 if fa > 0.0 else 0.25, floor)
+    bracket, = _lockstep(lambda xs: map(g, xs), walk)
     s_c = numerics.find_root(g, bracket, tol=1e-13 * scale)
     dphi = -3.0 * s_c * float(stream._accumulate(dist, s_c, (1.0,), -2.5)[0])
     newton = s_c - g(s_c) / dphi
@@ -194,8 +217,17 @@ def second_critical(dist: VorticityDistribution) -> SecondCritical:
 def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     """Conjugate stream slopes and depths for the head ``r``.
 
-    The last 64 pairs are cached by ``(dist, r)``: a repeated call returns
-    the same frozen pair.  Each depth is the one its root search integrated.
+    Each slope is the root of ``R(s) - r`` on its branch: a geometric walk
+    from ``s_c`` brackets it (the subcritical bracket is ``[s0, s_c]``
+    when ``d0`` is finite), and Brent's method polishes it to
+    ``1e-13 max(1, s_c)``.  The two searches run in lockstep: each round
+    sends both the heads at their last slopes, from one quadrature call
+    for the depths of both.  The steps of each are those it takes alone.
+    The depths come from ``stream``'s depth memo where it holds them, as
+    it does for the walk probes, which do not depend on ``r``, at every
+    head after the first.  The last 64 pairs are cached by ``(dist, r)``:
+    a repeated call returns the same frozen pair.  Each depth is the one
+    its root search integrated.
 
     Parameters
     ----------
@@ -234,35 +266,38 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
                              s_plus=crit.s_c, d_plus=crit.d_c,
                              s_minus=crit.s_c, d_minus=crit.d_c)
 
-    # the depth at every slope the searches probe, kept for the roots
-    depth_at = cache(lambda s: stream.depth(dist, s))
+    cls, sec = dist.classify(), second_critical(dist)
+    tol = 1e-13 * scale
 
-    def f(s: float) -> float:
-        return stream._head(dist, s, depth_at(s)) - r
+    def search(bracket):
+        """The root of ``R(s) - r`` in ``bracket``, or in the one a walk finds."""
+        if not isinstance(bracket, numerics.Bracket):
+            bracket = yield from bracket
+        return (yield from numerics.brent(bracket, tol))
+
+    def residuals(slopes):
+        return [stream._head(dist, s, d) - r
+                for s, d in zip(slopes, stream._depths(dist, slopes))]
 
     # supercritical branch: R increases beyond s_c; the walk probes
     # s_c + scale, s_c + 3 scale, s_c + 7 scale, ...
-    bracket = _walk(f, crit.s_c - scale, crit.s_c, crit.r_c - r, 2.0)
-    s_minus = numerics.find_root(f, bracket, tol=1e-13 * scale)
-    d_minus = depth_at(s_minus)
-
-    sec = second_critical(dist)
-    if sec.r0 is not None and r >= sec.r0 - 1e-10 * max(1.0, abs(sec.r0)):
+    searches = [search(_walk(crit.s_c - scale, crit.s_c, crit.r_c - r, 2.0))]
+    if sec.r0 is None or r < sec.r0 - 1e-10 * max(1.0, abs(sec.r0)):
+        if cls.d0_finite:
+            bracket = numerics.Bracket(cls.s0, crit.s_c, sec.r0 - r, crit.r_c - r)
+        else:
+            # R grows without bound toward s0: walk down to the guard-band edge
+            bracket = _walk(cls.s0, crit.s_c, crit.r_c - r, 0.25, _guard_edge(cls.s0))
+        searches.append(search(bracket))
+    # both branches in lockstep, one quadrature call per round for both
+    s_minus, *s_plus = _lockstep(residuals, *searches)
+    d_minus, *d_plus = stream._depths(dist, [s_minus, *s_plus])
+    if not s_plus:
         return ConjugatePair(r=r, regime="only-supercritical",
                              s_plus=None, d_plus=None,
                              s_minus=s_minus, d_minus=d_minus)
-
-    cls = dist.classify()
-    if cls.d0_finite:
-        bracket = numerics.Bracket(cls.s0, crit.s_c, sec.r0 - r, crit.r_c - r)
-    else:
-        # R grows without bound toward s0: walk down to the guard-band edge
-        bracket = _walk(f, cls.s0, crit.s_c, crit.r_c - r, 0.25,
-                        _guard_edge(cls.s0))
-    s_plus = numerics.find_root(f, bracket, tol=1e-13 * scale)
-    d_plus = depth_at(s_plus)
     return ConjugatePair(r=r, regime="subcritical-pair",
-                         s_plus=s_plus, d_plus=d_plus,
+                         s_plus=s_plus[0], d_plus=d_plus[0],
                          s_minus=s_minus, d_minus=d_minus)
 
 

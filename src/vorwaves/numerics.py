@@ -40,6 +40,7 @@ from .errors import (
 __all__ = [
     "integrate",
     "Bracket",
+    "brent",
     "find_root",
     "solve_ivp",
     "tally",
@@ -78,7 +79,7 @@ _WG = np.zeros(15)
 _WG[1:7:2] = _WG_HALF
 _WG[7] = _WG_MID
 _WG[13:7:-2] = _WG_HALF
-_WKG = np.column_stack((_WK, _WG))
+_WKG = np.array((_WK, _WG))
 
 
 def integrate(f: Callable, a, b, singular_left=False, tags=None):
@@ -96,41 +97,51 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
     cell in one call of ``f``.  A cell passes when ``|K15 - G7|`` is within
     its share (by width) of its piece's budget ``max(1e-12, 1e-10 |I|)``;
     the others are bisected.  A piece with an endpoint at ``a_i == b_i``
-    contributes 0, and ``b_i < a_i`` integrates backward.
+    contributes 0, and ``b_i < a_i`` integrates backward.  A piece's value
+    depends on that piece alone, bit for bit: its error control is its
+    own, and each cell's two sums reduce its own 15 values.
 
     Raises :class:`InvalidIntegrandError` on a non-finite integrand value
     and :class:`ConvergenceError` when a piece needs more than 200 cells.
     """
     tally["quad_calls"] += 1
-    a, b, sing = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                     np.asarray(b, dtype=float),
-                                     np.asarray(singular_left, dtype=bool))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    sing = np.asarray(singular_left, dtype=bool)
+    if not a.shape == b.shape == sing.shape:
+        a, b, sing = np.broadcast_arrays(a, b, sing)
     shape = a.shape
     a, b, sing = a.ravel(), b.ravel(), sing.ravel()
     n = a.size
-    tag_of = None if tags is None else np.broadcast_to(np.asarray(tags), shape).ravel()
+    if tags is not None:
+        tags = np.asarray(tags)
+        tags = (tags if tags.shape == shape else np.broadcast_to(tags, shape)).reshape(n, 1)
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     # integration variable per piece: x itself, or v with x = lo + v**2
-    width = np.where(sing, np.sqrt(hi - lo), hi - lo)
-    total = np.zeros(n)
-    count = np.ones(n, dtype=int)
+    width = hi - lo
+    any_sing = bool(sing.any())
+    if any_sing:
+        width = np.where(sing, np.sqrt(width), width)
+        # per piece: lo, the least point above it and hi, the clamps of x
+        ends = np.array((lo, np.nextafter(lo, hi), hi))
+    total, count = np.zeros(n), 1  # count: cells per piece, once one is cut
+    c0 = np.where(sing, 0.0, lo) if any_sing else lo
+    c1 = c0 + width
     piece = np.flatnonzero(width > 0.0)
-    c0 = np.where(sing, 0.0, lo)[piece]
-    c1 = c0 + width[piece]
-    width[width == 0.0] = 1.0  # empty pieces have no cells to share among
-    any_sing, floor = bool(np.any(sing)), np.nextafter(lo, hi)
+    if piece.size < n:
+        c0, c1 = c0[piece], c1[piece]
+        width[width == 0.0] = 1.0  # empty pieces have no cells to share among
     while piece.size:
         half = 0.5 * (c1 - c0)
-        t = (c0 + half)[:, None] + half[:, None] * _XK
-        x = t
-        if any_sing:
+        mid = c0 + half
+        t = mid[:, None] + half[:, None] * _XK
+        x, sub = t, None
+        if any_sing and sing[piece].any():
             sub = sing[piece][:, None]
             # v > 0 at every node; if v**2 underflows against lo, the nearest
             # interior point stands in, so the singularity is never sampled
-            plo, phi = lo[piece][:, None], hi[piece][:, None]
-            x = np.where(sub, np.minimum(np.maximum(plo + t * t, floor[piece][:, None]), phi), t)
-        y = np.asarray(f(x) if tag_of is None else f(x, tag_of[piece][:, None]),
-                       dtype=float)
+            plo, floor, phi = ends[:, piece, None]
+            x = np.where(sub, np.minimum(np.maximum(plo + t * t, floor), phi), t)
+        y = np.asarray(f(x) if tags is None else f(x, tags[piece]), dtype=float)
         tally["quad_points"] += y.size
         tally["quad_cells"] += piece.size
         if not np.isfinite(y).all():
@@ -139,9 +150,12 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
                 f"integrand returned non-finite value {float(y[i, j])!r} at "
                 f"x={float(x[i, j])!r} inside [{float(lo[piece[i]])!r}, "
                 f"{float(hi[piece[i]])!r}]")
-        if any_sing:
+        if sub is not None:
             y = np.where(sub, 2.0 * t * y, y)
-        kg = y @ _WKG
+        # each sum of a cell is one reduction over its own 15 values, so it
+        # does not depend on how many cells share the call (the BLAS kernel
+        # of a matrix product may change with the row count)
+        kg = np.einsum("ij,kj->ik", y, _WKG)
         k15 = half * kg[:, 0]
         err = half * np.abs(kg[:, 0] - kg[:, 1])
         estimate = total + np.bincount(piece, k15, n)
@@ -153,8 +167,8 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
             break
         total += np.bincount(piece[ok], k15[ok], n)
         bad = ~ok
-        piece, c0, c1, mid = piece[bad], c0[bad], c1[bad], (c0 + half)[bad]
-        count += np.bincount(piece, minlength=n)
+        piece, c0, c1, mid = piece[bad], c0[bad], c1[bad], mid[bad]
+        count = count + np.bincount(piece, minlength=n)
         if count.max() > _MAX_CELLS:
             i = int(np.argmax(count))
             raise ConvergenceError(
@@ -164,8 +178,10 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
                 f"{float(np.sum(err[bad][piece == i]))!r})")
         piece = np.concatenate((piece, piece))
         c0, c1 = np.concatenate((c0, mid)), np.concatenate((mid, c1))
-    out = np.where(b < a, -total, total).reshape(shape)
-    return out[()]
+    backward = b < a
+    if backward.any():
+        total = np.where(backward, -total, total)
+    return total.reshape(shape)[()]
 
 
 @dataclass(frozen=True)
@@ -182,34 +198,35 @@ class Bracket:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo!r}, {self.hi!r}]")
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = 1e-13,
-) -> float:
-    """Locate the root of ``f`` inside ``bracket`` by Brent's method.
+def brent(bracket: Bracket, tol: float = 1e-13):
+    """Brent's method as a generator: it yields each ``x`` it needs, is sent
+    ``f(x)`` there, and returns the root.
 
     Brent, *Algorithms for Minimization without Derivatives* (1973),
     chapter 4: inverse quadratic interpolation or secant steps, falling
     back to bisection whenever a step would not shrink the bracket fast
     enough.  The step rules and the stopping test (half the bracket below
     ``(tol + 8.9e-16 |x|) / 2``) are those of scipy's ``brentq``, and at
-    most 200 iterations are taken.
+    most 200 iterations are taken.  An endpoint value missing from
+    ``bracket`` is asked for first, ``lo`` before ``hi``.  A caller may
+    drive several searches at once and evaluate their points together;
+    :func:`find_root` drives one.
 
     The endpoint values must differ in sign (an endpoint exactly at zero
-    is returned directly).  Raises :class:`BracketError` with both values
-    when the sign condition fails, and :class:`ConvergenceError` when ``f``
-    returns NaN or the iteration cap is reached.
+    is returned directly, possibly before anything is yielded).  Raises
+    :class:`BracketError` with both values when the sign condition fails,
+    and :class:`ConvergenceError` when a value is NaN or the iteration cap
+    is reached.
     """
-    def value(x: float, fx: Optional[float] = None) -> float:
-        fx = f(x) if fx is None else fx
+    def value(x: float, fx: float) -> float:
         if math.isnan(fx):
             raise ConvergenceError(f"f({x!r}) is NaN; Brent's method cannot continue")
         return fx
 
     rtol = 8.9e-16
     xpre, xcur = bracket.lo, bracket.hi
-    fpre, fcur = value(xpre, bracket.f_lo), value(xcur, bracket.f_hi)
+    fpre = value(xpre, (yield xpre) if bracket.f_lo is None else bracket.f_lo)
+    fcur = value(xcur, (yield xcur) if bracket.f_hi is None else bracket.f_hi)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -247,10 +264,29 @@ def find_root(
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = value(xcur)
+        fcur = value(xcur, (yield xcur))
     raise ConvergenceError(
         f"Brent's method did not converge in 200 iterations on "
         f"[{bracket.lo!r}, {bracket.hi!r}]; last iterate {xcur!r}")
+
+
+def find_root(
+    f: Callable[[float], float],
+    bracket: Bracket,
+    tol: float = 1e-13,
+) -> float:
+    """Locate the root of ``f`` inside ``bracket`` by Brent's method.
+
+    Drives :func:`brent` with ``f``; its docstring gives the step rules,
+    the stopping test and the errors.
+    """
+    search, fx = brent(bracket, tol), None
+    while True:
+        try:
+            x = search.send(fx)
+        except StopIteration as stop:
+            return stop.value
+        fx = f(x)
 
 
 def solve_ivp(

@@ -28,6 +28,7 @@ trajectories below the threshold slope, and an independent check on
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import inf, isfinite, pi, sqrt
@@ -148,8 +149,7 @@ def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
     return (*layout, tuple(terms))
 
 
-def _accumulate(dist: VorticityDistribution, s: float, grid,
-                power: float) -> np.ndarray:
+def _accumulate(dist: VorticityDistribution, s, grid, power: float) -> np.ndarray:
     """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing grid.
 
     The one quadrature path of the module: ``d``, ``H`` and ``Phi`` all
@@ -167,48 +167,101 @@ def _accumulate(dist: VorticityDistribution, s: float, grid,
     ``x`` to ``m`` (with the square-root substitution when ``m`` is an
     endpoint), any other piece in ``tau``, so that its width keeps every digit.
 
-    Each call then cuts the layer at each maximizer where ``sigma2`` and
+    Each slope then cuts the layer at each maximizer where ``sigma2`` and
     ``2 gap`` are comparable, of width ``L = (sigma2 / 2 c_k)^(1/k)`` for
     ``gap ~ c_k x^k`` at its first nonzero term.  ``L`` can be far below
     any cell width, and a rule whose nodes all miss the layer does not see
     it.  So a piece ``x_lo <= x <= x_hi`` away from ``m`` that spans more
     than a factor 2 is cut at ``max(L, x_lo) 2^k``, and a piece that ends
     at ``m`` at ``L, 2 L, 4 L, ...``.
+
+    ``s`` may be a list or tuple of slopes: the pieces of all of them, each with
+    its own ``sigma2`` and cuts, go to the one call of the rule, and row
+    ``k`` of the result belongs to ``s[k]``.  The rule controls the error
+    of each piece alone, so every row is bit for bit the one a call with
+    that slope alone returns.
     """
-    sigma2, cls = _margin(dist, s)
-    if sigma2 == 0.0 and power <= -1.0:
+    many = isinstance(s, (list, tuple))
+    margins = [_margin(dist, x)[0] for x in (s if many else (s,))]
+    if 0.0 in margins and power <= -1.0:
         raise DomainError(
-            f"Phi is not defined at s = s0 = {cls.s0!r}: the integrand has a "
-            f"non-integrable endpoint there")
+            f"Phi is not defined at s = s0 = {dist.classify().s0!r}: the "
+            f"integrand has a non-integrable endpoint there")
     grid = tuple(np.asarray(grid, dtype=float).tolist())
     lo, hi, x_lo, x_hi, cell, tag, singular, rows, terms = _layout(dist, grid)
-    layer = np.array([min(((sigma2 / c) ** (1.0 / k) for k, c in frame), default=inf)
-                      for frame in terms])[tag]
-    start = np.maximum(layer, x_lo)
-    owner, more_lo, more_hi = [], [], []
-    for i in np.flatnonzero((start > 0.0) & (x_hi > 2.0 * start)):
-        rungs, rung = [], start[i]
-        while rung < x_hi[i]:
-            if rung > x_lo[i]:
-                rungs.append(rung)
-            rung *= 2.0
-        sign, shift = rows[i, :2]
-        bounds = [lo[i], *sorted(shift + sign * r for r in rungs), hi[i]]
-        owner += [i] * (len(bounds) - 1)
-        more_lo += bounds[:-1]
-        more_hi += bounds[1:]
-    # the pieces cut at the rungs keep the row and cell of the whole
-    keep = np.bincount(owner, minlength=len(lo)) == 0
-    piece = np.concatenate((np.flatnonzero(keep), owner)).astype(int)
-    lo, hi = np.concatenate((lo[keep], more_lo)), np.concatenate((hi[keep], more_hi))
+    n, whole = len(lo), np.arange(len(lo))
+    # tag k n + i: piece i of the layout, or a part of it, at slope k
+    tags, a, b = [], [], []
+    for k, sigma2 in enumerate(margins):
+        layer = np.array([min(((sigma2 / c) ** (1.0 / j) for j, c in frame), default=inf)
+                          for frame in terms])[tag]
+        start = np.maximum(layer, x_lo)
+        cut = np.flatnonzero((start > 0.0) & (x_hi > 2.0 * start)).tolist()
+        owner, more_lo, more_hi = [], [], []
+        for i in cut:
+            rungs, rung, floor, top = [], start.item(i), x_lo.item(i), x_hi.item(i)
+            while rung < top:
+                if rung > floor:
+                    rungs.append(rung)
+                rung *= 2.0
+            sign, shift = rows.item(i, 0), rows.item(i, 1)
+            bounds = [lo.item(i), *sorted(shift + sign * r for r in rungs), hi.item(i)]
+            owner += [i] * (len(bounds) - 1)
+            more_lo += bounds[:-1]
+            more_hi += bounds[1:]
+        if cut:
+            # the parts cut at the rungs keep the row and cell of the whole
+            keep = np.ones(n, dtype=bool)
+            keep[cut] = False
+            tags.append(np.concatenate((whole[keep], owner)) + k * n)
+            a.append(np.concatenate((lo[keep], more_lo)))
+            b.append(np.concatenate((hi[keep], more_hi)))
+        else:
+            tags.append(whole + k * n)
+            a.append(lo)
+            b.append(hi)
+    tags, a, b = np.concatenate(tags), np.concatenate(a), np.concatenate(b)
+    slope, piece = np.divmod(tags, n)
+    sig = np.array(margins)
 
     def f(z, which):
-        row = rows[which]
+        k, i = np.divmod(which, n)
+        row = rows[i]
         gap = _horner_rows(row[..., 3:], row[..., 0] * (z - row[..., 1]) - row[..., 2])
-        return (sigma2 + 2.0 * np.maximum(gap, 0.0)) ** power
+        return (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** power
 
-    vals = numerics.integrate(f, lo, hi, singular[piece] & (lo == 0.0), tags=piece)
-    return np.cumsum(np.bincount(cell[piece], vals, len(grid)))
+    vals = numerics.integrate(f, a, b, singular[piece] & (a == 0.0), tags=tags)
+    out = np.bincount(slope * len(grid) + cell[piece], vals, len(margins) * len(grid))
+    out = np.cumsum(out.reshape(len(margins), len(grid)), axis=1)
+    return out if many else out[0]
+
+
+# depths kept by :func:`_depths`: a head landscape probes the same walk
+# slopes at every head, then builds the streams of its roots
+_DEPTHS_CACHED = 512
+_depth_memo: OrderedDict = OrderedDict()  # (dist, s) -> d, least recently used first
+
+
+def _depths(dist: VorticityDistribution, slopes) -> list:
+    """``d(s)`` at each of ``slopes``: from the memo where it holds them,
+    and else from one :func:`_accumulate` call for all the rest.
+
+    ``d`` is a pure function of ``(dist, s)``, as the quadrature
+    tolerances are fixed, and a row of ``_accumulate`` does not depend on
+    the other slopes of its call, so a kept depth is the one a fresh call
+    would return.
+    """
+    todo = [x for x in dict.fromkeys(slopes) if (dist, x) not in _depth_memo]
+    if todo:
+        for x, d in zip(todo, _accumulate(dist, todo, (1.0,), -0.5)[:, 0].tolist()):
+            _depth_memo[dist, x] = d
+    out = []
+    for x in slopes:
+        _depth_memo.move_to_end((dist, x))
+        out.append(_depth_memo[dist, x])
+    while len(_depth_memo) > _DEPTHS_CACHED:
+        _depth_memo.popitem(last=False)
+    return out
 
 
 def depth(dist: VorticityDistribution, s: float) -> float:
@@ -225,7 +278,7 @@ def depth(dist: VorticityDistribution, s: float) -> float:
     -------
     float
     """
-    return float(_accumulate(dist, s, (1.0,), -0.5)[0])
+    return _depths(dist, (s,))[0]
 
 
 def phi(dist: VorticityDistribution, s: float, p: float = 1.0) -> float:

@@ -210,24 +210,68 @@ def _heads(dist):
 
 @pytest.mark.parametrize("spec", PAIR_SPECS)
 def test_searches_integrate_each_slope_once(spec, monkeypatch):
-    # the depths the root searches integrate are kept for the roots, and
-    # the critical search keeps its Phi values: no quadrature is repeated
+    # the critical search keeps its Phi values, and the depth memo keeps
+    # every depth the head searches probe: no slope is integrated twice,
+    # within a head or across heads, and a subcritical pair integrates its
+    # two branches together
     dist = V.parse(spec)
     heads = _heads(dist)
-    seen = []
+    stream._depth_memo.clear()
+    seen, pairs = [], 0
     accumulate = stream._accumulate
 
     def spy(d, s, grid, power):
-        seen.append((s, tuple(np.atleast_1d(grid).tolist()), power))
+        nonlocal pairs
+        pairs += np.size(s) == 2
+        grid = tuple(np.atleast_1d(grid).tolist())
+        seen.extend((x, grid, power) for x in np.atleast_1d(s).tolist())
         return accumulate(d, s, grid, power)
 
     monkeypatch.setattr(stream, "_accumulate", spy)
     find_critical.__wrapped__(dist)
     assert seen and len(seen) == len(set(seen))
     for r in heads:
-        seen.clear()
-        conjugates.__wrapped__(dist, r)
-        assert seen and len(seen) == len(set(seen))
+        before = len(seen)
+        pair = conjugates.__wrapped__(dist, r)
+        assert len(seen) > before and len(seen) == len(set(seen))
+        assert pairs or pair.regime != "subcritical-pair"
+
+
+@pytest.mark.parametrize("spec, calls", [
+    ("poly 1.777 0.051 -2.537", 48),
+    ("table 0:1 0.5:-1 1:2", 52),
+])
+def test_head_landscape_quadrature_calls_are_pinned(spec, calls):
+    # analyze, then conjugates at four heads, from empty caches: the depth
+    # memo and the lockstep searches show in the count of quadrature calls
+    # (84 and 85 with neither), whatever the machine's speed
+    for cached in (find_critical, second_critical, conjugates):
+        cached.cache_clear()
+    stream._depth_memo.clear()
+    numerics.tally.clear()
+    dist = V.parse(spec)
+    an = analyze(dist)
+    for f in (0.2, 0.4, 0.6, 0.8):
+        r = an.r_c * (1.0 + f) if an.r0 is None else an.r_c + f * (an.r0 - an.r_c)
+        assert conjugates(dist, r).regime == "subcritical-pair"
+    assert numerics.tally["quad_calls"] == calls
+
+
+@pytest.mark.parametrize("spec", ["constant 0", "poly 1.777 0.051 -2.537",
+                                  "table 0.0:0.0 0.01:0.0 1.0:0.0"])
+def test_lockstep_search_ending_at_a_probe(spec):
+    # the head of the supercritical walk's first probe: that search ends on
+    # its first value, with no Brent step, while the subcritical one goes on
+    dist = V.parse(spec)
+    crit = find_critical(dist)
+    scale = max(1.0, crit.s_c)
+    origin = crit.s_c - scale
+    probe = origin + (crit.s_c - origin) * 2.0
+    r = head(dist, probe)
+    pair = conjugates.__wrapped__(dist, r)
+    assert pair.s_minus == probe and pair.d_minus == stream.depth(dist, probe)
+    assert pair.regime == "subcritical-pair" and pair.s_plus < crit.s_c
+    assert abs(head(dist, pair.s_plus) - r) <= 1e-12 * r
 
 
 @pytest.mark.parametrize("spec", PAIR_SPECS)

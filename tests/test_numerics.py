@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from vorwaves import numerics
 from vorwaves.errors import (
@@ -87,13 +89,16 @@ def test_find_root_cosine():
     np.testing.assert_allclose(root, math.pi / 2.0, rtol=1e-14)
 
 
-@pytest.mark.parametrize("f, lo, hi", [
+ROOT_CASES = [
     (math.cos, 1.0, 2.0),
     (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
     (lambda x: math.exp(x) - 1e6, 0.0, 30.0),
     (lambda x: math.copysign(abs(x - 0.3) ** 0.2, x - 0.3), -1.0, 1.0),
     (lambda x: 1.0 / (x - 0.5) if x != 0.5 else 0.0, 0.0, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("f, lo, hi", ROOT_CASES)
 def test_find_root_stops_within_tolerance(f, lo, hi):
     # the bracket collapses to the stopping width: tol plus 8.9e-16 |x|,
     # and the sign change survives inside it
@@ -107,6 +112,85 @@ def test_find_root_stops_within_tolerance(f, lo, hi):
     # the step rules are those of scipy's brentq, so the iterates agree
     scipy_optimize = pytest.importorskip("scipy.optimize")
     assert root == scipy_optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16, maxiter=200)
+
+
+def _drive(search, f):
+    """Run a search by hand: the points it asked for, and what it returned."""
+    asked, fx = [], None
+    while True:
+        try:
+            x = search.send(fx)
+        except StopIteration as stop:
+            return asked, stop.value
+        asked.append(x)
+        fx = f(x)
+
+
+@pytest.mark.parametrize("f, lo, hi", ROOT_CASES)
+def test_brent_generator_makes_the_iterates_of_find_root(f, lo, hi):
+    calls = []
+
+    def logged(x):
+        calls.append(x)
+        return f(x)
+
+    root = numerics.find_root(logged, Bracket(lo, hi), tol=1e-12)
+    asked, got = _drive(numerics.brent(Bracket(lo, hi), tol=1e-12), f)
+    assert asked == calls and asked[:2] == [lo, hi]
+    assert got == root
+    # endpoint values given in the bracket are not asked for again
+    asked, got = _drive(numerics.brent(Bracket(lo, hi, f(lo), f(hi)), tol=1e-12), f)
+    assert asked == calls[2:] and got == root
+
+
+def test_brent_generator_at_an_endpoint_root():
+    # a known value of exactly 0 ends the search before anything is asked
+    asked, got = _drive(numerics.brent(Bracket(0.25, 1.0, 0.5, 0.0)), math.cos)
+    assert (asked, got) == ([], 1.0)
+    # both ends are asked for before either is tested
+    asked, got = _drive(numerics.brent(Bracket(0.0, 1.0)), lambda x: x)
+    assert (asked, got) == ([0.0, 1.0], 0.0)
+
+
+def test_brent_generator_refuses_nan():
+    search = numerics.brent(Bracket(-1.0, 1.0))
+    assert search.send(None) == -1.0
+    assert search.send(-1.0) == 1.0
+    assert -1.0 < search.send(1.0) < 1.0
+    with pytest.raises(ConvergenceError, match="NaN"):
+        search.send(math.nan)
+    with pytest.raises(ConvergenceError, match="NaN"):
+        _drive(numerics.brent(Bracket(-1.0, 1.0, math.nan, 1.0)), math.sin)
+
+
+_pieces = st_.lists(
+    st_.tuples(st_.floats(-3.0, 3.0), st_.floats(1e-6, 4.0), st_.booleans(),
+               st_.integers(0, 3)),
+    min_size=2, max_size=24)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(pieces=_pieces, k=st_.integers(0, 23))
+def test_integrate_rows_do_not_depend_on_their_company(pieces, k):
+    # each piece's integral is bit for bit the one it gets alone: its error
+    # control and its Kronrod sums see no other piece
+    a = np.array([p[0] for p in pieces])
+    b = a + np.array([p[1] for p in pieces])
+    sing = np.array([p[2] for p in pieces])
+    tags = np.array([p[3] for p in pieces])
+
+    def f(x, tag):
+        # smooth in x, and differing by tag
+        rate = 0.5 + tag
+        return np.cos(rate * x) * np.exp(-0.1 * rate * x * x) + 1.0 / (1.0 + x * x)
+
+    together = numerics.integrate(f, a, b, sing, tags=tags)
+    alone = [numerics.integrate(f, a[i], b[i], sing[i], tags=tags[i])
+             for i in range(len(a))]
+    assert np.array_equal(together, alone)
+    k %= len(a)
+    pair = numerics.integrate(f, a[[k, 0]], b[[k, 0]], sing[[k, 0]], tags=tags[[k, 0]])
+    assert pair[0] == together[k] and pair[1] == together[0]
 
 
 def test_find_root_endpoint_hit():

@@ -438,6 +438,88 @@ def test_phi_gauss_legendre_at_critical_slope():
     assert abs(total - 1.0) < 1e-10
 
 
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(400)
+# each piece is graded toward both ends, where Omega may peak: a layer of
+# width sigma2 / |omega| there is far below the piece when s_c nears s0
+_GRADE = 2.0 ** -np.arange(1, 41)
+
+
+def _phi_by_gauss_legendre(spec, s):
+    """``Phi(1; s)`` from the spec text alone: Omega integrated by hand, and
+    a fixed 400-point Gauss-Legendre rule on graded pieces between the
+    table nodes and the zeros of omega."""
+    kind, *toks = spec.split()
+    if kind == "table":
+        nodes = [tuple(float(x) for x in tok.split(":")) for tok in toks]
+        cuts = {t for t, _ in nodes}
+        for (t0, v0), (t1, v1) in zip(nodes, nodes[1:]):
+            if v0 * v1 < 0.0:
+                cuts.add(t0 - v0 * (t1 - t0) / (v1 - v0))
+
+        def Omega(tau):
+            out = np.zeros_like(tau)
+            for (t0, v0), (t1, v1) in zip(nodes, nodes[1:]):
+                x = np.clip(tau, t0, t1) - t0
+                out += v0 * x + 0.5 * (v1 - v0) / (t1 - t0) * x * x
+            return out
+    else:
+        coef = [float(c) for c in toks]
+        cuts = {0.0, 1.0}
+        if any(coef[1:]):
+            cuts.update(z.real for z in np.roots(coef[::-1])
+                        if abs(z.imag) < 1e-12 and 0.0 < z.real < 1.0)
+
+        def Omega(tau):
+            return sum(c * tau ** (k + 1) / (k + 1) for k, c in enumerate(coef))
+    cuts, total = sorted(cuts), 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        pts = np.unique(np.concatenate(([a, b], a + (b - a) * _GRADE, b - (b - a) * _GRADE)))
+        lo, hi = pts[:-1, None], pts[1:, None]
+        tau = lo + 0.5 * (hi - lo) * (_GL_X + 1.0)
+        total += float(np.sum(0.5 * (hi - lo) * _GL_W * (s * s - 2.0 * Omega(tau)) ** -1.5))
+    return total
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(spec=dist_specs)
+@example(spec="poly 4.0 2.375 4.0 4.0 4.0")
+def test_phi_gauss_legendre_at_critical_slope_over_random_distributions(spec):
+    # Phi(1; s_c) = 1 by a rule that shares no code with _accumulate; the
+    # first example's s_c is within 4e-4 of s0, so ungraded pieces miss
+    # its surface layer by 5e-6
+    dist = V.parse(spec)
+    try:
+        dist.classify()
+    except AmbiguousClassificationError:
+        return
+    s_c = bernoulli.find_critical(dist).s_c
+    assert abs(_phi_by_gauss_legendre(spec, s_c) - 1.0) < 1e-11
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=dist_specs, lifts=st_.lists(st_.floats(-4.0, 0.5), min_size=2, max_size=3),
+       grid=st_.lists(st_.integers(1, 999), max_size=3, unique=True))
+def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, grid):
+    # a row of a several-slope _accumulate, and so a batched depth, is bit
+    # for bit the one the slope gets alone: the memo cannot depend on
+    # which slopes were integrated together
+    dist = V.parse(spec)
+    try:
+        s0 = dist.classify().s0
+    except AmbiguousClassificationError:
+        return
+    slopes = [s0 + max(1.0, s0) * 10.0 ** lift for lift in lifts]
+    grid = tuple(sorted(g / 1000 for g in grid)) + (1.0,)
+    for power in (-0.5, -1.5):
+        together = stream._accumulate(dist, slopes, grid, power)
+        for s, row in zip(slopes, together):
+            assert np.array_equal(row, stream._accumulate(dist, s, grid, power))
+    stream._depth_memo.clear()
+    pair = stream._depths(dist, slopes[:2])
+    stream._depth_memo.clear()
+    assert pair == [depth(dist, slopes[0]), depth(dist, slopes[1])]
+
+
 def test_conjugates_near_interior_peak():
     # class "i" with the Omega peak at 0.847: the subcritical search starts
     # at the guard-band edge, where the uncut depth integral hit round-off
@@ -540,7 +622,8 @@ def test_layout_is_built_once_per_grid():
 def test_quadrature_work_is_pinned(spec, s, fn, want):
     # integrand points and cells of one call at 1.05 s0 + 0.01 and at
     # s0 + 1e-6 max(1, s0), pinned: a change to the pieces, their rung cuts
-    # or the refinement shows here
+    # or the refinement shows here; the depth memo must not answer first
+    stream._depth_memo.clear()
     numerics.tally.clear()
     fn(V.parse(spec), s)
     assert (numerics.tally["quad_points"], numerics.tally["quad_cells"]) == want

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from . import numerics, stream
@@ -39,8 +39,8 @@ __all__ = [
     "analyze",
 ]
 
-# conjugate pairs kept by :func:`conjugates`: a sweep over heads revisits
-# only its last few, and the bound keeps a long sweep from growing memory
+# pairs kept by :func:`conjugates`, distributions by the two head caches: a
+# sweep revisits only its last few, and the bound keeps memory from growing
 _PAIRS_CACHED = 64
 
 
@@ -149,7 +149,7 @@ def _lockstep(values, *searches) -> list:
     return results
 
 
-@cache
+@lru_cache(maxsize=_PAIRS_CACHED)
 def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     """Critical slope and head: the minimum of ``R(s)``.
 
@@ -164,7 +164,9 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     times ``|s d'(s) / d|`` (about 500 on ``constant 50``).  So one Newton
     step on ``Phi(1; s) = 1``, with ``dPhi/ds = -3 s int_0^1 (s^2 -
     2 Omega)^(-5/2)``, takes ``s_c`` to rounding; it is kept only inside
-    the walk's bracket.
+    the walk's bracket.  Walk and Brent run through :func:`_lockstep`, and every
+    integral comes from ``stream``'s column memo, at last ``(Phi, dPhi/ds)`` at the
+    root and ``(d, Phi)`` at the Newton slope.  The last 64 distributions are kept.
 
     Returns
     -------
@@ -176,29 +178,28 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     scale = max(1.0, s0)
     floor = s0 + 1e-12 * scale if cls.d0_finite else _guard_edge(s0)
 
-    @cache
-    def g(s: float) -> float:
-        return stream.phi(dist, s, 1.0) - 1.0
+    def g(slopes):
+        return [phi - 1.0 for phi in stream._totals(dist, [(s, -1.5) for s in slopes])]
 
     a = s0 + scale
-    fa = g(a)
+    fa, = g([a])
     walk = _walk(s0, a, fa, 2.0 if fa > 0.0 else 0.25, floor)
-    bracket, = _lockstep(lambda xs: map(g, xs), walk)
-    s_c = numerics.find_root(g, bracket, tol=1e-13 * scale)
-    dphi = -3.0 * s_c * float(stream._accumulate(dist, s_c, (1.0,), -2.5)[0])
-    newton = s_c - g(s_c) / dphi
+    bracket, = _lockstep(g, walk)
+    s_c, = _lockstep(g, numerics.brent(bracket, 1e-13 * scale))
+    phi, w = stream._totals(dist, [(s_c, -1.5), (s_c, -2.5)])
+    newton = s_c - (phi - 1.0) / (-3.0 * s_c * w)  # dPhi/ds = -3 s w
     if bracket.lo <= newton <= bracket.hi:
         s_c = newton
-    d_c = stream.depth(dist, s_c)
+    d_c, phi = stream._totals(dist, [(s_c, -0.5), (s_c, -1.5)])
     return CriticalPoint(
         s_c=s_c,
         r_c=stream._head(dist, s_c, d_c),
         d_c=d_c,
-        phi_residual=g(s_c),
+        phi_residual=phi - 1.0,
     )
 
 
-@cache
+@lru_cache(maxsize=_PAIRS_CACHED)
 def second_critical(dist: VorticityDistribution) -> SecondCritical:
     """Zero-margin depth and head ``(d0, r0) = (d(s0), R(s0))``.
 
@@ -223,7 +224,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     ``1e-13 max(1, s_c)``.  The two searches run in lockstep: each round
     sends both the heads at their last slopes, from one quadrature call
     for the depths of both.  The steps of each are those it takes alone.
-    The depths come from ``stream``'s depth memo where it holds them, as
+    The depths come from ``stream``'s column memo where it holds them, as
     it does for the walk probes, which do not depend on ``r``, at every
     head after the first.  The last 64 pairs are cached by ``(dist, r)``:
     a repeated call returns the same frozen pair.  Each depth is the one
@@ -276,8 +277,8 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         return (yield from numerics.brent(bracket, tol))
 
     def residuals(slopes):
-        return [stream._head(dist, s, d) - r
-                for s, d in zip(slopes, stream._depths(dist, slopes))]
+        depths = stream._totals(dist, [(s, -0.5) for s in slopes])
+        return [stream._head(dist, s, d) - r for s, d in zip(slopes, depths)]
 
     # supercritical branch: R increases beyond s_c; the walk probes
     # s_c + scale, s_c + 3 scale, s_c + 7 scale, ...
@@ -291,7 +292,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         searches.append(search(bracket))
     # both branches in lockstep, one quadrature call per round for both
     s_minus, *s_plus = _lockstep(residuals, *searches)
-    d_minus, *d_plus = stream._depths(dist, [s_minus, *s_plus])
+    d_minus, *d_plus = stream._totals(dist, [(s, -0.5) for s in (s_minus, *s_plus)])
     if not s_plus:
         return ConjugatePair(r=r, regime="only-supercritical",
                              s_plus=None, d_plus=None,

@@ -264,7 +264,7 @@ def wheeler_identity(hfield: HodographField, s: float, window,
     """Evaluate both sides of the conjugate-flow integral identity.
 
     The field ``h`` is compared with the stream profile ``H(p; s)``, taken
-    with ``Phi(p; s)`` from the stream quadrature on the field's p-grid,
+    with ``Phi(p; s)`` from one two-row stream quadrature on the field's grid,
     over the q-window: the left side couples ``Phi(1; s) - 1`` with the
     surface deviation plus a gradient-quadratic bulk integral, the right
     side is the boundary flux ``-(h_q / h_p) Phi(p; s)`` through the
@@ -286,7 +286,7 @@ def wheeler_identity(hfield: HodographField, s: float, window,
         raise ConfigError(f"empty window {window!r} on q in "
                           f"[{q[0]!r}, {q[-1]!r}]")
 
-    H_col = _stream._accumulate(dist, s, p, -0.5)
+    H_col, phi_vals = _stream._accumulate(dist, [(s, -0.5), (s, -1.5)], p)
     head = _stream._head(dist, s, float(H_col[-1]))
     head_gap = abs(head - hfield.r)
     if head_gap > _HEAD_MATCH_TOL * max(1.0, abs(hfield.r)):
@@ -295,7 +295,6 @@ def wheeler_identity(hfield: HodographField, s: float, window,
             f"the field's r={hfield.r!r} by {head_gap!r}; the identity is "
             f"only exact on matching heads", stacklevel=2)
 
-    phi_vals = _stream._accumulate(dist, s, p, -1.5)
     phi_surface = float(phi_vals[-1])
     reduced = abs(phi_surface - 1.0) < _PHI_REDUCED_TOL
 

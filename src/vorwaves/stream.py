@@ -4,11 +4,13 @@ A stream solution with bottom slope ``s`` solves ``u'' + omega(u) = 0`` with
 ``u(0) = 0`` and ``u(d) = 1`` for the depth ``d`` determined by ``s``.  The
 first integral ``u'^2 = s^2 - 2 Omega(u)`` turns everything into quadratures
 in the normalized stream variable ``tau = u``, all computed by one cumulative
-integrator (``_accumulate``) along an increasing grid of ``p``:
+integrator (``_accumulate``) along an increasing grid of ``p``, a row per ``(s, power)``:
 
 * depth           ``d(s)   = int_0^1 (s^2 - 2 Omega)^(-1/2) dtau``
 * height profile  ``H(p;s) = int_0^p (s^2 - 2 Omega)^(-1/2) dtau``
 * tail weight     ``Phi(p;s) = int_0^p (s^2 - 2 Omega)^(-3/2) dtau``
+* slope of Phi    ``dPhi(1;s)/ds = -3 s int_0^1 (s^2 - 2 Omega)^(-5/2) dtau``
+* column totals   all of them at ``p = 1``, memoized per ``(dist, s, power)`` by ``_totals``
 
 All integrands share the margin ``sigma2 + 2 gap(tau)`` where
 ``sigma2 = s^2 - s0^2`` and ``gap = max Omega - Omega >= 0``.  At ``s = s0``
@@ -149,12 +151,13 @@ def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
     return (*layout, tuple(terms))
 
 
-def _accumulate(dist: VorticityDistribution, s, grid, power: float) -> np.ndarray:
-    """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing grid.
+def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
+    """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing
+    grid, in row ``k`` for the slope and power ``requests[k] = (s, power)``.
 
-    The one quadrature path of the module: ``d``, ``H`` and ``Phi`` all
-    come from here, and every piece of every grid cell goes to one call of
-    the batched rule.  The layout of the pieces does not depend on ``s``
+    The one quadrature path of the module: ``d``, ``H``, ``Phi`` and
+    ``dPhi/ds`` all come from here, and every piece of every row goes to
+    one call of the batched rule.  The layout of the pieces does not depend on ``s``
     and is built once per ``(dist, grid)`` by :func:`_layout`.  Each grid
     cell is cut at the interior segment starts of omega (its kinks) and
     maximizers of Omega (peaks of the integrand), and a piece with a
@@ -167,7 +170,7 @@ def _accumulate(dist: VorticityDistribution, s, grid, power: float) -> np.ndarra
     ``x`` to ``m`` (with the square-root substitution when ``m`` is an
     endpoint), any other piece in ``tau``, so that its width keeps every digit.
 
-    Each slope then cuts the layer at each maximizer where ``sigma2`` and
+    Each row then cuts the layer at each maximizer where ``sigma2`` and
     ``2 gap`` are comparable, of width ``L = (sigma2 / 2 c_k)^(1/k)`` for
     ``gap ~ c_k x^k`` at its first nonzero term.  ``L`` can be far below
     any cell width, and a rule whose nodes all miss the layer does not see
@@ -175,22 +178,19 @@ def _accumulate(dist: VorticityDistribution, s, grid, power: float) -> np.ndarra
     than a factor 2 is cut at ``max(L, x_lo) 2^k``, and a piece that ends
     at ``m`` at ``L, 2 L, 4 L, ...``.
 
-    ``s`` may be a list or tuple of slopes: the pieces of all of them, each with
-    its own ``sigma2`` and cuts, go to the one call of the rule, and row
-    ``k`` of the result belongs to ``s[k]``.  The rule controls the error
-    of each piece alone, so every row is bit for bit the one a call with
-    that slope alone returns.
+    Each row has its own ``sigma2``, power and cuts.  The rule controls
+    the error of each piece alone, so every row is bit for bit the one a
+    call with that request alone returns.
     """
-    many = isinstance(s, (list, tuple))
-    margins = [_margin(dist, x)[0] for x in (s if many else (s,))]
-    if 0.0 in margins and power <= -1.0:
+    margins = [_margin(dist, s)[0] for s, _ in requests]
+    if any(m == 0.0 and power <= -1.0 for m, (_, power) in zip(margins, requests)):
         raise DomainError(
-            f"Phi is not defined at s = s0 = {dist.classify().s0!r}: the "
-            f"integrand has a non-integrable endpoint there")
+            f"Phi and dPhi/ds are not defined at s = s0 = {dist.classify().s0!r}: "
+            f"the integrand has a non-integrable endpoint there")
     grid = tuple(np.asarray(grid, dtype=float).tolist())
     lo, hi, x_lo, x_hi, cell, tag, singular, rows, terms = _layout(dist, grid)
     n, whole = len(lo), np.arange(len(lo))
-    # tag k n + i: piece i of the layout, or a part of it, at slope k
+    # tag k n + i: piece i of the layout, or a part of it, in row k
     tags, a, b = [], [], []
     for k, sigma2 in enumerate(margins):
         layer = np.array([min(((sigma2 / c) ** (1.0 / j) for j, c in frame), default=inf)
@@ -221,46 +221,46 @@ def _accumulate(dist: VorticityDistribution, s, grid, power: float) -> np.ndarra
             a.append(lo)
             b.append(hi)
     tags, a, b = np.concatenate(tags), np.concatenate(a), np.concatenate(b)
-    slope, piece = np.divmod(tags, n)
-    sig = np.array(margins)
+    row_of, piece = np.divmod(tags, n)
+    sig, powers = np.array(margins), np.array([power for _, power in requests])
 
     def f(z, which):
         k, i = np.divmod(which, n)
         row = rows[i]
         gap = _horner_rows(row[..., 3:], row[..., 0] * (z - row[..., 1]) - row[..., 2])
-        return (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** power
+        return (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** powers[k]
 
     vals = numerics.integrate(f, a, b, singular[piece] & (a == 0.0), tags=tags)
-    out = np.bincount(slope * len(grid) + cell[piece], vals, len(margins) * len(grid))
-    out = np.cumsum(out.reshape(len(margins), len(grid)), axis=1)
-    return out if many else out[0]
+    out = np.bincount(row_of * len(grid) + cell[piece], vals, len(margins) * len(grid))
+    return np.cumsum(out.reshape(len(margins), len(grid)), axis=1)
 
 
-# depths kept by :func:`_depths`: a head landscape probes the same walk
-# slopes at every head, then builds the streams of its roots
-_DEPTHS_CACHED = 512
-_depth_memo: OrderedDict = OrderedDict()  # (dist, s) -> d, least recently used first
+# whole-column integrals kept by :func:`_totals`: a head landscape probes
+# the same walk slopes at every head, then builds the streams of its roots
+_TOTALS_CACHED = 512
+_total_memo: OrderedDict = OrderedDict()  # (dist, s, power) -> integral, oldest first
 
 
-def _depths(dist: VorticityDistribution, slopes) -> list:
-    """``d(s)`` at each of ``slopes``: from the memo where it holds them,
-    and else from one :func:`_accumulate` call for all the rest.
+def _totals(dist: VorticityDistribution, requests) -> list:
+    """``int_0^1 (sigma2 + 2 gap)^power dtau`` for each ``(s, power)`` of
+    ``requests``: from the memo where it holds them, and else from one
+    :func:`_accumulate` call for all the rest.
 
-    ``d`` is a pure function of ``(dist, s)``, as the quadrature
+    Each is a pure function of ``(dist, s, power)``, as the quadrature
     tolerances are fixed, and a row of ``_accumulate`` does not depend on
-    the other slopes of its call, so a kept depth is the one a fresh call
+    the other rows of its call, so a kept integral is the one a fresh call
     would return.
     """
-    todo = [x for x in dict.fromkeys(slopes) if (dist, x) not in _depth_memo]
+    keys = [(dist, s, power) for s, power in requests]
+    todo = [key for key in dict.fromkeys(keys) if key not in _total_memo]
     if todo:
-        for x, d in zip(todo, _accumulate(dist, todo, (1.0,), -0.5)[:, 0].tolist()):
-            _depth_memo[dist, x] = d
-    out = []
-    for x in slopes:
-        _depth_memo.move_to_end((dist, x))
-        out.append(_depth_memo[dist, x])
-    while len(_depth_memo) > _DEPTHS_CACHED:
-        _depth_memo.popitem(last=False)
+        rows = _accumulate(dist, [key[1:] for key in todo], (1.0,))
+        _total_memo.update(zip(todo, rows[:, 0].tolist()))
+    for key in keys:
+        _total_memo.move_to_end(key)
+    out = [_total_memo[key] for key in keys]
+    while len(_total_memo) > _TOTALS_CACHED:
+        _total_memo.popitem(last=False)
     return out
 
 
@@ -278,7 +278,7 @@ def depth(dist: VorticityDistribution, s: float) -> float:
     -------
     float
     """
-    return _depths(dist, (s,))[0]
+    return _totals(dist, [(s, -0.5)])[0]
 
 
 def phi(dist: VorticityDistribution, s: float, p: float = 1.0) -> float:
@@ -288,7 +288,7 @@ def phi(dist: VorticityDistribution, s: float, p: float = 1.0) -> float:
     slope.  Requires ``s`` strictly above the threshold: at ``s = s0`` the
     ``-3/2`` power is not integrable.
     """
-    return float(_accumulate(dist, s, (float(_stream_values(p)),), -1.5)[0])
+    return float(_accumulate(dist, [(s, -1.5)], (float(_stream_values(p)),))[0, 0])
 
 
 def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
@@ -345,7 +345,7 @@ class StreamSolution:
         """``(p, H(p))`` at the Chebyshev-Lobatto nodes, where ``u_at`` starts."""
         p = 0.5 * (1.0 - np.cos(pi * np.arange(_PROFILE_NODES) / (_PROFILE_NODES - 1)))
         p[0], p[-1] = 0.0, 1.0
-        return p, _accumulate(self.dist, self.s, p, -0.5)
+        return p, _accumulate(self.dist, [(self.s, -0.5)], p)[0]
 
     # -- profile evaluation ----------------------------------------------------
 
@@ -356,7 +356,7 @@ class StreamSolution:
         out = np.zeros(flat.size)
         if flat.size:
             order = np.argsort(flat)
-            out[order] = _accumulate(self.dist, self.s, flat[order], -0.5)
+            out[order] = _accumulate(self.dist, [(self.s, -0.5)], flat[order])[0]
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def _speed(self, p):
@@ -409,7 +409,7 @@ class StreamSolution:
             h = np.clip(arr.ravel()[order], 0.0, self.d)
             p = np.interp(h, self._nodes[1], self._nodes[0])
             for _ in range(30):
-                resid = _accumulate(self.dist, self.s, p, -0.5) - h
+                resid = _accumulate(self.dist, [(self.s, -0.5)], p)[0] - h
                 step = resid * self._speed(p)
                 p = np.maximum.accumulate(np.clip(p - step, 0.0, 1.0))
                 if np.abs(step).max() < 1e-13:

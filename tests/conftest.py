@@ -55,5 +55,15 @@ def disp_plus(stream_plus):
 
 
 @pytest.fixture
+def fresh_caches():
+    """Empty every cache that can answer for the quadrature, so that a count
+    of quadrature calls or points sees the work itself."""
+    stream._layout.cache_clear()
+    stream._total_memo.clear()
+    for cached in (bernoulli.find_critical, bernoulli.second_critical, bernoulli.conjugates):
+        cached.cache_clear()
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260818)

@@ -209,45 +209,40 @@ def _heads(dist):
 
 
 @pytest.mark.parametrize("spec", PAIR_SPECS)
-def test_searches_integrate_each_slope_once(spec, monkeypatch):
-    # the critical search keeps its Phi values, and the depth memo keeps
-    # every depth the head searches probe: no slope is integrated twice,
-    # within a head or across heads, and a subcritical pair integrates its
-    # two branches together
+def test_searches_integrate_each_slope_once(spec, monkeypatch, fresh_caches):
+    # the column memo keeps every Phi and depth the searches probe: no
+    # (slope, grid, power) row is integrated twice, within the critical
+    # search, within a head or across heads, and a subcritical pair
+    # integrates its two branches together
     dist = V.parse(spec)
-    heads = _heads(dist)
-    stream._depth_memo.clear()
     seen, pairs = [], 0
     accumulate = stream._accumulate
 
-    def spy(d, s, grid, power):
+    def spy(d, requests, grid):
         nonlocal pairs
-        pairs += np.size(s) == 2
+        pairs += len({s for s, _ in requests}) == 2
         grid = tuple(np.atleast_1d(grid).tolist())
-        seen.extend((x, grid, power) for x in np.atleast_1d(s).tolist())
-        return accumulate(d, s, grid, power)
+        seen.extend((s, grid, power) for s, power in requests)
+        return accumulate(d, requests, grid)
 
     monkeypatch.setattr(stream, "_accumulate", spy)
-    find_critical.__wrapped__(dist)
-    assert seen and len(seen) == len(set(seen))
-    for r in heads:
+    find_critical(dist)
+    assert seen and len(seen) == len(set(seen)) and not pairs
+    for r in _heads(dist):
         before = len(seen)
-        pair = conjugates.__wrapped__(dist, r)
+        pair = conjugates(dist, r)
         assert len(seen) > before and len(seen) == len(set(seen))
         assert pairs or pair.regime != "subcritical-pair"
 
 
 @pytest.mark.parametrize("spec, calls", [
     ("poly 1.777 0.051 -2.537", 48),
-    ("table 0:1 0.5:-1 1:2", 52),
+    ("table 0:1 0.5:-1 1:2", 51),
 ])
-def test_head_landscape_quadrature_calls_are_pinned(spec, calls):
-    # analyze, then conjugates at four heads, from empty caches: the depth
+def test_head_landscape_quadrature_calls_are_pinned(spec, calls, fresh_caches):
+    # analyze, then conjugates at four heads, from empty caches: the column
     # memo and the lockstep searches show in the count of quadrature calls
     # (84 and 85 with neither), whatever the machine's speed
-    for cached in (find_critical, second_critical, conjugates):
-        cached.cache_clear()
-    stream._depth_memo.clear()
     numerics.tally.clear()
     dist = V.parse(spec)
     an = analyze(dist)
@@ -255,6 +250,20 @@ def test_head_landscape_quadrature_calls_are_pinned(spec, calls):
         r = an.r_c * (1.0 + f) if an.r0 is None else an.r_c + f * (an.r0 - an.r_c)
         assert conjugates(dist, r).regime == "subcritical-pair"
     assert numerics.tally["quad_calls"] == calls
+
+
+def test_head_caches_are_bounded():
+    # find_critical and second_critical keep the last 64 distributions, as
+    # conjugates keeps its last 64 pairs; the most recent still costs no
+    # quadrature
+    for k in range(65):
+        dist = V.constant(0.25 + k / 64.0)
+        analyze(dist)
+    for cached in (find_critical, second_critical):
+        assert cached.cache_info().currsize <= 64
+    numerics.tally.clear()
+    analyze(dist)
+    assert numerics.tally["quad_calls"] == 0
 
 
 @pytest.mark.parametrize("spec", ["constant 0", "poly 1.777 0.051 -2.537",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vorwaves import bernoulli, hodograph, linearwave, stream
+from vorwaves import bernoulli, hodograph, linearwave, numerics, stream
 from vorwaves.errors import ConfigError, UnidirectionalityError
 from vorwaves.hodograph import (
     bernoulli_residual,
@@ -127,16 +127,32 @@ def test_wheeler_builds_no_stream(w_two, monkeypatch):
         raise AssertionError("wheeler_identity built a StreamSolution")
 
     monkeypatch.setattr(stream.StreamSolution, "__init__", fail)
+    numerics.tally.clear()
     assert wheeler_identity(hf, 3.0, None, w_two).discrepancy == 0.0
+    # H and Phi come from one two-row call
+    assert numerics.tally["quad_calls"] == 1
 
 
-def test_wheeler_conjugate_pair(w_zero, conj11, stream_minus):
-    hf = to_strip(stream_minus, n_q=21)
-    rep = wheeler_identity(hf, conj11.s_plus, (0.0, 1.0), w_zero)
-    assert rep.rhs == 0.0
-    assert abs(rep.lhs_per_unit) < 1e-6
-    assert rep.width == 1.0
-    assert rep.head_gap < 1e-8
+@pytest.mark.parametrize("spec", ["constant 0", "table 0:1 0.5:-1 1:2"])
+def test_wheeler_conjugate_pair(spec):
+    # the field of the s- stream against s+, at r = 1.1 on omega = 0 and
+    # halfway between r_c and r0 on the table.  On omega = 0 both profiles
+    # are linear in p, so every difference is exact and lhs is rounding;
+    # with vorticity the differences and the trapezoid rule leave an
+    # O(dp^2) lhs (7.9e-5 at n_p = 2049), while rhs stays exactly zero
+    dist = V.parse(spec)
+    an = bernoulli.analyze(dist)
+    pair = bernoulli.conjugates(dist, 1.1 if an.r0 is None else 0.5 * (an.r_c + an.r0))
+    minus = stream.solve_stream(dist, pair.s_minus)
+    lhs = []
+    for n_p in (1025, 2049):
+        rep = wheeler_identity(to_strip(minus, n_p=n_p, n_q=21), pair.s_plus, (0.0, 1.0), dist)
+        assert rep.rhs == 0.0
+        assert rep.width == 1.0
+        assert rep.head_gap < 1e-8
+        lhs.append(abs(rep.lhs_per_unit))
+    assert lhs[1] < 1e-4
+    assert lhs[0] >= 3.5 * lhs[1] or lhs[0] < 1e-12
 
 
 def test_wheeler_reduced_at_critical_slope(w_zero):

@@ -89,7 +89,7 @@ def test_phi_decreasing_in_s(w_two):
 
 def test_phi_cumulative_matches_pointwise(w_two):
     grid = np.linspace(0.0, 1.0, 17)
-    cum = stream._accumulate(w_two, 3.0, grid, -1.5)
+    cum = stream._accumulate(w_two, [(3.0, -1.5)], grid)[0]
     want = [phi(w_two, 3.0, p) for p in grid]
     np.testing.assert_allclose(cum, want, rtol=1e-10, atol=1e-14)
 
@@ -197,7 +197,7 @@ def test_height_at_is_the_quadrature(w_tilted):
     p = np.array([[0.9, 0.1, 1.0], [0.0, 0.5, 0.1]])
     order = np.argsort(p, axis=None)
     want = np.empty(p.size)
-    want[order] = stream._accumulate(w_tilted, 0.3, p.ravel()[order], -0.5)
+    want[order] = stream._accumulate(w_tilted, [(0.3, -0.5)], p.ravel()[order])[0]
     assert np.array_equal(st.height_at(p), want.reshape(p.shape))
     assert st.height_at(1.0) == st.d and st.height_at(0.0) == 0.0
     assert st.height_at(np.empty(0)).shape == (0,)
@@ -498,11 +498,13 @@ def test_phi_gauss_legendre_at_critical_slope_over_random_distributions(spec):
 
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(spec=dist_specs, lifts=st_.lists(st_.floats(-4.0, 0.5), min_size=2, max_size=3),
+       powers=st_.lists(st_.sampled_from((-0.5, -1.5, -2.5)), min_size=3, max_size=3),
        grid=st_.lists(st_.integers(1, 999), max_size=3, unique=True))
-def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, grid):
-    # a row of a several-slope _accumulate, and so a batched depth, is bit
-    # for bit the one the slope gets alone: the memo cannot depend on
-    # which slopes were integrated together
+def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, powers, grid):
+    # a row of a several-row _accumulate, and so a memoized column
+    # integral, is bit for bit the one its (slope, power) gets alone,
+    # whatever the slopes and powers of the other rows: the memo cannot
+    # depend on which requests were integrated together
     dist = V.parse(spec)
     try:
         s0 = dist.classify().s0
@@ -510,14 +512,13 @@ def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, grid):
         return
     slopes = [s0 + max(1.0, s0) * 10.0 ** lift for lift in lifts]
     grid = tuple(sorted(g / 1000 for g in grid)) + (1.0,)
-    for power in (-0.5, -1.5):
-        together = stream._accumulate(dist, slopes, grid, power)
-        for s, row in zip(slopes, together):
-            assert np.array_equal(row, stream._accumulate(dist, s, grid, power))
-    stream._depth_memo.clear()
-    pair = stream._depths(dist, slopes[:2])
-    stream._depth_memo.clear()
-    assert pair == [depth(dist, slopes[0]), depth(dist, slopes[1])]
+    for rows in ([-0.5] * 3, [-1.5] * 3, powers):
+        requests = list(zip(slopes, rows))
+        together = stream._accumulate(dist, requests, grid)
+        for request, row in zip(requests, together):
+            assert np.array_equal(row, stream._accumulate(dist, [request], grid)[0])
+    alone = [stream._accumulate(dist, [request], (1.0,))[0, 0] for request in requests]
+    assert stream._totals(dist, requests) == alone
 
 
 def test_conjugates_near_interior_peak():
@@ -596,7 +597,7 @@ def test_layout_rows_are_the_gap(spec, cuts, u):
         assert np.array_equal(got[i], dist._gap(m, e, x[i]))
 
 
-def test_layout_is_built_once_per_grid():
+def test_layout_is_built_once_per_grid(fresh_caches):
     # the piece layout does not depend on s: a root search pays for it once
     dist = V.parse("poly 0.25 -1.5 2.0 0.125")
     before = _layout.cache_info()
@@ -619,11 +620,10 @@ def test_layout_is_built_once_per_grid():
     ("poly -3 6", 1e-6, depth, (1290, 86)),
     ("poly -3 6", 1e-6, phi, (3390, 226)),
 ])
-def test_quadrature_work_is_pinned(spec, s, fn, want):
+def test_quadrature_work_is_pinned(spec, s, fn, want, fresh_caches):
     # integrand points and cells of one call at 1.05 s0 + 0.01 and at
     # s0 + 1e-6 max(1, s0), pinned: a change to the pieces, their rung cuts
-    # or the refinement shows here; the depth memo must not answer first
-    stream._depth_memo.clear()
+    # or the refinement shows here; the column memo must not answer first
     numerics.tally.clear()
     fn(V.parse(spec), s)
     assert (numerics.tally["quad_points"], numerics.tally["quad_cells"]) == want

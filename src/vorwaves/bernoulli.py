@@ -128,27 +128,6 @@ def _walk(origin: float, a: float, fa: float, ratio: float,
         f"f({a!r}) = {fa!r}")
 
 
-def _lockstep(values, *searches) -> list:
-    """Run searches in the form of :func:`numerics.brent` side by side.
-
-    Each round collects the next point of every unfinished search and
-    sends each its value from one call of ``values`` on all of them, so
-    that the searches share their quadrature calls.  Returns what each
-    search returned, in order.
-    """
-    results, points = [None] * len(searches), {}
-    sent = dict.fromkeys(range(len(searches)))
-    while sent:
-        for i, fx in sent.items():
-            try:
-                points[i] = searches[i].send(fx)
-            except StopIteration as stop:
-                results[i] = stop.value
-                points.pop(i, None)
-        sent = dict(zip(points, values(list(points.values())))) if points else {}
-    return results
-
-
 @lru_cache(maxsize=_PAIRS_CACHED)
 def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     """Critical slope and head: the minimum of ``R(s)``.
@@ -164,9 +143,9 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     times ``|s d'(s) / d|`` (about 500 on ``constant 50``).  So one Newton
     step on ``Phi(1; s) = 1``, with ``dPhi/ds = -3 s int_0^1 (s^2 -
     2 Omega)^(-5/2)``, takes ``s_c`` to rounding; it is kept only inside
-    the walk's bracket.  Walk and Brent run through :func:`_lockstep`, and every
-    integral comes from ``stream``'s column memo, at last ``(Phi, dPhi/ds)`` at the
-    root and ``(d, Phi)`` at the Newton slope.  The last 64 distributions are kept.
+    the walk's bracket.  Walk and Brent run through :func:`numerics.lockstep`;
+    every integral comes from ``stream``'s column memo, at last ``(Phi, dPhi/ds)``
+    at the root and ``(d, Phi)`` at the Newton slope.  The last 64 distributions are kept.
 
     Returns
     -------
@@ -184,8 +163,8 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     a = s0 + scale
     fa, = g([a])
     walk = _walk(s0, a, fa, 2.0 if fa > 0.0 else 0.25, floor)
-    bracket, = _lockstep(g, walk)
-    s_c, = _lockstep(g, numerics.brent(bracket, 1e-13 * scale))
+    bracket, = numerics.lockstep(g, walk)
+    s_c, = numerics.lockstep(g, numerics.brent(bracket, 1e-13 * scale))
     phi, w = stream._totals(dist, [(s_c, -1.5), (s_c, -2.5)])
     newton = s_c - (phi - 1.0) / (-3.0 * s_c * w)  # dPhi/ds = -3 s w
     if bracket.lo <= newton <= bracket.hi:
@@ -291,7 +270,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
             bracket = _walk(cls.s0, crit.s_c, crit.r_c - r, 0.25, _guard_edge(cls.s0))
         searches.append(search(bracket))
     # both branches in lockstep, one quadrature call per round for both
-    s_minus, *s_plus = _lockstep(residuals, *searches)
+    s_minus, *s_plus = numerics.lockstep(residuals, *searches)
     d_minus, *d_plus = stream._totals(dist, [(s, -0.5) for s in (s_minus, *s_plus)])
     if not s_plus:
         return ConjugatePair(r=r, regime="only-supercritical",

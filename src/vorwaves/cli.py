@@ -143,22 +143,9 @@ def _execute(name: str, config_path: str, out_dir, worker) -> None:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
         click.echo(f"report written to {path}")
-    except ConfigError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     except VorwavesError as exc:
         click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-
-
-def _run_options(fn):
-    fn = click.option("--out", "out_dir", default=None,
-                      type=click.Path(file_okay=False),
-                      help="Output directory (defaults to [run] out).")(fn)
-    fn = click.option("--config", "config_path", required=True,
-                      type=click.Path(exists=True, dir_okay=False),
-                      help="Run configuration file.")(fn)
-    return fn
+        sys.exit(2 if isinstance(exc, ConfigError) else 3)
 
 
 # -- shared pieces ----------------------------------------------------------
@@ -201,255 +188,221 @@ def main():
     small-amplitude waves for unidirectional shear flows."""
 
 
-@main.command(name="analyze")
-@_run_options
-def cmd_analyze(config_path, out_dir):
+def _command(name: str):
+    """Register ``worker(cfg, out) -> (results, files)`` as subcommand ``name``."""
+
+    def register(worker):
+        @main.command(name=name, help=worker.__doc__)
+        @click.option("--config", "config_path", required=True,
+                      type=click.Path(exists=True, dir_okay=False),
+                      help="Run configuration file.")
+        @click.option("--out", "out_dir", default=None,
+                      type=click.Path(file_okay=False),
+                      help="Output directory (defaults to [run] out).")
+        def command(config_path, out_dir):
+            _execute(name, config_path, out_dir, worker)
+        return worker
+    return register
+
+
+@_command("analyze")
+def cmd_analyze(cfg, out):
     """Classification and both critical heads of the distribution."""
-
-    def worker(cfg, out):
-        dist = cfg.distribution()
-        an = bernoulli.analyze(dist)
-        cls = dist.classify()
-        results = {
-            "classification": an.condition,
-            "max_Omega": cls.max_Omega,
-            "s0": an.s0,
-            "s_c": an.s_c,
-            "r_c": an.r_c,
-            "d_c": an.d_c,
-            "d0": an.d0,
-            "r0": an.r0,
-            "phi_residual": an.phi_residual,
-        }
-        return results, []
-
-    _execute("analyze", config_path, out_dir, worker)
+    dist = cfg.distribution()
+    an = bernoulli.analyze(dist)
+    cls = dist.classify()
+    results = {
+        "classification": an.condition,
+        "max_Omega": cls.max_Omega,
+        "s0": an.s0,
+        "s_c": an.s_c,
+        "r_c": an.r_c,
+        "d_c": an.d_c,
+        "d0": an.d0,
+        "r0": an.r0,
+        "phi_residual": an.phi_residual,
+    }
+    return results, []
 
 
-@main.command(name="stream")
-@_run_options
-def cmd_stream(config_path, out_dir):
+@_command("stream")
+def cmd_stream(cfg, out):
     """Stream profile for a given bottom slope s (profile.csv)."""
-
-    def worker(cfg, out):
-        dist = cfg.distribution()
-        n_p = cfg.get_int("n_p", 257)
-        if n_p < 2:
-            raise ConfigError(f"n_p={n_p} too coarse: the profile needs both ends")
-        st = stream.solve_stream(dist, cfg.require_float("s"))
-        p = np.linspace(0.0, 1.0, n_p)
-        heights = st.height_at(p)
-        speed = 1.0 / st.slope_at(p)
-        files = [_write_csv(out, "profile.csv", ["p", "height", "velocity"],
-                            zip(p, heights, speed))]
-        results = {
-            "s": st.s,
-            "d": st.d,
-            "r": st.r,
-            "u_prime_d": st.u_prime_d,
-            "s0": st.s0,
-            "classification": st.classification.condition,
-        }
-        return results, files
-
-    _execute("stream", config_path, out_dir, worker)
+    dist = cfg.distribution()
+    n_p = cfg.get_int("n_p", 257)
+    if n_p < 2:
+        raise ConfigError(f"n_p={n_p} too coarse: the profile needs both ends")
+    st = stream.solve_stream(dist, cfg.require_float("s"))
+    p = np.linspace(0.0, 1.0, n_p)
+    heights = st.height_at(p)
+    speed = 1.0 / st.slope_at(p)
+    files = [_write_csv(out, "profile.csv", ["p", "height", "velocity"],
+                        zip(p, heights, speed))]
+    results = {
+        "s": st.s,
+        "d": st.d,
+        "r": st.r,
+        "u_prime_d": st.u_prime_d,
+        "s0": st.s0,
+        "classification": st.classification.condition,
+    }
+    return results, files
 
 
-@main.command(name="conjugates")
-@_run_options
-def cmd_conjugates(config_path, out_dir):
+@_command("conjugates")
+def cmd_conjugates(cfg, out):
     """Conjugate slopes and depths for a given head r."""
-
-    def worker(cfg, out):
-        pair = bernoulli.conjugates(cfg.distribution(), cfg.require_float("r"))
-        return dataclasses.asdict(pair), []
-
-    _execute("conjugates", config_path, out_dir, worker)
+    pair = bernoulli.conjugates(cfg.distribution(), cfg.require_float("r"))
+    return dataclasses.asdict(pair), []
 
 
-@main.command(name="dispersion")
-@_run_options
-def cmd_dispersion(config_path, out_dir):
+@_command("dispersion")
+def cmd_dispersion(cfg, out):
     """Least dispersion root for the stream at s (or the head r)."""
-
-    def worker(cfg, out):
-        dist = cfg.distribution()
-        st = _stream_for(cfg, dist)
-        disp = dispersion.find_tau0(st, tau_max=cfg.get_float("tau_max", 50.0))
-        results = {
-            "s": st.s,
-            "d": st.d,
-            "r": st.r,
-            "tau0": disp.tau0,
-            "assumption_I": disp.assumption_I,
-            "assumption_II": disp.assumption_II,
-            "tau_max": disp.tau_max,
-            "notes": list(disp.notes),
-        }
-        return results, []
-
-    _execute("dispersion", config_path, out_dir, worker)
+    dist = cfg.distribution()
+    st = _stream_for(cfg, dist)
+    disp = dispersion.find_tau0(st, tau_max=cfg.get_float("tau_max", 50.0))
+    results = {
+        "s": st.s,
+        "d": st.d,
+        "r": st.r,
+        "tau0": disp.tau0,
+        "assumption_I": disp.assumption_I,
+        "assumption_II": disp.assumption_II,
+        "tau_max": disp.tau_max,
+        "notes": list(disp.notes),
+    }
+    return results, []
 
 
-@main.command(name="wave")
-@_run_options
-def cmd_wave(config_path, out_dir):
+@_command("wave")
+def cmd_wave(cfg, out):
     """First-order wave of amplitude t (surface.csv, field.csv)."""
-
-    def worker(cfg, out):
-        dist = cfg.distribution()
-        st, disp, wf = _built_wave(cfg, dist)
-        sc = linearwave.detect_sign_change(wf)
-        files = [
-            _write_csv(out, "surface.csv", ["x", "eta"], zip(wf.x, wf.eta)),
-            _write_csv(out, "field.csv", ["x", "y", "psi"],
-                       ((wf.x[j], wf.y[i, j], wf.psi[i, j])
-                        for i in range(wf.y.shape[0])
-                        for j in range(wf.y.shape[1]))),
-        ]
-        results = {
-            "s": wf.s,
-            "r": wf.r,
-            "t": wf.t,
-            "tau0": wf.tau0,
-            "lam": wf.lam,
-            "wavelength": wf.wavelength,
-            "depth": st.d,
-            "crest": float(np.max(wf.eta)),
-            "trough": float(np.min(wf.eta)),
-            "sign_change": dataclasses.asdict(sc),
-        }
-        return results, files
-
-    _execute("wave", config_path, out_dir, worker)
+    dist = cfg.distribution()
+    st, disp, wf = _built_wave(cfg, dist)
+    sc = linearwave.detect_sign_change(wf)
+    files = [
+        _write_csv(out, "surface.csv", ["x", "eta"], zip(wf.x, wf.eta)),
+        _write_csv(out, "field.csv", ["x", "y", "psi"],
+                   ((wf.x[j], wf.y[i, j], wf.psi[i, j])
+                    for i in range(wf.y.shape[0])
+                    for j in range(wf.y.shape[1]))),
+    ]
+    results = {
+        "s": wf.s,
+        "r": wf.r,
+        "t": wf.t,
+        "tau0": wf.tau0,
+        "lam": wf.lam,
+        "wavelength": wf.wavelength,
+        "depth": st.d,
+        "crest": float(np.max(wf.eta)),
+        "trough": float(np.min(wf.eta)),
+        "sign_change": dataclasses.asdict(sc),
+    }
+    return results, files
 
 
-@main.command(name="check-bounds")
-@_run_options
-def cmd_check_bounds(config_path, out_dir):
+@_command("check-bounds")
+def cmd_check_bounds(cfg, out):
     """Depth-bound verdicts for a surface (given or freshly built)."""
-
-    def worker(cfg, out):
-        dist = cfg.distribution()
-        r = cfg.require_float("r")
-        files = []
-        surface_path = cfg.get_str("surface")
-        if surface_path is not None:
-            eta = _surface_from_csv(surface_path)
-            source = {"surface": surface_path}
-        else:
-            _, _, wf = _built_wave(cfg, dist)
-            eta = wf.eta
-            files.append(_write_csv(out, "surface.csv", ["x", "eta"],
-                                    zip(wf.x, wf.eta)))
-            source = {"built_wave": {"s": wf.s, "t": wf.t, "tau0": wf.tau0}}
-        rep = bounds.check_bounds(dist, r, eta)
-        results = {
-            "r": rep.r,
-            "classification": rep.condition,
-            "eta_hat": rep.eta_hat,
-            "eta_check": rep.eta_check,
-            "d_minus": rep.d_minus,
-            "d_plus": rep.d_plus,
-            "d_c": rep.d_c,
-            "d0": rep.d0,
-            "r_c": rep.r_c,
-            "r0": rep.r0,
-            "stream_like": rep.stream_like,
-            "max_interior": rep.max_interior,
-            "verdicts": rep.verdict_block(),
-            "surrogates": list(rep.surrogates),
-            "notes": list(rep.notes),
-            "surface_source": source,
-        }
-        return results, files
-
-    _execute("check-bounds", config_path, out_dir, worker)
+    dist = cfg.distribution()
+    r = cfg.require_float("r")
+    files = []
+    surface_path = cfg.get_str("surface")
+    if surface_path is not None:
+        eta = _surface_from_csv(surface_path)
+        source = {"surface": surface_path}
+    else:
+        _, _, wf = _built_wave(cfg, dist)
+        eta = wf.eta
+        files.append(_write_csv(out, "surface.csv", ["x", "eta"],
+                                zip(wf.x, wf.eta)))
+        source = {"built_wave": {"s": wf.s, "t": wf.t, "tau0": wf.tau0}}
+    rep = bounds.check_bounds(dist, r, eta)
+    results = {
+        "r": rep.r,
+        "classification": rep.condition,
+        "eta_hat": rep.eta_hat,
+        "eta_check": rep.eta_check,
+        "d_minus": rep.d_minus,
+        "d_plus": rep.d_plus,
+        "d_c": rep.d_c,
+        "d0": rep.d0,
+        "r_c": rep.r_c,
+        "r0": rep.r0,
+        "stream_like": rep.stream_like,
+        "max_interior": rep.max_interior,
+        "verdicts": rep.verdict_block(),
+        "surrogates": list(rep.surrogates),
+        "notes": list(rep.notes),
+        "surface_source": source,
+    }
+    return results, files
 
 
-@main.command(name="wheeler")
-@_run_options
-def cmd_wheeler(config_path, out_dir):
+@_command("wheeler")
+def cmd_wheeler(cfg, out):
     """Conjugate-flow integral identity on a strip (residuals.csv).
 
     With only ``r`` the strip holds the supercritical stream and the
     comparison slope is the subcritical one; ``s`` and ``s_ref`` select
     the pair directly.
     """
-
-    def worker(cfg, out):
-        dist = cfg.distribution()
-        s_strip = cfg.get_float("s")
-        s_ref = cfg.get_float("s_ref")
-        if s_strip is None or s_ref is None:
-            r = cfg.get_float("r")
-            if r is None:
-                raise ConfigError(
-                    "missing required parameter: give 'r' or both 's' and "
-                    "'s_ref'")
-            pair = bernoulli.conjugates(dist, r)
-            if pair.s_plus is None:
-                raise NoStreamError(
-                    f"no conjugate pair at r={r!r} (regime {pair.regime!r})")
-            s_strip = pair.s_minus if s_strip is None else s_strip
-            s_ref = pair.s_plus if s_ref is None else s_ref
-        hf = hodograph.to_strip(stream.solve_stream(dist, s_strip),
-                                n_p=cfg.get_int("n_p", 257),
-                                n_q=cfg.get_int("n_q", 9),
-                                q_span=cfg.get_float("q_span", 1.0))
-        rep = hodograph.wheeler_identity(hf, s_ref, cfg.window(), dist)
-        resid = hodograph.bernoulli_residual(hf)
-        files = [_write_csv(out, "residuals.csv", ["q", "surface_residual"],
-                            zip(resid.q, resid.samples))]
-        results = {
-            "strip_s": s_strip,
-            "s": rep.s,
-            "window": list(rep.window),
-            "width": rep.width,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "discrepancy": rep.discrepancy,
-            "lhs_per_unit": rep.lhs_per_unit,
-            "reduced": rep.reduced,
-            "head_gap": rep.head_gap,
-            "surface_residual_max": resid.max_abs,
-        }
-        return results, files
-
-    _execute("wheeler", config_path, out_dir, worker)
-
-
-@main.command(name="scale")
-@_run_options
-def cmd_scale(config_path, out_dir):
-    """Convert a number between dimensional and scaled units."""
-
-    def worker(cfg, out):
-        Q = cfg.require_float("Q")
-        g = cfg.require_float("g")
-        quantity = cfg.require_str("quantity")
-        value = cfg.require_float("value")
-        direction = cfg.get_str("direction", "to-nondimensional")
-        if direction not in ("to-nondimensional", "to-dimensional"):
+    dist = cfg.distribution()
+    s_strip = cfg.get_float("s")
+    s_ref = cfg.get_float("s_ref")
+    if s_strip is None or s_ref is None:
+        r = cfg.get_float("r")
+        if r is None:
             raise ConfigError(
-                f"unknown direction {direction!r}; expected to-nondimensional "
-                f"or to-dimensional")
-        inverse = direction == "to-dimensional"
-        converted = scale_to_nondimensional(Q, g, quantity, value,
-                                            inverse=inverse)
-        results = {
-            "Q": Q,
-            "g": g,
-            "quantity": quantity,
-            "direction": direction,
-            "input": value,
-            "output": converted,
-            "length_scale": (Q * Q / g) ** _LENGTH_EXP,
-            "velocity_scale": (Q * g) ** _LENGTH_EXP,
-        }
-        return results, []
+                "missing required parameter: give 'r' or both 's' and "
+                "'s_ref'")
+        pair = bernoulli.conjugates(dist, r)
+        if pair.s_plus is None:
+            raise NoStreamError(
+                f"no conjugate pair at r={r!r} (regime {pair.regime!r})")
+        s_strip = pair.s_minus if s_strip is None else s_strip
+        s_ref = pair.s_plus if s_ref is None else s_ref
+    hf = hodograph.to_strip(stream.solve_stream(dist, s_strip),
+                            n_p=cfg.get_int("n_p", 257),
+                            n_q=cfg.get_int("n_q", 9),
+                            q_span=cfg.get_float("q_span", 1.0))
+    rep = hodograph.wheeler_identity(hf, s_ref, cfg.window(), dist)
+    resid = hodograph.bernoulli_residual(hf)
+    files = [_write_csv(out, "residuals.csv", ["q", "surface_residual"],
+                        zip(resid.q, resid.samples))]
+    results = {"strip_s": s_strip, **dataclasses.asdict(rep),
+               "surface_residual_max": resid.max_abs}
+    return results, files
 
-    _execute("scale", config_path, out_dir, worker)
+
+@_command("scale")
+def cmd_scale(cfg, out):
+    """Convert a number between dimensional and scaled units."""
+    Q = cfg.require_float("Q")
+    g = cfg.require_float("g")
+    quantity = cfg.require_str("quantity")
+    value = cfg.require_float("value")
+    direction = cfg.get_str("direction", "to-nondimensional")
+    if direction not in ("to-nondimensional", "to-dimensional"):
+        raise ConfigError(
+            f"unknown direction {direction!r}; expected to-nondimensional "
+            f"or to-dimensional")
+    inverse = direction == "to-dimensional"
+    converted = scale_to_nondimensional(Q, g, quantity, value,
+                                        inverse=inverse)
+    results = {
+        "Q": Q,
+        "g": g,
+        "quantity": quantity,
+        "direction": direction,
+        "input": value,
+        "output": converted,
+        "length_scale": (Q * Q / g) ** _LENGTH_EXP,
+        "velocity_scale": (Q * g) ** _LENGTH_EXP,
+    }
+    return results, []
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics
-from .errors import ConvergenceError, DomainError, ResonanceError
+from .errors import ConfigError, ConvergenceError, DomainError, ResonanceError
 from .stream import StreamSolution, phi
 from .vorticity import _horner
 
@@ -251,10 +251,14 @@ def gamma_bvp(stream: StreamSolution, tau: float,
 
     Raises
     ------
+    ConfigError
+        When ``n_samples < 2``.
     ResonanceError
         When the solution vanishes at the surface (``tau^2`` is a Dirichlet
         eigenvalue of the linearized operator): no normalization exists.
     """
+    if n_samples < 2:
+        raise ConfigError(f"n_samples={n_samples} too coarse: the grid needs both ends")
     _warn_piecewise(stream.dist)
     mode, grid = _solve(stream, tau), np.linspace(0.0, stream.d, n_samples)
     values = _sample(mode, grid)

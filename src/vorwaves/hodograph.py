@@ -135,8 +135,8 @@ def _invert_columns(psi, y, p_grid, q):
         k = int(np.argmax(h[:, j] <= 0.0))
         raise UnidirectionalityError(
             f"column {j} (q={float(q[j])!r}): psi is not strictly increasing "
-            f"on y in [{y[k, j]!r}, {y[k + 1, j]!r}]; the strip transform "
-            f"needs a unidirectional flow")
+            f"on y in [{float(y[k, j])!r}, {float(y[k + 1, j])!r}]; the strip "
+            f"transform needs a unidirectional flow")
     m = np.diff(y, axis=0) / h
     slope = np.empty_like(y)
     if len(y) == 2:
@@ -169,7 +169,8 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
     Raises
     ------
     ConfigError
-        For any other source, a shot stream included.
+        For any other source (a shot stream included), a grid too coarse
+        or ``q_span <= 0``.  A NaN or infinite ``q_span`` is a DomainError.
     UnidirectionalityError
         When some column's ``psi`` fails to increase strictly, naming the
         column and the offending interval, or when the measured ``h_p``
@@ -179,6 +180,10 @@ def to_strip(source, n_p: int = 257, n_q: int = 9,
         raise ConfigError(f"n_p={n_p} too coarse: the stencils need 5 rows")
     if n_q < 2:
         raise ConfigError(f"n_q={n_q} too coarse: a strip needs 2 columns")
+    if not np.isfinite(q_span):
+        raise DomainError(f"q_span={q_span!r} is not finite")
+    if q_span <= 0.0:
+        raise ConfigError(f"q_span={q_span!r} must be positive: a strip needs a width")
     p_grid = np.linspace(0.0, 1.0, n_p)
     if isinstance(source, WaveField):
         q = np.asarray(source.x, dtype=float)
@@ -284,7 +289,7 @@ def wheeler_identity(hfield: HodographField, s: float, window,
     jhi = int(np.argmin(np.abs(q - q2)))
     if jhi <= jlo:
         raise ConfigError(f"empty window {window!r} on q in "
-                          f"[{q[0]!r}, {q[-1]!r}]")
+                          f"[{float(q[0])!r}, {float(q[-1])!r}]")
 
     H_col, phi_vals = _stream._accumulate(dist, [(s, -0.5), (s, -1.5)], p)
     head = _stream._head(dist, s, float(H_col[-1]))

@@ -159,6 +159,8 @@ def solve_W(stream: StreamSolution, tau: float, n_samples: int = 257) -> WCorrec
 
     Raises
     ------
+    ConfigError
+        When ``n_samples < 2``, from :func:`gamma_bvp`.
     ResonanceError
         When ``tau**2`` is a Dirichlet eigenvalue of the transverse
         operator: the two-point problem loses uniqueness there.
@@ -195,9 +197,13 @@ def solve_w_aux(stream: StreamSolution, tau: float, n_samples: int = 257) -> Aux
 
     Raises
     ------
+    ConfigError
+        When ``n_samples < 2``.
     ResonanceError
         When the solution vanishes at the bottom too: no unique solution.
     """
+    if n_samples < 2:
+        raise ConfigError(f"n_samples={n_samples} too coarse: the grid needs both ends")
     mode, grid = _solve(stream, tau, from_surface=True), np.linspace(0.0, stream.d, n_samples)
     values = _sample(mode, grid)
     values[0], values[-1] = 1.0, 0.0

@@ -41,7 +41,7 @@ __all__ = [
     "integrate",
     "Bracket",
     "brent",
-    "find_root",
+    "lockstep",
     "solve_ivp",
     "tally",
 ]
@@ -210,7 +210,7 @@ def brent(bracket: Bracket, tol: float = 1e-13):
     most 200 iterations are taken.  An endpoint value missing from
     ``bracket`` is asked for first, ``lo`` before ``hi``.  A caller may
     drive several searches at once and evaluate their points together;
-    :func:`find_root` drives one.
+    :func:`lockstep` drives them.
 
     The endpoint values must differ in sign (an endpoint exactly at zero
     is returned directly, possibly before anything is yielded).  Raises
@@ -270,23 +270,25 @@ def brent(bracket: Bracket, tol: float = 1e-13):
         f"[{bracket.lo!r}, {bracket.hi!r}]; last iterate {xcur!r}")
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol: float = 1e-13,
-) -> float:
-    """Locate the root of ``f`` inside ``bracket`` by Brent's method.
+def lockstep(values, *searches) -> list:
+    """Run searches in the form of :func:`brent` side by side.
 
-    Drives :func:`brent` with ``f``; its docstring gives the step rules,
-    the stopping test and the errors.
+    Each round collects the next point of every unfinished search and
+    sends each its value from one call of ``values`` on all of them, so
+    that the searches share their function calls.  Returns what each
+    search returned, in order.
     """
-    search, fx = brent(bracket, tol), None
-    while True:
-        try:
-            x = search.send(fx)
-        except StopIteration as stop:
-            return stop.value
-        fx = f(x)
+    results, points = [None] * len(searches), {}
+    sent = dict.fromkeys(range(len(searches)))
+    while sent:
+        for i, fx in sent.items():
+            try:
+                points[i] = searches[i].send(fx)
+            except StopIteration as stop:
+                results[i] = stop.value
+                points.pop(i, None)
+        sent = dict(zip(points, values(list(points.values())))) if points else {}
+    return results
 
 
 def solve_ivp(

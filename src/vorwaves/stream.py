@@ -533,8 +533,8 @@ def shoot_stream(dist: VorticityDistribution, s: float,
     elif peak < inf:
         # u rises from the turning point before the peak (or the bottom) to it
         start = float(turns[turns < peak].max(initial=0.0))
-        d = numerics.find_root(lambda t: float(sol.sol(t)[0]) - 1.0,
-                               numerics.Bracket(start, float(peak)), tol=0.0)
+        d, = numerics.lockstep(lambda ts: [float(sol.sol(t)[0]) - 1.0 for t in ts],
+                               numerics.brent(numerics.Bracket(start, float(peak)), 0.0))
         u_prime_d = float(sol.sol(d)[1])
     else:
         u_end, up_end = sol.y[0, -1], sol.y[1, -1]

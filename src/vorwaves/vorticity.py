@@ -258,18 +258,9 @@ class VorticityDistribution:
             return f"VorticityDistribution.polynomial({list(self._coeffs)!r})"
         return f"VorticityDistribution.from_table({list(self._nodes)!r})"
 
-    def _gap(self, m: float, e: float, x):
-        """``Omega(m) - Omega(m + e x)`` for ``x >= 0``, free of cancellation.
-
-        ``m`` is a maximizer of Omega or an endpoint and ``e = +1`` or
-        ``-1`` picks the side.  The gap is built from ``m`` outward (see
-        :meth:`_gap_segments`), so it keeps its leading term however close
-        ``x`` comes to 0, where the direct difference loses every digit.
-        """
-        return _horner(*self._gap_segments(m, e), x)
-
     def _gap_segments(self, m: float, e: float):
-        """Piecewise-polynomial form of :meth:`_gap` about ``m`` on side ``e``.
+        """Piecewise-polynomial form of the gap ``Omega(m) - Omega(m + e x)``,
+        ``x >= 0``, about a maximizer or endpoint ``m`` on side ``e = +-1``.
 
         Returns ``(seg, coef)`` in the layout of :func:`_horner`, in ``x``:
         segment ``k`` starts where the gap enters the ``k``-th segment of

@@ -9,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import vorwaves
+from vorwaves import cli
 from vorwaves.cli import main, scale_to_nondimensional
+from vorwaves.config import COMMANDS
 from vorwaves.errors import ConfigError, DomainError
 
 _SRC = str(pathlib.Path(vorwaves.__file__).resolve().parents[1])
@@ -250,6 +252,35 @@ def test_exit_code_for_too_few_samples(tmp_path, command, size):
     result = _invoke([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert result.exit_code == 2
     assert "too coarse" in result.stderr
+
+
+@pytest.mark.parametrize("q_span", ["-1", "0"])
+def test_exit_code_for_a_strip_without_width(tmp_path, q_span):
+    # q_span = -1 ran to exit 0 with width -1 and the identity's sign flipped
+    cfg = _config(tmp_path, f"""\
+        [vorticity]
+        spec = constant 2
+        [parameters]
+        r = 0.63
+        q_span = {q_span}
+    """)
+    result = _invoke(["wheeler", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "q_span" in result.stderr
+
+
+def test_every_command_is_registered_with_the_run_options():
+    # one registration per subcommand: --config required, --out optional,
+    # and the help text is the worker's docstring
+    assert set(main.commands) == set(COMMANDS)
+    for name, command in main.commands.items():
+        options = {p.name: p for p in command.params}
+        assert set(options) == {"config_path", "out_dir"}
+        assert options["config_path"].required and not options["out_dir"].required
+        result = _invoke([name, "--help"])
+        assert result.exit_code == 0
+        doc = getattr(cli, "cmd_" + name.replace("-", "_")).__doc__
+        assert doc.strip().splitlines()[0] in result.output
 
 
 def test_exit_code_for_subcritical_head(tmp_path):

@@ -8,7 +8,12 @@ from hypothesis import strategies as st_
 from strategies import dist_specs
 from vorwaves import bernoulli, dispersion, linearwave, numerics, stream
 from vorwaves.dispersion import find_tau0, gamma_bvp, sigma
-from vorwaves.errors import AmbiguousClassificationError, ConvergenceError, DomainError
+from vorwaves.errors import (
+    AmbiguousClassificationError,
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+)
 from vorwaves.vorticity import VorticityDistribution as V
 
 # irrotational stream with slope s: u' = s, d = 1/s, and the transverse
@@ -50,6 +55,16 @@ def test_non_finite_wavenumber_is_a_domain_error(w_two, bad):
             fn(st, bad)
     with pytest.raises(DomainError, match="finite"):
         find_tau0(st, tau_max=bad)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0])
+def test_sampled_solves_refuse_a_grid_without_both_ends(w_two, n_samples):
+    # one sample gave grid [0.0] with the value 1.0 where gamma(0) = 0;
+    # none gave an IndexError
+    st = stream.solve_stream(w_two, 2.1)
+    for fn in (gamma_bvp, linearwave.solve_W, linearwave.solve_w_aux):
+        with pytest.raises(ConfigError, match="too coarse"):
+            fn(st, 3.0, n_samples=n_samples)
 
 
 def test_gamma_matches_sinh(stream_plus, w_zero):

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from vorwaves import bernoulli, hodograph, linearwave, numerics, stream
-from vorwaves.errors import ConfigError, UnidirectionalityError
+from vorwaves.errors import ConfigError, DomainError, UnidirectionalityError
 from vorwaves.hodograph import (
     bernoulli_residual,
     field_equation_residual,
@@ -61,8 +63,10 @@ def test_strip_rejects_nonmonotone_wave_column():
     psi[4, 1] = psi[3, 1]  # flat spot in column 1
     wf = WaveField(x=x, eta=y[-1].copy(), y=y, psi=psi, r=1.0, s=1.0,
                    t=0.0, tau0=1.0, lam=0.0, wavelength=1.0)
-    with pytest.raises(UnidirectionalityError, match="column 1"):
+    with pytest.raises(UnidirectionalityError, match="column 1") as info:
         to_strip(wf)
+    # plain floats, as numpy 2 scalars would print np.float64(...)
+    assert "on y in [0.42857142857142855, 0.5714285714285714]" in str(info.value)
 
 
 def test_strip_input_validation(w_zero):
@@ -71,6 +75,18 @@ def test_strip_input_validation(w_zero):
         to_strip(st, n_p=3)
     with pytest.raises(ConfigError):
         to_strip(3.14)
+
+
+@pytest.mark.parametrize("q_span, error", [
+    (math.nan, DomainError), (math.inf, DomainError), (-math.inf, DomainError),
+    (0.0, ConfigError), (-1.0, ConfigError),
+])
+def test_strip_refuses_a_bad_q_span(w_two, q_span, error):
+    # -1 gave a strip of width -1 and flipped the sign of the identity's
+    # sides; 0 and NaN failed later, as an empty window
+    st = stream.solve_stream(w_two, 2.1)
+    with pytest.raises(error, match="q_span"):
+        to_strip(st, q_span=q_span)
 
 
 def test_surface_residual_exact_stream(w_zero, w_two):
@@ -172,8 +188,9 @@ def test_wheeler_head_mismatch_warns(w_zero):
 
 def test_wheeler_window_validation(w_zero):
     hf = to_strip(stream.solve_stream(w_zero, 2.0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         wheeler_identity(hf, 2.0, (0.5, 0.5), w_zero)
+    assert str(info.value) == "empty window (0.5, 0.5) on q in [0.0, 1.0]"
 
 
 def test_wheeler_wave_is_quadratically_small(stream_plus, disp_plus, w_zero):

@@ -84,8 +84,14 @@ def test_integrate_undeclared_singularity_fails():
         numerics.integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
 
+def _find_root(f, bracket, tol=1e-13):
+    """The root of a scalar ``f``: one Brent search driven by lockstep."""
+    root, = numerics.lockstep(lambda xs: [f(x) for x in xs], numerics.brent(bracket, tol))
+    return root
+
+
 def test_find_root_cosine():
-    root = numerics.find_root(math.cos, Bracket(1.0, 2.0))
+    root = _find_root(math.cos, Bracket(1.0, 2.0))
     np.testing.assert_allclose(root, math.pi / 2.0, rtol=1e-14)
 
 
@@ -104,7 +110,7 @@ def test_find_root_stops_within_tolerance(f, lo, hi):
     # and the sign change survives inside it
     tol = 1e-12
     numerics.tally.clear()
-    root = numerics.find_root(f, Bracket(lo, hi), tol=tol)
+    root = _find_root(f, Bracket(lo, hi), tol=tol)
     width = tol + 8.9e-16 * abs(root)
     assert lo <= root <= hi
     assert f(root) == 0.0 or f(root - width) * f(root + width) <= 0.0
@@ -134,13 +140,31 @@ def test_brent_generator_makes_the_iterates_of_find_root(f, lo, hi):
         calls.append(x)
         return f(x)
 
-    root = numerics.find_root(logged, Bracket(lo, hi), tol=1e-12)
+    root = _find_root(logged, Bracket(lo, hi), tol=1e-12)
     asked, got = _drive(numerics.brent(Bracket(lo, hi), tol=1e-12), f)
     assert asked == calls and asked[:2] == [lo, hi]
     assert got == root
     # endpoint values given in the bracket are not asked for again
     asked, got = _drive(numerics.brent(Bracket(lo, hi, f(lo), f(hi)), tol=1e-12), f)
     assert asked == calls[2:] and got == root
+
+
+def test_lockstep_searches_share_each_round():
+    # every round evaluates the open searches' points in one call, and
+    # each search ends where, and after the steps, it would alone
+    rounds = []
+
+    def values(xs):
+        rounds.append(len(xs))
+        return [math.cos(x) for x in xs]
+
+    brackets = (Bracket(1.0, 2.0), Bracket(4.0, 4.8))
+    roots = numerics.lockstep(values, *(numerics.brent(b) for b in brackets))
+    alone = [_drive(numerics.brent(b), math.cos) for b in brackets]
+    assert roots == [root for _, root in alone]
+    assert len(rounds) == max(len(asked) for asked, _ in alone)
+    assert sum(rounds) == sum(len(asked) for asked, _ in alone)
+    assert rounds[0] == 2
 
 
 def test_brent_generator_at_an_endpoint_root():
@@ -194,17 +218,17 @@ def test_integrate_rows_do_not_depend_on_their_company(pieces, k):
 
 
 def test_find_root_endpoint_hit():
-    assert numerics.find_root(lambda x: x, Bracket(0.0, 1.0)) == 0.0
+    assert _find_root(lambda x: x, Bracket(0.0, 1.0)) == 0.0
 
 
 def test_find_root_refuses_nan():
     with pytest.raises(ConvergenceError, match="NaN"):
-        numerics.find_root(lambda x: x if x < 0.25 else math.nan, Bracket(-1.0, 1.0))
+        _find_root(lambda x: x if x < 0.25 else math.nan, Bracket(-1.0, 1.0))
 
 
 def test_find_root_no_sign_change():
     with pytest.raises(BracketError):
-        numerics.find_root(lambda x: 1.0 + x * x, Bracket(0.0, 1.0))
+        _find_root(lambda x: 1.0 + x * x, Bracket(0.0, 1.0))
 
 
 def test_bracket_orientation():

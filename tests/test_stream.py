@@ -15,7 +15,7 @@ from vorwaves.stream import (
     solve_stream,
     surface_slope_squared,
 )
-from vorwaves.vorticity import VorticityDistribution as V, _horner_rows
+from vorwaves.vorticity import VorticityDistribution as V, _horner, _horner_rows
 
 from strategies import dist_specs
 
@@ -579,7 +579,8 @@ def test_stream_at_the_guard_band_edge():
        u=st_.lists(st_.floats(0.01, 0.99), min_size=3, max_size=3))
 def test_layout_rows_are_the_gap(spec, cuts, u):
     # the integrand of _accumulate reads each piece's gap from the row its
-    # layout gathered; inside the piece that is dist._gap, bit for bit
+    # layout gathered; inside the piece that is its gap segments' Horner
+    # rule, bit for bit
     dist = V.parse(spec)
     try:
         dist.classify()
@@ -594,7 +595,7 @@ def test_layout_rows_are_the_gap(spec, cuts, u):
     peaks = dist.classify().maximizers
     for i, j in enumerate(tag.tolist()):
         m, e = peaks[j // 2], 1.0 if j % 2 else -1.0
-        assert np.array_equal(got[i], dist._gap(m, e, x[i]))
+        assert np.array_equal(got[i], _horner(*dist._gap_segments(m, e), x[i]))
 
 
 def test_layout_is_built_once_per_grid(fresh_caches):

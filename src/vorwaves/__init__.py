@@ -34,20 +34,9 @@ from .stream import (
     solve_stream,
     surface_slope_squared,
 )
-from .bernoulli import (
-    BernoulliAnalysis,
-    ConjugatePair,
-    CriticalPoint,
-    SecondCritical,
-    analyze,
-    conjugates,
-    find_critical,
-    head,
-    second_critical,
-)
+from .bernoulli import BernoulliAnalysis, ConjugatePair, analyze, conjugates
 from .dispersion import DispersionResult, GammaSolution, find_tau0, gamma_bvp, sigma
 from .linearwave import (
-    AuxSolution,
     BottomSlopeCheck,
     SignChange,
     WaveField,
@@ -99,12 +88,7 @@ __all__ = [
     "surface_slope_squared",
     # head landscape
     "BernoulliAnalysis",
-    "CriticalPoint",
-    "SecondCritical",
     "ConjugatePair",
-    "head",
-    "find_critical",
-    "second_critical",
     "conjugates",
     "analyze",
     # dispersion
@@ -115,7 +99,6 @@ __all__ = [
     "gamma_bvp",
     # first-order waves
     "WCorrection",
-    "AuxSolution",
     "BottomSlopeCheck",
     "WaveField",
     "SignChange",

@@ -7,13 +7,13 @@ For a stream solution with bottom slope ``s`` the head is
 strictly convex along the admissible range with a single interior minimum
 ``r_c = R(s_c)``.  Since ``dR/ds = (2 s / 3)(1 - Phi(1; s))`` and Phi is
 strictly decreasing in ``s``, the minimizer is the one root of
-``Phi(1; s) = 1``, and it is found as that root.
+``Phi(1; s) = 1``; ``R(s)`` itself is ``stream.solve_stream(dist, s).r``.
 
 The second distinguished value is the zero-margin head ``r0 = R(s0)``
 with depth ``d0 = d(s0)``, finite exactly when the classification is
-"ii" or "iii".  For ``r`` between ``r_c`` and ``r0`` two conjugate
-streams share the head: the subcritical one (``s+ < s_c``, deeper) and
-the supercritical one (``s- > s_c``, shallower).
+"ii" or "iii"; :func:`analyze` finds both.  For ``r`` between ``r_c`` and
+``r0`` two conjugate streams share the head (:func:`conjugates`): the subcritical
+one (``s+ < s_c``, deeper) and the supercritical one (``s- > s_c``, shallower).
 """
 
 from __future__ import annotations
@@ -27,47 +27,11 @@ from . import numerics, stream
 from .errors import ConvergenceError, DomainError, NoStreamError
 from .vorticity import VorticityDistribution
 
-__all__ = [
-    "CriticalPoint",
-    "SecondCritical",
-    "ConjugatePair",
-    "BernoulliAnalysis",
-    "head",
-    "find_critical",
-    "second_critical",
-    "conjugates",
-    "analyze",
-]
+__all__ = ["ConjugatePair", "BernoulliAnalysis", "conjugates", "analyze"]
 
-# pairs kept by :func:`conjugates`, distributions by the two head caches: a
+# distributions kept by :func:`analyze`, pairs by :func:`conjugates`: a
 # sweep revisits only its last few, and the bound keeps memory from growing
 _PAIRS_CACHED = 64
-
-
-def head(dist: VorticityDistribution, s: float) -> float:
-    """Bernoulli head ``R(s) = (u'(d)^2 + 2 d(s)) / 3``."""
-    return stream._head(dist, s, stream.depth(dist, s))
-
-
-@dataclass(frozen=True)
-class CriticalPoint:
-    """Location of the head minimum: ``r_c = R(s_c)`` at depth ``d_c``."""
-
-    s_c: float
-    r_c: float
-    d_c: float
-    phi_residual: float
-
-
-@dataclass(frozen=True)
-class SecondCritical:
-    """Zero-margin head ``r0 = R(s0)``; ``d0 = inf`` and ``r0 = None``
-    when the classification makes the threshold depth divergent."""
-
-    s0: float
-    d0: float
-    r0: Optional[float]
-    condition: str
 
 
 @dataclass(frozen=True)
@@ -84,7 +48,10 @@ class ConjugatePair:
 
 @dataclass(frozen=True)
 class BernoulliAnalysis:
-    """Summary of the head landscape of one vorticity distribution."""
+    """The head landscape of one vorticity distribution: its classification
+    ``condition`` and threshold slope ``s0``; the critical head ``r_c = R(s_c)``
+    at depth ``d_c``, with ``phi_residual = Phi(1; s_c) - 1``; and the zero-margin
+    depth and head ``d0 = d(s0)`` and ``r0 = R(s0)``, ``inf`` and None under "i"."""
 
     condition: str
     s0: float
@@ -129,8 +96,8 @@ def _walk(origin: float, a: float, fa: float, ratio: float,
 
 
 @lru_cache(maxsize=_PAIRS_CACHED)
-def find_critical(dist: VorticityDistribution) -> CriticalPoint:
-    """Critical slope and head: the minimum of ``R(s)``.
+def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
+    """The head landscape: classification, critical head and zero-margin head.
 
     ``s_c`` is the one root of ``Phi(1; s) = 1``, since Phi falls strictly
     from ``+inf`` at ``s0``.  A geometric walk in ``s - s0`` brackets it.
@@ -145,12 +112,8 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     2 Omega)^(-5/2)``, takes ``s_c`` to rounding; it is kept only inside
     the walk's bracket.  Walk and Brent run through :func:`numerics.lockstep`;
     every integral comes from ``stream``'s column memo, at last ``(Phi, dPhi/ds)``
-    at the root and ``(d, Phi)`` at the Newton slope.  The last 64 distributions are kept.
-
-    Returns
-    -------
-    CriticalPoint
-        With ``phi_residual`` recording how well ``Phi(1; s_c) = 1`` holds.
+    at the root and ``(d, Phi)`` at the Newton slope, and ``d0`` at ``s0`` under
+    classification "ii" or "iii".  The last 64 distributions are kept.
     """
     cls = dist.classify()
     s0 = cls.s0
@@ -170,27 +133,20 @@ def find_critical(dist: VorticityDistribution) -> CriticalPoint:
     if bracket.lo <= newton <= bracket.hi:
         s_c = newton
     d_c, phi = stream._totals(dist, [(s_c, -0.5), (s_c, -1.5)])
-    return CriticalPoint(
+    d0, r0 = math.inf, None
+    if cls.d0_finite:
+        d0 = stream.depth(dist, s0)
+        r0 = stream._head(dist, s0, d0)
+    return BernoulliAnalysis(
+        condition=cls.condition,
+        s0=s0,
         s_c=s_c,
         r_c=stream._head(dist, s_c, d_c),
         d_c=d_c,
         phi_residual=phi - 1.0,
+        d0=d0,
+        r0=r0,
     )
-
-
-@lru_cache(maxsize=_PAIRS_CACHED)
-def second_critical(dist: VorticityDistribution) -> SecondCritical:
-    """Zero-margin depth and head ``(d0, r0) = (d(s0), R(s0))``.
-
-    ``d0 = math.inf`` and ``r0 = None`` under classification "i".
-    """
-    cls = dist.classify()
-    if not cls.d0_finite:
-        return SecondCritical(s0=cls.s0, d0=math.inf, r0=None,
-                              condition=cls.condition)
-    d0 = stream.depth(dist, cls.s0)
-    r0 = stream._head(dist, cls.s0, d0)
-    return SecondCritical(s0=cls.s0, d0=d0, r0=r0, condition=cls.condition)
 
 
 @lru_cache(maxsize=_PAIRS_CACHED)
@@ -235,25 +191,22 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     """
     if not math.isfinite(r):
         raise DomainError(f"head must be finite; got r={r!r}")
-    crit = find_critical(dist)
-    scale = max(1.0, crit.s_c)
-    if r < crit.r_c - 1e-10 * max(1.0, abs(crit.r_c)):
+    an = analyze(dist)
+    scale = max(1.0, an.s_c)
+    if r < an.r_c - 1e-10 * max(1.0, abs(an.r_c)):
         raise NoStreamError(
             f"no stream solutions with head r={r!r}: below the critical "
-            f"head r_c={crit.r_c!r}")
-    if abs(r - crit.r_c) < 1e-10 * max(1.0, abs(crit.r_c)):
+            f"head r_c={an.r_c!r}")
+    if abs(r - an.r_c) < 1e-10 * max(1.0, abs(an.r_c)):
         return ConjugatePair(r=r, regime="critical",
-                             s_plus=crit.s_c, d_plus=crit.d_c,
-                             s_minus=crit.s_c, d_minus=crit.d_c)
-
-    cls, sec = dist.classify(), second_critical(dist)
-    tol = 1e-13 * scale
+                             s_plus=an.s_c, d_plus=an.d_c,
+                             s_minus=an.s_c, d_minus=an.d_c)
 
     def search(bracket):
         """The root of ``R(s) - r`` in ``bracket``, or in the one a walk finds."""
         if not isinstance(bracket, numerics.Bracket):
             bracket = yield from bracket
-        return (yield from numerics.brent(bracket, tol))
+        return (yield from numerics.brent(bracket, 1e-13 * scale))
 
     def residuals(slopes):
         depths = stream._totals(dist, [(s, -0.5) for s in slopes])
@@ -261,13 +214,13 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
 
     # supercritical branch: R increases beyond s_c; the walk probes
     # s_c + scale, s_c + 3 scale, s_c + 7 scale, ...
-    searches = [search(_walk(crit.s_c - scale, crit.s_c, crit.r_c - r, 2.0))]
-    if sec.r0 is None or r < sec.r0 - 1e-10 * max(1.0, abs(sec.r0)):
-        if cls.d0_finite:
-            bracket = numerics.Bracket(cls.s0, crit.s_c, sec.r0 - r, crit.r_c - r)
+    searches = [search(_walk(an.s_c - scale, an.s_c, an.r_c - r, 2.0))]
+    if an.r0 is None or r < an.r0 - 1e-10 * max(1.0, abs(an.r0)):
+        if an.r0 is not None:
+            bracket = numerics.Bracket(an.s0, an.s_c, an.r0 - r, an.r_c - r)
         else:
             # R grows without bound toward s0: walk down to the guard-band edge
-            bracket = _walk(cls.s0, crit.s_c, crit.r_c - r, 0.25, _guard_edge(cls.s0))
+            bracket = _walk(an.s0, an.s_c, an.r_c - r, 0.25, _guard_edge(an.s0))
         searches.append(search(bracket))
     # both branches in lockstep, one quadrature call per round for both
     s_minus, *s_plus = numerics.lockstep(residuals, *searches)
@@ -280,19 +233,3 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
                          s_plus=s_plus[0], d_plus=d_plus[0],
                          s_minus=s_minus, d_minus=d_minus)
 
-
-def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
-    """Classification plus both critical values in one record."""
-    cls = dist.classify()
-    crit = find_critical(dist)
-    sec = second_critical(dist)
-    return BernoulliAnalysis(
-        condition=cls.condition,
-        s0=cls.s0,
-        s_c=crit.s_c,
-        r_c=crit.r_c,
-        d_c=crit.d_c,
-        phi_residual=crit.phi_residual,
-        d0=sec.d0,
-        r0=sec.r0,
-    )

@@ -134,7 +134,7 @@ def _execute(name: str, config_path: str, out_dir, worker) -> None:
             "command": name,
             "config": cfg.echo(),
             "results": _jsonify(results),
-            "warnings": [str(w.message) for w in caught],
+            "warnings": list(dict.fromkeys(str(w.message) for w in caught)),
             "files": sorted(files),
             "timing_seconds": round(time.perf_counter() - started, 6),
         }

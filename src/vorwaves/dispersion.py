@@ -233,13 +233,29 @@ def _least_eigenvalue(stream, kappa: float) -> float:
 
 @dataclass(frozen=True)
 class GammaSolution:
-    """The normalized transverse mode ``gamma(., tau)`` on ``[0, d]``."""
+    """A normalized transverse mode on ``[0, d]``: ``gamma(., tau)``, with
+    ``gamma(0) = 0`` and ``gamma(d) = 1``, or the auxiliary ``w`` of
+    ``solve_w_aux``, with ``w(0) = 1`` and ``w(d) = 0``; derivatives are in ``y``."""
 
     tau: float
     grid: np.ndarray
     values: np.ndarray
     derivative_surface: float
     derivative_bottom: float
+
+
+def _sampled(stream, tau: float, n_samples: int, from_surface: bool = False) -> GammaSolution:
+    """The mode from the bottom (or the surface) over its far-end value, on
+    ``linspace(0, d, n_samples)`` with exact end values."""
+    if n_samples < 2:
+        raise ConfigError(f"n_samples={n_samples} too coarse: the grid needs both ends")
+    mode, grid = _solve(stream, tau, from_surface), np.linspace(0.0, stream.d, n_samples)
+    values = _sample(mode, grid)
+    if from_surface:
+        values[0], values[-1] = 1.0, 0.0
+        return GammaSolution(float(tau), grid, values, mode.start_slope, mode.end_slope)
+    values[0], values[-1] = 0.0, 1.0
+    return GammaSolution(float(tau), grid, values, mode.end_slope, mode.start_slope)
 
 
 def gamma_bvp(stream: StreamSolution, tau: float,
@@ -260,10 +276,7 @@ def gamma_bvp(stream: StreamSolution, tau: float,
     if n_samples < 2:
         raise ConfigError(f"n_samples={n_samples} too coarse: the grid needs both ends")
     _warn_piecewise(stream.dist)
-    mode, grid = _solve(stream, tau), np.linspace(0.0, stream.d, n_samples)
-    values = _sample(mode, grid)
-    values[0], values[-1] = 0.0, 1.0
-    return GammaSolution(float(tau), grid, values, mode.end_slope, mode.start_slope)
+    return _sampled(stream, tau, n_samples)
 
 
 def _require_slope(stream: StreamSolution) -> float:

@@ -214,10 +214,13 @@ def bernoulli_residual(hfield: HodographField,
 
     ``r`` defaults to the field's own head; passing another value probes
     how far the field sits from that head's surface condition (the
-    residual shifts by ``3 (r_field - r)`` for exact fields).
+    residual shifts by ``3 (r_field - r)`` for exact fields).  A NaN or
+    infinite ``r`` is a DomainError.
     """
     if r is None:
         r = hfield.r
+    if not np.isfinite(r):
+        raise DomainError(f"head r={r!r} is not finite")
     q, p, h = hfield.q, hfield.p, hfield.h
     dp = p[1] - p[0]
     # fourth-order one-sided closure for h_p on the surface row

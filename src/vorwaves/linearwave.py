@@ -1,10 +1,10 @@
 """First-order periodic waves on a stream background.
 
 Solves the forced correction problem whose cosine mode rides on top of a
-stream solution, the auxiliary two-point problem used to certify the
-correction's bottom derivative, and samples the resulting wave field over
-one wavelength.  A sign-change detector reports a counter-current in the
-sampled field.
+stream solution and the auxiliary two-point problem that certifies the
+correction's bottom derivative (each transverse mode is a ``GammaSolution``
+of ``dispersion``), and samples the wave field over one wavelength.  A
+sign-change detector reports a counter-current in the sampled field.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionResult, _require_slope, _sample, _solve, gamma_bvp
+from .dispersion import DispersionResult, GammaSolution, _require_slope, _sampled, gamma_bvp
 from .errors import ConfigError, DomainError
 from .stream import StreamSolution
 
 __all__ = [
     "WCorrection",
-    "AuxSolution",
     "BottomSlopeCheck",
     "WaveField",
     "SignChange",
@@ -61,20 +60,6 @@ class WCorrection:
     derivative_surface: float
     surface_identity_gap: float
     surface_identity_ok: bool
-
-
-@dataclass(frozen=True)
-class AuxSolution:
-    """Homogeneous solution with unit bottom value vanishing at the surface.
-
-    ``-w'' + [tau^2 - omega'(u)] w = 0`` on ``(0, d)``, ``w(0) = 1``,
-    ``w(d) = 0``; ``derivative_surface`` is ``w'(d)``.
-    """
-
-    tau: float
-    grid: np.ndarray
-    values: np.ndarray
-    derivative_surface: float
 
 
 @dataclass(frozen=True)
@@ -188,7 +173,7 @@ def solve_W(stream: StreamSolution, tau: float, n_samples: int = 257) -> WCorrec
     )
 
 
-def solve_w_aux(stream: StreamSolution, tau: float, n_samples: int = 257) -> AuxSolution:
+def solve_w_aux(stream: StreamSolution, tau: float, n_samples: int = 257) -> GammaSolution:
     """Solve the auxiliary problem ``w(0) = 1``, ``w(d) = 0``.
 
     The transverse solve from the surface (``v(d) = 0``, ``v'(d) = 1``) over its
@@ -202,12 +187,7 @@ def solve_w_aux(stream: StreamSolution, tau: float, n_samples: int = 257) -> Aux
     ResonanceError
         When the solution vanishes at the bottom too: no unique solution.
     """
-    if n_samples < 2:
-        raise ConfigError(f"n_samples={n_samples} too coarse: the grid needs both ends")
-    mode, grid = _solve(stream, tau, from_surface=True), np.linspace(0.0, stream.d, n_samples)
-    values = _sample(mode, grid)
-    values[0], values[-1] = 1.0, 0.0
-    return AuxSolution(float(tau), grid, values, mode.start_slope)
+    return _sampled(stream, tau, n_samples, from_surface=True)
 
 
 def _bottom_derivative(stream: StreamSolution, upd: float, gamma_bottom: float) -> float:

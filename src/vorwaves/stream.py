@@ -281,14 +281,25 @@ def depth(dist: VorticityDistribution, s: float) -> float:
     return _totals(dist, [(s, -0.5)])[0]
 
 
-def phi(dist: VorticityDistribution, s: float, p: float = 1.0) -> float:
-    """Tail weight ``Phi(p; s) = int_0^p (s^2 - 2 Omega)^(-3/2) dtau``.
+def _profile(dist: VorticityDistribution, s: float, power: float, p):
+    """``int_0^p (sigma2 + 2 gap)^power dtau`` at each ``p`` (scalar or array),
+    from one :func:`_accumulate` call on the distinct values in order."""
+    arr = _stream_values(p)
+    if not arr.size:
+        return arr
+    grid, back = np.unique(arr.ravel(), return_inverse=True)
+    out = _accumulate(dist, [(s, power)], grid)[0][back]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def phi(dist: VorticityDistribution, s: float, p=1.0):
+    """Tail weight ``Phi(p; s) = int_0^p (s^2 - 2 Omega)^(-3/2) dtau`` (scalar or array).
 
     Strictly decreasing in ``s``; ``Phi(1; s) = 1`` picks out the critical
     slope.  Requires ``s`` strictly above the threshold: at ``s = s0`` the
     ``-3/2`` power is not integrable.
     """
-    return float(_accumulate(dist, [(s, -1.5)], (float(_stream_values(p)),))[0, 0])
+    return _profile(dist, s, -1.5, p)
 
 
 def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
@@ -351,13 +362,7 @@ class StreamSolution:
 
     def height_at(self, p):
         """``H(p; s)`` from the quadrature (scalar or array)."""
-        arr = _stream_values(p)
-        flat = arr.ravel()
-        out = np.zeros(flat.size)
-        if flat.size:
-            order = np.argsort(flat)
-            out[order] = _accumulate(self.dist, [(self.s, -0.5)], flat[order])[0]
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return _profile(self.dist, self.s, -0.5, p)
 
     def _speed(self, p):
         """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first integral."""

@@ -34,7 +34,7 @@ def _verdict(n, ok, detail):
 
 
 def test_criterion_01_irrotational_critical_point(w_zero):
-    crit = bernoulli.find_critical(w_zero)
+    crit = bernoulli.analyze(w_zero)
     s = np.linspace(0.2, 3.0, 1_000_001)
     heads = (s * s + 2.0 / s) / 3.0
     i = int(np.argmin(heads))
@@ -75,7 +75,7 @@ def test_criterion_03_stationarity_at_critical_slope(w_zero, w_two,
     wts = 0.5 * weights
     worst = 0.0
     for dist in dists:
-        s_c = bernoulli.find_critical(dist).s_c
+        s_c = bernoulli.analyze(dist).s_c
         vals = np.asarray(dist.Omega(tau), dtype=float)
         phi = float(np.sum(wts * (s_c * s_c - 2.0 * vals) ** -1.5))
         worst = max(worst, abs(phi - 1.0))

@@ -8,16 +8,15 @@ from hypothesis import strategies as st_
 from vorwaves import bernoulli, numerics, stream
 from vorwaves.bounds import check_bounds
 from vorwaves.errors import AmbiguousClassificationError, DomainError, NoStreamError
-from vorwaves.bernoulli import (
-    analyze,
-    conjugates,
-    find_critical,
-    head,
-    second_critical,
-)
+from vorwaves.bernoulli import analyze, conjugates
 from vorwaves.vorticity import VorticityDistribution as V
 
 from strategies import dist_specs
+
+
+def head(dist, s):
+    """The Bernoulli head ``R(s)``, as the stream of slope ``s`` carries it."""
+    return stream.solve_stream(dist, s).r
 
 
 def test_irrotational_head_closed_form(w_zero):
@@ -28,7 +27,7 @@ def test_irrotational_head_closed_form(w_zero):
 
 
 def test_irrotational_critical_point(w_zero):
-    crit = find_critical(w_zero)
+    crit = analyze(w_zero)
     np.testing.assert_allclose(crit.s_c, 1.0, atol=1e-10)
     np.testing.assert_allclose(crit.r_c, 1.0, atol=1e-12)
     np.testing.assert_allclose(crit.d_c, 1.0, atol=1e-10)
@@ -45,7 +44,7 @@ def test_constant_vorticity_head_closed_form(w_two):
 
 def test_head_minimum_shape(w_two):
     # strictly decreasing into s_c, strictly increasing out of it
-    crit = find_critical(w_two)
+    crit = analyze(w_two)
     below = [head(w_two, s) for s in np.linspace(2.001, crit.s_c, 5)]
     above = [head(w_two, s) for s in np.linspace(crit.s_c, 4.0, 5)]
     assert all(a > b for a, b in zip(below, below[1:]))
@@ -53,15 +52,15 @@ def test_head_minimum_shape(w_two):
 
 
 def test_second_critical_closed_forms(w_two, w_minus_two, w_zero):
-    sec = second_critical(w_two)
+    sec = analyze(w_two)
     np.testing.assert_allclose(sec.d0, 1.0, atol=1e-12)
     np.testing.assert_allclose(sec.r0, 2.0 / 3.0, atol=1e-12)
 
-    secm = second_critical(w_minus_two)
+    secm = analyze(w_minus_two)
     np.testing.assert_allclose(secm.d0, 1.0, atol=1e-12)
     np.testing.assert_allclose(secm.r0, 2.0, atol=1e-12)
 
-    sec0 = second_critical(w_zero)
+    sec0 = analyze(w_zero)
     assert sec0.d0 == math.inf
     assert sec0.r0 is None
 
@@ -89,7 +88,7 @@ def test_conjugates_share_the_head(w_zero, conj11):
 
 
 def test_conjugates_critical_regime(w_zero):
-    crit = find_critical(w_zero)
+    crit = analyze(w_zero)
     pair = conjugates(w_zero, crit.r_c)
     assert pair.regime == "critical"
     assert pair.s_plus == pair.s_minus == crit.s_c
@@ -107,7 +106,7 @@ def test_only_supercritical_regime(w_two):
     assert pair.s_plus is None and pair.d_plus is None
     assert pair.s_minus is not None
     np.testing.assert_allclose(head(w_two, pair.s_minus), 1.0, atol=1e-11)
-    crit = find_critical(w_two)
+    crit = analyze(w_two)
     assert pair.d_minus < crit.d_c
 
 
@@ -115,7 +114,7 @@ def test_subcritical_pair_with_vorticity(w_two):
     # head strictly between r_c ~ 0.59987 and r0 = 2/3
     pair = conjugates(w_two, 0.62)
     assert pair.regime == "subcritical-pair"
-    crit = find_critical(w_two)
+    crit = analyze(w_two)
     assert 2.0 < pair.s_plus < crit.s_c < pair.s_minus
     assert pair.d_plus > crit.d_c > pair.d_minus
     np.testing.assert_allclose(head(w_two, pair.s_plus), 0.62, atol=1e-11)
@@ -124,18 +123,18 @@ def test_subcritical_pair_with_vorticity(w_two):
 def test_stationarity_at_the_critical_slope(w_zero, w_two, w_minus_two, w_tilted):
     from vorwaves.stream import phi
     for dist in (w_zero, w_two, w_minus_two, w_tilted):
-        crit = find_critical(dist)
+        crit = analyze(dist)
         assert abs(phi(dist, crit.s_c) - 1.0) < 1e-9
 
 
 def test_analyze_record(w_two):
+    # one cached record: a repeated call returns it, and a fresh
+    # computation past the cache gives the same values
     an = analyze(w_two)
     assert an.condition == "iii"
     assert an.s0 == 2.0
-    crit = find_critical(w_two)
-    assert an.s_c == crit.s_c and an.r_c == crit.r_c and an.d_c == crit.d_c
-    sec = second_critical(w_two)
-    assert an.d0 == sec.d0 and an.r0 == sec.r0
+    assert analyze(w_two) is an
+    assert analyze.__wrapped__(w_two) == an
 
 
 def test_table_distribution_end_to_end():
@@ -184,13 +183,11 @@ def test_critical_values_ignore_tolerance_env(monkeypatch):
     # the quadrature tolerances are fixed: the environment variable that
     # once loosened them must change nothing, computed afresh past the caches
     dist = V.parse("poly 0 0 3")
-    crit = find_critical.__wrapped__(dist)
-    second = second_critical.__wrapped__(dist)
-    r = 0.5 * (crit.r_c + second.r0)
+    an = analyze.__wrapped__(dist)
+    r = 0.5 * (an.r_c + an.r0)
     pair = conjugates.__wrapped__(dist, r)
     monkeypatch.setenv("TOOL_SEED_TOLERANCE", "1e-2")
-    assert find_critical.__wrapped__(dist) == crit
-    assert second_critical.__wrapped__(dist) == second
+    assert analyze.__wrapped__(dist) == an
     assert conjugates.__wrapped__(dist, r) == pair
 
 
@@ -226,7 +223,7 @@ def test_searches_integrate_each_slope_once(spec, monkeypatch, fresh_caches):
         return accumulate(d, requests, grid)
 
     monkeypatch.setattr(stream, "_accumulate", spy)
-    find_critical(dist)
+    analyze(dist)
     assert seen and len(seen) == len(set(seen)) and not pairs
     for r in _heads(dist):
         before = len(seen)
@@ -253,14 +250,12 @@ def test_head_landscape_quadrature_calls_are_pinned(spec, calls, fresh_caches):
 
 
 def test_head_caches_are_bounded():
-    # find_critical and second_critical keep the last 64 distributions, as
-    # conjugates keeps its last 64 pairs; the most recent still costs no
-    # quadrature
+    # analyze keeps the last 64 distributions, as conjugates keeps its last
+    # 64 pairs; the most recent still costs no quadrature
     for k in range(65):
         dist = V.constant(0.25 + k / 64.0)
         analyze(dist)
-    for cached in (find_critical, second_critical):
-        assert cached.cache_info().currsize <= 64
+    assert analyze.cache_info().currsize <= 64
     numerics.tally.clear()
     analyze(dist)
     assert numerics.tally["quad_calls"] == 0
@@ -272,7 +267,7 @@ def test_lockstep_search_ending_at_a_probe(spec):
     # the head of the supercritical walk's first probe: that search ends on
     # its first value, with no Brent step, while the subcritical one goes on
     dist = V.parse(spec)
-    crit = find_critical(dist)
+    crit = analyze(dist)
     scale = max(1.0, crit.s_c)
     origin = crit.s_c - scale
     probe = origin + (crit.s_c - origin) * 2.0
@@ -286,7 +281,7 @@ def test_lockstep_search_ending_at_a_probe(spec):
 @pytest.mark.parametrize("spec", PAIR_SPECS)
 def test_kept_depths_are_the_depths_of_the_roots(spec):
     dist = V.parse(spec)
-    crit = find_critical(dist)
+    crit = analyze(dist)
     assert crit.d_c == stream.depth(dist, crit.s_c)
     assert crit.r_c == head(dist, crit.s_c)
     for r in _heads(dist):
@@ -334,14 +329,14 @@ def test_strong_constant_vorticity_closed_forms(b):
                         (s0 + mp.mpf("1e-20"), s0 + 10), solver="anderson")
     d_exact = (exact - mp.sqrt(exact ** 2 - 2 * b)) / b
 
-    crit = find_critical(V.constant(b))
+    crit = analyze(V.constant(b))
     s_c = crit.s_c
     np.testing.assert_allclose(s_c, float(exact), rtol=1e-12)
     np.testing.assert_allclose(crit.d_c, float(d_exact), rtol=1e-13)
     np.testing.assert_allclose(crit.r_c, float((exact ** 2 - 2 * b + 2 * d_exact) / 3),
                                rtol=1e-12)
     if b > 0.0:
-        sec = second_critical(V.constant(b))
+        sec = analyze(V.constant(b))
         d0 = math.sqrt(2.0 * b) / b
         np.testing.assert_allclose(sec.d0, d0, rtol=1e-12)
         np.testing.assert_allclose(sec.r0, 2.0 * d0 / 3.0, rtol=1e-12)
@@ -360,7 +355,7 @@ def _classified(spec):
 def test_critical_slope_minimizes_the_head(spec):
     # s_c comes from Phi(1; s) = 1; the head itself must be least there
     dist, cls = _classified(spec)
-    crit = find_critical(dist)
+    crit = analyze(dist)
     for s in (crit.s_c * (1.0 - 1e-3), crit.s_c * (1.0 + 1e-3)):
         if s > bernoulli._guard_edge(cls.s0):
             assert crit.r_c <= head(dist, s)
@@ -374,7 +369,7 @@ def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
     # example (class "i", Omega flat on [0.35, 1]) is one where evaluating
     # the head at the guard-band edge hits QUADPACK round-off
     dist, cls = _classified(spec)
-    crit = find_critical(dist)
+    crit = analyze(dist)
     s = cls.s0 + frac * (crit.s_c - cls.s0)
     assume(s > bernoulli._guard_edge(cls.s0))
     r = head(dist, s)

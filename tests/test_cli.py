@@ -141,6 +141,21 @@ def test_check_bounds_built_wave(tmp_path):
     assert report["files"] == ["surface.csv"]
 
 
+@pytest.mark.parametrize("command", ["wave", "check-bounds"])
+def test_report_lists_each_warning_once(tmp_path, command):
+    # find_tau0 and the transverse mode of the correction both warn about
+    # the piecewise-linear table; the report kept both copies
+    report, _ = _run(tmp_path, command, """\
+        [vorticity]
+        spec = table 0:1 0.5:-1 1:2
+        [parameters]
+        r = 0.8822
+        t = 0.001
+    """)
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("piecewise-linear vorticity")
+
+
 def test_check_bounds_surface_file(tmp_path):
     surface = tmp_path / "flat.csv"
     rows = ["x,eta"] + [f"{i * 0.1},0.742110295050848" for i in range(12)]

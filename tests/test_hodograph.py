@@ -104,6 +104,14 @@ def test_surface_residual_detects_wrong_head(w_zero):
     np.testing.assert_allclose(res.max_abs, 0.9, atol=1e-9)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_surface_residual_refuses_a_non_finite_head(w_zero, r):
+    # a NaN head gave max_abs = nan
+    hf = to_strip(stream.solve_stream(w_zero, 2.0))
+    with pytest.raises(DomainError, match="not finite"):
+        bernoulli_residual(hf, r=r)
+
+
 def test_field_residual_roundoff_for_linear_profile(w_zero):
     hf = to_strip(stream.solve_stream(w_zero, 2.0))
     res = field_equation_residual(hf, w_zero)
@@ -172,7 +180,7 @@ def test_wheeler_conjugate_pair(spec):
 
 
 def test_wheeler_reduced_at_critical_slope(w_zero):
-    crit = bernoulli.find_critical(w_zero)
+    crit = bernoulli.analyze(w_zero)
     hf = to_strip(stream.solve_stream(w_zero, 1.4))
     with pytest.warns(UserWarning):
         rep = wheeler_identity(hf, crit.s_c, None, w_zero)

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from vorwaves import bernoulli, linearwave, numerics, stream
+from vorwaves.dispersion import GammaSolution
 from vorwaves.errors import ConfigError, DomainError
 from vorwaves.linearwave import (
     build_wave,
@@ -57,13 +58,15 @@ def test_surface_identity_off_root(stream_plus):
 
 
 def test_aux_solution_closed_form(w_zero):
-    # s = 1, d = 1: w = sinh(tau (d - y))/sinh(tau d); tau d = 300 is
-    # past the single-chunk range of the shot
+    # s = 1, d = 1: w = sinh(tau (d - y))/sinh(tau d), w'(0) = -tau coth(tau d);
+    # tau d = 300 is past the single-chunk range of the shot
     st = stream.solve_stream(w_zero, 1.0)
     for tau in (1.0, 300.0):
         aux = solve_w_aux(st, tau)
+        assert isinstance(aux, GammaSolution)
         np.testing.assert_allclose(aux.derivative_surface,
                                    -tau / math.sinh(tau), rtol=1e-10)
+        np.testing.assert_allclose(aux.derivative_bottom, -tau / math.tanh(tau), rtol=1e-10)
         y = aux.grid
         np.testing.assert_allclose(aux.values,
                                    np.sinh(tau * (1.0 - y)) / math.sinh(tau),
@@ -73,10 +76,11 @@ def test_aux_solution_closed_form(w_zero):
 
 
 def test_aux_zero_wavenumber_limit(w_zero):
-    # tau = 0: w = 1 - y/d, w'(d) = -1/d
+    # tau = 0: w = 1 - y/d, w'(d) = w'(0) = -1/d
     st = stream.solve_stream(w_zero, 2.0)
     aux = solve_w_aux(st, 0.0)
     np.testing.assert_allclose(aux.derivative_surface, -2.0, rtol=1e-11)
+    np.testing.assert_allclose(aux.derivative_bottom, -2.0, rtol=1e-11)
 
 
 def test_bottom_slope_check(stream_plus, disp_plus):

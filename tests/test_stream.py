@@ -94,6 +94,29 @@ def test_phi_cumulative_matches_pointwise(w_two):
     np.testing.assert_allclose(cum, want, rtol=1e-10, atol=1e-14)
 
 
+def test_phi_of_a_scalar_is_the_one_column_integral(w_two):
+    value = phi(w_two, 2.1, 0.5)
+    assert type(value) is float
+    assert value == stream._accumulate(w_two, [(2.1, -1.5)], (0.5,))[0, 0]
+
+
+def test_phi_takes_arrays(w_two):
+    # an array of powers gave a bare TypeError; the values come unsorted,
+    # repeated and in two dimensions
+    p = np.array([[0.5, 0.2], [1.0, 0.5]])
+    values = phi(w_two, 2.1, p)
+    assert values.shape == p.shape
+    each = [[phi(w_two, 2.1, x) for x in row] for row in p.tolist()]
+    np.testing.assert_allclose(values, each, rtol=1e-12, atol=0.0)
+    assert phi(w_two, 2.1, [0.5, 0.2]).shape == (2,)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.1, [0.5, 1.1], math.nan])
+def test_phi_outside_the_column_is_a_domain_error(w_two, p):
+    with pytest.raises(DomainError, match="outside"):
+        phi(w_two, 2.1, p)
+
+
 def test_stream_solution_record(w_zero):
     st = solve_stream(w_zero, 2.0)
     np.testing.assert_allclose(st.d, 0.5, rtol=1e-13)
@@ -158,7 +181,7 @@ def test_u_at_domain_check(w_two):
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
 def test_non_finite_slope_is_a_domain_error(w_two, s):
-    for fn in (depth, phi, solve_stream, surface_slope_squared, bernoulli.head):
+    for fn in (depth, phi, solve_stream, surface_slope_squared):
         with pytest.raises(DomainError, match="not finite"):
             fn(w_two, s)
 
@@ -354,7 +377,7 @@ def test_shot_matches_the_quadrature_above_the_critical_slope(spec, frac):
         dist.classify()
     except AmbiguousClassificationError:
         return
-    s = bernoulli.find_critical(dist).s_c * (1.0 + frac)
+    s = bernoulli.analyze(dist).s_c * (1.0 + frac)
     st, shot = solve_stream(dist, s), shoot_stream(dist, s)
     np.testing.assert_allclose(shot.d, st.d, rtol=1e-8)
     np.testing.assert_allclose(shot.u_prime_d, st.u_prime_d, rtol=1e-8)
@@ -414,7 +437,7 @@ def test_u_at_keeps_its_last_inversion(w_two, monkeypatch):
 
 def test_depth_at_critical_slope_on_kinked_table():
     dist = V.parse(KINKED)
-    s_c = bernoulli.find_critical(dist).s_c
+    s_c = bernoulli.analyze(dist).s_c
     assert solve_stream(dist, s_c).d == depth(dist, s_c)
 
 
@@ -492,7 +515,7 @@ def test_phi_gauss_legendre_at_critical_slope_over_random_distributions(spec):
         dist.classify()
     except AmbiguousClassificationError:
         return
-    s_c = bernoulli.find_critical(dist).s_c
+    s_c = bernoulli.analyze(dist).s_c
     assert abs(_phi_by_gauss_legendre(spec, s_c) - 1.0) < 1e-11
 
 
@@ -525,11 +548,11 @@ def test_conjugates_near_interior_peak():
     # class "i" with the Omega peak at 0.847: the subcritical search starts
     # at the guard-band edge, where the uncut depth integral hit round-off
     dist = V.parse("poly 1.777 0.051 -2.537")
-    r = 1.1 * bernoulli.find_critical(dist).r_c
+    r = 1.1 * bernoulli.analyze(dist).r_c
     pair = bernoulli.conjugates(dist, r)
     assert pair.regime == "subcritical-pair"
     for s in (pair.s_plus, pair.s_minus):
-        np.testing.assert_allclose(bernoulli.head(dist, s), r, rtol=1e-12)
+        np.testing.assert_allclose(solve_stream(dist, s).r, r, rtol=1e-12)
 
 
 # s0 = 0 closed forms, written so that they keep every digit as s -> 0:

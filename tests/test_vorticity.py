@@ -149,7 +149,7 @@ def test_table_surface_value_is_exact():
 @pytest.mark.parametrize("spec", ["poly 0.1 0.2 -0.3", "poly 0.3 -0.1 -0.2"])
 def test_endpoint_omega_within_rounding_is_degenerate(spec):
     # omega(1) = 0 in decimal rounds to 2.8e-17 and -5.6e-17 in binary; the
-    # first was class "iii", and analyze then failed in second_critical
+    # first was class "iii", and analyze then failed at the zero-margin depth
     cls = V.parse(spec).classify()
     assert cls.maximizers == (1.0,) and abs(cls.omega_at_1) < 1e-16
     assert (cls.condition, cls.d0_finite) == ("i", False)

@@ -11,9 +11,9 @@ tolerances are fixed (``abs 1e-12``, ``rel 1e-10`` on every piece).
 
 Conventions
 -----------
-* Integrands are vectorized: they map an array of points to an array of
-  values, and :func:`integrate` evaluates every piece it is given in one
-  call per refinement level.
+* Integrands are vectorized: they map an array of points and the tags of
+  their pieces to an array of values, and :func:`integrate` evaluates every
+  piece it is given in one call per refinement level.
 * A "singular" endpoint means the integrand behaves like
   ``c / sqrt(x - a)`` at the left end ``a``; the substitution
   ``x = a + v**2`` turns that into a bounded integrand.  Callers flip a
@@ -82,40 +82,33 @@ _WG[13:7:-2] = _WG_HALF
 _WKG = np.array((_WK, _WG))
 
 
-def integrate(f: Callable, a, b, singular_left=False, tags=None):
+def integrate(f: Callable, a: np.ndarray, b: np.ndarray, singular_left: np.ndarray,
+              tags: np.ndarray) -> np.ndarray:
     """Integrate ``f`` over every piece ``[a_i, b_i]`` by adaptive G7K15.
 
-    ``a``, ``b`` and ``singular_left`` broadcast against each other; the
-    result has their common shape (a 0-d result comes back as a numpy
-    scalar).  ``singular_left`` declares an inverse-square-root singularity
-    at the left end of a piece, removed by the substitution
-    ``x = a + v**2``.  ``tags``, if given, is one value per piece; ``f`` is
-    then called as ``f(x, tag)``, with a row of ``x`` per live cell and its
-    piece's tag in a ``(cells, 1)`` column, so pieces may differ in integrand.
+    ``a``, ``b``, ``singular_left`` and ``tags`` are 1-d arrays with one
+    entry per piece, and ``a_i <= b_i``; the result is a 1-d array of the
+    integrals.  ``singular_left`` declares an inverse-square-root
+    singularity at the left end of a piece, removed by the substitution
+    ``x = a + v**2``.  ``f`` is called as ``f(x, tag)``, with a row of ``x``
+    per live cell and its piece's tag in a ``(cells, 1)`` column, so pieces
+    may differ in integrand.
 
     Each refinement level evaluates the 15 Kronrod nodes of every live
     cell in one call of ``f``.  A cell passes when ``|K15 - G7|`` is within
     its share (by width) of its piece's budget ``max(1e-12, 1e-10 |I|)``;
-    the others are bisected.  A piece with an endpoint at ``a_i == b_i``
-    contributes 0, and ``b_i < a_i`` integrates backward.  A piece's value
-    depends on that piece alone, bit for bit: its error control is its
-    own, and each cell's two sums reduce its own 15 values.
+    the others are bisected.  An empty piece contributes 0.  A piece's
+    value depends on that piece alone, bit for bit: its error control is
+    its own, and each cell's two sums reduce its own 15 values.
 
     Raises :class:`InvalidIntegrandError` on a non-finite integrand value
     and :class:`ConvergenceError` when a piece needs more than 200 cells.
     """
     tally["quad_calls"] += 1
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    sing = np.asarray(singular_left, dtype=bool)
-    if not a.shape == b.shape == sing.shape:
-        a, b, sing = np.broadcast_arrays(a, b, sing)
-    shape = a.shape
-    a, b, sing = a.ravel(), b.ravel(), sing.ravel()
-    n = a.size
-    if tags is not None:
-        tags = np.asarray(tags)
-        tags = (tags if tags.shape == shape else np.broadcast_to(tags, shape)).reshape(n, 1)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    lo, hi, sing, n = a, b, singular_left, a.size
+    if (hi < lo).any():
+        raise ValueError("integrate takes pieces with a <= b")
+    tags = tags.reshape(n, 1)
     # integration variable per piece: x itself, or v with x = lo + v**2
     width = hi - lo
     any_sing = bool(sing.any())
@@ -141,7 +134,7 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
             # interior point stands in, so the singularity is never sampled
             plo, floor, phi = ends[:, piece, None]
             x = np.where(sub, np.minimum(np.maximum(plo + t * t, floor), phi), t)
-        y = np.asarray(f(x) if tags is None else f(x, tags[piece]), dtype=float)
+        y = np.asarray(f(x, tags[piece]), dtype=float)
         tally["quad_points"] += y.size
         tally["quad_cells"] += piece.size
         if not np.isfinite(y).all():
@@ -178,10 +171,7 @@ def integrate(f: Callable, a, b, singular_left=False, tags=None):
                 f"{float(np.sum(err[bad][piece == i]))!r})")
         piece = np.concatenate((piece, piece))
         c0, c1 = np.concatenate((c0, mid)), np.concatenate((mid, c1))
-    backward = b < a
-    if backward.any():
-        total = np.where(backward, -total, total)
-    return total.reshape(shape)[()]
+    return total
 
 
 @dataclass(frozen=True)

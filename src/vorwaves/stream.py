@@ -182,7 +182,8 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     the error of each piece alone, so every row is bit for bit the one a
     call with that request alone returns.
     """
-    margins = [_margin(dist, s)[0] for s, _ in requests]
+    margin = {s: _margin(dist, s)[0] for s in dict.fromkeys(s for s, _ in requests)}
+    margins = [margin[s] for s, _ in requests]
     if any(m == 0.0 and power <= -1.0 for m, (_, power) in zip(margins, requests)):
         raise DomainError(
             f"Phi and dPhi/ds are not defined at s = s0 = {dist.classify().s0!r}: "
@@ -230,7 +231,7 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
         gap = _horner_rows(row[..., 3:], row[..., 0] * (z - row[..., 1]) - row[..., 2])
         return (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** powers[k]
 
-    vals = numerics.integrate(f, a, b, singular[piece] & (a == 0.0), tags=tags)
+    vals = numerics.integrate(f, a, b, singular[piece] & (a == 0.0), tags)
     out = np.bincount(row_of * len(grid) + cell[piece], vals, len(margins) * len(grid))
     return np.cumsum(out.reshape(len(margins), len(grid)), axis=1)
 

@@ -18,7 +18,6 @@ Conventions
   ``c / sqrt(x - a)`` at the left end ``a``; the substitution
   ``x = a + v**2`` turns that into a bounded integrand.  Callers flip a
   right-end singularity to the left by integrating in ``b - x``.
-* Brackets are closed intervals given as :class:`Bracket`.
 * :data:`tally` counts the work done; its comment lists the keys.
 """
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,9 +37,7 @@ from .errors import (
 
 __all__ = [
     "integrate",
-    "Bracket",
-    "brent",
-    "lockstep",
+    "find_root",
     "solve_ivp",
     "tally",
 ]
@@ -53,8 +49,9 @@ _REL_TOL = 1e-10
 _MAX_CELLS = 200
 
 # work counters: "quad_calls" (calls of integrate), "quad_points" (integrand
-# values), "quad_cells", "brent_iterations", "ode_steps" and "ode_rhs_evals"
-# of solve_ivp, and the transverse operator's
+# values), "quad_cells", "newton_steps" (exact values taken by the head
+# landscape's root searches), "ode_steps" and "ode_rhs_evals" of solve_ivp,
+# and the transverse operator's
 # "linear_solves", "eigen_solves" and "collocation_nodes" (points given omega')
 tally: Counter = Counter()
 
@@ -174,111 +171,57 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, singular_left: np.ndarr
     return total
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Closed interval ``[lo, hi]`` with optional cached endpoint values."""
+def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+    """A sign change of the scalar ``f`` in ``[lo, hi]``, to within ``tol``.
 
-    lo: float
-    hi: float
-    f_lo: Optional[float] = None
-    f_hi: Optional[float] = None
+    The Illinois form of regula falsi (Dowell and Jarratt, BIT 11, 1971):
+    each step cuts the bracket where the line through its ends crosses
+    zero, and an end kept twice in a row has its value halved, so that
+    both ends move and the order of convergence is about 1.44.  It stops
+    once the bracket is narrower than ``tol + 8.9e-16 |x|`` and returns the
+    end with the smaller ``|f|``; an exact zero ends it at once.  It is
+    meant for cheap functions, such as a proxy of an expensive one.
 
-    def __post_init__(self) -> None:
-        if not (self.lo < self.hi):
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo!r}, {self.hi!r}]")
-
-
-def brent(bracket: Bracket, tol: float = 1e-13):
-    """Brent's method as a generator: it yields each ``x`` it needs, is sent
-    ``f(x)`` there, and returns the root.
-
-    Brent, *Algorithms for Minimization without Derivatives* (1973),
-    chapter 4: inverse quadratic interpolation or secant steps, falling
-    back to bisection whenever a step would not shrink the bracket fast
-    enough.  The step rules and the stopping test (half the bracket below
-    ``(tol + 8.9e-16 |x|) / 2``) are those of scipy's ``brentq``, and at
-    most 200 iterations are taken.  An endpoint value missing from
-    ``bracket`` is asked for first, ``lo`` before ``hi``.  A caller may
-    drive several searches at once and evaluate their points together;
-    :func:`lockstep` drives them.
-
-    The endpoint values must differ in sign (an endpoint exactly at zero
-    is returned directly, possibly before anything is yielded).  Raises
-    :class:`BracketError` with both values when the sign condition fails,
-    and :class:`ConvergenceError` when a value is NaN or the iteration cap
-    is reached.
+    Raises ``ValueError`` unless ``lo < hi``, :class:`BracketError` when the
+    end values do not differ in sign, and :class:`ConvergenceError` on a
+    NaN value or after 200 steps.
     """
-    def value(x: float, fx: float) -> float:
+    def value(x: float) -> float:
+        fx = f(x)
         if math.isnan(fx):
-            raise ConvergenceError(f"f({x!r}) is NaN; Brent's method cannot continue")
+            raise ConvergenceError(f"f({x!r}) is NaN; the root search cannot continue")
         return fx
 
-    rtol = 8.9e-16
-    xpre, xcur = bracket.lo, bracket.hi
-    fpre = value(xpre, (yield xpre) if bracket.f_lo is None else bracket.f_lo)
-    fcur = value(xcur, (yield xcur) if bracket.f_hi is None else bracket.f_hi)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise BracketError(
-            f"no sign change on [{xpre!r}, {xcur!r}]: f(lo)={fpre!r}, f(hi)={fcur!r}")
-    xblk = fblk = spre = scur = 0.0
+    if not lo < hi:
+        raise ValueError(f"a bracket needs lo < hi, got [{lo!r}, {hi!r}]")
+    f_lo, f_hi = value(lo), value(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f(lo)={f_lo!r}, f(hi)={f_hi!r}")
+    kept = 0  # -1 after lo moved, +1 after hi moved
     for _ in range(200):
-        tally["brent_iterations"] += 1
-        if fpre != 0.0 and fcur != 0.0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (tol + rtol * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return float(xcur)
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+        if hi - lo <= tol + 8.9e-16 * max(abs(lo), abs(hi)):
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = lo + 0.5 * (hi - lo)
+        fx = value(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+            if kept < 0:
+                f_hi *= 0.5
+            kept = -1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = value(xcur, (yield xcur))
-    raise ConvergenceError(
-        f"Brent's method did not converge in 200 iterations on "
-        f"[{bracket.lo!r}, {bracket.hi!r}]; last iterate {xcur!r}")
-
-
-def lockstep(values, *searches) -> list:
-    """Run searches in the form of :func:`brent` side by side.
-
-    Each round collects the next point of every unfinished search and
-    sends each its value from one call of ``values`` on all of them, so
-    that the searches share their function calls.  Returns what each
-    search returned, in order.
-    """
-    results, points = [None] * len(searches), {}
-    sent = dict.fromkeys(range(len(searches)))
-    while sent:
-        for i, fx in sent.items():
-            try:
-                points[i] = searches[i].send(fx)
-            except StopIteration as stop:
-                results[i] = stop.value
-                points.pop(i, None)
-        sent = dict(zip(points, values(list(points.values())))) if points else {}
-    return results
+            hi, f_hi = x, fx
+            if kept > 0:
+                f_lo *= 0.5
+            kept = 1
+    raise ConvergenceError(f"no root to within {tol!r} in 200 steps on [{lo!r}, {hi!r}]")
 
 
 def solve_ivp(

@@ -236,8 +236,8 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     return np.cumsum(out.reshape(len(margins), len(grid)), axis=1)
 
 
-# whole-column integrals kept by :func:`_totals`: a head landscape probes
-# the same walk slopes at every head, then builds the streams of its roots
+# whole-column integrals kept by :func:`_totals`: a head landscape reads its
+# samples and roots here again, then builds the streams of its roots
 _TOTALS_CACHED = 512
 _total_memo: OrderedDict = OrderedDict()  # (dist, s, power) -> integral, oldest first
 
@@ -538,9 +538,11 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         d, u_prime_d = float(hits[0]), float(sol.y_events[0][0][1])
     elif peak < inf:
         # u rises from the turning point before the peak (or the bottom) to it
+        import scipy.optimize  # loaded with the ODE solver already
+
         start = float(turns[turns < peak].max(initial=0.0))
-        d, = numerics.lockstep(lambda ts: [float(sol.sol(t)[0]) - 1.0 for t in ts],
-                               numerics.brent(numerics.Bracket(start, float(peak)), 0.0))
+        d = scipy.optimize.brentq(lambda t: float(sol.sol(t)[0]) - 1.0, start,
+                                  float(peak), xtol=1e-300, rtol=8.9e-16)
         u_prime_d = float(sol.sol(d)[1])
     else:
         u_end, up_end = sol.y[0, -1], sol.y[1, -1]

@@ -60,7 +60,7 @@ def fresh_caches():
     of quadrature calls or points sees the work itself."""
     stream._layout.cache_clear()
     stream._total_memo.clear()
-    for cached in (bernoulli.analyze, bernoulli.conjugates):
+    for cached in (bernoulli.analyze, bernoulli._proxy, bernoulli.conjugates):
         cached.cache_clear()
 
 

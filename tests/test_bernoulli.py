@@ -7,7 +7,8 @@ from hypothesis import strategies as st_
 
 from vorwaves import bernoulli, numerics, stream
 from vorwaves.bounds import check_bounds
-from vorwaves.errors import AmbiguousClassificationError, DomainError, NoStreamError
+from vorwaves.errors import (AmbiguousClassificationError, ConvergenceError, DomainError,
+                             NoStreamError)
 from vorwaves.bernoulli import analyze, conjugates
 from vorwaves.vorticity import VorticityDistribution as V
 
@@ -233,13 +234,14 @@ def test_searches_integrate_each_slope_once(spec, monkeypatch, fresh_caches):
 
 
 @pytest.mark.parametrize("spec, calls", [
-    ("poly 1.777 0.051 -2.537", 48),
-    ("table 0:1 0.5:-1 1:2", 51),
+    ("poly 1.777 0.051 -2.537", 16),
+    ("table 0:1 0.5:-1 1:2", 12),
 ])
 def test_head_landscape_quadrature_calls_are_pinned(spec, calls, fresh_caches):
-    # analyze, then conjugates at four heads, from empty caches: the column
-    # memo and the lockstep searches show in the count of quadrature calls
-    # (84 and 85 with neither), whatever the machine's speed
+    # analyze, then conjugates at four heads, from empty caches: one call
+    # samples the proxy of d, and each Newton round of analyze (5 and 4
+    # calls in all) and of the two branches of a head together is one more
+    # (48 and 51 with the walks and Brent searches), whatever the machine's speed
     numerics.tally.clear()
     dist = V.parse(spec)
     an = analyze(dist)
@@ -250,32 +252,17 @@ def test_head_landscape_quadrature_calls_are_pinned(spec, calls, fresh_caches):
 
 
 def test_head_caches_are_bounded():
-    # analyze keeps the last 64 distributions, as conjugates keeps its last
-    # 64 pairs; the most recent still costs no quadrature
+    # analyze keeps the last 64 distributions and their proxies, as
+    # conjugates keeps its last 64 pairs; the most recent still costs no
+    # quadrature
     for k in range(65):
         dist = V.constant(0.25 + k / 64.0)
         analyze(dist)
     assert analyze.cache_info().currsize <= 64
+    assert bernoulli._proxy.cache_info().currsize <= 64
     numerics.tally.clear()
     analyze(dist)
     assert numerics.tally["quad_calls"] == 0
-
-
-@pytest.mark.parametrize("spec", ["constant 0", "poly 1.777 0.051 -2.537",
-                                  "table 0.0:0.0 0.01:0.0 1.0:0.0"])
-def test_lockstep_search_ending_at_a_probe(spec):
-    # the head of the supercritical walk's first probe: that search ends on
-    # its first value, with no Brent step, while the subcritical one goes on
-    dist = V.parse(spec)
-    crit = analyze(dist)
-    scale = max(1.0, crit.s_c)
-    origin = crit.s_c - scale
-    probe = origin + (crit.s_c - origin) * 2.0
-    r = head(dist, probe)
-    pair = conjugates.__wrapped__(dist, r)
-    assert pair.s_minus == probe and pair.d_minus == stream.depth(dist, probe)
-    assert pair.regime == "subcritical-pair" and pair.s_plus < crit.s_c
-    assert abs(head(dist, pair.s_plus) - r) <= 1e-12 * r
 
 
 @pytest.mark.parametrize("spec", PAIR_SPECS)
@@ -307,7 +294,7 @@ def test_repeated_conjugates_share_the_pair():
 
 @pytest.mark.parametrize("r", [math.nan, math.inf])
 def test_conjugates_refuse_a_non_finite_head(w_two, r):
-    # without the check the walk ran 200 steps to a misleading NaN failure
+    # without the check a non-finite head ends in a misleading failure
     size = conjugates.cache_info().currsize
     with pytest.raises(DomainError, match="finite"):
         conjugates(w_two, r)
@@ -320,7 +307,7 @@ def test_strong_constant_vorticity_closed_forms(b):
     # end of Phi; s_c solves 1/sqrt(s^2 - 2b) = b + 1/s (40-digit root).
     # d(s) is ill conditioned there (|s d'/d| ~ 500 at b = 50), so d_c
     # against d at the exact root checks that s_c is exact to rounding,
-    # not only to the Brent tolerance (which left d_c 1.5e-12 off)
+    # not only to the 1e-13 tolerance of its search (which left d_c 1.5e-12 off)
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
     mp.dps = 40
@@ -378,3 +365,31 @@ def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
     assert pair.s_plus < crit.s_c < pair.s_minus
     for s_pm in (pair.s_plus, pair.s_minus):
         assert abs(head(dist, s_pm) - r) <= 1e-10 * max(1.0, abs(r))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(spec=dist_specs, frac=st_.floats(0.01, 0.99))
+def test_conjugates_meet_the_head_or_refuse(spec, frac):
+    # heads from r_c up to r0, or up to 12 r_c under class "i", where the
+    # subcritical root may lie below the guard-band edge: then conjugates
+    # must refuse, never return a slope whose head misses r
+    dist, cls = _classified(spec)
+    an = analyze(dist)
+    r = an.r_c + frac * ((an.r0 if an.r0 is not None else 12.0 * an.r_c) - an.r_c)
+    assume(r - an.r_c > 1e-9 * max(1.0, abs(an.r_c)))
+    if an.r0 is None:
+        edge = head(dist, bernoulli._guard_edge(cls.s0))
+        assume(abs(r - edge) > 1e-9 * max(1.0, abs(r)))
+        if r > edge:
+            with pytest.raises(ConvergenceError, match="below the edge"):
+                conjugates(dist, r)
+            return
+    pair = conjugates(dist, r)
+    assert pair.regime == "subcritical-pair"
+    assert pair.s_plus < an.s_c < pair.s_minus
+    for s, d in ((pair.s_plus, pair.d_plus), (pair.s_minus, pair.d_minus)):
+        assert d == stream.depth(dist, s)
+        # a slope is a float: within 4 ulps of it, the head moves by up to
+        # 4 ulp(s) |R'(s)|, which near the guard band exceeds 1e-12 r
+        steep = 4.0 * math.ulp(s) * abs(2.0 * s / 3.0 * (1.0 - stream.phi(dist, s)))
+        assert abs(head(dist, s) - r) <= 1e-12 * max(1.0, abs(r)) + steep

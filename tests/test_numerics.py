@@ -11,7 +11,6 @@ from vorwaves.errors import (
     ConvergenceError,
     InvalidIntegrandError,
 )
-from vorwaves.numerics import Bracket
 
 
 def _integrate(f, a, b, singular=False):
@@ -89,14 +88,8 @@ def test_integrate_undeclared_singularity_fails():
         _integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
 
-def _find_root(f, bracket, tol=1e-13):
-    """The root of a scalar ``f``: one Brent search driven by lockstep."""
-    root, = numerics.lockstep(lambda xs: [f(x) for x in xs], numerics.brent(bracket, tol))
-    return root
-
-
 def test_find_root_cosine():
-    root = _find_root(math.cos, Bracket(1.0, 2.0))
+    root = numerics.find_root(math.cos, 1.0, 2.0, 1e-13)
     np.testing.assert_allclose(root, math.pi / 2.0, rtol=1e-14)
 
 
@@ -114,82 +107,10 @@ def test_find_root_stops_within_tolerance(f, lo, hi):
     # the bracket collapses to the stopping width: tol plus 8.9e-16 |x|,
     # and the sign change survives inside it
     tol = 1e-12
-    numerics.tally.clear()
-    root = _find_root(f, Bracket(lo, hi), tol=tol)
+    root = numerics.find_root(f, lo, hi, tol)
     width = tol + 8.9e-16 * abs(root)
     assert lo <= root <= hi
     assert f(root) == 0.0 or f(root - width) * f(root + width) <= 0.0
-    assert 0 < numerics.tally["brent_iterations"] <= 200
-    # the step rules are those of scipy's brentq, so the iterates agree
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    assert root == scipy_optimize.brentq(f, lo, hi, xtol=tol, rtol=8.9e-16, maxiter=200)
-
-
-def _drive(search, f):
-    """Run a search by hand: the points it asked for, and what it returned."""
-    asked, fx = [], None
-    while True:
-        try:
-            x = search.send(fx)
-        except StopIteration as stop:
-            return asked, stop.value
-        asked.append(x)
-        fx = f(x)
-
-
-@pytest.mark.parametrize("f, lo, hi", ROOT_CASES)
-def test_brent_generator_makes_the_iterates_of_find_root(f, lo, hi):
-    calls = []
-
-    def logged(x):
-        calls.append(x)
-        return f(x)
-
-    root = _find_root(logged, Bracket(lo, hi), tol=1e-12)
-    asked, got = _drive(numerics.brent(Bracket(lo, hi), tol=1e-12), f)
-    assert asked == calls and asked[:2] == [lo, hi]
-    assert got == root
-    # endpoint values given in the bracket are not asked for again
-    asked, got = _drive(numerics.brent(Bracket(lo, hi, f(lo), f(hi)), tol=1e-12), f)
-    assert asked == calls[2:] and got == root
-
-
-def test_lockstep_searches_share_each_round():
-    # every round evaluates the open searches' points in one call, and
-    # each search ends where, and after the steps, it would alone
-    rounds = []
-
-    def values(xs):
-        rounds.append(len(xs))
-        return [math.cos(x) for x in xs]
-
-    brackets = (Bracket(1.0, 2.0), Bracket(4.0, 4.8))
-    roots = numerics.lockstep(values, *(numerics.brent(b) for b in brackets))
-    alone = [_drive(numerics.brent(b), math.cos) for b in brackets]
-    assert roots == [root for _, root in alone]
-    assert len(rounds) == max(len(asked) for asked, _ in alone)
-    assert sum(rounds) == sum(len(asked) for asked, _ in alone)
-    assert rounds[0] == 2
-
-
-def test_brent_generator_at_an_endpoint_root():
-    # a known value of exactly 0 ends the search before anything is asked
-    asked, got = _drive(numerics.brent(Bracket(0.25, 1.0, 0.5, 0.0)), math.cos)
-    assert (asked, got) == ([], 1.0)
-    # both ends are asked for before either is tested
-    asked, got = _drive(numerics.brent(Bracket(0.0, 1.0)), lambda x: x)
-    assert (asked, got) == ([0.0, 1.0], 0.0)
-
-
-def test_brent_generator_refuses_nan():
-    search = numerics.brent(Bracket(-1.0, 1.0))
-    assert search.send(None) == -1.0
-    assert search.send(-1.0) == 1.0
-    assert -1.0 < search.send(1.0) < 1.0
-    with pytest.raises(ConvergenceError, match="NaN"):
-        search.send(math.nan)
-    with pytest.raises(ConvergenceError, match="NaN"):
-        _drive(numerics.brent(Bracket(-1.0, 1.0, math.nan, 1.0)), math.sin)
 
 
 _pieces = st_.lists(
@@ -223,22 +144,22 @@ def test_integrate_rows_do_not_depend_on_their_company(pieces, k):
 
 
 def test_find_root_endpoint_hit():
-    assert _find_root(lambda x: x, Bracket(0.0, 1.0)) == 0.0
+    assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-13) == 0.0
 
 
 def test_find_root_refuses_nan():
     with pytest.raises(ConvergenceError, match="NaN"):
-        _find_root(lambda x: x if x < 0.25 else math.nan, Bracket(-1.0, 1.0))
+        numerics.find_root(lambda x: x if x < 0.25 else math.nan, -1.0, 1.0, 1e-13)
 
 
 def test_find_root_no_sign_change():
     with pytest.raises(BracketError):
-        _find_root(lambda x: 1.0 + x * x, Bracket(0.0, 1.0))
+        numerics.find_root(lambda x: 1.0 + x * x, 0.0, 1.0, 1e-13)
 
 
 def test_bracket_orientation():
     with pytest.raises(ValueError):
-        Bracket(2.0, 1.0)
+        numerics.find_root(math.cos, 2.0, 1.0, 1e-13)
 
 
 def test_solve_ivp_exponential():

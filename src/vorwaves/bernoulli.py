@@ -176,35 +176,36 @@ class _Proxy:
         self.near, self.far, self.s_m = near, far, s_m
         # twice the gap of the surface, max Omega - Omega(1), as in the head
         self.surface = stream.surface_slope_squared(dist, s_m) - stream._margin(dist, s_m)[0]
-        order = np.argsort(slopes, kind="stable")
-        self.slopes = [slopes[i] for i in order]
-        self.depths = [depths[i] for i in order]
+        self.slopes, self.depths = map(list, zip(*sorted(zip(slopes, depths))))
         self.heads = [stream._head(dist, s, d) for s, d in zip(self.slopes, self.depths)]
 
-    def _piece(self, s_a: float) -> _Piece:
-        return self.near if s_a < self.s_m else self.far
-
-    def critical(self, lo: float, hi: float) -> Optional[float]:
-        """The proxy's root of ``R'`` in ``[lo, hi]``, or None if it has none there.
+    def critical(self) -> tuple:
+        """``(lo, hi, start)``: the neighbours of the sample of least head,
+        between which the strictly convex ``R`` is least, and the proxy's
+        root of ``R'`` there (else that sample) to start from.
 
         ``R'`` has the sign of ``sigma + dd/dsigma`` in ``sigma``, and of
         ``sigma^2 + dd/dx`` in ``x = log sigma``, since ``dd/ds = -s Phi``.
         """
-        p = self.near
-        power = 2.0 if p.kind == "log" else 1.0
+        slopes, heads, p = self.slopes, self.heads, self.near
+        j = min(range(len(heads)), key=heads.__getitem__)
+        lo, hi = slopes[max(j - 1, 0)], slopes[j + 1]
 
         def g(x):
-            return math.sqrt(p.sigma2(x)) ** power + p(x, p.dcoef)
+            return (p.sigma2(x) if p.kind == "log" else x) + p(x, p.dcoef)
 
         a, b = p.at(lo), p.at(min(hi, self.s_m))
-        if not a < b or (g(a) > 0.0) == (g(b) > 0.0):
-            return None
-        return p.slope(numerics.find_root(g, a, b, 1e-15 * p.half))
+        start = slopes[j] if j else 0.5 * (lo + hi)
+        if a < b and (g(a) > 0.0) != (g(b) > 0.0):
+            root = p.slope(numerics.find_root(g, a, b, 1e-15 * p.half))
+            if lo < root < hi:
+                start = root
+        return lo, hi, start
 
     def conjugate(self, r: float, lo: float, hi: float) -> float:
         """The proxy's root of ``R - r`` between the samples ``lo < hi``, or
         the middle of the two if it has none there."""
-        p = self._piece(lo)
+        p = self.near if lo < self.s_m else self.far
         if p is self.near:
             def f(x):
                 return (p.sigma2(x) + self.surface + 2.0 * p(x)) / 3.0 - r
@@ -221,7 +222,7 @@ class _Proxy:
 class _Newton:
     """Newton steps toward the root of a monotone ``f`` inside ``[lo, hi]``.
 
-    The search asks for ``f`` and ``f'`` at ``x`` and is :meth:`sent` them;
+    Its caller takes ``f`` and ``f'`` at ``x`` and passes them to :meth:`send`;
     ``falling`` says on which side of the root a value puts its point, so
     every value narrows the bracket.  A step that would leave the bracket,
     or is more than half the step before last, bisects it instead (as
@@ -302,12 +303,7 @@ def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
     cls = dist.classify()
     s0 = cls.s0
     proxy = _proxy(dist)
-    slopes, heads = proxy.slopes, proxy.heads
-    j = min(range(len(heads)), key=heads.__getitem__)
-    lo, hi = slopes[max(j - 1, 0)], slopes[j + 1]
-    start = proxy.critical(lo, hi)
-    if start is None or not lo < start < hi:
-        start = slopes[j] if lo < slopes[j] else 0.5 * (lo + hi)
+    lo, hi, start = proxy.critical()
     search = _Newton(lo, hi, math.inf, -math.inf, start, True, 1e-13 * max(1.0, s0))
 
     def g(points):

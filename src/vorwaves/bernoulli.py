@@ -131,14 +131,17 @@ class _Piece:
         return math.exp(2.0 * x) if self.kind == "log" else x * x
 
     def fit(self, values) -> None:
-        """The coefficients of the interpolant of ``values`` at the nodes, and
-        of its derivative in ``x``."""
-        c = (_FIT @ np.asarray(values)).tolist()
+        """The coefficients of the interpolant of ``values`` at the nodes."""
+        self.coef = (_FIT @ np.asarray(values)).tolist()
+
+    def derivative(self) -> list:
+        """The coefficients of the series' derivative in ``x``."""
+        c = self.coef
         dc = [0.0] * (len(c) + 1)
         for k in range(len(c) - 1, 0, -1):
             dc[k - 1] = dc[k + 1] + 2.0 * k * c[k] / self.half
         dc[0] *= 0.5
-        self.coef, self.dcoef = c, dc[:len(c) - 1]
+        return dc[:len(c) - 1]
 
     def __call__(self, x: float, coef=None) -> float:
         """The series (or the one given) at ``x``, by Clenshaw's recurrence."""
@@ -190,9 +193,10 @@ class _Proxy:
         slopes, heads, p = self.slopes, self.heads, self.near
         j = min(range(len(heads)), key=heads.__getitem__)
         lo, hi = slopes[max(j - 1, 0)], slopes[j + 1]
+        dc = p.derivative()
 
         def g(x):
-            return (p.sigma2(x) if p.kind == "log" else x) + p(x, p.dcoef)
+            return (p.sigma2(x) if p.kind == "log" else x) + p(x, dc)
 
         a, b = p.at(lo), p.at(min(hi, self.s_m))
         start = slopes[j] if j else 0.5 * (lo + hi)

@@ -236,13 +236,15 @@ class _Newton:
     ``|f(x)|`` within ``ftol``, or the step is within 4 ulps of ``x`` (where
     ``f`` is too steep for a closer slope to exist); or, once the bracket is
     narrower than ``tol``, at its end of smaller ``|f|``.  ``f_lo``/``f_hi``
-    are the values at the ends where known, else infinite of the right sign.
+    are the values at the ends where known, else infinite of the right sign;
+    an end where ``f`` is exactly 0 is the root, with no step taken.
     """
 
     def __init__(self, lo, hi, f_lo, f_hi, x, falling, tol, ftol=math.inf):
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
         self.x, self.falling, self.tol, self.ftol = x, falling, tol, ftol
-        self.root, self.step, self._steps = None, 0.0, [math.inf, math.inf]
+        self.root = lo if f_lo == 0.0 else hi if f_hi == 0.0 else None
+        self.step, self._steps = 0.0, [math.inf, math.inf]
 
     def send(self, fx: float, slope: float) -> None:
         numerics.tally["newton_steps"] += 1

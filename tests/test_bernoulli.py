@@ -265,6 +265,25 @@ def test_head_caches_are_bounded():
     assert numerics.tally["quad_calls"] == 0
 
 
+@pytest.mark.parametrize("spec", ["constant 0", "poly 1.777 0.051 -2.537",
+                                  "table 0.0:0.0 0.01:0.0 1.0:0.0"])
+def test_lockstep_search_ending_at_a_probe(spec):
+    # the head of the proxy's first sample above s_c: the supercritical
+    # search ends on that sample, with no Newton step, while the
+    # subcritical one, run in the same rounds, goes on
+    dist = V.parse(spec)
+    crit = analyze(dist)
+    probe = next(s for s in bernoulli._proxy(dist).slopes if s > crit.s_c)
+    r = head(dist, probe)
+    numerics.tally.clear()
+    pair = conjugates.__wrapped__(dist, r)
+    # one quadrature call per Newton round, each round a subcritical step
+    assert numerics.tally["newton_steps"] == numerics.tally["quad_calls"] > 0
+    assert pair.s_minus == probe and pair.d_minus == stream.depth(dist, probe)
+    assert pair.regime == "subcritical-pair" and pair.s_plus < crit.s_c
+    assert abs(head(dist, pair.s_plus) - r) <= 1e-12 * r
+
+
 @pytest.mark.parametrize("spec", PAIR_SPECS)
 def test_kept_depths_are_the_depths_of_the_roots(spec):
     dist = V.parse(spec)

@@ -13,7 +13,6 @@ The modules mirror the pipeline: a vorticity distribution
 
 from .errors import (
     AmbiguousClassificationError,
-    BracketError,
     ConfigError,
     ConvergenceError,
     DivergenceError,
@@ -69,7 +68,6 @@ __all__ = [
     "DomainError",
     "NoStreamError",
     "UnidirectionalityError",
-    "BracketError",
     "ConvergenceError",
     "InvalidIntegrandError",
     "ResonanceError",

@@ -26,11 +26,12 @@ where ``d`` grows like ``-log sigma`` or ``1/sigma``, down to the edge of
 the guard band.  Above ``s_m`` it is ``w = s_m / s``, and ``d = 0`` at
 ``w = 0``, so every head is covered.  :func:`analyze` samples ``d`` at the
 Lobatto points of both pieces in one quadrature call.  Each slope then
-starts at a root of the proxy, found by :func:`numerics.find_root` between
-two samples whose exact values differ in sign, and Newton steps on exact
-quadrature values polish it.  Each exact value narrows that bracket, a
-step that would leave it bisects, and a slope is accepted only inside it:
-the proxy is a start, never the answer.
+starts at a root of the proxy between two samples whose exact values
+differ in sign, found by Newton steps on the series and its derivatives,
+and Newton steps on exact quadrature values polish it.  Both searches are
+:class:`numerics.Newton`: each value narrows its bracket, a step that would
+leave it bisects, and a slope is accepted only inside it: the proxy is a
+start, never the answer.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ _FIT = np.cos(np.outer(np.arange(_POINTS), np.pi * np.arange(_POINTS) / (_POINTS
 _FIT[:, [0, -1]] *= 0.5
 _FIT[[0, -1]] *= 0.5
 _FIT *= 2.0 / (_POINTS - 1)
-
-# most Newton steps one root search may take
-_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -131,26 +129,39 @@ class _Piece:
         return math.exp(2.0 * x) if self.kind == "log" else x * x
 
     def fit(self, values) -> None:
-        """The coefficients of the interpolant of ``values`` at the nodes."""
-        self.coef = (_FIT @ np.asarray(values)).tolist()
+        """The coefficients of the interpolant of ``values`` at the nodes,
+        and those of its first two derivatives in ``x``."""
+        self.coefs = [(_FIT @ np.asarray(values)).tolist()]
+        for _ in range(2):
+            c = self.coefs[-1]
+            dc = [0.0] * (len(c) + 1)
+            for k in range(len(c) - 1, 0, -1):
+                dc[k - 1] = dc[k + 1] + 2.0 * k * c[k] / self.half
+            dc[0] *= 0.5
+            self.coefs.append(dc[:len(c) - 1])
 
-    def derivative(self) -> list:
-        """The coefficients of the series' derivative in ``x``."""
-        c = self.coef
-        dc = [0.0] * (len(c) + 1)
-        for k in range(len(c) - 1, 0, -1):
-            dc[k - 1] = dc[k + 1] + 2.0 * k * c[k] / self.half
-        dc[0] *= 0.5
-        return dc[:len(c) - 1]
-
-    def __call__(self, x: float, coef=None) -> float:
-        """The series (or the one given) at ``x``, by Clenshaw's recurrence."""
-        c = self.coef if coef is None else coef
+    def __call__(self, x: float, order: int = 0) -> float:
+        """The series (or its derivative of that order) at ``x``, by
+        Clenshaw's recurrence."""
+        c = self.coefs[order]
         u = (x - self.mid) / self.half
         b1 = b2 = 0.0
         for ck in c[:0:-1]:
             b1, b2 = 2.0 * u * b1 - b2 + ck, b1
         return u * b1 - b2 + c[0]
+
+    def root(self, f, a: float, b: float) -> Optional[float]:
+        """The slope at the root of ``f`` in ``x`` between ``a`` and ``b``, by
+        Newton steps from their middle, or None unless ``a < b`` and ``f``
+        changes sign there; ``f(x)`` is the pair of its value and slope."""
+        if not a < b:
+            return None
+        f_a, f_b = f(a)[0], f(b)[0]
+        if (f_a > 0.0) == (f_b > 0.0):
+            return None
+        search = numerics.Newton(a, b, f_a, f_b, 0.5 * (a + b), f_a > 0.0, 1e-15 * self.half)
+        numerics.run_newton([search], lambda xs: [f(xs[0])])
+        return self.slope(search.root)
 
 
 class _Proxy:
@@ -193,17 +204,16 @@ class _Proxy:
         slopes, heads, p = self.slopes, self.heads, self.near
         j = min(range(len(heads)), key=heads.__getitem__)
         lo, hi = slopes[max(j - 1, 0)], slopes[j + 1]
-        dc = p.derivative()
 
         def g(x):
-            return (p.sigma2(x) if p.kind == "log" else x) + p(x, dc)
+            if p.kind == "log":
+                return p.sigma2(x) + p(x, 1), 2.0 * p.sigma2(x) + p(x, 2)
+            return x + p(x, 1), 1.0 + p(x, 2)
 
-        a, b = p.at(lo), p.at(min(hi, self.s_m))
         start = slopes[j] if j else 0.5 * (lo + hi)
-        if a < b and (g(a) > 0.0) != (g(b) > 0.0):
-            root = p.slope(numerics.find_root(g, a, b, 1e-15 * p.half))
-            if lo < root < hi:
-                start = root
+        root = p.root(g, p.at(lo), p.at(min(hi, self.s_m)))
+        if root is not None and lo < root < hi:
+            start = root
         return lo, hi, start
 
     def conjugate(self, r: float, lo: float, hi: float) -> float:
@@ -212,82 +222,25 @@ class _Proxy:
         p = self.near if lo < self.s_m else self.far
         if p is self.near:
             def f(x):
-                return (p.sigma2(x) + self.surface + 2.0 * p(x)) / 3.0 - r
+                dsigma2 = 2.0 * (p.sigma2(x) if p.kind == "log" else x)
+                return ((p.sigma2(x) + self.surface + 2.0 * p(x)) / 3.0 - r,
+                        (dsigma2 + 2.0 * p(x, 1)) / 3.0)
         else:  # w^2 (R - r), finite at w = 0
             def f(x):
-                return (self.s_m ** 2 - (x * p.s0) ** 2
-                        + x * x * (self.surface + 2.0 * p(x) - 3.0 * r)) / 3.0
+                gap = self.surface + 2.0 * p(x) - 3.0 * r
+                return ((self.s_m ** 2 - (x * p.s0) ** 2 + x * x * gap) / 3.0,
+                        (2.0 * x * (gap - p.s0 ** 2) + 2.0 * x * x * p(x, 1)) / 3.0)
         a, b = sorted((p.at(lo), p.at(hi) if hi < math.inf else 0.0))
-        if not a < b or (f(a) > 0.0) == (f(b) > 0.0):
+        root = p.root(f, a, b)
+        if root is None:
             return 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
-        return p.slope(numerics.find_root(f, a, b, 1e-15 * p.half))
-
-
-class _Newton:
-    """Newton steps toward the root of a monotone ``f`` inside ``[lo, hi]``.
-
-    Its caller takes ``f`` and ``f'`` at ``x`` and passes them to :meth:`send`;
-    ``falling`` says on which side of the root a value puts its point, so
-    every value narrows the bracket.  A step that would leave the bracket,
-    or is more than half the step before last, bisects it instead (as
-    ``rtsafe`` does: Press et al., *Numerical Recipes*, 3rd ed., sec. 9.4);
-    beyond an open end (``hi = inf``) the slope doubles.  The search ends at
-    ``x`` when its Newton step, kept in ``step``, is within ``tol`` and
-    ``|f(x)|`` within ``ftol``, or the step is within 4 ulps of ``x`` (where
-    ``f`` is too steep for a closer slope to exist); or, once the bracket is
-    narrower than ``tol``, at its end of smaller ``|f|``.  ``f_lo``/``f_hi``
-    are the values at the ends where known, else infinite of the right sign;
-    an end where ``f`` is exactly 0 is the root, with no step taken.
-    """
-
-    def __init__(self, lo, hi, f_lo, f_hi, x, falling, tol, ftol=math.inf):
-        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
-        self.x, self.falling, self.tol, self.ftol = x, falling, tol, ftol
-        self.root = lo if f_lo == 0.0 else hi if f_hi == 0.0 else None
-        self.step, self._steps = 0.0, [math.inf, math.inf]
-
-    def send(self, fx: float, slope: float) -> None:
-        numerics.tally["newton_steps"] += 1
-        x = self.x
-        if (fx > 0.0) == self.falling:
-            self.lo, self.f_lo = x, fx
-        else:
-            self.hi, self.f_hi = x, fx
-        step = -fx / slope if fx else 0.0
-        if abs(step) <= self.tol and abs(fx) <= self.ftol or abs(step) <= 4.0 * math.ulp(x):
-            self.root, self.step = x, step
-            return
-        if self.hi - self.lo <= self.tol:
-            self.root = self.lo if abs(self.f_lo) <= abs(self.f_hi) else self.hi
-            return
-        nxt = x + step
-        if self.hi == math.inf:
-            if not nxt > self.lo:
-                nxt = 2.0 * x
-        elif not self.lo < nxt < self.hi or abs(step) > 0.5 * self._steps[0]:
-            nxt = self.lo + 0.5 * (self.hi - self.lo)
-        self._steps = [self._steps[1], abs(nxt - x)]
-        self.x = nxt
+        return root
 
 
 @lru_cache(maxsize=_PAIRS_CACHED)
 def _proxy(dist: VorticityDistribution) -> _Proxy:
     """The proxy of ``d`` for ``dist``, kept for :func:`analyze` and :func:`conjugates`."""
     return _Proxy(dist)
-
-
-def _solve(searches: list, values) -> None:
-    """Run ``searches`` side by side: each round takes the values at every
-    open search's point from one call of ``values``."""
-    for _ in range(_MAX_STEPS):
-        open_ = [x for x in searches if x.root is None]
-        if not open_:
-            return
-        for search, (fx, slope) in zip(open_, values([x.x for x in open_])):
-            search.send(fx, slope)
-    raise ConvergenceError(
-        f"Newton steps did not settle in {_MAX_STEPS} rounds; brackets "
-        + ", ".join(f"[{x.lo!r}, {x.hi!r}]" for x in searches if x.root is None))
 
 
 @lru_cache(maxsize=_PAIRS_CACHED)
@@ -310,13 +263,14 @@ def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
     s0 = cls.s0
     proxy = _proxy(dist)
     lo, hi, start = proxy.critical()
-    search = _Newton(lo, hi, math.inf, -math.inf, start, True, 1e-13 * max(1.0, s0))
+    search = numerics.Newton(lo, hi, math.inf, -math.inf, start, True, 1e-13 * max(1.0, s0))
 
     def g(points):
+        numerics.tally["newton_steps"] += len(points)
         rows = stream._totals(dist, [(s, p) for s in points for p in (-1.5, -2.5)])
         return [(phi - 1.0, -3.0 * s * w) for s, phi, w in zip(points, rows[::2], rows[1::2])]
 
-    _solve([search], g)
+    numerics.run_newton([search], g)
     s_c = search.root
     if search.lo <= s_c + search.step <= search.hi:
         s_c += search.step
@@ -396,7 +350,8 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         slopes) where ``R - r`` changes sign."""
         k = next(k for k, (_, f) in enumerate(pairs) if (f > 0.0) != falling)
         (lo, f_lo), (hi, f_hi) = pairs[k - 1], pairs[k]
-        return _Newton(lo, hi, f_lo, f_hi, proxy.conjugate(r, lo, hi), falling, tol, ftol)
+        return numerics.Newton(lo, hi, f_lo, f_hi, proxy.conjugate(r, lo, hi), falling,
+                               tol, ftol)
 
     # supercritical branch: R rises from r_c at s_c to inf at s = inf
     above = [(an.s_c, an.r_c - r), *((s, f) for s, f in samples if s > an.s_c),
@@ -412,6 +367,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     snap = an.s0 + stream._SNAP * max(1.0, an.s0)
 
     def values(points):
+        numerics.tally["newton_steps"] += len(points)
         # Phi is not defined where the margin is zero (s within the snap
         # window of s0 under "ii"/"iii"); R' is -inf there
         rows = iter(stream._totals(dist, [(s, p) for s in points
@@ -422,7 +378,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
             out.append((stream._head(dist, s, d) - r, 2.0 * s / 3.0 * (1.0 - phi)))
         return out
 
-    _solve(searches, values)
+    numerics.run_newton(searches, values)
     s_minus, *s_plus = [x.root for x in searches]
     d_minus, *d_plus = stream._totals(dist, [(s, -0.5) for s in (s_minus, *s_plus)])
     if not s_plus:

@@ -45,8 +45,9 @@ def scale_to_nondimensional(Q: float, g: float, quantity: str, value: float,
     ``Q``; ``inverse=True`` multiplies instead, mapping scaled numbers
     back to dimensional ones.
     """
-    if not (Q > 0.0 and g > 0.0):
-        raise DomainError(f"scales need Q > 0 and g > 0, got Q={Q!r}, g={g!r}")
+    if not (0.0 < Q < math.inf and 0.0 < g < math.inf and math.isfinite(value)):
+        raise DomainError(f"scales need finite Q > 0 and g > 0 and a finite value, "
+                          f"got Q={Q!r}, g={g!r}, value={value!r}")
     if quantity == "length":
         factor = (Q * Q / g) ** _LENGTH_EXP
     elif quantity == "velocity":

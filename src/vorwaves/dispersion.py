@@ -273,8 +273,6 @@ def gamma_bvp(stream: StreamSolution, tau: float,
         When the solution vanishes at the surface (``tau^2`` is a Dirichlet
         eigenvalue of the linearized operator): no normalization exists.
     """
-    if n_samples < 2:
-        raise ConfigError(f"n_samples={n_samples} too coarse: the grid needs both ends")
     _warn_piecewise(stream.dist)
     return _sampled(stream, tau, n_samples)
 

@@ -27,10 +27,6 @@ class UnidirectionalityError(DomainError):
     """A flow field fails the strict monotonicity needed for the strip map."""
 
 
-class BracketError(VorwavesError):
-    """A root or minimum bracket does not actually enclose its target."""
-
-
 class ConvergenceError(VorwavesError):
     """An iterative routine exhausted its budget without meeting tolerance."""
 

@@ -8,6 +8,12 @@ Endpoint singularities of inverse-square-root type are removed by
 substitution before the adaptive rule sees them, failures surface as
 typed exceptions carrying the best estimate reached, and the quadrature
 tolerances are fixed (``abs 1e-12``, ``rel 1e-10`` on every piece).
+Every root the package finds inside a bracket is found by one safeguarded
+Newton method (:class:`Newton`, its rounds run by :func:`run_newton`): the
+exact head searches of ``bernoulli``, their starts on its Chebyshev proxy,
+and the surface crossing of ``stream.shoot_stream`` on its dense output.
+(``dispersion.find_tau0`` starts its Newton steps from an eigenvalue and
+certifies the root after, so it needs no bracket.)
 
 Conventions
 -----------
@@ -29,15 +35,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    InvalidIntegrandError,
-)
+from .errors import ConvergenceError, InvalidIntegrandError
 
 __all__ = [
     "integrate",
-    "find_root",
+    "Newton",
+    "run_newton",
     "solve_ivp",
     "tally",
 ]
@@ -47,6 +50,8 @@ _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 # most cells one piece may be cut into, as QUADPACK's ``limit=200``
 _MAX_CELLS = 200
+# most rounds of Newton steps one call of :func:`run_newton` may take
+_MAX_ROUNDS = 100
 
 # work counters: "quad_calls" (calls of integrate), "quad_points" (integrand
 # values), "quad_cells", "newton_steps" (exact values taken by the head
@@ -171,57 +176,77 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, singular_left: np.ndarr
     return total
 
 
-def find_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    """A sign change of the scalar ``f`` in ``[lo, hi]``, to within ``tol``.
+class Newton:
+    """Newton steps toward the root of ``f`` inside the bracket ``[lo, hi]``.
 
-    The Illinois form of regula falsi (Dowell and Jarratt, BIT 11, 1971):
-    each step cuts the bracket where the line through its ends crosses
-    zero, and an end kept twice in a row has its value halved, so that
-    both ends move and the order of convergence is about 1.44.  It stops
-    once the bracket is narrower than ``tol + 8.9e-16 |x|`` and returns the
-    end with the smaller ``|f|``; an exact zero ends it at once.  It is
-    meant for cheap functions, such as a proxy of an expensive one.
+    Its caller takes ``f`` and ``f'`` at ``x`` and passes them to :meth:`send`
+    (:func:`run_newton` does so); ``falling`` says that ``f`` is positive
+    below the root and negative above it, so every value narrows the
+    bracket.  A step that would leave the bracket, or is more than half the
+    step before last, bisects it instead (as ``rtsafe`` does: Press et al.,
+    *Numerical Recipes*, 3rd ed., sec. 9.4); beyond an open end
+    (``hi = inf``) ``x`` doubles.  The search ends at ``x`` when its Newton
+    step, kept in ``step``, is within ``tol`` and ``|f(x)|`` within ``ftol``,
+    or the step is within 4 ulps of ``x`` (where ``f`` is too steep for a
+    closer point to exist); or, once the bracket is narrower than ``tol``,
+    at its end of smaller ``|f|``.  ``f_lo``/``f_hi`` are the values at the
+    ends where known, else infinite of the right sign; an end where ``f`` is
+    exactly 0 is the root, with no step taken.
 
-    Raises ``ValueError`` unless ``lo < hi``, :class:`BracketError` when the
-    end values do not differ in sign, and :class:`ConvergenceError` on a
-    NaN value or after 200 steps.
+    Raises ``ValueError`` unless ``lo < hi``, and :class:`ConvergenceError`
+    on a NaN value.
     """
-    def value(x: float) -> float:
-        fx = f(x)
+
+    def __init__(self, lo, hi, f_lo, f_hi, x, falling, tol, ftol=math.inf):
+        if not lo < hi:
+            raise ValueError(f"a bracket needs lo < hi, got [{lo!r}, {hi!r}]")
+        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
+        self.x, self.falling, self.tol, self.ftol = x, falling, tol, ftol
+        self.root = lo if f_lo == 0.0 else hi if f_hi == 0.0 else None
+        self.step, self._steps = 0.0, [math.inf, math.inf]
+
+    def send(self, fx: float, slope: float) -> None:
+        x = self.x
         if math.isnan(fx):
             raise ConvergenceError(f"f({x!r}) is NaN; the root search cannot continue")
-        return fx
-
-    if not lo < hi:
-        raise ValueError(f"a bracket needs lo < hi, got [{lo!r}, {hi!r}]")
-    f_lo, f_hi = value(lo), value(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f(lo)={f_lo!r}, f(hi)={f_hi!r}")
-    kept = 0  # -1 after lo moved, +1 after hi moved
-    for _ in range(200):
-        if hi - lo <= tol + 8.9e-16 * max(abs(lo), abs(hi)):
-            return lo if abs(f_lo) <= abs(f_hi) else hi
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:
-            x = lo + 0.5 * (hi - lo)
-        fx = value(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (f_lo > 0.0):
-            lo, f_lo = x, fx
-            if kept < 0:
-                f_hi *= 0.5
-            kept = -1
+        if (fx > 0.0) == self.falling:
+            self.lo, self.f_lo = x, fx
         else:
-            hi, f_hi = x, fx
-            if kept > 0:
-                f_lo *= 0.5
-            kept = 1
-    raise ConvergenceError(f"no root to within {tol!r} in 200 steps on [{lo!r}, {hi!r}]")
+            self.hi, self.f_hi = x, fx
+        step = -fx / slope if fx else 0.0
+        if abs(step) <= self.tol and abs(fx) <= self.ftol or abs(step) <= 4.0 * math.ulp(x):
+            self.root, self.step = x, step
+            return
+        if self.hi - self.lo <= self.tol:
+            self.root = self.lo if abs(self.f_lo) <= abs(self.f_hi) else self.hi
+            return
+        nxt = x + step
+        if self.hi == math.inf:
+            if not nxt > self.lo:
+                nxt = 2.0 * x
+        elif not self.lo < nxt < self.hi or abs(step) > 0.5 * self._steps[0]:
+            nxt = self.lo + 0.5 * (self.hi - self.lo)
+        self._steps = [self._steps[1], abs(nxt - x)]
+        self.x = nxt
+
+
+def run_newton(searches: list, values: Callable) -> None:
+    """Run the :class:`Newton` ``searches`` side by side: each round takes
+    ``(f, f')`` at every open search's point from one call of ``values``
+    on the list of those points.
+
+    Raises :class:`ConvergenceError` when a search is still open after 100
+    rounds.
+    """
+    for _ in range(_MAX_ROUNDS):
+        open_ = [x for x in searches if x.root is None]
+        if not open_:
+            return
+        for search, (fx, slope) in zip(open_, values([x.x for x in open_])):
+            search.send(fx, slope)
+    raise ConvergenceError(
+        f"Newton steps did not settle in {_MAX_ROUNDS} rounds; brackets "
+        + ", ".join(f"[{x.lo!r}, {x.hi!r}]" for x in searches if x.root is None))
 
 
 def solve_ivp(

@@ -24,8 +24,9 @@ Direct integration of the ODE is available separately through
 :func:`shoot_stream`, which does not assume unidirectionality.  It is the
 counter-current diagnostic, reporting sign changes and turning points of
 trajectories below the threshold slope, and an independent check on
-``d``, ``u'(d)`` and ``u(y)``; every module after this one reads only
-:class:`StreamSolution`.
+``d``, ``u'(d)`` and ``u(y)``; where one solver step spans both surface
+crossings, Newton steps on its dense output (``numerics.Newton``) find the
+first.  Every module after this one reads only :class:`StreamSolution`.
 """
 
 from __future__ import annotations
@@ -503,6 +504,9 @@ def shoot_stream(dist: VorticityDistribution, s: float,
     event; the turning event still fires between them, so the surface is
     the crossing on the dense output before the first turning point where
     ``u >= 1``, when that comes before the first crossing the event found.
+    Newton steps (:class:`numerics.Newton`) find that crossing between the
+    turning point before it (or the bottom) and the peak, with ``u'`` from
+    the same dense output.
 
     Parameters
     ----------
@@ -538,11 +542,17 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         d, u_prime_d = float(hits[0]), float(sol.y_events[0][0][1])
     elif peak < inf:
         # u rises from the turning point before the peak (or the bottom) to it
-        import scipy.optimize  # loaded with the ODE solver already
+        lo, hi = float(turns[turns < peak].max(initial=0.0)), float(peak)
+        f_lo, f_hi = sol.sol([lo, hi])[0] - 1.0
+        search = numerics.Newton(lo, hi, float(f_lo), float(f_hi), 0.5 * (lo + hi), False,
+                                 8.9e-16 * hi)
 
-        start = float(turns[turns < peak].max(initial=0.0))
-        d = scipy.optimize.brentq(lambda t: float(sol.sol(t)[0]) - 1.0, start,
-                                  float(peak), xtol=1e-300, rtol=8.9e-16)
+        def surface(ts):
+            u, u_prime = sol.sol(ts[0])
+            return [(float(u) - 1.0, float(u_prime))]
+
+        numerics.run_newton([search], surface)
+        d = search.root
         u_prime_d = float(sol.sol(d)[1])
     else:
         u_end, up_end = sol.y[0, -1], sol.y[1, -1]

@@ -168,7 +168,11 @@ class VorticityDistribution:
             raise ConfigError(f"unknown vorticity kind {kind!r}")
         self.kind = kind
         if kind == "table":
-            pairs = tuple((float(t), float(v)) for t, v in (() if nodes is None else nodes))
+            try:
+                pairs = tuple((float(t), float(v)) for t, v in (() if nodes is None else nodes))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"table nodes must be (tau, value) pairs of numbers: "
+                                  f"{exc}") from exc
             if len(pairs) < 2:
                 raise ConfigError("table vorticity needs at least two breakpoints")
             t, v = np.array(pairs).T
@@ -183,7 +187,11 @@ class VorticityDistribution:
             slope = np.diff(v) / np.diff(t)
             seg, w = t, np.column_stack((v, np.append(slope, slope[-1])))
         else:
-            coeffs = tuple(float(c) for c in (() if coefficients is None else coefficients))
+            try:
+                coeffs = tuple(float(c) for c in (() if coefficients is None else coefficients))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{kind} vorticity coefficients must be a sequence of "
+                                  f"numbers: {exc}") from exc
             if not coeffs:
                 raise ConfigError(f"{kind} vorticity needs coefficients")
             if not all(isfinite(c) for c in coeffs):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -222,6 +223,11 @@ def test_scale_function_factors():
         scale_to_nondimensional(1.0, 9.81, "area", 1.0)
     with pytest.raises(DomainError):
         scale_to_nondimensional(-1.0, 9.81, "length", 1.0)
+    # an infinite scale used to give 0.0, and a NaN value passed through
+    for Q, g, value in ((math.inf, 9.81, 1.0), (1.0, math.inf, 1.0), (1.0, 9.81, math.nan),
+                        (1.0, 9.81, math.inf), (math.nan, 9.81, 1.0)):
+        with pytest.raises(DomainError):
+            scale_to_nondimensional(Q, g, "length", value)
 
 
 def test_exit_code_for_missing_parameter(tmp_path):

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from vorwaves import numerics
-from vorwaves.errors import (
-    BracketError,
-    ConvergenceError,
-    InvalidIntegrandError,
-)
+from vorwaves.errors import ConvergenceError, InvalidIntegrandError
 
 
 def _integrate(f, a, b, singular=False):
@@ -88,29 +84,45 @@ def test_integrate_undeclared_singularity_fails():
         _integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
 
+def _newton(f, lo, hi, tol):
+    """The root of ``f`` (its value and slope) in ``[lo, hi]``, by one
+    Newton search started a third of the way in."""
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    search = numerics.Newton(lo, hi, f_lo, f_hi, lo + (hi - lo) / 3.0, f_lo > 0.0, tol)
+    numerics.run_newton([search], lambda xs: [f(xs[0])])
+    return search.root
+
+
+def cos(x):
+    return math.cos(x), -math.sin(x)
+
+
 def test_find_root_cosine():
-    root = numerics.find_root(math.cos, 1.0, 2.0, 1e-13)
+    root = _newton(cos, 1.0, 2.0, 1e-13)
     np.testing.assert_allclose(root, math.pi / 2.0, rtol=1e-14)
 
 
 ROOT_CASES = [
-    (math.cos, 1.0, 2.0),
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.exp(x) - 1e6, 0.0, 30.0),
-    (lambda x: math.copysign(abs(x - 0.3) ** 0.2, x - 0.3), -1.0, 1.0),
-    (lambda x: 1.0 / (x - 0.5) if x != 0.5 else 0.0, 0.0, 1.0),
+    (cos, 1.0, 2.0),
+    (lambda x: (x ** 3 - 2.0 * x - 5.0, 3.0 * x * x - 2.0), 2.0, 3.0),
+    (lambda x: (math.exp(x) - 1e6, math.exp(x)), 0.0, 30.0),
+    (lambda x: (math.copysign(abs(x - 0.3) ** 0.2, x - 0.3),
+                0.2 * abs(x - 0.3) ** -0.8 if x != 0.3 else math.inf), -1.0, 1.0),
+    (lambda x: (1.0 / (x - 0.5), -1.0 / (x - 0.5) ** 2) if x != 0.5 else (0.0, math.inf),
+     0.0, 1.0),
 ]
 
 
 @pytest.mark.parametrize("f, lo, hi", ROOT_CASES)
 def test_find_root_stops_within_tolerance(f, lo, hi):
-    # the bracket collapses to the stopping width: tol plus 8.9e-16 |x|,
-    # and the sign change survives inside it
+    # the search ends within the stopping width, tol plus 8.9e-16 |x|, of
+    # a sign change: on a step within tol (a cusp, a pole), within 4 ulps,
+    # or on a bracket narrower than tol
     tol = 1e-12
-    root = numerics.find_root(f, lo, hi, tol)
+    root = _newton(f, lo, hi, tol)
     width = tol + 8.9e-16 * abs(root)
     assert lo <= root <= hi
-    assert f(root) == 0.0 or f(root - width) * f(root + width) <= 0.0
+    assert f(root)[0] == 0.0 or f(root - width)[0] * f(root + width)[0] <= 0.0
 
 
 _pieces = st_.lists(
@@ -144,22 +156,21 @@ def test_integrate_rows_do_not_depend_on_their_company(pieces, k):
 
 
 def test_find_root_endpoint_hit():
-    assert numerics.find_root(lambda x: x, 0.0, 1.0, 1e-13) == 0.0
+    # a bracket end where f is exactly 0 is the root, with no value taken
+    search = numerics.Newton(0.0, 1.0, 0.0, 1.0, 0.5, False, 1e-13)
+    numerics.run_newton([search], lambda xs: pytest.fail("a value was taken"))
+    assert search.root == 0.0
 
 
 def test_find_root_refuses_nan():
+    # a NaN value ends the search, rather than bisecting past it
     with pytest.raises(ConvergenceError, match="NaN"):
-        numerics.find_root(lambda x: x if x < 0.25 else math.nan, -1.0, 1.0, 1e-13)
-
-
-def test_find_root_no_sign_change():
-    with pytest.raises(BracketError):
-        numerics.find_root(lambda x: 1.0 + x * x, 0.0, 1.0, 1e-13)
+        _newton(lambda x: (x, 1.0) if abs(x) == 1.0 else (math.nan, 1.0), -1.0, 1.0, 1e-13)
 
 
 def test_bracket_orientation():
     with pytest.raises(ValueError):
-        numerics.find_root(math.cos, 2.0, 1.0, 1e-13)
+        numerics.Newton(2.0, 1.0, -1.0, 1.0, 1.5, False, 1e-13)
 
 
 def test_solve_ivp_exponential():

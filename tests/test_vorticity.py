@@ -64,6 +64,18 @@ def test_construction_errors():
         V("gaussian")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: V.polynomial(["x"]),
+    lambda: V.from_table([(0, "a"), (1, 2)]),
+    lambda: V.from_table([(0, 1, 2), (1, 2, 3)]),
+    lambda: V("constant", coefficients=5.0),
+], ids=["word-coefficient", "word-value", "triple-nodes", "bare-number"])
+def test_malformed_input_is_a_config_error(make):
+    # a bare ValueError or TypeError used to escape the package's errors
+    with pytest.raises(ConfigError):
+        make()
+
+
 def test_input_from_any_iterable():
     # the coefficients are read once: a generator used to be spent by the
     # emptiness check, leaving omega = 0 with no rows to evaluate; a numpy

@@ -29,7 +29,7 @@ where the roots are:
 So sigma has a positive root exactly when ``Phi(1; s) > 1``, that is when
 ``s < s_c``; the root is then the only one, and no multiple ``k tau0``
 (``k >= 2``) is a root.  :func:`find_tau0` reads the sign of ``sigma(0+)``
-from ``Phi`` and takes the root from one eigenvalue, as below.
+from ``Phi`` and takes the root by Newton steps on ``t = tau^2``, as below.
 
 ``-d^2/dy^2 + tau^2 - omega'(u)`` is solved on one spectral-element grid
 per stream (Trefethen, *Spectral Methods in MATLAB*, 2000, chapters 6-7):
@@ -40,9 +40,17 @@ a) + J^2 v''`` (Greengard, SIAM J. Numer. Anal. 1991), which keeps the
 digits the differentiation matrix loses to ``N^4``, and forward
 substitution from the bottom or the surface, renormalizing between
 elements, solves the block bidiagonal system, so far-end ratios keep their
-relative accuracy at any ``tau``.  ``sigma = 0`` means ``gamma'(d) = kappa
-= (1/u'(d) - omega(1)) / u'(d)``, so ``tau0^2 = -mu_1``, the one negative
-eigenvalue of ``-v'' - omega'(u) v = mu v``, ``v(0) = 0``, ``v'(d) = kappa v(d)``.
+relative accuracy at any ``tau``.
+
+sigma is also concave in ``t = tau^2``.  With ``(lambda_n, phi_n)`` the
+Dirichlet eigenpairs of ``-d^2/dy^2 - omega'(u)`` on ``[0, d]``, all
+``lambda_n > 0`` by the first fact, Green's identity gives ``<gamma, phi_n> =
+-phi_n'(d) / (lambda_n + t)``, so ``int gamma^2 = sum a_n / (lambda_n + t)^2``
+with ``a_n = phi_n'(d)^2 > 0`` and ``sigma(t) - sigma(0+) = u'(d) sum a_n
+(1/lambda_n - 1/(lambda_n + t))``, a sum of increasing concave terms.  A
+tangent therefore lies above sigma: Newton steps from ``t = 0`` rise to the
+root without passing it, each point is a lower bound of ``tau0^2``, and a
+point beyond ``tau_max^2`` proves that no root lies on ``(0, tau_max]``.
 """
 
 from __future__ import annotations
@@ -64,9 +72,8 @@ from .vorticity import _horner
 __all__ = ["GammaSolution", "DispersionResult", "gamma_bvp", "sigma", "find_tau0"]
 
 # a solve has _N + 1 points per element and bisects to tau h <= _SPAN and
-# tails below _TAIL; the eigen solve (only a start for Newton) _EIG_N + 1,
-# _EIG_SPAN near the surface and _EIG_TAIL; no element is below d / 2^_MAX_LEVEL
-_N, _SPAN, _TAIL, _EIG_N, _EIG_SPAN, _EIG_TAIL, _MAX_LEVEL = 24, 4.0, 1e-13, 16, 12.0, 1e-8, 14
+# tails below _TAIL; no element is below d / 2^_MAX_LEVEL
+_N, _SPAN, _TAIL, _MAX_LEVEL = 24, 4.0, 1e-13, 14
 
 # |u'(d)| below this fails assumption (I): sigma has a 1/u'(d) term
 _SLOPE_FLOOR = 1e-9
@@ -83,18 +90,17 @@ def _warn_piecewise(dist) -> Optional[str]:
     return None
 
 
-@functools.lru_cache(maxsize=None)
-def _cheb(n: int = _N):
-    """Chebyshev-Lobatto points on ``[-1, 1]``, increasing; the differentiation matrix;
-    the integration matrix from -1 (last row: Clenshaw-Curtis); values to coefficients."""
+@functools.cache
+def _cheb():
+    """Chebyshev-Lobatto points on ``[-1, 1]``, increasing; the integration matrix
+    from -1 (last row: Clenshaw-Curtis); values to coefficients; barycentric weights."""
     from numpy.polynomial import chebyshev  # deferred: only a transverse solve needs it
-    k = np.arange(n + 1)
-    x = -np.cos(np.pi * k / n)
-    coef = np.linalg.inv(chebyshev.chebvander(x, n))
-    diff = chebyshev.chebval(x, chebyshev.chebder(coef)).T
+    k = np.arange(_N + 1)
+    x = -np.cos(np.pi * k / _N)
+    coef = np.linalg.inv(chebyshev.chebvander(x, _N))
     integ = chebyshev.chebval(x, chebyshev.chebint(coef, lbnd=-1.0)).T
-    bary = np.where(k % 2 == 0, 1.0, -1.0) * np.where((k == 0) | (k == n), 0.5, 1.0)
-    return x, diff, integ, coef, bary
+    bary = np.where(k % 2 == 0, 1.0, -1.0) * np.where((k == 0) | (k == _N), 0.5, 1.0)
+    return x, integ, coef, bary
 
 
 def _bisect(elements: list, bad) -> list:
@@ -102,35 +108,13 @@ def _bisect(elements: list, bad) -> list:
             (((a, 0.5 * (a + b)), (0.5 * (a + b), b)) if cut else ((a, b),))]
 
 
-def _adapt(stream, tau: float, n: int, span: float, reach: float, limit: float, solve):
-    """``solve(elements) -> (result, values, scale, tau)``, bisecting until the
-    tails over ``scale`` are below ``limit``, from the elements between 0, the
-    kink heights and ``d``, cut to ``tau h <= span`` within ``reach / tau`` of ``d``."""
-    d = stream.d
-    edges = [0.0, *stream._kink_heights, d]
-    elements = list(zip(edges[:-1], edges[1:]))
-    while any(bad := [tau * (b - a) > span and (b - a) * 2.0 ** _MAX_LEVEL > d
-                      and tau * (d - b) < reach for a, b in elements]):
-        elements = _bisect(elements, bad)
-    while True:
-        result, values, scale, tau = solve(elements)
-        tail = np.abs(values @ _cheb(n)[3][-3:].T).max(axis=1) / np.maximum(scale, 1e-300)
-        if not (bad := ~(tail <= limit)).any():
-            return result
-        if any((b - a) * 2.0 ** _MAX_LEVEL <= d for (a, b), cut in zip(elements, bad) if cut):
-            raise ConvergenceError(f"the transverse operator at tau={tau!r} is not resolved on "
-                                   f"elements of d / 2^{_MAX_LEVEL}: Chebyshev coefficient "
-                                   f"tail {float(np.nanmax(tail))!r} above {limit}")
-        elements = _bisect(elements, bad)
-
-
-def _q(stream, elements: list, n: int = _N) -> np.ndarray:
-    """omega'(u) at the ``n + 1`` points of each ``(a, b)`` element, from its own
+def _q(stream, elements: list) -> np.ndarray:
+    """omega'(u) at the points of each ``(a, b)`` element, from its own
     segment, kept on the stream (``_transverse``); node ``u`` (``u_at``) only
     where omega' varies."""
     kept = vars(stream).setdefault("_transverse", {})
-    if new := [el for el in elements if (el, n) not in kept]:
-        dist, x = stream.dist, _cheb(n)[0]
+    if new := [el for el in elements if el not in kept]:
+        dist, x = stream.dist, _cheb()[0]
         a, b = np.array(new).T
         y = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
         y[:, 0], y[:, -1] = a, b
@@ -141,8 +125,8 @@ def _q(stream, elements: list, n: int = _N) -> np.ndarray:
             u = stream.u_at(y[varies].ravel())
             q[varies] = _horner(dist._seg, dist._dw, u).reshape(-1, x.size)
         numerics.tally["collocation_nodes"] += q.size
-        kept.update(zip([(el, n) for el in new], q))
-    return np.array([kept[el, n] for el in elements])
+        kept.update(zip(new, q))
+    return np.array([kept[el] for el in elements])
 
 
 # v / v(end) at the points of the elements, v'(end) / v(end), v'(start) / v(end) (in y)
@@ -151,7 +135,7 @@ _Mode = namedtuple("_Mode", "elements values end_slope start_slope")
 
 def _sample(mode: _Mode, y: np.ndarray) -> np.ndarray:
     """Barycentric interpolation of ``mode`` on the element of each ``y``."""
-    x, bary = _cheb()[0], _cheb()[4]
+    x, _, _, bary = _cheb()
     a, b = np.array(mode.elements).T
     e = np.clip(np.searchsorted(a, y, side="right") - 1, 0, len(a) - 1)
     diff = ((2.0 * y - a[e] - b[e]) / (b[e] - a[e]))[:, None] - x
@@ -163,15 +147,21 @@ def _solve(stream, tau: float, from_surface: bool = False) -> _Mode:
     """Solve ``-v'' + [tau^2 - omega'(u)] v = 0`` from ``v = 0``, ``v' = 1``
     at the bottom (or the surface): one batched numpy solve gives each
     element its solutions of unit start value and slope, and forward
-    substitution carries ``(v, v')`` across.  :class:`ResonanceError` when
+    substitution carries ``(v, v')`` across.  The elements lie between 0,
+    the kink heights and ``d``, cut to ``tau h <= _SPAN`` and bisected until
+    the coefficient tails are below ``_TAIL``.  :class:`ResonanceError` when
     ``v`` vanishes at the far end (``tau^2`` is a Dirichlet eigenvalue)."""
     if not 0.0 <= tau < math.inf:
         raise DomainError(f"wavenumber tau={tau!r} must be finite and nonnegative")
-    x, _, integ, _, _ = _cheb()
-
-    def solve(elements):
+    x, integ, coef, _ = _cheb()
+    d, edges = stream.d, [0.0, *stream._kink_heights, stream.d]
+    elements = list(zip(edges[:-1], edges[1:]))
+    while any(bad := [tau * (b - a) > _SPAN and (b - a) * 2.0 ** _MAX_LEVEL > d
+                      for a, b in elements]):
+        elements = _bisect(elements, bad)
+    flip = slice(None, None, -1 if from_surface else 1)
+    while True:
         numerics.tally["linear_solves"] += 1
-        flip = slice(None, None, -1 if from_surface else 1)
         half = 0.5 * np.diff(elements, axis=1)[flip]
         jj = half[:, None] ** 2 * (integ @ integ)
         rate = tau * tau - _q(stream, elements)[flip, flip]
@@ -186,10 +176,16 @@ def _solve(stream, tau: float, from_surface: bool = False) -> _Mode:
             if (mag := np.abs(state).max()) > 1e100:
                 state, log = state / mag, log + math.log(mag)
         values = np.einsum("ekj,ej->ek", fund, starts)[flip, flip]
-        return (elements, values, logs[flip], state, log), values, np.abs(values).max(axis=1), tau
-
-    elements, values, logs, (v_end, vp_end), log = _adapt(stream, tau, _N, _SPAN, math.inf,
-                                                          _TAIL, solve)
+        tail = (np.abs(values @ coef[-3:].T).max(axis=1)
+                / np.maximum(np.abs(values).max(axis=1), 1e-300))
+        if not (bad := ~(tail <= _TAIL)).any():
+            break
+        if any((b - a) * 2.0 ** _MAX_LEVEL <= d for (a, b), cut in zip(elements, bad) if cut):
+            raise ConvergenceError(f"the transverse operator at tau={tau!r} is not resolved on "
+                                   f"elements of d / 2^{_MAX_LEVEL}: Chebyshev coefficient "
+                                   f"tail {float(np.nanmax(tail))!r} above {_TAIL}")
+        elements = _bisect(elements, bad)
+    (v_end, vp_end), logs = state, logs[flip]
     if abs(v_end) <= 1e-10 * max(abs(v_end), abs(vp_end) / max(tau, 1.0), 1e-300):
         raise ResonanceError(
             f"the transverse solution from the {('bottom', 'surface')[from_surface]} vanishes at "
@@ -197,38 +193,6 @@ def _solve(stream, tau: float, from_surface: bool = False) -> _Mode:
     sign = -1.0 if from_surface else 1.0  # v' is taken in y
     return _Mode(elements, values * (np.exp(logs - log) / v_end)[:, None],
                  float(sign * vp_end / v_end), float(sign * math.exp(-log) / v_end))
-
-
-def _least_eigenvalue(stream, kappa: float) -> float:
-    """``mu_1`` of ``-v'' - omega'(u) v = mu v``, ``v(0) = 0``, ``v'(d) = kappa v(d)``,
-    collocated by the differentiation matrix with the bottom, interface and
-    surface rows eliminated, by numpy's ``eigvals`` (the eigenvector by one shifted
-    inverse iteration).  A large ``kappa`` means a layer of width ``1 / kappa`` at
-    the surface, and the grid is graded into it."""
-    n, diff = _EIG_N, _cheb(_EIG_N)[1]
-
-    def solve(elements):
-        numerics.tally["eigen_solves"] += 1
-        size, q = len(elements), _q(stream, elements, n)
-        m = size * n + 1
-        op, rows = np.zeros((m, m)), np.zeros((size + 1, m))
-        rows[0, 0], rows[size, m - 1] = 1.0, -kappa
-        for e, (a, b) in enumerate(elements):
-            d1, cols = diff * (2.0 / (b - a)), slice(e * n, e * n + n + 1)
-            op[e * n + 1:e * n + n, cols] = (-d1 @ d1 - np.diag(q[e]))[1:n]
-            rows[e, cols] -= d1[0] if e else 0.0
-            rows[e + 1, cols] += d1[n]
-        fixed, free = np.arange(size + 1) * n, np.flatnonzero(np.arange(m) % n)
-        elim = np.linalg.solve(rows[:, fixed], rows[:, free])
-        mat = op[np.ix_(free, free)] - op[np.ix_(free, fixed)] @ elim
-        mu, v = float(min(np.linalg.eigvals(mat).real)), np.empty(m)
-        shifted = mat - (mu - 1e-10 * max(1.0, abs(mu))) * np.eye(free.size)
-        v[free] = np.linalg.solve(shifted, np.ones(free.size))
-        v[fixed] = -elim @ v[free]
-        blocks = np.lib.stride_tricks.sliding_window_view(v, n + 1)[::n]
-        return mu, blocks, np.abs(v).max(), math.sqrt(max(-mu, 0.0))
-
-    return _adapt(stream, max(kappa, 0.0), _EIG_N, _EIG_SPAN, 25.0, _EIG_TAIL, solve)
 
 
 @dataclass(frozen=True)
@@ -349,11 +313,13 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
     On a unidirectional stream sigma is strictly increasing and has no
     poles (module docstring).  When ``sigma(0+) = (1 / Phi(1; s) - 1) /
     u'(d)`` is nonnegative there is no positive root and no solve.  Else
-    ``tau0^2 = -mu_1`` from the least eigenvalue, polished by Newton steps
-    on ``t = tau^2`` with the exact slope ``u'(d) int gamma^2`` (by
-    Clenshaw-Curtis weights) until a step is below ``1e-14 t``; sigma at
-    ``tau0 / 2`` and ``2 tau0`` certifies the sign change.  A root beyond
-    ``tau_max`` is absent, with a note, once sigma there is negative.
+    :class:`numerics.Newton` steps on ``t = tau^2`` from ``t = 0``, each with
+    the value and the exact slope ``u'(d) int gamma^2`` (by Clenshaw-Curtis
+    weights) of one solve, until a step is below ``1e-14`` times the first
+    Newton point; sigma is concave in ``t``, so every point lies below the
+    root (module docstring).  sigma at ``tau0 / 2`` and ``2 tau0`` certifies
+    the sign change.  Once a point passes ``tau_max^2``, the root is absent,
+    with a note, when sigma at ``tau_max`` is negative.
 
     Assumption II needs only sigma at ``2 tau0``: sigma increases, so no
     other multiple can fall within the margin.  Absence of a root is an
@@ -364,7 +330,10 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
     DomainError
         For a nonpositive or non-finite ``tau_max``.
     ConvergenceError
-        When Newton does not settle in 9 steps or the certificate fails.
+        When the Newton steps do not settle in :func:`numerics.run_newton`'s
+        100 rounds, or a certificate fails: sigma does not change sign
+        between ``tau0 / 2`` and ``2 tau0``, or is not negative at
+        ``tau_max`` once a Newton point has passed it.
     """
     notes = []
 
@@ -387,25 +356,28 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
         notes.append(no_root)
         return done()
 
-    t = max(-_least_eigenvalue(stream, (1.0 / upd - stream.dist._omega_scalar(1.0)) / upd), 0.0)
-    for _ in range(9):
-        if t > tau_max * tau_max:
-            val = _sigma(stream, _solve(stream, tau_max))
-            if val < 0.0:
-                notes += [no_root,
-                          f"sigma(0+) = {sig0!r} < 0 and sigma increases, so its "
-                          f"one positive root lies beyond tau_max = {tau_max!r}"]
-                return done(taus=[tau_max], sigmas=[val])
-            t = tau_max * tau_max
+    def newton_values(ts):
+        (t,) = ts
+        if t > tau_max * tau_max:  # a Newton point is below the root: none on (0, tau_max]
+            return [(0.0, 1.0)]
         mode = _solve(stream, math.sqrt(t))
-        norm = np.diff(mode.elements).ravel() @ (mode.values ** 2 @ _cheb()[2][-1]) / 2.0
-        step = _sigma(stream, mode) / (upd * norm)
-        t = max(t - step, 0.0)
-        if abs(step) <= 1e-14 * t:
-            break
-    else:
-        raise ConvergenceError(f"Newton on tau^2 did not settle in 9 steps; last step {step!r}")
-    tau0 = math.sqrt(t)
+        norm = np.diff(mode.elements).ravel() @ (mode.values ** 2 @ _cheb()[1][-1]) / 2.0
+        return [(_sigma(stream, mode), upd * norm)]
+
+    ((_, slope),) = newton_values([0.0])
+    t1 = -sig0 / slope
+    search = numerics.Newton(0.0, math.inf, sig0, math.inf, t1, False, 1e-14 * t1)
+    numerics.run_newton([search], newton_values)
+    if search.root > tau_max * tau_max:
+        val = _sigma(stream, _solve(stream, tau_max))
+        if not val < 0.0:
+            raise ConvergenceError(f"Newton on tau^2 passed tau_max = {tau_max!r} at "
+                                   f"t = {search.root!r}, yet sigma(tau_max) = {val!r}")
+        notes += [no_root,
+                  f"sigma(0+) = {sig0!r} < 0 and sigma increases, so its "
+                  f"one positive root lies beyond tau_max = {tau_max!r}"]
+        return done(taus=[tau_max], sigmas=[val])
+    tau0 = math.sqrt(search.root)
     taus = (0.5 * tau0, 2.0 * tau0)
     lo, hi = (_sigma(stream, _solve(stream, tau)) for tau in taus)
     if not lo < 0.0 < hi:

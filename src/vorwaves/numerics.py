@@ -11,9 +11,9 @@ tolerances are fixed (``abs 1e-12``, ``rel 1e-10`` on every piece).
 Every root the package finds inside a bracket is found by one safeguarded
 Newton method (:class:`Newton`, its rounds run by :func:`run_newton`): the
 exact head searches of ``bernoulli``, their starts on its Chebyshev proxy,
-and the surface crossing of ``stream.shoot_stream`` on its dense output.
-(``dispersion.find_tau0`` starts its Newton steps from an eigenvalue and
-certifies the root after, so it needs no bracket.)
+the surface crossing of ``stream.shoot_stream`` on its dense output, and
+the root of ``dispersion.find_tau0`` in ``tau^2`` on ``(0, inf)``, where
+sigma is concave, so its steps from 0 stay below the root.
 
 Conventions
 -----------
@@ -56,8 +56,8 @@ _MAX_ROUNDS = 100
 # work counters: "quad_calls" (calls of integrate), "quad_points" (integrand
 # values), "quad_cells", "newton_steps" (exact values taken by the head
 # landscape's root searches), "ode_steps" and "ode_rhs_evals" of solve_ivp,
-# and the transverse operator's
-# "linear_solves", "eigen_solves" and "collocation_nodes" (points given omega')
+# and the transverse operator's "linear_solves" and "collocation_nodes"
+# (points given omega')
 tally: Counter = Counter()
 
 # 15-point Kronrod rule on [-1, 1] and its embedded 7-point Gauss rule
@@ -184,14 +184,15 @@ class Newton:
     below the root and negative above it, so every value narrows the
     bracket.  A step that would leave the bracket, or is more than half the
     step before last, bisects it instead (as ``rtsafe`` does: Press et al.,
-    *Numerical Recipes*, 3rd ed., sec. 9.4); beyond an open end
-    (``hi = inf``) ``x`` doubles.  The search ends at ``x`` when its Newton
-    step, kept in ``step``, is within ``tol`` and ``|f(x)|`` within ``ftol``,
-    or the step is within 4 ulps of ``x`` (where ``f`` is too steep for a
-    closer point to exist); or, once the bracket is narrower than ``tol``,
-    at its end of smaller ``|f|``.  ``f_lo``/``f_hi`` are the values at the
-    ends where known, else infinite of the right sign; an end where ``f`` is
-    exactly 0 is the root, with no step taken.
+    *Numerical Recipes*, 3rd ed., sec. 9.4); while the upper end is open
+    (``hi = inf``) steps may grow, and one below ``lo`` doubles ``x``.  The
+    search ends at ``x`` when its Newton step, kept in ``step``, is within
+    ``tol`` and ``|f(x)|`` within ``ftol``, or the step is within 4 ulps of
+    ``x`` (where ``f`` is too steep for a closer point to exist); or, once
+    the bracket is narrower than ``tol``, at its end of smaller ``|f|``.
+    ``f_lo``/``f_hi`` are the values at the ends where known, else infinite
+    of the right sign; an end where ``f`` is exactly 0 is the root, with no
+    step taken.
 
     Raises ``ValueError`` unless ``lo < hi``, and :class:`ConvergenceError`
     on a NaN value.

@@ -105,14 +105,16 @@ def test_modes_match_sinh_on_the_grid(w_zero, tau):
 
 
 def test_transverse_solves_count_their_work(w_two):
-    # the transverse operator takes linear and eigen solves, no ODE steps;
-    # those count only the stream shots
+    # the transverse operator takes linear solves, no ODE steps; those count
+    # only the stream shots.  find_tau0 on poly -3 6 (tau0 d = 44) takes 11:
+    # one at tau = 0 for the first Newton point, eight Newton points on
+    # tau^2 and the two certificates at tau0 / 2 and 2 tau0
     st = stream.solve_stream(w_two, 2.2)
     numerics.tally.clear()
     gamma_bvp(st, 40.0)
+    assert numerics.tally["linear_solves"] == 1
     find_tau0(stream.solve_stream(V.parse("poly -3 6"), 0.129))
-    assert numerics.tally["linear_solves"] >= 5
-    assert numerics.tally["eigen_solves"] >= 1
+    assert numerics.tally["linear_solves"] == 1 + 11
     assert numerics.tally["collocation_nodes"] >= 2 * 25
     assert numerics.tally["ode_steps"] == numerics.tally["ode_rhs_evals"] == 0
     stream.shoot_stream(w_two, 2.2)
@@ -194,7 +196,8 @@ def test_scan_record_consistency(disp_plus):
 
 
 @pytest.mark.parametrize("omega, s, has_root", [(0.5, 1.2, True),
-                                                (2.0, 2.2, False)])
+                                                (2.0, 2.2, False),
+                                                (-2.8, 0.305, True)])
 def test_scan_matches_constant_vorticity_closed_form(omega, s, has_root):
     # constant vorticity: omega' = 0, so gamma = sinh(tau y)/sinh(tau d)
     # and sigma = u'(d) tau coth(tau d) - 1/u'(d) + omega(1)
@@ -320,6 +323,19 @@ def test_sigma_strictly_increasing(spec, lift):
     st = _random_stream(spec, lift)
     vals = [sigma(st, k / st.d) for k in (1e-7, 0.25, 1.0, 4.0, 16.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@formal
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(spec=dist_specs, lift=st_.floats(-3.0, 0.5), ks=st_.tuples(st_.floats(0.01, 20.0),
+                                                                  st_.floats(0.01, 20.0)))
+def test_sigma_concave_in_tau_squared(spec, lift, ks):
+    # find_tau0's Newton steps on t = tau^2 start at t = 0 and stay below the
+    # root because sigma is concave in t: the midpoint lies on or above the chord
+    st = _random_stream(spec, lift)
+    t_a, t_b = ((k / st.d) ** 2 for k in ks)
+    a, mid, b = (sigma(st, math.sqrt(t)) for t in (t_a, 0.5 * (t_a + t_b), t_b))
+    assert mid >= 0.5 * (a + b) - 1e-12 * max(1.0, abs(a), abs(mid), abs(b))
 
 
 @formal

@@ -4,10 +4,11 @@ Quadrature and root finding are plain numpy and Python; only the ODE
 wrapper imports scipy, at call time, for the events of
 ``stream.shoot_stream``, its one caller, so a run that never shoots a
 stream never loads scipy (``dispersion`` uses numpy linear algebra).
-Endpoint singularities of inverse-square-root type are removed by
-substitution before the adaptive rule sees them, failures surface as
-typed exceptions carrying the best estimate reached, and the quadrature
-tolerances are fixed (``abs 1e-12``, ``rel 1e-10`` on every piece).
+The quadrature is a plain batched G7K15 rule: its caller
+(``stream._accumulate``) changes variables first wherever an endpoint is
+singular or a layer is thin, failures surface as typed exceptions carrying
+the best estimate reached, and the tolerances are fixed (``abs 1e-12``,
+``rel 1e-10`` on every piece).
 Every root the package finds inside a bracket is found by one safeguarded
 Newton method (:class:`Newton`, its rounds run by :func:`run_newton`): the
 exact head searches of ``bernoulli``, their starts on its Chebyshev proxy,
@@ -20,10 +21,6 @@ Conventions
 * Integrands are vectorized: they map an array of points and the tags of
   their pieces to an array of values, and :func:`integrate` evaluates every
   piece it is given in one call per refinement level.
-* A "singular" endpoint means the integrand behaves like
-  ``c / sqrt(x - a)`` at the left end ``a``; the substitution
-  ``x = a + v**2`` turns that into a bounded integrand.  Callers flip a
-  right-end singularity to the left by integrating in ``b - x``.
 * :data:`tally` counts the work done; its comment lists the keys.
 """
 
@@ -84,17 +81,15 @@ _WG[13:7:-2] = _WG_HALF
 _WKG = np.array((_WK, _WG))
 
 
-def integrate(f: Callable, a: np.ndarray, b: np.ndarray, singular_left: np.ndarray,
-              tags: np.ndarray) -> np.ndarray:
+def integrate(f: Callable, a: np.ndarray, b: np.ndarray, tags: np.ndarray) -> np.ndarray:
     """Integrate ``f`` over every piece ``[a_i, b_i]`` by adaptive G7K15.
 
-    ``a``, ``b``, ``singular_left`` and ``tags`` are 1-d arrays with one
-    entry per piece, and ``a_i <= b_i``; the result is a 1-d array of the
-    integrals.  ``singular_left`` declares an inverse-square-root
-    singularity at the left end of a piece, removed by the substitution
-    ``x = a + v**2``.  ``f`` is called as ``f(x, tag)``, with a row of ``x``
-    per live cell and its piece's tag in a ``(cells, 1)`` column, so pieces
-    may differ in integrand.
+    ``a``, ``b`` and ``tags`` are 1-d arrays with one entry per piece, and
+    ``a_i <= b_i``; the result is a 1-d array of the integrals.  ``f`` is
+    called as ``f(x, tag)``, with a row of ``x`` per live cell and its
+    piece's tag in a ``(cells, 1)`` column, so pieces may differ in
+    integrand.  The rule takes ``f`` as it comes: a caller removes an
+    endpoint singularity or resolves a layer by changing variables first.
 
     Each refinement level evaluates the 15 Kronrod nodes of every live
     cell in one call of ``f``.  A cell passes when ``|K15 - G7|`` is within
@@ -107,35 +102,18 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, singular_left: np.ndarr
     and :class:`ConvergenceError` when a piece needs more than 200 cells.
     """
     tally["quad_calls"] += 1
-    lo, hi, sing, n = a, b, singular_left, a.size
+    lo, hi, n = a, b, a.size
     if (hi < lo).any():
         raise ValueError("integrate takes pieces with a <= b")
     tags = tags.reshape(n, 1)
-    # integration variable per piece: x itself, or v with x = lo + v**2
     width = hi - lo
-    any_sing = bool(sing.any())
-    if any_sing:
-        width = np.where(sing, np.sqrt(width), width)
-        # per piece: lo, the least point above it and hi, the clamps of x
-        ends = np.array((lo, np.nextafter(lo, hi), hi))
     total, count = np.zeros(n), 1  # count: cells per piece, once one is cut
-    c0 = np.where(sing, 0.0, lo) if any_sing else lo
-    c1 = c0 + width
-    piece = np.flatnonzero(width > 0.0)
-    if piece.size < n:
-        c0, c1 = c0[piece], c1[piece]
-        width[width == 0.0] = 1.0  # empty pieces have no cells to share among
+    piece = np.flatnonzero(width > 0.0)  # an empty piece has no cell
+    c0, c1 = lo[piece], hi[piece]
     while piece.size:
         half = 0.5 * (c1 - c0)
         mid = c0 + half
-        t = mid[:, None] + half[:, None] * _XK
-        x, sub = t, None
-        if any_sing and sing[piece].any():
-            sub = sing[piece][:, None]
-            # v > 0 at every node; if v**2 underflows against lo, the nearest
-            # interior point stands in, so the singularity is never sampled
-            plo, floor, phi = ends[:, piece, None]
-            x = np.where(sub, np.minimum(np.maximum(plo + t * t, floor), phi), t)
+        x = mid[:, None] + half[:, None] * _XK
         y = np.asarray(f(x, tags[piece]), dtype=float)
         tally["quad_points"] += y.size
         tally["quad_cells"] += piece.size
@@ -145,8 +123,6 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, singular_left: np.ndarr
                 f"integrand returned non-finite value {float(y[i, j])!r} at "
                 f"x={float(x[i, j])!r} inside [{float(lo[piece[i]])!r}, "
                 f"{float(hi[piece[i]])!r}]")
-        if sub is not None:
-            y = np.where(sub, 2.0 * t * y, y)
         # each sum of a cell is one reduction over its own 15 values, so it
         # does not depend on how many cells share the call (the BLAS kernel
         # of a matrix product may change with the row count)
@@ -154,9 +130,10 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, singular_left: np.ndarr
         k15 = half * kg[:, 0]
         err = half * np.abs(kg[:, 0] - kg[:, 1])
         estimate = total + np.bincount(piece, k15, n)
-        # each cell may spend its share, by width, of its piece's budget
-        share = np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate)) / width
-        ok = err <= share[piece] * (2.0 * half)
+        # each cell may spend its share, by width, of its piece's budget: the
+        # fraction (at most 1) first, so that no tiny width divides
+        budget = np.maximum(_ABS_TOL, _REL_TOL * np.abs(estimate))
+        ok = err <= budget[piece] * (2.0 * half / width[piece])
         if ok.all():
             total = estimate
             break

@@ -18,7 +18,11 @@ the margin vanishes wherever Omega peaks; when the peak sits at an endpoint
 and is non-degenerate the inverse square root stays integrable, which is what
 makes the zero-margin depth d0 finite under classifications "ii"/"iii".
 The integrator cuts its cells at the segment starts of omega and at interior
-maximizers of Omega, so the adaptive rule never straddles either.
+maximizers of Omega, so the adaptive rule never straddles either, and it is
+the one place that changes variables: near a maximizer the margin rules
+over the gap in a layer of width ``L = (sigma2 / 2 c_k)^(1/k)``, which a
+piece containing it takes in ``v = asinh(x / L)`` of the distance ``x``,
+and at zero margin every piece is taken in ``v = sqrt(x)``.
 
 Direct integration of the ODE is available separately through
 :func:`shoot_stream`, which does not assume unidirectionality.  It is the
@@ -35,6 +39,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import inf, isfinite, pi, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -107,12 +112,12 @@ def _stream_values(p) -> np.ndarray:
 
 @lru_cache(maxsize=_LAYOUTS_CACHED)
 def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
-    """The pieces of :func:`_accumulate` on ``grid`` before the rung cuts, as
-    read-only arrays: ``[lo, hi]``, the distances ``x_lo`` to ``x_hi`` to the
-    maximizer, the grid cell, the frame tag (``2 i + 1`` for the gap about
-    maximizer ``i`` on its right, ``2 i`` on its left; ``terms[tag]`` holds its
-    ``(k, 2 |c_k|)``), whether it ends at a maximizer at 0 or 1, and the gap
-    row ``(sign, shift, start, *coef)``: at ``z``, ``coef`` at ``sign (z - shift) - start``."""
+    """The pieces of :func:`_accumulate` on ``grid``, as read-only arrays:
+    ``[lo, hi]``, the distances ``x_lo`` to ``x_hi`` to the maximizer, the
+    grid cell, the frame tag (``2 i + 1`` for the gap about maximizer ``i``
+    on its right, ``2 i`` on its left; ``terms[tag]`` holds its
+    ``(k, 2 |c_k|)``), and the gap row ``(sign, shift, start, *coef)``: at
+    ``z``, ``coef`` at ``sign (z - shift) - start``."""
     cls = dist.classify()
     peaks = np.array(cls.maximizers)
     cuts = [c for c in [*cls.maximizers, *dist._seg[1:].tolist()] if 0.0 < c < grid[-1]]
@@ -145,8 +150,7 @@ def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
         # cut at every kink and maximizer, a piece lies in one segment of the gap
         k = np.searchsorted(seg, 0.5 * (x_lo + x_hi)[tag == j], side="right") - 1
         rows[tag == j, 2], rows[tag == j, 3:] = seg[k], coef[k]
-    layout = (lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tag,
-              anchored & ((m == 0.0) | (m == 1.0)), rows)
+    layout = (lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tag, rows)
     for arr in layout:
         arr.flags.writeable = False
     return (*layout, tuple(terms))
@@ -163,24 +167,33 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     cell is cut at the interior segment starts of omega (its kinks) and
     maximizers of Omega (peaks of the integrand), and a piece with a
     maximizer at both ends at its middle, so the rule sees smooth pieces
-    with at most one singular end.  ``gap = max Omega - Omega``, evaluated
+    with at most one steep end.  ``gap = max Omega - Omega``, evaluated
     directly, loses every digit near a maximizer; so each gap is built
     outward from its nearest maximizer ``m`` without cancellation
     (``dist._gap_segments``), and each piece keeps the row of that form it
     lies in.  A piece that ends at ``m`` is integrated in the distance
-    ``x`` to ``m`` (with the square-root substitution when ``m`` is an
-    endpoint), any other piece in ``tau``, so that its width keeps every digit.
+    ``x`` to ``m``, any other piece in ``tau``, so that its width keeps
+    every digit.
 
-    Each row then cuts the layer at each maximizer where ``sigma2`` and
-    ``2 gap`` are comparable, of width ``L = (sigma2 / 2 c_k)^(1/k)`` for
-    ``gap ~ c_k x^k`` at its first nonzero term.  ``L`` can be far below
-    any cell width, and a rule whose nodes all miss the layer does not see
-    it.  So a piece ``x_lo <= x <= x_hi`` away from ``m`` that spans more
-    than a factor 2 is cut at ``max(L, x_lo) 2^k``, and a piece that ends
-    at ``m`` at ``L, 2 L, 4 L, ...``.
+    This is the one place that changes variables.  The layer at ``m``
+    where ``sigma2`` and ``2 gap`` are comparable has width
+    ``L = (sigma2 / 2 c_k)^(1/k)`` for ``gap ~ c_k x^k`` at its first
+    nonzero term; it can be far below any cell width, and a rule whose
+    nodes all miss it does not see it.  So a piece ``x_lo <= x <= x_hi``
+    with ``x_hi > 2 max(L, x_lo)`` is integrated in ``v = asinh(x / L)``
+    (``dx = L cosh v dv``), which maps the layer to ``O(1)`` and the rest
+    to a logarithmic scale (the sinh transformation: Johnston and Elliott,
+    IJNME 62, 2005), in ``ceil((v1 - v0) / 2)`` equal parts.  ``L`` is
+    rounded so that ``v1 = asinh(x_hi / L)`` maps back to ``x_hi`` itself:
+    under a linear gap the top end holds most of the integral, and one ulp
+    of ``v1`` near 40 moves it by 4e-15.  A zero margin is allowed only
+    under "ii"/"iii", at endpoint maximizers where the integrand is
+    ``(2 c_1 x)^(-1/2)``, and there every piece is integrated in
+    ``v = sqrt(x)`` (``dx = 2 v dv``).  A piece in ``v`` reads the gap at
+    ``x`` itself, not at ``tau``.
 
-    Each row has its own ``sigma2``, power and cuts.  The rule controls
-    the error of each piece alone, so every row is bit for bit the one a
+    Each row has its own ``sigma2``, power and parts.  The rule controls
+    the error of each part alone, so every row is bit for bit the one a
     call with that request alone returns.
     """
     margin = {s: _margin(dist, s)[0] for s in dict.fromkeys(s for s, _ in requests)}
@@ -190,51 +203,49 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
             f"Phi and dPhi/ds are not defined at s = s0 = {dist.classify().s0!r}: "
             f"the integrand has a non-integrable endpoint there")
     grid = tuple(np.asarray(grid, dtype=float).tolist())
-    lo, hi, x_lo, x_hi, cell, tag, singular, rows, terms = _layout(dist, grid)
-    n, whole = len(lo), np.arange(len(lo))
-    # tag k n + i: piece i of the layout, or a part of it, in row k
-    tags, a, b = [], [], []
-    for k, sigma2 in enumerate(margins):
-        layer = np.array([min(((sigma2 / c) ** (1.0 / j) for j, c in frame), default=inf)
-                          for frame in terms])[tag]
-        start = np.maximum(layer, x_lo)
-        cut = np.flatnonzero((start > 0.0) & (x_hi > 2.0 * start)).tolist()
-        owner, more_lo, more_hi = [], [], []
-        for i in cut:
-            rungs, rung, floor, top = [], start.item(i), x_lo.item(i), x_hi.item(i)
-            while rung < top:
-                if rung > floor:
-                    rungs.append(rung)
-                rung *= 2.0
-            sign, shift = rows.item(i, 0), rows.item(i, 1)
-            bounds = [lo.item(i), *sorted(shift + sign * r for r in rungs), hi.item(i)]
-            owner += [i] * (len(bounds) - 1)
-            more_lo += bounds[:-1]
-            more_hi += bounds[1:]
-        if cut:
-            # the parts cut at the rungs keep the row and cell of the whole
-            keep = np.ones(n, dtype=bool)
-            keep[cut] = False
-            tags.append(np.concatenate((whole[keep], owner)) + k * n)
-            a.append(np.concatenate((lo[keep], more_lo)))
-            b.append(np.concatenate((hi[keep], more_hi)))
-        else:
-            tags.append(whole + k * n)
-            a.append(lo)
-            b.append(hi)
-    tags, a, b = np.concatenate(tags), np.concatenate(a), np.concatenate(b)
-    row_of, piece = np.divmod(tags, n)
+    lo, hi, x_lo, x_hi, cell, tag, rows, terms = _layout(dist, grid)
     sig, powers = np.array(margins), np.array([power for _, power in requests])
+    # the layer width L of every piece i of every row, row after row
+    width = np.array([[min(((sigma2 / c) ** (1.0 / j) for j, c in frame), default=inf)
+                       for frame in terms] for sigma2 in margins])[:, tag].ravel()
+    i = np.arange(width.size) % len(lo)
+    x0, x1, a, b = x_lo[i], x_hi[i], lo[i], hi[i]
+    # a piece is integrated in v = asinh(x / L) where its layer lies inside
+    # it, in v = sqrt(x) at zero margin (where L = 0), and else as laid out
+    layer, root = (width > 0.0) & (x1 > 2.0 * np.maximum(width, x0)), width == 0.0
+    b[layer] = np.arcsinh(x1[layer] / width[layer])
+    width[layer] = x1[layer] / np.sinh(b[layer])  # L to rounding, so that v1 maps to x_hi
+    a[layer] = np.arcsinh(x0[layer] / width[layer])
+    a[root], b[root] = np.sqrt(x0[root]), np.sqrt(x1[root])
+    # scale: L in v = asinh(x / L), -1 in v = sqrt(x), 0 as laid out
+    scale = np.where(layer, width, -1.0 * root)
+    # part j of the m equal parts of each piece, at most 2 wide in v = asinh(x / L)
+    m = np.where(layer, np.ceil(0.5 * (b - a)), 1.0).astype(int)
+    slot = np.arange(m.size).repeat(m)
+    j = np.arange(slot.size) - (m.cumsum() - m)[slot]
+    a, b, m, scale = a[slot], b[slot], m[slot], scale[slot]
+    step = (b - a) / m
+    a, b = a + j * step, np.where(j + 1 == m, b, a + (j + 1) * step)
+    row_of, piece = np.divmod(slot, len(lo))
 
-    def f(z, which):
-        k, i = np.divmod(which, n)
-        row = rows[i]
-        gap = _horner_rows(row[..., 3:], row[..., 0] * (z - row[..., 1]) - row[..., 2])
-        return (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** powers[k]
+    def f(t, part):
+        k, row = row_of[part], rows[piece[part]]
+        x = row[..., 0] * (t - row[..., 1])
+        c = scale[part[:, 0]].nonzero()[0]  # the cells in v
+        if len(c):
+            v, ell = t[c], scale[part[c]]
+            # below about 1e-300, v * v and so the gap can underflow to 0
+            x[c] = np.where(ell > 0.0, ell * np.sinh(v), np.maximum(v * v, float_info.min))
+        gap = _horner_rows(row[..., 3:], x - row[..., 2])
+        y = (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** powers[k]
+        if len(c):
+            y[c] *= np.where(ell > 0.0, ell * np.cosh(v), 2.0 * v)
+        return y
 
-    vals = numerics.integrate(f, a, b, singular[piece] & (a == 0.0), tags)
+    vals = numerics.integrate(f, a, b, np.arange(slot.size))
     out = np.bincount(row_of * len(grid) + cell[piece], vals, len(margins) * len(grid))
-    return np.cumsum(out.reshape(len(margins), len(grid)), axis=1)
+    # an empty bincount is of integers
+    return np.cumsum(out.reshape(len(margins), len(grid)), axis=1, dtype=float)
 
 
 # whole-column integrals kept by :func:`_totals`: a head landscape reads its

@@ -7,8 +7,14 @@ results) built once; they are all immutable.
 import numpy as np
 import pytest
 
+import vorwaves
 from vorwaves import bernoulli, dispersion, stream
 from vorwaves.vorticity import VorticityDistribution
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src ahead of PYTHONPATH
+    return f"vorwaves: {vorwaves.__file__}"
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 from vorwaves import bernoulli, numerics, stream
@@ -520,21 +520,28 @@ def test_phi_gauss_legendre_at_critical_slope_over_random_distributions(spec):
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
-@given(spec=dist_specs, lifts=st_.lists(st_.floats(-4.0, 0.5), min_size=2, max_size=3),
+@given(spec=dist_specs, lifts=st_.lists(st_.floats(0.0, 1.0), min_size=2, max_size=3),
        powers=st_.lists(st_.sampled_from((-0.5, -1.5, -2.5)), min_size=3, max_size=3),
-       grid=st_.lists(st_.integers(1, 999), max_size=3, unique=True))
+       grid=st_.one_of(st_.lists(st_.integers(1, 999), max_size=3, unique=True),
+                       st_.just("chebyshev")))
 def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, powers, grid):
     # a row of a several-row _accumulate, and so a memoized column
     # integral, is bit for bit the one its (slope, power) gets alone,
     # whatever the slopes and powers of the other rows: the memo cannot
-    # depend on which requests were integrated together
+    # depend on which requests were integrated together.  Margins reach
+    # 1e-12 max(1, s0) (1e-8 under "i"), and the grid may be the 257
+    # nodes of u_at, so pieces in v = asinh(x / L) come in many parts
     dist = V.parse(spec)
     try:
-        s0 = dist.classify().s0
+        cls = dist.classify()
     except AmbiguousClassificationError:
         return
-    slopes = [s0 + max(1.0, s0) * 10.0 ** lift for lift in lifts]
-    grid = tuple(sorted(g / 1000 for g in grid)) + (1.0,)
+    low = -8.0 if cls.condition == "i" else -12.0
+    slopes = [cls.s0 + max(1.0, cls.s0) * 10.0 ** (low + (0.5 - low) * u) for u in lifts]
+    if grid == "chebyshev":
+        grid = tuple(0.5 - 0.5 * np.cos(np.pi * np.arange(1, 257) / 256))
+    else:
+        grid = tuple(sorted(g / 1000 for g in grid)) + (1.0,)
     for rows in ([-0.5] * 3, [-1.5] * 3, powers):
         requests = list(zip(slopes, rows))
         together = stream._accumulate(dist, requests, grid)
@@ -542,6 +549,77 @@ def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, powers, grid)
             assert np.array_equal(row, stream._accumulate(dist, [request], grid)[0])
     alone = [stream._accumulate(dist, [request], (1.0,))[0, 0] for request in requests]
     assert stream._totals(dist, requests) == alone
+
+
+def _oracle(spec):
+    """``gen_landscape.Spec`` of ``spec``: 40-digit tanh-sinh quadrature that
+    shares no code with the package; the module sets mpmath's global
+    precision on import, which is put back."""
+    mp = pytest.importorskip("mpmath").mp
+    dps = mp.dps
+    from golden.gen_landscape import Spec
+
+    mp.dps = dps
+    with mp.workdps(40):
+        return Spec(spec)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(spec=dist_specs, power=st_.sampled_from((-0.5, -1.5, -2.5)), u=st_.floats(0.0, 1.0))
+@example(spec="poly -3 6", power=-0.5, u=0.0)
+@example(spec="poly 1.777 0.051 -2.537", power=-2.5, u=0.0)
+@example(spec="table 0:1 0.5:-1 1:2", power=-1.5, u=1.0)
+def test_column_integrals_match_40_digit_quadrature(spec, power, u):
+    # int_0^1 (sigma2 + 2 gap)^power at s = s0 + delta max(1, s0), with
+    # delta from 1e-12 (1e-8 under "i") to 100, against the golden
+    # generator's quadrature at the package's own sigma2; the worst of 120
+    # random draws erred by 4.6e-16, and the top end of a piece in
+    # v = asinh(x / L) maps to x_hi itself, so that v1 rounds nothing
+    # the oracle refuses a table node where omega = 0, and a polynomial
+    # whose last coefficient is 0 (mpmath's polyroots divides by it)
+    kind, *args = spec.split()
+    values = [float(a.split(":")[-1]) for a in args]
+    assume(0.0 not in (values if kind == "table" else values[-1:] if len(values) > 1 else ()))
+    dist = V.parse(spec)
+    try:
+        cls = dist.classify()
+    except AmbiguousClassificationError:
+        assume(False)
+    low = -8.0 if cls.condition == "i" else -12.0
+    s = cls.s0 + max(1.0, cls.s0) * 10.0 ** (low + (2.0 - low) * u)
+    sigma2 = stream._margin(dist, s)[0]
+    oracle = _oracle(spec)
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        assert oracle.condition == cls.condition
+        delta = mp.sqrt(oracle.s0 ** 2 + mp.mpf(sigma2)) - oracle.s0
+        want = float(oracle.integral(delta, mp.mpf(power)))
+    got = stream._accumulate(dist, [(s, power)], (1.0,))[0, 0]
+    assert abs(got - want) <= 4e-15 * want
+
+
+def test_an_empty_profile_is_of_floats(w_two):
+    # no piece lies below p = 0, and an empty bincount is of integers
+    st = solve_stream(w_two, 3.0)
+    for got in (st.height_at([0.0]), phi(w_two, 3.0, [0.0]),
+                stream._accumulate(w_two, [(3.0, -0.5)], (0.0,))):
+        assert got.dtype == np.float64 and not got.any()
+
+
+@pytest.mark.parametrize("spec, s, h", [
+    ("constant 2", 3.0, lambda p: p / 3.0),   # far from the maximizer at 1
+    ("constant -2", 0.0, np.sqrt),            # zero margin: H = sqrt(p), in v = sqrt(x)
+])
+def test_pieces_narrower_than_any_normal_number(spec, s, h):
+    # a cell's share of its piece's budget is its fraction of the width
+    # times the budget: the budget over a width of 5e-324 overflowed
+    # at zero margin the nodes of the piece below 5e-324 lie below 3e-162 in
+    # v = sqrt(x), where v * v underflows, so that piece errs by about that
+    p = [0.0, 5e-324, 1e-300, 1e-200]
+    got = solve_stream(V.parse(spec), s).height_at(p)
+    assert got.dtype == np.float64 and np.isfinite(got).all()
+    assert np.all(np.diff(got) >= 0.0)
+    np.testing.assert_allclose(got[2:], h(np.array(p[2:])), rtol=1e-12, atol=3e-162)
 
 
 def test_conjugates_near_interior_peak():
@@ -610,7 +688,7 @@ def test_layout_rows_are_the_gap(spec, cuts, u):
     except AmbiguousClassificationError:
         return
     grid = tuple(sorted(c / 1000 for c in cuts)) + (1.0,)
-    lo, hi, _, _, _, tag, _, rows, _ = _layout(dist, grid)
+    lo, hi, _, _, _, tag, rows, _ = _layout(dist, grid)
     z = lo[:, None] + (hi - lo)[:, None] * np.array(u)
     row = rows[np.arange(len(lo))[:, None]]
     x = row[..., 0] * (z - row[..., 1])
@@ -635,19 +713,20 @@ def test_layout_is_built_once_per_grid(fresh_caches):
 
 
 @pytest.mark.parametrize("spec, s, fn, want", [
-    (KINKED, 0.6506459863146118, depth, (240, 16)),
-    (KINKED, 0.6506459863146118, phi, (300, 20)),
-    (KINKED, 0.6101400345853446, depth, (540, 36)),
-    (KINKED, 0.6101400345853446, phi, (1080, 72)),
-    ("poly -3 6", 0.01, depth, (480, 32)),
-    ("poly -3 6", 0.01, phi, (960, 64)),
-    ("poly -3 6", 1e-6, depth, (1290, 86)),
-    ("poly -3 6", 1e-6, phi, (3390, 226)),
+    (KINKED, 0.6506459863146118, depth, (210, 14)),
+    (KINKED, 0.6506459863146118, phi, (240, 16)),
+    (KINKED, 0.6101400345853446, depth, (285, 19)),
+    (KINKED, 0.6101400345853446, phi, (465, 31)),
+    ("poly -3 6", 0.01, depth, (360, 24)),
+    ("poly -3 6", 0.01, phi, (420, 28)),
+    ("poly -3 6", 1e-6, depth, (570, 38)),
+    ("poly -3 6", 1e-6, phi, (690, 46)),
 ])
 def test_quadrature_work_is_pinned(spec, s, fn, want, fresh_caches):
     # integrand points and cells of one call at 1.05 s0 + 0.01 and at
-    # s0 + 1e-6 max(1, s0), pinned: a change to the pieces, their rung cuts
-    # or the refinement shows here; the column memo must not answer first
+    # s0 + 1e-6 max(1, s0), pinned: a change to the pieces, their parts in
+    # v = asinh(x / L) or the refinement shows here; the column memo must
+    # not answer first
     numerics.tally.clear()
     fn(V.parse(spec), s)
     assert (numerics.tally["quad_points"], numerics.tally["quad_cells"]) == want

@@ -102,14 +102,14 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, tags: np.ndarray) -> np
     and :class:`ConvergenceError` when a piece needs more than 200 cells.
     """
     tally["quad_calls"] += 1
-    lo, hi, n = a, b, a.size
-    if (hi < lo).any():
+    n = a.size
+    if (b < a).any():
         raise ValueError("integrate takes pieces with a <= b")
     tags = tags.reshape(n, 1)
-    width = hi - lo
+    width = b - a
     total, count = np.zeros(n), 1  # count: cells per piece, once one is cut
     piece = np.flatnonzero(width > 0.0)  # an empty piece has no cell
-    c0, c1 = lo[piece], hi[piece]
+    c0, c1 = a[piece], b[piece]
     while piece.size:
         half = 0.5 * (c1 - c0)
         mid = c0 + half
@@ -121,8 +121,8 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, tags: np.ndarray) -> np
             i, j = np.argwhere(~np.isfinite(y))[0]
             raise InvalidIntegrandError(
                 f"integrand returned non-finite value {float(y[i, j])!r} at "
-                f"x={float(x[i, j])!r} inside [{float(lo[piece[i]])!r}, "
-                f"{float(hi[piece[i]])!r}]")
+                f"x={float(x[i, j])!r} inside [{float(a[piece[i]])!r}, "
+                f"{float(b[piece[i]])!r}]")
         # each sum of a cell is one reduction over its own 15 values, so it
         # does not depend on how many cells share the call (the BLAS kernel
         # of a matrix product may change with the row count)
@@ -144,7 +144,7 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, tags: np.ndarray) -> np
         if count.max() > _MAX_CELLS:
             i = int(np.argmax(count))
             raise ConvergenceError(
-                f"quadrature on [{float(lo[i])!r}, {float(hi[i])!r}] did not "
+                f"quadrature on [{float(a[i])!r}, {float(b[i])!r}] did not "
                 f"converge in {_MAX_CELLS} cells (estimate {float(estimate[i])!r}, "
                 f"error estimate of its open cells "
                 f"{float(np.sum(err[bad][piece == i]))!r})")

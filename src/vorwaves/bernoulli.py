@@ -21,17 +21,22 @@ Approximation Practice*, SIAM 2013, ch. 8 and 18; Boyd, "Finding the zeros
 of a univariate equation: proxy rootfinders, Chebyshev interpolation, and
 the companion matrix", SIAM Review 55, 2013).  Up to ``s_m = s0 + max(1, s0)``
 its variable is the margin ``sigma = sqrt(s^2 - s0^2)`` under "ii"/"iii",
-where ``d`` is smooth down to ``sigma = 0``, and ``log sigma`` under "i",
-where ``d`` grows like ``-log sigma`` or ``1/sigma``, down to the edge of
-the guard band.  Above ``s_m`` it is ``w = s_m / s``, and ``d = 0`` at
-``w = 0``, so every head is covered.  :func:`analyze` samples ``d`` at the
-Lobatto points of both pieces in one quadrature call.  Each slope then
-starts at a root of the proxy between two samples whose exact values
-differ in sign, found by Newton steps on the series and its derivatives,
-and Newton steps on exact quadrature values polish it.  Both searches are
-:class:`numerics.Newton`: each value narrows its bracket, a step that would
-leave it bisects, and a slope is accepted only inside it: the proxy is a
-start, never the answer.
+where ``d`` is smooth down to ``sigma = 0``, and ``y = -log sigma`` under "i",
+where ``d`` grows like ``-log sigma`` or ``1/sigma``, down to a lowest sample
+``2e-9 max(1, s0)`` above ``s0``.  Above ``s_m`` it is ``w = s_m / s``, and
+``d = 0`` at ``w = 0``.  :func:`analyze` samples ``d`` at the Lobatto points
+of both pieces in one quadrature call.  Each search then runs in the
+variable ``x`` of the piece that holds its bracket, with ``sigma2 = s^2 -
+s0^2`` and ``R'(x) = sigma2'(x) (1 - Phi) / 3``: it starts at the proxy's
+root between two samples whose exact values differ in sign (under "i" a
+root below the lowest sample lies in the open bracket up to ``y = inf``,
+where ``R = inf``), and Newton steps on exact quadrature values polish it.
+Both searches are :class:`numerics.Newton`: each value narrows its bracket,
+a step that would leave it bisects, and a slope is accepted only inside it.
+A point is the float slope nearest it, integrated at that slope's own
+margin, so that a slope found names its stream bit for bit; where one ulp
+of ``s`` moves the head past half its tolerance, a conjugate search takes
+the margin ``sigma2(x)`` itself.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import numerics, stream
-from .errors import ConvergenceError, DomainError, NoStreamError
+from .errors import DomainError, NoStreamError
 from .vorticity import VorticityDistribution
 
 __all__ = ["ConjugatePair", "BernoulliAnalysis", "conjugates", "analyze"]
@@ -62,6 +67,9 @@ _FIT = np.cos(np.outer(np.arange(_POINTS), np.pi * np.arange(_POINTS) / (_POINTS
 _FIT[:, [0, -1]] *= 0.5
 _FIT[[0, -1]] *= 0.5
 _FIT *= 2.0 / (_POINTS - 1)
+
+# the proxy's lowest sample under "i", relative to max(1, s0) above s0
+_LOWEST = 2e-9
 
 
 @dataclass(frozen=True)
@@ -93,40 +101,40 @@ class BernoulliAnalysis:
     r0: Optional[float]
 
 
-def _guard_edge(s0: float) -> float:
-    """Least slope probed under classification "i": twice the guard band
-    of the stream quadrature above ``s0``, where ``d`` is still reliable."""
-    return s0 + 2.0 * stream._GUARD * max(1.0, s0)
-
-
 class _Piece:
-    """``d`` on one piece of the proxy, between the slopes ``s_lo < s_hi``:
-    a Chebyshev series in the piece's variable ``x`` on ``[lo, hi]``,
-    ``kind`` "sigma", "log" (``log sigma``) or "w" (``s_m / s``)."""
+    """``d`` on one piece of the proxy, between the slopes ``s_a`` and
+    ``s_b``: a Chebyshev series in the piece's variable ``x`` on ``[lo, hi]``,
+    ``kind`` "sigma", "log" (``y = -log sigma``) or "w" (``s_m / s``), fitted
+    at the float ``slopes`` of its nodes."""
 
-    def __init__(self, kind: str, s0: float, s_m: float, s_lo: float, s_hi: float):
+    def __init__(self, kind: str, s0: float, s_m: float, s_a: float, s_b: float):
         self.kind, self.s0, self.s_m = kind, s0, s_m
-        self.lo, self.hi = lo, hi = sorted((self.at(s_lo), self.at(s_hi)))
-        self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        (lo, s_lo), (hi, s_hi) = sorted((self.at(stream._named(s0, s)), s)
+                                        for s in (s_a, s_b))
+        self.lo, self.hi, self.mid, self.half = lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo)
         self.nodes = (self.mid + self.half * _U).tolist()  # hi first
         self.nodes[0], self.nodes[-1] = hi, lo
+        self.slopes = [s_hi, *(math.sqrt(s0 * s0 + self.sigma2(x)[0])
+                               for x in self.nodes[1:-1]), s_lo]
 
-    def slope(self, x: float) -> float:
+    def at(self, sigma2: float) -> float:
+        """The piece's variable at the margin ``sigma2`` (``y = inf`` at 0)."""
         if self.kind == "w":
-            return self.s_m / x
-        sigma = math.exp(x) if self.kind == "log" else x
-        return math.sqrt(self.s0 * self.s0 + sigma * sigma)
+            return self.s_m / math.sqrt(self.s0 * self.s0 + sigma2)
+        if self.kind == "log":
+            return -0.5 * math.log(sigma2) if sigma2 else math.inf
+        return math.sqrt(sigma2)
 
-    def at(self, s: float) -> float:
-        """The piece's variable at the slope ``s``."""
+    def sigma2(self, x: float) -> tuple:
+        """The margin at ``x`` and its first two derivatives in ``x``."""
         if self.kind == "w":
-            return self.s_m / s
-        sigma = math.sqrt((s - self.s0) * (s + self.s0))
-        return math.log(sigma) if self.kind == "log" else sigma
-
-    def sigma2(self, x: float) -> float:
-        """``s^2 - s0^2`` at ``x`` on the near piece."""
-        return math.exp(2.0 * x) if self.kind == "log" else x * x
+            s = self.s_m / x
+            q = s * s / x
+            return (s - self.s0) * (s + self.s0), -2.0 * q, 6.0 * q / x
+        if self.kind == "log":
+            m = math.exp(-2.0 * x)
+            return m, -2.0 * m, 4.0 * m
+        return x * x, 2.0 * x, 2.0
 
     def fit(self, values) -> None:
         """The coefficients of the interpolant of ``values`` at the nodes,
@@ -150,91 +158,114 @@ class _Piece:
             b1, b2 = 2.0 * u * b1 - b2 + ck, b1
         return u * b1 - b2 + c[0]
 
-    def root(self, f, a: float, b: float) -> Optional[float]:
-        """The slope at the root of ``f`` in ``x`` between ``a`` and ``b``, by
-        Newton steps from their middle, or None unless ``a < b`` and ``f``
-        changes sign there; ``f(x)`` is the pair of its value and slope."""
-        if not a < b:
-            return None
-        f_a, f_b = f(a)[0], f(b)[0]
-        if (f_a > 0.0) == (f_b > 0.0):
+    def root(self, f, a: float, b: float, f_a: float, f_b: float) -> Optional[float]:
+        """The root in ``x`` of ``f`` between ``a`` and ``b``, where it takes
+        the values ``f_a`` and ``f_b``, by Newton steps from their middle, or
+        None unless ``a < b`` and the values differ in sign; ``f(x)`` is the
+        pair of its value and slope."""
+        if not a < b or (f_a > 0.0) == (f_b > 0.0):
             return None
         search = numerics.Newton(a, b, f_a, f_b, 0.5 * (a + b), f_a > 0.0, 1e-15 * self.half)
-        numerics.run_newton([search], lambda xs: [f(xs[0])])
-        return self.slope(search.root)
+        numerics.run_newton([search], lambda open_: [f(open_[0].x)])
+        return search.root
+
+
+class _Search(numerics.Newton):
+    """Newton steps in the variable ``x`` of ``piece`` between the ends
+    ``(x, sigma2, s, f)`` of a bracket, with the slope tolerance ``tol_s``
+    carried to ``x`` at ``start``.  :meth:`name` moves each point to the
+    float slope ``s`` nearest it and returns that slope's margin, or, once
+    the search is ``exact``, ``sigma2(x)``; ``named`` keeps both for the
+    ends and every point."""
+
+    def __init__(self, piece: _Piece, a: tuple, b: tuple, start: float, tol_s: float,
+                 ftol: float = math.inf):
+        m, dm, _ = piece.sigma2(start)
+        tol = 2.0 * math.sqrt(piece.s0 * piece.s0 + m) * tol_s / (abs(dm) or math.inf)
+        super().__init__(a[0], b[0], a[3], b[3], start, a[3] > 0.0, tol, ftol)
+        self.piece, self.exact, self.named = piece, False, {a[0]: a[1:3], b[0]: b[1:3]}
+
+    def name(self) -> tuple:
+        s0, m = self.piece.s0, self.piece.sigma2(self.x)[0]
+        s = math.sqrt(s0 * s0 + m)
+        named = stream._named(s0, s)
+        if not self.exact and named > 0.0:  # a slope that rounds to s0 names no margin
+            m, self.x = named, self.piece.at(named)
+        self.named[self.x] = m, s
+        return m, s
 
 
 class _Proxy:
     """The proxy of ``d`` for one distribution, and the exact samples it
-    was fitted to: ``slopes`` in increasing order, their ``depths`` and heads.
-
-    One :func:`stream._totals` call takes every sample: the Lobatto points of
-    the near piece, from ``s0`` (or the guard-band edge under "i") to
-    ``s_m = s0 + max(1, s0)``, and those of the far piece above it, where
-    ``w = 0`` stands for ``s = inf`` and ``d = 0`` there.
-    """
+    was fitted to, from one :func:`stream._totals` call: ``slopes`` in
+    increasing order, their ``margins``, ``depths`` and heads."""
 
     def __init__(self, dist: VorticityDistribution):
         cls = dist.classify()
         s0 = cls.s0
         s_m = s0 + max(1.0, s0)
-        s_lo = s0 if cls.d0_finite else _guard_edge(s0)
+        s_lo = s0 if cls.d0_finite else s0 + _LOWEST * max(1.0, s0)
         near = _Piece("sigma" if cls.d0_finite else "log", s0, s_m, s_lo, s_m)
         far = _Piece("w", s0, s_m, s_m, math.inf)
-        slopes = [s_m, *map(near.slope, near.nodes[1:-1]), s_lo,
-                  *map(far.slope, far.nodes[1:-1])]
-        depths = stream._totals(dist, [(s, -0.5) for s in slopes])
-        n = len(near.nodes)
-        near.fit(depths[:n])
-        far.fit([depths[0], *depths[n:], 0.0])
-        self.near, self.far, self.s_m = near, far, s_m
-        # twice the gap of the surface, max Omega - Omega(1), as in the head
-        self.surface = stream.surface_slope_squared(dist, s_m) - stream._margin(dist, s_m)[0]
-        self.slopes, self.depths = map(list, zip(*sorted(zip(slopes, depths))))
-        self.heads = [stream._head(dist, s, d) for s, d in zip(self.slopes, self.depths)]
+        slopes = sorted({*near.slopes, *far.slopes[1:-1]})
+        self.margins = [stream._named(s0, s) for s in slopes]
+        self.depths = stream._totals(dist, [(m, -0.5) for m in self.margins])
+        depth = {**dict(zip(slopes, self.depths)), math.inf: 0.0}
+        for piece in near, far:
+            piece.fit([depth[s] for s in piece.slopes])
+        self.near, self.far, self.s_m, self.slopes = near, far, s_m, slopes
+        self.surface = stream._surface(dist)
+        self.heads = [stream._head(dist, m, d) for m, d in zip(self.margins, self.depths)]
 
-    def critical(self) -> tuple:
-        """``(lo, hi, start)``: the neighbours of the sample of least head,
-        between which the strictly convex ``R`` is least, and the proxy's
-        root of ``R'`` there (else that sample) to start from.
+    def _bracket(self, ends) -> tuple:
+        """The piece that holds the bracket between ``ends``, two of
+        ``(s, sigma2, f)``, and its ends ``(x, sigma2, s, f)`` in order of ``x``."""
+        p = self.near if ends[0][0] < self.s_m else self.far
+        return (p, *sorted((p.at(m), m, s, f) for s, m, f in ends))
 
-        ``R'`` has the sign of ``sigma + dd/dsigma`` in ``sigma``, and of
-        ``sigma^2 + dd/dx`` in ``x = log sigma``, since ``dd/ds = -s Phi``.
-        """
-        slopes, heads, p = self.slopes, self.heads, self.near
-        j = min(range(len(heads)), key=heads.__getitem__)
-        lo, hi = slopes[max(j - 1, 0)], slopes[j + 1]
+    def critical(self, tol_s: float) -> _Search:
+        """The search for ``s_c``, between the neighbours of the sample of
+        least head, where the strictly convex ``R`` is least, from the
+        proxy's root of ``3 R'(x) = sigma2'(x) + 2 d'(x)`` there (else from
+        that sample).  ``Phi - 1`` is positive below ``s_c``."""
+        j = min(range(len(self.heads)), key=self.heads.__getitem__)
+        i, k = max(j - 1, 0), j + 1
+        p, a, b = self._bracket([(self.slopes[i], self.margins[i], math.inf),
+                                 (self.slopes[k], self.margins[k], -math.inf)])
 
         def g(x):
-            if p.kind == "log":
-                return p.sigma2(x) + p(x, 1), 2.0 * p.sigma2(x) + p(x, 2)
-            return x + p(x, 1), 1.0 + p(x, 2)
+            _, dm, ddm = p.sigma2(x)
+            return dm + 2.0 * p(x, 1), ddm + 2.0 * p(x, 2)
 
-        start = slopes[j] if j else 0.5 * (lo + hi)
-        root = p.root(g, p.at(lo), p.at(min(hi, self.s_m)))
-        if root is not None and lo < root < hi:
+        start = p.at(self.margins[j]) if j else 0.5 * (a[0] + b[0])
+        lo, hi = max(a[0], p.lo), min(b[0], p.hi)
+        root = p.root(g, lo, hi, g(lo)[0], g(hi)[0])
+        if root is not None and a[0] < root < b[0]:
             start = root
-        return lo, hi, start
+        return _Search(p, a, b, start, tol_s)
 
-    def conjugate(self, r: float, lo: float, hi: float) -> float:
-        """The proxy's root of ``R - r`` between the samples ``lo < hi``, or
-        the middle of the two if it has none there."""
-        p = self.near if lo < self.s_m else self.far
-        if p is self.near:
-            def f(x):
-                dsigma2 = 2.0 * (p.sigma2(x) if p.kind == "log" else x)
-                return ((p.sigma2(x) + self.surface + 2.0 * p(x)) / 3.0 - r,
-                        (dsigma2 + 2.0 * p(x, 1)) / 3.0)
-        else:  # w^2 (R - r), finite at w = 0
-            def f(x):
-                gap = self.surface + 2.0 * p(x) - 3.0 * r
-                return ((self.s_m ** 2 - (x * p.s0) ** 2 + x * x * gap) / 3.0,
-                        (2.0 * x * (gap - p.s0 ** 2) + 2.0 * x * x * p(x, 1)) / 3.0)
-        a, b = sorted((p.at(lo), p.at(hi) if hi < math.inf else 0.0))
-        root = p.root(f, a, b)
-        if root is None:
-            return 0.5 * (lo + hi) if hi < math.inf else 2.0 * lo
-        return root
+    def conjugate(self, r: float, ends, falling: bool, tol_s: float, ftol: float) -> _Search:
+        """The search for the root of ``R - r`` in the first bracket of
+        ``ends`` (increasing slopes, with their margins and ``R - r``) where
+        ``R - r`` changes sign.  It starts at the lowest sample when the
+        bracket runs to ``y = inf``, as ``d`` is linear in ``y`` there; at the
+        ``w`` of ``sigma2 = 3 r - surf``, where ``d = 0``, when it runs to
+        ``w = 0``; else at the proxy's root, or the middle if it has none."""
+        k = next(k for k, (*_, f) in enumerate(ends) if (f > 0.0) != falling)
+        p, a, b = self._bracket(ends[k - 1:k + 1])
+
+        def f(x):
+            m, dm, _ = p.sigma2(x)
+            return (m + self.surface + 2.0 * p(x)) / 3.0 - r, (dm + 2.0 * p(x, 1)) / 3.0
+
+        if b[3] == math.inf:
+            start = a[0]
+        elif a[3] == math.inf:
+            start = p.at(3.0 * r - self.surface)
+        else:
+            start = p.root(f, a[0], b[0], a[3], b[3])
+            start = 0.5 * (a[0] + b[0]) if start is None else start
+        return _Search(p, a, b, start, tol_s, ftol)
 
 
 @lru_cache(maxsize=_PAIRS_CACHED)
@@ -251,30 +282,33 @@ def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
     ``d0`` is its sample at ``s0`` under "ii"/"iii").  ``s_c`` is the one
     root of ``Phi(1; s) = 1``, where the strictly convex ``R`` is least: it
     lies between the two neighbours of the sample of least exact head.  The
-    proxy's root of ``R'`` there starts Newton steps on ``Phi(1; s) - 1``,
-    with ``dPhi/ds = -3 s int_0^1 (s^2 - 2 Omega)^(-5/2)``, each from one
-    two-row request, until a step is within ``1e-13 max(1, s0)``.  ``d`` is
-    ill conditioned there (``|s d'(s) / d|`` is about 500 on ``constant
-    50``), so that last step is taken too, inside the bracket, which leaves
+    proxy's root of ``R'`` there starts Newton steps on ``Phi - 1``, with
+    ``dPhi/dx = -3/2 sigma2'(x) int_0^1 (s^2 - 2 Omega)^(-5/2)``, each from
+    one two-row request, until a step is within ``1e-13 max(1, s0)`` in
+    ``s``.  ``d`` is ill conditioned there (``|s d'(s) / d|`` is about 500 on
+    ``constant 50``), so that last step is taken too, in ``s``, which leaves
     ``s_c`` at rounding; ``(d, Phi)`` there come from one more request.  The
     last 64 records are kept, and so are the last 64 proxies.
     """
     cls = dist.classify()
     s0 = cls.s0
     proxy = _proxy(dist)
-    lo, hi, start = proxy.critical()
-    search = numerics.Newton(lo, hi, math.inf, -math.inf, start, True, 1e-13 * max(1.0, s0))
+    search = proxy.critical(1e-13 * max(1.0, s0))
 
-    def g(points):
-        numerics.tally["newton_steps"] += len(points)
-        rows = stream._totals(dist, [(s, p) for s in points for p in (-1.5, -2.5)])
-        return [(phi - 1.0, -3.0 * s * w) for s, phi, w in zip(points, rows[::2], rows[1::2])]
+    def g(open_):
+        numerics.tally["newton_steps"] += len(open_)
+        margins = [x.name()[0] for x in open_]
+        rows = stream._totals(dist, [(m, p) for m in margins for p in (-1.5, -2.5)])
+        return [(phi - 1.0, -1.5 * x.piece.sigma2(x.x)[1] * w)
+                for x, phi, w in zip(open_, rows[::2], rows[1::2])]
 
     numerics.run_newton([search], g)
-    s_c = search.root
-    if search.lo <= s_c + search.step <= search.hi:
-        s_c += search.step
-    d_c, phi = stream._totals(dist, [(s_c, -0.5), (s_c, -1.5)])
+    x = search.root
+    _, s_c = search.named[x]
+    if search.lo <= x + search.step <= search.hi:
+        s_c += search.step * search.piece.sigma2(x)[1] / (2.0 * s_c)
+    sigma2 = stream._named(s0, s_c)
+    d_c, phi = stream._totals(dist, [(sigma2, -0.5), (sigma2, -1.5)])
     d0, r0 = math.inf, None
     if cls.d0_finite:
         d0, r0 = proxy.depths[0], proxy.heads[0]
@@ -282,7 +316,7 @@ def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
         condition=cls.condition,
         s0=s0,
         s_c=s_c,
-        r_c=stream._head(dist, s_c, d_c),
+        r_c=stream._head(dist, sigma2, d_c),
         d_c=d_c,
         phi_residual=phi - 1.0,
         d0=d0,
@@ -295,17 +329,22 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     """Conjugate stream slopes and depths for the head ``r``.
 
     Each slope is the root of ``R(s) - r`` on its branch.  The samples of
-    the proxy of ``d`` bracket it: the supercritical one
-    among ``s_c`` and the samples above it (and ``s = inf``), the
-    subcritical one among the samples below ``s_c`` (from ``s0`` when
-    ``d0`` is finite, else from the guard-band edge) and ``s_c``.  The
-    proxy's root in that bracket starts Newton steps on exact values, with
-    ``R' = (2 s / 3)(1 - Phi(1; s))``, until a step is within
-    ``1e-13 max(1, s_c)`` and ``|R - r|`` within ``5e-13 max(1, |r|)``, or
-    the step is within 4 ulps of the slope.  Both branches run side by side: each round takes
-    ``(d, Phi)`` at both points from one quadrature call.  The last 64 pairs
-    are cached by ``(dist, r)``: a repeated call returns the same frozen
-    pair.  Each depth is the one integrated at its accepted slope.
+    the proxy of ``d`` bracket it: the supercritical one among ``s_c`` and
+    the samples above it (and ``s = inf``), the subcritical one among the
+    samples below ``s_c`` (and ``s0``) and ``s_c``.  From a start in that
+    bracket (:meth:`_Proxy.conjugate`), Newton steps on exact values, with
+    Halley's correction from the proxy's curvature, go on until a step is
+    within ``1e-13 max(1, s_c)`` in ``s`` (``1e-13`` of ``sigma2`` once the
+    search is exact) and ``|R - r|`` within ``5e-13 max(1, |r|)``, or the
+    step is within 4 ulps.  Both branches run side by side: each round
+    takes ``(d, Phi)`` at both points from one quadrature call (only ``d``
+    at a zero margin, where ``R'`` is ``-inf``).  The last 64 pairs are
+    cached by ``(dist, r)``: a repeated call returns the same frozen pair.
+    Each depth is ``stream.depth(dist, s)`` at its slope, bit for bit, but
+    where ``s+ - s0`` is below the resolution of ``s``: then ``d_plus`` is
+    integrated at the exact margin ``sigma2``, and ``s_plus = sqrt(s0^2 +
+    sigma2)``, rounded, names the stream only to that resolution, and
+    ``solve_stream`` refuses it inside the snap window.
 
     Parameters
     ----------
@@ -327,9 +366,8 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         If ``r`` is not finite.
     NoStreamError
         If ``r`` falls below the critical head.
-    ConvergenceError
-        Under classification "i", if the subcritical slope sits inside
-        the guard band above ``s0``.
+    DivergenceError
+        Under "i", if a subcritical Newton point's margin underflows to 0.
     """
     if not math.isfinite(r):
         raise DomainError(f"head must be finite; got r={r!r}")
@@ -343,48 +381,45 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
                              s_plus=an.s_c, d_plus=an.d_c,
                              s_minus=an.s_c, d_minus=an.d_c)
     proxy, tol, ftol = _proxy(dist), 1e-13 * max(1.0, an.s_c), 5e-13 * max(1.0, abs(r))
-    samples = list(zip(proxy.slopes, [h - r for h in proxy.heads]))
-
-    def search(pairs, falling):
-        """The Newton search in the first bracket of ``pairs`` (increasing
-        slopes) where ``R - r`` changes sign."""
-        k = next(k for k, (_, f) in enumerate(pairs) if (f > 0.0) != falling)
-        (lo, f_lo), (hi, f_hi) = pairs[k - 1], pairs[k]
-        return numerics.Newton(lo, hi, f_lo, f_hi, proxy.conjugate(r, lo, hi), falling,
-                               tol, ftol)
-
+    samples = [(s, m, h - r) for s, m, h in zip(proxy.slopes, proxy.margins, proxy.heads)]
+    crit = (an.s_c, stream._named(an.s0, an.s_c), an.r_c - r)
     # supercritical branch: R rises from r_c at s_c to inf at s = inf
-    above = [(an.s_c, an.r_c - r), *((s, f) for s, f in samples if s > an.s_c),
-             (math.inf, math.inf)]
-    searches = [search(above, False)]
+    above = [crit, *(e for e in samples if e[0] > an.s_c), (math.inf, math.inf, math.inf)]
+    searches = [proxy.conjugate(r, above, False, tol, ftol)]
     if an.r0 is None or r < an.r0 - 1e-10 * max(1.0, abs(an.r0)):
-        below = [*((s, f) for s, f in samples if s < an.s_c), (an.s_c, an.r_c - r)]
-        if below[0][1] <= 0.0:
-            raise ConvergenceError(
-                f"no sign change above s={below[0][0]!r}, the edge of the admissible "
-                f"slopes: R - r there is {below[0][1]!r}, so the root sits below the edge")
-        searches.append(search(below, True))
-    snap = an.s0 + stream._SNAP * max(1.0, an.s0)
+        # under "i", R = inf at s0, where the margin is 0
+        below = [*([(an.s0, 0.0, math.inf)] if an.r0 is None else []),
+                 *(e for e in samples if e[0] < an.s_c), crit]
+        searches.append(proxy.conjugate(r, below, True, tol, ftol))
 
-    def values(points):
-        numerics.tally["newton_steps"] += len(points)
-        # Phi is not defined where the margin is zero (s within the snap
-        # window of s0 under "ii"/"iii"); R' is -inf there
-        rows = iter(stream._totals(dist, [(s, p) for s in points
-                                          for p in ((-0.5, -1.5) if s > snap else (-0.5,))]))
+    def values(open_):
+        numerics.tally["newton_steps"] += len(open_)
+        named = [x.name() for x in open_]
+        # Phi is not defined at the zero margin, where R' is -inf
+        rows = iter(stream._totals(dist, [(m, p) for m, _ in named
+                                          for p in ((-0.5, -1.5) if m else (-0.5,))]))
         out = []
-        for s in points:
-            d, phi = next(rows), next(rows) if s > snap else math.inf
-            out.append((stream._head(dist, s, d) - r, 2.0 * s / 3.0 * (1.0 - phi)))
+        for x, (m, s) in zip(open_, named):
+            p, (_, dm, ddm) = x.piece, x.piece.sigma2(x.x)
+            d, phi = next(rows), next(rows) if m else math.inf
+            # one ulp of s moves the head by |R'(s)| ulp(s): past half the
+            # tolerance, the search goes on at exact margins
+            if not x.exact and 4.0 * s * abs(1.0 - phi) * math.ulp(s) > 3.0 * ftol:
+                x.exact, x.tol = True, 1e-13 * m / (abs(dm) or math.inf)
+            f, slope = stream._head(dist, m, d) - r, dm * (1.0 - phi) / 3.0 if m else -math.inf
+            if p.lo <= x.x <= p.hi and math.isfinite(slope):  # Halley, with R'' of the proxy
+                slope -= f * (ddm + 2.0 * p(x.x, 2)) / (6.0 * slope)
+            out.append((f, slope))
         return out
 
     numerics.run_newton(searches, values)
-    s_minus, *s_plus = [x.root for x in searches]
-    d_minus, *d_plus = stream._totals(dist, [(s, -0.5) for s in (s_minus, *s_plus)])
-    if not s_plus:
+    named = [x.named[x.root] for x in searches]
+    d_minus, *d_plus = stream._totals(dist, [(m, -0.5) for m, _ in named])
+    (_, s_minus), *plus = named
+    if not plus:
         return ConjugatePair(r=r, regime="only-supercritical",
                              s_plus=None, d_plus=None,
                              s_minus=s_minus, d_minus=d_minus)
     return ConjugatePair(r=r, regime="subcritical-pair",
-                         s_plus=s_plus[0], d_plus=d_plus[0],
+                         s_plus=plus[0][1], d_plus=d_plus[0],
                          s_minus=s_minus, d_minus=d_minus)

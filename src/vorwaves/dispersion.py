@@ -66,7 +66,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, ConvergenceError, DomainError, ResonanceError
-from .stream import StreamSolution, phi
+from .stream import StreamSolution, _totals
 from .vorticity import _horner
 
 __all__ = ["GammaSolution", "DispersionResult", "gamma_bvp", "sigma", "find_tau0"]
@@ -259,7 +259,7 @@ def _long_wave_limit(stream: StreamSolution) -> float:
     upd = stream.u_prime_d
     if stream.sigma2 == 0.0:
         return -1.0 / upd  # Phi(1; s0) diverges where the margin closes
-    return (1.0 / phi(stream.dist, stream.s, 1.0) - 1.0) / upd
+    return (1.0 / _totals(stream.dist, [(stream.sigma2, -1.5)])[0] - 1.0) / upd
 
 
 def _sigma(stream, mode: _Mode) -> float:
@@ -356,18 +356,16 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
         notes.append(no_root)
         return done()
 
-    def newton_values(ts):
-        (t,) = ts
+    def newton_value(t):
         if t > tau_max * tau_max:  # a Newton point is below the root: none on (0, tau_max]
-            return [(0.0, 1.0)]
+            return 0.0, 1.0
         mode = _solve(stream, math.sqrt(t))
         norm = np.diff(mode.elements).ravel() @ (mode.values ** 2 @ _cheb()[1][-1]) / 2.0
-        return [(_sigma(stream, mode), upd * norm)]
+        return _sigma(stream, mode), upd * norm
 
-    ((_, slope),) = newton_values([0.0])
-    t1 = -sig0 / slope
+    t1 = -sig0 / newton_value(0.0)[1]
     search = numerics.Newton(0.0, math.inf, sig0, math.inf, t1, False, 1e-14 * t1)
-    numerics.run_newton([search], newton_values)
+    numerics.run_newton([search], lambda open_: [newton_value(open_[0].x)])
     if search.root > tau_max * tau_max:
         val = _sigma(stream, _solve(stream, tau_max))
         if not val < 0.0:

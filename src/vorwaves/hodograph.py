@@ -294,8 +294,9 @@ def wheeler_identity(hfield: HodographField, s: float, window,
         raise ConfigError(f"empty window {window!r} on q in "
                           f"[{float(q[0])!r}, {float(q[-1])!r}]")
 
-    H_col, phi_vals = _stream._accumulate(dist, [(s, -0.5), (s, -1.5)], p)
-    head = _stream._head(dist, s, float(H_col[-1]))
+    sigma2 = _stream._margin(dist, s)[0]
+    H_col, phi_vals = _stream._accumulate(dist, [(sigma2, -0.5), (sigma2, -1.5)], p)
+    head = _stream._head(dist, sigma2, float(H_col[-1]))
     head_gap = abs(head - hfield.r)
     if head_gap > _HEAD_MATCH_TOL * max(1.0, abs(hfield.r)):
         warnings.warn(

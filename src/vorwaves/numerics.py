@@ -162,7 +162,8 @@ class Newton:
     bracket.  A step that would leave the bracket, or is more than half the
     step before last, bisects it instead (as ``rtsafe`` does: Press et al.,
     *Numerical Recipes*, 3rd ed., sec. 9.4); while the upper end is open
-    (``hi = inf``) steps may grow, and one below ``lo`` doubles ``x``.  The
+    (``hi = inf``) steps may grow, and one that does not pass ``lo`` goes
+    ``max(|lo|, 1)`` beyond it, at any sign of ``lo``.  The
     search ends at ``x`` when its Newton step, kept in ``step``, is within
     ``tol`` and ``|f(x)|`` within ``ftol``, or the step is within 4 ulps of
     ``x`` (where ``f`` is too steep for a closer point to exist); or, once
@@ -201,7 +202,7 @@ class Newton:
         nxt = x + step
         if self.hi == math.inf:
             if not nxt > self.lo:
-                nxt = 2.0 * x
+                nxt = self.lo + max(abs(self.lo), 1.0)
         elif not self.lo < nxt < self.hi or abs(step) > 0.5 * self._steps[0]:
             nxt = self.lo + 0.5 * (self.hi - self.lo)
         self._steps = [self._steps[1], abs(nxt - x)]
@@ -210,8 +211,8 @@ class Newton:
 
 def run_newton(searches: list, values: Callable) -> None:
     """Run the :class:`Newton` ``searches`` side by side: each round takes
-    ``(f, f')`` at every open search's point from one call of ``values``
-    on the list of those points.
+    ``(f, f')`` at every open search's point ``x`` from one call of
+    ``values`` on the list of those open searches.
 
     Raises :class:`ConvergenceError` when a search is still open after 100
     rounds.
@@ -220,7 +221,7 @@ def run_newton(searches: list, values: Callable) -> None:
         open_ = [x for x in searches if x.root is None]
         if not open_:
             return
-        for search, (fx, slope) in zip(open_, values([x.x for x in open_])):
+        for search, (fx, slope) in zip(open_, values(open_)):
             search.send(fx, slope)
     raise ConvergenceError(
         f"Newton steps did not settle in {_MAX_ROUNDS} rounds; brackets "

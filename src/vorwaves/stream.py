@@ -4,16 +4,18 @@ A stream solution with bottom slope ``s`` solves ``u'' + omega(u) = 0`` with
 ``u(0) = 0`` and ``u(d) = 1`` for the depth ``d`` determined by ``s``.  The
 first integral ``u'^2 = s^2 - 2 Omega(u)`` turns everything into quadratures
 in the normalized stream variable ``tau = u``, all computed by one cumulative
-integrator (``_accumulate``) along an increasing grid of ``p``, a row per ``(s, power)``:
+integrator (``_accumulate``) along an increasing grid of ``p``, a row per
+``(sigma2, power)``:
 
 * depth           ``d(s)   = int_0^1 (s^2 - 2 Omega)^(-1/2) dtau``
 * height profile  ``H(p;s) = int_0^p (s^2 - 2 Omega)^(-1/2) dtau``
 * tail weight     ``Phi(p;s) = int_0^p (s^2 - 2 Omega)^(-3/2) dtau``
 * slope of Phi    ``dPhi(1;s)/ds = -3 s int_0^1 (s^2 - 2 Omega)^(-5/2) dtau``
-* column totals   all of them at ``p = 1``, memoized per ``(dist, s, power)`` by ``_totals``
+* column totals   all of them at ``p = 1``, memoized per ``(dist, sigma2, power)`` by ``_totals``
 
 All integrands share the margin ``sigma2 + 2 gap(tau)`` where
-``sigma2 = s^2 - s0^2`` and ``gap = max Omega - Omega >= 0``.  At ``s = s0``
+``sigma2 = s^2 - s0^2`` and ``gap = max Omega - Omega >= 0``; a public
+function turns its slope into ``sigma2`` once (``_margin``).  At ``s = s0``
 the margin vanishes wherever Omega peaks; when the peak sits at an endpoint
 and is non-degenerate the inverse square root stays integrable, which is what
 makes the zero-margin depth d0 finite under classifications "ii"/"iii".
@@ -59,10 +61,9 @@ __all__ = [
 
 _PROFILE_NODES = 257
 
-# relative half-width of the snap window that identifies s with s0, and of
-# the guard band under classification "i" where d(s) is declared unreliable
+# relative half-width of the snap window that identifies a slope s with s0:
+# within it s names the zero margin, which only classes "ii"/"iii" allow
 _SNAP = 1e-13
-_GUARD = 1e-9
 
 # integration tolerance of :func:`shoot_stream`; a minimum of u below -10 times
 # it is a sign change
@@ -72,13 +73,16 @@ _SHOT_TOL = 1e-12
 _LAYOUTS_CACHED = 32
 
 
-def _margin(dist: VorticityDistribution, s: float):
-    """Validate ``s`` against the threshold and return ``(sigma2, cls)``.
+def _named(s0: float, s: float) -> float:
+    """The margin ``s^2 - s0^2`` that the slope ``s`` names above the snap
+    window, as a difference of squares, well conditioned just above ``s0``."""
+    return (s - s0) * (s + s0)
 
+
+def _margin(dist: VorticityDistribution, s: float):
+    """Validate ``s`` against the threshold and return ``(sigma2, cls)``;
     ``sigma2`` comes out exactly zero inside the snap window around ``s0``
-    (classification "ii"/"iii" only); the difference-of-squares form keeps
-    it well conditioned just above the threshold.
-    """
+    (classification "ii"/"iii" only)."""
     if not isfinite(s):
         raise DomainError(f"bottom slope s={s!r} is not finite")
     cls = dist.classify()
@@ -93,12 +97,7 @@ def _margin(dist: VorticityDistribution, s: float):
                 f"d(s) diverges as s -> s0 = {s0!r} under classification "
                 f"'{cls.condition}'; s={s!r} is inside the snap window")
         return 0.0, cls
-    if not cls.d0_finite and s < s0 + _GUARD * scale:
-        raise DivergenceError(
-            f"s={s!r} is within the guard band above s0={s0!r}; the depth "
-            f"integral is unreliable there under classification '{cls.condition}'")
-    sigma2 = (s - s0) * (s + s0) if s0 > 0.0 else s * s
-    return sigma2, cls
+    return _named(s0, s), cls
 
 
 def _stream_values(p) -> np.ndarray:
@@ -158,11 +157,11 @@ def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
 
 def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     """``int_0^p (sigma2 + 2 gap)^power dtau`` at every ``p`` of an increasing
-    grid, in row ``k`` for the slope and power ``requests[k] = (s, power)``.
+    grid, in row ``k`` for the margin and power ``requests[k] = (sigma2, power)``.
 
     The one quadrature path of the module: ``d``, ``H``, ``Phi`` and
     ``dPhi/ds`` all come from here, and every piece of every row goes to
-    one call of the batched rule.  The layout of the pieces does not depend on ``s``
+    one call of the batched rule.  The layout of the pieces does not depend on ``sigma2``
     and is built once per ``(dist, grid)`` by :func:`_layout`.  Each grid
     cell is cut at the interior segment starts of omega (its kinks) and
     maximizers of Omega (peaks of the integrand), and a piece with a
@@ -187,7 +186,7 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     rounded so that ``v1 = asinh(x_hi / L)`` maps back to ``x_hi`` itself:
     under a linear gap the top end holds most of the integral, and one ulp
     of ``v1`` near 40 moves it by 4e-15.  A zero margin is allowed only
-    under "ii"/"iii", at endpoint maximizers where the integrand is
+    for ``d`` and ``H`` under "ii"/"iii", at endpoint maximizers where the integrand is
     ``(2 c_1 x)^(-1/2)``, and there every piece is integrated in
     ``v = sqrt(x)`` (``dx = 2 v dv``).  A piece in ``v`` reads the gap at
     ``x`` itself, not at ``tau``.
@@ -196,9 +195,11 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     the error of each part alone, so every row is bit for bit the one a
     call with that request alone returns.
     """
-    margin = {s: _margin(dist, s)[0] for s in dict.fromkeys(s for s, _ in requests)}
-    margins = [margin[s] for s, _ in requests]
-    if any(m == 0.0 and power <= -1.0 for m, (_, power) in zip(margins, requests)):
+    margins = [sigma2 for sigma2, _ in requests]
+    at_zero = [power for sigma2, power in requests if sigma2 == 0.0]
+    if at_zero and not dist.classify().d0_finite:
+        raise DivergenceError("d diverges at the zero margin under classification 'i'")
+    if min(at_zero, default=0.0) <= -1.0:
         raise DomainError(
             f"Phi and dPhi/ds are not defined at s = s0 = {dist.classify().s0!r}: "
             f"the integrand has a non-integrable endpoint there")
@@ -251,20 +252,20 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
 # whole-column integrals kept by :func:`_totals`: a head landscape reads its
 # samples and roots here again, then builds the streams of its roots
 _TOTALS_CACHED = 512
-_total_memo: OrderedDict = OrderedDict()  # (dist, s, power) -> integral, oldest first
+_total_memo: OrderedDict = OrderedDict()  # (dist, sigma2, power) -> integral, oldest first
 
 
 def _totals(dist: VorticityDistribution, requests) -> list:
-    """``int_0^1 (sigma2 + 2 gap)^power dtau`` for each ``(s, power)`` of
+    """``int_0^1 (sigma2 + 2 gap)^power dtau`` for each ``(sigma2, power)`` of
     ``requests``: from the memo where it holds them, and else from one
     :func:`_accumulate` call for all the rest.
 
-    Each is a pure function of ``(dist, s, power)``, as the quadrature
+    Each is a pure function of ``(dist, sigma2, power)``, as the quadrature
     tolerances are fixed, and a row of ``_accumulate`` does not depend on
     the other rows of its call, so a kept integral is the one a fresh call
     would return.
     """
-    keys = [(dist, s, power) for s, power in requests]
+    keys = [(dist, sigma2, power) for sigma2, power in requests]
     todo = [key for key in dict.fromkeys(keys) if key not in _total_memo]
     if todo:
         rows = _accumulate(dist, [key[1:] for key in todo], (1.0,))
@@ -291,17 +292,17 @@ def depth(dist: VorticityDistribution, s: float) -> float:
     -------
     float
     """
-    return _totals(dist, [(s, -0.5)])[0]
+    return _totals(dist, [(_margin(dist, s)[0], -0.5)])[0]
 
 
-def _profile(dist: VorticityDistribution, s: float, power: float, p):
+def _profile(dist: VorticityDistribution, sigma2: float, power: float, p):
     """``int_0^p (sigma2 + 2 gap)^power dtau`` at each ``p`` (scalar or array),
     from one :func:`_accumulate` call on the distinct values in order."""
     arr = _stream_values(p)
     if not arr.size:
         return arr
     grid, back = np.unique(arr.ravel(), return_inverse=True)
-    out = _accumulate(dist, [(s, power)], grid)[0][back]
+    out = _accumulate(dist, [(sigma2, power)], grid)[0][back]
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -312,18 +313,22 @@ def phi(dist: VorticityDistribution, s: float, p=1.0):
     slope.  Requires ``s`` strictly above the threshold: at ``s = s0`` the
     ``-3/2`` power is not integrable.
     """
-    return _profile(dist, s, -1.5, p)
+    return _profile(dist, _margin(dist, s)[0], -1.5, p)
+
+
+def _surface(dist: VorticityDistribution) -> float:
+    """``2 (max Omega - Omega(1)) >= 0``, what ``u'(d)^2`` adds to the margin."""
+    return 2.0 * max(dist.classify().max_Omega - dist._Omega_scalar(1.0), 0.0)
 
 
 def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
     """``u'(d)^2 = s^2 - 2 Omega(1)``, exactly zero when the margin closes."""
-    sigma2, cls = _margin(dist, s)
-    return sigma2 + 2.0 * max(cls.max_Omega - dist._Omega_scalar(1.0), 0.0)
+    return _margin(dist, s)[0] + _surface(dist)
 
 
-def _head(dist: VorticityDistribution, s: float, d: float) -> float:
-    """Bernoulli head ``(u'(d)^2 + 2 d) / 3`` at slope ``s`` from its depth ``d``."""
-    return (surface_slope_squared(dist, s) + 2.0 * d) / 3.0
+def _head(dist: VorticityDistribution, sigma2: float, d: float) -> float:
+    """Bernoulli head ``(u'(d)^2 + 2 d) / 3`` at the margin ``sigma2`` from its depth ``d``."""
+    return (sigma2 + _surface(dist) + 2.0 * d) / 3.0
 
 
 class StreamSolution:
@@ -349,9 +354,9 @@ class StreamSolution:
         self.sigma2 = sigma2
         self.classification = cls
         self.s0 = cls.s0
-        self.d = depth(dist, s)
-        self.u_prime_d = sqrt(surface_slope_squared(dist, s))
-        self.r = _head(dist, s, self.d)
+        self.d = _totals(dist, [(sigma2, -0.5)])[0]
+        self.u_prime_d = sqrt(sigma2 + _surface(dist))
+        self.r = _head(dist, sigma2, self.d)
         self._inverted = (b"", None)  # the last heights given to u_at, and their u
 
     @cached_property
@@ -369,13 +374,13 @@ class StreamSolution:
         """``(p, H(p))`` at the Chebyshev-Lobatto nodes, where ``u_at`` starts."""
         p = 0.5 * (1.0 - np.cos(pi * np.arange(_PROFILE_NODES) / (_PROFILE_NODES - 1)))
         p[0], p[-1] = 0.0, 1.0
-        return p, _accumulate(self.dist, [(self.s, -0.5)], p)[0]
+        return p, _accumulate(self.dist, [(self.sigma2, -0.5)], p)[0]
 
     # -- profile evaluation ----------------------------------------------------
 
     def height_at(self, p):
         """``H(p; s)`` from the quadrature (scalar or array)."""
-        return _profile(self.dist, self.s, -0.5, p)
+        return _profile(self.dist, self.sigma2, -0.5, p)
 
     def _speed(self, p):
         """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first integral."""
@@ -427,7 +432,7 @@ class StreamSolution:
             h = np.clip(arr.ravel()[order], 0.0, self.d)
             p = np.interp(h, self._nodes[1], self._nodes[0])
             for _ in range(30):
-                resid = _accumulate(self.dist, [(self.s, -0.5)], p)[0] - h
+                resid = _accumulate(self.dist, [(self.sigma2, -0.5)], p)[0] - h
                 step = resid * self._speed(p)
                 p = np.maximum.accumulate(np.clip(p - step, 0.0, 1.0))
                 if np.abs(step).max() < 1e-13:
@@ -558,8 +563,8 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         search = numerics.Newton(lo, hi, float(f_lo), float(f_hi), 0.5 * (lo + hi), False,
                                  8.9e-16 * hi)
 
-        def surface(ts):
-            u, u_prime = sol.sol(ts[0])
+        def surface(open_):
+            u, u_prime = sol.sol(open_[0].x)
             return [(float(u) - 1.0, float(u_prime))]
 
         numerics.run_newton([search], surface)

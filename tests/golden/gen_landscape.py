@@ -43,8 +43,9 @@ mp.dps = 40
 DIGITS = 25
 
 # the six references of the benchmark and their two wave heads, and the two
-# tables on which the subcritical conjugate lies below the guard band at the
-# second head (ROADMAP item 1); the first head of each is one it can reach
+# tables whose subcritical conjugate at the second head lies within 5e-10 of
+# s0, below the package's lowest proxy sample; the first head of each lies
+# 3e-3 and 1e-3 above s0
 CASES = {
     "constant 0": ("1.05", "1.1"),
     "constant 2": ("0.6032", "0.6065"),

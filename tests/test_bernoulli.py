@@ -7,8 +7,7 @@ from hypothesis import strategies as st_
 
 from vorwaves import bernoulli, numerics, stream
 from vorwaves.bounds import check_bounds
-from vorwaves.errors import (AmbiguousClassificationError, ConvergenceError, DomainError,
-                             NoStreamError)
+from vorwaves.errors import AmbiguousClassificationError, DomainError, NoStreamError
 from vorwaves.bernoulli import analyze, conjugates
 from vorwaves.vorticity import VorticityDistribution as V
 
@@ -234,14 +233,15 @@ def test_searches_integrate_each_slope_once(spec, monkeypatch, fresh_caches):
 
 
 @pytest.mark.parametrize("spec, calls", [
-    ("poly 1.777 0.051 -2.537", 16),
+    ("poly 1.777 0.051 -2.537", 13),
     ("table 0:1 0.5:-1 1:2", 12),
 ])
 def test_head_landscape_quadrature_calls_are_pinned(spec, calls, fresh_caches):
     # analyze, then conjugates at four heads, from empty caches: one call
     # samples the proxy of d, and each Newton round of analyze (5 and 4
     # calls in all) and of the two branches of a head together is one more
-    # (48 and 51 with the walks and Brent searches), whatever the machine's speed
+    # (48 and 51 with the walks and Brent searches; 16 and 12 with Newton
+    # steps in s), whatever the machine's speed
     numerics.tally.clear()
     dist = V.parse(spec)
     an = analyze(dist)
@@ -311,6 +311,33 @@ def test_repeated_conjugates_share_the_pair():
     assert (rep.d_plus, rep.d_minus) == (pair.d_plus, pair.d_minus)
 
 
+@pytest.mark.parametrize("b", [2.0, -2.0])
+@pytest.mark.parametrize("r", [1e100, 1e300])
+def test_huge_heads_meet_the_constant_vorticity_closed_form(b, r):
+    # the supercritical search starts where d = 0, at s = sqrt(3 r + 2
+    # Omega(1)); a walk in s beyond the last sample took 20-22 exact values
+    # at r = 1e40 and did not settle in 100 rounds at 1e100
+    pair = conjugates(V.constant(b), r)
+    s = pair.s_minus
+    # d = (s - sqrt(s^2 - 2 b)) / b, without cancellation, and R(s) = r
+    d = 2.0 / (s + math.sqrt(s * s - 2.0 * b))
+    assert abs(pair.d_minus - d) <= 1e-14 * d
+    assert abs((s * s - b + 2.0 * d) / 3.0 - r) <= 1e-15 * r
+    assert pair.regime == "only-supercritical"
+
+
+def test_open_bracket_closed_form():
+    # omega = 0: s0 = 0 and d = 1/s, so s+ is the small root of s^3 - 3 r s
+    # + 2 = 0, about 6.7e-10 at r = 1e9, below the proxy's lowest sample
+    # (2e-9): the search runs in the open bracket beyond it
+    r = 1e9
+    s = 2.0 / (3.0 * r)
+    s = 2.0 / (3.0 * r - s * s)
+    pair = conjugates(V.constant(0.0), r)
+    assert abs(pair.s_plus - s) <= 1e-14 * s
+    assert abs(pair.d_plus - 1.0 / s) <= 1e-14 / s
+
+
 @pytest.mark.parametrize("r", [math.nan, math.inf])
 def test_conjugates_refuse_a_non_finite_head(w_two, r):
     # without the check a non-finite head ends in a misleading failure
@@ -363,7 +390,7 @@ def test_critical_slope_minimizes_the_head(spec):
     dist, cls = _classified(spec)
     crit = analyze(dist)
     for s in (crit.s_c * (1.0 - 1e-3), crit.s_c * (1.0 + 1e-3)):
-        if s > bernoulli._guard_edge(cls.s0):
+        if s > bernoulli._proxy(dist).slopes[0]:
             assert crit.r_c <= head(dist, s)
 
 
@@ -373,11 +400,11 @@ def test_critical_slope_minimizes_the_head(spec):
 def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
     # the head of a slope between s0 and s_c lies between r_c and r0; the
     # example (class "i", Omega flat on [0.35, 1]) is one where evaluating
-    # the head at the guard-band edge hits QUADPACK round-off
+    # the head at the proxy's lowest sample hit QUADPACK round-off
     dist, cls = _classified(spec)
     crit = analyze(dist)
     s = cls.s0 + frac * (crit.s_c - cls.s0)
-    assume(s > bernoulli._guard_edge(cls.s0))
+    assume(s > bernoulli._proxy(dist).slopes[0])
     r = head(dist, s)
     pair = conjugates(dist, r)
     assert pair.regime == "subcritical-pair"
@@ -390,25 +417,29 @@ def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
 @given(spec=dist_specs, frac=st_.floats(0.01, 0.99))
 def test_conjugates_meet_the_head_or_refuse(spec, frac):
     # heads from r_c up to r0, or up to 12 r_c under class "i", where the
-    # subcritical root may lie below the guard-band edge: then conjugates
-    # must refuse, never return a slope whose head misses r
+    # subcritical root may lie below the proxy's lowest sample: conjugates
+    # answers there too, and never returns a slope whose head misses r
     dist, cls = _classified(spec)
     an = analyze(dist)
     r = an.r_c + frac * ((an.r0 if an.r0 is not None else 12.0 * an.r_c) - an.r_c)
     assume(r - an.r_c > 1e-9 * max(1.0, abs(an.r_c)))
-    if an.r0 is None:
-        edge = head(dist, bernoulli._guard_edge(cls.s0))
-        assume(abs(r - edge) > 1e-9 * max(1.0, abs(r)))
-        if r > edge:
-            with pytest.raises(ConvergenceError, match="below the edge"):
-                conjugates(dist, r)
-            return
     pair = conjugates(dist, r)
     assert pair.regime == "subcritical-pair"
     assert pair.s_plus < an.s_c < pair.s_minus
     for s, d in ((pair.s_plus, pair.d_plus), (pair.s_minus, pair.d_minus)):
-        assert d == stream.depth(dist, s)
-        # a slope is a float: within 4 ulps of it, the head moves by up to
-        # 4 ulp(s) |R'(s)|, which near the guard band exceeds 1e-12 r
-        steep = 4.0 * math.ulp(s) * abs(2.0 * s / 3.0 * (1.0 - stream.phi(dist, s)))
+        window = stream._SNAP * max(1.0, cls.s0)
+        if s - cls.s0 <= window:
+            # s names no stream inside the snap window of s0; there sigma2
+            # is below 2 s window, and the head is (surface + 2 d) / 3 to
+            # within a third of that
+            surface = 2.0 * (cls.max_Omega - dist._Omega_scalar(1.0))
+            assert abs((surface + 2.0 * d) / 3.0 - r) <= 1e-12 * max(1.0, abs(r)) + s * window
+            continue
+        # a slope is a float: where one ulp of it moves the head past its
+        # tolerance, d is integrated at the exact margin, which the slope
+        # names to within that ulp, and d'(s) = -s Phi(1; s)
+        phi = stream.phi(dist, s)
+        assert abs(d - stream.depth(dist, s)) <= 4.0 * math.ulp(s) * s * phi
+        # and within 4 ulps of it, the head moves by up to 4 ulp(s) |R'(s)|
+        steep = 4.0 * math.ulp(s) * abs(2.0 * s / 3.0 * (1.0 - phi))
         assert abs(head(dist, s) - r) <= 1e-12 * max(1.0, abs(r)) + steep

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from vorwaves.bernoulli import analyze, conjugates
-from vorwaves.errors import ConvergenceError
 from vorwaves.vorticity import VorticityDistribution as V
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "landscape.json")
@@ -26,13 +25,6 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "landscape.json")
 # (the first table at r = 1.3, where s+ - s0 = 3.2e-3 and d is steep in s)
 RTOL = {"s0": 3e-15, "s_c": 3e-15, "r_c": 3e-15, "d_c": 3e-15, "d0": 3e-15, "r0": 3e-15,
         "s_plus": 8e-13, "s_minus": 8e-13, "d_plus": 4e-12, "d_minus": 1e-12}
-
-# ROADMAP item 1: the subcritical conjugate lies below the guard band above
-# s0 (s+ - s0 is 3.2e-11 and 4.7e-10), so conjugates refuses the head
-BELOW_GUARD = {
-    ("table 0.0:-2.208 0.238:0.852 0.774:1.967 0.781:-2.388 1.0:-2.914", "1.8"),
-    ("table 0.0:0.625 0.867:1.483 0.877:-2.532 0.878:-2.024 1.0:0.215", "1.6"),
-}
 
 
 def _close(name, got, want):
@@ -55,12 +47,7 @@ def test_landscape_matches_golden(spec):
 def _head_cases():
     for spec, want in GOLDEN.items():
         for head in want["heads"]:
-            marks = ()
-            if (spec, head["r"]) in BELOW_GUARD:
-                marks = pytest.mark.xfail(
-                    raises=ConvergenceError, strict=True,
-                    reason="ROADMAP item 1: subcritical root below the guard band")
-            yield pytest.param(spec, head, marks=marks, id=f"{spec}-r={head['r']}")
+            yield pytest.param(spec, head, id=f"{spec}-r={head['r']}")
 
 
 @pytest.mark.parametrize("spec, head", _head_cases())

@@ -89,7 +89,7 @@ def _newton(f, lo, hi, tol):
     Newton search started a third of the way in."""
     f_lo, f_hi = f(lo)[0], f(hi)[0]
     search = numerics.Newton(lo, hi, f_lo, f_hi, lo + (hi - lo) / 3.0, f_lo > 0.0, tol)
-    numerics.run_newton([search], lambda xs: [f(xs[0])])
+    numerics.run_newton([search], lambda open_: [f(open_[0].x)])
     return search.root
 
 
@@ -156,7 +156,7 @@ def test_integrate_rows_do_not_depend_on_their_company(pieces, k):
 def test_find_root_endpoint_hit():
     # a bracket end where f is exactly 0 is the root, with no value taken
     search = numerics.Newton(0.0, 1.0, 0.0, 1.0, 0.5, False, 1e-13)
-    numerics.run_newton([search], lambda xs: pytest.fail("a value was taken"))
+    numerics.run_newton([search], lambda open_: pytest.fail("a value was taken"))
     assert search.root == 0.0
 
 

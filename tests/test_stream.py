@@ -89,7 +89,7 @@ def test_phi_decreasing_in_s(w_two):
 
 def test_phi_cumulative_matches_pointwise(w_two):
     grid = np.linspace(0.0, 1.0, 17)
-    cum = stream._accumulate(w_two, [(3.0, -1.5)], grid)[0]
+    cum = stream._accumulate(w_two, [(stream._margin(w_two, 3.0)[0], -1.5)], grid)[0]
     want = [phi(w_two, 3.0, p) for p in grid]
     np.testing.assert_allclose(cum, want, rtol=1e-10, atol=1e-14)
 
@@ -97,7 +97,8 @@ def test_phi_cumulative_matches_pointwise(w_two):
 def test_phi_of_a_scalar_is_the_one_column_integral(w_two):
     value = phi(w_two, 2.1, 0.5)
     assert type(value) is float
-    assert value == stream._accumulate(w_two, [(2.1, -1.5)], (0.5,))[0, 0]
+    assert value == stream._accumulate(w_two, [(stream._margin(w_two, 2.1)[0], -1.5)],
+                                       (0.5,))[0, 0]
 
 
 def test_phi_takes_arrays(w_two):
@@ -220,7 +221,7 @@ def test_height_at_is_the_quadrature(w_tilted):
     p = np.array([[0.9, 0.1, 1.0], [0.0, 0.5, 0.1]])
     order = np.argsort(p, axis=None)
     want = np.empty(p.size)
-    want[order] = stream._accumulate(w_tilted, [(0.3, -0.5)], p.ravel()[order])[0]
+    want[order] = stream._accumulate(w_tilted, [(st.sigma2, -0.5)], p.ravel()[order])[0]
     assert np.array_equal(st.height_at(p), want.reshape(p.shape))
     assert st.height_at(1.0) == st.d and st.height_at(0.0) == 0.0
     assert st.height_at(np.empty(0)).shape == (0,)
@@ -405,13 +406,13 @@ def test_depth_matches_stream_solution(spec, lift):
 @given(spec=dist_specs, lift=st_.floats(-4.0, -1.0))
 def test_depth_decreases_in_s(spec, lift):
     # d'(s) = -s Phi(1; s) < 0, at three slopes a decade apart above the
-    # least slope the head searches probe
+    # proxy's lowest sample
     dist = V.parse(spec)
     try:
         s0 = dist.classify().s0
     except AmbiguousClassificationError:
         return
-    edge = bernoulli._guard_edge(s0)
+    edge = bernoulli._proxy(dist).slopes[0]
     d = [depth(dist, edge + max(1.0, s0) * 10.0 ** (lift + k)) for k in range(3)]
     assert d[0] > d[1] > d[2]
 
@@ -542,8 +543,9 @@ def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, powers, grid)
         grid = tuple(0.5 - 0.5 * np.cos(np.pi * np.arange(1, 257) / 256))
     else:
         grid = tuple(sorted(g / 1000 for g in grid)) + (1.0,)
+    margins = [stream._margin(dist, s)[0] for s in slopes]
     for rows in ([-0.5] * 3, [-1.5] * 3, powers):
-        requests = list(zip(slopes, rows))
+        requests = list(zip(margins, rows))
         together = stream._accumulate(dist, requests, grid)
         for request, row in zip(requests, together):
             assert np.array_equal(row, stream._accumulate(dist, [request], grid)[0])
@@ -551,16 +553,16 @@ def test_a_slope_integrates_alike_alone_or_in_company(spec, lifts, powers, grid)
     assert stream._totals(dist, requests) == alone
 
 
-def _oracle(spec):
-    """``gen_landscape.Spec`` of ``spec``: 40-digit tanh-sinh quadrature that
-    shares no code with the package; the module sets mpmath's global
+def _oracle(spec, dps=40):
+    """``gen_landscape.Spec`` of ``spec``: ``dps``-digit tanh-sinh quadrature
+    that shares no code with the package; the module sets mpmath's global
     precision on import, which is put back."""
     mp = pytest.importorskip("mpmath").mp
-    dps = mp.dps
+    saved = mp.dps
     from golden.gen_landscape import Spec
 
-    mp.dps = dps
-    with mp.workdps(40):
+    mp.dps = saved
+    with mp.workdps(dps):
         return Spec(spec)
 
 
@@ -594,15 +596,37 @@ def test_column_integrals_match_40_digit_quadrature(spec, power, u):
         assert oracle.condition == cls.condition
         delta = mp.sqrt(oracle.s0 ** 2 + mp.mpf(sigma2)) - oracle.s0
         want = float(oracle.integral(delta, mp.mpf(power)))
-    got = stream._accumulate(dist, [(s, power)], (1.0,))[0, 0]
+    got = stream._accumulate(dist, [(sigma2, power)], (1.0,))[0, 0]
     assert abs(got - want) <= 4e-15 * want
+
+
+def test_depth_at_tiny_margins_follows_the_log_asymptote():
+    # below the layer of its interior maximizer m, d = A log sigma2 + B +
+    # O(sigma2 log sigma2), with A = -1/sqrt(|omega'(m)|) = -0.04009 here;
+    # B from the golden generator's quadrature at sigma2 = 1e-30, at 60
+    # digits: the maximum of Omega and the gap near m must hold many more
+    # digits than the margin.  No float slope names these margins: s - s0
+    # would be 4e-21 and 4e-31
+    spec = "table 0.0:-2.208 0.238:0.852 0.774:1.967 0.781:-2.388 1.0:-2.914"
+    oracle = _oracle(spec, 60)
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(60):
+        a = -1 / mp.sqrt((mp.mpf(1.967) + mp.mpf(2.388)) / (mp.mpf(0.781) - mp.mpf(0.774)))
+        s2 = mp.mpf("1e-30")
+        b = oracle.integral(s2 / (oracle.s0 + mp.sqrt(oracle.s0 ** 2 + s2)), mp.mpf(-0.5))
+        b -= a * mp.log(s2)
+        want = [float(a * mp.log(sigma2) + b) for sigma2 in (1e-20, 1e-30)]
+    got = stream._totals(V.parse(spec), [(1e-20, -0.5), (1e-30, -0.5)])
+    assert abs(float(a) + 0.04009) < 1e-5
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 4e-15 * w
 
 
 def test_an_empty_profile_is_of_floats(w_two):
     # no piece lies below p = 0, and an empty bincount is of integers
     st = solve_stream(w_two, 3.0)
     for got in (st.height_at([0.0]), phi(w_two, 3.0, [0.0]),
-                stream._accumulate(w_two, [(3.0, -0.5)], (0.0,))):
+                stream._accumulate(w_two, [(st.sigma2, -0.5)], (0.0,))):
         assert got.dtype == np.float64 and not got.any()
 
 
@@ -624,7 +648,7 @@ def test_pieces_narrower_than_any_normal_number(spec, s, h):
 
 def test_conjugates_near_interior_peak():
     # class "i" with the Omega peak at 0.847: the subcritical search starts
-    # at the guard-band edge, where the uncut depth integral hit round-off
+    # at the proxy's lowest sample, where the uncut depth integral hit round-off
     dist = V.parse("poly 1.777 0.051 -2.537")
     r = 1.1 * bernoulli.analyze(dist).r_c
     pair = bernoulli.conjugates(dist, r)
@@ -651,14 +675,15 @@ def test_depth_through_the_threshold_layer(s):
         assert abs(solve_stream(dist, s).d - want) <= 1e-12 * want
 
 
-def test_stream_at_the_guard_band_edge():
-    # class "i" with the Omega peak at 0.847, 2e-9 s0 above the threshold:
-    # the direct gap max Omega - Omega lost about seven digits there, and
-    # QUADPACK gave up on the piece that ends at the peak.  Both paths must
-    # return the 30-digit integral at the same margin sigma2.
+def test_stream_at_the_lowest_proxy_sample():
+    # class "i" with the Omega peak at 0.847, at the proxy's lowest sample,
+    # 2e-9 s0 above the threshold: the direct gap max Omega - Omega lost
+    # about seven digits there, and QUADPACK gave up on the piece that ends
+    # at the peak.  Both paths must return the 30-digit integral at the
+    # same margin sigma2.
     mp = pytest.importorskip("mpmath")
     dist = V.parse("poly 1.777 0.051 -2.537")
-    s = dist.classify().s0 * (1.0 + 2e-9)
+    s = bernoulli._proxy(dist).slopes[0]
     sigma2 = stream._margin(dist, s)[0]
     with mp.workdps(30):
         c = [mp.mpf(x) for x in dist._coeffs]

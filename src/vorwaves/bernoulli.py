@@ -407,8 +407,11 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
             if not x.exact and 4.0 * s * abs(1.0 - phi) * math.ulp(s) > 3.0 * ftol:
                 x.exact, x.tol = True, 1e-13 * m / (abs(dm) or math.inf)
             f, slope = stream._head(dist, m, d) - r, dm * (1.0 - phi) / 3.0 if m else -math.inf
-            if p.lo <= x.x <= p.hi and math.isfinite(slope):  # Halley, with R'' of the proxy
-                slope -= f * (ddm + 2.0 * p(x.x, 2)) / (6.0 * slope)
+            # Halley's step with R'' of the proxy, Newton's over 1 - c: at most
+            # halved (near s_c, where R' -> 0, it stalls), skipped as c -> 1
+            c = f * (ddm + 2.0 * p(x.x, 2)) / (6.0 * slope * slope) if slope else math.inf
+            if p.lo <= x.x <= p.hi and c < 0.5:
+                slope *= 1.0 - max(c, -1.0)
             out.append((f, slope))
         return out
 

@@ -159,11 +159,12 @@ class Newton:
     Its caller takes ``f`` and ``f'`` at ``x`` and passes them to :meth:`send`
     (:func:`run_newton` does so); ``falling`` says that ``f`` is positive
     below the root and negative above it, so every value narrows the
-    bracket.  A step that would leave the bracket, or is more than half the
-    step before last, bisects it instead (as ``rtsafe`` does: Press et al.,
-    *Numerical Recipes*, 3rd ed., sec. 9.4); while the upper end is open
-    (``hi = inf``) steps may grow, and one that does not pass ``lo`` goes
-    ``max(|lo|, 1)`` beyond it, at any sign of ``lo``.  The
+    bracket.  A step that would leave the bracket (at ``f' = 0``, an
+    infinite one), or is more than half the step before last, bisects it
+    instead (as ``rtsafe`` does: Press et al., *Numerical Recipes*, 3rd ed.,
+    sec. 9.4); while the upper end is open (``hi = inf``) steps may grow, and
+    one that does not land in ``(lo, inf)`` goes ``max(|lo|, 1)`` beyond
+    ``lo``, at any sign of ``lo``.  The
     search ends at ``x`` when its Newton step, kept in ``step``, is within
     ``tol`` and ``|f(x)|`` within ``ftol``, or the step is within 4 ulps of
     ``x`` (where ``f`` is too steep for a closer point to exist); or, once
@@ -192,7 +193,7 @@ class Newton:
             self.lo, self.f_lo = x, fx
         else:
             self.hi, self.f_hi = x, fx
-        step = -fx / slope if fx else 0.0
+        step = -fx / slope if fx and slope else math.inf if fx else 0.0
         if abs(step) <= self.tol and abs(fx) <= self.ftol or abs(step) <= 4.0 * math.ulp(x):
             self.root, self.step = x, step
             return
@@ -201,7 +202,7 @@ class Newton:
             return
         nxt = x + step
         if self.hi == math.inf:
-            if not nxt > self.lo:
+            if not self.lo < nxt < math.inf:
                 nxt = self.lo + max(abs(self.lo), 1.0)
         elif not self.lo < nxt < self.hi or abs(step) > 0.5 * self._steps[0]:
             nxt = self.lo + 0.5 * (self.hi - self.lo)

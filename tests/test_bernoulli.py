@@ -415,10 +415,14 @@ def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(spec=dist_specs, frac=st_.floats(0.01, 0.99))
+@example(spec="table 0.0:2.773 0.055:-2.204 0.469:-2.98 0.932:-0.714 1.0:-0.944", frac=2e-10)
+@example(spec="table 0.0:0.134 0.431:-2.204 0.741:-2.926 1.0:1.537", frac=2e-10)
 def test_conjugates_meet_the_head_or_refuse(spec, frac):
     # heads from r_c up to r0, or up to 12 r_c under class "i", where the
     # subcritical root may lie below the proxy's lowest sample: conjugates
-    # answers there too, and never returns a slope whose head misses r
+    # answers there too, and never returns a slope whose head misses r.
+    # The examples put r 2.2e-9 r_c above r_c, where R' -> 0 near s_c: a
+    # Halley step there shrank to nothing, and R' = 0 divided by zero
     dist, cls = _classified(spec)
     an = analyze(dist)
     r = an.r_c + frac * ((an.r0 if an.r0 is not None else 12.0 * an.r_c) - an.r_c)

@@ -363,14 +363,14 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     Raises
     ------
     DomainError
-        If ``r`` is not finite.
+        If ``3 r``, about ``s-^2``, is not finite.
     NoStreamError
         If ``r`` falls below the critical head.
     DivergenceError
         Under "i", if a subcritical Newton point's margin underflows to 0.
     """
-    if not math.isfinite(r):
-        raise DomainError(f"head must be finite; got r={r!r}")
+    if not math.isfinite(3.0 * r):
+        raise DomainError(f"head must be finite, and 3 r too; got r={r!r}")
     an = analyze(dist)
     if r < an.r_c - 1e-10 * max(1.0, abs(an.r_c)):
         raise NoStreamError(

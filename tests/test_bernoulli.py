@@ -338,9 +338,11 @@ def test_open_bracket_closed_form():
     assert abs(pair.d_plus - 1.0 / s) <= 1e-14 / s
 
 
-@pytest.mark.parametrize("r", [math.nan, math.inf])
+@pytest.mark.parametrize("r", [math.nan, math.inf, 1e308])
 def test_conjugates_refuse_a_non_finite_head(w_two, r):
-    # without the check a non-finite head ends in a misleading failure
+    # without the check a non-finite head ends in a misleading failure; at
+    # r = 1e308, 3 r (about s-^2) overflows, and the start of the
+    # supercritical search divided by zero
     size = conjugates.cache_info().currsize
     with pytest.raises(DomainError, match="finite"):
         conjugates(w_two, r)

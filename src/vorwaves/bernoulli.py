@@ -248,9 +248,10 @@ class _Proxy:
         """The search for the root of ``R - r`` in the first bracket of
         ``ends`` (increasing slopes, with their margins and ``R - r``) where
         ``R - r`` changes sign.  It starts at the lowest sample when the
-        bracket runs to ``y = inf``, as ``d`` is linear in ``y`` there; at the
-        ``w`` of ``sigma2 = 3 r - surf``, where ``d = 0``, when it runs to
-        ``w = 0``; else at the proxy's root, or the middle if it has none."""
+        bracket runs to ``y = inf``, where a ``d`` like ``-log sigma`` is
+        linear in ``y``; at the ``w`` of ``sigma2 = 3 r - surf``, where ``d =
+        0``, when it runs to ``w = 0``; else at the proxy's root, or the
+        middle if it has none."""
         k = next(k for k, (*_, f) in enumerate(ends) if (f > 0.0) != falling)
         p, a, b = self._bracket(ends[k - 1:k + 1])
 

@@ -152,30 +152,34 @@ def _execute(name: str, config_path: str, out_dir, worker) -> None:
 # -- shared pieces ----------------------------------------------------------
 
 
-def _stream_for(cfg: RunConfig, dist) -> stream.StreamSolution:
-    """The stream named by the config: ``s`` directly, else the
-    subcritical branch at head ``r``."""
-    s = cfg.get_float("s")
-    if s is not None:
-        return stream.solve_stream(dist, s)
-    r = cfg.get_float("r")
+def _conjugate_pair(cfg: RunConfig, dist, instead: str) -> bernoulli.ConjugatePair:
+    """The conjugate pair at the head ``r``, which must have both branches;
+    ``instead`` names what a run file may give in place of ``r``."""
+    r = cfg.get("r")
     if r is None:
-        raise ConfigError("missing required parameter: give 's' or 'r'")
+        raise ConfigError(f"missing required parameter: give 'r' or {instead}")
     pair = bernoulli.conjugates(dist, r)
     if pair.s_plus is None:
         raise NoStreamError(
             f"no subcritical stream at r={r!r} (regime {pair.regime!r}); "
-            f"pass 's' explicitly to use another branch")
-    return stream.solve_stream(dist, pair.s_plus)
+            f"give {instead} to use another branch")
+    return pair
+
+
+def _stream_for(cfg: RunConfig, dist) -> stream.StreamSolution:
+    """The stream named by the config: ``s`` directly, else the
+    subcritical branch at head ``r``."""
+    s = cfg.get("s")
+    if s is None:
+        s = _conjugate_pair(cfg, dist, "'s'").s_plus
+    return stream.solve_stream(dist, s)
 
 
 def _built_wave(cfg: RunConfig, dist):
     st = _stream_for(cfg, dist)
-    disp = dispersion.find_tau0(st, tau_max=cfg.get_float("tau_max", 50.0))
-    t = cfg.require_float("t")
-    wf = linearwave.build_wave(st, disp, t,
-                               n_x=cfg.get_int("n_x", 129),
-                               n_y=cfg.get_int("n_y", 129))
+    disp = dispersion.find_tau0(st, **cfg.given(tau_max=float))
+    t = cfg.require("t")
+    wf = linearwave.build_wave(st, disp, t, **cfg.given(n_x=int, n_y=int))
     return st, disp, wf
 
 
@@ -230,10 +234,10 @@ def cmd_analyze(cfg, out):
 def cmd_stream(cfg, out):
     """Stream profile for a given bottom slope s (profile.csv)."""
     dist = cfg.distribution()
-    n_p = cfg.get_int("n_p", 257)
+    n_p = cfg.get("n_p", int, 257)
     if n_p < 2:
         raise ConfigError(f"n_p={n_p} too coarse: the profile needs both ends")
-    st = stream.solve_stream(dist, cfg.require_float("s"))
+    st = stream.solve_stream(dist, cfg.require("s"))
     p = np.linspace(0.0, 1.0, n_p)
     heights = st.height_at(p)
     speed = 1.0 / st.slope_at(p)
@@ -253,7 +257,7 @@ def cmd_stream(cfg, out):
 @_command("conjugates")
 def cmd_conjugates(cfg, out):
     """Conjugate slopes and depths for a given head r."""
-    pair = bernoulli.conjugates(cfg.distribution(), cfg.require_float("r"))
+    pair = bernoulli.conjugates(cfg.distribution(), cfg.require("r"))
     return dataclasses.asdict(pair), []
 
 
@@ -262,7 +266,7 @@ def cmd_dispersion(cfg, out):
     """Least dispersion root for the stream at s (or the head r)."""
     dist = cfg.distribution()
     st = _stream_for(cfg, dist)
-    disp = dispersion.find_tau0(st, tau_max=cfg.get_float("tau_max", 50.0))
+    disp = dispersion.find_tau0(st, **cfg.given(tau_max=float))
     results = {
         "s": st.s,
         "d": st.d,
@@ -308,9 +312,9 @@ def cmd_wave(cfg, out):
 def cmd_check_bounds(cfg, out):
     """Depth-bound verdicts for a surface (given or freshly built)."""
     dist = cfg.distribution()
-    r = cfg.require_float("r")
+    r = cfg.require("r")
     files = []
-    surface_path = cfg.get_str("surface")
+    surface_path = cfg.get("surface", str)
     if surface_path is not None:
         eta = _surface_from_csv(surface_path)
         source = {"surface": surface_path}
@@ -351,24 +355,14 @@ def cmd_wheeler(cfg, out):
     the pair directly.
     """
     dist = cfg.distribution()
-    s_strip = cfg.get_float("s")
-    s_ref = cfg.get_float("s_ref")
+    s_strip = cfg.get("s")
+    s_ref = cfg.get("s_ref")
     if s_strip is None or s_ref is None:
-        r = cfg.get_float("r")
-        if r is None:
-            raise ConfigError(
-                "missing required parameter: give 'r' or both 's' and "
-                "'s_ref'")
-        pair = bernoulli.conjugates(dist, r)
-        if pair.s_plus is None:
-            raise NoStreamError(
-                f"no conjugate pair at r={r!r} (regime {pair.regime!r})")
+        pair = _conjugate_pair(cfg, dist, "both 's' and 's_ref'")
         s_strip = pair.s_minus if s_strip is None else s_strip
         s_ref = pair.s_plus if s_ref is None else s_ref
     hf = hodograph.to_strip(stream.solve_stream(dist, s_strip),
-                            n_p=cfg.get_int("n_p", 257),
-                            n_q=cfg.get_int("n_q", 9),
-                            q_span=cfg.get_float("q_span", 1.0))
+                            **cfg.given(n_p=int, n_q=int, q_span=float))
     rep = hodograph.wheeler_identity(hf, s_ref, cfg.window(), dist)
     resid = hodograph.bernoulli_residual(hf)
     files = [_write_csv(out, "residuals.csv", ["q", "surface_residual"],
@@ -381,11 +375,11 @@ def cmd_wheeler(cfg, out):
 @_command("scale")
 def cmd_scale(cfg, out):
     """Convert a number between dimensional and scaled units."""
-    Q = cfg.require_float("Q")
-    g = cfg.require_float("g")
-    quantity = cfg.require_str("quantity")
-    value = cfg.require_float("value")
-    direction = cfg.get_str("direction", "to-nondimensional")
+    Q = cfg.require("Q")
+    g = cfg.require("g")
+    quantity = cfg.require("quantity", str)
+    value = cfg.require("value")
+    direction = cfg.get("direction", str, "to-nondimensional")
     if direction not in ("to-nondimensional", "to-dimensional"):
         raise ConfigError(
             f"unknown direction {direction!r}; expected to-nondimensional "
@@ -400,8 +394,8 @@ def cmd_scale(cfg, out):
         "direction": direction,
         "input": value,
         "output": converted,
-        "length_scale": (Q * Q / g) ** _LENGTH_EXP,
-        "velocity_scale": (Q * g) ** _LENGTH_EXP,
+        "length_scale": scale_to_nondimensional(Q, g, "length", 1.0, inverse=True),
+        "velocity_scale": scale_to_nondimensional(Q, g, "velocity", 1.0, inverse=True),
     }
     return results, []
 

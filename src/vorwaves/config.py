@@ -15,10 +15,14 @@ form, and whatever parameters the command needs:
     [parameters]
     r = 1.1
 
-Unknown keys are ignored (forward compatibility); missing or unparseable
-required keys raise :class:`~vorwaves.errors.ConfigError` naming the key.
-A ``[numerics]`` section raises it too: the tolerances are fixed, and a
-file that still sets one must not be silently ignored.
+The CLI names the subcommand it runs, and a ``[run] command``, if
+given, must name that subcommand.  Unknown keys are ignored (forward
+compatibility); missing or unparseable required keys raise
+:class:`~vorwaves.errors.ConfigError` naming the key.  A ``[numerics]``
+section raises it too: the tolerances are fixed, and a file that still
+sets one must not be silently ignored.  An optional parameter a run
+file leaves out takes the default of the library function it is passed
+to (:meth:`RunConfig.given`), so each default has one home.
 """
 
 from __future__ import annotations
@@ -31,10 +35,7 @@ from typing import Dict, Optional, Tuple
 from .errors import ConfigError
 from .vorticity import VorticityDistribution
 
-__all__ = ["COMMANDS", "RunConfig"]
-
-COMMANDS = ("analyze", "stream", "conjugates", "dispersion", "wave",
-            "check-bounds", "wheeler", "scale")
+__all__ = ["RunConfig"]
 
 
 @dataclass
@@ -47,9 +48,9 @@ class RunConfig:
     params: Dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def load(cls, path: str, command: Optional[str] = None) -> "RunConfig":
-        """Read ``path``; ``command`` (from the CLI) must agree with any
-        command stated in the file."""
+    def load(cls, path: str, command: str) -> "RunConfig":
+        """Read ``path`` for the invoked ``command``, which any command
+        stated in the file must name."""
         parser = configparser.ConfigParser()
         parser.optionxform = str  # keys are case-sensitive (Q vs q)
         try:
@@ -60,20 +61,10 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config {path!r}: {exc}") from exc
 
-        stated = parser.get("run", "command", fallback=None)
-        if stated is not None:
-            stated = stated.strip()
-            if stated not in COMMANDS:
-                raise ConfigError(
-                    f"unknown command {stated!r} in [run]; expected one of "
-                    f"{', '.join(COMMANDS)}")
-        if command is not None and stated is not None and command != stated:
+        stated = parser.get("run", "command", fallback=command).strip()
+        if stated != command:
             raise ConfigError(
                 f"config names command {stated!r} but {command!r} was invoked")
-        resolved = command or stated
-        if resolved is None:
-            raise ConfigError("no command: pass a subcommand or set "
-                              "[run] command")
 
         if parser.has_section("numerics"):
             raise ConfigError(
@@ -85,7 +76,7 @@ class RunConfig:
             params = {k: v.strip() for k, v in parser.items("parameters")}
 
         return cls(
-            command=resolved,
+            command=command,
             vorticity_text=parser.get("vorticity", "spec", fallback=None),
             out_dir=parser.get("run", "out", fallback=None),
             params=params,
@@ -98,34 +89,23 @@ class RunConfig:
 
     # -- typed parameter access ------------------------------------------------
 
-    def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.params.get(key, default)
+    def get(self, key: str, kind: type = float, default=None):
+        """The parameter ``key`` read as ``kind`` (``float``, ``int`` or
+        ``str``), or ``default`` when the run file does not set it."""
+        return _parse(key, self.params[key], kind) if key in self.params else default
 
-    def require_str(self, key: str) -> str:
+    def require(self, key: str, kind: type = float):
+        """The parameter ``key`` read as ``kind``; the run file must set it."""
         if key not in self.params:
             raise ConfigError(f"missing required parameter {key!r}")
-        return self.params[key]
+        return _parse(key, self.params[key], kind)
 
-    def get_float(self, key: str,
-                  default: Optional[float] = None) -> Optional[float]:
-        if key not in self.params:
-            return default
-        return _parse_float(key, self.params[key])
-
-    def require_float(self, key: str) -> float:
-        if key not in self.params:
-            raise ConfigError(f"missing required parameter {key!r}")
-        return _parse_float(key, self.params[key])
-
-    def get_int(self, key: str, default: int) -> int:
-        if key not in self.params:
-            return default
-        text = self.params[key]
-        try:
-            return int(text)
-        except ValueError as exc:
-            raise ConfigError(
-                f"parameter {key!r} must be an integer, got {text!r}") from exc
+    def given(self, **kinds: type) -> dict:
+        """The parameters named in ``kinds`` that the run file sets, each
+        read as its kind, to pass on as keyword arguments: those it leaves
+        out take the callee's defaults."""
+        return {key: _parse(key, self.params[key], kind)
+                for key, kind in kinds.items() if key in self.params}
 
     def window(self) -> Optional[Tuple[float, float]]:
         """The two-number ``window`` parameter, if present."""
@@ -136,8 +116,7 @@ class RunConfig:
             raise ConfigError(
                 f"parameter 'window' needs two numbers, got "
                 f"{self.params['window']!r}")
-        lo = _parse_float("window", toks[0])
-        hi = _parse_float("window", toks[1])
+        lo, hi = (_parse("window", tok, float) for tok in toks)
         if hi <= lo:
             raise ConfigError(f"empty window [{lo!r}, {hi!r}]")
         return lo, hi
@@ -152,12 +131,16 @@ class RunConfig:
         }
 
 
-def _parse_float(key: str, text: str) -> float:
+def _parse(key: str, text: str, kind: type):
+    """``text`` as a ``kind``: a string as it stands, an int, or a finite float."""
+    if kind is str:
+        return text
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError as exc:
-        raise ConfigError(
-            f"parameter {key!r} must be a number, got {text!r}") from exc
+        raise ConfigError(f"parameter {key!r} must be "
+                          f"{'an integer' if kind is int else 'a number'}, "
+                          f"got {text!r}") from exc
     if not math.isfinite(value):
         raise ConfigError(f"parameter {key!r} must be finite, got {text!r}")
     return value

@@ -384,77 +384,53 @@ class VorticityDistribution:
                     near.append(g)
         return big, exact, tuple(near)
 
-    def s0(self) -> float:
-        """Threshold slope sqrt(2 max Omega) (zero when the maximum is <= 0)."""
-        return sqrt(max(2.0 * self._extrema[0], 0.0))
-
     # -- classification ---------------------------------------------------------
 
-    def _endpoint_tol(self) -> float:
-        """An endpoint omega within this of 0 is a rounded 0: its peak is
-        degenerate (``poly 0.1 0.2 -0.3`` has ``omega(1) = 2.8e-17``)."""
-        return _TIE_MARGIN * max(1.0, abs(self._extrema[0]))
-
-    def _condition_for(self, maxset: tuple) -> str:
-        interior = [m for m in maxset if 0.0 < m < 1.0]
-        tol = self._endpoint_tol()
-        w0 = self._omega_scalar(0.0)
-        w1 = self._omega_scalar(1.0)
-        if interior:
-            return "i"
-        if maxset == (0.0,):
-            return "ii" if w0 < -tol else "i"
-        if maxset == (1.0,):
-            return "iii" if w1 > tol else "i"
-        if set(maxset) == {0.0, 1.0}:
-            return "iii" if (w0 < -tol and w1 > tol) else "i"
-        return "i"
+    def _condition_for(self, maxset: tuple) -> tuple:
+        """The condition of the maximizer set ``maxset`` and the note that
+        justifies it.  An endpoint omega within ``_TIE_MARGIN max(1, |max
+        Omega|)`` of 0 is a rounded 0, and its peak degenerate (``poly 0.1
+        0.2 -0.3`` has ``omega(1) = 2.8e-17``)."""
+        tol = _TIE_MARGIN * max(1.0, abs(self._extrema[0]))
+        w0, w1 = self._omega_scalar(0.0), self._omega_scalar(1.0)
+        ends = set(maxset)
+        if ends == {0.0} and w0 < -tol:
+            return "ii", ("maximum of Omega only at tau=0 with omega(0) < 0; "
+                          "the margin vanishes linearly at the bottom")
+        if ends == {1.0} and w1 > tol:
+            return "iii", ("maximum of Omega only at tau=1 with omega(1) > 0; "
+                           "the margin vanishes linearly at the surface")
+        if ends == {0.0, 1.0} and w0 < -tol and w1 > tol:
+            return "iii", ("maximum of Omega tied between tau=0 and tau=1 with "
+                           "omega(0) < 0 and omega(1) > 0")
+        interior = tuple(m for m in maxset if 0.0 < m < 1.0)
+        reasons = [f"interior maximizer(s) {interior}"] if interior else []
+        if 0.0 in ends and w0 >= -tol:
+            reasons.append("maximum at tau=0 but omega(0) >= 0 to rounding")
+        if 1.0 in ends and w1 <= tol:
+            reasons.append("maximum at tau=1 but omega(1) <= 0 to rounding")
+        return "i", "degenerate or interior maximum: " + "; ".join(reasons)
 
     @cached_property
     def _classification(self) -> FlowClassification:
         big, exact, near = self._extrema
-        cond = self._condition_for(exact)
+        cond, note = self._condition_for(exact)
         # a near-tie is only a problem when promoting it to a true
         # maximizer would change the verdict
         for g in near:
-            promoted = tuple(sorted(set(exact) | {g}))
-            if self._condition_for(promoted) != cond:
+            if self._condition_for(tuple(sorted({*exact, g})))[0] != cond:
                 raise AmbiguousClassificationError(
                     f"Omega has a near-tie at tau={g!r} within relative margin "
                     f"{_TIE_MARGIN}; competing maximizers {exact + (g,)} give "
                     f"conflicting classifications")
-        w0 = self._omega_scalar(0.0)
-        w1 = self._omega_scalar(1.0)
-        s0 = self.s0()
-        if cond == "ii":
-            note = ("maximum of Omega only at tau=0 with omega(0) < 0; "
-                    "the margin vanishes linearly at the bottom")
-        elif cond == "iii":
-            if set(exact) == {0.0, 1.0}:
-                note = ("maximum of Omega tied between tau=0 and tau=1 with "
-                        "omega(0) < 0 and omega(1) > 0")
-            else:
-                note = ("maximum of Omega only at tau=1 with omega(1) > 0; "
-                        "the margin vanishes linearly at the surface")
-        else:
-            reasons = []
-            interior = [m for m in exact if 0.0 < m < 1.0]
-            if interior:
-                reasons.append(f"interior maximizer(s) {tuple(interior)}")
-            tol = self._endpoint_tol()
-            if 0.0 in exact and w0 >= -tol:
-                reasons.append("maximum at tau=0 but omega(0) >= 0 to rounding")
-            if 1.0 in exact and w1 <= tol:
-                reasons.append("maximum at tau=1 but omega(1) <= 0 to rounding")
-            note = "degenerate or interior maximum: " + "; ".join(reasons)
         return FlowClassification(
             condition=cond,
             max_Omega=big,
             maximizers=exact,
-            omega_at_0=w0,
-            omega_at_1=w1,
-            s0=s0,
-            d0_finite=(cond in ("ii", "iii")),
+            omega_at_0=self._omega_scalar(0.0),
+            omega_at_1=self._omega_scalar(1.0),
+            s0=sqrt(max(2.0 * big, 0.0)),
+            d0_finite=cond != "i",
             note=note,
         )
 

@@ -12,7 +12,6 @@ from click.testing import CliRunner
 import vorwaves
 from vorwaves import cli
 from vorwaves.cli import main, scale_to_nondimensional
-from vorwaves.config import COMMANDS
 from vorwaves.errors import ConfigError, DomainError
 
 _SRC = str(pathlib.Path(vorwaves.__file__).resolve().parents[1])
@@ -230,6 +229,25 @@ def test_scale_function_factors():
             scale_to_nondimensional(Q, g, "length", value)
 
 
+@pytest.mark.parametrize("command, required, defaults", [
+    ("dispersion", "r = 1.1", "tau_max = 50.0"),
+    ("wave", "r = 1.1\nt = 0.01", "tau_max = 50.0\nn_x = 129\nn_y = 129"),
+    ("wheeler", "r = 1.1", "n_p = 257\nn_q = 9\nq_span = 1.0"),
+])
+def test_optional_parameters_default_to_the_library(tmp_path, command, required, defaults):
+    # a parameter the run file leaves out takes the default of the library
+    # function it is passed to, so writing that default out changes nothing
+    results = []
+    for name, params in (("bare", required), ("full", required + "\n" + defaults)):
+        cfg = _config(tmp_path, "[vorticity]\nspec = constant 0\n[parameters]\n" + params + "\n",
+                      name=f"{name}.ini")
+        out = str(tmp_path / name)
+        result = _invoke([command, "--config", cfg, "--out", out])
+        assert result.exit_code == 0, result.output + result.stderr
+        results.append(_report(out)["results"])
+    assert results[0] == results[1]
+
+
 def test_exit_code_for_missing_parameter(tmp_path):
     cfg = _config(tmp_path, """\
         [vorticity]
@@ -293,7 +311,8 @@ def test_exit_code_for_a_strip_without_width(tmp_path, q_span):
 def test_every_command_is_registered_with_the_run_options():
     # one registration per subcommand: --config required, --out optional,
     # and the help text is the worker's docstring
-    assert set(main.commands) == set(COMMANDS)
+    assert set(main.commands) == {"analyze", "stream", "conjugates", "dispersion", "wave",
+                                  "check-bounds", "wheeler", "scale"}
     for name, command in main.commands.items():
         options = {p.name: p for p in command.params}
         assert set(options) == {"config_path", "out_dir"}

@@ -168,10 +168,27 @@ def test_endpoint_omega_within_rounding_is_degenerate(spec):
     assert math.isfinite(bernoulli.analyze(V.parse(spec)).s_c)
 
 
+@pytest.mark.parametrize("spec, condition, note", [
+    ("constant -2", "ii", "maximum of Omega only at tau=0 with omega(0) < 0; "
+                          "the margin vanishes linearly at the bottom"),
+    ("constant 2", "iii", "maximum of Omega only at tau=1 with omega(1) > 0; "
+                          "the margin vanishes linearly at the surface"),
+    ("poly -3 6", "iii", "maximum of Omega tied between tau=0 and tau=1 with "
+                         "omega(0) < 0 and omega(1) > 0"),
+    ("poly 1 -2", "i", "degenerate or interior maximum: interior maximizer(s) (0.5,)"),
+    ("poly 0.1 0.2 -0.3", "i", "degenerate or interior maximum: maximum at tau=1 but "
+                               "omega(1) <= 0 to rounding"),
+])
+def test_classification_note_of_each_branch(spec, condition, note):
+    # the note is written where the condition is decided, one per branch
+    cls = V.parse(spec).classify()
+    assert (cls.condition, cls.note) == (condition, note)
+
+
 def test_scalar_shorthands(w_two):
     assert w_two.omega(0.5) == 2.0
     assert w_two.Omega(0.5) == 1.0
-    assert w_two.s0() == 2.0
+    assert w_two.classify().s0 == 2.0
 
 
 def test_surface_gap_matches_direct(w_two, w_tilted):

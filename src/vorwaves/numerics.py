@@ -18,8 +18,8 @@ sigma is concave, so its steps from 0 stay below the root.
 
 Conventions
 -----------
-* Integrands are vectorized: they map an array of points and the tags of
-  their pieces to an array of values, and :func:`integrate` evaluates every
+* Integrands are vectorized: they map an array of points and the indices
+  of their pieces to an array of values, and :func:`integrate` evaluates every
   piece it is given in one call per refinement level.
 * :data:`tally` counts the work done; its comment lists the keys.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,14 +81,13 @@ _WG[13:7:-2] = _WG_HALF
 _WKG = np.array((_WK, _WG))
 
 
-def integrate(f: Callable, a: np.ndarray, b: np.ndarray, tags: np.ndarray) -> np.ndarray:
+def integrate(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integrate ``f`` over every piece ``[a_i, b_i]`` by adaptive G7K15.
 
-    ``a``, ``b`` and ``tags`` are 1-d arrays with one entry per piece, and
-    ``a_i <= b_i``; the result is a 1-d array of the integrals.  ``f`` is
-    called as ``f(x, tag)``, with a row of ``x`` per live cell and its
-    piece's tag in a ``(cells, 1)`` column, so pieces may differ in
-    integrand.  The rule takes ``f`` as it comes: a caller removes an
+    ``a`` and ``b`` are 1-d arrays with one entry per piece, and ``a_i <=
+    b_i``; the result is a 1-d array of the integrals.  ``f`` is called as
+    ``f(x, i)``, with a row of ``x`` per live cell and its piece's index
+    ``i`` in a ``(cells, 1)`` column, so pieces may differ in integrand.  The rule takes ``f`` as it comes: a caller removes an
     endpoint singularity or resolves a layer by changing variables first.
 
     Each refinement level evaluates the 15 Kronrod nodes of every live
@@ -105,7 +104,6 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, tags: np.ndarray) -> np
     n = a.size
     if (b < a).any():
         raise ValueError("integrate takes pieces with a <= b")
-    tags = tags.reshape(n, 1)
     width = b - a
     total, count = np.zeros(n), 1  # count: cells per piece, once one is cut
     piece = np.flatnonzero(width > 0.0)  # an empty piece has no cell
@@ -114,7 +112,7 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray, tags: np.ndarray) -> np
         half = 0.5 * (c1 - c0)
         mid = c0 + half
         x = mid[:, None] + half[:, None] * _XK
-        y = np.asarray(f(x, tags[piece]), dtype=float)
+        y = np.asarray(f(x, piece[:, None]), dtype=float)
         tally["quad_points"] += y.size
         tally["quad_cells"] += piece.size
         if not np.isfinite(y).all():
@@ -233,8 +231,8 @@ def solve_ivp(
     rhs: Callable[[float, np.ndarray], Sequence[float]],
     y0: Sequence[float],
     span: tuple[float, float],
-    tol: float = 1e-12,
-    events: Optional[Sequence[Callable]] = None,
+    tol: float,
+    events: Sequence[Callable],
 ):
     """Integrate ``y' = rhs(t, y)`` with a high-order adaptive Runge-Kutta.
 

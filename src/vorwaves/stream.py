@@ -243,7 +243,7 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
             y[c] *= np.where(ell > 0.0, ell * np.cosh(v), 2.0 * v)
         return y
 
-    vals = numerics.integrate(f, a, b, np.arange(slot.size))
+    vals = numerics.integrate(f, a, b)
     out = np.bincount(row_of * len(grid) + cell[piece], vals, len(margins) * len(grid))
     # an empty bincount is of integers
     return np.cumsum(out.reshape(len(margins), len(grid)), axis=1, dtype=float)

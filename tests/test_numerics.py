@@ -11,8 +11,7 @@ from vorwaves.errors import ConvergenceError, InvalidIntegrandError
 
 def _integrate(f, a, b):
     """``f`` over the one piece ``[a, b]``."""
-    return numerics.integrate(lambda x, tag: f(x), np.array([a]), np.array([b]),
-                              np.zeros(1, dtype=int))[0]
+    return numerics.integrate(lambda x, i: f(x), np.array([a]), np.array([b]))[0]
 
 
 def test_integrate_smooth():
@@ -31,8 +30,7 @@ def test_integrate_pieces_narrower_than_any_normal_number():
     # a cell's share of its piece's budget is its fraction of the width
     # times the budget: the budget over a width of 5e-324 overflowed
     b = np.array([5e-324, 1e-310, 1e-300])
-    val = numerics.integrate(lambda x, tag: np.ones_like(x), np.zeros(3), b,
-                             np.zeros(3, dtype=int))
+    val = numerics.integrate(lambda x, i: np.ones_like(x), np.zeros(3), b)
     assert np.isfinite(val).all()
     np.testing.assert_allclose(val[1:], b[1:], rtol=1e-12)
 
@@ -43,16 +41,17 @@ def test_integrate_rejects_nonfinite():
 
 
 def test_integrate_pieces_in_one_batch():
-    # every piece gets its own integral and, through the tags, its own
+    # every piece gets its own integral and, through its index, its own
     # integrand; an empty piece contributes exactly 0
     a = np.array([0.0, 0.5, 2.0, 0.0])
     b = np.array([1.0, 0.5, 3.0, 4.0])
     tags = np.array([0, 0, 1, 2])
 
-    def f(x, tag):
+    def f(x, i):
+        tag = tags[i]
         return np.where(tag == 0, np.exp(x), tag / (1.0 + x * x))
 
-    val = numerics.integrate(f, a, b, tags)
+    val = numerics.integrate(f, a, b)
     np.testing.assert_allclose(
         val, [math.e - 1.0, 0.0, math.atan(3.0) - math.atan(2.0), 2.0 * math.atan(4.0)],
         rtol=1e-12)
@@ -74,8 +73,7 @@ def test_integrate_cell_cap_names_the_piece():
     # the smooth piece converges; the undeclared 1/x piece hits the cap
     with pytest.raises(ConvergenceError,
                        match=r"\[0\.0, 1\.0\] did not converge in 200 cells \(estimate"):
-        numerics.integrate(lambda x, tag: 1.0 / x, np.array([2.0, 0.0]),
-                           np.array([3.0, 1.0]), np.zeros(2, dtype=int))
+        numerics.integrate(lambda x, i: 1.0 / x, np.array([2.0, 0.0]), np.array([3.0, 1.0]))
 
 
 def test_integrate_undeclared_singularity_fails():
@@ -139,17 +137,19 @@ def test_integrate_rows_do_not_depend_on_their_company(pieces, k):
     b = a + np.array([p[1] for p in pieces])
     tags = np.array([p[2] for p in pieces])
 
-    def f(x, tag):
-        # smooth in x, and differing by tag
-        rate = 0.5 + tag
-        return np.cos(rate * x) * np.exp(-0.1 * rate * x * x) + 1.0 / (1.0 + x * x)
+    def integrand(rows):
+        def f(x, i):
+            # smooth in x, and differing by tag
+            rate = 0.5 + tags[rows][i]
+            return np.cos(rate * x) * np.exp(-0.1 * rate * x * x) + 1.0 / (1.0 + x * x)
+        return f
 
-    together = numerics.integrate(f, a, b, tags)
-    alone = [numerics.integrate(f, a[i:i + 1], b[i:i + 1], tags[i:i + 1])[0]
+    together = numerics.integrate(integrand(slice(None)), a, b)
+    alone = [numerics.integrate(integrand([i]), a[i:i + 1], b[i:i + 1])[0]
              for i in range(len(a))]
     assert np.array_equal(together, alone)
     k %= len(a)
-    pair = numerics.integrate(f, a[[k, 0]], b[[k, 0]], tags[[k, 0]])
+    pair = numerics.integrate(integrand([k, 0]), a[[k, 0]], b[[k, 0]])
     assert pair[0] == together[k] and pair[1] == together[0]
 
 
@@ -172,7 +172,7 @@ def test_bracket_orientation():
 
 
 def test_solve_ivp_exponential():
-    sol = numerics.solve_ivp(lambda t, y: [y[0]], [1.0], (0.0, 1.0))
+    sol = numerics.solve_ivp(lambda t, y: [y[0]], [1.0], (0.0, 1.0), 1e-12, [])
     np.testing.assert_allclose(sol.y[0, -1], math.e, rtol=1e-11)
     # dense output present
     np.testing.assert_allclose(sol.sol(0.5)[0], math.sqrt(math.e), rtol=1e-11)

@@ -113,10 +113,8 @@ def _stream_values(p) -> np.ndarray:
 def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
     """The pieces of :func:`_accumulate` on ``grid``, as read-only arrays:
     ``[lo, hi]``, the distances ``x_lo`` to ``x_hi`` to the maximizer, the
-    grid cell, the frame tag (``2 i + 1`` for the gap about maximizer ``i``
-    on its right, ``2 i`` on its left; ``terms[tag]`` holds its
-    ``(k, 2 |c_k|)``), and the gap row ``(sign, shift, start, *coef)``: at
-    ``z``, ``coef`` at ``sign (z - shift) - start``."""
+    grid cell, and the frame tag and gap row of :func:`_gap_rows`, the row
+    in the distance itself for a piece that ends at the maximizer."""
     cls = dist.classify()
     peaks = np.array(cls.maximizers)
     cuts = [c for c in [*cls.maximizers, *dist._seg[1:].tolist()] if 0.0 < c < grid[-1]]
@@ -140,19 +138,31 @@ def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
     # piece in tau itself, so that its width keeps every digit
     lo, hi = np.where(anchored, 0.0, a), np.where(anchored, x_hi, b)
 
-    tag = 2 * np.searchsorted(peaks, m) + (e > 0.0)
-    terms, rows = [()] * (2 * len(peaks)), np.zeros((len(lo), 3 + dist._W.shape[1]))
-    rows[:, 0], rows[:, 1] = np.where(anchored, 1.0, e), np.where(anchored, 0.0, m)
-    for j in set(tag.tolist()):
-        seg, coef = dist._gap_segments(cls.maximizers[j // 2], 1.0 if j % 2 else -1.0)
-        terms[j] = tuple((k, 2.0 * abs(c)) for k, c in enumerate(coef[0].tolist()) if k and c)
-        # cut at every kink and maximizer, a piece lies in one segment of the gap
-        k = np.searchsorted(seg, 0.5 * (x_lo + x_hi)[tag == j], side="right") - 1
-        rows[tag == j, 2], rows[tag == j, 3:] = seg[k], coef[k]
+    tag, rows, terms = _gap_rows(dist, m, e, 0.5 * (x_lo + x_hi))
+    rows[anchored, 0], rows[anchored, 1] = 1.0, 0.0
     layout = (lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tag, rows)
     for arr in layout:
         arr.flags.writeable = False
-    return (*layout, tuple(terms))
+    return (*layout, terms)
+
+
+def _gap_rows(dist: VorticityDistribution, m, e, x) -> tuple:
+    """The gap about the maximizers ``m`` on the sides ``e`` at the distances
+    ``x`` (arrays alike), from ``dist._gap_segments``: the frame tags (``2 i
+    + 1`` about maximizer ``i`` on its right, ``2 i`` on its left), the rows
+    ``(e, m, start, *coef)`` that hold ``x`` (at ``tau``, ``coef`` at ``e (tau
+    - m) - start``), and ``terms[tag]``, the ``(k, 2 |c_k|)`` of its first row."""
+    peaks = dist.classify().maximizers
+    tag = 2 * np.searchsorted(peaks, m) + (e > 0.0)
+    terms, rows = [()] * (2 * len(peaks)), np.zeros((len(m), 3 + dist._W.shape[1]))
+    rows[:, 0], rows[:, 1] = e, m
+    for j in set(tag.tolist()):
+        seg, coef = dist._gap_segments(peaks[j // 2], 1.0 if j % 2 else -1.0)
+        terms[j] = tuple((k, 2.0 * abs(c)) for k, c in enumerate(coef[0].tolist()) if k and c)
+        # a piece, cut at every kink and maximizer, lies in one segment of the gap
+        k = np.searchsorted(seg, x[tag == j], side="right") - 1
+        rows[tag == j, 2], rows[tag == j, 3:] = seg[k], coef[k]
+    return tag, rows, tuple(terms)
 
 
 def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
@@ -383,9 +393,17 @@ class StreamSolution:
         return _profile(self.dist, self.sigma2, -0.5, p)
 
     def _speed(self, p):
-        """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first integral."""
-        gap = np.maximum(self.classification.max_Omega - self.dist.Omega(p), 0.0)
-        return np.sqrt(self.sigma2 + 2.0 * gap)
+        """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first
+        integral, with the gap read as :func:`_accumulate` reads it: about the
+        nearest maximizer, free of cancellation beside it."""
+        p = np.asarray(p)
+        peaks = np.array(self.classification.maximizers)
+        m = peaks[np.argmin(np.abs(p[..., None] - peaks), axis=-1)].ravel()
+        e = np.where((p.ravel() > m) | (m == 0.0), 1.0, -1.0)
+        x = e * (p.ravel() - m)
+        rows = _gap_rows(self.dist, m, e, x)[1]
+        gap = _horner_rows(rows[:, 3:], x - rows[:, 2]).reshape(p.shape)
+        return np.sqrt(self.sigma2 + 2.0 * np.maximum(gap, 0.0))
 
     def slope_at(self, p):
         """Analytic profile slope ``H'(p) = (sigma2 + 2 gap(p))^(-1/2)``."""

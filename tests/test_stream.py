@@ -600,6 +600,24 @@ def test_column_integrals_match_40_digit_quadrature(spec, power, u):
     assert abs(got - want) <= 4e-15 * want
 
 
+@pytest.mark.parametrize("spec, m", [("constant 3", 1.0), ("constant 0.7", 1.0),
+                                     ("poly 1 -2", 0.5)])
+def test_slope_beside_a_maximizer_against_40_digit_gap(spec, m):
+    # at s = s0 (1 + 1e-12) the margin sigma2 is about 1e-11, and beside the
+    # maximizer m the gap is far below it: read as max Omega - Omega(p), it
+    # cancelled, and the slope erred by up to 3.5e-5 (1e-13 to 1e-3 from m)
+    dist = V.parse(spec)
+    st = solve_stream(dist, dist.classify().s0 * (1.0 + 1e-12))
+    offsets = np.geomspace(1e-13, 1e-3, 21)
+    p = np.concatenate((m - offsets, m + offsets if m < 1.0 else []))
+    oracle = _oracle(spec)
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        want = [float(1 / mp.sqrt(mp.mpf(st.sigma2) + 2 * (oracle.big - oracle.Omega(mp.mpf(x)))))
+                for x in p]
+    np.testing.assert_allclose(st.slope_at(p), want, rtol=1e-14, atol=0.0)
+
+
 def test_depth_at_tiny_margins_follows_the_log_asymptote():
     # below the layer of its interior maximizer m, d = A log sigma2 + B +
     # O(sigma2 log sigma2), with A = -1/sqrt(|omega'(m)|) = -0.04009 here;

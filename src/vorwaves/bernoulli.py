@@ -71,6 +71,9 @@ _FIT *= 2.0 / (_POINTS - 1)
 # the proxy's lowest sample under "i", relative to max(1, s0) above s0
 _LOWEST = 2e-9
 
+# the least margin at which Phi's integrand sigma2^(-3/2) is finite
+_LEAST_MARGIN = np.finfo(float).max ** (-2.0 / 3.0)
+
 
 @dataclass(frozen=True)
 class ConjugatePair:
@@ -368,7 +371,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     NoStreamError
         If ``r`` falls below the critical head.
     DivergenceError
-        Under "i", if a subcritical Newton point's margin underflows to 0.
+        Under "i", if the subcritical root's margin underflows to 0.
     """
     if not math.isfinite(3.0 * r):
         raise DomainError(f"head must be finite, and 3 r too; got r={r!r}")
@@ -395,6 +398,13 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
 
     def values(open_):
         numerics.tally["newton_steps"] += len(open_)
+        for x in open_:
+            if x.hi == math.inf and x.piece.sigma2(x.x)[0] < _LEAST_MARGIN:
+                # where d grows like 1/sigma, a Newton step in y from below the
+                # root lands far past it: take the step on log R instead
+                m = x.named[x.lo][0]
+                q = r / stream._head(dist, m, stream._totals(dist, [(m, -0.5)])[0])
+                x.x = x.lo + (x.x - x.lo) * math.log(q) / (q - 1.0)
         named = [x.name() for x in open_]
         # Phi is not defined at the zero margin, where R' is -inf
         rows = iter(stream._totals(dist, [(m, p) for m, _ in named

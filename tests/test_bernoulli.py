@@ -336,6 +336,30 @@ def test_open_bracket_closed_form():
     pair = conjugates(V.constant(0.0), r)
     assert abs(pair.s_plus - s) <= 1e-14 * s
     assert abs(pair.d_plus - 1.0 / s) <= 1e-14 / s
+    # from 1e12 up, the Newton step in y = -log sigma from the lowest sample
+    # landed where the margin underflowed to 0, and conjugates raised
+    # DivergenceError though the root's margin (4.4e-181 at 1e90) is a float
+    for r in (1e12, 1e20, 1e50, 1e90):
+        pair = conjugates(V.constant(0.0), r)
+        assert abs((pair.s_plus ** 2 + 2.0 * pair.d_plus) / 3.0 - r) <= 5e-13 * r
+        assert abs(pair.d_plus * pair.s_plus - 1.0) <= 1e-14
+
+
+def test_open_bracket_on_a_flat_maximum():
+    # Omega is flat at its maximum on [0.5, 1], so d grows like 1/sigma, and
+    # at 1e8 r_c the root lies inside the snap window of s0 = 1; the search
+    # failed as on constant 0 (1e6 r_c answered)
+    dist = V.parse("table 0.0:2.0 0.5:0.0 1.0:0.0")
+    cls, an = dist.classify(), analyze(dist)
+    r = 1e8 * an.r_c
+    pair = conjugates(dist, r)
+    assert pair.regime == "subcritical-pair"
+    assert pair.s_plus - cls.s0 <= stream._SNAP * max(1.0, cls.s0)
+    # s names no stream inside the snap window; there the head is
+    # (surface + 2 d) / 3 to within a third of sigma2 < 2 s window
+    surface = 2.0 * (cls.max_Omega - dist._Omega_scalar(1.0))
+    window = stream._SNAP * max(1.0, cls.s0)
+    assert abs((surface + 2.0 * pair.d_plus) / 3.0 - r) <= 1e-12 * r + pair.s_plus * window
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, 1e308])

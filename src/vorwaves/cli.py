@@ -76,15 +76,9 @@ def _jsonify(obj):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
     return obj
 
 

@@ -15,14 +15,13 @@ form, and whatever parameters the command needs:
     [parameters]
     r = 1.1
 
-The CLI names the subcommand it runs, and a ``[run] command``, if
-given, must name that subcommand.  Unknown keys are ignored (forward
-compatibility); missing or unparseable required keys raise
-:class:`~vorwaves.errors.ConfigError` naming the key.  A ``[numerics]``
-section raises it too: the tolerances are fixed, and a file that still
-sets one must not be silently ignored.  An optional parameter a run
-file leaves out takes the default of the library function it is passed
-to (:meth:`RunConfig.given`), so each default has one home.
+A ``[run] command``, if given, must name the invoked subcommand.
+Unknown keys are ignored (forward compatibility); missing or unparseable
+required keys raise :class:`~vorwaves.errors.ConfigError` naming the key.
+A ``[numerics]`` section raises it too: the tolerances are fixed, and a
+file that still sets one must not be silently ignored.  An optional
+parameter that a run file leaves out takes the default of the library
+function it is passed to (:meth:`RunConfig.given`).
 """
 
 from __future__ import annotations
@@ -90,12 +89,11 @@ class RunConfig:
     # -- typed parameter access ------------------------------------------------
 
     def get(self, key: str, kind: type = float, default=None):
-        """The parameter ``key`` read as ``kind`` (``float``, ``int`` or
-        ``str``), or ``default`` when the run file does not set it."""
+        """The parameter ``key`` as a ``kind``, or ``default`` if the run file leaves it out."""
         return _parse(key, self.params[key], kind) if key in self.params else default
 
     def require(self, key: str, kind: type = float):
-        """The parameter ``key`` read as ``kind``; the run file must set it."""
+        """The parameter ``key`` as a ``kind``; the run file must set it."""
         if key not in self.params:
             raise ConfigError(f"missing required parameter {key!r}")
         return _parse(key, self.params[key], kind)
@@ -114,8 +112,7 @@ class RunConfig:
         toks = self.params["window"].replace(",", " ").split()
         if len(toks) != 2:
             raise ConfigError(
-                f"parameter 'window' needs two numbers, got "
-                f"{self.params['window']!r}")
+                f"parameter 'window' needs two numbers, got {self.params['window']!r}")
         lo, hi = (_parse("window", tok, float) for tok in toks)
         if hi <= lo:
             raise ConfigError(f"empty window [{lo!r}, {hi!r}]")

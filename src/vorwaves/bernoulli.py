@@ -400,8 +400,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         numerics.tally["newton_steps"] += len(open_)
         for x in open_:
             if x.hi == math.inf and x.piece.sigma2(x.x)[0] < _LEAST_MARGIN:
-                # where d grows like 1/sigma, a Newton step in y from below the
-                # root lands far past it: take the step on log R instead
+                # where d grows like 1/sigma, Newton's step in y overshoots: step on log R
                 m = x.named[x.lo][0]
                 q = r / stream._head(dist, m, stream._totals(dist, [(m, -0.5)])[0])
                 x.x = x.lo + (x.x - x.lo) * math.log(q) / (q - 1.0)

@@ -87,8 +87,9 @@ def integrate(f: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` and ``b`` are 1-d arrays with one entry per piece, and ``a_i <=
     b_i``; the result is a 1-d array of the integrals.  ``f`` is called as
     ``f(x, i)``, with a row of ``x`` per live cell and its piece's index
-    ``i`` in a ``(cells, 1)`` column, so pieces may differ in integrand.  The rule takes ``f`` as it comes: a caller removes an
-    endpoint singularity or resolves a layer by changing variables first.
+    ``i`` in a ``(cells, 1)`` column, so pieces may differ in integrand.
+    The rule takes ``f`` as it comes: a caller removes an endpoint
+    singularity or resolves a layer by changing variables first.
 
     Each refinement level evaluates the 15 Kronrod nodes of every live
     cell in one call of ``f``.  A cell passes when ``|K15 - G7|`` is within

@@ -418,7 +418,7 @@ class VorticityDistribution:
         # a near-tie is only a problem when promoting it to a true
         # maximizer would change the verdict
         for g in near:
-            if self._condition_for(tuple(sorted({*exact, g})))[0] != cond:
+            if self._condition_for((*exact, g))[0] != cond:
                 raise AmbiguousClassificationError(
                     f"Omega has a near-tie at tau={g!r} within relative margin "
                     f"{_TIE_MARGIN}; competing maximizers {exact + (g,)} give "

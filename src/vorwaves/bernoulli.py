@@ -33,10 +33,9 @@ root below the lowest sample lies in the open bracket up to ``y = inf``,
 where ``R = inf``), and Newton steps on exact quadrature values polish it.
 Both searches are :class:`numerics.Newton`: each value narrows its bracket,
 a step that would leave it bisects, and a slope is accepted only inside it.
-A point is the float slope nearest it, integrated at that slope's own
-margin, so that a slope found names its stream bit for bit; where one ulp
-of ``s`` moves the head past half its tolerance, a conjugate search takes
-the margin ``sigma2(x)`` itself.
+A point ``x`` is integrated at the margin of its float slope ``s``, so that
+``s`` names the stream, or, where one ulp of ``s`` moves the head past half
+its tolerance, at ``sigma2(x)`` itself; each answer carries its margin.
 """
 
 from __future__ import annotations
@@ -85,6 +84,8 @@ class ConjugatePair:
     d_plus: Optional[float]
     s_minus: Optional[float]
     d_minus: Optional[float]
+    sigma2_plus: Optional[float]  # the margins s^2 - s0^2 that name the streams
+    sigma2_minus: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -105,20 +106,19 @@ class BernoulliAnalysis:
 
 
 class _Piece:
-    """``d`` on one piece of the proxy, between the slopes ``s_a`` and
-    ``s_b``: a Chebyshev series in the piece's variable ``x`` on ``[lo, hi]``,
+    """``d`` on one piece of the proxy, between the margins ``m_a`` and
+    ``m_b``: a Chebyshev series in the piece's variable ``x`` on ``[lo, hi]``,
     ``kind`` "sigma", "log" (``y = -log sigma``) or "w" (``s_m / s``), fitted
-    at the float ``slopes`` of its nodes."""
+    at the ``margins`` of its nodes, each inside named by its float slope."""
 
-    def __init__(self, kind: str, s0: float, s_m: float, s_a: float, s_b: float):
+    def __init__(self, kind: str, s0: float, s_m: float, m_a: float, m_b: float):
         self.kind, self.s0, self.s_m = kind, s0, s_m
-        (lo, s_lo), (hi, s_hi) = sorted((self.at(stream._named(s0, s)), s)
-                                        for s in (s_a, s_b))
+        (lo, m_lo), (hi, m_hi) = sorted((self.at(m), m) for m in (m_a, m_b))
         self.lo, self.hi, self.mid, self.half = lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo)
         self.nodes = (self.mid + self.half * _U).tolist()  # hi first
         self.nodes[0], self.nodes[-1] = hi, lo
-        self.slopes = [s_hi, *(math.sqrt(s0 * s0 + self.sigma2(x)[0])
-                               for x in self.nodes[1:-1]), s_lo]
+        self.margins = [m_hi, *(stream._named(s0, math.sqrt(s0 * s0 + self.sigma2(x)[0]))
+                                for x in self.nodes[1:-1]), m_lo]
 
     def at(self, sigma2: float) -> float:
         """The piece's variable at the margin ``sigma2`` (``y = inf`` at 0)."""
@@ -175,56 +175,54 @@ class _Piece:
 
 class _Search(numerics.Newton):
     """Newton steps in the variable ``x`` of ``piece`` between the ends
-    ``(x, sigma2, s, f)`` of a bracket, with the slope tolerance ``tol_s``
-    carried to ``x`` at ``start``.  :meth:`name` moves each point to the
-    float slope ``s`` nearest it and returns that slope's margin, or, once
-    the search is ``exact``, ``sigma2(x)``; ``named`` keeps both for the
-    ends and every point."""
+    ``(x, sigma2, f)`` of a bracket, with the slope tolerance ``tol_s``
+    carried to ``x`` at ``start``; ``exact`` is set once a float slope
+    cannot name the root."""
 
     def __init__(self, piece: _Piece, a: tuple, b: tuple, start: float, tol_s: float,
                  ftol: float = math.inf):
         m, dm, _ = piece.sigma2(start)
         tol = 2.0 * math.sqrt(piece.s0 * piece.s0 + m) * tol_s / (abs(dm) or math.inf)
-        super().__init__(a[0], b[0], a[3], b[3], start, a[3] > 0.0, tol, ftol)
-        self.piece, self.exact, self.named = piece, False, {a[0]: a[1:3], b[0]: b[1:3]}
+        super().__init__(a[0], b[0], a[2], b[2], start, a[2] > 0.0, tol, ftol)
+        self.piece, self.exact = piece, False
 
-    def name(self) -> tuple:
-        s0, m = self.piece.s0, self.piece.sigma2(self.x)[0]
+    def name(self, x: float) -> tuple:
+        """``(sigma2, s)`` at ``x``: the slope ``s = sqrt(s0^2 + sigma2(x))``
+        and, until the search is ``exact``, that slope's own margin (but for
+        a slope that rounds to ``s0``, which names none), else ``sigma2(x)``."""
+        s0, m = self.piece.s0, self.piece.sigma2(x)[0]
         s = math.sqrt(s0 * s0 + m)
         named = stream._named(s0, s)
-        if not self.exact and named > 0.0:  # a slope that rounds to s0 names no margin
-            m, self.x = named, self.piece.at(named)
-        self.named[self.x] = m, s
-        return m, s
+        return (m if self.exact or not named else named), s
 
 
 class _Proxy:
     """The proxy of ``d`` for one distribution, and the exact samples it
-    was fitted to, from one :func:`stream._totals` call: ``slopes`` in
-    increasing order, their ``margins``, ``depths`` and heads."""
+    was fitted to, from one :func:`stream._totals` call: ``margins`` in
+    increasing order, their ``depths`` and heads."""
 
     def __init__(self, dist: VorticityDistribution):
         cls = dist.classify()
         s0 = cls.s0
         s_m = s0 + max(1.0, s0)
-        s_lo = s0 if cls.d0_finite else s0 + _LOWEST * max(1.0, s0)
-        near = _Piece("sigma" if cls.d0_finite else "log", s0, s_m, s_lo, s_m)
-        far = _Piece("w", s0, s_m, s_m, math.inf)
-        slopes = sorted({*near.slopes, *far.slopes[1:-1]})
-        self.margins = [stream._named(s0, s) for s in slopes]
+        m_lo = 0.0 if cls.d0_finite else stream._named(s0, s0 + _LOWEST * max(1.0, s0))
+        self.m_m = stream._named(s0, s_m)
+        near = _Piece("sigma" if cls.d0_finite else "log", s0, s_m, m_lo, self.m_m)
+        far = _Piece("w", s0, s_m, self.m_m, math.inf)
+        self.margins = sorted({*near.margins, *far.margins[1:-1]})
         self.depths = stream._totals(dist, [(m, -0.5) for m in self.margins])
-        depth = {**dict(zip(slopes, self.depths)), math.inf: 0.0}
+        depth = {**dict(zip(self.margins, self.depths)), math.inf: 0.0}
         for piece in near, far:
-            piece.fit([depth[s] for s in piece.slopes])
-        self.near, self.far, self.s_m, self.slopes = near, far, s_m, slopes
+            piece.fit([depth[m] for m in piece.margins])
+        self.near, self.far = near, far
         self.surface = stream._surface(dist)
         self.heads = [stream._head(dist, m, d) for m, d in zip(self.margins, self.depths)]
 
     def _bracket(self, ends) -> tuple:
         """The piece that holds the bracket between ``ends``, two of
-        ``(s, sigma2, f)``, and its ends ``(x, sigma2, s, f)`` in order of ``x``."""
-        p = self.near if ends[0][0] < self.s_m else self.far
-        return (p, *sorted((p.at(m), m, s, f) for s, m, f in ends))
+        ``(sigma2, f)``, and its ends ``(x, sigma2, f)`` in order of ``x``."""
+        p = self.near if ends[0][0] < self.m_m else self.far
+        return (p, *sorted((p.at(m), m, f) for m, f in ends))
 
     def critical(self, tol_s: float) -> _Search:
         """The search for ``s_c``, between the neighbours of the sample of
@@ -233,8 +231,7 @@ class _Proxy:
         that sample).  ``Phi - 1`` is positive below ``s_c``."""
         j = min(range(len(self.heads)), key=self.heads.__getitem__)
         i, k = max(j - 1, 0), j + 1
-        p, a, b = self._bracket([(self.slopes[i], self.margins[i], math.inf),
-                                 (self.slopes[k], self.margins[k], -math.inf)])
+        p, a, b = self._bracket([(self.margins[i], math.inf), (self.margins[k], -math.inf)])
 
         def g(x):
             _, dm, ddm = p.sigma2(x)
@@ -249,25 +246,25 @@ class _Proxy:
 
     def conjugate(self, r: float, ends, falling: bool, tol_s: float, ftol: float) -> _Search:
         """The search for the root of ``R - r`` in the first bracket of
-        ``ends`` (increasing slopes, with their margins and ``R - r``) where
+        ``ends`` (increasing margins, with ``R - r``) where
         ``R - r`` changes sign.  It starts at the lowest sample when the
         bracket runs to ``y = inf``, where a ``d`` like ``-log sigma`` is
         linear in ``y``; at the ``w`` of ``sigma2 = 3 r - surf``, where ``d =
         0``, when it runs to ``w = 0``; else at the proxy's root, or the
         middle if it has none."""
-        k = next(k for k, (*_, f) in enumerate(ends) if (f > 0.0) != falling)
+        k = next(k for k, (_, f) in enumerate(ends) if (f > 0.0) != falling)
         p, a, b = self._bracket(ends[k - 1:k + 1])
 
         def f(x):
             m, dm, _ = p.sigma2(x)
             return (m + self.surface + 2.0 * p(x)) / 3.0 - r, (dm + 2.0 * p(x, 1)) / 3.0
 
-        if b[3] == math.inf:
+        if b[2] == math.inf:
             start = a[0]
-        elif a[3] == math.inf:
+        elif a[2] == math.inf:
             start = p.at(3.0 * r - self.surface)
         else:
-            start = p.root(f, a[0], b[0], a[3], b[3])
+            start = p.root(f, a[0], b[0], a[2], b[2])
             start = 0.5 * (a[0] + b[0]) if start is None else start
         return _Search(p, a, b, start, tol_s, ftol)
 
@@ -301,14 +298,14 @@ def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
 
     def g(open_):
         numerics.tally["newton_steps"] += len(open_)
-        margins = [x.name()[0] for x in open_]
+        margins = [x.name(x.x)[0] for x in open_]
         rows = stream._totals(dist, [(m, p) for m in margins for p in (-1.5, -2.5)])
         return [(phi - 1.0, -1.5 * x.piece.sigma2(x.x)[1] * w)
                 for x, phi, w in zip(open_, rows[::2], rows[1::2])]
 
     numerics.run_newton([search], g)
     x = search.root
-    _, s_c = search.named[x]
+    _, s_c = search.name(x)
     if search.lo <= x + search.step <= search.hi:
         s_c += search.step * search.piece.sigma2(x)[1] / (2.0 * s_c)
     sigma2 = stream._named(s0, s_c)
@@ -344,11 +341,8 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
     takes ``(d, Phi)`` at both points from one quadrature call (only ``d``
     at a zero margin, where ``R'`` is ``-inf``).  The last 64 pairs are
     cached by ``(dist, r)``: a repeated call returns the same frozen pair.
-    Each depth is ``stream.depth(dist, s)`` at its slope, bit for bit, but
-    where ``s+ - s0`` is below the resolution of ``s``: then ``d_plus`` is
-    integrated at the exact margin ``sigma2``, and ``s_plus = sqrt(s0^2 +
-    sigma2)``, rounded, names the stream only to that resolution, and
-    ``solve_stream`` refuses it inside the snap window.
+    Each depth is ``solve_stream(dist, sigma2=m).d`` at the margin ``m``
+    the pair carries, bit for bit.
 
     Parameters
     ----------
@@ -380,20 +374,19 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         raise NoStreamError(
             f"no stream solutions with head r={r!r}: below the critical "
             f"head r_c={an.r_c!r}")
+    m_c = stream._named(an.s0, an.s_c)
     if abs(r - an.r_c) < 1e-10 * max(1.0, abs(an.r_c)):
-        return ConjugatePair(r=r, regime="critical",
-                             s_plus=an.s_c, d_plus=an.d_c,
-                             s_minus=an.s_c, d_minus=an.d_c)
+        return ConjugatePair(r=r, regime="critical", s_plus=an.s_c, d_plus=an.d_c,
+                             s_minus=an.s_c, d_minus=an.d_c, sigma2_plus=m_c, sigma2_minus=m_c)
     proxy, tol, ftol = _proxy(dist), 1e-13 * max(1.0, an.s_c), 5e-13 * max(1.0, abs(r))
-    samples = [(s, m, h - r) for s, m, h in zip(proxy.slopes, proxy.margins, proxy.heads)]
-    crit = (an.s_c, stream._named(an.s0, an.s_c), an.r_c - r)
+    samples, crit = [(m, h - r) for m, h in zip(proxy.margins, proxy.heads)], (m_c, an.r_c - r)
     # supercritical branch: R rises from r_c at s_c to inf at s = inf
-    above = [crit, *(e for e in samples if e[0] > an.s_c), (math.inf, math.inf, math.inf)]
+    above = [crit, *(e for e in samples if e[0] > m_c), (math.inf, math.inf)]
     searches = [proxy.conjugate(r, above, False, tol, ftol)]
     if an.r0 is None or r < an.r0 - 1e-10 * max(1.0, abs(an.r0)):
         # under "i", R = inf at s0, where the margin is 0
-        below = [*([(an.s0, 0.0, math.inf)] if an.r0 is None else []),
-                 *(e for e in samples if e[0] < an.s_c), crit]
+        below = [*([(0.0, math.inf)] if an.r0 is None else []),
+                 *(e for e in samples if e[0] < m_c), crit]
         searches.append(proxy.conjugate(r, below, True, tol, ftol))
 
     def values(open_):
@@ -401,10 +394,10 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         for x in open_:
             if x.hi == math.inf and x.piece.sigma2(x.x)[0] < _LEAST_MARGIN:
                 # where d grows like 1/sigma, Newton's step in y overshoots: step on log R
-                m = x.named[x.lo][0]
+                m = x.name(x.lo)[0]
                 q = r / stream._head(dist, m, stream._totals(dist, [(m, -0.5)])[0])
                 x.x = x.lo + (x.x - x.lo) * math.log(q) / (q - 1.0)
-        named = [x.name() for x in open_]
+        named = [x.name(x.x) for x in open_]
         # Phi is not defined at the zero margin, where R' is -inf
         rows = iter(stream._totals(dist, [(m, p) for m, _ in named
                                           for p in ((-0.5, -1.5) if m else (-0.5,))]))
@@ -426,13 +419,9 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         return out
 
     numerics.run_newton(searches, values)
-    named = [x.named[x.root] for x in searches]
+    (m_minus, s_minus), *plus = named = [x.name(x.root) for x in searches]
     d_minus, *d_plus = stream._totals(dist, [(m, -0.5) for m, _ in named])
-    (_, s_minus), *plus = named
-    if not plus:
-        return ConjugatePair(r=r, regime="only-supercritical",
-                             s_plus=None, d_plus=None,
-                             s_minus=s_minus, d_minus=d_minus)
-    return ConjugatePair(r=r, regime="subcritical-pair",
-                         s_plus=plus[0][1], d_plus=d_plus[0],
-                         s_minus=s_minus, d_minus=d_minus)
+    (m_plus, s_plus), d_plus = (plus[0], d_plus[0]) if plus else ((None, None), None)
+    return ConjugatePair(r=r, regime="subcritical-pair" if plus else "only-supercritical",
+                         s_plus=s_plus, d_plus=d_plus, s_minus=s_minus, d_minus=d_minus,
+                         sigma2_plus=m_plus, sigma2_minus=m_minus)

@@ -61,8 +61,8 @@ __all__ = [
 
 _PROFILE_NODES = 257
 
-# relative half-width of the snap window that identifies a slope s with s0:
-# within it s names the zero margin, which only classes "ii"/"iii" allow
+# relative half-width of the snap window that takes a given slope s for s0:
+# there s names the zero margin, which only classes "ii"/"iii" allow
 _SNAP = 1e-13
 
 # integration tolerance of :func:`shoot_stream`; a minimum of u below -10 times
@@ -74,8 +74,8 @@ _LAYOUTS_CACHED = 32
 
 
 def _named(s0: float, s: float) -> float:
-    """The margin ``s^2 - s0^2`` that the slope ``s`` names above the snap
-    window, as a difference of squares, well conditioned just above ``s0``."""
+    """The margin ``s^2 - s0^2`` that the float slope ``s`` names, as a
+    difference of squares, well conditioned just above ``s0``."""
     return (s - s0) * (s + s0)
 
 
@@ -348,19 +348,28 @@ class StreamSolution:
     points asked for; the inverse map ``u(y)`` runs a Newton iteration on
     the same quadrature with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
 
+    A stream is named by its slope ``s`` or, keyword only, by its margin
+    ``sigma2 = s^2 - s0^2`` (finite, ``>= 0``; then ``s = sqrt(s0^2 +
+    sigma2)``), which names it also where a float ``s`` is too close to
+    ``s0`` to: exactly one of the two is given.
+
     Attributes
     ----------
-    s, d, r : float
-        Bottom slope, depth and Bernoulli head ``(u'(d)^2 + 2 d) / 3``.
+    s, sigma2, d, r : float
+        Bottom slope, margin, depth and Bernoulli head ``(u'(d)^2 + 2 d) / 3``.
     u_prime_d : float
         Surface slope ``sqrt(s^2 - 2 Omega(1))``.
     classification : FlowClassification
     """
 
-    def __init__(self, dist: VorticityDistribution, s: float):
-        sigma2, cls = _margin(dist, s)
+    def __init__(self, dist: VorticityDistribution, s: float = None, *, sigma2: float = None):
+        if (s is None) == (sigma2 is None):
+            raise TypeError("give exactly one of the slope s and the margin sigma2")
+        if s is None and not 0.0 <= sigma2 < inf:
+            raise DomainError(f"margin sigma2={sigma2!r} is not finite and nonnegative")
+        sigma2, cls = _margin(dist, s) if s is not None else (float(sigma2), dist.classify())
         self.dist = dist
-        self.s = float(s)
+        self.s = float(s) if s is not None else sqrt(cls.s0 * cls.s0 + sigma2)
         self.sigma2 = sigma2
         self.classification = cls
         self.s0 = cls.s0
@@ -469,9 +478,10 @@ class StreamSolution:
                 f"condition={self.classification.condition!r})")
 
 
-def solve_stream(dist: VorticityDistribution, s: float) -> StreamSolution:
-    """Construct the stream solution with bottom slope ``s``."""
-    return StreamSolution(dist, s)
+def solve_stream(dist: VorticityDistribution, s: float = None, *,
+                 sigma2: float = None) -> StreamSolution:
+    """Construct the stream solution with bottom slope ``s`` or margin ``sigma2``."""
+    return StreamSolution(dist, s, sigma2=sigma2)
 
 
 @dataclass

@@ -273,13 +273,14 @@ def test_lockstep_search_ending_at_a_probe(spec):
     # subcritical one, run in the same rounds, goes on
     dist = V.parse(spec)
     crit = analyze(dist)
-    probe = next(s for s in bernoulli._proxy(dist).slopes if s > crit.s_c)
-    r = head(dist, probe)
+    probe = next(m for m in bernoulli._proxy(dist).margins
+                 if m > stream._named(crit.s0, crit.s_c))
+    r = stream.solve_stream(dist, sigma2=probe).r
     numerics.tally.clear()
     pair = conjugates.__wrapped__(dist, r)
     # one quadrature call per Newton round, each round a subcritical step
     assert numerics.tally["newton_steps"] == numerics.tally["quad_calls"] > 0
-    assert pair.s_minus == probe and pair.d_minus == stream.depth(dist, probe)
+    assert pair.sigma2_minus == probe and pair.d_minus == stream.depth(dist, pair.s_minus)
     assert pair.regime == "subcritical-pair" and pair.s_plus < crit.s_c
     assert abs(head(dist, pair.s_plus) - r) <= 1e-12 * r
 
@@ -416,7 +417,7 @@ def test_critical_slope_minimizes_the_head(spec):
     dist, cls = _classified(spec)
     crit = analyze(dist)
     for s in (crit.s_c * (1.0 - 1e-3), crit.s_c * (1.0 + 1e-3)):
-        if s > bernoulli._proxy(dist).slopes[0]:
+        if stream._named(cls.s0, s) > bernoulli._proxy(dist).margins[0]:
             assert crit.r_c <= head(dist, s)
 
 
@@ -430,7 +431,7 @@ def test_conjugates_share_a_head_between_the_critical_values(spec, frac):
     dist, cls = _classified(spec)
     crit = analyze(dist)
     s = cls.s0 + frac * (crit.s_c - cls.s0)
-    assume(s > bernoulli._proxy(dist).slopes[0])
+    assume(stream._named(cls.s0, s) > bernoulli._proxy(dist).margins[0])
     r = head(dist, s)
     pair = conjugates(dist, r)
     assert pair.regime == "subcritical-pair"

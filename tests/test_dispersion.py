@@ -347,7 +347,7 @@ def test_tau0_exists_iff_subcritical(spec, frac):
     assume(abs(frac - 1.0) > 0.05)
     dist, s0 = _with_threshold(spec)
     s = s0 + frac * (bernoulli.analyze(dist).s_c - s0)
-    assume(s > bernoulli._proxy(dist).slopes[0])
+    assume(stream._named(s0, s) > bernoulli._proxy(dist).margins[0])
     st = stream.solve_stream(dist, s)
     disp = find_tau0(st, tau_max=1000.0)
     if frac < 1.0:

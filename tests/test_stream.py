@@ -412,7 +412,7 @@ def test_depth_decreases_in_s(spec, lift):
         s0 = dist.classify().s0
     except AmbiguousClassificationError:
         return
-    edge = bernoulli._proxy(dist).slopes[0]
+    edge = math.sqrt(s0 * s0 + bernoulli._proxy(dist).margins[0])
     d = [depth(dist, edge + max(1.0, s0) * 10.0 ** (lift + k)) for k in range(3)]
     assert d[0] > d[1] > d[2]
 
@@ -701,7 +701,8 @@ def test_stream_at_the_lowest_proxy_sample():
     # same margin sigma2.
     mp = pytest.importorskip("mpmath")
     dist = V.parse("poly 1.777 0.051 -2.537")
-    s = bernoulli._proxy(dist).slopes[0]
+    s0 = dist.classify().s0
+    s = math.sqrt(s0 * s0 + bernoulli._proxy(dist).margins[0])
     sigma2 = stream._margin(dist, s)[0]
     with mp.workdps(30):
         c = [mp.mpf(x) for x in dist._coeffs]

@@ -366,6 +366,8 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         If ``r`` falls below the critical head.
     DivergenceError
         Under "i", if the subcritical root's margin underflows to 0.
+    InvalidIntegrandError
+        Under "i", if that margin is below about 3e-206, where Phi overflows.
     """
     if not math.isfinite(3.0 * r):
         raise DomainError(f"head must be finite, and 3 r too; got r={r!r}")

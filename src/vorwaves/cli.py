@@ -162,10 +162,10 @@ def _conjugate_pair(cfg: RunConfig, dist, instead: str) -> bernoulli.ConjugatePa
 
 def _stream_for(cfg: RunConfig, dist) -> stream.StreamSolution:
     """The stream named by the config: ``s`` directly, else the
-    subcritical branch at head ``r``."""
+    subcritical branch at head ``r``, by its margin."""
     s = cfg.get("s")
     if s is None:
-        s = _conjugate_pair(cfg, dist, "'s'").s_plus
+        return stream.solve_stream(dist, sigma2=_conjugate_pair(cfg, dist, "'s'").sigma2_plus)
     return stream.solve_stream(dist, s)
 
 

@@ -248,7 +248,8 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
             # below about 1e-300, v * v and so the gap can underflow to 0
             x[c] = np.where(ell > 0.0, ell * np.sinh(v), np.maximum(v * v, float_info.min))
         gap = _horner_rows(row[..., 3:], x - row[..., 2])
-        y = (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** powers[k]
+        with np.errstate(over="ignore"):  # an inf is integrate's InvalidIntegrandError
+            y = (sig[k] + 2.0 * np.maximum(gap, 0.0)) ** powers[k]
         if len(c):
             y[c] *= np.where(ell > 0.0, ell * np.cosh(v), 2.0 * v)
         return y
@@ -348,10 +349,10 @@ class StreamSolution:
     points asked for; the inverse map ``u(y)`` runs a Newton iteration on
     the same quadrature with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
 
-    A stream is named by its slope ``s`` or, keyword only, by its margin
-    ``sigma2 = s^2 - s0^2`` (finite, ``>= 0``; then ``s = sqrt(s0^2 +
-    sigma2)``), which names it also where a float ``s`` is too close to
-    ``s0`` to: exactly one of the two is given.
+    A stream is named by exactly one of its slope ``s`` and, keyword only,
+    its margin ``sigma2 = s^2 - s0^2`` (finite and ``>= 0``; then ``s =
+    sqrt(s0^2 + sigma2)``).  A margin names a stream also where ``s`` lies
+    too close to ``s0`` for a float slope to.
 
     Attributes
     ----------

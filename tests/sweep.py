@@ -8,7 +8,9 @@ root of a checkout; 1,500 draws take about half a minute:
 
 It prints each outcome with its count: ``completes``, or the exception that
 escaped and the pipeline call it escaped from, with the first draw that
-met it.  pytest does not collect this file.
+met it.  It exits with 1 when any draw escapes with an exception, which is
+never one of the refusals ``_pipeline`` names, and with 0 otherwise, so
+that it can gate a run.  pytest does not collect this file.
 """
 
 import random
@@ -33,7 +35,7 @@ def outcome(spec: str) -> str:
     return "completes"
 
 
-def main(draws: int = 1500, seed: int = 11) -> None:
+def main(draws: int = 1500, seed: int = 11) -> int:
     rng = random.Random(seed)
     counts, first = Counter(), {}
     with warnings.catch_warnings():
@@ -45,7 +47,8 @@ def main(draws: int = 1500, seed: int = 11) -> None:
             first.setdefault(key, spec)
     for key, n in counts.most_common():
         print(f"{n:5d}  {key}" + ("" if key == "completes" else f"  (first: {first[key]})"))
+    return int(any(key != "completes" for key in counts))
 
 
 if __name__ == "__main__":
-    main(*map(int, sys.argv[1:2]))
+    sys.exit(main(*map(int, sys.argv[1:2])))

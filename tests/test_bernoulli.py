@@ -7,7 +7,8 @@ from hypothesis import strategies as st_
 
 from vorwaves import bernoulli, numerics, stream
 from vorwaves.bounds import check_bounds
-from vorwaves.errors import AmbiguousClassificationError, DomainError, NoStreamError
+from vorwaves.errors import (AmbiguousClassificationError, DomainError, InvalidIntegrandError,
+                             NoStreamError)
 from vorwaves.bernoulli import analyze, conjugates
 from vorwaves.vorticity import VorticityDistribution as V
 
@@ -291,11 +292,18 @@ def test_kept_depths_are_the_depths_of_the_roots(spec):
     crit = analyze(dist)
     assert crit.d_c == stream.depth(dist, crit.s_c)
     assert crit.r_c == head(dist, crit.s_c)
+    s0 = dist.classify().s0
     for r in _heads(dist):
         pair = conjugates(dist, r)
-        assert pair.d_minus == stream.depth(dist, pair.s_minus)
-        if pair.s_plus is not None:
-            assert pair.d_plus == stream.depth(dist, pair.s_plus)
+        for s, d, m in ((pair.s_minus, pair.d_minus, pair.sigma2_minus),
+                        (pair.s_plus, pair.d_plus, pair.sigma2_plus)):
+            if s is None:
+                continue
+            assert d == stream.solve_stream(dist, sigma2=m).d
+            # no search here goes on at exact margins: each slope lies
+            # where one ulp of it moves the head by far less than the
+            # tolerance, so the slope names the same stream
+            assert m == stream._named(s0, s) and d == stream.depth(dist, s)
 
 
 def test_repeated_conjugates_share_the_pair():
@@ -346,6 +354,15 @@ def test_open_bracket_closed_form():
         assert abs(pair.d_plus * pair.s_plus - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("r", [1e150, 1e200])
+def test_deep_open_bracket_heads_raise_a_typed_error(r):
+    # the root's margin lies below 3e-206, where Phi's integrand
+    # sigma2^(-3/2) overflows: numpy's overflow warning, an error under
+    # the test settings, escaped before the quadrature's own typed error
+    with pytest.raises(InvalidIntegrandError):
+        conjugates(V.constant(0.0), r)
+
+
 def test_open_bracket_on_a_flat_maximum():
     # Omega is flat at its maximum on [0.5, 1], so d grows like 1/sigma, and
     # at 1e8 r_c the root lies inside the snap window of s0 = 1; the search
@@ -356,11 +373,9 @@ def test_open_bracket_on_a_flat_maximum():
     pair = conjugates(dist, r)
     assert pair.regime == "subcritical-pair"
     assert pair.s_plus - cls.s0 <= stream._SNAP * max(1.0, cls.s0)
-    # s names no stream inside the snap window; there the head is
-    # (surface + 2 d) / 3 to within a third of sigma2 < 2 s window
-    surface = 2.0 * (cls.max_Omega - dist._Omega_scalar(1.0))
-    window = stream._SNAP * max(1.0, cls.s0)
-    assert abs((surface + 2.0 * pair.d_plus) / 3.0 - r) <= 1e-12 * r + pair.s_plus * window
+    # s names no stream inside the snap window; the pair's margin does
+    st = stream.solve_stream(dist, sigma2=pair.sigma2_plus)
+    assert st.d == pair.d_plus and abs(st.r - r) <= 5e-13 * r
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, 1e308])
@@ -457,14 +472,12 @@ def test_conjugates_meet_the_head_or_refuse(spec, frac):
     pair = conjugates(dist, r)
     assert pair.regime == "subcritical-pair"
     assert pair.s_plus < an.s_c < pair.s_minus
-    for s, d in ((pair.s_plus, pair.d_plus), (pair.s_minus, pair.d_minus)):
-        window = stream._SNAP * max(1.0, cls.s0)
-        if s - cls.s0 <= window:
-            # s names no stream inside the snap window of s0; there sigma2
-            # is below 2 s window, and the head is (surface + 2 d) / 3 to
-            # within a third of that
-            surface = 2.0 * (cls.max_Omega - dist._Omega_scalar(1.0))
-            assert abs((surface + 2.0 * d) / 3.0 - r) <= 1e-12 * max(1.0, abs(r)) + s * window
+    for s, d, m in ((pair.s_plus, pair.d_plus, pair.sigma2_plus),
+                    (pair.s_minus, pair.d_minus, pair.sigma2_minus)):
+        if s - cls.s0 <= stream._SNAP * max(1.0, cls.s0):
+            # s names no stream inside the snap window of s0; the margin does
+            st = stream.solve_stream(dist, sigma2=m)
+            assert st.d == d and abs(st.r - r) <= 5e-13 * max(1.0, abs(r))
             continue
         # a slope is a float: where one ulp of it moves the head past its
         # tolerance, d is integrated at the exact margin, which the slope

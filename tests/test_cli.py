@@ -10,9 +10,12 @@ import pytest
 from click.testing import CliRunner
 
 import vorwaves
-from vorwaves import cli
+from vorwaves import bernoulli, cli, dispersion, stream
 from vorwaves.cli import main, scale_to_nondimensional
 from vorwaves.errors import ConfigError, DomainError
+from vorwaves.vorticity import VorticityDistribution
+
+from test_sweep import INSIDE_SNAP_WINDOW, _head
 
 _SRC = str(pathlib.Path(vorwaves.__file__).resolve().parents[1])
 
@@ -103,6 +106,27 @@ def test_dispersion_by_head(tmp_path):
     res = report["results"]
     assert res["tau0"] == pytest.approx(1.9190223825217005, abs=1e-8)
     assert res["assumption_II"] is True
+
+
+@pytest.mark.filterwarnings("ignore:piecewise-linear vorticity")
+def test_dispersion_where_no_slope_names_the_stream(tmp_path):
+    # under class "i" this draw's subcritical conjugate at its 95% head lies
+    # within 1e-13 max(1, s0) of s0, where the float s_plus names no stream
+    # (the command exited 3 on its DivergenceError); its margin names it
+    spec = INSIDE_SNAP_WINDOW[0]
+    dist = VorticityDistribution.parse(spec)
+    r = _head(bernoulli.analyze(dist), 0.95)
+    pair = bernoulli.conjugates(dist, r)
+    report, _ = _run(tmp_path, "dispersion", f"""\
+        [vorticity]
+        spec = {spec}
+        [parameters]
+        r = {r!r}
+    """)
+    res = report["results"]
+    assert res["d"] == pair.d_plus
+    tau0 = dispersion.find_tau0(stream.solve_stream(dist, sigma2=pair.sigma2_plus)).tau0
+    assert tau0 is not None and res["tau0"] == tau0
 
 
 def test_wave_outputs(tmp_path):

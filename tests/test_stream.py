@@ -187,6 +187,32 @@ def test_non_finite_slope_is_a_domain_error(w_two, s):
             fn(w_two, s)
 
 
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -1e-300, -1.0])
+def test_margin_not_finite_or_negative_is_a_domain_error(w_two, sigma2):
+    with pytest.raises(DomainError, match="margin"):
+        solve_stream(w_two, sigma2=sigma2)
+
+
+def test_a_stream_takes_one_name(w_two):
+    # a slope or a margin, not both or neither
+    with pytest.raises(TypeError, match="exactly one"):
+        solve_stream(w_two)
+    with pytest.raises(TypeError, match="exactly one"):
+        solve_stream(w_two, 3.0, sigma2=5.0)
+
+
+def test_margin_names_the_stream_of_its_slope(w_two, w_zero):
+    # d(s) = (s - sqrt(s^2 - 4)) / 2 on constant 2, whose s0 is 2
+    st = solve_stream(w_two, sigma2=5.0)
+    assert (st.s, st.sigma2) == (3.0, 5.0)
+    assert (st.d, st.r) == (solve_stream(w_two, 3.0).d, solve_stream(w_two, 3.0).r)
+    assert abs(st.d - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-14
+    # the zero margin names the stream at s0 only where d0 is finite
+    assert solve_stream(w_two, sigma2=0.0).d == solve_stream(w_two, 2.0).d
+    with pytest.raises(DivergenceError):
+        solve_stream(w_zero, sigma2=0.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_profile_argument_is_a_domain_error(w_two, bad):
     st, sh = solve_stream(w_two, 3.0), shoot_stream(w_two, 3.0)

@@ -7,8 +7,9 @@ values in [-3, 3] rounded to three places, the benchmark's mix, built here.
 A draw must complete or raise a refusal the docstrings name.  The pinned
 draws are the failures found over 1,500 such draws: ``find_tau0`` gave up
 on 14 of them, and ``conjugates`` refused 5 under class "i", whose
-subcritical conjugate lies a few ulps above ``s0``.  ``tests/sweep.py``
-runs the whole sweep by hand.
+subcritical conjugate lies a few ulps above ``s0``.  Each stream is built
+from the margin ``sigma2_plus`` of its pair.  ``tests/sweep.py`` runs the
+whole sweep by hand.
 """
 
 import random
@@ -17,7 +18,7 @@ import pytest
 
 from vorwaves import bernoulli, linearwave, stream
 from vorwaves.dispersion import find_tau0, sigma
-from vorwaves.errors import AmbiguousClassificationError, DivergenceError, NoStreamError
+from vorwaves.errors import AmbiguousClassificationError, ConvergenceError, NoStreamError
 from vorwaves.vorticity import VorticityDistribution as V
 
 pytestmark = pytest.mark.filterwarnings("ignore:piecewise-linear vorticity")
@@ -35,7 +36,7 @@ def _head(an, fraction: float) -> float:
 def _stream(spec: str, fraction: float):
     dist = V.parse(spec)
     pair = bernoulli.conjugates(dist, _head(bernoulli.analyze(dist), fraction))
-    return stream.solve_stream(dist, pair.s_plus)
+    return stream.solve_stream(dist, sigma2=pair.sigma2_plus)
 
 
 def _draw(rng: random.Random) -> str:
@@ -64,7 +65,7 @@ def _pipeline(spec: str) -> None:
             pair = bernoulli.conjugates(dist, _head(an, fraction))
         except NoStreamError:
             continue
-        st = stream.solve_stream(dist, pair.s_plus)
+        st = stream.solve_stream(dist, sigma2=pair.sigma2_plus)
         disp = find_tau0(st)
         if disp.tau0 is not None and disp.assumption_II:
             linearwave.build_wave(st, disp, 0.01 * st.d)
@@ -103,15 +104,18 @@ FLOAT_CARRIES = (
     "table 0.0:-0.7 0.336:2.76 0.355:-2.901 0.361:-0.821 1.0:0.291",
     "table 0.0:2.305 0.301:2.746 0.373:-2.094 0.424:-1.943 1.0:-1.608",
 )
-# and these three lie inside the snap window of s0, so that their s_plus
-# names no stream: solve_stream refuses it, though conjugates answers
-SNAP_WINDOW = pytest.mark.xfail(raises=DivergenceError, strict=True,
-                                reason="s_plus inside the snap window of s0")
+# and these three lie inside the snap window of s0, where a float slope
+# names no stream (solve_stream refused their s_plus): their margins name them
 INSIDE_SNAP_WINDOW = (
     "table 0.0:2.041 0.946:1.247 0.948:-1.108 1.0:-1.622",
     "table 0.0:2.039 0.097:1.569 0.135:-2.875 0.906:-1.953 1.0:-2.601",
     "table 0.0:0.625 0.117:0.588 0.254:2.979 0.256:-0.271 1.0:-1.724",
 )
+# the last, at margin 3.4e-20, reaches build_wave, where u_at's quadrature
+# fails on a piece 3.0e-11 to 5.0e-11 from the interior maximizer
+# 0.25583323076923076: it is integrated in tau, whose nodes round by ulp(tau)
+TAU_ROUNDING = pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                                 reason="u_at's nodes in tau round by ulp(tau) beside a maximizer")
 
 SEED, SAMPLE = 7, 60
 _rng = random.Random(SEED)
@@ -133,7 +137,7 @@ def test_root_beyond_tau_max_is_an_answer(spec):
     assert sigma(st, 50.0) < 0.0
 
 
-@pytest.mark.parametrize("spec", [pytest.param(s, marks=SNAP_WINDOW) if s in INSIDE_SNAP_WINDOW
+@pytest.mark.parametrize("spec", [pytest.param(s, marks=TAU_ROUNDING) if s == INSIDE_SNAP_WINDOW[2]
                                   else s for s in dict.fromkeys(
                                       INSIDE_SNAP_WINDOW + FLOAT_CARRIES + tuple(DRAWS))])
 def test_draw_completes_or_is_refused(spec):
@@ -142,15 +146,15 @@ def test_draw_completes_or_is_refused(spec):
 
 @pytest.mark.parametrize("spec", INSIDE_SNAP_WINDOW)
 def test_conjugate_inside_the_snap_window_meets_the_head(spec):
-    # s_plus is within 1e-13 max(1, s0) of s0, so sigma2+ is below 4e-13
-    # (below 6e-14 on all three) and the head is (2 (max Omega - Omega(1)) +
-    # 2 d_plus) / 3 to within a third of it; d_plus is integrated at the
-    # exact margin, which the float s_plus cannot name
+    # s_plus is within 1e-13 max(1, s0) of s0, which the float s_plus
+    # cannot name; the stream of the pair's margin has its depth, bit for
+    # bit, and meets the head to the conjugate tolerance
     dist = V.parse(spec)
     cls = dist.classify()
     r = _head(bernoulli.analyze(dist), 0.95)
     pair = bernoulli.conjugates(dist, r)
     assert pair.regime == "subcritical-pair"
     assert pair.s_plus - cls.s0 <= 1e-13 * max(1.0, cls.s0)
-    surface = 2.0 * (cls.max_Omega - dist._Omega_scalar(1.0))
-    assert abs((surface + 2.0 * pair.d_plus) / 3.0 - r) <= 1e-12 * max(1.0, r)
+    st = stream.solve_stream(dist, sigma2=pair.sigma2_plus)
+    assert st.d == pair.d_plus
+    assert abs(st.r - r) <= 5e-13 * max(1.0, r)

@@ -8,8 +8,8 @@ root of a checkout; 1,500 draws take about half a minute:
 
 It prints each outcome with its count: ``completes``, or the exception that
 escaped and the pipeline call it escaped from, with the first draw that
-met it.  It exits with 1 when any draw escapes with an exception, which is
-never one of the refusals ``_pipeline`` names, and with 0 otherwise, so
+met it.  It exits with 1 when any draw escapes with an exception
+(``_pipeline`` catches the refusals it names), and with 0 otherwise, so
 that it can gate a run.  pytest does not collect this file.
 """
 

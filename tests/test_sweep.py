@@ -146,9 +146,9 @@ def test_draw_completes_or_is_refused(spec):
 
 @pytest.mark.parametrize("spec", INSIDE_SNAP_WINDOW)
 def test_conjugate_inside_the_snap_window_meets_the_head(spec):
-    # s_plus is within 1e-13 max(1, s0) of s0, which the float s_plus
-    # cannot name; the stream of the pair's margin has its depth, bit for
-    # bit, and meets the head to the conjugate tolerance
+    # s_plus lies within 1e-13 max(1, s0) of s0, where no float slope names
+    # the stream; the stream of the pair's margin has d_plus, bit for bit,
+    # and meets the head to the conjugate tolerance
     dist = V.parse(spec)
     cls = dist.classify()
     r = _head(bernoulli.analyze(dist), 0.95)

@@ -12,8 +12,9 @@ the best estimate reached, and the tolerances are fixed (``abs 1e-12``,
 Every root the package finds inside a bracket is found by one safeguarded
 Newton method (:class:`Newton`, its rounds run by :func:`run_newton`): the
 exact head searches of ``bernoulli``, their starts on its Chebyshev proxy,
-the surface crossing of ``stream.shoot_stream`` on its dense output, and
-the root of ``dispersion.find_tau0`` in ``tau^2`` on ``(0, inf)``, where
+the surface crossing of ``stream.shoot_stream`` on its dense output, the
+profile inversion ``u(y)`` of ``stream.StreamSolution``, a search per height,
+and the root of ``dispersion.find_tau0`` in ``tau^2`` on ``(0, inf)``, where
 sigma is concave, so its steps from 0 stay below the root.
 
 Conventions

@@ -114,7 +114,7 @@ def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
     """The pieces of :func:`_accumulate` on ``grid``, as read-only arrays:
     ``[lo, hi]``, the distances ``x_lo`` to ``x_hi`` to the maximizer, the
     grid cell, and the frame tag and gap row of :func:`_gap_rows`, the row
-    in the distance itself for a piece that ends at the maximizer."""
+    in the distance itself for a piece nearer the maximizer than 0."""
     cls = dist.classify()
     peaks = np.array(cls.maximizers)
     cuts = [c for c in [*cls.maximizers, *dist._seg[1:].tolist()] if 0.0 < c < grid[-1]]
@@ -134,12 +134,13 @@ def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
     e = np.where(a_peak | (~b_peak & (m <= a)), 1.0, -1.0)
     x_lo = np.where(anchored, 0.0, np.where(e > 0.0, a - m, m - b))
     x_hi = np.where(anchored, b - a, np.where(e > 0.0, b - m, m - a))
-    # a piece that ends at m is integrated in the distance to m, any other
-    # piece in tau itself, so that its width keeps every digit
-    lo, hi = np.where(anchored, 0.0, a), np.where(anchored, x_hi, b)
+    # a piece nearer m than tau = 0 is integrated in the distance to m, any
+    # other piece in tau itself, so that its nodes round at the smaller scale
+    in_x = anchored | (x_hi < a)
+    lo, hi = np.where(in_x, x_lo, a), np.where(in_x, x_hi, b)
 
     tag, rows, terms = _gap_rows(dist, m, e, 0.5 * (x_lo + x_hi))
-    rows[anchored, 0], rows[anchored, 1] = 1.0, 0.0
+    rows[in_x, 0], rows[in_x, 1] = 1.0, 0.0
     layout = (lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tag, rows)
     for arr in layout:
         arr.flags.writeable = False
@@ -180,9 +181,9 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     directly, loses every digit near a maximizer; so each gap is built
     outward from its nearest maximizer ``m`` without cancellation
     (``dist._gap_segments``), and each piece keeps the row of that form it
-    lies in.  A piece that ends at ``m`` is integrated in the distance
-    ``x`` to ``m``, any other piece in ``tau``, so that its width keeps
-    every digit.
+    lies in.  A piece nearer ``m`` than ``tau = 0`` is integrated in the
+    distance ``x`` to ``m``, any other piece in ``tau``, so that its
+    Kronrod nodes round at the smaller of the two scales.
 
     This is the one place that changes variables.  The layer at ``m``
     where ``sigma2`` and ``2 gap`` are comparable has width
@@ -346,8 +347,9 @@ class StreamSolution:
     """A unidirectional stream solution read from the quadrature.
 
     The height profile ``H(p; s)`` comes from :func:`_accumulate` at the
-    points asked for; the inverse map ``u(y)`` runs a Newton iteration on
-    the same quadrature with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
+    points asked for; the inverse map ``u(y)`` is a bracketed Newton search
+    per height on the same quadrature, with the exact slope ``H' = (sigma2
+    + 2 gap)^(-1/2)``.
 
     A stream is named by exactly one of its slope ``s`` and, keyword only,
     its margin ``sigma2 = s^2 - s0^2`` (finite and ``>= 0``; then ``s =
@@ -391,7 +393,7 @@ class StreamSolution:
 
     @cached_property
     def _nodes(self):
-        """``(p, H(p))`` at the Chebyshev-Lobatto nodes, where ``u_at`` starts."""
+        """``(p, H(p))`` at the Chebyshev-Lobatto nodes, the brackets of ``u_at``."""
         p = 0.5 * (1.0 - np.cos(pi * np.arange(_PROFILE_NODES) / (_PROFILE_NODES - 1)))
         p[0], p[-1] = 0.0, 1.0
         return p, _accumulate(self.dist, [(self.sigma2, -0.5)], p)[0]
@@ -435,12 +437,14 @@ class StreamSolution:
         """Invert the profile: the stream value ``u`` at height ``y``.
 
         ``y`` outside ``[0, d]`` (beyond a relative slack of 1e-9), or not
-        finite, is a domain error.  Newton on ``H(p) - y``, ``H`` from
-        :func:`_accumulate` as in :meth:`height_at`, with the analytic slope,
-        from the linear interpolant of ``H`` at the Chebyshev-Lobatto nodes;
-        the multiplicative update keeps endpoint singularities harmless.
-        The sweeps stop once no step exceeds 1e-13, or after 30.  The last
-        inversion is kept, so the same heights again cost no quadrature.
+        finite, is a domain error.  Each height is one :class:`numerics.Newton`
+        search on ``H(p) - y`` between the two Chebyshev-Lobatto nodes whose
+        heights bracket it, from the linear interpolant between them, with
+        the exact slope ``H' = 1 / u'``; :func:`numerics.run_newton` runs them
+        side by side, ``H`` at all open points from one :func:`_accumulate`
+        call, and each answer takes its last step where that stays in its
+        bracket.  The last inversion is kept, so the same heights again cost
+        no quadrature.
         """
         arr = np.asarray(y, dtype=float)
         scalar = arr.ndim == 0
@@ -456,20 +460,20 @@ class StreamSolution:
             return arr
         key = arr.tobytes()
         if self._inverted[0] != key:
-            order = np.argsort(arr, axis=None)
-            h = np.clip(arr.ravel()[order], 0.0, self.d)
-            p = np.interp(h, self._nodes[1], self._nodes[0])
-            for _ in range(30):
-                resid = _accumulate(self.dist, [(self.sigma2, -0.5)], p)[0] - h
-                step = resid * self._speed(p)
-                p = np.maximum.accumulate(np.clip(p - step, 0.0, 1.0))
-                if np.abs(step).max() < 1e-13:
-                    break
-            if abs(resid[j := int(np.argmax(np.abs(resid)))]) > 1e-9 * max(1.0, self.d):
-                raise ConvergenceError(f"profile inversion stalled: residual "
-                                       f"{float(abs(resid[j]))!r} at y={float(h[j])!r}")
-            out = np.empty(arr.size)
-            out[order] = p
+            p, h = self._nodes
+            y = np.clip(arr.ravel(), 0.0, h[-1])
+            k = np.clip(np.searchsorted(h, y, side="right"), 1, p.size - 1)
+            ends = np.column_stack((p[k - 1], p[k], h[k - 1] - y, h[k] - y, np.interp(y, h, p)))
+            searches = [numerics.Newton(*row, False, 1e-13) for row in ends.tolist()]
+
+            def values(open_):
+                x = [search.x for search in open_]
+                f = self.height_at(x) - y[[search.root is None for search in searches]]
+                return zip(f.tolist(), self.slope_at(x).tolist())
+
+            numerics.run_newton(searches, values)
+            out = np.array([x.root + x.step if x.lo <= x.root + x.step <= x.hi else x.root
+                            for x in searches])
             self._inverted = (key, out)
         out = self._inverted[1].copy()  # callers may write into their copy
         return float(out[0]) if scalar else out.reshape(arr.shape)

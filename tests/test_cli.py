@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import vorwaves
-from vorwaves import bernoulli, cli, dispersion, stream
+from vorwaves import bernoulli, cli, dispersion, hodograph, stream
 from vorwaves.cli import main, scale_to_nondimensional
 from vorwaves.errors import ConfigError, DomainError
 from vorwaves.vorticity import VorticityDistribution
@@ -129,6 +129,22 @@ def test_dispersion_where_no_slope_names_the_stream(tmp_path):
     assert tau0 is not None and res["tau0"] == tau0
 
 
+def test_dispersion_by_slope(tmp_path):
+    # a slope between s0 = 2 and s_c = 2.0399 names the stream itself
+    dist = VorticityDistribution.parse("constant 2")
+    report, _ = _run(tmp_path, "dispersion", """\
+        [vorticity]
+        spec = constant 2
+        [parameters]
+        s = 2.02
+    """)
+    res = report["results"]
+    st = stream.solve_stream(dist, 2.02)
+    tau0 = dispersion.find_tau0(st).tau0
+    assert tau0 is not None
+    assert (res["s"], res["d"], res["tau0"]) == (st.s, st.d, tau0)
+
+
 def test_wave_outputs(tmp_path):
     report, out = _run(tmp_path, "wave", """\
         [vorticity]
@@ -213,6 +229,37 @@ def test_wheeler_conjugate_run(tmp_path):
     assert report["files"] == ["residuals.csv"]
     with open(os.path.join(out, "residuals.csv"), encoding="utf-8") as fh:
         assert fh.readline().strip() == "q,surface_residual"
+
+
+def test_wheeler_on_a_window(tmp_path):
+    report, _ = _run(tmp_path, "wheeler", """\
+        [vorticity]
+        spec = constant 0
+        [parameters]
+        r = 1.1
+        window = 0.2, 0.8
+    """)
+    res = report["results"]
+    dist = VorticityDistribution.parse("constant 0")
+    pair = bernoulli.conjugates(dist, 1.1)
+    hf = hodograph.to_strip(stream.solve_stream(dist, pair.s_minus))
+    assert res["window"] == [0.2, 0.8]
+    assert res["lhs"] == hodograph.wheeler_identity(hf, pair.s_plus, (0.2, 0.8), dist).lhs
+
+
+@pytest.mark.parametrize("window, message", [("0.5", "needs two numbers"),
+                                             ("0.8 0.2", "empty window")])
+def test_exit_code_for_a_bad_window(tmp_path, window, message):
+    cfg = _config(tmp_path, f"""\
+        [vorticity]
+        spec = constant 0
+        [parameters]
+        r = 1.1
+        window = {window}
+    """)
+    result = _invoke(["wheeler", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert message in result.stderr
 
 
 def test_scale_round_trip(tmp_path):

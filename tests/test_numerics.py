@@ -166,6 +166,18 @@ def test_find_root_refuses_nan():
         _newton(lambda x: (x, 1.0) if abs(x) == 1.0 else (math.nan, 1.0), -1.0, 1.0, 1e-13)
 
 
+@pytest.mark.parametrize("lo", [-3.0, 0.0, 2.5])
+@pytest.mark.parametrize("slope", [0.0, -1.0])
+def test_open_bracket_step_that_misses_goes_beyond_lo(lo, slope):
+    # with hi = inf, a step that does not land in (lo, inf), at a zero slope
+    # or one of the wrong sign, goes max(|lo|, 1) beyond lo
+    search = numerics.Newton(lo - 1.0, math.inf, -1.0, math.inf, lo, False, 1e-13)
+    search.send(-1.0, slope)
+    assert search.root is None
+    assert (search.lo, search.hi) == (lo, math.inf)
+    assert search.x == lo + max(abs(lo), 1.0)
+
+
 def test_bracket_orientation():
     with pytest.raises(ValueError):
         numerics.Newton(2.0, 1.0, -1.0, 1.0, 1.5, False, 1e-13)

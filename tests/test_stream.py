@@ -18,6 +18,7 @@ from vorwaves.stream import (
 from vorwaves.vorticity import VorticityDistribution as V, _horner, _horner_rows
 
 from strategies import dist_specs
+from test_sweep import INSIDE_SNAP_WINDOW, _head
 
 # closed forms used throughout:
 #   omega == 0:  u = s y, d = 1/s, H(p) = p/s, Phi(p) = p/s^3
@@ -462,6 +463,23 @@ def test_u_at_keeps_its_last_inversion(w_two, monkeypatch):
         st.u_at(y[::2])
 
 
+@pytest.mark.parametrize("spec", INSIDE_SNAP_WINDOW)
+def test_u_at_answers_each_height_alone(spec):
+    # at the 95% head of these draws the margin is 6.0e-14, 2.9e-15 and
+    # 3.4e-20; each height alone must get the batch's answer, within 16 ulps
+    # of where H crosses y
+    dist = V.parse(spec)
+    sigma2 = bernoulli.conjugates(dist, _head(bernoulli.analyze(dist), 0.95)).sigma2_plus
+    st = solve_stream(dist, sigma2=sigma2)
+    y = np.linspace(0.0, st.d, 129)
+    batch = st.u_at(y)
+    u = np.array([solve_stream(dist, sigma2=sigma2).u_at(t) for t in y.tolist()])
+    assert np.max(np.abs(u - batch)) <= 1e-14
+    slack = 1e-14 * max(1.0, st.d)
+    assert np.all(st.height_at(u - 16.0 * np.spacing(u)) <= y + slack)
+    assert np.all(y <= st.height_at(u + 16.0 * np.spacing(u)) + slack)
+
+
 def test_depth_at_critical_slope_on_kinked_table():
     dist = V.parse(KINKED)
     s_c = bernoulli.analyze(dist).s_c
@@ -642,6 +660,29 @@ def test_slope_beside_a_maximizer_against_40_digit_gap(spec, m):
         want = [float(1 / mp.sqrt(mp.mpf(st.sigma2) + 2 * (oracle.big - oracle.Omega(mp.mpf(x)))))
                 for x in p]
     np.testing.assert_allclose(st.slope_at(p), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", ["poly 1.274", "constant 3", "constant 0.7"])
+@pytest.mark.parametrize("power", [-0.5, -1.5])
+@pytest.mark.parametrize("lift", [5.1e-10, 1e-6, 1e-3])
+def test_profile_beside_a_maximizer_at_the_surface(spec, power, lift):
+    # omega = c puts the maximizer at 1, where int_0^p (sigma2 + 2 c (1 - tau))^power
+    # has a closed form; Kronrod nodes in tau round by ulp(1), large beside
+    # the maximizer, and nodes in the distance to it round large near p = 0,
+    # so each piece must be taken at the smaller of the two scales
+    dist = V.parse(spec)
+    c = dist.omega(0.5)
+    sigma2 = stream._margin(dist, dist.classify().s0 + lift)[0]
+    p = 0.5 * (1.0 - np.cos(np.pi * np.arange(257) / 256.0))
+    p[0], p[-1] = 0.0, 1.0
+    got = stream._accumulate(dist, [(sigma2, power)], p)[0]
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        top, q = mp.mpf(sigma2) + 2 * mp.mpf(c), power + 1
+        want = np.array([float((top ** q - (top - 2 * mp.mpf(c) * mp.mpf(x)) ** q) / (2 * c * q))
+                         for x in p])
+    assert got[0] == 0.0
+    assert np.max(np.abs(got[1:] / want[1:] - 1.0)) <= 2e-15
 
 
 def test_depth_at_tiny_margins_follows_the_log_asymptote():

@@ -18,7 +18,7 @@ import pytest
 
 from vorwaves import bernoulli, linearwave, stream
 from vorwaves.dispersion import find_tau0, sigma
-from vorwaves.errors import AmbiguousClassificationError, ConvergenceError, NoStreamError
+from vorwaves.errors import AmbiguousClassificationError, NoStreamError
 from vorwaves.vorticity import VorticityDistribution as V
 
 pytestmark = pytest.mark.filterwarnings("ignore:piecewise-linear vorticity")
@@ -111,11 +111,6 @@ INSIDE_SNAP_WINDOW = (
     "table 0.0:2.039 0.097:1.569 0.135:-2.875 0.906:-1.953 1.0:-2.601",
     "table 0.0:0.625 0.117:0.588 0.254:2.979 0.256:-0.271 1.0:-1.724",
 )
-# the last, at margin 3.4e-20, reaches build_wave, where u_at's quadrature
-# fails on a piece 3.0e-11 to 5.0e-11 from the interior maximizer
-# 0.25583323076923076: it is integrated in tau, whose nodes round by ulp(tau)
-TAU_ROUNDING = pytest.mark.xfail(raises=ConvergenceError, strict=True,
-                                 reason="u_at's nodes in tau round by ulp(tau) beside a maximizer")
 
 SEED, SAMPLE = 7, 60
 _rng = random.Random(SEED)
@@ -137,9 +132,7 @@ def test_root_beyond_tau_max_is_an_answer(spec):
     assert sigma(st, 50.0) < 0.0
 
 
-@pytest.mark.parametrize("spec", [pytest.param(s, marks=TAU_ROUNDING) if s == INSIDE_SNAP_WINDOW[2]
-                                  else s for s in dict.fromkeys(
-                                      INSIDE_SNAP_WINDOW + FLOAT_CARRIES + tuple(DRAWS))])
+@pytest.mark.parametrize("spec", list(dict.fromkeys(INSIDE_SNAP_WINDOW + FLOAT_CARRIES + tuple(DRAWS))))
 def test_draw_completes_or_is_refused(spec):
     _pipeline(spec)
 

@@ -168,7 +168,7 @@ class _Piece:
         pair of its value and slope."""
         if not a < b or (f_a > 0.0) == (f_b > 0.0):
             return None
-        search = numerics.Newton(a, b, f_a, f_b, 0.5 * (a + b), f_a > 0.0, 1e-15 * self.half)
+        search = numerics.Newton(a, b, f_a, f_b, 0.5 * (a + b), 1e-15 * self.half)
         numerics.run_newton([search], lambda open_: [f(open_[0].x)])
         return search.root
 
@@ -183,7 +183,7 @@ class _Search(numerics.Newton):
                  ftol: float = math.inf):
         m, dm, _ = piece.sigma2(start)
         tol = 2.0 * math.sqrt(piece.s0 * piece.s0 + m) * tol_s / (abs(dm) or math.inf)
-        super().__init__(a[0], b[0], a[2], b[2], start, a[2] > 0.0, tol, ftol)
+        super().__init__(a[0], b[0], a[2], b[2], start, tol, ftol)
         self.piece, self.exact = piece, False
 
     def name(self, x: float) -> tuple:

@@ -147,17 +147,6 @@ def _checked_samples(eta) -> np.ndarray:
     return arr
 
 
-def _prop3_record(analysis, r: float, eta_hat: float, eta_check: float,
-                  stream_like: bool) -> VerdictRecord:
-    if analysis.condition != "ii":
-        return _na(f"requires classification \"ii\"; this distribution is "
-                   f"\"{analysis.condition}\"")
-    if analysis.r0 is None or r - analysis.r0 <= _margin(r, analysis.r0):
-        return _na(f"requires r > r0; r={r!r}, r0={analysis.r0!r}")
-    return _sandwich(eta_hat, eta_check, analysis.d0, "d0",
-                     "; samples are stream-like" if stream_like else "")
-
-
 def check_bounds(dist: VorticityDistribution, r: float, eta) -> BoundsReport:
     """Evaluate every depth-bound verdict for head ``r`` and samples ``eta``.
 
@@ -179,7 +168,8 @@ def check_bounds(dist: VorticityDistribution, r: float, eta) -> BoundsReport:
     analysis = bernoulli.analyze(dist)
     eta_hat = float(np.max(arr))
     eta_check = float(np.min(arr))
-    stream_like = (eta_hat - eta_check) < _FLAT_REL * max(1.0, eta_hat)
+    variation, flat_tol = eta_hat - eta_check, _FLAT_REL * max(1.0, eta_hat)
+    stream_like = variation < flat_tol
     hits = np.flatnonzero(arr == eta_hat)
     max_interior = bool(np.any((hits > 0) & (hits < arr.size - 1)))
 
@@ -210,10 +200,8 @@ def check_bounds(dist: VorticityDistribution, r: float, eta) -> BoundsReport:
     else:
         assertion2 = _sandwich(eta_hat, eta_check, d_plus, "d_plus")
 
-    variation = eta_hat - eta_check
-    flat_tol = _FLAT_REL * max(1.0, eta_hat)
-    if (analysis.condition == "iii" and r0 is not None
-            and _at_least(r, r0).status == HOLDS):
+    at_r0 = r0 is not None and _at_least(r, r0).status == HOLDS
+    if analysis.condition == "iii" and at_r0:
         nonexistence = VerdictRecord(
             status=HOLDS if stream_like else VIOLATED,
             lhs=variation, rhs=flat_tol, margin=0.0,
@@ -223,11 +211,17 @@ def check_bounds(dist: VorticityDistribution, r: float, eta) -> BoundsReport:
         nonexistence = _na(f"requires classification \"iii\" and r >= r0; "
                            f"condition=\"{analysis.condition}\", r0={r0!r}")
 
-    prop3 = _prop3_record(analysis, r, eta_hat, eta_check, stream_like)
+    if analysis.condition != "ii":
+        prop3 = _na(f"requires classification \"ii\"; this distribution is "
+                    f"\"{analysis.condition}\"")
+    elif r0 is None or _strictly_above(r, r0).status != HOLDS:
+        prop3 = _na(f"requires r > r0; r={r!r}, r0={r0!r}")
+    else:
+        prop3 = _sandwich(eta_hat, eta_check, analysis.d0, "d0",
+                          "; samples are stream-like" if stream_like else "")
 
     notes = ["eta_hat and eta_check are estimates over the sampled window"]
-    if (analysis.condition == "ii" and r0 is not None
-            and _at_least(r, r0).status == HOLDS):
+    if analysis.condition == "ii" and at_r0:
         notes.append("conjectured non-existence at this head; "
                      "reported informationally, not asserted")
 

@@ -265,7 +265,7 @@ def _long_wave_limit(stream: StreamSolution) -> float:
 def _sigma(stream, mode: _Mode) -> float:
     """``sigma`` from the solve from the bottom at its wavenumber."""
     upd = stream.u_prime_d
-    return upd * mode.end_slope - 1.0 / upd + stream.dist._omega_scalar(1.0)
+    return upd * mode.end_slope - 1.0 / upd + stream.classification.omega_at_1
 
 
 def sigma(stream: StreamSolution, tau: float) -> float:
@@ -364,7 +364,7 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
         return _sigma(stream, mode), upd * norm
 
     t1 = -sig0 / newton_value(0.0)[1]
-    search = numerics.Newton(0.0, math.inf, sig0, math.inf, t1, False, 1e-14 * t1)
+    search = numerics.Newton(0.0, math.inf, sig0, math.inf, t1, 1e-14 * t1)
     numerics.run_newton([search], lambda open_: [newton_value(open_[0].x)])
     if search.root > tau_max * tau_max:
         val = _sigma(stream, _solve(stream, tau_max))

@@ -158,7 +158,7 @@ def solve_W(stream: StreamSolution, tau: float, n_samples: int = 257) -> WCorrec
     values = y * (uprime / d) - upd * gam.values
     values[0] = 0.0
     values[-1] = 0.0
-    omega1 = stream.dist._omega_scalar(1.0)
+    omega1 = stream.classification.omega_at_1
     deriv_surface = upd / d - omega1 - upd * gam.derivative_surface
     target = upd / d - 1.0 / upd
     gap = abs(deriv_surface - target)

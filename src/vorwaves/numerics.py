@@ -157,15 +157,15 @@ class Newton:
     """Newton steps toward the root of ``f`` inside the bracket ``[lo, hi]``.
 
     Its caller takes ``f`` and ``f'`` at ``x`` and passes them to :meth:`send`
-    (:func:`run_newton` does so); ``falling`` says that ``f`` is positive
-    below the root and negative above it, so every value narrows the
-    bracket.  A step that would leave the bracket (at ``f' = 0``, an
-    infinite one), or is more than half the step before last, bisects it
-    instead (as ``rtsafe`` does: Press et al., *Numerical Recipes*, 3rd ed.,
-    sec. 9.4); while the upper end is open (``hi = inf``) steps may grow, and
-    one that does not land in ``(lo, inf)`` goes ``max(|lo|, 1)`` beyond
-    ``lo``, at any sign of ``lo``.  The
-    search ends at ``x`` when its Newton step, kept in ``step``, is within
+    (:func:`run_newton` does so); the signs of ``f`` at the ends say
+    whether it falls through the root (positive at ``lo`` or negative at
+    ``hi``) or rises, so every value narrows the bracket.  A step that
+    would leave the bracket (at ``f' = 0``, an infinite one), or is more
+    than half the step before last, bisects it instead (as ``rtsafe``
+    does: Press et al., *Numerical Recipes*, 3rd ed., sec. 9.4); while the
+    upper end is open (``hi = inf``) steps may grow, and one that does not
+    land in ``(lo, inf)`` goes ``max(|lo|, 1)`` beyond ``lo``, at any sign
+    of ``lo``.  The search ends at ``x`` when its Newton step, kept in ``step``, is within
     ``tol`` and ``|f(x)|`` within ``ftol``, or the step is within 4 ulps of
     ``x`` (where ``f`` is too steep for a closer point to exist); or, once
     the bracket is narrower than ``tol``, at its end of smaller ``|f|``.
@@ -177,11 +177,11 @@ class Newton:
     on a NaN value.
     """
 
-    def __init__(self, lo, hi, f_lo, f_hi, x, falling, tol, ftol=math.inf):
+    def __init__(self, lo, hi, f_lo, f_hi, x, tol, ftol=math.inf):
         if not lo < hi:
             raise ValueError(f"a bracket needs lo < hi, got [{lo!r}, {hi!r}]")
         self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
-        self.x, self.falling, self.tol, self.ftol = x, falling, tol, ftol
+        self.x, self.falling, self.tol, self.ftol = x, f_lo > 0.0 or f_hi < 0.0, tol, ftol
         self.root = lo if f_lo == 0.0 else hi if f_hi == 0.0 else None
         self.step, self._steps = 0.0, [math.inf, math.inf]
 

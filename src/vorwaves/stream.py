@@ -15,7 +15,11 @@ integrator (``_accumulate``) along an increasing grid of ``p``, a row per
 
 All integrands share the margin ``sigma2 + 2 gap(tau)`` where
 ``sigma2 = s^2 - s0^2`` and ``gap = max Omega - Omega >= 0``; a public
-function turns its slope into ``sigma2`` once (``_margin``).  At ``s = s0``
+function turns its slope into ``sigma2`` once (``_margin``).  The gap is
+read only from ``vorticity``, about the nearest maximizer of Omega and
+free of cancellation beside it: its rows in the integrand, its values at
+points in ``u' = sqrt(sigma2 + 2 gap)``, and its stored value at the
+surface in ``u'(d)`` and the head.  At ``s = s0``
 the margin vanishes wherever Omega peaks; when the peak sits at an endpoint
 and is non-degenerate the inverse square root stays integrable, which is what
 makes the zero-margin depth d0 finite under classifications "ii"/"iii".
@@ -47,7 +51,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConvergenceError, DivergenceError, DomainError
-from .vorticity import VorticityDistribution, _horner_rows
+from .vorticity import VorticityDistribution, _horner, _horner_rows
 
 __all__ = [
     "StreamSolution",
@@ -113,57 +117,32 @@ def _stream_values(p) -> np.ndarray:
 def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
     """The pieces of :func:`_accumulate` on ``grid``, as read-only arrays:
     ``[lo, hi]``, the distances ``x_lo`` to ``x_hi`` to the maximizer, the
-    grid cell, and the frame tag and gap row of :func:`_gap_rows`, the row
-    in the distance itself for a piece nearer the maximizer than 0."""
+    grid cell, and the frame tag and gap row of ``dist._gap_rows``, the row
+    in the distance itself for a piece at the maximizer or nearer it than 0."""
     cls = dist.classify()
     peaks = np.array(cls.maximizers)
     cuts = [c for c in [*cls.maximizers, *dist._seg[1:].tolist()] if 0.0 < c < grid[-1]]
     edges = np.array(sorted({0.0, *grid, *cuts}))
     at_peak = (edges[:, None] == peaks).any(axis=1)
     both = at_peak[:-1] & at_peak[1:]
-    if both.any():
-        edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:])[both])))
-        at_peak = (edges[:, None] == peaks).any(axis=1)
-    a, b, a_peak, b_peak = edges[:-1], edges[1:], at_peak[:-1], at_peak[1:]
+    edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:])[both])))
+    a, b = edges[:-1], edges[1:]
 
-    # the gap of every piece is taken about its nearest maximizer m, on
-    # side e; x_lo and x_hi bound the piece's distance to m
-    anchored = a_peak | b_peak
-    near = peaks[np.argmin(np.abs(peaks[None, :] - (0.5 * (a + b))[:, None]), axis=1)]
-    m = np.where(a_peak, a, np.where(b_peak, b, near))
-    e = np.where(a_peak | (~b_peak & (m <= a)), 1.0, -1.0)
-    x_lo = np.where(anchored, 0.0, np.where(e > 0.0, a - m, m - b))
-    x_hi = np.where(anchored, b - a, np.where(e > 0.0, b - m, m - a))
-    # a piece nearer m than tau = 0 is integrated in the distance to m, any
-    # other piece in tau itself, so that its nodes round at the smaller scale
-    in_x = anchored | (x_hi < a)
+    # the gap of every piece is taken in the frame of its middle: about its
+    # nearest maximizer m, on side e; x_lo and x_hi bound its distance to m
+    m, e = dist._frame(0.5 * (a + b))
+    x_lo, x_hi = np.where(e > 0.0, a - m, m - b), np.where(e > 0.0, b - m, m - a)
+    # a piece at m or nearer m than tau = 0 is integrated in the distance to
+    # m, any other piece in tau itself, so that its nodes round at the smaller scale
+    in_x = (x_lo == 0.0) | (x_hi < a)
     lo, hi = np.where(in_x, x_lo, a), np.where(in_x, x_hi, b)
 
-    tag, rows, terms = _gap_rows(dist, m, e, 0.5 * (x_lo + x_hi))
+    tag, rows, terms = dist._gap_rows(m, e, 0.5 * (x_lo + x_hi))
     rows[in_x, 0], rows[in_x, 1] = 1.0, 0.0
     layout = (lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tag, rows)
     for arr in layout:
         arr.flags.writeable = False
     return (*layout, terms)
-
-
-def _gap_rows(dist: VorticityDistribution, m, e, x) -> tuple:
-    """The gap about the maximizers ``m`` on the sides ``e`` at the distances
-    ``x`` (arrays alike), from ``dist._gap_segments``: the frame tags (``2 i
-    + 1`` about maximizer ``i`` on its right, ``2 i`` on its left), the rows
-    ``(e, m, start, *coef)`` that hold ``x`` (at ``tau``, ``coef`` at ``e (tau
-    - m) - start``), and ``terms[tag]``, the ``(k, 2 |c_k|)`` of its first row."""
-    peaks = dist.classify().maximizers
-    tag = 2 * np.searchsorted(peaks, m) + (e > 0.0)
-    terms, rows = [()] * (2 * len(peaks)), np.zeros((len(m), 3 + dist._W.shape[1]))
-    rows[:, 0], rows[:, 1] = e, m
-    for j in set(tag.tolist()):
-        seg, coef = dist._gap_segments(peaks[j // 2], 1.0 if j % 2 else -1.0)
-        terms[j] = tuple((k, 2.0 * abs(c)) for k, c in enumerate(coef[0].tolist()) if k and c)
-        # a piece, cut at every kink and maximizer, lies in one segment of the gap
-        k = np.searchsorted(seg, x[tag == j], side="right") - 1
-        rows[tag == j, 2], rows[tag == j, 3:] = seg[k], coef[k]
-    return tag, rows, tuple(terms)
 
 
 def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
@@ -179,11 +158,12 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     maximizer at both ends at its middle, so the rule sees smooth pieces
     with at most one steep end.  ``gap = max Omega - Omega``, evaluated
     directly, loses every digit near a maximizer; so each gap is built
-    outward from its nearest maximizer ``m`` without cancellation
-    (``dist._gap_segments``), and each piece keeps the row of that form it
-    lies in.  A piece nearer ``m`` than ``tau = 0`` is integrated in the
-    distance ``x`` to ``m``, any other piece in ``tau``, so that its
-    Kronrod nodes round at the smaller of the two scales.
+    outward from the nearest maximizer ``m`` of the piece's middle without
+    cancellation (``dist._frame``, ``dist._gap_segments``), and each piece
+    keeps the row of that form it lies in.  A piece at ``m`` or nearer ``m``
+    than ``tau = 0`` is integrated in the distance ``x`` to ``m``, any
+    other piece in ``tau``, so that its Kronrod nodes round at the smaller
+    of the two scales.
 
     This is the one place that changes variables.  The layer at ``m``
     where ``sigma2`` and ``2 gap`` are comparable has width
@@ -329,8 +309,8 @@ def phi(dist: VorticityDistribution, s: float, p=1.0):
 
 
 def _surface(dist: VorticityDistribution) -> float:
-    """``2 (max Omega - Omega(1)) >= 0``, what ``u'(d)^2`` adds to the margin."""
-    return 2.0 * max(dist.classify().max_Omega - dist._Omega_scalar(1.0), 0.0)
+    """``2 gap(1) >= 0``, what ``u'(d)^2`` adds to the margin."""
+    return 2.0 * dist._surface_gap
 
 
 def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
@@ -406,16 +386,8 @@ class StreamSolution:
 
     def _speed(self, p):
         """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first
-        integral, with the gap read as :func:`_accumulate` reads it: about the
-        nearest maximizer, free of cancellation beside it."""
-        p = np.asarray(p)
-        peaks = np.array(self.classification.maximizers)
-        m = peaks[np.argmin(np.abs(p[..., None] - peaks), axis=-1)].ravel()
-        e = np.where((p.ravel() > m) | (m == 0.0), 1.0, -1.0)
-        x = e * (p.ravel() - m)
-        rows = _gap_rows(self.dist, m, e, x)[1]
-        gap = _horner_rows(rows[:, 3:], x - rows[:, 2]).reshape(p.shape)
-        return np.sqrt(self.sigma2 + 2.0 * np.maximum(gap, 0.0))
+        integral, with the gap read in the frame :func:`_accumulate` reads it in."""
+        return np.sqrt(self.sigma2 + 2.0 * self.dist._gap(p))
 
     def slope_at(self, p):
         """Analytic profile slope ``H'(p) = (sigma2 + 2 gap(p))^(-1/2)``."""
@@ -464,7 +436,7 @@ class StreamSolution:
             y = np.clip(arr.ravel(), 0.0, h[-1])
             k = np.clip(np.searchsorted(h, y, side="right"), 1, p.size - 1)
             ends = np.column_stack((p[k - 1], p[k], h[k - 1] - y, h[k] - y, np.interp(y, h, p)))
-            searches = [numerics.Newton(*row, False, 1e-13) for row in ends.tolist()]
+            searches = [numerics.Newton(*row, 1e-13) for row in ends.tolist()]
 
             def values(open_):
                 x = [search.x for search in open_]
@@ -570,7 +542,7 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         raise DomainError(f"bottom slope s={s!r}, max_depth={max_depth!r}: one is not "
                           f"finite, or max_depth is not positive")
     def rhs(t, y):
-        return (y[1], -dist._omega_scalar(y[0]))
+        return (y[1], -_horner(dist._seg, dist._w, y[0]))
 
     def hit_surface(t, y):
         return y[0] - 1.0
@@ -593,8 +565,7 @@ def shoot_stream(dist: VorticityDistribution, s: float,
         # u rises from the turning point before the peak (or the bottom) to it
         lo, hi = float(turns[turns < peak].max(initial=0.0)), float(peak)
         f_lo, f_hi = sol.sol([lo, hi])[0] - 1.0
-        search = numerics.Newton(lo, hi, float(f_lo), float(f_hi), 0.5 * (lo + hi), False,
-                                 8.9e-16 * hi)
+        search = numerics.Newton(lo, hi, float(f_lo), float(f_hi), 0.5 * (lo + hi), 8.9e-16 * hi)
 
         def surface(open_):
             u, u_prime = sol.sol(open_[0].x)

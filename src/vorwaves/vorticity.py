@@ -14,7 +14,9 @@ All three are stored as one piecewise polynomial: sorted segment starts
 and one coefficient row per segment in ``tau - start``.  A constant or
 poly is one segment at 0; a table has one linear row per node, the last
 at 1.  The rows of omega' and Omega (continuous, Omega(0) = 0) are
-derived once, so no evaluator asks which form was given.
+derived once, so no evaluator asks which form was given.  The gap
+``max Omega - Omega`` is read here too, about the nearest maximizer and
+free of cancellation beside it, so no other module evaluates omega.
 
 The classification splits distributions into three exclusive regimes by
 where Omega attains its maximum and how the maximum is approached:
@@ -89,22 +91,6 @@ def _roots(c):
     companion = np.eye(c.size - 1, k=-1)
     companion[:, -1] -= c[:-1] / c[-1]
     return np.linalg.eigvals(companion)
-
-
-def _scalar_horner(seg, coef):
-    """:func:`_horner` for one float, as a closure over Python floats, for
-    scalar callers such as the right-hand side of the stream shot."""
-    rows = [tuple(reversed(row)) for row in coef.tolist()]
-    starts, last = seg.tolist(), len(rows) - 1
-
-    def horner(t):
-        i = min(max(bisect.bisect_right(starts, t) - 1, 0), last)
-        t -= starts[i]
-        acc = 0.0
-        for c in rows[i]:
-            acc = acc * t + c
-        return acc
-    return horner
 
 
 @dataclass(frozen=True)
@@ -208,9 +194,6 @@ class VorticityDistribution:
             big_w[k, 0] = _horner_rows(big_w[k - 1], seg[k] - seg[k - 1])
         dw = w[:, 1:] * np.arange(1, cols) if cols > 1 else np.zeros((n, 1))
         self._seg, self._w, self._W, self._dw = seg, w, big_w, dw
-        # scalar fast paths (no domain checks; natural extension)
-        self._omega_scalar = _scalar_horner(seg, w)
-        self._Omega_scalar = _scalar_horner(seg, big_w)
         self._key = (kind, self._coeffs if self._nodes is None else self._nodes)
         self._gap_cache: dict = {}
 
@@ -308,6 +291,48 @@ class VorticityDistribution:
             self._gap_cache[key] = (seg, coef)
         return self._gap_cache[key]
 
+    def _frame(self, p):
+        """The frame of the gap at the stream values ``p`` (an array): the
+        nearest maximizer ``m`` of Omega and the side ``e`` of it, ``+1``
+        above ``m`` (and everywhere about ``m = 0``), else ``-1``."""
+        peaks = np.array(self.classify().maximizers)
+        m = peaks[np.argmin(np.abs(p[..., None] - peaks), axis=-1)]
+        return m, np.where((p > m) | (m == 0.0), 1.0, -1.0)
+
+    def _gap_rows(self, m, e, x) -> tuple:
+        """The gap about the maximizers ``m`` on the sides ``e`` at the distances
+        ``x`` (1-d arrays alike), from :meth:`_gap_segments`: the frame tags
+        (``2 i + 1`` about maximizer ``i`` on its right, ``2 i`` on its left),
+        the rows ``(e, m, start, *coef)`` that hold ``x`` (at ``tau``, ``coef``
+        at ``e (tau - m) - start``), and ``terms[tag]``, the ``(k, 2 |c_k|)``
+        of its first row."""
+        peaks = self.classify().maximizers
+        tag = 2 * np.searchsorted(peaks, m) + (e > 0.0)
+        terms, rows = [()] * (2 * len(peaks)), np.zeros((len(m), 3 + self._W.shape[1]))
+        rows[:, 0], rows[:, 1] = e, m
+        for j in set(tag.tolist()):
+            seg, coef = self._gap_segments(peaks[j // 2], 1.0 if j % 2 else -1.0)
+            terms[j] = tuple((k, 2.0 * abs(c)) for k, c in enumerate(coef[0].tolist()) if k and c)
+            # a piece, cut at every kink and maximizer, lies in one segment of the gap
+            k = np.searchsorted(seg, x[tag == j], side="right") - 1
+            rows[tag == j, 2], rows[tag == j, 3:] = seg[k], coef[k]
+        return tag, rows, tuple(terms)
+
+    def _gap(self, p):
+        """``max Omega - Omega >= 0`` at the stream values ``p`` (scalar or
+        array), about the nearest maximizer (:meth:`_frame`), so free of
+        cancellation beside it."""
+        p = np.asarray(p, dtype=float)
+        m, e = self._frame(p.ravel())
+        x = e * (p.ravel() - m)
+        rows = self._gap_rows(m, e, x)[1]
+        return np.maximum(_horner_rows(rows[:, 3:], x - rows[:, 2]), 0.0).reshape(p.shape)
+
+    @cached_property
+    def _surface_gap(self) -> float:
+        """The gap at the surface, ``tau = 1``, read once by :meth:`_gap`."""
+        return float(self._gap(1.0))
+
     # -- public vectorized evaluators -----------------------------------------
 
     def _checked(self, tau):
@@ -356,7 +381,7 @@ class VorticityDistribution:
                 if abs(z.imag) < 1e-12 and _ROOT_SNAP < z.real < b - a - _ROOT_SNAP:
                     cands.add(a + float(z.real))
         cands = sorted(cands)
-        vals = [self._Omega_scalar(c) for c in cands]
+        vals = _horner(self._seg, self._W, cands).tolist()
         big = max(vals)
         scale = max(1.0, abs(big))
         tol = _TIE_MARGIN * scale
@@ -392,7 +417,7 @@ class VorticityDistribution:
         Omega|)`` of 0 is a rounded 0, and its peak degenerate (``poly 0.1
         0.2 -0.3`` has ``omega(1) = 2.8e-17``)."""
         tol = _TIE_MARGIN * max(1.0, abs(self._extrema[0]))
-        w0, w1 = self._omega_scalar(0.0), self._omega_scalar(1.0)
+        w0, w1 = self.omega([0.0, 1.0]).tolist()
         ends = set(maxset)
         if ends == {0.0} and w0 < -tol:
             return "ii", ("maximum of Omega only at tau=0 with omega(0) < 0; "
@@ -427,8 +452,8 @@ class VorticityDistribution:
             condition=cond,
             max_Omega=big,
             maximizers=exact,
-            omega_at_0=self._omega_scalar(0.0),
-            omega_at_1=self._omega_scalar(1.0),
+            omega_at_0=self.omega(0.0),
+            omega_at_1=self.omega(1.0),
             s0=sqrt(max(2.0 * big, 0.0)),
             d0_finite=cond != "i",
             note=note,

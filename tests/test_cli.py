@@ -406,6 +406,67 @@ def test_exit_code_for_subcritical_head(tmp_path):
     assert result.exit_code == 3
 
 
+def _refused(tmp_path, command, body, code, message):
+    cfg = _config(tmp_path, body)
+    result = _invoke([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert result.exit_code == code
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("params, message", [
+    ("t = 0.01\nn_x = 12.5", "'n_x' must be an integer"),
+    ("t = inf", "'t' must be finite"),
+])
+def test_exit_code_for_a_bad_number(tmp_path, params, message):
+    _refused(tmp_path, "wave", "[vorticity]\nspec = constant 0\n[parameters]\nr = 1.1\n"
+             + params + "\n", 2, message)
+
+
+def test_exit_code_for_a_run_file_without_sections(tmp_path):
+    _refused(tmp_path, "analyze", "spec = constant 0\n", 2, "cannot parse config")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("table 0:1 1:nan", "table values must be finite"),
+    ("poly 1 inf", "coefficients must be finite"),
+    ("spline 1 2", "unknown vorticity kind 'spline'"),
+])
+def test_exit_code_for_a_bad_vorticity_spec(tmp_path, spec, message):
+    _refused(tmp_path, "analyze", f"[vorticity]\nspec = {spec}\n", 2, message)
+
+
+def test_exit_code_for_an_ambiguous_classification(tmp_path):
+    _refused(tmp_path, "analyze", "[vorticity]\nspec = poly -1 2 -1e-13\n", 3, "near-tie")
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["x,eta", "0.0,1.0", "0.1,high"], "non-numeric row"),
+    (["x,eta"], "no surface samples"),
+    (None, "cannot read surface file"),
+])
+def test_exit_code_for_a_bad_surface_file(tmp_path, rows, message):
+    surface = tmp_path / "surface.csv"
+    if rows is not None:
+        surface.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _refused(tmp_path, "check-bounds", f"[vorticity]\nspec = constant 0\n[parameters]\n"
+             f"r = 1.1\nsurface = {surface}\n", 2, message)
+
+
+@pytest.mark.parametrize("spec, params, code, message", [
+    ("constant 0", "tau_max = 5.0", 2, "missing required parameter: give 'r' or 's'"),
+    ("constant -2", "r = 5.0", 3, "no subcritical stream at r=5.0"),
+])
+def test_exit_code_for_a_dispersion_without_a_stream(tmp_path, spec, params, code, message):
+    # r = 5.0 lies above r0 = 2 of omega = -2, where only the supercritical branch is left
+    _refused(tmp_path, "dispersion", f"[vorticity]\nspec = {spec}\n[parameters]\n{params}\n",
+             code, message)
+
+
+def test_exit_code_for_an_unknown_scale_direction(tmp_path):
+    _refused(tmp_path, "scale", "[parameters]\nQ = 1.0\ng = 9.81\nquantity = length\n"
+             "value = 1.0\ndirection = sideways\n", 2, "unknown direction 'sideways'")
+
+
 def test_scale_domain_error_exit(tmp_path):
     cfg = _config(tmp_path, """\
         [parameters]

@@ -241,6 +241,18 @@ def test_tau0_at_the_threshold_slope():
     np.testing.assert_allclose(find_tau0(st).tau0, want, rtol=1e-11)
 
 
+def test_vanishing_surface_slope_fails_assumption_i():
+    # omega = 2 at s = s0 = 2: u = 2y - y^2 reaches 1 at its peak, d = 1, so
+    # u'(d) = 0 and neither sigma nor its root is defined
+    st = stream.solve_stream(V.constant(2.0), 2.0)
+    assert st.u_prime_d == 0.0
+    with pytest.raises(DomainError, match="assumption I fails"):
+        sigma(st, 1.0)
+    res = find_tau0(st)
+    assert res.tau0 is None and not res.assumption_I and not res.assumption_II
+    assert res.notes == ("surface slope vanishes; dispersion relation undefined",)
+
+
 def test_root_beyond_tau_max():
     # near s0 the surface slope is small and tau0 = 57.6 lies past tau_max = 50
     dist = V.parse("poly 0 0 3")

@@ -86,7 +86,7 @@ def _newton(f, lo, hi, tol):
     """The root of ``f`` (its value and slope) in ``[lo, hi]``, by one
     Newton search started a third of the way in."""
     f_lo, f_hi = f(lo)[0], f(hi)[0]
-    search = numerics.Newton(lo, hi, f_lo, f_hi, lo + (hi - lo) / 3.0, f_lo > 0.0, tol)
+    search = numerics.Newton(lo, hi, f_lo, f_hi, lo + (hi - lo) / 3.0, tol)
     numerics.run_newton([search], lambda open_: [f(open_[0].x)])
     return search.root
 
@@ -155,7 +155,7 @@ def test_integrate_rows_do_not_depend_on_their_company(pieces, k):
 
 def test_find_root_endpoint_hit():
     # a bracket end where f is exactly 0 is the root, with no value taken
-    search = numerics.Newton(0.0, 1.0, 0.0, 1.0, 0.5, False, 1e-13)
+    search = numerics.Newton(0.0, 1.0, 0.0, 1.0, 0.5, 1e-13)
     numerics.run_newton([search], lambda open_: pytest.fail("a value was taken"))
     assert search.root == 0.0
 
@@ -171,16 +171,26 @@ def test_find_root_refuses_nan():
 def test_open_bracket_step_that_misses_goes_beyond_lo(lo, slope):
     # with hi = inf, a step that does not land in (lo, inf), at a zero slope
     # or one of the wrong sign, goes max(|lo|, 1) beyond lo
-    search = numerics.Newton(lo - 1.0, math.inf, -1.0, math.inf, lo, False, 1e-13)
+    search = numerics.Newton(lo - 1.0, math.inf, -1.0, math.inf, lo, 1e-13)
     search.send(-1.0, slope)
     assert search.root is None
     assert (search.lo, search.hi) == (lo, math.inf)
     assert search.x == lo + max(abs(lo), 1.0)
 
 
+def test_newton_that_cannot_settle_names_its_bracket():
+    # f jumps from -1 to 1 at 0.3 with a slope of 1e-300: every Newton step
+    # leaves the bracket and bisects it, and at tol = 0 no bracket is narrow
+    # enough, so the rounds run out with the two floats about the jump
+    search = numerics.Newton(-1.0, 1.0, -1.0, 1.0, 0.5, tol=0.0)
+    with pytest.raises(ConvergenceError, match=r"brackets \[0\.3, 0\.30000000000000004\]$"):
+        numerics.run_newton([search], lambda open_: [(1.0 if open_[0].x > 0.3 else -1.0,
+                                                      1e-300)])
+
+
 def test_bracket_orientation():
     with pytest.raises(ValueError):
-        numerics.Newton(2.0, 1.0, -1.0, 1.0, 1.5, False, 1e-13)
+        numerics.Newton(2.0, 1.0, -1.0, 1.0, 1.5, 1e-13)
 
 
 def test_solve_ivp_exponential():

@@ -367,7 +367,7 @@ def test_shot_finds_a_surface_that_one_step_spans(spec, s):
     # u = s y - omega y^2 / 2 reaches 1 at d = (s - sqrt(s^2 - 2 omega)) / omega and
     # falls back through 1 soon after; one DOP853 step can span both crossings
     dist = V.parse(spec)
-    w = dist._omega_scalar(0.0)
+    w = dist.omega(0.0)
     sh = shoot_stream(dist, s)
     np.testing.assert_allclose(sh.d, (s - math.sqrt(s * s - 2.0 * w)) / w, rtol=1e-12)
     np.testing.assert_allclose(sh.u_prime_d, math.sqrt(s * s - 2.0 * w), rtol=1e-12)
@@ -660,6 +660,32 @@ def test_slope_beside_a_maximizer_against_40_digit_gap(spec, m):
         want = [float(1 / mp.sqrt(mp.mpf(st.sigma2) + 2 * (oracle.big - oracle.Omega(mp.mpf(x)))))
                 for x in p]
     np.testing.assert_allclose(st.slope_at(p), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("spec, rtol", [("poly 1 -1.000001", 1e-9), ("poly 1 -1.0001", 1e-12)])
+def test_surface_slope_beside_an_interior_maximizer(spec, rtol):
+    # the maximizer lies 1e-6 (1e-4) below the surface: read as max Omega -
+    # Omega(1), the surface gap cancelled, and at margin 1e-14 u'(d) erred
+    # by 1.0e-5 (1.4e-9) and parted from 1 / slope_at(1) by as much
+    dist = V.parse(spec)
+    st = solve_stream(dist, sigma2=1e-14)
+    oracle = _oracle(spec)
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        want = float(mp.sqrt(mp.mpf(1e-14) + 2 * (oracle.big - oracle.Omega(mp.mpf(1)))))
+    assert abs(st.u_prime_d - want) <= rtol * want
+    assert abs(st.u_prime_d * st.slope_at(1.0) - 1.0) <= 1e-15
+
+
+def test_surface_gap_of_a_table_against_40_digits():
+    # the maximizer sits at 0.980, on the last segment; max Omega - Omega(1)
+    # erred by 7.4e-14 relative there
+    spec = "table 0.0:0.157 0.329:-0.496 0.446:2.672 1.0:-0.099"
+    oracle = _oracle(spec)
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        want = float(2 * (oracle.big - oracle.Omega(mp.mpf(1))))
+    assert abs(stream._surface(V.parse(spec)) - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("spec", ["poly 1.274", "constant 3", "constant 0.7"])

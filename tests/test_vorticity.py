@@ -108,6 +108,20 @@ def test_parse_round_trip():
         V.parse("table 0,1 1,2")
 
 
+@pytest.mark.parametrize("spec", ["constant 2", "poly -3 6 0.5", "table 0:1 0.5:0 1:2"])
+def test_repr_round_trips_through_eval(spec):
+    dist = V.parse(spec)
+    again = eval(repr(dist), {"VorticityDistribution": V})
+    assert again == dist and repr(again) == repr(dist)
+
+
+def test_near_tie_that_changes_the_verdict_is_ambiguous():
+    # Omega(1) = -1e-13 / 3 is within the tie margin of the maximum 0 at tau
+    # = 0: alone at 0 the maximum is "ii", tied with 1 it would be "iii"
+    with pytest.raises(AmbiguousClassificationError, match="near-tie at tau=1.0"):
+        V.parse("poly -1 2 -1e-13").classify()
+
+
 def test_equality_and_hash():
     assert V.constant(2.0) == V.constant(2.0)
     assert hash(V.constant(2.0)) == hash(V.constant(2.0))

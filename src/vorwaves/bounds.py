@@ -83,7 +83,8 @@ def _sandwich(eta_hat: float, eta_check: float, depth: float, name: str,
     """Verdict on ``eta_hat >= depth > eta_check``.
 
     A failing side is reported with its own values; when both hold, the
-    tighter side of the sandwich is the one reported.
+    crest side is reported unless the trough side is tighter by more than
+    the verdict's margin, so that rounding never picks the side.
     """
     note = f"crest >= {name} and {name} > trough" + suffix
     crest = _at_least(eta_hat, depth, note)
@@ -92,7 +93,7 @@ def _sandwich(eta_hat: float, eta_check: float, depth: float, name: str,
         return replace(crest, note=f"crest bound eta_hat >= {name} fails; " + note)
     if trough.status == VIOLATED:
         return replace(trough, note=f"trough bound {name} > eta_check fails; " + note)
-    return crest if eta_hat - depth <= depth - eta_check else trough
+    return trough if depth - eta_check < eta_hat - depth - crest.margin else crest
 
 
 @dataclass(frozen=True)

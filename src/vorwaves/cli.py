@@ -65,20 +65,15 @@ def scale_to_nondimensional(Q: float, g: float, quantity: str, value: float,
 
 
 def _jsonify(obj):
-    """Reduce module records to plain JSON values; inf and nan to strings."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonify(dataclasses.asdict(obj))
+    """Reduce nested dicts, lists and floats (``np.float64`` among them) to
+    plain JSON values; inf and nan to strings."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):
         x = float(obj)
         return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
-    if isinstance(obj, (np.integer, np.bool_)):
-        return obj.item()
     return obj
 
 

@@ -73,8 +73,8 @@ _SNAP = 1e-13
 # it is a sign change
 _SHOT_TOL = 1e-12
 
-# piece layouts kept by :func:`_layout`: few, as the Newton grids of u_at never recur
-_LAYOUTS_CACHED = 32
+# distributions whose column pieces :func:`_column` keeps
+_COLUMNS_CACHED = 32
 
 
 def _named(s0: float, s: float) -> float:
@@ -113,36 +113,36 @@ def _stream_values(p) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-@lru_cache(maxsize=_LAYOUTS_CACHED)
-def _layout(dist: VorticityDistribution, grid: tuple) -> tuple:
-    """The pieces of :func:`_accumulate` on ``grid``, as read-only arrays:
-    ``[lo, hi]``, the distances ``x_lo`` to ``x_hi`` to the maximizer, the
-    grid cell, and the frame tag and gap row of ``dist._gap_rows``, the row
-    in the distance itself for a piece at the maximizer or nearer it than 0."""
-    cls = dist.classify()
-    peaks = np.array(cls.maximizers)
-    cuts = [c for c in [*cls.maximizers, *dist._seg[1:].tolist()] if 0.0 < c < grid[-1]]
-    edges = np.array(sorted({0.0, *grid, *cuts}))
-    at_peak = (edges[:, None] == peaks).any(axis=1)
-    both = at_peak[:-1] & at_peak[1:]
-    edges = np.sort(np.concatenate((edges, 0.5 * (edges[:-1] + edges[1:])[both])))
+def _layout(dist: VorticityDistribution, grid) -> tuple:
+    """The pieces of :func:`_accumulate` on ``grid``: the parts of
+    ``dist._partition`` cut at the grid's points, with ``[lo, hi]``, the
+    distances ``x_lo`` to ``x_hi`` to the part's maximizer, the grid cell, and
+    the part's frame tag and gap row, the row in the distance itself for a
+    piece at the maximizer or nearer it than 0, and the terms of each frame."""
+    starts, tags, rows, terms = dist._partition
+    edges = np.sort(np.concatenate(([0.0], grid, starts[starts < grid[-1]])))
+    edges = edges[np.append(True, edges[1:] > edges[:-1])]  # np.unique imports numpy.ma
     a, b = edges[:-1], edges[1:]
-
-    # the gap of every piece is taken in the frame of its middle: about its
-    # nearest maximizer m, on side e; x_lo and x_hi bound its distance to m
-    m, e = dist._frame(0.5 * (a + b))
+    part = np.searchsorted(starts, a, side="right") - 1
+    rows = rows[part]
+    e, m = rows[:, 0], rows[:, 1]
     x_lo, x_hi = np.where(e > 0.0, a - m, m - b), np.where(e > 0.0, b - m, m - a)
     # a piece at m or nearer m than tau = 0 is integrated in the distance to
     # m, any other piece in tau itself, so that its nodes round at the smaller scale
     in_x = (x_lo == 0.0) | (x_hi < a)
     lo, hi = np.where(in_x, x_lo, a), np.where(in_x, x_hi, b)
-
-    tag, rows, terms = dist._gap_rows(m, e, 0.5 * (x_lo + x_hi))
     rows[in_x, 0], rows[in_x, 1] = 1.0, 0.0
-    layout = (lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tag, rows)
-    for arr in layout:
+    return lo, hi, x_lo, x_hi, np.searchsorted(grid, b), tags[part], rows, terms
+
+
+@lru_cache(maxsize=_COLUMNS_CACHED)
+def _column(dist: VorticityDistribution) -> tuple:
+    """The pieces of the column ``[0, 1]``, as read-only arrays: every
+    :func:`_totals` call reads them, so they are built once per distribution."""
+    layout = _layout(dist, np.ones(1))
+    for arr in layout[:-1]:
         arr.flags.writeable = False
-    return (*layout, terms)
+    return layout
 
 
 def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
@@ -151,16 +151,16 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
 
     The one quadrature path of the module: ``d``, ``H``, ``Phi`` and
     ``dPhi/ds`` all come from here, and every piece of every row goes to
-    one call of the batched rule.  The layout of the pieces does not depend on ``sigma2``
-    and is built once per ``(dist, grid)`` by :func:`_layout`.  Each grid
-    cell is cut at the interior segment starts of omega (its kinks) and
-    maximizers of Omega (peaks of the integrand), and a piece with a
-    maximizer at both ends at its middle, so the rule sees smooth pieces
-    with at most one steep end.  ``gap = max Omega - Omega``, evaluated
-    directly, loses every digit near a maximizer; so each gap is built
-    outward from the nearest maximizer ``m`` of the piece's middle without
-    cancellation (``dist._frame``, ``dist._gap_segments``), and each piece
-    keeps the row of that form it lies in.  A piece at ``m`` or nearer ``m``
+    one call of the batched rule.  The layout of the pieces does not depend
+    on ``sigma2``; :func:`_layout` cuts the parts of ``dist._partition`` at
+    the grid's points, and :func:`_column` keeps the column's.  A part ends
+    at the segment starts of omega (its kinks), at the maximizers of Omega
+    (peaks of the integrand) and midway between two maximizers, so the rule
+    sees smooth pieces with at most one steep end.  ``gap = max Omega -
+    Omega``, evaluated directly, loses every digit near a maximizer; so each
+    part reads the gap built outward from its nearest maximizer ``m``
+    without cancellation (``dist._gap_segments``), in the one row of that
+    form it lies in.  A piece at ``m`` or nearer ``m``
     than ``tau = 0`` is integrated in the distance ``x`` to ``m``, any
     other piece in ``tau``, so that its Kronrod nodes round at the smaller
     of the two scales.
@@ -194,8 +194,8 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
         raise DomainError(
             f"Phi and dPhi/ds are not defined at s = s0 = {dist.classify().s0!r}: "
             f"the integrand has a non-integrable endpoint there")
-    grid = tuple(np.asarray(grid, dtype=float).tolist())
-    lo, hi, x_lo, x_hi, cell, tag, rows, terms = _layout(dist, grid)
+    column = len(grid) == 1 and grid[0] == 1.0
+    lo, hi, x_lo, x_hi, cell, tag, rows, terms = _column(dist) if column else _layout(dist, grid)
     sig, powers = np.array(margins), np.array([power for _, power in requests])
     # the layer width L of every piece i of every row, row after row
     width = np.array([[min(((sigma2 / c) ** (1.0 / j) for j, c in frame), default=inf)

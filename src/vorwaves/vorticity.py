@@ -195,7 +195,6 @@ class VorticityDistribution:
         dw = w[:, 1:] * np.arange(1, cols) if cols > 1 else np.zeros((n, 1))
         self._seg, self._w, self._W, self._dw = seg, w, big_w, dw
         self._key = (kind, self._coeffs if self._nodes is None else self._nodes)
-        self._gap_cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -265,68 +264,69 @@ class VorticityDistribution:
         is taken as a root of omega, as every interior maximizer of Omega
         is, so the linear term is exactly 0.
         """
-        key = (m, e)
-        if key not in self._gap_cache:
-            starts = self._seg.tolist()
-            if e > 0:
-                i = max(bisect.bisect_right(starts, m) - 1, 0)
-                rows, entries = range(i, len(starts)), [m, *starts[i + 1:]]
-            else:
-                i = max(bisect.bisect_left(starts, m) - 1, 0)
-                rows, entries = range(i, -1, -1), [m, *starts[i:0:-1]]
-            seg = np.array([abs(a - m) for a in entries])
-            coef = np.zeros((len(seg), self._W.shape[1]))
-            for k, (j, a) in enumerate(zip(rows, entries)):
-                taylor, shift = self._W[j].tolist(), a - starts[j]
-                for p in range(len(taylor) - 1):
-                    for q in range(len(taylor) - 2, p - 1, -1):
-                        taylor[q] += shift * taylor[q + 1]
-                if a in starts:
-                    taylor[1] = self._w[starts.index(a), 0]
-                coef[k, 1:] = [-c * e ** n for n, c in enumerate(taylor) if n]
-                if k:
-                    coef[k, 0] = _horner_rows(coef[k - 1], seg[k] - seg[k - 1])
-                elif 0.0 < m < 1.0:
-                    coef[0, 1] = 0.0
-            self._gap_cache[key] = (seg, coef)
-        return self._gap_cache[key]
+        starts = self._seg.tolist()
+        if e > 0:
+            i = max(bisect.bisect_right(starts, m) - 1, 0)
+            rows, entries = range(i, len(starts)), [m, *starts[i + 1:]]
+        else:
+            i = max(bisect.bisect_left(starts, m) - 1, 0)
+            rows, entries = range(i, -1, -1), [m, *starts[i:0:-1]]
+        seg = np.array([abs(a - m) for a in entries])
+        coef = np.zeros((len(seg), self._W.shape[1]))
+        for k, (j, a) in enumerate(zip(rows, entries)):
+            taylor, shift = self._W[j].tolist(), a - starts[j]
+            for p in range(len(taylor) - 1):
+                for q in range(len(taylor) - 2, p - 1, -1):
+                    taylor[q] += shift * taylor[q + 1]
+            if a in starts:
+                taylor[1] = self._w[starts.index(a), 0]
+            coef[k, 1:] = [-c * e ** n for n, c in enumerate(taylor) if n]
+            if k:
+                coef[k, 0] = _horner_rows(coef[k - 1], seg[k] - seg[k - 1])
+            elif 0.0 < m < 1.0:
+                coef[0, 1] = 0.0
+        return seg, coef
 
-    def _frame(self, p):
-        """The frame of the gap at the stream values ``p`` (an array): the
-        nearest maximizer ``m`` of Omega and the side ``e`` of it, ``+1``
-        above ``m`` (and everywhere about ``m = 0``), else ``-1``."""
-        peaks = np.array(self.classify().maximizers)
-        m = peaks[np.argmin(np.abs(p[..., None] - peaks), axis=-1)]
-        return m, np.where((p > m) | (m == 0.0), 1.0, -1.0)
-
-    def _gap_rows(self, m, e, x) -> tuple:
-        """The gap about the maximizers ``m`` on the sides ``e`` at the distances
-        ``x`` (1-d arrays alike), from :meth:`_gap_segments`: the frame tags
-        (``2 i + 1`` about maximizer ``i`` on its right, ``2 i`` on its left),
-        the rows ``(e, m, start, *coef)`` that hold ``x`` (at ``tau``, ``coef``
-        at ``e (tau - m) - start``), and ``terms[tag]``, the ``(k, 2 |c_k|)``
-        of its first row."""
+    @cached_property
+    def _partition(self) -> tuple:
+        """``[0, 1]`` cut at the segment starts of omega, at the maximizers of
+        Omega and midway between neighbouring maximizers, so that each part
+        has one frame, its nearest maximizer ``m`` and the side ``e`` of it
+        (``+1`` above ``m``, and everywhere about ``m = 0``, else ``-1``), and
+        lies in one row of :meth:`_gap_segments` about it.  As read-only
+        arrays: the part starts, the frame tags (``2 i + 1`` about maximizer
+        ``i`` on its right, ``2 i`` on its left) and the rows ``(e, m, start,
+        *coef)`` (``coef`` at ``e (tau - m) - start``); then ``terms[tag]``,
+        the ``(k, 2 |c_k|)`` of the first row of each frame."""
         peaks = self.classify().maximizers
-        tag = 2 * np.searchsorted(peaks, m) + (e > 0.0)
-        terms, rows = [()] * (2 * len(peaks)), np.zeros((len(m), 3 + self._W.shape[1]))
-        rows[:, 0], rows[:, 1] = e, m
-        for j in set(tag.tolist()):
-            seg, coef = self._gap_segments(peaks[j // 2], 1.0 if j % 2 else -1.0)
-            terms[j] = tuple((k, 2.0 * abs(c)) for k, c in enumerate(coef[0].tolist()) if k and c)
-            # a piece, cut at every kink and maximizer, lies in one segment of the gap
-            k = np.searchsorted(seg, x[tag == j], side="right") - 1
-            rows[tag == j, 2], rows[tag == j, 3:] = seg[k], coef[k]
-        return tag, rows, tuple(terms)
+        mids = [0.5 * (a + b) for a, b in zip(peaks, peaks[1:])]
+        starts = sorted({0.0, *(c for c in [*peaks, *mids, *self._seg[1:].tolist()] if c < 1.0)})
+        gaps = [self._gap_segments(m, e) for m in peaks for e in (-1.0, 1.0)]
+        tags, rows = [], []
+        for a, b in zip(starts, starts[1:] + [1.0]):
+            i = bisect.bisect_right(mids, a)
+            e = 1.0 if a >= peaks[i] else -1.0
+            tags.append(2 * i + (e > 0.0))
+            seg, coef = gaps[tags[-1]]
+            # the row of the gap that holds the part's middle holds all of it
+            k = np.searchsorted(seg, e * (0.5 * (a + b) - peaks[i]), side="right") - 1
+            rows.append((e, peaks[i], seg[k], *coef[k]))
+        terms = tuple(tuple((k, 2.0 * abs(c)) for k, c in enumerate(coef[0].tolist()) if k and c)
+                      for _, coef in gaps)
+        partition = (np.array(starts), np.array(tags), np.array(rows))
+        for arr in partition:
+            arr.flags.writeable = False
+        return (*partition, terms)
 
     def _gap(self, p):
         """``max Omega - Omega >= 0`` at the stream values ``p`` (scalar or
-        array), about the nearest maximizer (:meth:`_frame`), so free of
-        cancellation beside it."""
+        array), from the row of the part of :attr:`_partition` that holds
+        each, about its nearest maximizer, so free of cancellation beside it."""
         p = np.asarray(p, dtype=float)
-        m, e = self._frame(p.ravel())
-        x = e * (p.ravel() - m)
-        rows = self._gap_rows(m, e, x)[1]
-        return np.maximum(_horner_rows(rows[:, 3:], x - rows[:, 2]), 0.0).reshape(p.shape)
+        starts, _, rows, _ = self._partition
+        row = rows[np.searchsorted(starts, p.ravel(), side="right") - 1]
+        x = row[:, 0] * (p.ravel() - row[:, 1])
+        return np.maximum(_horner_rows(row[:, 3:], x - row[:, 2]), 0.0).reshape(p.shape)
 
     @cached_property
     def _surface_gap(self) -> float:

@@ -64,7 +64,7 @@ def disp_plus(stream_plus):
 def fresh_caches():
     """Empty every cache that can answer for the quadrature, so that a count
     of quadrature calls or points sees the work itself."""
-    stream._layout.cache_clear()
+    stream._column.cache_clear()
     stream._total_memo.clear()
     for cached in (bernoulli.analyze, bernoulli._proxy, bernoulli.conjugates):
         cached.cache_clear()

@@ -6,6 +6,7 @@ from vorwaves.bounds import (
     HOLDS,
     NOT_APPLICABLE,
     VIOLATED,
+    _sandwich,
     check_bounds,
 )
 from vorwaves.errors import ConfigError, DomainError
@@ -110,3 +111,17 @@ def test_sample_validation(w_zero):
         check_bounds(w_zero, 1.1, [1.0, -0.2])
     with pytest.raises(DomainError):
         check_bounds(w_zero, -1.0, [1.0])
+
+
+def test_sandwich_side_is_not_picked_by_rounding():
+    # surfaces symmetric about the depth: the two sides are equally tight,
+    # so the crest side is reported, also with the depth moved by a few ulps
+    rng = np.random.default_rng(68)
+    for _ in range(2000):
+        d = rng.uniform(0.5, 3.0)
+        eta = d + rng.uniform(0.01, 0.5) * d * np.cos(np.linspace(0.0, 2.0 * np.pi, 129))
+        hat, check = float(eta.max()), float(eta.min())
+        for k in (-6, 0, 6):
+            depth = d + k * np.spacing(d)
+            rec = _sandwich(hat, check, depth, "d0")
+            assert rec.status == HOLDS and (rec.lhs, rec.rhs) == (hat, depth)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import vorwaves
 from vorwaves import bernoulli, cli, dispersion, hodograph, stream
 from vorwaves.cli import main, scale_to_nondimensional
+from vorwaves.config import RunConfig
 from vorwaves.errors import ConfigError, DomainError
 from vorwaves.vorticity import VorticityDistribution
 
@@ -212,6 +213,26 @@ def test_check_bounds_surface_file(tmp_path):
     assert res["verdicts"]["assertion1"]["status"] == "violated"
     assert res["surface_source"] == {"surface": str(surface)}
     assert report["files"] == []
+
+
+def test_surface_file_skips_blank_rows(tmp_path):
+    # a blank row is no sample: the verdicts are those of the file without it
+    rows = ["x,eta"] + [f"{i * 0.1},{1.0 + 0.01 * i}" for i in range(12)]
+    results = []
+    for name, body in (("plain", rows), ("blank", rows[:6] + [""] + rows[6:])):
+        surface = tmp_path / f"{name}.csv"
+        surface.write_text("\n".join(body) + "\n", encoding="utf-8")
+        (tmp_path / name).mkdir()
+        report, _ = _run(tmp_path / name, "check-bounds", f"""\
+            [vorticity]
+            spec = constant 0
+            [parameters]
+            r = 1.1
+            surface = {surface}
+        """)
+        del report["results"]["surface_source"]
+        results.append(report["results"])
+    assert results[0] == results[1]
 
 
 def test_wheeler_conjugate_run(tmp_path):
@@ -424,6 +445,15 @@ def test_exit_code_for_a_bad_number(tmp_path, params, message):
 
 def test_exit_code_for_a_run_file_without_sections(tmp_path):
     _refused(tmp_path, "analyze", "spec = constant 0\n", 2, "cannot parse config")
+
+
+def test_exit_code_for_a_run_file_without_a_vorticity_spec(tmp_path):
+    _refused(tmp_path, "analyze", "[run]\ncommand = analyze\n", 2, "missing [vorticity] spec")
+
+
+def test_a_directory_is_not_a_run_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config"):
+        RunConfig.load(str(tmp_path), "analyze")
 
 
 @pytest.mark.parametrize("spec, message", [

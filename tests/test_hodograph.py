@@ -77,6 +77,15 @@ def test_strip_input_validation(w_zero):
         to_strip(3.14)
 
 
+def test_bernoulli_residual_on_two_columns(w_zero):
+    # with two columns there is no second-order h_q: it is taken as 0, which
+    # a stream's flat surface makes exact
+    hf = to_strip(stream.solve_stream(w_zero, 2.0), n_q=2)
+    res = bernoulli_residual(hf)
+    assert res.samples.shape == (2,)
+    assert res.max_abs <= 1e-12
+
+
 @pytest.mark.parametrize("q_span, error", [
     (math.nan, DomainError), (math.inf, DomainError), (-math.inf, DomainError),
     (0.0, ConfigError), (-1.0, ConfigError),

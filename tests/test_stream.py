@@ -6,7 +6,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 from vorwaves import bernoulli, numerics, stream
-from vorwaves.errors import AmbiguousClassificationError, DivergenceError, DomainError
+from vorwaves.errors import (
+    AmbiguousClassificationError,
+    ConvergenceError,
+    DivergenceError,
+    DomainError,
+)
 from vorwaves.stream import (
     _layout,
     depth,
@@ -240,6 +245,17 @@ def test_shoot_stream_refuses_nonpositive_max_depth(w_two, max_depth):
     # reported d = -0.382 and r = 1.412
     with pytest.raises(DomainError, match="positive"):
         shoot_stream(w_two, -3.0, max_depth=max_depth)
+
+
+def test_shoot_stream_that_never_reaches_the_surface():
+    # omega = 0 at s = 1 reaches u = 1 at y = 1, above max_depth = 0.5
+    with pytest.raises(ConvergenceError, match="u never reached 1"):
+        shoot_stream(V.constant(0.0), 1.0, max_depth=0.5)
+
+
+def test_u_at_of_no_heights(w_two):
+    out = solve_stream(w_two, 3.0).u_at(np.array([]))
+    assert out.shape == (0,)
 
 
 def test_height_at_is_the_quadrature(w_tilted):
@@ -836,15 +852,25 @@ def test_layout_rows_are_the_gap(spec, cuts, u):
         assert np.array_equal(got[i], _horner(*dist._gap_segments(m, e), x[i]))
 
 
-def test_layout_is_built_once_per_grid(fresh_caches):
-    # the piece layout does not depend on s: a root search pays for it once
+def test_partition_and_column_are_built_once_per_distribution(fresh_caches, monkeypatch):
+    # the partition and the column's pieces do not depend on s: a root
+    # search pays for them once
+    gap_segments, frames = V._gap_segments, []
+
+    def spy(self, m, e):
+        frames.append((m, e))
+        return gap_segments(self, m, e)
+
+    monkeypatch.setattr(V, "_gap_segments", spy)
     dist = V.parse("poly 0.25 -1.5 2.0 0.125")
-    before = _layout.cache_info()
+    before = stream._column.cache_info()
     depth(dist, 1.5)
+    built = len(frames)
     depth(dist, 2.5)
-    after = _layout.cache_info()
+    after = stream._column.cache_info()
+    assert built > 0 and len(frames) == built
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    for arr in _layout(dist, (1.0,))[:-1]:
+    for arr in [*dist._partition[:-1], *stream._column(dist)[:-1]]:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = arr.flat[0]
 

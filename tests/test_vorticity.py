@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st_
 
 from strategies import dist_specs
 from vorwaves import bernoulli
@@ -347,3 +348,29 @@ def test_one_form_against_mpmath(spec):
                     continue
                 want = float(Omega(centre) - Omega(centre + e * mp.mpf(x)))
                 assert abs(_horner(*dist._gap_segments(m, e), x) - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(spec=dist_specs, u=st_.lists(st_.floats(0.01, 0.99), min_size=3, max_size=3))
+@example(spec="poly -3 6", u=[0.01, 0.5, 0.99])  # maximizers at 0 and 1
+@example(spec="constant 0", u=[0.01, 0.5, 0.99])  # Omega flat at its maximum
+@example(spec="table 0.0:2.0 0.5:0.0 1.0:0.0", u=[0.01, 0.5, 0.99])
+def test_each_part_reads_one_frame(spec, u):
+    """Inside each part of the partition every point has the part's
+    maximizer as its nearest and lies on the part's side of it, and the gap
+    there is the Horner rule of the gap segments about it, bit for bit."""
+    dist = V.parse(spec)
+    try:
+        peaks = np.array(dist.classify().maximizers)
+    except AmbiguousClassificationError:
+        assume(False)
+    starts, tags, rows, _ = dist._partition
+    ends = np.append(starts[1:], 1.0)
+    p = starts[:, None] + (ends - starts)[:, None] * np.array(u)
+    nearest = peaks[np.argmin(np.abs(p[..., None] - peaks), axis=-1)]
+    for i, j in enumerate(tags.tolist()):
+        m, e = peaks[j // 2], 1.0 if j % 2 else -1.0
+        assert (rows[i, 0], rows[i, 1]) == (e, m)
+        assert np.all(nearest[i] == m) and np.all(e * (p[i] - m) > 0.0)
+        want = np.maximum(_horner(*dist._gap_segments(m, e), e * (p[i] - m)), 0.0)
+        assert np.array_equal(dist._gap(p[i]), want)

@@ -263,7 +263,7 @@ def solve_ivp(
     tally["ode_steps"] += sol.t.size - 1
     tally["ode_rhs_evals"] += sol.nfev
     if not sol.success:
-        reached = sol.t[-1] if sol.t.size else span[0]
+        reached = float(sol.t[-1] if sol.t.size else span[0])
         raise ConvergenceError(
             f"ODE integration failed: {sol.message.strip()} "
             f"(reached t={reached!r} of [{span[0]!r}, {span[1]!r}])"

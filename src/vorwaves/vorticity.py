@@ -58,8 +58,6 @@ _DOMAIN_SLACK = 1e-9
 # classification; otherwise they are reported as ambiguous.
 _TIE_MARGIN = 1e-12
 
-_AUDIT_POINTS = 10001
-
 # A root of omega this close to a segment end is that end (a candidate).
 _ROOT_SNAP = 4.0 * np.finfo(float).eps
 
@@ -83,14 +81,44 @@ def _horner_rows(c, dx):
     return acc
 
 
-def _roots(c):
-    """Roots of ``c[0] + c[1] x + ...`` (``c[-1] != 0``) as numpy's ``polyroots`` finds them:
-    ``-c0 / c1`` for a line, else the eigenvalues of the companion matrix."""
-    if c.size <= 2:
-        return [-c[0] / c[1]] if c.size == 2 else []
+def _shift(c, h):
+    """The coefficients of ``c[0] + c[1] x + ...`` in ``x - h``, as a list."""
+    t = list(c)
+    for p in range(len(t) - 1):
+        for q in range(len(t) - 2, p - 1, -1):
+            t[q] += h * t[q + 1]
+    return t
+
+
+def _clusters(c):
+    """Yield the roots ``x`` of ``c[0] + c[1] x + ...`` with multiplicities ``k``.
+    A ``k``-fold root leaves the companion matrix as ``k`` eigenvalues spread
+    by about ``eps^(1/k)``: the ``k`` nearest one, with a real mean, are one
+    root if a Newton step on the ``(k - 1)``-th derivative takes the mean to
+    an ``x`` where the monic Taylor coefficients ``t_j``, ``j < k``, are within
+    ``n eps w_j`` of 0 (``w`` those of ``|c|`` about ``max(1, |x|)``), and none
+    lies farther than ``(n eps w_0 / |t_k|)^(1/k)``.  The largest ``k`` wins."""
+    if c.size < 2:  # a nonzero constant, or 0 throughout
+        return
+    a = (c / c[-1]).tolist()
     companion = np.eye(c.size - 1, k=-1)
-    companion[:, -1] -= c[:-1] / c[-1]
-    return np.linalg.eigvals(companion)
+    companion[:, -1] -= a[:-1]
+    z, tol = list(np.linalg.eigvals(companion)), (len(a) - 1) * np.finfo(float).eps
+    while z:
+        near = sorted(z, key=lambda y: abs(y - z[0]))
+        for k in range(len(near), 1, -1):
+            mean = sum(near[:k]) / k
+            t = _shift(a, mean.real)
+            if abs(mean.imag) < 1e-12 and t[k] != 0.0:
+                x = mean.real - t[k - 1] / (k * t[k])
+                t, w = _shift(a, x), _shift([abs(v) for v in a], max(1.0, abs(x)))
+                if (all(abs(t[j]) <= tol * w[j] for j in range(k))
+                        and max(abs(y - x) for y in near[:k]) ** k * abs(t[k]) <= tol * w[0]):
+                    break
+        else:
+            k, x = 1, near[0]
+        yield x, k
+        z = near[k:]
 
 
 @dataclass(frozen=True)
@@ -260,9 +288,9 @@ class VorticityDistribution:
         there is that row's given value, not the shifted one (omega is
         continuous, and the shift rounds).  The
         constant is the gap at the entry, summed outward from 0 at ``m``,
-        so no constant is a difference of Omega values.  An interior ``m``
-        is taken as a root of omega, as every interior maximizer of Omega
-        is, so the linear term is exactly 0.
+        so no constant is a difference of Omega values.  About a root of
+        omega of multiplicity ``k`` (:attr:`_extrema`; every interior
+        maximizer is one), the terms below the gap's order ``k + 1`` are 0.
         """
         starts = self._seg.tolist()
         if e > 0:
@@ -274,17 +302,14 @@ class VorticityDistribution:
         seg = np.array([abs(a - m) for a in entries])
         coef = np.zeros((len(seg), self._W.shape[1]))
         for k, (j, a) in enumerate(zip(rows, entries)):
-            taylor, shift = self._W[j].tolist(), a - starts[j]
-            for p in range(len(taylor) - 1):
-                for q in range(len(taylor) - 2, p - 1, -1):
-                    taylor[q] += shift * taylor[q + 1]
+            taylor = _shift(self._W[j].tolist(), a - starts[j])
             if a in starts:
                 taylor[1] = self._w[starts.index(a), 0]
             coef[k, 1:] = [-c * e ** n for n, c in enumerate(taylor) if n]
             if k:
                 coef[k, 0] = _horner_rows(coef[k - 1], seg[k] - seg[k - 1])
-            elif 0.0 < m < 1.0:
-                coef[0, 1] = 0.0
+            else:
+                coef[0, 1:self._extrema[3].get(m, 0) + 1] = 0.0
         return seg, coef
 
     @cached_property
@@ -335,16 +360,12 @@ class VorticityDistribution:
 
     # -- public vectorized evaluators -----------------------------------------
 
-    def _checked(self, tau):
-        arr = np.asarray(tau, dtype=float)
-        if arr.size and (np.min(arr) < -_DOMAIN_SLACK or np.max(arr) > 1.0 + _DOMAIN_SLACK):
-            bad = arr[(arr < -_DOMAIN_SLACK) | (arr > 1.0 + _DOMAIN_SLACK)]
-            raise DomainError(
-                f"vorticity argument {float(bad.flat[0])!r} outside [0, 1]")
-        return np.clip(arr, 0.0, 1.0)
-
     def _evaluate(self, coef, tau):
-        out = _horner(self._seg, coef, self._checked(tau))
+        arr = np.asarray(tau, dtype=float)
+        bad = arr[(arr < -_DOMAIN_SLACK) | (arr > 1.0 + _DOMAIN_SLACK)]
+        if bad.size:
+            raise DomainError(f"vorticity argument {float(bad[0])!r} outside [0, 1]")
+        out = _horner(self._seg, coef, np.clip(arr, 0.0, 1.0))
         return float(out) if np.ndim(tau) == 0 else out
 
     def omega(self, tau):
@@ -367,47 +388,25 @@ class VorticityDistribution:
 
     @cached_property
     def _extrema(self):
-        """Exact maximizer set of Omega on [0, 1] plus near-tie candidates.
-
-        Candidates are the endpoints, the interior segment starts and the
-        interior critical points (real roots of each omega row inside its
-        segment).  A dense audit grid guards against candidates missed by
-        the algebra.
-        """
-        inner = self._seg[1:].tolist()
-        cands = {0.0, 1.0, *inner}
-        for a, b, row in zip(self._seg.tolist(), inner + [1.0], self._w):
-            for z in _roots(np.trim_zeros(row, "b")):
-                if abs(z.imag) < 1e-12 and _ROOT_SNAP < z.real < b - a - _ROOT_SNAP:
-                    cands.add(a + float(z.real))
-        cands = sorted(cands)
+        """``max Omega``, the maximizers, the near-ties (within ``_TIE_MARGIN
+        max(1, |max Omega|)``) and ``{candidate: k}``, ``k`` the multiplicity of
+        omega's root there.  The candidates are the only points that can be
+        maximizers: the ends, the segment starts and the real roots of each row."""
+        starts = self._seg.tolist()
+        roots = dict.fromkeys([0.0, *starts[1:], 1.0], 0)
+        for a, b, row in zip(starts, starts[1:] + [1.0], self._w):
+            for z, k in _clusters(np.trim_zeros(row, "b")):
+                x = float(z.real)
+                if abs(z.imag) < 1e-12 and -_ROOT_SNAP <= x <= b - a + _ROOT_SNAP:
+                    x = a if x <= _ROOT_SNAP else b if x >= b - a - _ROOT_SNAP else a + x
+                    roots[x] = max(roots.get(x, 0), k)
+        cands = sorted(roots)
         vals = _horner(self._seg, self._W, cands).tolist()
         big = max(vals)
-        scale = max(1.0, abs(big))
-        tol = _TIE_MARGIN * scale
+        tol = _TIE_MARGIN * max(1.0, abs(big))
         exact = tuple(c for c, v in zip(cands, vals) if v == big)
-        near = [c for c, v in zip(cands, vals) if 0.0 < big - v <= tol]
-
-        grid = np.linspace(0.0, 1.0, _AUDIT_POINTS)
-        gv = _horner(self._seg, self._W, grid)
-        overshoot = float(np.max(gv)) - big
-        if overshoot > tol:
-            k = int(np.argmax(gv))
-            raise AmbiguousClassificationError(
-                f"audit grid found Omega({grid[k]!r}) = {float(gv[k])!r} above the "
-                f"candidate maximum {big!r}; competing maximizers "
-                f"{exact + (float(grid[k]),)}")
-        # representatives of grid runs that tie or near-tie the maximum but
-        # sit away from every known candidate (flat stretches and the like)
-        close = np.flatnonzero(big - gv <= tol)
-        if close.size:
-            runs = np.split(close, np.flatnonzero(np.diff(close) > 1) + 1)
-            for run in runs:
-                rep = run[int(np.argmax(gv[run]))]
-                g = float(grid[rep])
-                if min(abs(g - c) for c in cands) > 2.0 / (_AUDIT_POINTS - 1):
-                    near.append(g)
-        return big, exact, tuple(near)
+        near = tuple(c for c, v in zip(cands, vals) if 0.0 < big - v <= tol)
+        return big, exact, near, roots
 
     # -- classification ---------------------------------------------------------
 
@@ -438,7 +437,7 @@ class VorticityDistribution:
 
     @cached_property
     def _classification(self) -> FlowClassification:
-        big, exact, near = self._extrema
+        big, exact, near, _ = self._extrema
         cond, note = self._condition_for(exact)
         # a near-tie is only a problem when promoting it to a true
         # maximizer would change the verdict

@@ -69,6 +69,17 @@ def test_strip_rejects_nonmonotone_wave_column():
     assert "on y in [0.42857142857142855, 0.5714285714285714]" in str(info.value)
 
 
+
+def test_strip_rejects_a_field_whose_speed_vanishes_at_the_surface():
+    # y = 1 - (1 - psi)^3 has dy/dpsi = 0 at the surface, so h_p = 3 (1 - p)^2
+    # vanishes there and its one-sided stencil on 257 rows reads below 0
+    x = np.linspace(0.0, 1.0, 9)
+    psi = np.tile(np.linspace(0.0, 1.0, 257)[:, None], (1, 9))
+    y = 1.0 - (1.0 - psi) ** 3
+    wf = WaveField(x=x, eta=np.ones(9), y=y, psi=psi, r=1.0, s=1.0,
+                   t=0.0, tau0=1.0, lam=0.0, wavelength=1.0)
+    with pytest.raises(UnidirectionalityError, match="h_p lower bound -3.05"):
+        to_strip(wf)
 def test_strip_input_validation(w_zero):
     st = stream.solve_stream(w_zero, 2.0)
     with pytest.raises(ConfigError):

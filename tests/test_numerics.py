@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,3 +199,15 @@ def test_solve_ivp_exponential():
     np.testing.assert_allclose(sol.y[0, -1], math.e, rtol=1e-11)
     # dense output present
     np.testing.assert_allclose(sol.sol(0.5)[0], math.sqrt(math.e), rtol=1e-11)
+
+
+def test_solve_ivp_failure_names_a_plain_float():
+    # y' = y^2, y(0) = 1 blows up at t = 1; the message printed numpy's
+    # scalar repr, np.float64(1.0000000000000842)
+    with pytest.raises(ConvergenceError) as info:
+        numerics.solve_ivp(lambda t, y: (y[0] * y[0],), (1.0,), (0.0, 10.0), tol=1e-12,
+                           events=[])
+    message = str(info.value)
+    assert "np.float64" not in message
+    reached = float(re.search(r"reached t=(\S+) of \[0\.0, 10\.0\]", message).group(1))
+    assert abs(reached - 1.0) <= 1e-9

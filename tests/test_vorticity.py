@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -374,3 +375,117 @@ def test_each_part_reads_one_frame(spec, u):
         assert np.all(nearest[i] == m) and np.all(e * (p[i] - m) > 0.0)
         want = np.maximum(_horner(*dist._gap_segments(m, e), e * (p[i] - m)), 0.0)
         assert np.array_equal(dist._gap(p[i]), want)
+
+
+def _divmod(a, b):
+    """Quotient and remainder of the polynomials ``a / b``, as lists of exact
+    coefficients, highest degree first (``b[0] != 0``)."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        q.append(a[0] / b[0])
+        a = [x - q[-1] * y for x, y in zip(a, b + [0] * len(a))][1:]
+    while a and a[0] == 0:
+        a.pop(0)
+    return q, a
+
+
+def _mp_peaks(dist, mp):
+    """The points where Omega can peak, in mpmath straight from the input
+    record: the ends, a table's nodes and the real roots of omega on [0, 1].
+    A polynomial's roots are ``mp.polyroots`` of its square-free part ``p /
+    gcd(p, p')``, found in exact fractions, on which the iteration converges."""
+    if dist._nodes is not None:
+        pairs = [(mp.mpf(t), mp.mpf(v)) for t, v in dist._nodes]
+        return [t for t, _ in pairs] + [t0 - v0 * (t1 - t0) / (v1 - v0)
+                                        for (t0, v0), (t1, v1) in zip(pairs, pairs[1:])
+                                        if v0 * v1 < 0]
+    p = [Fraction(c) for c in reversed(dist._coeffs)]
+    while p and p[0] == 0:
+        p.pop(0)
+    peaks = [mp.zero, mp.one]
+    if len(p) < 2:
+        return peaks
+    g, r = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    while r:
+        g, r = r, _divmod(g, r)[1]
+    part = [mp.mpf(c.numerator) / c.denominator for c in _divmod(p, g)[0]]
+    return peaks + [z.real for z in mp.polyroots(part, maxsteps=200, extraprec=100)
+                    if abs(mp.im(z)) < mp.mpf(10) ** -40 and 0 <= z.real <= 1]
+
+
+MULTIPLE_ROOTS = [
+    "poly 1 -3 3 -1",  # (1 - tau)^3
+    "poly 0.125 -0.75 1.5 -1",  # (1/2 - tau)^3
+    "poly 0.03125 -0.3125 1.25 -2.5 2.5 -1",  # (1/2 - tau)^5
+    "poly -0.0625 0.5 -1.5 2 -1",  # -(tau - 1/2)^4
+    "table 0.0:2.0 0.5:0.0 1.0:0.0",  # Omega flat at its maximum
+]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spec=st_.one_of(dist_specs, st_.sampled_from(MULTIPLE_ROOTS)))
+@example(spec="poly 0 0 0 -4 2")  # a triple root of omega at the maximizer 0
+@example(spec="poly 1.777 0.051 -2.537")
+def test_maximizers_against_a_dense_grid_and_mpmath(spec):
+    """The maximizers and near-ties that the algebra finds, against Omega on
+    a 10,001-point grid and against the roots of omega in 60-digit arithmetic.
+    No grid value beats the maximum by more than the tie margin, and every
+    run of grid values within it lies beside a maximizer or near-tie.  Every
+    maximizer and near-tie is, to 1e-9, a point where the exact Omega is
+    within twice that margin of its maximum, and every point within half of
+    it is a maximizer or near-tie."""
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 60
+    dist = V.parse(spec)
+    try:
+        dist.classify()
+    except AmbiguousClassificationError:
+        assume(False)
+    big, exact, near = dist._extrema[:3]
+    found, tol = exact + near, 1e-12 * max(1.0, abs(big))
+    grid = np.linspace(0.0, 1.0, 10001)
+    values = dist.Omega(grid)
+    assert values.max() - big <= tol
+    close = np.flatnonzero(big - values <= tol)
+    for run in np.split(close, np.flatnonzero(np.diff(close) > 1) + 1) if close.size else []:
+        assert any(grid[run[0]] - 1e-4 <= m <= grid[run[-1]] + 1e-4 for m in found)
+    _, Omega, _, _ = _mp_record(dist, mp)
+    peaks = _mp_peaks(dist, mp)
+    exact_values = [Omega(t) for t in peaks]
+    top = max(exact_values)
+    assert abs(big - float(top)) <= 1e-13 * max(1.0, abs(big))
+    ties = [float(t) for t, v in zip(peaks, exact_values) if top - v <= 2.0 * tol]
+    for m in found:
+        assert min(abs(m - t) for t in ties) <= 1e-9, (m, ties)
+    for t, v in zip(peaks, exact_values):
+        if top - v <= 0.5 * tol:
+            assert min(abs(float(t) - m) for m in found) <= 1e-9, (float(t), found)
+
+
+@pytest.mark.parametrize("spec, condition, maximizers, orders", [
+    ("poly 1 -3 3 -1", "i", (1.0,), (4,)),
+    ("poly 0.125 -0.75 1.5 -1", "i", (0.5,), (4,)),
+    ("poly 0.03125 -0.3125 1.25 -2.5 2.5 -1", "i", (0.5,), (6,)),
+    ("poly -0.0625 0.5 -1.5 2 -1", "ii", (0.0,), (1,)),
+    ("table 0.0:2.0 0.5:0.0 1.0:0.0", "i", (0.5, 1.0), (2, None)),
+])
+def test_multiple_roots_are_found_with_their_order(spec, condition, maximizers, orders):
+    """A ``k``-fold root of omega leaves the companion matrix as a cluster
+    of radius about ``eps^(1/k)``; the classification takes the cluster as one
+    root, to within 2 ulps, and the gap about it starts at order ``k + 1`` on
+    both sides (``None``: the gap is 0 on that side's first row, as Omega is
+    flat there).  One real member of the cluster had been taken: ``(1 -
+    tau)^3`` got the interior maximizer 0.9999918153360454, and ``(1/2 -
+    tau)^5`` 0.4993861493201187 with its gap read as order 2."""
+    dist = V.parse(spec)
+    cls = dist.classify()
+    assert cls.condition == condition and len(cls.maximizers) == len(maximizers)
+    for got, want in zip(cls.maximizers, maximizers):
+        assert abs(got - want) <= 2.0 * math.ulp(want)
+    terms = dist._partition[3]
+    for i, order in enumerate(orders):
+        below, above = terms[2 * i], terms[2 * i + 1]
+        if order is None:
+            assert below == () or above == ()
+        else:
+            assert below[0][0] == order and (above == () or above[0][0] == order)

@@ -9,113 +9,86 @@ The modules mirror the pipeline: a vorticity distribution
 (:mod:`~vorwaves.linearwave`) produce waves, which the strip transform
 (:mod:`~vorwaves.hodograph`) and the verdict module
 (:mod:`~vorwaves.bounds`) check against the depth bounds.
+
+Importing the package loads only :mod:`~vorwaves.errors`; every other
+exported name, and numpy with it, is imported from its module on first use
+(PEP 562).
 """
 
-from .errors import (
-    AmbiguousClassificationError,
-    ConfigError,
-    ConvergenceError,
-    DivergenceError,
-    DomainError,
-    InvalidIntegrandError,
-    NoStreamError,
-    ResonanceError,
-    UnidirectionalityError,
-    VorwavesError,
-)
-from .vorticity import FlowClassification, VorticityDistribution
-from .stream import (
-    ShotStream,
-    StreamSolution,
-    depth,
-    phi,
-    shoot_stream,
-    solve_stream,
-    surface_slope_squared,
-)
-from .bernoulli import BernoulliAnalysis, ConjugatePair, analyze, conjugates
-from .dispersion import DispersionResult, GammaSolution, find_tau0, gamma_bvp, sigma
-from .linearwave import (
-    BottomSlopeCheck,
-    SignChange,
-    WaveField,
-    WCorrection,
-    build_wave,
-    check_Wprime0,
-    detect_sign_change,
-    solve_W,
-    solve_w_aux,
-)
-from .hodograph import (
-    FieldResidual,
-    HodographField,
-    SurfaceResidual,
-    WheelerReport,
-    bernoulli_residual,
-    field_equation_residual,
-    to_strip,
-    wheeler_identity,
-)
-from .bounds import BoundsReport, VerdictRecord, check_bounds
+import importlib
+
+from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "VorwavesError",
-    "ConfigError",
-    "DomainError",
-    "NoStreamError",
-    "UnidirectionalityError",
-    "ConvergenceError",
-    "InvalidIntegrandError",
-    "ResonanceError",
-    "DivergenceError",
-    "AmbiguousClassificationError",
-    # vorticity
-    "VorticityDistribution",
-    "FlowClassification",
-    # streams
-    "StreamSolution",
-    "ShotStream",
-    "solve_stream",
-    "shoot_stream",
-    "depth",
-    "phi",
-    "surface_slope_squared",
-    # head landscape
-    "BernoulliAnalysis",
-    "ConjugatePair",
-    "conjugates",
-    "analyze",
-    # dispersion
-    "DispersionResult",
-    "GammaSolution",
-    "sigma",
-    "find_tau0",
-    "gamma_bvp",
-    # first-order waves
-    "WCorrection",
-    "BottomSlopeCheck",
-    "WaveField",
-    "SignChange",
-    "solve_W",
-    "solve_w_aux",
-    "check_Wprime0",
-    "build_wave",
-    "detect_sign_change",
-    # strip transform
-    "HodographField",
-    "SurfaceResidual",
-    "FieldResidual",
-    "WheelerReport",
-    "to_strip",
-    "bernoulli_residual",
-    "field_equation_residual",
-    "wheeler_identity",
-    # verdicts
-    "VerdictRecord",
-    "BoundsReport",
-    "check_bounds",
-]
+# each exported name, by the module that defines it
+_EXPORTS = {
+    "errors": (
+        "VorwavesError",
+        "ConfigError",
+        "DomainError",
+        "NoStreamError",
+        "UnidirectionalityError",
+        "ConvergenceError",
+        "InvalidIntegrandError",
+        "ResonanceError",
+        "DivergenceError",
+        "AmbiguousClassificationError",
+    ),
+    "vorticity": ("VorticityDistribution", "FlowClassification"),
+    "stream": (
+        "StreamSolution",
+        "ShotStream",
+        "solve_stream",
+        "shoot_stream",
+        "depth",
+        "phi",
+        "surface_slope_squared",
+    ),
+    "bernoulli": ("BernoulliAnalysis", "ConjugatePair", "conjugates", "analyze"),
+    "dispersion": ("DispersionResult", "GammaSolution", "sigma", "find_tau0", "gamma_bvp"),
+    "linearwave": (
+        "WCorrection",
+        "BottomSlopeCheck",
+        "WaveField",
+        "SignChange",
+        "solve_W",
+        "solve_w_aux",
+        "check_Wprime0",
+        "build_wave",
+        "detect_sign_change",
+    ),
+    "hodograph": (
+        "HodographField",
+        "SurfaceResidual",
+        "FieldResidual",
+        "WheelerReport",
+        "to_strip",
+        "bernoulli_residual",
+        "field_equation_residual",
+        "wheeler_identity",
+    ),
+    "bounds": ("VerdictRecord", "BoundsReport", "check_bounds"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+globals().update((name, getattr(errors, name)) for name in _EXPORTS["errors"])
+
+
+def __getattr__(name):
+    """An exported name, or a submodule, imported on first use."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _EXPORTS or name == "numerics":
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -24,14 +25,31 @@ import time
 import warnings
 
 import click
-import numpy as np
 
 from . import __version__
-from . import bernoulli, bounds, dispersion, hodograph, linearwave, stream
 from .config import RunConfig
 from .errors import ConfigError, DomainError, NoStreamError, VorwavesError
 
 __all__ = ["main", "scale_to_nondimensional"]
+
+
+class _Deferred:
+    """A library module, imported when a command first reads one of its
+    names: start-up, ``--help`` and a refused run file load no numpy, and
+    each command loads only the modules it calls.  The modules stay names of
+    this module, which a caller may swap (``perfbench/cli_child.py`` puts
+    each in a span)."""
+
+    def __init__(self, name: str):
+        self.__name__ = f"{__package__}.{name}"
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self.__name__), attr)
+
+
+bernoulli, bounds, dispersion, hodograph, linearwave, stream = (
+    _Deferred(name) for name in
+    ("bernoulli", "bounds", "dispersion", "hodograph", "linearwave", "stream"))
 
 _LENGTH_EXP = 1.0 / 3.0
 
@@ -87,8 +105,8 @@ def _write_csv(out: str, name: str, header, rows) -> str:
     return name
 
 
-def _surface_from_csv(path: str) -> np.ndarray:
-    """Surface samples from a CSV: last column, header row optional."""
+def _surface_from_csv(path: str):
+    """Surface samples from a CSV, as an array: last column, header row optional."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -107,6 +125,7 @@ def _surface_from_csv(path: str) -> np.ndarray:
             # header row
     if not values:
         raise ConfigError(f"no surface samples in {path!r}")
+    import numpy as np
     return np.asarray(values)
 
 
@@ -222,6 +241,7 @@ def cmd_analyze(cfg, out):
 @_command("stream")
 def cmd_stream(cfg, out):
     """Stream profile for a given bottom slope s (profile.csv)."""
+    import numpy as np
     dist = cfg.distribution()
     n_p = cfg.get("n_p", int, 257)
     if n_p < 2:
@@ -290,8 +310,8 @@ def cmd_wave(cfg, out):
         "lam": wf.lam,
         "wavelength": wf.wavelength,
         "depth": st.d,
-        "crest": float(np.max(wf.eta)),
-        "trough": float(np.min(wf.eta)),
+        "crest": float(wf.eta.max()),
+        "trough": float(wf.eta.min()),
         "sign_change": dataclasses.asdict(sc),
     }
     return results, files

@@ -29,10 +29,12 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .errors import ConfigError
-from .vorticity import VorticityDistribution
+
+if TYPE_CHECKING:
+    from .vorticity import VorticityDistribution
 
 __all__ = ["RunConfig"]
 
@@ -84,6 +86,7 @@ class RunConfig:
     def distribution(self) -> VorticityDistribution:
         if self.vorticity_text is None:
             raise ConfigError("missing [vorticity] spec")
+        from .vorticity import VorticityDistribution  # deferred: it loads numpy
         return VorticityDistribution.parse(self.vorticity_text)
 
     # -- typed parameter access ------------------------------------------------

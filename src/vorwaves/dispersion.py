@@ -144,6 +144,17 @@ def _sample(mode: _Mode, y: np.ndarray) -> np.ndarray:
 
 
 def _solve(stream, tau: float, from_surface: bool = False) -> _Mode:
+    """The mode of :func:`_new_mode`, kept on the stream by ``(tau,
+    from_surface)``: the last Newton point of :func:`find_tau0` is the solve
+    of ``gamma`` at ``tau0`` that the wave builder and its checks reuse."""
+    kept = vars(stream).setdefault("_modes", {})
+    if (tau, from_surface) not in kept:
+        mode = kept[tau, from_surface] = _new_mode(stream, tau, from_surface)
+        mode.values.flags.writeable = False  # every later caller reads this array
+    return kept[tau, from_surface]
+
+
+def _new_mode(stream, tau: float, from_surface: bool) -> _Mode:
     """Solve ``-v'' + [tau^2 - omega'(u)] v = 0`` from ``v = 0``, ``v' = 1``
     at the bottom (or the surface): one batched numpy solve gives each
     element its solutions of unit start value and slope, and forward
@@ -370,7 +381,7 @@ def find_tau0(stream: StreamSolution, tau_max: float = 50.0) -> DispersionResult
         val = _sigma(stream, _solve(stream, tau_max))
         if not val < 0.0:
             raise ConvergenceError(f"Newton on tau^2 passed tau_max = {tau_max!r} at "
-                                   f"t = {search.root!r}, yet sigma(tau_max) = {val!r}")
+                                   f"t = {float(search.root)!r}, yet sigma(tau_max) = {val!r}")
         notes += [no_root,
                   f"sigma(0+) = {sig0!r} < 0 and sigma increases, so its "
                   f"one positive root lies beyond tau_max = {tau_max!r}"]

@@ -122,6 +122,34 @@ def _pchip_end(h0, h1, m0, m1):
                     3.0 * m0, d)
 
 
+def _pchip_slopes(h, m):
+    """``dy/dpsi`` at the samples of each column, from the steps ``h`` in
+    ``psi`` and the secants ``m`` between them."""
+    slope = np.empty((len(h) + 1, h.shape[1]))
+    if len(h) == 1:
+        slope[:] = m
+    else:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope[1:-1] = np.where(same, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        slope[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        slope[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    return slope
+
+
+def _intervals(psi, p_grid):
+    """Flat indices ``k * n_q + j`` of the interval ``k`` of each ``p`` (rows) in
+    each column ``j`` of ``psi``: ``k + 1`` counts the samples at or below ``p``,
+    as ``searchsorted(psi[:, j], p, side="right")`` does, from one search for
+    the first ``p`` at or above each sample, counted per column and summed."""
+    n_p, n_q = len(p_grid), psi.shape[1]
+    first = np.searchsorted(p_grid, psi, side="left") + (n_p + 1) * np.arange(n_q)
+    below = np.bincount(first.ravel(), minlength=(n_p + 1) * n_q).reshape(n_q, n_p + 1)
+    k = np.clip(np.cumsum(below[:, :n_p], axis=1).T - 1, 0, len(psi) - 2)
+    return k * n_q + np.arange(n_q)
+
+
 def _invert_columns(psi, y, p_grid, q):
     """Invert every sampled ``y -> psi`` column ``j`` onto the p-grid.
 
@@ -138,23 +166,12 @@ def _invert_columns(psi, y, p_grid, q):
             f"on y in [{float(y[k, j])!r}, {float(y[k + 1, j])!r}]; the strip "
             f"transform needs a unidirectional flow")
     m = np.diff(y, axis=0) / h
-    slope = np.empty_like(y)
-    if len(y) == 2:
-        slope[:] = m
-    else:
-        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
-        same = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope[1:-1] = np.where(same, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
-        slope[0] = _pchip_end(h[0], h[1], m[0], m[1])
-        slope[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
-    k = np.clip(np.column_stack([np.searchsorted(col, p_grid, side="right")
-                                 for col in psi.T]) - 1, 0, len(psi) - 2)
-    j = np.arange(psi.shape[1])
+    slope = _pchip_slopes(h, m)
+    at = _intervals(psi, p_grid)
     t = (slope[:-1] + slope[1:] - 2.0 * m) / h
-    x = p_grid[:, None] - psi[k, j]
-    c3, c2 = (t / h)[k, j], ((m - slope[:-1]) / h - t)[k, j]
-    return ((c3 * x + c2) * x + slope[k, j]) * x + y[k, j]
+    x = p_grid[:, None] - psi.ravel()[at]
+    c3, c2 = (t / h).ravel()[at], ((m - slope[:-1]) / h - t).ravel()[at]
+    return ((c3 * x + c2) * x + slope.ravel()[at]) * x + y.ravel()[at]
 
 
 def to_strip(source, n_p: int = 257, n_q: int = 9,

@@ -569,13 +569,14 @@ def test_module_entry_point_runs_the_cli(tmp_path):
 
 
 # every command but those that shoot a stream: the transverse operator of
-# dispersion, wave and check-bounds is numpy linear algebra
+# dispersion, wave and check-bounds is numpy linear algebra; scale, which
+# loads no numpy, comes first
 _WITHOUT_SCIPY = {
+    "scale": "[parameters]\nQ = 1.0\ng = 9.81\nquantity = length\nvalue = 1.0\n",
     "analyze": "[vorticity]\nspec = constant 2\n",
     "stream": "[vorticity]\nspec = poly -3 6\n[parameters]\ns = 1.0\n",
     "conjugates": "[vorticity]\nspec = table 0:1 0.5:-1 1:2\n[parameters]\nr = 0.8822\n",
     "wheeler": "[vorticity]\nspec = constant 0\n[parameters]\nr = 1.1\n",
-    "scale": "[parameters]\nQ = 1.0\ng = 9.81\nquantity = length\nvalue = 1.0\n",
     "dispersion": "[vorticity]\nspec = constant 2\n[parameters]\nr = 0.6032\n",
     "wave": "[vorticity]\nspec = poly 0 0 3\n[parameters]\nr = 0.6216\nt = 0.005\n",
     "check-bounds": "[vorticity]\nspec = table 0:1 0.5:-1 1:2\n[parameters]\n"
@@ -585,36 +586,50 @@ _WITHOUT_SCIPY = {
 
 # commands that make no transverse solve, the one user of numpy.polynomial
 # (dispersion._cheb); they come before every other command in _WITHOUT_SCIPY
-_WITHOUT_NUMPY_POLYNOMIAL = ("analyze", "stream", "conjugates", "wheeler", "scale")
+_WITHOUT_NUMPY_POLYNOMIAL = ("scale", "analyze", "stream", "conjugates", "wheeler")
+
+# commands that call only the stream and the head landscape; they follow scale
+_LANDSCAPE_ONLY = ("analyze", "stream", "conjugates")
 
 
 def test_start_up_leaves_scipy_unloaded(tmp_path):
     # scipy is imported only where a stream is shot (shoot_stream):
     # neither the package, the CLI, nor these eight commands load it;
-    # the first five do not load numpy.polynomial either
+    # the first five do not load numpy.polynomial either.  The package and
+    # the CLI load no numpy and no numerical module: each command imports
+    # the modules it calls
     for command, body in _WITHOUT_SCIPY.items():
         (tmp_path / f"{command}.ini").write_text(body, encoding="utf-8")
     code = textwrap.dedent("""\
         import sys
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def loaded(after):
+            print(after, "loaded", " ".join(sorted(
+                m for m in sys.modules
+                if m.split(".")[0] in ("scipy", "numpy") or m.startswith("vorwaves."))))
 
         import vorwaves
-        assert not scipy_modules(), ("import vorwaves", scipy_modules()[:3])
+        loaded("vorwaves")
         import vorwaves.cli
-        assert not scipy_modules(), ("import vorwaves.cli", scipy_modules()[:3])
+        loaded("vorwaves.cli")
         for command in sys.argv[1:]:
             vorwaves.cli.main([command, "--config", command + ".ini", "--out", command],
                               standalone_mode=False)
-            assert not scipy_modules(), (command, scipy_modules()[:3])
-            print("numpy.polynomial after", command, "numpy.polynomial" in sys.modules)
+            loaded(command)
         """)
     done = _fresh_python(["-c", code, *_WITHOUT_SCIPY], tmp_path)
     assert done.returncode == 0, done.stderr
     for command in _WITHOUT_SCIPY:
         assert _report(str(tmp_path / command))["command"] == command
-    loaded = dict(line.split()[2:] for line in done.stdout.splitlines()
-                  if line.startswith("numpy.polynomial after"))
+    loaded = {words[0]: set(words[2:]) for words in map(str.split, done.stdout.splitlines())
+              if words[1] == "loaded"}
+    assert loaded["vorwaves"] == {"vorwaves.errors"}
+    assert loaded["vorwaves.cli"] == {"vorwaves.cli", "vorwaves.config", "vorwaves.errors"}
+    assert not {m for m in loaded["scale"] if m.split(".")[0] == "numpy"}
+    for command in _WITHOUT_SCIPY:
+        assert not {m for m in loaded[command] if m.split(".")[0] == "scipy"}, command
     for command in _WITHOUT_NUMPY_POLYNOMIAL:
-        assert loaded[command] == "False", command
+        assert "numpy.polynomial" not in loaded[command], command
+    for command in _LANDSCAPE_ONLY:
+        assert not loaded[command] & {"vorwaves.dispersion", "vorwaves.linearwave",
+                                      "vorwaves.hodograph", "vorwaves.bounds"}, command

@@ -121,12 +121,26 @@ def test_transverse_solves_count_their_work(w_two):
     assert 0 < numerics.tally["ode_steps"] < numerics.tally["ode_rhs_evals"]
 
 
-def test_unresolved_solve_names_tau_and_tail(stream_plus, monkeypatch):
+def test_wave_reuses_the_solves_of_its_root():
+    # a stream keeps its solves: find_tau0's last Newton point is gamma at
+    # tau0, which build_wave and check_Wprime0 read again; only the solve
+    # from the surface (solve_w_aux) is new
+    dist = V.parse("poly -3 6")
+    st = stream.solve_stream(dist, bernoulli.conjugates(dist, 0.7326).s_plus)
+    disp = find_tau0(st)
+    numerics.tally.clear()
+    linearwave.build_wave(st, disp, 0.005)
+    linearwave.check_Wprime0(st, disp.tau0)
+    assert numerics.tally["linear_solves"] == 1
+
+
+def test_unresolved_solve_names_tau_and_tail(w_zero, conj11, monkeypatch):
     # no bisection allowed: one element across tau d ~ 50 cannot resolve
-    # exp(tau y), and the solve says at which tau and how far it got
+    # exp(tau y), and the solve says at which tau and how far it got; a
+    # fresh stream, as a stream keeps the solves it has made
     monkeypatch.setattr(dispersion, "_MAX_LEVEL", 0)
     with pytest.raises(ConvergenceError, match=r"tau=40\.0 .*coefficient tail \d"):
-        gamma_bvp(stream_plus, 40.0)
+        gamma_bvp(stream.solve_stream(w_zero, conj11.s_plus), 40.0)
 
 
 def test_tau0_at_large_tau_d_matches_constant_vorticity():
@@ -266,6 +280,54 @@ def test_root_beyond_tau_max():
     far = find_tau0(st, tau_max=5000.0)
     assert far.tau0 is not None and far.tau0 > 50.0
     assert sigma(st, far.tau0 * (1.0 - 1e-6)) < 0.0 < sigma(st, far.tau0 * (1.0 + 1e-6))
+
+
+def _positive_sigma_at(monkeypatch, at):
+    """Make the solve from the bottom at ``tau = at`` report a surface slope
+    ``1e9``, so that sigma there is positive, whatever the stream."""
+    solve = dispersion._solve
+
+    def forged(stream, tau, from_surface=False):
+        mode = solve(stream, tau, from_surface)
+        return mode._replace(end_slope=1e9) if tau == at else mode
+    monkeypatch.setattr(dispersion, "_solve", forged)
+
+
+def _reference_stream():
+    # the subcritical stream of constant 0 at r = 1.1, built anew for each
+    # search: a stream keeps the solves it has made
+    dist = V.constant(0.0)
+    return stream.solve_stream(dist, bernoulli.conjugates(dist, 1.1).s_plus)
+
+
+def test_root_beyond_tau_max_needs_a_negative_sigma_there(monkeypatch):
+    # the root 1.92 lies beyond tau_max = 1, so Newton passes 1; a sigma at
+    # tau_max that is not negative contradicts that
+    _positive_sigma_at(monkeypatch, 1.0)
+    with pytest.raises(ConvergenceError, match=r"passed tau_max = 1\.0 at t = 2\.6\d*, "
+                                               r"yet sigma\(tau_max\) = \d"):
+        find_tau0(_reference_stream(), tau_max=1.0)
+
+
+def test_root_needs_sigma_to_change_sign_about_it(monkeypatch):
+    tau0 = find_tau0(_reference_stream()).tau0
+    _positive_sigma_at(monkeypatch, 0.5 * tau0)
+    with pytest.raises(ConvergenceError,
+                       match=rf"about tau0={tau0!r}: sigma\(tau0/2\) = \d"):
+        find_tau0(_reference_stream())
+
+
+def test_root_with_a_near_root_at_its_double_is_resonant(monkeypatch):
+    # sigma(2 tau0) is about 1.37 on the reference stream: a margin of 1e9
+    # takes it for a root, so the wave is refused
+    disp = find_tau0(_reference_stream())
+    monkeypatch.setattr(dispersion, "_MULTIPLE_MARGIN", 1e9)
+    near = find_tau0(_reference_stream())
+    assert near.tau0 == disp.tau0 and not near.assumption_II and disp.assumption_II
+    assert near.notes == (f"sigma(2 * tau0) = {float(disp.sigmas[1])!r} within margin 1000000000.0: "
+                          f"resonant harmonic",)
+    with pytest.raises(DomainError, match="assumption II False"):
+        linearwave.build_wave(near.stream, near, 0.001)
 
 
 @formal

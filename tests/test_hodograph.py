@@ -49,6 +49,28 @@ def test_strip_matches_scipy_pchip(stream_plus, disp_plus, n_y):
     np.testing.assert_allclose(hf.h, want, rtol=0.0, atol=1e-14)
 
 
+def test_inverted_columns_match_per_column_searches():
+    # one search over all columns picks, bit for bit, the intervals that a
+    # searchsorted(col, p, side="right") per column picks; a p equal to a
+    # sample takes the interval above it, whose cubic starts at that sample
+    p = np.linspace(0.0, 1.0, 11)
+    psi = np.linspace(0.0, 1.0, 6)[:, None] ** np.array([1.3, 1.6, 2.0, 2.5])
+    psi[2], psi[3] = p[[3, 2, 2, 1]], p[[5, 4, 3, 3]]  # ties in every column
+    y = np.sqrt(psi)
+    h, m = np.diff(psi, axis=0), np.diff(y, axis=0) / np.diff(psi, axis=0)
+    slope = hodograph._pchip_slopes(h, m)
+    k = np.clip(np.column_stack([np.searchsorted(col, p, side="right")
+                                 for col in psi.T]) - 1, 0, len(psi) - 2)
+    j = np.arange(psi.shape[1])
+    t = (slope[:-1] + slope[1:] - 2.0 * m) / h
+    x = p[:, None] - psi[k, j]
+    c3, c2 = (t / h)[k, j], ((m - slope[:-1]) / h - t)[k, j]
+    want = ((c3 * x + c2) * x + slope[k, j]) * x + y[k, j]
+    got = hodograph._invert_columns(psi, y, p, np.arange(4.0))
+    assert got.tobytes() == want.tobytes()
+    assert (got[[3, 2, 2, 1], j] == y[2]).all() and (got[[5, 4, 3, 3], j] == y[3]).all()
+
+
 def test_strip_rejects_counter_current(w_minus_two):
     # a shot stream is a diagnostic, not a flow the strip transform takes
     sh = stream.shoot_stream(w_minus_two, -1.0)

@@ -14,3 +14,9 @@ def test_every_export_resolves(name):
     module = importlib.import_module(name)
     stale = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert not stale
+
+
+def test_dir_lists_every_export():
+    # the exports are imported on first use, and dir() lists them all along
+    assert set(vorwaves.__all__) <= set(dir(vorwaves))
+    assert dir(vorwaves) == sorted(dir(vorwaves))

@@ -58,14 +58,8 @@ __all__ = ["ConjugatePair", "BernoulliAnalysis", "conjugates", "analyze"]
 # keeps memory from growing
 _PAIRS_CACHED = 64
 
-# Chebyshev-Lobatto points per piece of the proxy, and the cosine sum that
-# turns values there (from u = 1 down to u = -1) into Chebyshev coefficients
-_POINTS = 24
-_U = np.cos(np.pi * np.arange(_POINTS) / (_POINTS - 1))
-_FIT = np.cos(np.outer(np.arange(_POINTS), np.pi * np.arange(_POINTS) / (_POINTS - 1)))
-_FIT[:, [0, -1]] *= 0.5
-_FIT[[0, -1]] *= 0.5
-_FIT *= 2.0 / (_POINTS - 1)
+# degree of the proxy's series on each piece, fitted from u = 1 down to u = -1
+_DEGREE = 23
 
 # the proxy's lowest sample under "i", relative to max(1, s0) above s0
 _LOWEST = 2e-9
@@ -115,7 +109,7 @@ class _Piece:
         self.kind, self.s0, self.s_m = kind, s0, s_m
         (lo, m_lo), (hi, m_hi) = sorted((self.at(m), m) for m in (m_a, m_b))
         self.lo, self.hi, self.mid, self.half = lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.nodes = (self.mid + self.half * _U).tolist()  # hi first
+        self.nodes = (self.mid + self.half * numerics.lobatto(_DEGREE)).tolist()  # hi first
         self.nodes[0], self.nodes[-1] = hi, lo
         self.margins = [m_hi, *(stream._named(s0, math.sqrt(s0 * s0 + self.sigma2(x)[0]))
                                 for x in self.nodes[1:-1]), m_lo]
@@ -142,7 +136,7 @@ class _Piece:
     def fit(self, values) -> None:
         """The coefficients of the interpolant of ``values`` at the nodes,
         and those of its first two derivatives in ``x``."""
-        self.coefs = [(_FIT @ np.asarray(values)).tolist()]
+        self.coefs = [(numerics.cheb_fit(_DEGREE) @ np.asarray(values)).tolist()]
         for _ in range(2):
             c = self.coefs[-1]
             dc = [0.0] * (len(c) + 1)
@@ -152,14 +146,8 @@ class _Piece:
             self.coefs.append(dc[:len(c) - 1])
 
     def __call__(self, x: float, order: int = 0) -> float:
-        """The series (or its derivative of that order) at ``x``, by
-        Clenshaw's recurrence."""
-        c = self.coefs[order]
-        u = (x - self.mid) / self.half
-        b1 = b2 = 0.0
-        for ck in c[:0:-1]:
-            b1, b2 = 2.0 * u * b1 - b2 + ck, b1
-        return u * b1 - b2 + c[0]
+        """The series (or its derivative of that order) at ``x``."""
+        return numerics.clenshaw(self.coefs[order], (x - self.mid) / self.half)
 
     def root(self, f, a: float, b: float, f_a: float, f_b: float) -> Optional[float]:
         """The root in ``x`` of ``f`` between ``a`` and ``b``, where it takes

@@ -34,11 +34,7 @@ _FLAT_REL = 1e-9
 
 
 def _margin(lhs: float, rhs: float) -> float:
-    vals = [1.0]
-    for v in (lhs, rhs):
-        if v is not None and math.isfinite(v):
-            vals.append(abs(v))
-    return _STRICT_REL * max(vals)
+    return _STRICT_REL * max(1.0, abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -161,11 +157,12 @@ def check_bounds(dist: VorticityDistribution, r: float, eta) -> BoundsReport:
     violate that clause by themselves.
 
     A head below the critical value is reported, not raised: that regime's
-    content is precisely that no non-stream solution exists.
+    content is precisely that no non-stream solution exists; a head that is
+    not positive, or whose ``3 r`` overflows, is a :class:`DomainError`.
     """
     arr = _checked_samples(eta)
-    if not (r > 0.0):
-        raise DomainError(f"head must be positive; got r={r!r}")
+    if not 0.0 < 3.0 * r < math.inf:
+        raise DomainError(f"head must be positive, and 3 r finite; got r={r!r}")
     analysis = bernoulli.analyze(dist)
     eta_hat = float(np.max(arr))
     eta_check = float(np.min(arr))

@@ -94,12 +94,15 @@ def _warn_piecewise(dist) -> Optional[str]:
 def _cheb():
     """Chebyshev-Lobatto points on ``[-1, 1]``, increasing; the integration matrix
     from -1 (last row: Clenshaw-Curtis); values to coefficients; barycentric weights."""
-    from numpy.polynomial import chebyshev  # deferred: only a transverse solve needs it
     k = np.arange(_N + 1)
-    x = -np.cos(np.pi * k / _N)
-    coef = np.linalg.inv(chebyshev.chebvander(x, _N))
-    integ = chebyshev.chebval(x, chebyshev.chebint(coef, lbnd=-1.0)).T
-    bary = np.where(k % 2 == 0, 1.0, -1.0) * np.where((k == 0) | (k == _N), 0.5, 1.0)
+    sign, x = np.where(k % 2 == 0, 1.0, -1.0), -numerics.lobatto(_N)
+    coef = numerics.cheb_fit(_N) * sign[:, None]  # x increases: T_k(-x) = (-1)^k T_k(x)
+    # each column's antiderivative, C_k = (c_(k-1) - c_(k+1)) / 2k with c_0 twice, 0 at -1
+    c = np.vstack((2.0 * coef[:1], coef[1:], np.zeros((2, k.size))))
+    anti = np.vstack((np.zeros(k.size), (c[:-2] - c[2:]) / (2.0 * (k[:, None] + 1.0))))
+    anti[0] = -numerics.clenshaw(anti, -1.0)
+    integ = numerics.clenshaw(anti, x[:, None])
+    bary = sign * np.where((k == 0) | (k == _N), 0.5, 1.0)
     return x, integ, coef, bary
 
 

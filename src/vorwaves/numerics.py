@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, root finding, ODEs.
+"""Shared numerical kernels: quadrature, root finding, ODEs, Chebyshev series.
 
 Quadrature and root finding are plain numpy and Python; only the ODE
 wrapper imports scipy, at call time, for the events of
@@ -16,6 +16,9 @@ the surface crossing of ``stream.shoot_stream`` on its dense output, the
 profile inversion ``u(y)`` of ``stream.StreamSolution``, a search per height,
 and the root of ``dispersion.find_tau0`` in ``tau^2`` on ``(0, inf)``, where
 sigma is concave, so its steps from 0 stay below the root.
+The Chebyshev series of ``bernoulli``, ``dispersion`` and ``stream`` share
+:func:`lobatto`'s points, :func:`cheb_fit`'s cosine sum and :func:`clenshaw`
+(Trefethen, *Approximation Theory and Approximation Practice*, ch. 2-3).
 
 Conventions
 -----------
@@ -27,6 +30,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from typing import Callable, Sequence
@@ -227,6 +231,30 @@ def run_newton(searches: list, values: Callable) -> None:
     raise ConvergenceError(
         f"Newton steps did not settle in {_MAX_ROUNDS} rounds; brackets "
         + ", ".join(f"[{x.lo!r}, {x.hi!r}]" for x in searches if x.root is None))
+
+
+def lobatto(n: int) -> np.ndarray:
+    """The ``n + 1`` Chebyshev-Lobatto points ``cos(pi k / n)``, from 1 down to -1."""
+    return np.cos(np.pi * np.arange(n + 1) / n)
+
+
+@functools.cache
+def cheb_fit(n: int) -> np.ndarray:
+    """The cosine sum (a DCT-I) from values at :func:`lobatto`'s ``n + 1`` points
+    to their interpolant's Chebyshev coefficients, a row each; shared, so read-only."""
+    k = np.arange(n + 1)
+    ends = np.where((k == 0) | (k == n), 0.5, 1.0)
+    fit = np.cos(np.outer(k, np.pi * k / n)) * np.outer(ends, ends) * (2.0 / n)
+    fit.flags.writeable = False
+    return fit
+
+
+def clenshaw(c, u):
+    """``sum_k c[k] T_k(u)`` by Clenshaw's recurrence; each ``c[k]`` broadcasts with ``u``."""
+    b1 = b2 = 0.0
+    for ck in c[:0:-1]:
+        b1, b2 = 2.0 * u * b1 - b2 + ck, b1
+    return u * b1 - b2 + c[0]
 
 
 def solve_ivp(

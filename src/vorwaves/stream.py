@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import inf, isfinite, pi, sqrt
+from math import inf, isfinite, sqrt
 from sys import float_info
 
 import numpy as np
@@ -374,8 +374,7 @@ class StreamSolution:
     @cached_property
     def _nodes(self):
         """``(p, H(p))`` at the Chebyshev-Lobatto nodes, the brackets of ``u_at``."""
-        p = 0.5 * (1.0 - np.cos(pi * np.arange(_PROFILE_NODES) / (_PROFILE_NODES - 1)))
-        p[0], p[-1] = 0.0, 1.0
+        p = 0.5 * (1.0 - numerics.lobatto(_PROFILE_NODES - 1))  # 0 and 1 exactly
         return p, _accumulate(self.dist, [(self.sigma2, -0.5)], p)[0]
 
     # -- profile evaluation ----------------------------------------------------

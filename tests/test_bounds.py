@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from vorwaves import linearwave
+from vorwaves import bernoulli, linearwave
 from vorwaves.bounds import (
     HOLDS,
     NOT_APPLICABLE,
@@ -111,6 +113,15 @@ def test_sample_validation(w_zero):
         check_bounds(w_zero, 1.1, [1.0, -0.2])
     with pytest.raises(DomainError):
         check_bounds(w_zero, -1.0, [1.0])
+
+
+@pytest.mark.parametrize("r", [np.inf, 1e308, np.nan])
+def test_head_whose_triple_overflows_is_refused_before_the_analysis(w_zero, r, monkeypatch):
+    # 3 r is about s-^2: no stream has such a head, and every verdict's
+    # margin is then taken between finite values
+    monkeypatch.setattr(bernoulli, "analyze", None)
+    with pytest.raises(DomainError, match=re.escape(f"3 r finite; got r={r!r}")):
+        check_bounds(w_zero, r, [1.0])
 
 
 def test_sandwich_side_is_not_picked_by_rounding():

@@ -584,18 +584,14 @@ _WITHOUT_SCIPY = {
 }
 
 
-# commands that make no transverse solve, the one user of numpy.polynomial
-# (dispersion._cheb); they come before every other command in _WITHOUT_SCIPY
-_WITHOUT_NUMPY_POLYNOMIAL = ("scale", "analyze", "stream", "conjugates", "wheeler")
-
 # commands that call only the stream and the head landscape; they follow scale
 _LANDSCAPE_ONLY = ("analyze", "stream", "conjugates")
 
 
 def test_start_up_leaves_scipy_unloaded(tmp_path):
     # scipy is imported only where a stream is shot (shoot_stream):
-    # neither the package, the CLI, nor these eight commands load it;
-    # the first five do not load numpy.polynomial either.  The package and
+    # neither the package, the CLI, nor these eight commands load it, nor
+    # numpy.polynomial (numerics has the Chebyshev series).  The package and
     # the CLI load no numpy and no numerical module: each command imports
     # the modules it calls
     for command, body in _WITHOUT_SCIPY.items():
@@ -628,7 +624,6 @@ def test_start_up_leaves_scipy_unloaded(tmp_path):
     assert not {m for m in loaded["scale"] if m.split(".")[0] == "numpy"}
     for command in _WITHOUT_SCIPY:
         assert not {m for m in loaded[command] if m.split(".")[0] == "scipy"}, command
-    for command in _WITHOUT_NUMPY_POLYNOMIAL:
         assert "numpy.polynomial" not in loaded[command], command
     for command in _LANDSCAPE_ONLY:
         assert not loaded[command] & {"vorwaves.dispersion", "vorwaves.linearwave",

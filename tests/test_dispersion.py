@@ -13,6 +13,7 @@ from vorwaves.errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    ResonanceError,
 )
 from vorwaves.vorticity import VorticityDistribution as V
 
@@ -328,6 +329,20 @@ def test_root_with_a_near_root_at_its_double_is_resonant(monkeypatch):
                           f"resonant harmonic",)
     with pytest.raises(DomainError, match="assumption II False"):
         linearwave.build_wave(near.stream, near, 0.001)
+
+
+@pytest.mark.parametrize("from_surface", [False, True])
+def test_solve_that_vanishes_at_the_far_end_is_resonant(monkeypatch, from_surface):
+    # omega'(u) forged to tau^2 + (pi/d)^2 makes the operator -d^2/dy^2 -
+    # (pi/d)^2, whose solution sin(pi y/d) vanishes at the far end from either
+    # end; a fresh stream, as a stream keeps the solves it has made
+    st = stream.solve_stream(V.constant(0.0), 1.5)
+    rate = 4.0 + (math.pi / st.d) ** 2
+    monkeypatch.setattr(dispersion, "_q", lambda _, elements: np.full(
+        (len(elements), dispersion._N + 1), rate))
+    side = ("bottom", "surface")[from_surface]
+    with pytest.raises(ResonanceError, match=rf"from the {side} vanishes .* at tau=2\.0:"):
+        dispersion._solve(st, 2.0, from_surface)
 
 
 @formal

@@ -211,3 +211,40 @@ def test_solve_ivp_failure_names_a_plain_float():
     assert "np.float64" not in message
     reached = float(re.search(r"reached t=(\S+) of \[0\.0, 10\.0\]", message).group(1))
     assert abs(reached - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [23, 24])
+def test_cosine_sum_takes_each_chebyshev_polynomial_to_its_coefficient(n):
+    # column k holds T_k at the Lobatto points, from 1 down to -1, by the
+    # three-term recurrence; a sum of n + 1 rounded products is good to
+    # about n ulps, so 1e-15 is out of reach
+    x = numerics.lobatto(n)
+    assert x[0] == 1.0 and x[-1] == -1.0 and (np.diff(x) < 0.0).all()
+    t = [np.ones_like(x), x]
+    for _ in range(n - 1):
+        t.append(2.0 * x * t[-1] - t[-2])
+    np.testing.assert_allclose(numerics.cheb_fit(n) @ np.array(t).T, np.eye(n + 1), rtol=0.0,
+                               atol=n * np.finfo(float).eps)
+    assert not numerics.cheb_fit(n).flags.writeable
+
+
+@given(st_.lists(st_.floats(-1e3, 1e3), min_size=1, max_size=30),
+       st_.lists(st_.floats(-1.5, 1.5), min_size=1, max_size=8))
+@settings(max_examples=50, deadline=None)
+def test_clenshaw_on_floats_and_on_arrays_agrees_bit_for_bit(c, u):
+    # the proxy evaluates Python floats and the integration matrix arrays:
+    # one recurrence, the same rounding
+    scalar = [numerics.clenshaw(c, v) for v in u]
+    rows = numerics.clenshaw([np.full(len(u), ck) for ck in c], np.array(u))
+    assert np.array(scalar).tobytes() == rows.tobytes()
+
+
+def test_integration_matrix_takes_each_power_to_its_antiderivative():
+    from vorwaves import dispersion
+    x, integ, _, _ = dispersion._cheb()
+    assert x[0] == -1.0 and x[-1] == 1.0
+    for j in range(dispersion._N + 1):
+        want = (x ** (j + 1) - (-1.0) ** (j + 1)) / (j + 1)
+        np.testing.assert_allclose(integ @ x ** j, want, rtol=0.0, atol=1e-14, err_msg=f"x^{j}")
+    # the last row integrates over [-1, 1]: the Clenshaw-Curtis weights
+    assert abs(integ[-1].sum() - 2.0) <= 1e-15

@@ -22,15 +22,16 @@ of a univariate equation: proxy rootfinders, Chebyshev interpolation, and
 the companion matrix", SIAM Review 55, 2013).  Up to ``s_m = s0 + max(1, s0)``
 its variable is the margin ``sigma = sqrt(s^2 - s0^2)`` under "ii"/"iii",
 where ``d`` is smooth down to ``sigma = 0``, and ``y = -log sigma`` under "i",
-where ``d`` grows like ``-log sigma`` or ``1/sigma``, down to a lowest sample
-``2e-9 max(1, s0)`` above ``s0``.  Above ``s_m`` it is ``w = s_m / s``, and
-``d = 0`` at ``w = 0``.  :func:`analyze` samples ``d`` at the Lobatto points
-of both pieces in one quadrature call.  Each search then runs in the
-variable ``x`` of the piece that holds its bracket, with ``sigma2 = s^2 -
-s0^2`` and ``R'(x) = sigma2'(x) (1 - Phi) / 3``: it starts at the proxy's
-root between two samples whose exact values differ in sign (under "i" a
-root below the lowest sample lies in the open bracket up to ``y = inf``,
-where ``R = inf``), and Newton steps on exact quadrature values polish it.
+down to a lowest sample ``2e-9 max(1, s0)`` above ``s0``.  Above ``s_m`` it
+is ``w = s_m / s``, and ``d = 0`` at ``w = 0``.  :func:`analyze` samples
+``d`` at the Lobatto points of both pieces in one quadrature call.  Each
+search then runs in the variable ``x`` of the piece that holds its bracket,
+with ``sigma2 = s^2 - s0^2`` and ``R'(x) = sigma2'(x) (1 - Phi) / 3``: it
+starts at the proxy's root between two samples whose exact values differ in
+sign, and Newton steps on exact quadrature values polish it.  Under "i" a
+root below the lowest sample lies in the open bracket up to ``sigma2 = 0``,
+where ``R = inf`` and ``d`` grows like ``sigma2^-beta`` (like ``-log sigma``
+at ``beta = 0``); it is searched in ``z = sigma2^-beta``, at ``beta = 0`` in ``y``.
 Both searches are :class:`numerics.Newton`: each value narrows its bracket,
 a step that would leave it bisects, and a slope is accepted only inside it.
 A point ``x`` is integrated at the margin of its float slope ``s``, so that
@@ -64,9 +65,6 @@ _DEGREE = 23
 # the proxy's lowest sample under "i", relative to max(1, s0) above s0
 _LOWEST = 2e-9
 
-# the least margin at which Phi's integrand sigma2^(-3/2) is finite
-_LEAST_MARGIN = np.finfo(float).max ** (-2.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class ConjugatePair:
@@ -99,27 +97,22 @@ class BernoulliAnalysis:
     r0: Optional[float]
 
 
-class _Piece:
-    """``d`` on one piece of the proxy, between the margins ``m_a`` and
-    ``m_b``: a Chebyshev series in the piece's variable ``x`` on ``[lo, hi]``,
-    ``kind`` "sigma", "log" (``y = -log sigma``) or "w" (``s_m / s``), fitted
-    at the ``margins`` of its nodes, each inside named by its float slope."""
+class _Var:
+    """The variable ``x`` of a search, ``kind`` "sigma", "log" (``y = -log sigma``),
+    "w" (``s_m / s``) or "z" (``sigma2^-beta``); only a piece has a series, on ``[lo, hi]``."""
 
-    def __init__(self, kind: str, s0: float, s_m: float, m_a: float, m_b: float):
-        self.kind, self.s0, self.s_m = kind, s0, s_m
-        (lo, m_lo), (hi, m_hi) = sorted((self.at(m), m) for m in (m_a, m_b))
-        self.lo, self.hi, self.mid, self.half = lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self.nodes = (self.mid + self.half * numerics.lobatto(_DEGREE)).tolist()  # hi first
-        self.nodes[0], self.nodes[-1] = hi, lo
-        self.margins = [m_hi, *(stream._named(s0, math.sqrt(s0 * s0 + self.sigma2(x)[0]))
-                                for x in self.nodes[1:-1]), m_lo]
+    def __init__(self, kind: str, s0: float, s_m: float, beta: float = 0.0):
+        self.kind, self.s0, self.s_m, self.beta = kind, s0, s_m, beta
+        self.lo, self.hi = math.inf, -math.inf  # no series: an empty range
 
     def at(self, sigma2: float) -> float:
-        """The piece's variable at the margin ``sigma2`` (``y = inf`` at 0)."""
+        """The variable at the margin ``sigma2`` (``y = z = inf`` at 0)."""
         if self.kind == "w":
             return self.s_m / math.sqrt(self.s0 * self.s0 + sigma2)
         if self.kind == "log":
             return -0.5 * math.log(sigma2) if sigma2 else math.inf
+        if self.kind == "z":
+            return sigma2 ** -self.beta if sigma2 else math.inf
         return math.sqrt(sigma2)
 
     def sigma2(self, x: float) -> tuple:
@@ -131,7 +124,26 @@ class _Piece:
         if self.kind == "log":
             m = math.exp(-2.0 * x)
             return m, -2.0 * m, 4.0 * m
+        if self.kind == "z":
+            q = 1.0 / self.beta
+            m = x ** -q
+            return m, -q * m / x, q * (q + 1.0) * m / (x * x)
         return x * x, 2.0 * x, 2.0
+
+
+class _Piece(_Var):
+    """``d`` on one piece of the proxy, between the margins ``m_a`` and
+    ``m_b``: a Chebyshev series in its variable on ``[lo, hi]``, fitted
+    at the ``margins`` of its nodes, each inside named by its float slope."""
+
+    def __init__(self, kind: str, s0: float, s_m: float, m_a: float, m_b: float):
+        super().__init__(kind, s0, s_m)
+        (lo, m_lo), (hi, m_hi) = sorted((self.at(m), m) for m in (m_a, m_b))
+        self.lo, self.hi, self.mid, self.half = lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo)
+        self.nodes = (self.mid + self.half * numerics.lobatto(_DEGREE)).tolist()  # hi first
+        self.nodes[0], self.nodes[-1] = hi, lo
+        self.margins = [m_hi, *(stream._named(s0, math.sqrt(s0 * s0 + self.sigma2(x)[0]))
+                                for x in self.nodes[1:-1]), m_lo]
 
     def fit(self, values) -> None:
         """The coefficients of the interpolant of ``values`` at the nodes,
@@ -203,13 +215,17 @@ class _Proxy:
         for piece in near, far:
             piece.fit([depth[m] for m in piece.margins])
         self.near, self.far = near, far
+        # under "i", d ~ sigma2^-beta: 1/2 - 1/k where a gap starts c x^k, 1/2 where it is 0
+        _, tags, _, terms = dist._partition
+        beta = max(0.5 - 1.0 / t[0][0] if t else 0.5 for t in {terms[i] for i in tags.tolist()})
+        self.open = _Var("z", s0, s_m, beta) if beta > 0.0 and not cls.d0_finite else near
         self.surface = stream._surface(dist)
         self.heads = [stream._head(dist, m, d) for m, d in zip(self.margins, self.depths)]
 
     def _bracket(self, ends) -> tuple:
-        """The piece that holds the bracket between ``ends``, two of
-        ``(sigma2, f)``, and its ends ``(x, sigma2, f)`` in order of ``x``."""
-        p = self.near if ends[0][0] < self.m_m else self.far
+        """The piece (to the zero margin, the variable ``open``) that holds the bracket
+        between ``ends``, two of ``(sigma2, f)``, and its ends ``(x, sigma2, f)`` by ``x``."""
+        p = self.open if ends[0][0] == 0.0 else self.near if ends[0][0] < self.m_m else self.far
         return (p, *sorted((p.at(m), m, f) for m, f in ends))
 
     def critical(self, tol_s: float) -> _Search:
@@ -236,8 +252,8 @@ class _Proxy:
         """The search for the root of ``R - r`` in the first bracket of
         ``ends`` (increasing margins, with ``R - r``) where
         ``R - r`` changes sign.  It starts at the lowest sample when the
-        bracket runs to ``y = inf``, where a ``d`` like ``-log sigma`` is
-        linear in ``y``; at the ``w`` of ``sigma2 = 3 r - surf``, where ``d =
+        bracket runs to the zero margin, in ``open``, where ``d`` is nearly
+        linear; at the ``w`` of ``sigma2 = 3 r - surf``, where ``d =
         0``, when it runs to ``w = 0``; else at the proxy's root, or the
         middle if it has none."""
         k = next(k for k, (_, f) in enumerate(ends) if (f > 0.0) != falling)
@@ -381,12 +397,6 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
 
     def values(open_):
         numerics.tally["newton_steps"] += len(open_)
-        for x in open_:
-            if x.hi == math.inf and x.piece.sigma2(x.x)[0] < _LEAST_MARGIN:
-                # where d grows like 1/sigma, Newton's step in y overshoots: step on log R
-                m = x.name(x.lo)[0]
-                q = r / stream._head(dist, m, stream._totals(dist, [(m, -0.5)])[0])
-                x.x = x.lo + (x.x - x.lo) * math.log(q) / (q - 1.0)
         named = [x.name(x.x) for x in open_]
         # Phi is not defined at the zero margin, where R' is -inf
         rows = iter(stream._totals(dist, [(m, p) for m, _ in named
@@ -402,9 +412,9 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
             f, slope = stream._head(dist, m, d) - r, dm * (1.0 - phi) / 3.0 if m else -math.inf
             # Halley's step with R'' of the proxy, Newton's over 1 - c: at most
             # halved (near s_c, where R' -> 0, it stalls), skipped as c -> 1
-            c = f * (ddm + 2.0 * p(x.x, 2)) / (6.0 * slope * slope) if slope else math.inf
-            if p.lo <= x.x <= p.hi and c < 0.5:
-                slope *= 1.0 - max(c, -1.0)
+            if slope and p.lo <= x.x <= p.hi:
+                c = f * (ddm + 2.0 * p(x.x, 2)) / (6.0 * slope * slope)
+                slope *= 1.0 - max(c, -1.0) if c < 0.5 else 1.0
             out.append((f, slope))
         return out
 

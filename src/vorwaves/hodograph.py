@@ -299,12 +299,17 @@ def wheeler_identity(hfield: HodographField, s: float, window,
 
     A head mismatch between ``R(s)`` and the field's ``r`` is warned
     about, not raised: the identity is only meaningful on matching heads,
-    but probing violations is part of the diagnostic's job.
+    but probing violations is part of the diagnostic's job.  A window
+    that reaches off the field's q-range, or holds no interval of its
+    grid, is a :class:`ConfigError`.
     """
     q, p, h = hfield.q, hfield.p, hfield.h
     if window is None:
         window = (float(q[0]), float(q[-1]))
     q1, q2 = float(window[0]), float(window[1])
+    if not (q[0] <= q1 <= q[-1] and q[0] <= q2 <= q[-1]):
+        raise ConfigError(f"window {window!r} reaches off q in "
+                          f"[{float(q[0])!r}, {float(q[-1])!r}]")
     jlo = int(np.argmin(np.abs(q - q1)))
     jhi = int(np.argmin(np.abs(q - q2)))
     if jhi <= jlo:

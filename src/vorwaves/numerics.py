@@ -1,9 +1,7 @@
-"""Shared numerical kernels: quadrature, root finding, ODEs, Chebyshev series.
+"""Shared numerical kernels: quadrature, root finding, Chebyshev series.
 
-Quadrature and root finding are plain numpy and Python; only the ODE
-wrapper imports scipy, at call time, for the events of
-``stream.shoot_stream``, its one caller, so a run that never shoots a
-stream never loads scipy (``dispersion`` uses numpy linear algebra).
+Quadrature and root finding are plain numpy and Python, and nothing here
+imports scipy (``stream.shoot_stream`` calls its ODE solver itself).
 The quadrature is a plain batched G7K15 rule: its caller
 (``stream._accumulate``) changes variables first wherever an endpoint is
 singular or a layer is thin, failures surface as typed exceptions carrying
@@ -33,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +41,6 @@ __all__ = [
     "integrate",
     "Newton",
     "run_newton",
-    "solve_ivp",
     "tally",
 ]
 
@@ -57,7 +54,7 @@ _MAX_ROUNDS = 100
 
 # work counters: "quad_calls" (calls of integrate), "quad_points" (integrand
 # values), "quad_cells", "newton_steps" (exact values taken by the head
-# landscape's root searches), "ode_steps" and "ode_rhs_evals" of solve_ivp,
+# landscape's root searches), "ode_steps" and "ode_rhs_evals" of shoot_stream,
 # and the transverse operator's "linear_solves" and "collocation_nodes"
 # (points given omega')
 tally: Counter = Counter()
@@ -255,45 +252,3 @@ def clenshaw(c, u):
     for ck in c[:0:-1]:
         b1, b2 = 2.0 * u * b1 - b2 + ck, b1
     return u * b1 - b2 + c[0]
-
-
-def solve_ivp(
-    rhs: Callable[[float, np.ndarray], Sequence[float]],
-    y0: Sequence[float],
-    span: tuple[float, float],
-    tol: float,
-    events: Sequence[Callable],
-):
-    """Integrate ``y' = rhs(t, y)`` with a high-order adaptive Runge-Kutta.
-
-    Thin wrapper over scipy's DOP853 with dense output always on and the
-    toolkit's tolerance convention (``rtol`` floored at machine-level,
-    ``atol`` two orders tighter than ``tol``).  Event functions pass
-    through unchanged, including ``direction``/``terminal`` attributes.
-
-    Returns the scipy result object.  Raises :class:`ConvergenceError`
-    if the integrator fails, with the failure location in the message.
-    """
-    import scipy.integrate  # deferred: only ODE users pay for scipy
-
-    rtol = max(tol, 2.5e-14)
-    atol = max(1e-14, 0.01 * tol)
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        span,
-        np.asarray(y0, dtype=float),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=events,
-    )
-    tally["ode_steps"] += sol.t.size - 1
-    tally["ode_rhs_evals"] += sol.nfev
-    if not sol.success:
-        reached = float(sol.t[-1] if sol.t.size else span[0])
-        raise ConvergenceError(
-            f"ODE integration failed: {sol.message.strip()} "
-            f"(reached t={reached!r} of [{span[0]!r}, {span[1]!r}])"
-        )
-    return sol

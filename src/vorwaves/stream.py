@@ -518,8 +518,10 @@ def shoot_stream(dist: VorticityDistribution, s: float,
                  max_depth: float = 10.0) -> ShotStream:
     """Integrate the bottom-value problem until the surface value is reached.
 
-    The integration tolerance is ``_SHOT_TOL``, which also sets the
-    sign-change threshold.  One DOP853 step can span both crossings of
+    scipy's DOP853 integrates it with dense output, at ``rtol = _SHOT_TOL``
+    (which also sets the sign-change threshold) and ``atol = 1e-14``; scipy
+    is imported here, at call time, so a run that shoots no stream never
+    loads it.  One DOP853 step can span both crossings of
     ``u = 1`` about a maximum of ``u``, which hides them from the surface
     event; the turning event still fires between them, so the surface is
     the crossing on the dense output before the first turning point where
@@ -554,8 +556,17 @@ def shoot_stream(dist: VorticityDistribution, s: float,
 
     turning.direction = 0.0
 
-    sol = numerics.solve_ivp(rhs, (0.0, s), (0.0, max_depth), tol=_SHOT_TOL,
-                             events=[hit_surface, turning])
+    import scipy.integrate
+
+    sol = scipy.integrate.solve_ivp(rhs, (0.0, max_depth), np.array([0.0, s], dtype=float),
+                                    method="DOP853", rtol=_SHOT_TOL, atol=1e-14,
+                                    dense_output=True, events=[hit_surface, turning])
+    numerics.tally["ode_steps"] += sol.t.size - 1
+    numerics.tally["ode_rhs_evals"] += sol.nfev
+    if not sol.success:
+        reached = float(sol.t[-1] if sol.t.size else 0.0)
+        raise ConvergenceError(f"ODE integration failed: {sol.message.strip()} "
+                               f"(reached t={reached!r} of [0.0, {max_depth!r}])")
     hits, turns = sol.t_events
     peak = next((t for t, y in zip(turns, sol.y_events[1]) if y[0] >= 1.0), inf)
     if hits.size and hits[0] < peak:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st_
 
 from vorwaves import bernoulli, numerics, stream
 from vorwaves.bounds import check_bounds
-from vorwaves.errors import (AmbiguousClassificationError, DomainError, InvalidIntegrandError,
-                             NoStreamError)
+from vorwaves.errors import (AmbiguousClassificationError, DivergenceError, DomainError,
+                             InvalidIntegrandError, NoStreamError)
 from vorwaves.bernoulli import analyze, conjugates
 from vorwaves.vorticity import VorticityDistribution as V
 
@@ -98,6 +98,21 @@ def test_conjugates_critical_regime(w_zero):
 def test_conjugates_below_critical(w_zero):
     with pytest.raises(NoStreamError):
         conjugates(w_zero, 0.9)
+
+
+@pytest.mark.parametrize("shift", [5e-10, -5e-10])
+def test_heads_beside_the_critical_one(w_minus_two, shift):
+    # the window of r_c is 1e-10 max(1, |r_c|), and r_c = 1.93 here: a head
+    # 5 windows above it has two streams, and 5 windows below it none
+    an = analyze(w_minus_two)
+    r = an.r_c * (1.0 + shift)
+    if shift < 0.0:
+        with pytest.raises(NoStreamError):
+            conjugates(w_minus_two, r)
+        return
+    pair = conjugates(w_minus_two, r)
+    assert pair.regime == "subcritical-pair"
+    assert pair.s_plus < an.s_c < pair.s_minus
 
 
 def test_only_supercritical_regime(w_two):
@@ -356,10 +371,11 @@ def test_open_bracket_closed_form():
 
 @pytest.mark.parametrize("r", [1e150, 1e200])
 def test_deep_open_bracket_heads_raise_a_typed_error(r):
-    # the root's margin lies below 3e-206, where Phi's integrand
+    # at 1e150 the root's margin lies below 3e-206, where Phi's integrand
     # sigma2^(-3/2) overflows: numpy's overflow warning, an error under
-    # the test settings, escaped before the quadrature's own typed error
-    with pytest.raises(InvalidIntegrandError):
+    # the test settings, escaped before the quadrature's own typed error;
+    # at 1e200 it is about 4.4e-401, which underflows to the zero margin
+    with pytest.raises({1e150: InvalidIntegrandError, 1e200: DivergenceError}[r]):
         conjugates(V.constant(0.0), r)
 
 
@@ -376,6 +392,43 @@ def test_open_bracket_on_a_flat_maximum():
     # s names no stream inside the snap window; the pair's margin does
     st = stream.solve_stream(dist, sigma2=pair.sigma2_plus)
     assert st.d == pair.d_plus and abs(st.r - r) <= 5e-13 * r
+
+
+@pytest.mark.parametrize("spec, heads, scaled", [
+    ("constant 0", (1e9, 1e10, 1e11, 1e12), False),
+    ("table 0.0:2.0 0.5:0.0 1.0:0.0", (1e6, 1e8, 1e10), True),
+    ("poly 0 0 0 -4 2", (1e6, 1e8), True),
+    ("poly 0.125 -0.75 1.5 -1", (1e4, 1e6), True),
+])
+def test_open_bracket_takes_few_exact_values(spec, heads, scaled, fresh_caches):
+    # below the lowest sample d grows like sigma2^-beta: beta = 1/2 where
+    # omega = 0 on a part (d like 1/sigma), 1/4 beside a gap like x^4; in z =
+    # sigma2^-beta d is nearly linear, while steps in y = -log sigma took 8-22
+    # exact values here (heads in units of r_c where scaled)
+    dist = V.parse(spec)
+    an = analyze(dist)
+    for r in heads:
+        r *= an.r_c if scaled else 1.0
+        numerics.tally.clear()
+        pair = conjugates(dist, r)
+        assert numerics.tally["newton_steps"] <= 6, r
+        assert abs(stream._head(dist, pair.sigma2_plus, pair.d_plus) - r) <= 5e-13 * r
+
+
+def test_open_bracket_on_a_flat_maximum_closed_form():
+    # s0 = 1, and with t = 1/sigma, d = t/2 + asinh(t)/2 and R = (1/t^2 + t +
+    # asinh(t)) / 3 (the surface gap is 0); against a 40-digit root of R = r
+    # the margin erred by up to 8e-14 relative in y = -log sigma
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 40
+    dist = V.parse("table 0.0:2.0 0.5:0.0 1.0:0.0")
+    r_c = analyze(dist).r_c
+    for k in range(6, 15):
+        r = 10.0 ** k * r_c
+        pair = conjugates(dist, r)
+        t = mp.findroot(lambda t: (1 / t ** 2 + t + mp.asinh(t)) / 3 - r, 3 * mp.mpf(r))
+        assert abs(pair.sigma2_plus * t ** 2 - 1) <= 1e-14, k
+        assert abs(stream._head(dist, pair.sigma2_plus, pair.d_plus) - r) <= 5e-13 * r
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, 1e308])

@@ -269,7 +269,8 @@ def test_wheeler_on_a_window(tmp_path):
 
 
 @pytest.mark.parametrize("window, message", [("0.5", "needs two numbers"),
-                                             ("0.8 0.2", "empty window")])
+                                             ("0.8 0.2", "empty window"),
+                                             ("-5 0.5", "reaches off q in [0.0, 1.0]")])
 def test_exit_code_for_a_bad_window(tmp_path, window, message):
     cfg = _config(tmp_path, f"""\
         [vorticity]

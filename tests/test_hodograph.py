@@ -184,6 +184,15 @@ def test_wheeler_self_comparison_is_exact(w_two):
     assert not rep.reduced
 
 
+@pytest.mark.parametrize("window", [(-5.0, 0.5), (0.3, 40.0), (0.3, math.nan)])
+def test_wheeler_refuses_a_window_off_the_strip(w_two, window):
+    # the sums ran over the grid points nearest the ends: (-5, 0.5) over
+    # [0, 0.5], reported as window (-5.0, 0.5), and (0.3, 40) over [0.25, 1]
+    hf = to_strip(stream.solve_stream(w_two, 3.0), n_q=9)
+    with pytest.raises(ConfigError, match=r"reaches off q in \[0\.0, 1\.0\]"):
+        wheeler_identity(hf, 3.0, window, w_two)
+
+
 def test_wheeler_builds_no_stream(w_two, monkeypatch):
     # the comparison column and its head come from the quadrature on the
     # field's own p-grid, not from a second stream solution

@@ -357,6 +357,16 @@ def test_shot_stream_evaluators(w_two):
         sh.u_at(sh.d + 1.0)
 
 
+def test_shot_stream_refuses_heights_beyond_the_slack(w_two):
+    # [0, d] is widened by 1e-9 max(1, d) for rounding, and no further
+    sh = shoot_stream(w_two, 3.0)
+    slack = 1e-9 * max(1.0, sh.d)
+    assert sh.u_at(sh.d + 0.5 * slack) == sh.u_at(sh.d)
+    for y in (sh.d + 5.0 * slack, -5.0 * slack):
+        with pytest.raises(DomainError):
+            sh.u_at(y)
+
+
 def test_counter_current_shot(w_minus_two):
     # u'' = 2, u = y^2 - y: dips to -1/4 at y = 1/2, reaches 1 at the
     # golden ratio, u'(d) = sqrt(5)

@@ -124,6 +124,15 @@ def test_near_tie_that_changes_the_verdict_is_ambiguous():
         V.parse("poly -1 2 -1e-13").classify()
 
 
+def test_near_tie_beyond_the_margin_classifies_cleanly():
+    # Omega(1) = -5e-12 lies 5 tie margins below the maximum 0 at tau = 0:
+    # no near-tie, so the verdict "ii" stands though a tie with tau = 1
+    # would give "iii"
+    cls = V.parse("poly -1 2 -1.5e-11").classify()
+    assert cls.condition == "ii" and cls.maximizers == (0.0,)
+    assert cls.omega_at_1 > 0.0
+
+
 def test_equality_and_hash():
     assert V.constant(2.0) == V.constant(2.0)
     assert hash(V.constant(2.0)) == hash(V.constant(2.0))

@@ -41,9 +41,6 @@ _EXPORTS = {
         "ShotStream",
         "solve_stream",
         "shoot_stream",
-        "depth",
-        "phi",
-        "surface_slope_squared",
     ),
     "bernoulli": ("BernoulliAnalysis", "ConjugatePair", "conjugates", "analyze"),
     "dispersion": ("DispersionResult", "GammaSolution", "sigma", "find_tau0", "gamma_bvp"),

@@ -359,19 +359,20 @@ def cmd_check_bounds(cfg, out):
 def cmd_wheeler(cfg, out):
     """Conjugate-flow integral identity on a strip (residuals.csv).
 
-    With only ``r`` the strip holds the supercritical stream and the
-    comparison slope is the subcritical one; ``s`` and ``s_ref`` select
-    the pair directly.
+    With only ``r`` the strip holds the supercritical stream, built from
+    its margin, and the comparison slope is the subcritical one; ``s`` and
+    ``s_ref`` select the pair directly.
     """
     dist = cfg.distribution()
-    s_strip = cfg.get("s")
-    s_ref = cfg.get("s_ref")
+    s_strip, s_ref, sigma2 = cfg.get("s"), cfg.get("s_ref"), None
     if s_strip is None or s_ref is None:
         pair = _conjugate_pair(cfg, dist, "both 's' and 's_ref'")
-        s_strip = pair.s_minus if s_strip is None else s_strip
+        if s_strip is None:
+            s_strip, sigma2 = pair.s_minus, pair.sigma2_minus
         s_ref = pair.s_plus if s_ref is None else s_ref
-    hf = hodograph.to_strip(stream.solve_stream(dist, s_strip),
-                            **cfg.given(n_p=int, n_q=int, q_span=float))
+    strip = (stream.solve_stream(dist, s_strip) if sigma2 is None
+             else stream.solve_stream(dist, sigma2=sigma2))
+    hf = hodograph.to_strip(strip, **cfg.given(n_p=int, n_q=int, q_span=float))
     rep = hodograph.wheeler_identity(hf, s_ref, cfg.window(), dist)
     resid = hodograph.bernoulli_residual(hf)
     files = [_write_csv(out, "residuals.csv", ["q", "surface_residual"],

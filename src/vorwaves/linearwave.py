@@ -241,7 +241,8 @@ def build_wave(stream: StreamSolution, disp: DispersionResult, t: float,
     """Sample the first-order wave at the dispersion root of ``disp`` over
     one wavelength on a tensor grid.
 
-    Requires ``find_tau0`` to have certified both assumptions: a
+    Requires ``find_tau0`` on ``stream`` itself (a ``disp`` of another
+    stream is a :class:`ConfigError`) to have certified both assumptions: a
     non-vanishing surface slope and a least root whose multiples stay off
     the dispersion curve.  The amplitude is capped at 5% of the depth; the
     construction only controls the remainder for small ``t``.
@@ -257,6 +258,10 @@ def build_wave(stream: StreamSolution, disp: DispersionResult, t: float,
     """
     if n_x < 2 or n_y < 2:
         raise ConfigError(f"grid must be at least 2x2, got {n_y}x{n_x}")
+    if disp.stream is not stream:
+        raise ConfigError(
+            f"the dispersion result is of the stream with s={disp.stream.s!r}, "
+            f"not of this one with s={stream.s!r}")
     if disp.tau0 is None or not disp.assumption_I or not disp.assumption_II:
         raise DomainError(
             f"no admissible wavenumber: the dispersion root search reports "

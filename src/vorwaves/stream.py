@@ -14,8 +14,8 @@ integrator (``_accumulate``) along an increasing grid of ``p``, a row per
 * column totals   all of them at ``p = 1``, memoized per ``(dist, sigma2, power)`` by ``_totals``
 
 All integrands share the margin ``sigma2 + 2 gap(tau)`` where
-``sigma2 = s^2 - s0^2`` and ``gap = max Omega - Omega >= 0``; a public
-function turns its slope into ``sigma2`` once (``_margin``).  The gap is
+``sigma2 = s^2 - s0^2`` and ``gap = max Omega - Omega >= 0``; a stream
+named by its slope turns it into ``sigma2`` once (``_margin``).  The gap is
 read only from ``vorticity``, about the nearest maximizer of Omega and
 free of cancellation beside it: its rows in the integrand, its values at
 points in ``u' = sqrt(sigma2 + 2 gap)``, and its stored value at the
@@ -36,7 +36,15 @@ counter-current diagnostic, reporting sign changes and turning points of
 trajectories below the threshold slope, and an independent check on
 ``d``, ``u'(d)`` and ``u(y)``; where one solver step spans both surface
 crossings, Newton steps on its dense output (``numerics.Newton``) find the
-first.  Every module after this one reads only :class:`StreamSolution`.
+first.
+
+:class:`StreamSolution` is the one public reader of a stream: its depth,
+head, surface slope, ``H`` and ``Phi``.  Three modules after this one also
+read the quadrature beside it: ``bernoulli`` searches the head landscape on
+the column totals (``_totals``, ``_head``), ``dispersion`` reads ``Phi(1; s)``
+of its stream from their memo (``_totals``), and
+``hodograph.wheeler_identity``, which takes its reference profile by slope,
+reads ``_margin``, ``_accumulate`` and ``_head``.
 """
 
 from __future__ import annotations
@@ -56,9 +64,6 @@ from .vorticity import VorticityDistribution, _horner, _horner_rows
 __all__ = [
     "StreamSolution",
     "ShotStream",
-    "depth",
-    "phi",
-    "surface_slope_squared",
     "solve_stream",
     "shoot_stream",
 ]
@@ -270,23 +275,6 @@ def _totals(dist: VorticityDistribution, requests) -> list:
     return out
 
 
-def depth(dist: VorticityDistribution, s: float) -> float:
-    """Depth ``d(s)`` of the stream solution with bottom slope ``s``.
-
-    Parameters
-    ----------
-    dist : VorticityDistribution
-    s : float
-        Bottom slope ``u'(0)``; must satisfy ``s > s0`` (``s = s0`` is
-        allowed when the classification makes ``d(s0)`` finite).
-
-    Returns
-    -------
-    float
-    """
-    return _totals(dist, [(_margin(dist, s)[0], -0.5)])[0]
-
-
 def _profile(dist: VorticityDistribution, sigma2: float, power: float, p):
     """``int_0^p (sigma2 + 2 gap)^power dtau`` at each ``p`` (scalar or array),
     from one :func:`_accumulate` call on the distinct values in order."""
@@ -298,24 +286,9 @@ def _profile(dist: VorticityDistribution, sigma2: float, power: float, p):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def phi(dist: VorticityDistribution, s: float, p=1.0):
-    """Tail weight ``Phi(p; s) = int_0^p (s^2 - 2 Omega)^(-3/2) dtau`` (scalar or array).
-
-    Strictly decreasing in ``s``; ``Phi(1; s) = 1`` picks out the critical
-    slope.  Requires ``s`` strictly above the threshold: at ``s = s0`` the
-    ``-3/2`` power is not integrable.
-    """
-    return _profile(dist, _margin(dist, s)[0], -1.5, p)
-
-
 def _surface(dist: VorticityDistribution) -> float:
     """``2 gap(1) >= 0``, what ``u'(d)^2`` adds to the margin."""
     return 2.0 * dist._surface_gap
-
-
-def surface_slope_squared(dist: VorticityDistribution, s: float) -> float:
-    """``u'(d)^2 = s^2 - 2 Omega(1)``, exactly zero when the margin closes."""
-    return _margin(dist, s)[0] + _surface(dist)
 
 
 def _head(dist: VorticityDistribution, sigma2: float, d: float) -> float:
@@ -326,10 +299,10 @@ def _head(dist: VorticityDistribution, sigma2: float, d: float) -> float:
 class StreamSolution:
     """A unidirectional stream solution read from the quadrature.
 
-    The height profile ``H(p; s)`` comes from :func:`_accumulate` at the
-    points asked for; the inverse map ``u(y)`` is a bracketed Newton search
-    per height on the same quadrature, with the exact slope ``H' = (sigma2
-    + 2 gap)^(-1/2)``.
+    The height profile ``H(p; s)`` and the tail weight ``Phi(p; s)`` come
+    from :func:`_accumulate` at the points asked for; the inverse map
+    ``u(y)`` is a bracketed Newton search per height on the same
+    quadrature, with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
 
     A stream is named by exactly one of its slope ``s`` and, keyword only,
     its margin ``sigma2 = s^2 - s0^2`` (finite and ``>= 0``; then ``s =
@@ -382,6 +355,16 @@ class StreamSolution:
     def height_at(self, p):
         """``H(p; s)`` from the quadrature (scalar or array)."""
         return _profile(self.dist, self.sigma2, -0.5, p)
+
+    def phi_at(self, p):
+        """Tail weight ``Phi(p; s) = int_0^p (sigma2 + 2 gap)^(-3/2) dtau``
+        from the quadrature (scalar or array).
+
+        Strictly decreasing in ``s``; ``Phi(1; s) = 1`` picks out the
+        critical slope.  At zero margin the ``-3/2`` power is not integrable,
+        a :class:`DomainError`.
+        """
+        return _profile(self.dist, self.sigma2, -1.5, p)
 
     def _speed(self, p):
         """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first

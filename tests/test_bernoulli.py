@@ -137,10 +137,9 @@ def test_subcritical_pair_with_vorticity(w_two):
 
 
 def test_stationarity_at_the_critical_slope(w_zero, w_two, w_minus_two, w_tilted):
-    from vorwaves.stream import phi
     for dist in (w_zero, w_two, w_minus_two, w_tilted):
         crit = analyze(dist)
-        assert abs(phi(dist, crit.s_c) - 1.0) < 1e-9
+        assert abs(stream.solve_stream(dist, crit.s_c).phi_at(1.0) - 1.0) < 1e-9
 
 
 def test_analyze_record(w_two):
@@ -296,7 +295,7 @@ def test_lockstep_search_ending_at_a_probe(spec):
     pair = conjugates.__wrapped__(dist, r)
     # one quadrature call per Newton round, each round a subcritical step
     assert numerics.tally["newton_steps"] == numerics.tally["quad_calls"] > 0
-    assert pair.sigma2_minus == probe and pair.d_minus == stream.depth(dist, pair.s_minus)
+    assert pair.sigma2_minus == probe and pair.d_minus == stream.solve_stream(dist, pair.s_minus).d
     assert pair.regime == "subcritical-pair" and pair.s_plus < crit.s_c
     assert abs(head(dist, pair.s_plus) - r) <= 1e-12 * r
 
@@ -305,7 +304,7 @@ def test_lockstep_search_ending_at_a_probe(spec):
 def test_kept_depths_are_the_depths_of_the_roots(spec):
     dist = V.parse(spec)
     crit = analyze(dist)
-    assert crit.d_c == stream.depth(dist, crit.s_c)
+    assert crit.d_c == stream.solve_stream(dist, crit.s_c).d
     assert crit.r_c == head(dist, crit.s_c)
     s0 = dist.classify().s0
     for r in _heads(dist):
@@ -318,7 +317,7 @@ def test_kept_depths_are_the_depths_of_the_roots(spec):
             # no search here goes on at exact margins: each slope lies
             # where one ulp of it moves the head by far less than the
             # tolerance, so the slope names the same stream
-            assert m == stream._named(s0, s) and d == stream.depth(dist, s)
+            assert m == stream._named(s0, s) and d == stream.solve_stream(dist, s).d
 
 
 def test_repeated_conjugates_share_the_pair():
@@ -535,8 +534,9 @@ def test_conjugates_meet_the_head_or_refuse(spec, frac):
         # a slope is a float: where one ulp of it moves the head past its
         # tolerance, d is integrated at the exact margin, which the slope
         # names to within that ulp, and d'(s) = -s Phi(1; s)
-        phi = stream.phi(dist, s)
-        assert abs(d - stream.depth(dist, s)) <= 4.0 * math.ulp(s) * s * phi
+        st = stream.solve_stream(dist, s)
+        phi = st.phi_at(1.0)
+        assert abs(d - st.d) <= 4.0 * math.ulp(s) * s * phi
         # and within 4 ulps of it, the head moves by up to 4 ulp(s) |R'(s)|
         steep = 4.0 * math.ulp(s) * abs(2.0 * s / 3.0 * (1.0 - phi))
         assert abs(head(dist, s) - r) <= 1e-12 * max(1.0, abs(r)) + steep

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from vorwaves import bernoulli, linearwave
 from vorwaves.bounds import (
@@ -11,7 +12,10 @@ from vorwaves.bounds import (
     _sandwich,
     check_bounds,
 )
-from vorwaves.errors import ConfigError, DomainError
+from vorwaves.errors import AmbiguousClassificationError, ConfigError, DomainError
+from vorwaves.vorticity import VorticityDistribution as V
+
+from strategies import dist_specs
 
 
 def test_small_wave_passes_both_assertions(stream_plus, disp_plus, w_zero,
@@ -136,3 +140,39 @@ def test_sandwich_side_is_not_picked_by_rounding():
             depth = d + k * np.spacing(d)
             rec = _sandwich(hat, check, depth, "d0")
             assert rec.status == HOLDS and (rec.lhs, rec.rhs) == (hat, depth)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(spec=dist_specs)
+def test_result_ii_and_the_verdicts_on_random_distributions(spec):
+    # under "ii"/"iii" a head strictly between r_c and r0 has both conjugate
+    # streams, on either side of the critical one, and no head from r0 on
+    # has a subcritical stream (result (ii)); a flat surface at d_plus meets
+    # assertion 1 and is outside assertion 2, and under "iii" only a flat
+    # surface is consistent with a head at or above r0
+    dist = V.parse(spec)
+    try:
+        condition = dist.classify().condition
+    except AmbiguousClassificationError:
+        return
+    if condition == "i":
+        return
+    an = bernoulli.analyze(dist)
+    for frac in (0.05, 0.5, 0.95):
+        r = an.r_c + frac * (an.r0 - an.r_c)
+        pair = bernoulli.conjugates(dist, r)
+        assert pair.regime == "subcritical-pair"
+        assert pair.s_plus < an.s_c < pair.s_minus
+        assert pair.d_minus < an.d_c < pair.d_plus
+        rep = check_bounds(dist, r, np.full(16, pair.d_plus))
+        assert (rep.assertion1.status, rep.assertion2.status) == (HOLDS, NOT_APPLICABLE)
+    for r in (an.r0 * (1.0 + 1e-6), 1.5 * an.r0):
+        pair = bernoulli.conjugates(dist, r)
+        assert pair.regime == "only-supercritical" and pair.s_plus is None
+        flat = check_bounds(dist, r, np.full(16, pair.d_minus))
+        levels = check_bounds(dist, r, np.repeat([pair.d_minus, 1.1 * pair.d_minus], 8))
+        verdicts = (flat.nonexistence_iii.status, levels.nonexistence_iii.status)
+        if condition == "iii":
+            assert verdicts == (HOLDS, VIOLATED)
+        else:
+            assert verdicts == (NOT_APPLICABLE, NOT_APPLICABLE)

@@ -263,8 +263,9 @@ def test_wheeler_on_a_window(tmp_path):
     res = report["results"]
     dist = VorticityDistribution.parse("constant 0")
     pair = bernoulli.conjugates(dist, 1.1)
-    hf = hodograph.to_strip(stream.solve_stream(dist, pair.s_minus))
-    assert res["window"] == [0.2, 0.8]
+    # the strip holds the supercritical stream, named by its margin
+    hf = hodograph.to_strip(stream.solve_stream(dist, sigma2=pair.sigma2_minus))
+    assert res["strip_s"] == pair.s_minus and res["window"] == [0.2, 0.8]
     assert res["lhs"] == hodograph.wheeler_identity(hf, pair.s_plus, (0.2, 0.8), dist).lhs
 
 

@@ -401,7 +401,7 @@ def _random_stream(spec, lift):
 @given(spec=dist_specs, lift=st_.floats(-3.0, 0.5))
 def test_sigma_near_zero_matches_phi(spec, lift):
     st = _random_stream(spec, lift)
-    limit = (1.0 / stream.phi(st.dist, st.s) - 1.0) / st.u_prime_d
+    limit = (1.0 / st.phi_at(1.0) - 1.0) / st.u_prime_d
     assert abs(sigma(st, 1e-7) - limit) <= 1e-8 * max(1.0, abs(limit))
 
 

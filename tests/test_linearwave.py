@@ -177,6 +177,17 @@ def test_linear_wave_requires_admissible_root(stream_minus, stream_plus,
         build_wave(stream_plus, disp_plus, 0.5 * stream_plus.d)
 
 
+def test_linear_wave_refuses_the_root_of_another_stream():
+    # the root of constant 2 at s = 2.02 is tau0 = 5.383; the stream of
+    # constant 0 at s = 0.9 has its own root, 0.987
+    from vorwaves.dispersion import find_tau0
+    disp = find_tau0(stream.solve_stream(V.constant(2.0), 2.02))
+    other = stream.solve_stream(V.constant(0.0), 0.9)
+    with pytest.raises(ConfigError, match=r"s=2\.02.*s=0\.9"):
+        build_wave(other, disp, 0.001)
+    assert build_wave(disp.stream, disp, 0.001).tau0 == disp.tau0
+
+
 def test_linear_wave_record(stream_plus, disp_plus):
     wf = build_wave(stream_plus, disp_plus, 0.01)
     assert wf.tau0 == disp_plus.tau0

@@ -12,14 +12,7 @@ from vorwaves.errors import (
     DivergenceError,
     DomainError,
 )
-from vorwaves.stream import (
-    _layout,
-    depth,
-    phi,
-    shoot_stream,
-    solve_stream,
-    surface_slope_squared,
-)
+from vorwaves.stream import _layout, shoot_stream, solve_stream
 from vorwaves.vorticity import VorticityDistribution as V, _horner, _horner_rows
 
 from strategies import dist_specs
@@ -33,38 +26,37 @@ from test_sweep import INSIDE_SNAP_WINDOW, _head
 
 def test_irrotational_depth_and_profile(w_zero):
     for s in (0.5, 1.0, 2.0):
-        np.testing.assert_allclose(depth(w_zero, s), 1.0 / s, rtol=1e-12)
-        np.testing.assert_allclose(solve_stream(w_zero, s).height_at(0.37), 0.37 / s,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(phi(w_zero, s), s ** -3, rtol=1e-12)
+        st = solve_stream(w_zero, s)
+        np.testing.assert_allclose(st.d, 1.0 / s, rtol=1e-12)
+        np.testing.assert_allclose(st.height_at(0.37), 0.37 / s, rtol=1e-12)
+        np.testing.assert_allclose(st.phi_at(1.0), s ** -3, rtol=1e-12)
 
 
 def test_constant_vorticity_closed_forms(w_two):
     s = 3.0
-    np.testing.assert_allclose(depth(w_two, s), (3.0 - math.sqrt(5.0)) / 2.0,
-                               rtol=1e-12)
     st = solve_stream(w_two, s)
+    np.testing.assert_allclose(st.d, (3.0 - math.sqrt(5.0)) / 2.0, rtol=1e-12)
     for p in (0.2, 0.5, 0.9):
         np.testing.assert_allclose(st.height_at(p),
                                    (s - math.sqrt(s * s - 4.0 * p)) / 2.0,
                                    rtol=1e-12)
         np.testing.assert_allclose(
-            phi(w_two, s, p),
+            st.phi_at(p),
             0.5 * ((s * s - 4.0 * p) ** -0.5 - 1.0 / s), rtol=1e-11)
-    np.testing.assert_allclose(surface_slope_squared(w_two, s), 5.0, rtol=1e-14)
+    np.testing.assert_allclose(st.u_prime_d ** 2, 5.0, rtol=1e-14)
 
 
 def test_threshold_depth_tie_case(w_tilted):
     # at s = s0 = 0 the margin vanishes at both endpoints;
     # d = int (6 tau (1 - tau))^{-1/2} = pi / sqrt(6)
-    np.testing.assert_allclose(depth(w_tilted, 0.0), math.pi / math.sqrt(6.0),
+    np.testing.assert_allclose(solve_stream(w_tilted, 0.0).d, math.pi / math.sqrt(6.0),
                                rtol=1e-12)
 
 
 def test_threshold_depth_surface_case(w_two):
     # s = s0 = 2: u'^2 = 4(1 - u), H(p) = 1 - sqrt(1 - p), d0 = 1
-    np.testing.assert_allclose(depth(w_two, 2.0), 1.0, rtol=1e-12)
     st = solve_stream(w_two, 2.0)
+    np.testing.assert_allclose(st.d, 1.0, rtol=1e-12)
     p = np.linspace(0.0, 1.0, 301)
     np.testing.assert_allclose(st.height_at(p), 1.0 - np.sqrt(1.0 - p),
                                atol=1e-12)
@@ -72,7 +64,7 @@ def test_threshold_depth_surface_case(w_two):
 
 def test_below_threshold_rejected(w_two):
     with pytest.raises(DomainError):
-        depth(w_two, 1.9)
+        solve_stream(w_two, 1.9)
     with pytest.raises(DomainError):
         solve_stream(w_two, -2.1)
 
@@ -80,48 +72,88 @@ def test_below_threshold_rejected(w_two):
 def test_divergent_threshold_depth(w_zero):
     # condition "i": d(s0) = +inf, reported as divergence not a number
     with pytest.raises(DivergenceError):
-        depth(w_zero, 0.0)
+        solve_stream(w_zero, 0.0)
+    with pytest.raises(DivergenceError):
+        solve_stream(w_zero, sigma2=0.0)
 
 
-def test_phi_not_defined_at_threshold(w_two):
-    with pytest.raises(DomainError):
-        phi(w_two, 2.0)
+def test_phi_not_defined_at_threshold(w_two, w_tilted):
+    # a zero-margin stream ("ii"/"iii"), named by s0 or by its margin, has a
+    # depth, but the -3/2 power is not integrable at the maximizers of Omega
+    for st, p in ((solve_stream(w_two, 2.0), 1.0),
+                  (solve_stream(w_two, sigma2=0.0), [0.5, 1.0]),
+                  (solve_stream(w_tilted, sigma2=0.0), 0.5)):
+        assert math.isfinite(st.d)
+        with pytest.raises(DomainError, match="not defined at s = s0"):
+            st.phi_at(p)
 
 
 def test_phi_decreasing_in_s(w_two):
-    values = [phi(w_two, s) for s in (2.1, 2.5, 3.0, 4.0)]
+    values = [solve_stream(w_two, s).phi_at(1.0) for s in (2.1, 2.5, 3.0, 4.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_phi_cumulative_matches_pointwise(w_two):
     grid = np.linspace(0.0, 1.0, 17)
-    cum = stream._accumulate(w_two, [(stream._margin(w_two, 3.0)[0], -1.5)], grid)[0]
-    want = [phi(w_two, 3.0, p) for p in grid]
+    st = solve_stream(w_two, 3.0)
+    cum = stream._accumulate(w_two, [(st.sigma2, -1.5)], grid)[0]
+    want = [st.phi_at(p) for p in grid]
     np.testing.assert_allclose(cum, want, rtol=1e-10, atol=1e-14)
 
 
 def test_phi_of_a_scalar_is_the_one_column_integral(w_two):
-    value = phi(w_two, 2.1, 0.5)
+    st = solve_stream(w_two, 2.1)
+    value = st.phi_at(0.5)
     assert type(value) is float
-    assert value == stream._accumulate(w_two, [(stream._margin(w_two, 2.1)[0], -1.5)],
-                                       (0.5,))[0, 0]
+    assert value == stream._accumulate(w_two, [(st.sigma2, -1.5)], (0.5,))[0, 0]
 
 
 def test_phi_takes_arrays(w_two):
     # an array of powers gave a bare TypeError; the values come unsorted,
     # repeated and in two dimensions
     p = np.array([[0.5, 0.2], [1.0, 0.5]])
-    values = phi(w_two, 2.1, p)
+    st = solve_stream(w_two, 2.1)
+    values = st.phi_at(p)
     assert values.shape == p.shape
-    each = [[phi(w_two, 2.1, x) for x in row] for row in p.tolist()]
+    each = [[st.phi_at(x) for x in row] for row in p.tolist()]
     np.testing.assert_allclose(values, each, rtol=1e-12, atol=0.0)
-    assert phi(w_two, 2.1, [0.5, 0.2]).shape == (2,)
+    assert st.phi_at([0.5, 0.2]).shape == (2,)
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.1, [0.5, 1.1], math.nan])
 def test_phi_outside_the_column_is_a_domain_error(w_two, p):
     with pytest.raises(DomainError, match="outside"):
-        phi(w_two, 2.1, p)
+        solve_stream(w_two, 2.1).phi_at(p)
+
+
+@pytest.mark.parametrize("w, s, sigma2", [
+    (2.0, 3.0, None), (2.0, None, 1e-6), (-2.0, 0.5, None), (0.5, 1.2, None),
+    (-1.0, None, 1e-8),
+])
+def test_phi_at_constant_vorticity_closed_form(w, s, sigma2):
+    # omega == w: the gap is w (1 - t) for w > 0 and -w t else, and
+    # Phi(p) = ((sigma2 + 2 gap(p))^(-1/2) - (sigma2 + 2 gap(0))^(-1/2)) / w,
+    # written without cancellation at the margin; a stream named by its
+    # margin is read the same way
+    st = solve_stream(V.constant(w), s, sigma2=sigma2)
+    p = np.linspace(0.0, 1.0, 41)
+    gap = w * (1.0 - p) if w > 0.0 else -w * p
+    want = ((st.sigma2 + 2.0 * gap) ** -0.5 - (st.sigma2 + 2.0 * gap[0]) ** -0.5) / w
+    np.testing.assert_allclose(st.phi_at(p), want, rtol=1e-11, atol=0.0)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(spec=dist_specs, lift=st_.floats(-4.0, 0.5))
+def test_phi_at_the_surface_is_the_column_row(spec, lift):
+    # Phi(1; s) of a stream is the -3/2 row of the column totals that
+    # bernoulli and dispersion read, bit for bit
+    dist = V.parse(spec)
+    try:
+        s0 = dist.classify().s0
+    except AmbiguousClassificationError:
+        return
+    st = solve_stream(dist, s0 + max(1.0, s0) * 10.0 ** lift)
+    assert st.phi_at(1.0) == stream._totals(dist, [(st.sigma2, -1.5)])[0]
 
 
 def test_stream_solution_record(w_zero):
@@ -188,7 +220,7 @@ def test_u_at_domain_check(w_two):
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
 def test_non_finite_slope_is_a_domain_error(w_two, s):
-    for fn in (depth, phi, solve_stream, surface_slope_squared):
+    for fn in (solve_stream, shoot_stream):
         with pytest.raises(DomainError, match="not finite"):
             fn(w_two, s)
 
@@ -337,11 +369,10 @@ def test_height_at_inverts_u_at(spec, lift):
 
 def test_shoot_matches_quadrature(w_two, w_tilted):
     for dist, s in ((w_two, 2.5), (w_two, 4.0), (w_tilted, 0.7)):
-        sh = shoot_stream(dist, s)
-        np.testing.assert_allclose(sh.d, depth(dist, s), atol=1e-9)
+        sh, st = shoot_stream(dist, s), solve_stream(dist, s)
+        np.testing.assert_allclose(sh.d, st.d, atol=1e-9)
         assert sh.unidirectional
         assert not sh.sign_change
-        st = solve_stream(dist, s)
         np.testing.assert_allclose(sh.r, st.r, atol=1e-9)
 
 
@@ -445,14 +476,16 @@ KINKED = "table 0.0:1.14 0.212:-1.012 0.407:2.0 0.501:-0.466 1.0:-1.531"
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(spec=dist_specs, lift=st_.floats(-4.0, 0.5))
 def test_depth_matches_stream_solution(spec, lift):
-    # the stream's depth is the very quadrature call that depth makes
+    # the stream's depth is a fresh column quadrature at its margin, bit for
+    # bit, whether the memo answers or not, and its margin names the same stream
     dist = V.parse(spec)
     try:
         s0 = dist.classify().s0
     except AmbiguousClassificationError:
         return
-    s = s0 + max(1.0, s0) * 10.0 ** lift
-    assert solve_stream(dist, s).d == depth(dist, s)
+    st = solve_stream(dist, s0 + max(1.0, s0) * 10.0 ** lift)
+    assert st.d == stream._accumulate(dist, [(st.sigma2, -0.5)], (1.0,))[0, 0]
+    assert solve_stream(dist, sigma2=st.sigma2).d == st.d
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -466,7 +499,7 @@ def test_depth_decreases_in_s(spec, lift):
     except AmbiguousClassificationError:
         return
     edge = math.sqrt(s0 * s0 + bernoulli._proxy(dist).margins[0])
-    d = [depth(dist, edge + max(1.0, s0) * 10.0 ** (lift + k)) for k in range(3)]
+    d = [solve_stream(dist, edge + max(1.0, s0) * 10.0 ** (lift + k)).d for k in range(3)]
     assert d[0] > d[1] > d[2]
 
 
@@ -508,8 +541,8 @@ def test_u_at_answers_each_height_alone(spec):
 
 def test_depth_at_critical_slope_on_kinked_table():
     dist = V.parse(KINKED)
-    s_c = bernoulli.analyze(dist).s_c
-    assert solve_stream(dist, s_c).d == depth(dist, s_c)
+    st = solve_stream(dist, bernoulli.analyze(dist).s_c)
+    assert st.d == stream._accumulate(dist, [(st.sigma2, -0.5)], (1.0,))[0, 0]
 
 
 def test_phi_gauss_legendre_at_critical_slope():
@@ -762,7 +795,7 @@ def test_depth_at_tiny_margins_follows_the_log_asymptote():
 def test_an_empty_profile_is_of_floats(w_two):
     # no piece lies below p = 0, and an empty bincount is of integers
     st = solve_stream(w_two, 3.0)
-    for got in (st.height_at([0.0]), phi(w_two, 3.0, [0.0]),
+    for got in (st.height_at([0.0]), st.phi_at([0.0]),
                 stream._accumulate(w_two, [(st.sigma2, -0.5)], (0.0,))):
         assert got.dtype == np.float64 and not got.any()
 
@@ -808,8 +841,9 @@ def test_depth_through_the_threshold_layer(s):
          2.0 / math.sqrt(6.0) * (0.5 * math.pi - math.atan(s * math.sqrt(2.0 / 3.0)))),
     )
     for dist, want in cases:
-        assert abs(depth(dist, s) - want) <= 1e-12 * want
+        # s0 = 0 for both, so s names the margin s^2
         assert abs(solve_stream(dist, s).d - want) <= 1e-12 * want
+        assert abs(solve_stream(dist, sigma2=s * s).d - want) <= 1e-12 * want
 
 
 def test_stream_at_the_lowest_proxy_sample():
@@ -834,7 +868,7 @@ def test_stream_at_the_lowest_proxy_sample():
                      | {m + sgn * mp.mpf(10) ** -k for k in range(1, 8) for sgn in (1, -1)})
         want = float(mp.quad(
             lambda t: (mp.mpf(sigma2) + 2 * (Omega(m) - Omega(t))) ** mp.mpf(-0.5), pts))
-    assert abs(depth(dist, s) - want) <= 1e-10 * want
+    assert abs(solve_stream(dist, sigma2=sigma2).d - want) <= 1e-10 * want
     assert abs(solve_stream(dist, s).d - want) <= 1e-10 * want
 
 
@@ -874,9 +908,9 @@ def test_partition_and_column_are_built_once_per_distribution(fresh_caches, monk
     monkeypatch.setattr(V, "_gap_segments", spy)
     dist = V.parse("poly 0.25 -1.5 2.0 0.125")
     before = stream._column.cache_info()
-    depth(dist, 1.5)
+    solve_stream(dist, 1.5)
     built = len(frames)
-    depth(dist, 2.5)
+    solve_stream(dist, 2.5)
     after = stream._column.cache_info()
     assert built > 0 and len(frames) == built
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
@@ -885,21 +919,25 @@ def test_partition_and_column_are_built_once_per_distribution(fresh_caches, monk
             arr.flat[0] = arr.flat[0]
 
 
-@pytest.mark.parametrize("spec, s, fn, want", [
-    (KINKED, 0.6506459863146118, depth, (210, 14)),
-    (KINKED, 0.6506459863146118, phi, (240, 16)),
-    (KINKED, 0.6101400345853446, depth, (285, 19)),
-    (KINKED, 0.6101400345853446, phi, (465, 31)),
-    ("poly -3 6", 0.01, depth, (360, 24)),
-    ("poly -3 6", 0.01, phi, (420, 28)),
-    ("poly -3 6", 1e-6, depth, (570, 38)),
-    ("poly -3 6", 1e-6, phi, (690, 46)),
+@pytest.mark.parametrize("spec, s, reading, want", [
+    (KINKED, 0.6506459863146118, "depth", (210, 14)),
+    (KINKED, 0.6506459863146118, "phi", (240, 16)),
+    (KINKED, 0.6101400345853446, "depth", (285, 19)),
+    (KINKED, 0.6101400345853446, "phi", (465, 31)),
+    ("poly -3 6", 0.01, "depth", (360, 24)),
+    ("poly -3 6", 0.01, "phi", (420, 28)),
+    ("poly -3 6", 1e-6, "depth", (570, 38)),
+    ("poly -3 6", 1e-6, "phi", (690, 46)),
 ])
-def test_quadrature_work_is_pinned(spec, s, fn, want, fresh_caches):
+def test_quadrature_work_is_pinned(spec, s, reading, want, fresh_caches):
     # integrand points and cells of one call at 1.05 s0 + 0.01 and at
     # s0 + 1e-6 max(1, s0), pinned: a change to the pieces, their parts in
     # v = asinh(x / L) or the refinement shows here; the column memo must
-    # not answer first
+    # not answer first.  The depth is the whole of a new stream's work, and
+    # Phi(1; s) is counted apart from it
     numerics.tally.clear()
-    fn(V.parse(spec), s)
+    st = solve_stream(V.parse(spec), s)
+    if reading == "phi":
+        numerics.tally.clear()
+        st.phi_at(1.0)
     assert (numerics.tally["quad_points"], numerics.tally["quad_cells"]) == want

@@ -66,7 +66,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, ConvergenceError, DomainError, ResonanceError
-from .stream import StreamSolution, _totals
+from .stream import StreamSolution
 from .vorticity import _horner
 
 __all__ = ["GammaSolution", "DispersionResult", "gamma_bvp", "sigma", "find_tau0"]
@@ -111,6 +111,15 @@ def _bisect(elements: list, bad) -> list:
             (((a, 0.5 * (a + b)), (0.5 * (a + b), b)) if cut else ((a, b),))]
 
 
+def _kink_heights(stream) -> np.ndarray:
+    """Heights ``H(tau_k)`` of the interior segment starts of omega, kept on
+    the stream: omega' jumps there, so elements end there."""
+    kept, seg = vars(stream), stream.dist._seg
+    if "_kink_heights" not in kept:
+        kept["_kink_heights"] = stream.height_at(seg[(seg > 0.0) & (seg < 1.0)])
+    return kept["_kink_heights"]
+
+
 def _q(stream, elements: list) -> np.ndarray:
     """omega'(u) at the points of each ``(a, b)`` element, from its own
     segment, kept on the stream (``_transverse``); node ``u`` (``u_at``) only
@@ -121,7 +130,7 @@ def _q(stream, elements: list) -> np.ndarray:
         a, b = np.array(new).T
         y = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
         y[:, 0], y[:, -1] = a, b
-        row = np.searchsorted(stream._kink_heights, a, side="right")
+        row = np.searchsorted(_kink_heights(stream), a, side="right")
         q = np.repeat(dist._dw[row, :1], x.size, axis=1)
         varies = (dist._dw[row, 1:] != 0.0).any(axis=1)
         if varies.any():
@@ -168,7 +177,7 @@ def _new_mode(stream, tau: float, from_surface: bool) -> _Mode:
     if not 0.0 <= tau < math.inf:
         raise DomainError(f"wavenumber tau={tau!r} must be finite and nonnegative")
     x, integ, coef, _ = _cheb()
-    d, edges = stream.d, [0.0, *stream._kink_heights, stream.d]
+    d, edges = stream.d, [0.0, *_kink_heights(stream), stream.d]
     elements = list(zip(edges[:-1], edges[1:]))
     while any(bad := [tau * (b - a) > _SPAN and (b - a) * 2.0 ** _MAX_LEVEL > d
                       for a, b in elements]):
@@ -273,7 +282,7 @@ def _long_wave_limit(stream: StreamSolution) -> float:
     upd = stream.u_prime_d
     if stream.sigma2 == 0.0:
         return -1.0 / upd  # Phi(1; s0) diverges where the margin closes
-    return (1.0 / _totals(stream.dist, [(stream.sigma2, -1.5)])[0] - 1.0) / upd
+    return (1.0 / stream.phi_at(1.0) - 1.0) / upd
 
 
 def _sigma(stream, mode: _Mode) -> float:

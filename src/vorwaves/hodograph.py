@@ -17,10 +17,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import stream as _stream
 from .errors import ConfigError, DomainError, UnidirectionalityError
 from .linearwave import WaveField
-from .stream import StreamSolution
+from .stream import StreamSolution, solve_stream
 from .vorticity import VorticityDistribution
 
 __all__ = [
@@ -288,20 +287,21 @@ def wheeler_identity(hfield: HodographField, s: float, window,
                      dist: VorticityDistribution) -> WheelerReport:
     """Evaluate both sides of the conjugate-flow integral identity.
 
-    The field ``h`` is compared with the stream profile ``H(p; s)``, taken
-    with ``Phi(p; s)`` from one two-row stream quadrature on the field's grid,
-    over the q-window: the left side couples ``Phi(1; s) - 1`` with the
-    surface deviation plus a gradient-quadratic bulk integral, the right
-    side is the boundary flux ``-(h_q / h_p) Phi(p; s)`` through the
-    window's vertical sides.  Quadrature is the trapezoid rule on the
-    field's own grid; the comparison profile is differenced by the same
-    discrete operator as ``h``, so self-comparison returns exact zeros.
+    The field ``h`` is compared with the reference stream
+    ``solve_stream(dist, s)``, whose ``H(p; s)`` and ``Phi(p; s)`` on the
+    field's grid come from one two-row profile of that stream, over the
+    q-window: the left side couples ``Phi(1; s) - 1`` with the surface
+    deviation plus a gradient-quadratic bulk integral, the right side is
+    the boundary flux ``-(h_q / h_p) Phi(p; s)`` through the window's
+    vertical sides.  Quadrature is the trapezoid rule on the field's own
+    grid; the comparison profile is differenced by the same discrete
+    operator as ``h``, so self-comparison returns exact zeros.
 
-    A head mismatch between ``R(s)`` and the field's ``r`` is warned
-    about, not raised: the identity is only meaningful on matching heads,
-    but probing violations is part of the diagnostic's job.  A window
-    that reaches off the field's q-range, or holds no interval of its
-    grid, is a :class:`ConfigError`.
+    A head mismatch between that stream's head ``R(s)`` and the field's
+    ``r`` is warned about, not raised: the identity is only meaningful on
+    matching heads, but probing violations is part of the diagnostic's
+    job.  A window that reaches off the field's q-range, or holds no
+    interval of its grid, is a :class:`ConfigError`.
     """
     q, p, h = hfield.q, hfield.p, hfield.h
     if window is None:
@@ -316,13 +316,12 @@ def wheeler_identity(hfield: HodographField, s: float, window,
         raise ConfigError(f"empty window {window!r} on q in "
                           f"[{float(q[0])!r}, {float(q[-1])!r}]")
 
-    sigma2 = _stream._margin(dist, s)[0]
-    H_col, phi_vals = _stream._accumulate(dist, [(sigma2, -0.5), (sigma2, -1.5)], p)
-    head = _stream._head(dist, sigma2, float(H_col[-1]))
-    head_gap = abs(head - hfield.r)
+    ref = solve_stream(dist, s)
+    H_col, phi_vals = ref._profile(p, -0.5, -1.5)
+    head_gap = abs(ref.r - hfield.r)
     if head_gap > _HEAD_MATCH_TOL * max(1.0, abs(hfield.r)):
         warnings.warn(
-            f"head mismatch: stream head {head!r} at s={s!r} differs from "
+            f"head mismatch: stream head {ref.r!r} at s={s!r} differs from "
             f"the field's r={hfield.r!r} by {head_gap!r}; the identity is "
             f"only exact on matching heads", stacklevel=2)
 

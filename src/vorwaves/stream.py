@@ -38,13 +38,10 @@ trajectories below the threshold slope, and an independent check on
 crossings, Newton steps on its dense output (``numerics.Newton``) find the
 first.
 
-:class:`StreamSolution` is the one public reader of a stream: its depth,
-head, surface slope, ``H`` and ``Phi``.  Three modules after this one also
-read the quadrature beside it: ``bernoulli`` searches the head landscape on
-the column totals (``_totals``, ``_head``), ``dispersion`` reads ``Phi(1; s)``
-of its stream from their memo (``_totals``), and
-``hodograph.wheeler_identity``, which takes its reference profile by slope,
-reads ``_margin``, ``_accumulate`` and ``_head``.
+:class:`StreamSolution` is the one reader of a stream: its depth, head,
+surface slope, ``H`` and ``Phi``.  Only ``bernoulli`` also reads the
+quadrature beside it, as its searches read column totals (``_totals``,
+``_head``) at margins that are not yet streams.
 """
 
 from __future__ import annotations
@@ -118,6 +115,18 @@ def _stream_values(p) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
+def _heights(y, d: float) -> np.ndarray:
+    """``y`` as an array; a height outside ``[0, d]`` beyond a relative slack
+    of 1e-9, or not finite, is a domain error."""
+    arr = np.asarray(y, dtype=float)
+    slack = 1e-9 * max(1.0, d)
+    inside = (arr >= -slack) & (arr <= d + slack)
+    if not inside.all():
+        raise DomainError(f"height {float(arr[~inside][0])!r} outside the water column "
+                          f"[0, {d!r}]")
+    return arr
+
+
 def _layout(dist: VorticityDistribution, grid) -> tuple:
     """The pieces of :func:`_accumulate` on ``grid``: the parts of
     ``dist._partition`` cut at the grid's points, with ``[lo, hi]``, the
@@ -182,8 +191,9 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     rounded so that ``v1 = asinh(x_hi / L)`` maps back to ``x_hi`` itself:
     under a linear gap the top end holds most of the integral, and one ulp
     of ``v1`` near 40 moves it by 4e-15.  A zero margin is allowed only
-    for ``d`` and ``H`` under "ii"/"iii", at endpoint maximizers where the integrand is
-    ``(2 c_1 x)^(-1/2)``, and there every piece is integrated in
+    under "ii"/"iii", whose maximizers are endpoints where the integrand of
+    ``d`` and ``H`` is ``(2 c_1 x)^(-1/2)``, and for ``Phi`` and ``dPhi/ds``
+    only on pieces that do not start at one; there every piece is integrated in
     ``v = sqrt(x)`` (``dx = 2 v dv``).  A piece in ``v`` reads the gap at
     ``x`` itself, not at ``tau``.
 
@@ -195,12 +205,12 @@ def _accumulate(dist: VorticityDistribution, requests, grid) -> np.ndarray:
     at_zero = [power for sigma2, power in requests if sigma2 == 0.0]
     if at_zero and not dist.classify().d0_finite:
         raise DivergenceError("d diverges at the zero margin under classification 'i'")
-    if min(at_zero, default=0.0) <= -1.0:
+    column = len(grid) == 1 and grid[0] == 1.0
+    lo, hi, x_lo, x_hi, cell, tag, rows, terms = _column(dist) if column else _layout(dist, grid)
+    if min(at_zero, default=0.0) <= -1.0 and (x_lo == 0.0).any():
         raise DomainError(
             f"Phi and dPhi/ds are not defined at s = s0 = {dist.classify().s0!r}: "
             f"the integrand has a non-integrable endpoint there")
-    column = len(grid) == 1 and grid[0] == 1.0
-    lo, hi, x_lo, x_hi, cell, tag, rows, terms = _column(dist) if column else _layout(dist, grid)
     sig, powers = np.array(margins), np.array([power for _, power in requests])
     # the layer width L of every piece i of every row, row after row
     width = np.array([[min(((sigma2 / c) ** (1.0 / j) for j, c in frame), default=inf)
@@ -275,17 +285,6 @@ def _totals(dist: VorticityDistribution, requests) -> list:
     return out
 
 
-def _profile(dist: VorticityDistribution, sigma2: float, power: float, p):
-    """``int_0^p (sigma2 + 2 gap)^power dtau`` at each ``p`` (scalar or array),
-    from one :func:`_accumulate` call on the distinct values in order."""
-    arr = _stream_values(p)
-    if not arr.size:
-        return arr
-    grid, back = np.unique(arr.ravel(), return_inverse=True)
-    out = _accumulate(dist, [(sigma2, power)], grid)[0][back]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
 def _surface(dist: VorticityDistribution) -> float:
     """``2 gap(1) >= 0``, what ``u'(d)^2`` adds to the margin."""
     return 2.0 * dist._surface_gap
@@ -335,36 +334,39 @@ class StreamSolution:
         self._inverted = (b"", None)  # the last heights given to u_at, and their u
 
     @cached_property
-    def _kink_heights(self) -> np.ndarray:
-        """Heights ``H(tau_k)`` of the interior segment starts of omega.
-
-        omega' jumps there, so the transverse grid of ``dispersion`` has
-        element bounds there; they are computed once per stream.
-        """
-        seg = self.dist._seg
-        return self.height_at(seg[(seg > 0.0) & (seg < 1.0)])
-
-    @cached_property
     def _nodes(self):
         """``(p, H(p))`` at the Chebyshev-Lobatto nodes, the brackets of ``u_at``."""
         p = 0.5 * (1.0 - numerics.lobatto(_PROFILE_NODES - 1))  # 0 and 1 exactly
-        return p, _accumulate(self.dist, [(self.sigma2, -0.5)], p)[0]
+        return p, self.height_at(p)
 
     # -- profile evaluation ----------------------------------------------------
 
+    def _profile(self, p, *powers):
+        """``int_0^p (sigma2 + 2 gap)^power dtau`` at each ``p`` (scalar or
+        array), a row per power, from one :func:`_accumulate` call on the
+        distinct values in order; at ``p = 1`` alone, from the column totals."""
+        arr, requests = _stream_values(p), [(self.sigma2, power) for power in powers]
+        if not arr.size:
+            return np.zeros((len(powers), *arr.shape))
+        grid, back = np.unique(arr.ravel(), return_inverse=True)
+        out = (np.array(_totals(self.dist, requests))[:, None] if grid.tolist() == [1.0]
+               else _accumulate(self.dist, requests, grid))[:, back]
+        return out[:, 0].tolist() if arr.ndim == 0 else out.reshape(len(powers), *arr.shape)
+
     def height_at(self, p):
         """``H(p; s)`` from the quadrature (scalar or array)."""
-        return _profile(self.dist, self.sigma2, -0.5, p)
+        return self._profile(p, -0.5)[0]
 
     def phi_at(self, p):
         """Tail weight ``Phi(p; s) = int_0^p (sigma2 + 2 gap)^(-3/2) dtau``
         from the quadrature (scalar or array).
 
         Strictly decreasing in ``s``; ``Phi(1; s) = 1`` picks out the
-        critical slope.  At zero margin the ``-3/2`` power is not integrable,
+        critical slope.  At zero margin the ``-3/2`` power is not integrable
+        at a maximizer of Omega, and a ``p`` whose ``[0, p]`` reaches one is
         a :class:`DomainError`.
         """
-        return _profile(self.dist, self.sigma2, -1.5, p)
+        return self._profile(p, -1.5)[0]
 
     def _speed(self, p):
         """``u' = sqrt(sigma2 + 2 gap(p))`` at stream values ``p``, by the first
@@ -400,16 +402,9 @@ class StreamSolution:
         bracket.  The last inversion is kept, so the same heights again cost
         no quadrature.
         """
-        arr = np.asarray(y, dtype=float)
+        arr = _heights(y, self.d)
         scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr).astype(float)
-        slack = 1e-9 * max(1.0, self.d)
-        inside = (arr >= -slack) & (arr <= self.d + slack)
-        if not inside.all():
-            bad = arr[~inside]
-            raise DomainError(
-                f"height {float(bad.flat[0])!r} outside the water column "
-                f"[0, {self.d!r}]")
+        arr = np.atleast_1d(arr)
         if not arr.size:
             return arr
         key = arr.tobytes()
@@ -479,10 +474,7 @@ class ShotStream:
 
     def _dense_at(self, y, row: int):
         """Row ``row`` (0 for ``u``, 1 for ``u'``) of the dense output at ``y``."""
-        arr = np.asarray(y, dtype=float)
-        slack = 1e-9 * max(1.0, self.d)
-        if not np.all((arr >= -slack) & (arr <= self.d + slack)):
-            raise DomainError(f"height outside [0, {self.d!r}]")
+        arr = _heights(y, self.d)
         if not arr.size:
             return arr
         out = self._dense(np.clip(np.atleast_1d(arr), 0.0, self.d))[row]

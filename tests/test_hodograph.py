@@ -193,19 +193,24 @@ def test_wheeler_refuses_a_window_off_the_strip(w_two, window):
         wheeler_identity(hf, 3.0, window, w_two)
 
 
-def test_wheeler_builds_no_stream(w_two, monkeypatch):
-    # the comparison column and its head come from the quadrature on the
-    # field's own p-grid, not from a second stream solution
+def test_wheeler_reads_its_reference_stream(w_two, monkeypatch):
+    # the comparison column, Phi and the head come from the stream of slope
+    # s: H and Phi on the field's own p-grid from one two-row profile of it
     hf = to_strip(stream.solve_stream(w_two, 3.0))
+    profile, read = stream.StreamSolution._profile, []
 
-    def fail(*args):
-        raise AssertionError("wheeler_identity built a StreamSolution")
+    def spy(self, p, *powers):
+        read.append((self.s, powers))
+        return profile(self, p, *powers)
 
-    monkeypatch.setattr(stream.StreamSolution, "__init__", fail)
+    monkeypatch.setattr(stream.StreamSolution, "_profile", spy)
     numerics.tally.clear()
     assert wheeler_identity(hf, 3.0, None, w_two).discrepancy == 0.0
-    # H and Phi come from one two-row call
     assert numerics.tally["quad_calls"] == 1
+    assert read == [(3.0, (-0.5, -1.5))]
+    with pytest.warns(UserWarning, match="head mismatch"):
+        rep = wheeler_identity(hf, 3.5, None, w_two)
+    assert rep.head_gap == abs(stream.solve_stream(w_two, 3.5).r - hf.r) > 0.0
 
 
 @pytest.mark.parametrize("spec", ["constant 0", "table 0:1 0.5:-1 1:2"])

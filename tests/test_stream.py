@@ -79,13 +79,50 @@ def test_divergent_threshold_depth(w_zero):
 
 def test_phi_not_defined_at_threshold(w_two, w_tilted):
     # a zero-margin stream ("ii"/"iii"), named by s0 or by its margin, has a
-    # depth, but the -3/2 power is not integrable at the maximizers of Omega
+    # depth, but the -3/2 power is not integrable at the maximizers of Omega,
+    # which every [0, p] reaches where Omega peaks at the bottom
     for st, p in ((solve_stream(w_two, 2.0), 1.0),
                   (solve_stream(w_two, sigma2=0.0), [0.5, 1.0]),
-                  (solve_stream(w_tilted, sigma2=0.0), 0.5)):
+                  (solve_stream(w_tilted, sigma2=0.0), 0.5),
+                  (solve_stream(V.constant(-2.0), sigma2=0.0), 0.5)):
         assert math.isfinite(st.d)
         with pytest.raises(DomainError, match="not defined at s = s0"):
             st.phi_at(p)
+
+
+def test_phi_at_zero_margin_below_the_surface_maximizer(w_two):
+    # under "iii" with Omega peaking at the surface only, Phi(p; s0) is finite
+    # for p < 1: on omega == 2, ((4 - 4p)^(-1/2) - 1/2) / 2
+    p = np.array([0.1, 0.5, 0.9, 0.99])
+    want = ((4.0 - 4.0 * p) ** -0.5 - 0.5) / 2.0
+    for st in (solve_stream(w_two, 2.0), solve_stream(w_two, sigma2=0.0)):
+        np.testing.assert_allclose(st.phi_at(p), want, rtol=1e-13, atol=0.0)
+        assert abs(st.phi_at(0.5) - (math.sqrt(2.0) - 1.0) / 4.0) <= 1e-16
+
+
+def test_column_reads_of_a_stream_are_its_totals():
+    # H(1) and Phi(1) of a stream are the column totals, read from their
+    # memo with no new quadrature
+    dist = V.parse("poly 0 0 3")
+    st = solve_stream(dist, dist.classify().s0 + 0.5)
+    phi = stream._totals(dist, [(st.sigma2, -1.5)])[0]
+    numerics.tally.clear()
+    assert st.height_at(1.0) == st.d
+    assert st.phi_at(1.0) == phi
+    assert st.phi_at([1.0, 1.0]).tolist() == [phi, phi]
+    assert numerics.tally["quad_calls"] == 0
+
+
+def test_one_range_check_for_heights(w_two):
+    # the quadrature stream and the shot refuse a height just past the slack
+    # of 1e-9 max(1, d) with the same error, and take one inside it
+    for reader in (solve_stream(w_two, 3.0), shoot_stream(w_two, 3.0)):
+        d = reader.d
+        assert reader.u_at(d * (1.0 + 5e-10)) == pytest.approx(1.0, abs=1e-8)
+        for y in (d + 2e-9 * max(1.0, d), -2e-9 * max(1.0, d), math.nan):
+            with pytest.raises(DomainError) as err:
+                reader.u_at(y)
+            assert str(err.value) == f"height {y!r} outside the water column [0, {d!r}]"
 
 
 def test_phi_decreasing_in_s(w_two):
@@ -448,7 +485,7 @@ def test_shot_is_an_oracle_for_the_stream(spec, r, kinks):
         y = np.linspace(0.0, st.d, 200)
         assert np.max(np.abs(shot.u_at(y) - st.u_at(y))) <= 1e-9
         assert np.max(np.abs(shot.velocity_at(y) - st.velocity_at(y))) <= 1e-9
-        np.testing.assert_allclose(shot.u_at(st._kink_heights), kinks, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(shot.u_at(st.height_at(kinks)), kinks, rtol=0.0, atol=1e-9)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)

@@ -412,17 +412,16 @@ class StreamSolution:
             p, h = self._nodes
             y = np.clip(arr.ravel(), 0.0, h[-1])
             k = np.clip(np.searchsorted(h, y, side="right"), 1, p.size - 1)
-            ends = np.column_stack((p[k - 1], p[k], h[k - 1] - y, h[k] - y, np.interp(y, h, p)))
-            searches = [numerics.Newton(*row, 1e-13) for row in ends.tolist()]
+            search = numerics.NewtonArray(p[k - 1], p[k], h[k - 1] - y, h[k] - y,
+                                          np.interp(y, h, p), 1e-13)
 
-            def values(open_):
-                x = [search.x for search in open_]
-                f = self.height_at(x) - y[[search.root is None for search in searches]]
-                return zip(f.tolist(), self.slope_at(x).tolist())
+            def values(i):
+                x = search.x[i]
+                return self.height_at(x) - y[i], self.slope_at(x)
 
-            numerics.run_newton(searches, values)
-            out = np.array([x.root + x.step if x.lo <= x.root + x.step <= x.hi else x.root
-                            for x in searches])
+            search.run(values)
+            out = search.root + search.step
+            out = np.where((search.lo <= out) & (out <= search.hi), out, search.root)
             self._inverted = (key, out)
         out = self._inverted[1].copy()  # callers may write into their copy
         return float(out[0]) if scalar else out.reshape(arr.shape)

@@ -95,13 +95,13 @@ def _jsonify(obj):
     return obj
 
 
-def _write_csv(out: str, name: str, header, rows) -> str:
-    path = os.path.join(out, name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
+def _write_csv(out: str, name: str, header, *columns) -> str:
+    """Write the float arrays ``columns`` side by side under ``header``: the
+    bytes ``csv.writer`` writes for each value's ``repr``, the rows in one call."""
+    rows = zip(*(column.tolist() for column in columns))
+    with open(os.path.join(out, name), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
     return name
 
 
@@ -250,8 +250,7 @@ def cmd_stream(cfg, out):
     p = np.linspace(0.0, 1.0, n_p)
     heights = st.height_at(p)
     speed = 1.0 / st.slope_at(p)
-    files = [_write_csv(out, "profile.csv", ["p", "height", "velocity"],
-                        zip(p, heights, speed))]
+    files = [_write_csv(out, "profile.csv", ["p", "height", "velocity"], p, heights, speed)]
     results = {
         "s": st.s,
         "d": st.d,
@@ -296,11 +295,9 @@ def cmd_wave(cfg, out):
     st, disp, wf = _built_wave(cfg, dist)
     sc = linearwave.detect_sign_change(wf)
     files = [
-        _write_csv(out, "surface.csv", ["x", "eta"], zip(wf.x, wf.eta)),
-        _write_csv(out, "field.csv", ["x", "y", "psi"],
-                   ((wf.x[j], wf.y[i, j], wf.psi[i, j])
-                    for i in range(wf.y.shape[0])
-                    for j in range(wf.y.shape[1]))),
+        _write_csv(out, "surface.csv", ["x", "eta"], wf.x, wf.eta),
+        _write_csv(out, "field.csv", ["x", "y", "psi"],  # row i of y, then its columns j
+                   wf.x[None].repeat(wf.y.shape[0], 0).ravel(), wf.y.ravel(), wf.psi.ravel()),
     ]
     results = {
         "s": wf.s,
@@ -330,8 +327,7 @@ def cmd_check_bounds(cfg, out):
     else:
         _, _, wf = _built_wave(cfg, dist)
         eta = wf.eta
-        files.append(_write_csv(out, "surface.csv", ["x", "eta"],
-                                zip(wf.x, wf.eta)))
+        files.append(_write_csv(out, "surface.csv", ["x", "eta"], wf.x, wf.eta))
         source = {"built_wave": {"s": wf.s, "t": wf.t, "tau0": wf.tau0}}
     rep = bounds.check_bounds(dist, r, eta)
     results = {
@@ -376,7 +372,7 @@ def cmd_wheeler(cfg, out):
     rep = hodograph.wheeler_identity(hf, s_ref, cfg.window(), dist)
     resid = hodograph.bernoulli_residual(hf)
     files = [_write_csv(out, "residuals.csv", ["q", "surface_residual"],
-                        zip(resid.q, resid.samples))]
+                        resid.q, resid.samples)]
     results = {"strip_s": s_strip, **dataclasses.asdict(rep),
                "surface_residual_max": resid.max_abs}
     return results, files

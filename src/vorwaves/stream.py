@@ -301,7 +301,8 @@ class StreamSolution:
     The height profile ``H(p; s)`` and the tail weight ``Phi(p; s)`` come
     from :func:`_accumulate` at the points asked for; the inverse map
     ``u(y)`` is a bracketed Newton search per height on the same
-    quadrature, with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``.
+    quadrature, with the exact slope ``H' = (sigma2 + 2 gap)^(-1/2)``,
+    from a quintic Hermite start that one round of ``H`` values mostly ends.
 
     A stream is named by exactly one of its slope ``s`` and, keyword only,
     its margin ``sigma2 = s^2 - s0^2`` (finite and ``>= 0``; then ``s =
@@ -335,9 +336,10 @@ class StreamSolution:
 
     @cached_property
     def _nodes(self):
-        """``(p, H(p))`` at the Chebyshev-Lobatto nodes, the brackets of ``u_at``."""
+        """``(p, H(p), u', u'')`` at the Chebyshev-Lobatto nodes, the brackets and
+        Hermite data of ``u_at``: ``u'`` by the first integral, ``u'' = -omega(p)``."""
         p = 0.5 * (1.0 - numerics.lobatto(_PROFILE_NODES - 1))  # 0 and 1 exactly
-        return p, self.height_at(p)
+        return p, self.height_at(p), self._speed(p), -self.dist.omega(p)
 
     # -- profile evaluation ----------------------------------------------------
 
@@ -348,8 +350,10 @@ class StreamSolution:
         arr, requests = _stream_values(p), [(self.sigma2, power) for power in powers]
         if not arr.size:
             return np.zeros((len(powers), *arr.shape))
-        grid, back = np.unique(arr.ravel(), return_inverse=True)
-        out = (np.array(_totals(self.dist, requests))[:, None] if grid.tolist() == [1.0]
+        grid = arr.ravel()
+        grid, back = ((grid, slice(None)) if (grid[1:] > grid[:-1]).all()
+                      else np.unique(grid, return_inverse=True))
+        out = (np.array(_totals(self.dist, requests))[:, None] if grid[:2].tolist() == [1.0]
                else _accumulate(self.dist, requests, grid))[:, back]
         return out[:, 0].tolist() if arr.ndim == 0 else out.reshape(len(powers), *arr.shape)
 
@@ -393,14 +397,15 @@ class StreamSolution:
         """Invert the profile: the stream value ``u`` at height ``y``.
 
         ``y`` outside ``[0, d]`` (beyond a relative slack of 1e-9), or not
-        finite, is a domain error.  Each height is one :class:`numerics.Newton`
-        search on ``H(p) - y`` between the two Chebyshev-Lobatto nodes whose
-        heights bracket it, from the linear interpolant between them, with
-        the exact slope ``H' = 1 / u'``; :func:`numerics.run_newton` runs them
-        side by side, ``H`` at all open points from one :func:`_accumulate`
-        call, and each answer takes its last step where that stays in its
-        bracket.  The last inversion is kept, so the same heights again cost
-        no quadrature.
+        finite, is a domain error.  Each height is one element of a
+        :class:`numerics.NewtonArray` search on ``H(p) - y``, with the exact
+        slope ``H' = 1 / u'`` and ``H`` at all open points from one
+        :func:`_accumulate` call a round, bracketed by the two Chebyshev-Lobatto
+        nodes whose heights straddle it.  It starts on the quintic Hermite
+        interpolant of ``u``, ``u'`` and ``u'' = -omega(u)`` at those nodes,
+        whose error, ``O(dy^6)``, the first round's step mostly ends.  Each
+        answer takes its last step where that stays in its bracket.  The last
+        inversion is kept, so the same heights again cost no quadrature.
         """
         arr = _heights(y, self.d)
         scalar = arr.ndim == 0
@@ -409,17 +414,20 @@ class StreamSolution:
             return arr
         key = arr.tobytes()
         if self._inverted[0] != key:
-            p, h = self._nodes
+            p, h, du, ddu = self._nodes
             y = np.clip(arr.ravel(), 0.0, h[-1])
             k = np.clip(np.searchsorted(h, y, side="right"), 1, p.size - 1)
-            search = numerics.NewtonArray(p[k - 1], p[k], h[k - 1] - y, h[k] - y,
-                                          np.interp(y, h, p), 1e-13)
-
-            def values(i):
-                x = search.x[i]
-                return self.height_at(x) - y[i], self.slope_at(x)
-
-            search.run(values)
+            j, dy = k - 1, h[k] - h[k - 1]
+            # the quintic Hermite interpolant of u(y) on [h[j], h[k]] in t
+            t, rise = (y - h[j]) / dy, p[k] - p[j]
+            d0, d1, s0, s1 = du[j] * dy, du[k] * dy, ddu[j] * dy * dy, ddu[k] * dy * dy
+            c3 = 10.0 * rise - 6.0 * d0 - 4.0 * d1 - 0.5 * (3.0 * s0 - s1)
+            c4 = -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * s0 - 2.0 * s1)
+            c5 = 6.0 * rise - 3.0 * d0 - 3.0 * d1 - 0.5 * (s0 - s1)
+            start = p[j] + t * (d0 + t * (0.5 * s0 + t * (c3 + t * (c4 + t * c5))))
+            search = numerics.NewtonArray(p[j], p[k], h[j] - y, h[k] - y,
+                                          np.clip(start, p[j], p[k]), 1e-13)
+            search.run(lambda i: (self.height_at(search.x[i]) - y[i], self.slope_at(search.x[i])))
             out = search.root + search.step
             out = np.where((search.lo <= out) & (out <= search.hi), out, search.root)
             self._inverted = (key, out)

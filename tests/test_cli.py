@@ -97,6 +97,23 @@ def test_stream_profile_csv(tmp_path):
     assert last[1] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_csv_files_are_the_bytes_of_csv_writer(tmp_path):
+    # a forged field: each column a float array, rows written in one call
+    import csv
+
+    import numpy as np
+    x = np.array([0.0, -0.0, math.inf, 1e-300, 0.1])
+    y = np.array([math.nan, -math.inf, 2.5, -1e-300, 1.0 / 3.0])
+    psi = np.array([5e-324, 1.7976931348623157e308, -0.0, 12345.678, math.pi])
+    assert cli._write_csv(str(tmp_path), "field.csv", ["x", "y", "psi"], x, y, psi) == "field.csv"
+    with open(tmp_path / "want.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "psi"])
+        for row in zip(x, y, psi):
+            writer.writerow([repr(float(v)) for v in row])
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_dispersion_by_head(tmp_path):
     report, _ = _run(tmp_path, "dispersion", """\
         [vorticity]

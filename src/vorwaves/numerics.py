@@ -8,15 +8,12 @@ singular or a layer is thin, failures surface as typed exceptions carrying
 the best estimate reached, and the tolerances are fixed (``abs 1e-12``,
 ``rel 1e-10`` on every piece).
 Every root the package finds inside a bracket is found by one safeguarded
-Newton rule in two forms.  :class:`Newton` (rounds by :func:`run_newton`)
-steps Python floats for the few searches of a call: the exact heads of
-``bernoulli`` and their starts on its Chebyshev proxy, the surface crossing
-of ``stream.shoot_stream``, and ``dispersion.find_tau0`` in ``tau^2`` on
-``(0, inf)``, where sigma is concave, so its steps from 0 stay below the root.
-:class:`NewtonArray` steps arrays, each element bit for bit as a
-:class:`Newton`, for the thousands of heights of the profile inversion
-``u(y)`` of ``stream.StreamSolution``.  It would not pay for the first kind:
-one search takes about 300 µs as a one-element array and 4-8 µs as a Newton.
+Newton method (:class:`Newton`, its rounds run by :func:`run_newton`): the
+exact head searches of ``bernoulli``, their starts on its Chebyshev proxy,
+the surface crossing of ``stream.shoot_stream`` on its dense output, the
+profile inversion ``u(y)`` of ``stream.StreamSolution``, a search per height,
+and the root of ``dispersion.find_tau0`` in ``tau^2`` on ``(0, inf)``, where
+sigma is concave, so its steps from 0 stay below the root.
 The Chebyshev series of ``bernoulli``, ``dispersion`` and ``stream`` share
 :func:`lobatto`'s points, :func:`cheb_fit`'s cosine sum and :func:`clenshaw`
 (Trefethen, *Approximation Theory and Approximation Practice*, ch. 2-3).
@@ -43,7 +40,6 @@ from .errors import ConvergenceError, InvalidIntegrandError
 __all__ = [
     "integrate",
     "Newton",
-    "NewtonArray",
     "run_newton",
     "tally",
 ]
@@ -53,7 +49,7 @@ _ABS_TOL = 1e-12
 _REL_TOL = 1e-10
 # most cells one piece may be cut into, as QUADPACK's ``limit=200``
 _MAX_CELLS = 200
-# most rounds of Newton steps one search may take
+# most rounds of Newton steps one call of :func:`run_newton` may take
 _MAX_ROUNDS = 100
 
 # work counters: "quad_calls" (calls of integrate), "quad_points" (integrand
@@ -213,59 +209,6 @@ class Newton:
             nxt = self.lo + 0.5 * (self.hi - self.lo)
         self._steps = [self._steps[1], abs(nxt - x)]
         self.x = nxt
-
-
-class NewtonArray:
-    """The rule of :class:`Newton` over arrays: element ``i`` steps, bit for
-    bit, as ``Newton(lo[i], hi[i], f_lo[i], f_hi[i], x[i], tol, ftol)`` does,
-    with the 4-ulp test as ``4 np.spacing(|x|)``.  ``root`` is NaN while an
-    element is open.  Raises ``ValueError`` unless ``lo < hi`` everywhere.
-    """
-
-    def __init__(self, lo, hi, f_lo, f_hi, x, tol, ftol=math.inf):
-        self.lo, self.hi, self.f_lo, self.f_hi, self.x = (
-            np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi, x))
-        if not (self.lo < self.hi).all():
-            raise ValueError("a bracket needs lo < hi")
-        self.falling, self.tol, self.ftol = (self.f_lo > 0.0) | (self.f_hi < 0.0), tol, ftol
-        self.root = np.where(self.f_lo == 0.0, self.lo,
-                             np.where(self.f_hi == 0.0, self.hi, math.nan))
-        self.step, self._steps = np.zeros(self.x.shape), np.full((2, *self.x.shape), math.inf)
-
-    def run(self, values: Callable) -> None:
-        """Each round, take ``(f, f')`` at ``x[i]`` from one call ``values(i)`` on
-        the indices ``i`` of the open elements, and step only those.  Raises
-        :class:`ConvergenceError` on a NaN value, and when an element is still
-        open after 100 rounds."""
-        for _ in range(_MAX_ROUNDS):
-            i = np.flatnonzero(np.isnan(self.root))
-            if not i.size:
-                return
-            (fx, slope), x = (np.asarray(v, dtype=float) for v in values(i)), self.x[i]
-            if np.isnan(fx).any():
-                raise ConvergenceError(f"f({float(x[np.isnan(fx)][0])!r}) is NaN; "
-                                       f"the root search cannot continue")
-            up = (fx > 0.0) == self.falling[i]
-            self.lo[i[up]], self.f_lo[i[up]] = x[up], fx[up]
-            self.hi[i[~up]], self.f_hi[i[~up]] = x[~up], fx[~up]
-            lo, hi, f_lo, f_hi = self.lo[i], self.hi[i], self.f_lo[i], self.f_hi[i]
-            with np.errstate(all="ignore"):  # inf and overflow as in Python floats
-                step = np.where(fx != 0.0, np.where(slope != 0.0, -fx / slope, math.inf), 0.0)
-                done = ((np.abs(step) <= self.tol) & (np.abs(fx) <= self.ftol)
-                        | (np.abs(step) <= 4.0 * np.spacing(np.abs(x))))
-                self.root[i[done]], self.step[i[done]] = x[done], step[done]
-                narrow, nxt = ~done & (hi - lo <= self.tol), x + step
-                self.root[i[narrow]] = np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)[narrow]
-                out, far = ~((lo < nxt) & (nxt < hi)), np.abs(step) > 0.5 * self._steps[0, i]
-                nxt = np.where(hi == math.inf, np.where(out, lo + np.maximum(abs(lo), 1.0), nxt),
-                               np.where(out | far, lo + 0.5 * (hi - lo), nxt))
-            go = ~(done | narrow)
-            self._steps[:, i[go]] = self._steps[1, i[go]], np.abs(nxt - x)[go]
-            self.x[i[go]] = nxt[go]
-        i = np.isnan(self.root)
-        raise ConvergenceError(
-            f"Newton steps did not settle in {_MAX_ROUNDS} rounds; brackets " + ", ".join(
-                f"[{a!r}, {b!r}]" for a, b in zip(self.lo[i].tolist(), self.hi[i].tolist())))
 
 
 def run_newton(searches: list, values: Callable) -> None:

@@ -350,10 +350,8 @@ class StreamSolution:
         arr, requests = _stream_values(p), [(self.sigma2, power) for power in powers]
         if not arr.size:
             return np.zeros((len(powers), *arr.shape))
-        grid = arr.ravel()
-        grid, back = ((grid, slice(None)) if (grid[1:] > grid[:-1]).all()
-                      else np.unique(grid, return_inverse=True))
-        out = (np.array(_totals(self.dist, requests))[:, None] if grid[:2].tolist() == [1.0]
+        grid, back = np.unique(arr.ravel(), return_inverse=True)
+        out = (np.array(_totals(self.dist, requests))[:, None] if grid.tolist() == [1.0]
                else _accumulate(self.dist, requests, grid))[:, back]
         return out[:, 0].tolist() if arr.ndim == 0 else out.reshape(len(powers), *arr.shape)
 
@@ -397,15 +395,16 @@ class StreamSolution:
         """Invert the profile: the stream value ``u`` at height ``y``.
 
         ``y`` outside ``[0, d]`` (beyond a relative slack of 1e-9), or not
-        finite, is a domain error.  Each height is one element of a
-        :class:`numerics.NewtonArray` search on ``H(p) - y``, with the exact
-        slope ``H' = 1 / u'`` and ``H`` at all open points from one
-        :func:`_accumulate` call a round, bracketed by the two Chebyshev-Lobatto
-        nodes whose heights straddle it.  It starts on the quintic Hermite
-        interpolant of ``u``, ``u'`` and ``u'' = -omega(u)`` at those nodes,
-        whose error, ``O(dy^6)``, the first round's step mostly ends.  Each
-        answer takes its last step where that stays in its bracket.  The last
-        inversion is kept, so the same heights again cost no quadrature.
+        finite, is a domain error.  Each height is one :class:`numerics.Newton`
+        search on ``H(p) - y`` between the two Chebyshev-Lobatto nodes whose
+        heights bracket it, with the exact slope ``H' = 1 / u'``;
+        :func:`numerics.run_newton` runs them side by side, ``H`` at all open
+        points from one :func:`_accumulate` call a round.  Each starts on the
+        quintic Hermite interpolant of ``u``, ``u'`` and ``u'' = -omega(u)``
+        at its two nodes, whose error, ``O(dy^6)``, the first round's step
+        mostly ends.  Each answer takes its last step where that stays in its
+        bracket.  The last inversion is kept, so the same heights again cost
+        no quadrature.
         """
         arr = _heights(y, self.d)
         scalar = arr.ndim == 0
@@ -425,11 +424,17 @@ class StreamSolution:
             c4 = -15.0 * rise + 8.0 * d0 + 7.0 * d1 + 0.5 * (3.0 * s0 - 2.0 * s1)
             c5 = 6.0 * rise - 3.0 * d0 - 3.0 * d1 - 0.5 * (s0 - s1)
             start = p[j] + t * (d0 + t * (0.5 * s0 + t * (c3 + t * (c4 + t * c5))))
-            search = numerics.NewtonArray(p[j], p[k], h[j] - y, h[k] - y,
-                                          np.clip(start, p[j], p[k]), 1e-13)
-            search.run(lambda i: (self.height_at(search.x[i]) - y[i], self.slope_at(search.x[i])))
-            out = search.root + search.step
-            out = np.where((search.lo <= out) & (out <= search.hi), out, search.root)
+            ends = np.column_stack((p[j], p[k], h[j] - y, h[k] - y, np.clip(start, p[j], p[k])))
+            searches = [numerics.Newton(*row, 1e-13) for row in ends.tolist()]
+
+            def values(open_):
+                x = [search.x for search in open_]
+                f = self.height_at(x) - y[[search.root is None for search in searches]]
+                return zip(f.tolist(), self.slope_at(x).tolist())
+
+            numerics.run_newton(searches, values)
+            out = np.array([x.root + x.step if x.lo <= x.root + x.step <= x.hi else x.root
+                            for x in searches])
             self._inverted = (key, out)
         out = self._inverted[1].copy()  # callers may write into their copy
         return float(out[0]) if scalar else out.reshape(arr.shape)

@@ -1,5 +1,4 @@
 import math
-import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,89 +193,6 @@ def test_newton_that_cannot_settle_names_its_bracket():
 def test_bracket_orientation():
     with pytest.raises(ValueError):
         numerics.Newton(2.0, 1.0, -1.0, 1.0, 1.5, 1e-13)
-    with pytest.raises(ValueError):
-        numerics.NewtonArray([0.0, 2.0], [1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [0.5, 1.5], 1e-13)
-
-
-# the shapes of the array search's property: a smooth monotone cubic, a
-# tanh, a cusp of infinite slope and a jump of slope 1e-300, each about r
-def _shape(kind, r, sign):
-    def f(x):
-        t = x - r
-        if kind == 0:
-            return sign * (t ** 3 + 0.5 * t), sign * (3.0 * t * t + 0.5)
-        if kind == 1:
-            th = math.tanh(4.0 * t)
-            return sign * th, sign * 4.0 * (1.0 - th * th)
-        if kind == 2:
-            return (sign * math.copysign(abs(t) ** 0.2, t),
-                    sign * 0.2 * abs(t) ** -0.8 if t else math.inf)
-        return sign * (1.0 if t > 0.0 else -1.0), 1e-300
-    return f
-
-
-_brackets = st_.lists(
-    st_.tuples(st_.one_of(st_.just(0.0), st_.just(-1.0), st_.floats(-5.0, 5.0)),
-               st_.floats(1e-9, 4.0), st_.floats(0.0, 1.0), st_.floats(0.0, 1.0),
-               st_.integers(0, 3), st_.sampled_from([1.0, -1.0]), st_.booleans()),
-    min_size=1, max_size=12)
-
-
-@settings(max_examples=80, derandomize=True, deadline=None)
-@given(brackets=_brackets, tol=st_.sampled_from([1e-13, 1e-10, 1e-6]),
-       ftol=st_.sampled_from([math.inf, 1e-3]))
-def test_array_search_is_the_scalar_search_bit_for_bit(brackets, tol, ftol):
-    # each element's root and last step are those of its own scalar Newton,
-    # on brackets about 0 and below it, of either orientation, and open above
-    fs, args = [], []
-    for lo, width, at, start, kind, sign, open_ in brackets:
-        hi, r = lo + width, lo + at * width
-        f = _shape(kind, r, sign)
-        f_hi = sign * math.inf if open_ else f(hi)[0]
-        fs.append(f)
-        args.append((lo, math.inf if open_ else hi, f(lo)[0], f_hi, lo + start * width))
-    searches = [numerics.Newton(*a, tol, ftol) for a in args]
-    array = numerics.NewtonArray(*np.array(args).T, tol, ftol)
-
-    def values(i):
-        return np.array([fs[k](x) for k, x in zip(i.tolist(), array.x[i].tolist())]).T
-
-    try:  # a jump above an open bracket never settles: then both must say so alike
-        numerics.run_newton(searches, lambda open_: [fs[searches.index(x)](x.x) for x in open_])
-    except ConvergenceError as exc:
-        with pytest.raises(ConvergenceError, match=re.escape(str(exc))):
-            array.run(values)
-        return
-    array.run(values)
-    assert np.array([x.root for x in searches]).tobytes() == array.root.tobytes()
-    assert np.array([x.step for x in searches]).tobytes() == array.step.tobytes()
-
-
-def test_array_search_takes_an_exact_zero_at_either_end_as_the_root():
-    array = numerics.NewtonArray([-1.0, 0.0], [0.0, 2.0], [0.0, -1.0], [1.0, 0.0],
-                                 [-0.5, 1.0], 1e-13)
-    array.run(lambda i: pytest.fail("a value was taken"))
-    assert array.root.tolist() == [-1.0, 2.0] and array.step.tolist() == [0.0, 0.0]
-
-
-def test_array_search_on_a_bracket_narrowed_below_tol():
-    # a jump of slope 1e-300 at 0.3: every step bisects, and the bracket
-    # ends narrower than tol at its end of smaller |f|
-    array = numerics.NewtonArray([0.0], [1.0], [-1.0], [2.0], [0.5], 1e-6)
-    array.run(lambda i: ([2.0 if x > 0.3 else -1.0 for x in array.x[i]], [1e-300] * i.size))
-    assert array.lo[0] <= 0.3 < array.hi[0] and array.hi[0] - array.lo[0] <= 1e-6
-    assert array.root[0] == array.lo[0]
-
-
-def test_array_search_refuses_nan_and_a_search_that_cannot_settle():
-    array = numerics.NewtonArray([-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [1.0, 1.0],
-                                 [0.5, 0.25], 1e-13)
-    with pytest.raises(ConvergenceError, match=r"f\(0\.25\) is NaN"):
-        array.run(lambda i: ([0.5, math.nan], [1.0, 1.0]))
-    # as the scalar search at tol = 0: 100 rounds, each bisecting about the jump
-    array = numerics.NewtonArray([-1.0], [1.0], [-1.0], [1.0], [0.5], 0.0)
-    with pytest.raises(ConvergenceError, match=r"brackets \[0\.3, 0\.30000000000000004\]$"):
-        array.run(lambda i: ([1.0 if array.x[0] > 0.3 else -1.0], [1e-300]))
 
 
 def test_solve_ivp_failure_names_a_plain_float(monkeypatch):

@@ -10,82 +10,44 @@ The modules mirror the pipeline: a vorticity distribution
 (:mod:`~vorwaves.hodograph`) and the verdict module
 (:mod:`~vorwaves.bounds`) check against the depth bounds.
 
-Importing the package loads only :mod:`~vorwaves.errors`; every other
-exported name, and numpy with it, is imported from its module on first use
-(PEP 562).
+Each module's ``__all__`` is the one list of its public names, and the
+package re-exports them.  Importing the package loads only
+:mod:`~vorwaves.errors`; any other name, and numpy with it, is imported on
+first use from the first pipeline module that lists it (PEP 562).
 """
 
-import importlib
+import importlib.util
 
 from . import errors
+from .errors import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# each exported name, by the module that defines it
-_EXPORTS = {
-    "errors": (
-        "VorwavesError",
-        "ConfigError",
-        "DomainError",
-        "NoStreamError",
-        "UnidirectionalityError",
-        "ConvergenceError",
-        "InvalidIntegrandError",
-        "ResonanceError",
-        "DivergenceError",
-        "AmbiguousClassificationError",
-    ),
-    "vorticity": ("VorticityDistribution", "FlowClassification"),
-    "stream": (
-        "StreamSolution",
-        "ShotStream",
-        "solve_stream",
-        "shoot_stream",
-    ),
-    "bernoulli": ("BernoulliAnalysis", "ConjugatePair", "conjugates", "analyze"),
-    "dispersion": ("DispersionResult", "GammaSolution", "sigma", "find_tau0", "gamma_bvp"),
-    "linearwave": (
-        "WCorrection",
-        "BottomSlopeCheck",
-        "WaveField",
-        "SignChange",
-        "solve_W",
-        "solve_w_aux",
-        "check_Wprime0",
-        "build_wave",
-        "detect_sign_change",
-    ),
-    "hodograph": (
-        "HodographField",
-        "SurfaceResidual",
-        "FieldResidual",
-        "WheelerReport",
-        "to_strip",
-        "bernoulli_residual",
-        "field_equation_residual",
-        "wheeler_identity",
-    ),
-    "bounds": ("VerdictRecord", "BoundsReport", "check_bounds"),
-}
+# the modules whose public names the package re-exports, in the order a name is looked up
+_PIPELINE = ("vorticity", "stream", "bernoulli", "dispersion", "linearwave", "hodograph", "bounds")
 
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = ["__version__", *_HOME]
-
-globals().update((name, getattr(errors, name)) for name in _EXPORTS["errors"])
+def _modules():
+    """The pipeline modules in order, each imported as it is reached."""
+    return (importlib.import_module(f"{__name__}.{name}") for name in _PIPELINE)
 
 
 def __getattr__(name):
-    """An exported name, or a submodule, imported on first use."""
-    if name in _HOME:
-        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
-    elif name in _EXPORTS or name == "numerics":
+    """``__all__``, a submodule, or a public name of a pipeline module, imported
+    on first use; a submodule is looked for first, so that ``from vorwaves
+    import config`` imports no pipeline module."""
+    if name == "__all__":
+        value = ["__version__", *errors.__all__, *(n for m in _modules() for n in m.__all__)]
+    elif importlib.util.find_spec(f"{__name__}.{name}"):
         value = importlib.import_module(f"{__name__}.{name}")
     else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        home = next((m for m in _modules() if name in m.__all__), None)
+        if home is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(home, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__getattr__("__all__")})

@@ -84,7 +84,8 @@ class ConjugatePair:
 class BernoulliAnalysis:
     """The head landscape of one vorticity distribution: its classification
     ``condition`` and threshold slope ``s0``; the critical head ``r_c = R(s_c)``
-    at depth ``d_c``, with ``phi_residual = Phi(1; s_c) - 1``; and the zero-margin
+    at depth ``d_c`` and margin ``sigma2_c``, the one that names the critical
+    stream, with ``phi_residual = Phi(1; s_c) - 1``; and the zero-margin
     depth and head ``d0 = d(s0)`` and ``r0 = R(s0)``, ``inf`` and None under "i"."""
 
     condition: str
@@ -95,6 +96,7 @@ class BernoulliAnalysis:
     phi_residual: float
     d0: float
     r0: Optional[float]
+    sigma2_c: float
 
 
 class _Var:
@@ -326,6 +328,7 @@ def analyze(dist: VorticityDistribution) -> BernoulliAnalysis:
         phi_residual=phi - 1.0,
         d0=d0,
         r0=r0,
+        sigma2_c=sigma2,
     )
 
 
@@ -380,7 +383,7 @@ def conjugates(dist: VorticityDistribution, r: float) -> ConjugatePair:
         raise NoStreamError(
             f"no stream solutions with head r={r!r}: below the critical "
             f"head r_c={an.r_c!r}")
-    m_c = stream._named(an.s0, an.s_c)
+    m_c = an.sigma2_c
     if abs(r - an.r_c) < 1e-10 * max(1.0, abs(an.r_c)):
         return ConjugatePair(r=r, regime="critical", s_plus=an.s_c, d_plus=an.d_c,
                              s_minus=an.s_c, d_minus=an.d_c, sigma2_plus=m_c, sigma2_minus=m_c)

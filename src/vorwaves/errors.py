@@ -6,6 +6,10 @@ a computation could not proceed; they carry plain-language messages with
 the offending numbers embedded.
 """
 
+__all__ = ["VorwavesError", "ConfigError", "DomainError", "NoStreamError",
+           "UnidirectionalityError", "ConvergenceError", "InvalidIntegrandError",
+           "ResonanceError", "DivergenceError", "AmbiguousClassificationError"]
+
 
 class VorwavesError(Exception):
     """Base class for all toolkit errors."""

@@ -219,8 +219,10 @@ def check_Wprime0(stream: StreamSolution, tau0) -> BottomSlopeCheck:
                  "character at tau = 0, so the endpoint comparison is "
                  "skipped")
     upd = _require_slope(stream)
-    numeric = _bottom_derivative(stream, upd, gamma_bvp(stream, tau0).derivative_bottom)
-    wpd = solve_w_aux(stream, tau0).derivative_surface
+    # only the end slopes are read, so each solve is sampled at its two ends
+    gam = gamma_bvp(stream, tau0, n_samples=2)
+    numeric = _bottom_derivative(stream, upd, gam.derivative_bottom)
+    wpd = solve_w_aux(stream, tau0, n_samples=2).derivative_surface
     product = stream.d * upd * wpd
     superpos = stream.s / stream.d + upd * wpd
     return BottomSlopeCheck(

@@ -13,6 +13,7 @@ from vorwaves.bernoulli import analyze, conjugates
 from vorwaves.vorticity import VorticityDistribution as V
 
 from strategies import dist_specs
+from test_golden import GOLDEN
 
 
 def head(dist, s):
@@ -93,6 +94,19 @@ def test_conjugates_critical_regime(w_zero):
     pair = conjugates(w_zero, crit.r_c)
     assert pair.regime == "critical"
     assert pair.s_plus == pair.s_minus == crit.s_c
+
+
+@pytest.mark.parametrize("spec", list(GOLDEN))
+def test_analyze_hands_over_the_critical_margin(spec):
+    # the six references and two tables: sigma2_c names the critical stream
+    # bit for bit, and the critical pair carries it on both branches
+    dist = V.parse(spec)
+    an = analyze(dist)
+    st = stream.solve_stream(dist, sigma2=an.sigma2_c)
+    assert st.d == an.d_c and st.r == an.r_c
+    pair = conjugates(dist, an.r_c)
+    assert pair.regime == "critical"
+    assert pair.sigma2_plus == pair.sigma2_minus == an.sigma2_c
 
 
 def test_conjugates_below_critical(w_zero):
